@@ -15,7 +15,7 @@
 DUNE ?= dune
 SMOKE_ARTIFACTS ?=
 
-.PHONY: all build test bench ci jobs-smoke collect-smoke obs-smoke obs-merge-smoke monitor-smoke cache-smoke decode-smoke alloc-smoke serve-smoke clean
+.PHONY: all build test bench ci jobs-smoke collect-smoke obs-merge-smoke monitor-smoke cache-smoke decode-smoke alloc-smoke serve-smoke clean
 
 all: build
 
@@ -54,35 +54,6 @@ collect-smoke: build
 	{ diff -u $$d/ref.csv $$d/resumed.csv \
 	  || { echo "collect-smoke: resumed CSV differs from uninterrupted run"; exit 1; }; } && \
 	echo "collect-smoke: killed+resumed campaign CSV byte-identical to uninterrupted run"
-
-# The observability contract, end to end: a traced+telemetered campaign
-# must leave artifacts every `obs` subcommand can analyze, and the profile
-# (count-weighted folded stacks) must be byte-identical whether the
-# campaign ran on one domain or two.
-OBS_FLAGS = threshold --seed 7 --max-shots 1024 --batch 256
-obs-smoke: build
-	@d=$$(mktemp -d) && \
-	trap 'rc=$$?; if [ $$rc -ne 0 ] && [ -n "$(SMOKE_ARTIFACTS)" ]; then \
-	       mkdir -p "$(SMOKE_ARTIFACTS)" && cp -r "$$d" "$(SMOKE_ARTIFACTS)/obs-smoke"; fi; \
-	     rm -rf "$$d"; exit $$rc' EXIT && \
-	$(DUNE) exec bin/main.exe -- collect $(OBS_FLAGS) --jobs 1 \
-	  --trace $$d/obs1.trace.jsonl \
-	  --telemetry $$d/obs.telemetry.jsonl --telemetry-interval 0 \
-	  --metrics $$d/obs.metrics.json > /dev/null && \
-	$(DUNE) exec bin/main.exe -- collect $(OBS_FLAGS) --jobs 2 \
-	  --trace $$d/obs2.trace.jsonl > /dev/null && \
-	$(DUNE) exec bin/main.exe -- obs report $$d/obs.metrics.json > /dev/null && \
-	$(DUNE) exec bin/main.exe -- obs tail $$d/obs.telemetry.jsonl > /dev/null && \
-	$(DUNE) exec bin/main.exe -- obs top $$d/obs1.trace.jsonl > /dev/null && \
-	$(DUNE) exec bin/main.exe -- obs diff $$d/obs.metrics.json \
-	  $$d/obs.metrics.json > /dev/null && \
-	$(DUNE) exec bin/main.exe -- obs flame --counts $$d/obs1.trace.jsonl \
-	  > $$d/obs1.folded && \
-	$(DUNE) exec bin/main.exe -- obs flame --counts $$d/obs2.trace.jsonl \
-	  > $$d/obs2.folded && \
-	{ diff -u $$d/obs1.folded $$d/obs2.folded \
-	  || { echo "obs-smoke: folded stacks depend on --jobs"; exit 1; }; } && \
-	echo "obs-smoke: artifacts analyzable; folded stacks byte-identical across --jobs 1/2"
 
 # The fleet-observability contract, end to end: three CONCURRENT
 # shard-labelled collect processes (different --jobs each) record snapshots
@@ -371,7 +342,7 @@ serve-smoke: build
 	  || { echo "serve-smoke: telemetry streams not closed exactly once each"; exit 1; }; } && \
 	echo "serve-smoke: $$co coalesced, $$wm warm hits; bodies byte-identical across 8 clients, 2 waves, --jobs 1/2; both shutdown paths left valid registry artifacts"
 
-ci: build test jobs-smoke collect-smoke obs-smoke obs-merge-smoke monitor-smoke cache-smoke decode-smoke alloc-smoke serve-smoke
+ci: build test jobs-smoke collect-smoke obs-merge-smoke monitor-smoke cache-smoke decode-smoke alloc-smoke serve-smoke
 	$(DUNE) exec bench/main.exe -- --quick
 	$(DUNE) exec tools/check_bench.exe -- BENCH_hetarch.json
 	@$(DUNE) exec bin/main.exe -- obs diff BENCH_baseline.json BENCH_hetarch.json \

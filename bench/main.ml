@@ -582,7 +582,7 @@ let write_bench_json kernels ~words =
                      ("warm", Obs.Json.String warm);
                      ("min_speedup", Obs.Json.Float min_speedup) ])
                warm_pairs) );
-        ("metrics", Obs.Report.to_json ()) ]
+        ("metrics", Obs.Snapshot.to_json (Obs.Snapshot.capture ())) ]
   in
   let oc = open_out "BENCH_hetarch.json" in
   output_string oc (Obs.Json.to_string doc);

@@ -290,7 +290,7 @@ let run_burden () =
    which is exactly the workload the persistent store (--cache-dir)
    warm-starts.  The stdout table depends only on the characterized values,
    so it is byte-identical cold, warm, half-warm, or with no store at all;
-   cache statistics go to stderr (and the --metrics manifest) only. *)
+   cache statistics go to stderr (and the --metrics snapshot) only. *)
 let run_charsweep n =
   print_endline
     "Characterization sweep: storage-cell operations vs coherence scaling alpha";
@@ -502,7 +502,7 @@ let run_decode_check shots seed dmax alloc_budget =
          work fanned out to worker domains escapes the enclosing
          cmd.decode-check span's window.  Keeping the cross-check on the
          recording domain is what lets alloc-smoke reconcile the alloc
-         flamegraph's root total against the manifest's process counter and
+         flamegraph's root total against the snapshot's process counter and
          demand byte-identical folded output at any --jobs.  Jobs
          determinism of this estimator is covered by test_fused's pinned
          seed vectors at jobs 1 vs 4. *)
@@ -731,22 +731,13 @@ let run_collect campaign seed shards shard_opt ledger resume progress max_shots
 (* ----------------------------------------------------------------- obs *)
 
 (* Offline analysis of the observability artifacts the other subcommands
-   emit: run manifests (--metrics), Chrome-trace spans (--trace), telemetry
-   streams (--telemetry), and bench JSON.  Pure readers — no simulation. *)
+   emit: run snapshots (--metrics, the registry) and fleet views,
+   Chrome-trace spans (--trace), telemetry streams (--telemetry), and bench
+   JSON.  Pure readers — no simulation. *)
 
 let load_json path =
-  let ic = open_in_bin path in
-  Fun.protect
-    ~finally:(fun () -> close_in ic)
-    (fun () -> Obs.Json.parse (really_input_string ic (in_channel_length ic)))
+  Obs.Json.parse (In_channel.with_open_bin path In_channel.input_all)
 
-(* Torn-tail tolerant: skips blank and unparsable lines — the truncated
-   final record a killed writer leaves behind — mirroring the collect
-   ledger's replay, so `obs tail` and `obs flame` work on the artifacts of
-   a run that died mid-append.  The same reader backs the fleet monitor. *)
-let fold_jsonl = Obs.fold_jsonl
-
-let jfloat j = Obs.Json.to_float j
 let jint j = int_of_float (Obs.Json.to_float j)
 
 let jstring = function Obs.Json.String s -> Some s | _ -> None
@@ -778,7 +769,7 @@ let trace_totals path =
   let tbl : (string, int * int64 * int * int * int) Hashtbl.t =
     Hashtbl.create 256
   in
-  fold_jsonl path
+  Obs.fold_jsonl path
     (fun () ev ->
       match mem_string "ph" ev with
       | Some ph when ph <> "X" -> () (* metadata events carry no duration *)
@@ -824,120 +815,171 @@ let run_obs_top file limit sort =
     (Obs.Profile.top_table ~sort ~limit
        (Obs.Profile.of_totals (trace_totals file)))
 
-let render_manifest doc =
-  Option.iter
-    (fun p ->
-      (* Snapshots keep wall time in the run section, manifests in the
-         process section — accept either. *)
-      let wall =
-        match mem_float "wall_seconds" p with
-        | Some s -> Some s
-        | None ->
-            Option.bind (Obs.Json.member "run" doc) (mem_float "wall_seconds")
-      in
-      Printf.printf "process: wall %ss, GC minor/major/compact %d/%d/%d, peak heap %d words\n"
-        (match wall with Some s -> Printf.sprintf "%.3f" s | None -> "?")
-        (Option.value ~default:0 (mem_int "minor_collections" p))
-        (Option.value ~default:0 (mem_int "major_collections" p))
-        (Option.value ~default:0 (mem_int "compactions" p))
-        (Option.value ~default:0 (mem_int "top_heap_words" p)))
-    (Obs.Json.member "process" doc);
-  let section title header rows =
-    if rows <> [] then begin
-      Printf.printf "\n%s:\n" title;
-      Tableio.print ~align:Tableio.Left ~header rows
-    end
+let obs_fail fmt =
+  Printf.ksprintf
+    (fun msg ->
+      Printf.eprintf "hetarch obs: %s\n" msg;
+      exit 2)
+    fmt
+
+(* Every obs reader loads through here: an unreadable, torn or malformed
+   file is a structured error (exit 2), never an uncaught exception. *)
+let guard file f =
+  try f () with Failure msg | Sys_error msg -> obs_fail "%s: %s" file msg
+
+let utc_stamp unix =
+  let tm = Unix.gmtime unix in
+  Printf.sprintf "%04d-%02d-%02dT%02d:%02d:%02dZ" (tm.Unix.tm_year + 1900)
+    (tm.Unix.tm_mon + 1) tm.Unix.tm_mday tm.Unix.tm_hour tm.Unix.tm_min
+    tm.Unix.tm_sec
+
+let bench_schema = "hetarch.bench/3"
+
+(* The documents the analysis commands render: a snapshot (--metrics, the
+   run registry), a fleet view (obs merge), or a bench file, whose metrics
+   member is a snapshot. *)
+let state_of_doc doc =
+  match schema_of doc with
+  | s when s = Obs.Snapshot.schema -> `Snap (Obs.Snapshot.of_json doc)
+  | s when s = Obs.Merge.schema -> `Fleet (Obs.Merge.of_json doc)
+  | s when s = bench_schema -> (
+      match Obs.Json.member "metrics" doc with
+      | Some m -> `Bench (doc, Obs.Snapshot.of_json m)
+      | None -> failwith "bench file without a metrics member")
+  | s ->
+      failwith
+        (Printf.sprintf "unsupported schema %s (want %s, %s or %s)" s
+           Obs.Snapshot.schema Obs.Merge.schema bench_schema)
+
+let load_state file = guard file (fun () -> state_of_doc (load_json file))
+
+let print_section title header rows =
+  if rows <> [] then begin
+    Printf.printf "\n%s:\n" title;
+    Tableio.print ~align:Tableio.Left ~header rows
+  end
+
+(* The one renderer over captured run state.  [sources] is non-empty for a
+   fleet view, whose gauges are sums: each then also shows its spread over
+   the sources. *)
+let render_snapshot ?(sources = []) (s : Obs.Snapshot.t) =
+  if s.run_id <> "" then
+    Printf.printf "run %s%s: %s\n  started %s, jobs %d, content hash %s\n"
+      s.run_id
+      (if s.shard = "" then "" else Printf.sprintf " [%s]" s.shard)
+      (String.concat " " s.argv) (utc_stamp s.started_unix) s.jobs
+      (Obs.Snapshot.content_hash s);
+  let p = s.process in
+  Printf.printf
+    "process: wall %.3fs, GC minor/major/compact %d/%d/%d, minor words %.0f, \
+     peak heap %d words\n"
+    s.wall_seconds p.p_minor_collections p.p_major_collections p.p_compactions
+    p.p_minor_words p.p_top_heap_words;
+  print_section "counters" [ "counter"; "value" ]
+    (List.map (fun (k, v) -> [ k; string_of_int v ]) s.counters);
+  if sources = [] then
+    print_section "gauges" [ "gauge"; "value" ]
+      (List.map (fun (k, v) -> [ k; g v ]) s.gauges)
+  else
+    print_section "gauges" [ "gauge"; "sum"; "n"; "min"; "max" ]
+      (List.map
+         (fun (k, sum) ->
+           let vs =
+             List.filter_map
+               (fun (src : Obs.Snapshot.t) -> List.assoc_opt k src.gauges)
+               sources
+           in
+           [ k; g sum; string_of_int (List.length vs);
+             g (List.fold_left Float.min infinity vs);
+             g (List.fold_left Float.max neg_infinity vs) ])
+         s.gauges);
+  let quantile h q =
+    let x = Obs.Snapshot.quantile h q in
+    if Float.is_nan x then "-" else g x
   in
-  section "counters" [ "counter"; "value" ]
+  print_section "histograms"
+    [ "histogram"; "count"; "mean"; "p50"; "p99"; "max" ]
     (List.map
-       (fun (k, v) -> [ k; string_of_int (jint v) ])
-       (obj_fields (Option.value ~default:Obs.Json.Null (Obs.Json.member "counters" doc))));
-  section "gauges" [ "gauge"; "value" ]
+       (fun (k, (h : Obs.Snapshot.hist)) ->
+         [ k; string_of_int h.h_count; g h.h_mean; quantile h 0.5;
+           quantile h 0.99; g h.h_max ])
+       s.histograms);
+  print_section "spans" [ "span"; "count"; "total ms"; "mean us"; "minor words" ]
     (List.map
-       (fun (k, v) -> [ k; g (jfloat v) ])
-       (obj_fields (Option.value ~default:Obs.Json.Null (Obs.Json.member "gauges" doc))));
-  section "histograms" [ "histogram"; "count"; "mean"; "p50"; "p99"; "max" ]
-    (List.map
-       (fun (k, h) ->
-         let f name = match mem_float name h with Some v -> g v | None -> "-" in
-         [ k; string_of_int (Option.value ~default:0 (mem_int "count" h));
-           f "mean"; f "p50"; f "p99"; f "max" ])
-       (obj_fields (Option.value ~default:Obs.Json.Null (Obs.Json.member "histograms" doc))));
-  section "spans" [ "span"; "count"; "total ms"; "mean us"; "minor words" ]
-    (List.map
-       (fun (k, s) ->
-         let count = Option.value ~default:0 (mem_int "count" s) in
-         let total_ns = Option.value ~default:0. (mem_float "total_ns" s) in
+       (fun (k, count, total_ns, minor_w, _, _) ->
+         let total_ns = Int64.to_float total_ns in
          [ k; string_of_int count;
            Printf.sprintf "%.3f" (total_ns /. 1e6);
            (if count = 0 then "-"
             else Printf.sprintf "%.1f" (total_ns /. 1e3 /. float_of_int count));
-           (* pre-alloc-attribution manifests have no minor_w field *)
-           (match mem_int "minor_w" s with
-            | Some w -> string_of_int w
-            | None -> "-") ])
-       (obj_fields (Option.value ~default:Obs.Json.Null (Obs.Json.member "spans" doc))))
+           string_of_int minor_w ])
+       s.spans)
 
-let run_obs_report file =
-  let doc = load_json file in
-  let schema = schema_of doc in
-  Printf.printf "%s  (schema %s)\n" file schema;
-  if String.length schema >= 14 && String.sub schema 0 14 = "hetarch.bench/" then begin
-    Printf.printf "bench: seed %d, jobs %d%s\n"
-      (Option.value ~default:0 (mem_int "seed" doc))
-      (Option.value ~default:1 (mem_int "jobs" doc))
-      (match Obs.Json.member "quick" doc with
-       | Some (Obs.Json.Bool true) -> ", quick"
-       | _ -> "");
-    let kernels =
-      match Obs.Json.member "kernels" doc with
-      | Some (Obs.Json.List ks) -> ks
-      | _ -> []
-    in
-    Printf.printf "\nkernels:\n";
-    Tableio.print ~align:Tableio.Left
-      ~header:[ "kernel"; "ns/run" ]
-      (List.map
-         (fun k ->
-           [ Option.value ~default:"?" (mem_string "name" k);
-             (match mem_float "ns_per_run" k with Some v -> g v | None -> "-") ])
-         kernels);
-    (* Allocation summary: the floor-gated kernels and their measured
-       steady-state minor words per run.  Pre-v3 bench files recorded no
-       allocation data at all. *)
-    let recorded =
-      List.exists (fun k -> mem_float "minor_words_per_run" k <> None) kernels
-    in
-    if not recorded then
-      print_endline "\nallocation: (not recorded — pre-v3 bench file)"
-    else begin
-      let gated =
-        List.filter
-          (fun k -> mem_float "max_minor_words_per_run" k <> None)
-          kernels
-      in
-      Printf.printf "\nallocation (floor-gated kernels):\n";
-      if gated = [] then print_endline "  (no floor-gated kernels)"
-      else
-        Tableio.print ~align:Tableio.Left
-          ~header:[ "kernel"; "minor words/run"; "max allowed" ]
-          (List.map
-             (fun k ->
-               [ Option.value ~default:"?" (mem_string "name" k);
-                 (match mem_float "minor_words_per_run" k with
-                  | Some v -> g v
-                  | None -> "(not recorded)");
-                 (match mem_float "max_minor_words_per_run" k with
-                  | Some v -> g v
-                  | None -> "-") ])
-             gated)
-    end;
-    Option.iter render_manifest (Obs.Json.member "metrics" doc)
-  end
-  else render_manifest doc
+let render_fleet m =
+  let sources = Obs.Merge.sources m and s = Obs.Merge.merged m in
+  Printf.printf "fleet view: %d run(s)\n" (List.length sources);
+  if sources <> [] then
+    Printf.printf "window: started %s, wall span %.3fs, total wall %.3fs\n"
+      (utc_stamp s.started_unix) s.wall_seconds
+      (List.fold_left
+         (fun acc (src : Obs.Snapshot.t) -> acc +. src.wall_seconds)
+         0. sources);
+  print_section "attribution"
+    [ "run"; "shard"; "started (UTC)"; "wall s"; "jobs" ]
+    (List.map
+       (fun (src : Obs.Snapshot.t) ->
+         [ src.run_id;
+           (if src.shard = "" then "-" else src.shard);
+           utc_stamp src.started_unix;
+           Printf.sprintf "%.3f" src.wall_seconds;
+           string_of_int src.jobs ])
+       sources);
+  print_newline ();
+  render_snapshot ~sources s
+
+let render_bench doc =
+  Printf.printf "bench: seed %d, jobs %d%s\n"
+    (Option.value ~default:0 (mem_int "seed" doc))
+    (Option.value ~default:1 (mem_int "jobs" doc))
+    (match Obs.Json.member "quick" doc with
+     | Some (Obs.Json.Bool true) -> ", quick"
+     | _ -> "");
+  let kernels =
+    match Obs.Json.member "kernels" doc with
+    | Some (Obs.Json.List ks) -> ks
+    | _ -> []
+  in
+  let num name k = match mem_float name k with Some v -> g v | None -> "-" in
+  print_section "kernels" [ "kernel"; "ns/run" ]
+    (List.map
+       (fun k ->
+         [ Option.value ~default:"?" (mem_string "name" k); num "ns_per_run" k ])
+       kernels);
+  (* The floor-gated kernels and their measured steady-state minor words
+     per run. *)
+  print_section "allocation (floor-gated kernels)"
+    [ "kernel"; "minor words/run"; "max allowed" ]
+    (List.filter_map
+       (fun k ->
+         if mem_float "max_minor_words_per_run" k = None then None
+         else
+           Some
+             [ Option.value ~default:"?" (mem_string "name" k);
+               num "minor_words_per_run" k; num "max_minor_words_per_run" k ])
+       kernels);
+  print_newline ()
+
+let render_state = function
+  | `Snap s -> render_snapshot s
+  | `Fleet m -> render_fleet m
+  | `Bench (doc, s) ->
+      render_bench doc;
+      render_snapshot s
+
+let run_obs_report file = render_state (load_state file)
 
 let run_obs_tail file =
-  let records = List.rev (fold_jsonl file (fun acc r -> r :: acc) []) in
+  let records = List.rev (Obs.fold_jsonl file (fun acc r -> r :: acc) []) in
   match records with
   | [] -> print_endline "telemetry stream is empty"
   | _ ->
@@ -959,8 +1001,7 @@ let run_obs_tail file =
                 | Some v -> string_of_int v
                 | None -> "-");
                (* allocation rate: minor words per second over the record's
-                  interval, clamped >= 0 like the GC deltas; "-" on pre-/3
-                  streams that carried no minor_words_delta *)
+                  interval, clamped >= 0 like the GC deltas *)
                (match
                   ( Option.bind (Obs.Json.member "gc" r)
                       (mem_float "minor_words_delta"),
@@ -968,8 +1009,7 @@ let run_obs_tail file =
                 with
                 | Some w, Some dt when dt > 0. ->
                     Printf.sprintf "%.0f" (Float.max 0. (w /. dt))
-                | Some _, _ -> "0"
-                | None, _ -> "-");
+                | _ -> "0");
                ci "shots";
                (match Option.bind c (mem_float "shots_per_s") with
                 | Some v -> Printf.sprintf "%.0f" (Float.max 0. v)
@@ -1037,7 +1077,8 @@ let run_obs_tail file =
       else Printf.printf "stream: live (last write %.1fs ago)\n" age
 
 let run_obs_diff file_a file_b threshold noise_floor normalize =
-  let doc_a = load_json file_a and doc_b = load_json file_b in
+  let load file = guard file (fun () -> load_json file) in
+  let doc_a = load file_a and doc_b = load file_b in
   let r =
     try
       Obs.Diff.compare_docs ?threshold_pct:threshold
@@ -1077,26 +1118,13 @@ let run_obs_diff file_a file_b threshold noise_floor normalize =
 
 (* ------------------------------------------------- obs fleet commands *)
 
-let obs_fail fmt =
-  Printf.ksprintf
-    (fun msg ->
-      Printf.eprintf "hetarch obs: %s\n" msg;
-      exit 2)
-    fmt
-
-let utc_stamp unix =
-  let tm = Unix.gmtime unix in
-  Printf.sprintf "%04d-%02d-%02dT%02d:%02d:%02dZ" (tm.Unix.tm_year + 1900)
-    (tm.Unix.tm_mon + 1) tm.Unix.tm_mday tm.Unix.tm_hour tm.Unix.tm_min
-    tm.Unix.tm_sec
-
-(* A snapshot reference on the command line is either a file path or a
-   run-id prefix resolved through the registry. *)
-let resolve_snapshot_ref arg =
-  if Sys.file_exists arg then `Doc (load_json arg)
+(* A run reference on the command line is either a file path or a run-id
+   prefix resolved through the registry. *)
+let resolve_ref arg =
+  if Sys.file_exists arg then load_state arg
   else
     match (try Obs.Registry.find arg with Failure msg -> obs_fail "%s" msg) with
-    | Some e -> `Snap (Obs.Registry.load e)
+    | Some e -> `Snap (guard arg (fun () -> Obs.Registry.load e))
     | None -> (
         match Obs.Registry.dir () with
         | None ->
@@ -1154,132 +1182,23 @@ let run_obs_runs limit prune =
           !missing
           (if !missing = 1 then "y" else "ies")
 
-let render_snapshot_doc doc =
-  (match Obs.Json.member "run" doc with
-  | Some run ->
-      Printf.printf "run %s%s: %s\n  started %s, wall %.3fs, jobs %d\n"
-        (Option.value ~default:"?" (mem_string "id" run))
-        (match mem_string "shard" run with
-        | Some s when s <> "" -> Printf.sprintf " [%s]" s
-        | _ -> "")
-        (String.concat " "
-           (match Obs.Json.member "argv" run with
-           | Some (Obs.Json.List vs) -> List.filter_map jstring vs
-           | _ -> []))
-        (match mem_float "started_unix" run with
-        | Some t -> utc_stamp t
-        | None -> "?")
-        (Option.value ~default:0. (mem_float "wall_seconds" run))
-        (Option.value ~default:1 (mem_int "jobs" run))
-  | None -> ());
-  Option.iter
-    (fun h -> Printf.printf "  content hash %s\n" h)
-    (mem_string "content_hash" doc);
-  render_manifest doc
-
-let render_fleet_doc doc =
-  Printf.printf "fleet view: %d run(s)\n"
-    (Option.value ~default:0 (mem_int "runs" doc));
-  Option.iter
-    (fun w ->
-      match (mem_float "started_unix" w, mem_float "wall_span_seconds" w) with
-      | Some t0, Some span ->
-          Printf.printf
-            "window: started %s, wall span %.3fs, total wall %.3fs\n"
-            (utc_stamp t0) span
-            (Option.value ~default:0. (mem_float "total_wall_seconds" w))
-      | _ -> ())
-    (Obs.Json.member "window" doc);
-  (match Obs.Json.member "attribution" doc with
-  | Some (Obs.Json.List srcs) when srcs <> [] ->
-      Printf.printf "\nattribution:\n";
-      Tableio.print ~align:Tableio.Left
-        ~header:[ "run"; "shard"; "started (UTC)"; "wall s"; "jobs" ]
-        (List.map
-           (fun s ->
-             [ Option.value ~default:"?" (mem_string "run" s);
-               (match mem_string "shard" s with
-               | Some sh when sh <> "" -> sh
-               | _ -> "-");
-               (match mem_float "started_unix" s with
-               | Some t -> utc_stamp t
-               | None -> "?");
-               Printf.sprintf "%.3f"
-                 (Option.value ~default:0. (mem_float "wall_seconds" s));
-               string_of_int (Option.value ~default:1 (mem_int "jobs" s)) ])
-           srcs)
-  | _ -> ());
-  let section title header rows =
-    if rows <> [] then begin
-      Printf.printf "\n%s:\n" title;
-      Tableio.print ~align:Tableio.Left ~header rows
-    end
-  in
-  let fields name =
-    obj_fields
-      (Option.value ~default:Obs.Json.Null (Obs.Json.member name doc))
-  in
-  section "counters (summed)" [ "counter"; "value" ]
-    (List.map (fun (k, v) -> [ k; string_of_int (jint v) ]) (fields "counters"));
-  (* Fleet gauges are per-source aggregates, not scalars. *)
-  section "gauges" [ "gauge"; "n"; "min"; "max"; "sum" ]
-    (List.map
-       (fun (k, v) ->
-         let f name = match mem_float name v with Some x -> g x | None -> "-" in
-         [ k; string_of_int (Option.value ~default:0 (mem_int "n" v));
-           f "min"; f "max"; f "sum" ])
-       (fields "gauges"));
-  section "histograms (bucket-merged)"
-    [ "histogram"; "count"; "mean"; "min"; "max" ]
-    (List.map
-       (fun (k, h) ->
-         let f name = match mem_float name h with Some v -> g v | None -> "-" in
-         [ k; string_of_int (Option.value ~default:0 (mem_int "count" h));
-           f "mean"; f "min"; f "max" ])
-       (fields "histograms"));
-  section "spans (summed)" [ "span"; "count"; "total ms"; "minor words" ]
-    (List.map
-       (fun (k, s) ->
-         [ k; string_of_int (Option.value ~default:0 (mem_int "count" s));
-           Printf.sprintf "%.3f"
-             (Option.value ~default:0. (mem_float "total_ns" s) /. 1e6);
-           (match mem_int "minor_w" s with
-            | Some w -> string_of_int w
-            | None -> "-") ])
-       (fields "spans"))
-
-let run_obs_show ref_ =
-  let doc =
-    match resolve_snapshot_ref ref_ with
-    | `Doc d -> d
-    | `Snap s -> Obs.Snapshot.to_json s
-  in
-  match schema_of doc with
-  | s
-    when List.mem s
-           [ Obs.Snapshot.schema; Obs.Snapshot.schema_v2; Obs.Snapshot.schema_v1 ]
-    -> render_snapshot_doc doc
-  | s
-    when List.mem s
-           [ Obs.Merge.schema; Obs.Merge.schema_v2; Obs.Merge.schema_v1 ]
-    -> render_fleet_doc doc
-  | s -> obs_fail "%s: unsupported schema %s (want %s or %s)" ref_ s
-           Obs.Snapshot.schema Obs.Merge.schema
+let run_obs_show ref_ = render_state (resolve_ref ref_)
 
 let run_obs_merge refs out =
-  let merge_of arg =
-    match resolve_snapshot_ref arg with
-    | `Doc doc -> (
-        try Obs.Merge.of_json doc
-        with Failure msg -> obs_fail "%s: %s" arg msg)
-    | `Snap s -> Obs.Merge.of_snapshots [ s ]
-  in
   let merged =
     List.fold_left
-      (fun acc r -> Obs.Merge.union acc (merge_of r))
+      (fun acc arg ->
+        Obs.Merge.union acc
+          (match resolve_ref arg with
+          | `Snap s -> Obs.Merge.of_snapshots [ s ]
+          | `Fleet m -> m
+          | `Bench _ -> obs_fail "%s: a bench file is not a run snapshot" arg))
       (Obs.Merge.of_snapshots []) refs
   in
-  let text = Obs.Json.to_string (Obs.Merge.to_json merged) ^ "\n" in
+  let text =
+    guard "merge" (fun () ->
+        Obs.Json.to_string (Obs.Merge.to_json merged) ^ "\n")
+  in
   match out with
   | None -> print_string text
   | Some path ->
@@ -1394,22 +1313,17 @@ let run_obs_compare current_ref last nmad min_pct noise_floor gate =
   let current =
     match current_ref with
     | Some arg -> (
-        if Sys.file_exists arg then
-          try Obs.Snapshot.of_json (load_json arg)
-          with Failure msg -> obs_fail "%s: %s" arg msg
-        else
-          match
-            (try Obs.Registry.find arg with Failure msg -> obs_fail "%s" msg)
-          with
-          | Some e -> Obs.Registry.load e
-          | None -> obs_fail "%s: no such file or run-id prefix" arg)
+        match resolve_ref arg with
+        | `Snap s -> s
+        | `Fleet _ | `Bench _ -> obs_fail "%s: not a run snapshot" arg)
     | None -> (
         match List.rev entries with
         | [] ->
             obs_fail
               "registry is empty; record runs first (any hetarch command \
                with --obs-dir or HETARCH_OBS_DIR set)"
-        | e :: _ -> Obs.Registry.load e)
+        | e :: _ ->
+            guard e.Obs.Registry.e_file (fun () -> Obs.Registry.load e))
   in
   let cur_hash = Obs.Snapshot.content_hash current in
   let cur_cmd = Obs.Registry.cmd_of_argv current.Obs.Snapshot.argv in
@@ -1514,7 +1428,9 @@ let metrics_arg =
     value
     & opt (some string) None
     & info [ "metrics" ] ~docv:"FILE"
-        ~doc:"Write a JSON metrics/run-manifest snapshot to $(docv) on exit")
+        ~doc:
+          "Write the run's obs snapshot (schema hetarch.snapshot/3) to \
+           $(docv) on exit; summarize it with $(b,hetarch obs report)")
 
 let trace_arg =
   Arg.(
@@ -1552,17 +1468,8 @@ let shard_label_arg =
     & info [ "shard-label" ] ~docv:"LABEL"
         ~doc:
           "Shard label stamped into every observability artifact of this \
-           run (manifest, telemetry, trace metadata, snapshot) for \
+           run (snapshot, telemetry, trace metadata) for \
            fleet-merge attribution")
-
-let snapshot_arg =
-  Arg.(
-    value
-    & opt (some string) None
-    & info [ "snapshot" ] ~docv:"FILE"
-        ~doc:
-          "Write the run's obs snapshot (schema hetarch.snapshot/3) to \
-           $(docv) on exit, independent of the run registry")
 
 let telemetry_interval_arg =
   Arg.(
@@ -1590,15 +1497,15 @@ let trace_parent_arg =
    Parallel chunk boundaries and Collect batches — no background thread);
    the final forced record is written on the way out.
 
-   Finalization (telemetry flush, metrics/trace export, snapshot capture +
-   registry record) runs exactly once, both on the normal path — where a
+   Finalization (telemetry flush, one snapshot capture for --metrics and
+   the registry, trace export) runs exactly once, both on the normal path — where a
    write failure exits 1 — and via [at_exit], so early [exit] paths (obs
    diff/compare gates, collect validation) and killed-early runs still
    leave complete artifacts.  [record=false] keeps the pure-reader obs
    analysis subcommands from polluting the run registry. *)
 let cmd ?(record = true) name doc term =
   let wrap jobs cache_dir obs_dir shard trace_parent metrics trace telemetry
-      interval snapshot f =
+      interval f =
     Parallel.set_jobs jobs;
     (try Char_store.set_dir cache_dir
      with Invalid_argument msg | Sys_error msg ->
@@ -1632,13 +1539,11 @@ let cmd ?(record = true) name doc term =
       if not !finalized then begin
         finalized := true;
         Obs.Telemetry.disable ();
-        Option.iter (fun path -> Obs.Report.write ~path) metrics;
+        let snap = lazy (Obs.Snapshot.capture ()) in
+        Option.iter (fun path -> Obs.Snapshot.write ~path (Lazy.force snap)) metrics;
         Option.iter (fun path -> Obs.Trace.export ~path) trace;
-        if snapshot <> None || (record && Obs.Registry.dir () <> None) then begin
-          let snap = Obs.Snapshot.capture () in
-          Option.iter (fun path -> Obs.Snapshot.write ~path snap) snapshot;
-          if record then ignore (Obs.Registry.record snap)
-        end
+        if record && Obs.Registry.dir () <> None then
+          ignore (Obs.Registry.record (Lazy.force snap))
       end
     in
     at_exit (fun () ->
@@ -1657,7 +1562,7 @@ let cmd ?(record = true) name doc term =
     Term.(
       const wrap $ jobs_arg $ cache_dir_arg $ obs_dir_arg $ shard_label_arg
       $ trace_parent_arg $ metrics_arg $ trace_arg $ telemetry_arg
-      $ telemetry_interval_arg $ snapshot_arg $ term)
+      $ telemetry_interval_arg $ term)
 
 let collect_term =
   let campaign =
@@ -1817,24 +1722,24 @@ let obs_cmd =
              difference (gate CI runners against a baseline from different \
              hardware)")
   in
-  let manifest_pos =
+  let report_pos =
     Arg.(
       required
       & pos 0 (some file) None
       & info [] ~docv:"FILE"
-          ~doc:"Run manifest (--metrics) or bench JSON document")
+          ~doc:"Run snapshot (--metrics), fleet view, or bench JSON document")
   in
   let baseline_pos =
     Arg.(
       required
       & pos 0 (some file) None
-      & info [] ~docv:"BASELINE" ~doc:"Baseline manifest or bench JSON")
+      & info [] ~docv:"BASELINE" ~doc:"Baseline snapshot or bench JSON")
   in
   let current_pos =
     Arg.(
       required
       & pos 1 (some file) None
-      & info [] ~docv:"CURRENT" ~doc:"Current manifest or bench JSON")
+      & info [] ~docv:"CURRENT" ~doc:"Current snapshot or bench JSON")
   in
   let telemetry_pos =
     Arg.(
@@ -1902,10 +1807,10 @@ let obs_cmd =
   Cmd.group
     (Cmd.info "obs"
        ~doc:
-         "Analyze observability artifacts: manifests, traces, telemetry, \
-          bench JSON, run snapshots, fleet views")
-    [ cmd "report" "Summarize a run manifest or bench JSON document"
-        Term.(const (fun file () -> run_obs_report file) $ manifest_pos);
+         "Analyze observability artifacts: run snapshots, fleet views, \
+          traces, telemetry, bench JSON")
+    [ cmd "report" "Summarize a run snapshot, fleet view, or bench JSON document"
+        Term.(const (fun file () -> run_obs_report file) $ report_pos);
       cmd "flame" "Render a trace as folded stacks (flamegraph.pl input)"
         Term.(
           const (fun file counts alloc () -> run_obs_flame file counts alloc)
@@ -1937,7 +1842,7 @@ let obs_cmd =
       cmd "tail" "Rate-over-time table and last-record status of a telemetry stream"
         Term.(const (fun file () -> run_obs_tail file) $ telemetry_pos);
       cmd "diff"
-        "Compare two manifests or bench documents; exit 1 on perf regressions"
+        "Compare two snapshots or bench documents; exit 1 on perf regressions"
         Term.(
           const (fun a b thr floor norm () -> run_obs_diff a b thr floor norm)
           $ baseline_pos $ current_pos $ threshold_arg $ noise_floor_arg

@@ -504,7 +504,7 @@ module Fleet = struct
   (* Flags whose value names an output file: each shard writes its own,
      suffixed ".shard<i>", so children never contend for one path. *)
   let path_flags =
-    [ "--ledger"; "--csv"; "--trace"; "--telemetry"; "--metrics"; "--snapshot" ]
+    [ "--ledger"; "--csv"; "--trace"; "--telemetry"; "--metrics" ]
 
   let shard_argv ~shard argv =
     let suffix = Printf.sprintf ".shard%d" shard in

@@ -300,7 +300,7 @@ let fold_jsonl path f init =
 (* ------------------------------------------------------------------- run *)
 
 (* Process-level run identity.  Every observability artifact a process
-   writes — run manifest, telemetry stream, Chrome-trace export, snapshot —
+   writes — snapshot, telemetry stream, Chrome-trace export —
    carries the same 64-bit run-id, so fleet tooling can correlate them
    after the fact.  The id hashes argv, pid, wall-clock and monotonic start
    time; HETARCH_RUN_ID (16 hex digits) overrides it for reproducible
@@ -329,9 +329,6 @@ module Run = struct
             :: Array.to_list Sys.argv))
 
   let id () = Lazy.force computed_id
-
-  let json () =
-    Json.Obj [ ("id", Json.String (id ())); ("shard", Json.String (shard ())) ]
 end
 
 (* --------------------------------------------------------- trace context *)
@@ -344,7 +341,7 @@ end
    parent_span_id, and mints only its own span_id — so every process of a
    fleet shares one trace_id and the per-process span ids form a tree.
    The context is stamped into every observability artifact (telemetry
-   records, Chrome-trace metadata, run manifests, snapshots), which is what
+   records, Chrome-trace metadata, snapshots), which is what
    lets `obs trace-merge` and `obs monitor` correlate a coordinator with
    the shard children it forked. *)
 
@@ -400,18 +397,16 @@ module Context = struct
 
   let current () = Lazy.force computed
 
-  let fields () =
-    let c = current () in
-    [ ("trace_id", Json.String c.trace_id);
-      ("span_id", Json.String c.span_id);
-      ("parent_span_id", Json.String c.parent_span_id) ]
-
-  (* [Run.json] extended with the trace context — the stamp every document
-     embeds under "run". *)
+  (* The run identity plus trace context — the stamp every document embeds
+     under "run". *)
   let stamp () =
-    match Run.json () with
-    | Json.Obj kvs -> Json.Obj (kvs @ fields ())
-    | j -> j
+    let c = current () in
+    Json.Obj
+      [ ("id", Json.String (Run.id ()));
+        ("shard", Json.String (Run.shard ()));
+        ("trace_id", Json.String c.trace_id);
+        ("span_id", Json.String c.span_id);
+        ("parent_span_id", Json.String c.parent_span_id) ]
 end
 
 (* --------------------------------------------------------------- metrics *)
@@ -524,39 +519,45 @@ module Histogram = struct
           t.counts.(!lo) <- t.counts.(!lo) + 1
         end)
 
-  (* Bucket-interpolated quantile: walk the cumulative counts to the bucket
-     holding rank q*count, then interpolate linearly inside it.  Bucket
-     edges are clamped to the observed min/max, so estimates never leave
-     the sampled range; the overflow bucket spans (last bound, max]. *)
-  let quantile t q =
+  (* Bucket-interpolated quantile over raw bucket state: walk the
+     cumulative counts to the bucket holding rank q*total, then interpolate
+     linearly inside it.  Bucket edges are clamped to the observed min/max,
+     so estimates never leave the sampled range; the overflow bucket spans
+     (last bound, max].  Pure, so a live histogram and a captured snapshot
+     of it answer identically. *)
+  let bucket_quantile ~bounds ~counts ~overflow ~lo ~hi q =
     if not (q >= 0. && q <= 1.) then invalid_arg "Obs.Histogram.quantile";
-    Mutex.protect t.lock (fun () ->
-        let total = Stats.running_count t.welford in
-        if total = 0 then Float.nan
-        else if total = 1 || t.lo = t.hi then
-          (* Every observation was the same value: report it exactly rather
-             than interpolating between clamped bucket edges, which can
-             return a point never observed. *)
-          t.lo
+    let total = Array.fold_left ( + ) overflow counts in
+    if total = 0 then Float.nan
+    else if total = 1 || lo = hi then
+      (* Every observation was the same value: report it exactly rather
+         than interpolating between clamped bucket edges, which can return
+         a point never observed. *)
+      lo
+    else begin
+      let target = q *. float_of_int total in
+      let nb = Array.length bounds in
+      let rec find i cum =
+        if i > nb then hi
         else begin
-          let target = q *. float_of_int total in
-          let nb = Array.length t.bounds in
-          let rec find i cum =
-            if i > nb then t.hi
-            else begin
-              let c = if i = nb then t.over else t.counts.(i) in
-              let cum' = cum +. float_of_int c in
-              if c > 0 && cum' >= target then begin
-                let lo_edge = if i = 0 then t.lo else Float.max t.lo t.bounds.(i - 1) in
-                let hi_edge = if i = nb then t.hi else Float.min t.hi t.bounds.(i) in
-                let frac = Float.max 0. ((target -. cum) /. float_of_int c) in
-                lo_edge +. (frac *. (hi_edge -. lo_edge))
-              end
-              else find (i + 1) cum'
-            end
-          in
-          Float.min t.hi (Float.max t.lo (find 0 0.))
-        end)
+          let c = if i = nb then overflow else counts.(i) in
+          let cum' = cum +. float_of_int c in
+          if c > 0 && cum' >= target then begin
+            let lo_edge = if i = 0 then lo else Float.max lo bounds.(i - 1) in
+            let hi_edge = if i = nb then hi else Float.min hi bounds.(i) in
+            let frac = Float.max 0. ((target -. cum) /. float_of_int c) in
+            lo_edge +. (frac *. (hi_edge -. lo_edge))
+          end
+          else find (i + 1) cum'
+        end
+      in
+      Float.min hi (Float.max lo (find 0 0.))
+    end
+
+  let quantile t q =
+    Mutex.protect t.lock (fun () ->
+        bucket_quantile ~bounds:t.bounds ~counts:t.counts ~overflow:t.over
+          ~lo:t.lo ~hi:t.hi q)
 
   let count t = Stats.running_count t.welford
   let mean t = Stats.running_mean t.welford
@@ -944,16 +945,15 @@ end
 (* Append-only JSONL heartbeat (schema hetarch.telemetry/4).  Ticks are
    driven synchronously from Parallel chunk boundaries and Collect batch
    completions — never from a background thread — so enabling telemetry
-   cannot change any result.  Each record carries monotonic elapsed time,
-   counter deltas since the previous record (from which shots/sec and
-   events/sec follow), GC deltas — including the minor-words allocation
-   delta and its words/sec rate (v3) — and, when a campaign has registered
-   a progress provider, per-task progress with Wilson half-widths and an
-   ETA at the current rate.  v4 stamps the trace context into "run", adds
-   the throttle interval and live Parallel queue/worker gauges, and marks
-   the closing record with ("final", true) so readers can tell a completed
-   stream from a stalled one.  The collect --progress line reads the same
-   [campaign_snapshot] code path. *)
+   cannot change any result.  Each record carries the run stamp, monotonic
+   elapsed time, the throttle interval, counter deltas since the previous
+   record (from which shots/sec and events/sec follow), GC deltas —
+   including the minor-words allocation delta and its words/sec rate —
+   live Parallel queue/worker gauges and, when a campaign has registered a
+   progress provider, per-task progress with Wilson half-widths and an ETA
+   at the current rate.  The closing record carries ("final", true) so
+   readers can tell a completed stream from a stalled one.  The collect
+   --progress line reads the same [campaign_snapshot] code path. *)
 
 module Telemetry = struct
   type task_progress = {
@@ -1207,13 +1207,536 @@ module Telemetry = struct
         Atomic.set enabled_flag true)
 end
 
+(* ------------------------------------------------------------- snapshots *)
+
+(* Atomic write of JSON lines: temp file in the destination directory, then
+   rename — a concurrent reader (or a kill mid-write) never sees a torn
+   file. *)
+let write_lines_atomic path docs =
+  let tmp = Printf.sprintf "%s.tmp.%d" path (Unix.getpid ()) in
+  let oc = open_out tmp in
+  (try
+     List.iter
+       (fun j ->
+         output_string oc (Json.to_string j);
+         output_char oc '\n')
+       docs;
+     close_out oc
+   with e ->
+     close_out_noerr oc;
+     (try Sys.remove tmp with Sys_error _ -> ());
+     raise e);
+  Sys.rename tmp path
+
+(* The one captured form of a process's obs state: what --metrics writes,
+   what the run registry stores, and what fleet merges fold.  It carries
+   the raw mergeable state — integer bucket counts, Welford (n, mean, m2)
+   triples, per-span-name and per-caller-path aggregates (from which the
+   profile trie is rebuilt exactly) — and leaves every derived quantity
+   (quantiles, variance, self time) to readers.  Serialization is canonical
+   — sections sorted by name, floats via the round-tripping emitter — so
+   parse ∘ serialize is the identity on bytes and the content hash is
+   well-defined. *)
+
+module Snapshot = struct
+  let schema = "hetarch.snapshot/3"
+
+  type hist = {
+    h_bounds : float array;
+    h_counts : int array;
+    h_overflow : int;
+    h_count : int;
+    h_mean : float;
+    h_m2 : float;  (* Welford sum of squared deviations *)
+    h_min : float;
+    h_max : float;
+  }
+
+  type process = {
+    p_minor_collections : int;
+    p_major_collections : int;
+    p_compactions : int;
+    p_minor_words : float;
+    p_promoted_words : float;
+    p_major_words : float;
+    p_heap_words : int;
+    p_top_heap_words : int;
+  }
+
+  type t = {
+    run_id : string;
+    shard : string;
+    trace_id : string;
+    span_id : string;
+    parent_span_id : string;  (* "" for a root (unparented) run *)
+    argv : string list;
+    started_unix : float;
+    wall_seconds : float;
+    jobs : int;
+    counters : (string * int) list;  (* sorted by name *)
+    gauges : (string * float) list;
+    histograms : (string * hist) list;
+    (* (name, count, total_ns, minor_w, promoted_w, major_w) *)
+    spans : (string * int * int64 * int * int * int) list;
+    (* profile trie, keyed by path; same aggregate shape *)
+    paths : (string * int * int64 * int * int * int) list;
+    process : process;
+  }
+
+  let quantile h q =
+    Histogram.bucket_quantile ~bounds:h.h_bounds ~counts:h.h_counts
+      ~overflow:h.h_overflow ~lo:h.h_min ~hi:h.h_max q
+
+  let sorted_fold registry f =
+    Hashtbl.fold (fun name v acc -> (name, f v) :: acc) registry []
+    |> List.sort compare
+
+  (* hetarch_util sits below this library, so the Parallel executor keeps
+     plain atomics; copy them into gauges whenever a snapshot is cut. *)
+  let g_parallel_tasks = Gauge.create "parallel.tasks_total"
+  let g_parallel_domains = Gauge.create "parallel.domains_spawned_total"
+  let g_parallel_queue = Gauge.create "parallel.queue_depth"
+  let g_parallel_busy = Gauge.create "parallel.busy_domains"
+
+  let capture () =
+    (* The GC/process sample comes first, before any (allocation-heavy)
+       section is built: its minor_words is what span allocation
+       attribution reconciles against, so the capture's own cost must not
+       land between the last span and the sample.  [Gc.minor_words], not
+       [quick_stat]'s field, which only refreshes at collection boundaries
+       on OCaml 5. *)
+    let minor_words = Gc.minor_words () in
+    let st = Gc.quick_stat () in
+    let wall_seconds = Int64.to_float (Int64.sub (now_ns ()) Trace.t0) /. 1e9 in
+    let process =
+      { p_minor_collections = st.Gc.minor_collections;
+        p_major_collections = st.Gc.major_collections;
+        p_compactions = st.Gc.compactions;
+        p_minor_words = minor_words;
+        p_promoted_words = st.Gc.promoted_words;
+        p_major_words = st.Gc.major_words;
+        p_heap_words = st.Gc.heap_words;
+        p_top_heap_words = st.Gc.top_heap_words }
+    in
+    let tasks, domains = Parallel.stats () in
+    Gauge.set g_parallel_tasks (float_of_int tasks);
+    Gauge.set g_parallel_domains (float_of_int domains);
+    let queue, busy = Parallel.queue_stats () in
+    Gauge.set g_parallel_queue (float_of_int queue);
+    Gauge.set g_parallel_busy (float_of_int busy);
+    let histograms =
+      sorted_fold Histogram.registry (fun h ->
+          Mutex.protect h.Histogram.lock (fun () ->
+              { h_bounds = Array.copy h.Histogram.bounds;
+                h_counts = Array.copy h.Histogram.counts;
+                h_overflow = h.Histogram.over;
+                h_count = Stats.running_count h.Histogram.welford;
+                h_mean = Stats.running_mean h.Histogram.welford;
+                h_m2 = Stats.running_m2 h.Histogram.welford;
+                h_min = h.Histogram.lo;
+                h_max = h.Histogram.hi }))
+    in
+    let ctx = Context.current () in
+    { run_id = Run.id ();
+      shard = Run.shard ();
+      trace_id = ctx.Context.trace_id;
+      span_id = ctx.Context.span_id;
+      parent_span_id = ctx.Context.parent_span_id;
+      argv = Array.to_list Sys.argv;
+      started_unix = Run.started_unix;
+      wall_seconds;
+      jobs = Parallel.jobs ();
+      counters = sorted_fold Counter.registry Counter.value;
+      gauges = sorted_fold Gauge.registry Gauge.value;
+      histograms;
+      spans = Trace.summaries ();
+      paths = Trace.by_path ();
+      process }
+
+  let hist_json h =
+    Json.Obj
+      [ ("bounds", Json.List (Array.to_list (Array.map (fun b -> Json.Float b) h.h_bounds)));
+        ("counts", Json.List (Array.to_list (Array.map (fun c -> Json.Int c) h.h_counts)));
+        ("overflow", Json.Int h.h_overflow);
+        ("count", Json.Int h.h_count);
+        ("mean", Json.Float h.h_mean);
+        ("m2", Json.Float h.h_m2);
+        ("min", Json.Float h.h_min);
+        ("max", Json.Float h.h_max) ]
+
+  let agg_json (name, count, total_ns, minor_w, promoted_w, major_w) =
+    ( name,
+      Json.Obj
+        [ ("count", Json.Int count);
+          ("total_ns", Json.Int (Int64.to_int total_ns));
+          ("minor_w", Json.Int minor_w);
+          ("promoted_w", Json.Int promoted_w);
+          ("major_w", Json.Int major_w) ] )
+
+  let process_json p =
+    Json.Obj
+      [ ("minor_collections", Json.Int p.p_minor_collections);
+        ("major_collections", Json.Int p.p_major_collections);
+        ("compactions", Json.Int p.p_compactions);
+        ("minor_words", Json.Float p.p_minor_words);
+        ("promoted_words", Json.Float p.p_promoted_words);
+        ("major_words", Json.Float p.p_major_words);
+        ("heap_words", Json.Int p.p_heap_words);
+        ("top_heap_words", Json.Int p.p_top_heap_words) ]
+
+  (* The state sections, shared with the fleet document. *)
+  let sections t =
+    [ ("counters", Json.Obj (List.map (fun (n, v) -> (n, Json.Int v)) t.counters));
+      ("gauges", Json.Obj (List.map (fun (n, v) -> (n, Json.Float v)) t.gauges));
+      ("histograms", Json.Obj (List.map (fun (n, h) -> (n, hist_json h)) t.histograms));
+      ("spans", Json.Obj (List.map agg_json t.spans));
+      ("paths", Json.Obj (List.map agg_json t.paths));
+      ("process", process_json t.process) ]
+
+  (* Every field except the content hash itself; the hash is computed over
+     this serialization, so any bit of state change changes the hash. *)
+  let body t =
+    ("schema", Json.String schema)
+    :: ( "run",
+         Json.Obj
+           [ ("id", Json.String t.run_id);
+             ("shard", Json.String t.shard);
+             ("trace_id", Json.String t.trace_id);
+             ("span_id", Json.String t.span_id);
+             ("parent_span_id", Json.String t.parent_span_id);
+             ("argv", Json.List (List.map (fun a -> Json.String a) t.argv));
+             ("started_unix", Json.Float t.started_unix);
+             ("wall_seconds", Json.Float t.wall_seconds);
+             ("jobs", Json.Int t.jobs) ] )
+    :: sections t
+
+  let content_hash t =
+    Content_hash.of_components [ schema; Json.to_string (Json.Obj (body t)) ]
+
+  let to_json t =
+    Json.Obj (body t @ [ ("content_hash", Json.String (content_hash t)) ])
+
+  let of_json doc =
+    let fail fmt = Printf.ksprintf (fun m -> failwith ("Obs.Snapshot.of_json: " ^ m)) fmt in
+    (match Json.member "schema" doc with
+    | Some (Json.String s) when s = schema -> ()
+    | Some (Json.String s) -> fail "schema %s (want %s)" s schema
+    | _ -> fail "missing schema");
+    let section name =
+      match Json.member name doc with
+      | Some (Json.Obj kvs) -> kvs
+      | _ -> fail "missing %s section" name
+    in
+    let str name j =
+      match Json.member name j with
+      | Some (Json.String s) -> s
+      | _ -> fail "missing string %s" name
+    in
+    let int_ name j =
+      match Json.member name j with
+      | Some (Json.Int i) -> i
+      | _ -> fail "missing integer %s" name
+    in
+    let float_ name j =
+      match Json.member name j with
+      | Some v -> ( try Json.to_float v with Failure _ -> fail "non-numeric %s" name)
+      | None -> fail "missing number %s" name
+    in
+    let run = Json.Obj (section "run") in
+    (* Bucket state is validated here, once, so merging and quantiles can
+       index it without checks of their own. *)
+    let hist_of (name, j) =
+      let arr field f =
+        match Json.member field j with
+        | Some (Json.List xs) -> Array.of_list (List.map f xs)
+        | _ -> fail "histogram %s: missing array %s" name field
+      in
+      let bounds = arr "bounds" Json.to_float in
+      let counts =
+        arr "counts" (function
+          | Json.Int i when i >= 0 -> i
+          | _ -> fail "histogram %s: bucket count is not a non-negative integer" name)
+      in
+      let nb = Array.length bounds in
+      if nb = 0 || Array.length counts <> nb then
+        fail "histogram %s: %d counts for %d bounds" name (Array.length counts) nb;
+      for i = 1 to nb - 1 do
+        if not (bounds.(i - 1) < bounds.(i)) then
+          fail "histogram %s: bounds not strictly increasing" name
+      done;
+      let overflow = int_ "overflow" j in
+      if overflow < 0 then fail "histogram %s: negative overflow" name;
+      ( name,
+        { h_bounds = bounds;
+          h_counts = counts;
+          h_overflow = overflow;
+          h_count = int_ "count" j;
+          h_mean = float_ "mean" j;
+          h_m2 = float_ "m2" j;
+          h_min = float_ "min" j;
+          h_max = float_ "max" j } )
+    in
+    let agg_of (name, j) =
+      ( name,
+        int_ "count" j,
+        Int64.of_int (int_ "total_ns" j),
+        int_ "minor_w" j,
+        int_ "promoted_w" j,
+        int_ "major_w" j )
+    in
+    let p = Json.Obj (section "process") in
+    { run_id = str "id" run;
+      shard = str "shard" run;
+      trace_id = str "trace_id" run;
+      span_id = str "span_id" run;
+      parent_span_id = str "parent_span_id" run;
+      argv =
+        (match Json.member "argv" run with
+        | Some (Json.List xs) ->
+            List.map (function Json.String s -> s | _ -> fail "non-string argv entry") xs
+        | _ -> fail "missing argv");
+      started_unix = float_ "started_unix" run;
+      wall_seconds = float_ "wall_seconds" run;
+      jobs = int_ "jobs" run;
+      counters =
+        List.sort compare
+          (List.map
+             (fun (n, v) -> match v with Json.Int i -> (n, i) | _ -> fail "non-integer counter %s" n)
+             (section "counters"));
+      gauges =
+        List.sort compare
+          (List.map
+             (fun (n, v) -> (n, (try Json.to_float v with Failure _ -> fail "non-numeric gauge %s" n)))
+             (section "gauges"));
+      histograms = List.sort compare (List.map hist_of (section "histograms"));
+      spans = List.sort compare (List.map agg_of (section "spans"));
+      paths = List.sort compare (List.map agg_of (section "paths"));
+      process =
+        { p_minor_collections = int_ "minor_collections" p;
+          p_major_collections = int_ "major_collections" p;
+          p_compactions = int_ "compactions" p;
+          p_minor_words = float_ "minor_words" p;
+          p_promoted_words = float_ "promoted_words" p;
+          p_major_words = float_ "major_words" p;
+          p_heap_words = int_ "heap_words" p;
+          p_top_heap_words = int_ "top_heap_words" p } }
+
+  let write ~path t = write_lines_atomic path [ to_json t ]
+  let load path = of_json (Json.parse (In_channel.with_open_bin path In_channel.input_all))
+end
+
+(* ----------------------------------------------------------------- merge *)
+
+(* Order-insensitive union of snapshots into one fleet view.  The sources
+   fold into one [Snapshot.t] in a canonical order (run-id, then content
+   hash, duplicates removed) — so merging A∪B and B∪A, or (A∪B)∪C and
+   A∪(B∪C), produces byte-identical output even though float addition
+   itself is not associative.  Histograms bucket-merge and combine their
+   Welford states with Chan's parallel update; everything else sums, except
+   the peak heap, which takes the max. *)
+
+module Merge = struct
+  let schema = "hetarch.fleet/4"
+
+  type t = { keyed : (string * Snapshot.t) list }  (* (content_hash, snapshot) *)
+
+  let canonicalize keyed =
+    let seen = Hashtbl.create 8 in
+    List.filter
+      (fun (h, _) ->
+        if Hashtbl.mem seen h then false
+        else begin
+          Hashtbl.add seen h ();
+          true
+        end)
+      keyed
+    |> List.sort (fun (ha, a) (hb, b) ->
+           match compare a.Snapshot.run_id b.Snapshot.run_id with
+           | 0 -> compare ha hb
+           | c -> c)
+
+  let of_snapshots snaps =
+    { keyed = canonicalize (List.map (fun s -> (Snapshot.content_hash s, s)) snaps) }
+
+  let union a b = { keyed = canonicalize (a.keyed @ b.keyed) }
+  let sources t = List.map snd t.keyed
+
+  let names proj ss = List.sort_uniq compare (List.concat_map proj ss)
+
+  (* Sum a keyed section across sources, in canonical source order. *)
+  let summed proj zero add ss =
+    let tables = List.map proj ss in
+    List.map
+      (fun k ->
+        ( k,
+          List.fold_left
+            (fun acc tbl -> match List.assoc_opt k tbl with Some v -> add acc v | None -> acc)
+            zero tables ))
+      (names (List.map fst) tables)
+
+  let merge_hist name (a : Snapshot.hist) (b : Snapshot.hist) =
+    if a.h_bounds <> b.h_bounds then
+      failwith
+        (Printf.sprintf "Obs.Merge: histogram %s bucket bounds differ across snapshots" name);
+    let n = a.h_count + b.h_count in
+    let mean, m2 =
+      if a.h_count = 0 then (b.h_mean, b.h_m2)
+      else if b.h_count = 0 then (a.h_mean, a.h_m2)
+      else begin
+        (* Chan's pairwise Welford merge: exact combination of two
+           (n, mean, m2) accumulators without revisiting samples. *)
+        let fa = float_of_int a.h_count
+        and fb = float_of_int b.h_count
+        and fn = float_of_int n in
+        let delta = b.h_mean -. a.h_mean in
+        ( a.h_mean +. (delta *. fb /. fn),
+          a.h_m2 +. b.h_m2 +. (delta *. delta *. fa *. fb /. fn) )
+      end
+    in
+    { Snapshot.h_bounds = a.h_bounds;
+      h_counts = Array.mapi (fun i c -> c + b.h_counts.(i)) a.h_counts;
+      h_overflow = a.h_overflow + b.h_overflow;
+      h_count = n;
+      h_mean = mean;
+      h_m2 = m2;
+      h_min = Float.min a.h_min b.h_min;
+      h_max = Float.max a.h_max b.h_max }
+
+  let merged_histograms ss =
+    List.map
+      (fun k ->
+        let hs =
+          List.filter_map (fun (s : Snapshot.t) -> List.assoc_opt k s.histograms) ss
+        in
+        match hs with
+        | [] -> assert false
+        | first :: rest -> (k, List.fold_left (merge_hist k) first rest))
+      (names (fun (s : Snapshot.t) -> List.map fst s.histograms) ss)
+
+  (* Spans and paths share the (name, count, total_ns, minor_w, promoted_w,
+     major_w) aggregate shape; merging path aggregates is exactly grafting
+     profile tries by path. *)
+  let merged_aggs proj ss =
+    summed
+      (fun s -> List.map (fun (n, c, t, mw, pw, jw) -> (n, (c, t, mw, pw, jw))) (proj s))
+      (0, 0L, 0, 0, 0)
+      (fun (c, t, mw, pw, jw) (c', t', mw', pw', jw') ->
+        (c + c', Int64.add t t', mw + mw', pw + pw', jw + jw'))
+      ss
+    |> List.map (fun (n, (c, t, mw, pw, jw)) -> (n, c, t, mw, pw, jw))
+
+  let merged_process ss =
+    let sum f = List.fold_left (fun acc s -> acc + f s) 0 ss in
+    let sumf f = List.fold_left (fun acc s -> acc +. f s) 0. ss in
+    { Snapshot.p_minor_collections = sum (fun (s : Snapshot.t) -> s.process.p_minor_collections);
+      p_major_collections = sum (fun (s : Snapshot.t) -> s.process.p_major_collections);
+      p_compactions = sum (fun (s : Snapshot.t) -> s.process.p_compactions);
+      p_minor_words = sumf (fun (s : Snapshot.t) -> s.process.p_minor_words);
+      p_promoted_words = sumf (fun (s : Snapshot.t) -> s.process.p_promoted_words);
+      p_major_words = sumf (fun (s : Snapshot.t) -> s.process.p_major_words);
+      p_heap_words = sum (fun (s : Snapshot.t) -> s.process.p_heap_words);
+      p_top_heap_words =
+        List.fold_left (fun acc (s : Snapshot.t) -> max acc s.process.p_top_heap_words) 0 ss }
+
+  (* Earliest start and latest end over the sources. *)
+  let time_span ss =
+    List.fold_left
+      (fun (lo, hi) (s : Snapshot.t) ->
+        (Float.min lo s.started_unix, Float.max hi (s.started_unix +. s.wall_seconds)))
+      (infinity, neg_infinity) ss
+
+  let merged t =
+    let ss = sources t in
+    let started, ended = if ss = [] then (0., 0.) else time_span ss in
+    { Snapshot.run_id = "";
+      shard = "";
+      trace_id = "";
+      span_id = "";
+      parent_span_id = "";
+      argv = [];
+      started_unix = started;
+      wall_seconds = ended -. started;
+      jobs = 0;
+      counters = summed (fun (s : Snapshot.t) -> s.counters) 0 ( + ) ss;
+      gauges = summed (fun (s : Snapshot.t) -> s.gauges) 0. ( +. ) ss;
+      histograms = merged_histograms ss;
+      spans = merged_aggs (fun (s : Snapshot.t) -> s.spans) ss;
+      paths = merged_aggs (fun (s : Snapshot.t) -> s.paths) ss;
+      process = merged_process ss }
+
+  let to_json t =
+    let ss = sources t in
+    let m = merged t in
+    let window =
+      if ss = [] then Json.Obj []
+      else
+        Json.Obj
+          [ ("started_unix", Json.Float m.started_unix);
+            ("ended_unix", Json.Float (m.started_unix +. m.wall_seconds));
+            ("wall_span_seconds", Json.Float m.wall_seconds);
+            ( "total_wall_seconds",
+              Json.Float
+                (List.fold_left (fun acc (s : Snapshot.t) -> acc +. s.wall_seconds) 0. ss) ) ]
+    in
+    let attribution =
+      Json.List
+        (List.map
+           (fun (h, (s : Snapshot.t)) ->
+             Json.Obj
+               [ ("run", Json.String s.run_id);
+                 ("shard", Json.String s.shard);
+                 ("trace_id", Json.String s.trace_id);
+                 ("content_hash", Json.String h);
+                 ("started_unix", Json.Float s.started_unix);
+                 ("wall_seconds", Json.Float s.wall_seconds);
+                 ("jobs", Json.Int s.jobs) ])
+           t.keyed)
+    in
+    let body =
+      [ ("schema", Json.String schema);
+        ("runs", Json.Int (List.length ss));
+        ("window", window);
+        ("attribution", attribution) ]
+      @ Snapshot.sections m
+      @ [ ("sources", Json.List (List.map Snapshot.to_json ss)) ]
+    in
+    Json.Obj
+      (body
+      @ [ ( "content_hash",
+            Json.String (Content_hash.of_components [ schema; Json.to_string (Json.Obj body) ]) )
+        ])
+
+  (* Accepts a single snapshot or a fleet document; a fleet input is
+     flattened back to its sources, so merging merged documents is exact. *)
+  let of_json doc =
+    match Json.member "schema" doc with
+    | Some (Json.String s) when s = schema -> (
+        match Json.member "sources" doc with
+        | Some (Json.List ss) -> of_snapshots (List.map Snapshot.of_json ss)
+        | _ -> failwith "Obs.Merge.of_json: fleet document without sources")
+    | Some (Json.String s) when s = Snapshot.schema -> of_snapshots [ Snapshot.of_json doc ]
+    | _ ->
+        failwith
+          (Printf.sprintf "Obs.Merge.of_json: unrecognized schema (want %s or %s)"
+             Snapshot.schema schema)
+end
+
 (* ------------------------------------------------------------------ diff *)
 
-(* Manifest/bench comparison: extract the time-like metrics of two parsed
+(* [nan] on an empty list. *)
+let median = function
+  | [] -> Float.nan
+  | xs ->
+      let arr = Array.of_list xs in
+      Array.sort compare arr;
+      let n = Array.length arr in
+      if n mod 2 = 1 then arr.(n / 2) else (arr.((n / 2) - 1) +. arr.(n / 2)) /. 2.
+
+(* Snapshot/bench comparison: extract the time-like metrics of two parsed
    documents and flag relative regressions past a threshold.  Understands
-   hetarch.bench/* (kernel ns/run) and hetarch.obs/* run manifests (span
-   total_ns and histogram means); CI uses it warn-only as a perf-trend
-   report, and scripts can use the exit status as a hard gate. *)
+   hetarch.bench/* (kernel ns/run) and snapshots or fleet documents (span
+   total_ns and minor words, histogram means); CI uses it warn-only as a
+   perf-trend report, and scripts can use the exit status as a hard gate. *)
 
 module Diff = struct
   type entry = {
@@ -1234,67 +1757,36 @@ module Diff = struct
 
   let default_threshold_pct = 20.
 
-  let median = function
-    | [] -> 1.
-    | xs ->
-        let arr = Array.of_list xs in
-        Array.sort compare arr;
-        let n = Array.length arr in
-        if n mod 2 = 1 then arr.(n / 2)
-        else (arr.((n / 2) - 1) +. arr.(n / 2)) /. 2.
-
-  (* (metric, value) list for one document; higher is always worse. *)
+  (* (metric, value) list for one document; higher is always worse.  A
+     snapshot or fleet document contributes its span totals, span minor
+     words (exact counts, so the trend watchdog flags allocation
+     regressions with the same median + MAD machinery it uses for ns) and
+     histogram means. *)
   let metrics_of doc =
-    let schema =
-      match Json.member "schema" doc with Some (Json.String s) -> s | _ -> ""
-    in
-    if String.length schema >= 13 && String.sub schema 0 13 = "hetarch.bench" then
-      match Json.member "kernels" doc with
-      | Some (Json.List ks) ->
-          List.filter_map
-            (fun k ->
-              match (Json.member "name" k, Json.member "ns_per_run" k) with
-              | Some (Json.String n), Some v -> (
-                  try Some ("kernel:" ^ n, Json.to_float v) with Failure _ -> None)
-              | _ -> None)
-            ks
-      | _ -> []
-    else if
-      List.exists
-        (fun p -> String.length schema >= String.length p && String.sub schema 0 (String.length p) = p)
-        [ "hetarch.obs"; "hetarch.snapshot"; "hetarch.fleet" ]
-    then begin
-      let section name f =
-        match Json.member name doc with
-        | Some (Json.Obj kvs) -> List.filter_map f kvs
-        | _ -> []
-      in
-      section "spans" (fun (name, v) ->
-          match Json.member "total_ns" v with
-          | Some t -> (try Some ("span:" ^ name, Json.to_float t) with Failure _ -> None)
-          | None -> None)
-      (* Minor-word totals per span name (absent in pre-alloc documents):
-         exact counts, so the trend watchdog flags allocation regressions
-         with the same median + MAD machinery it uses for ns. *)
-      @ section "spans" (fun (name, v) ->
-            match Json.member "minor_w" v with
-            | Some w -> (
-                try Some ("alloc:" ^ name, Json.to_float w) with Failure _ -> None)
-            | None -> None)
-      @ section "histograms" (fun (name, v) ->
-            match Json.member "mean" v with
-            | Some m -> (
-                try
-                  let x = Json.to_float m in
-                  if Float.is_finite x then Some ("hist:" ^ name ^ ".mean", x)
-                  else None
-                with Failure _ -> None)
-            | None -> None)
-    end
-    else
-      failwith
-        "Obs.Diff: unrecognized schema (want hetarch.bench/*, hetarch.obs/*, \
-         hetarch.snapshot/* or hetarch.fleet/*)"
+    match Json.member "schema" doc with
+    | Some (Json.String s) when String.starts_with ~prefix:"hetarch.bench/" s -> (
+        match Json.member "kernels" doc with
+        | Some (Json.List ks) ->
+            List.filter_map
+              (fun k ->
+                match (Json.member "name" k, Json.member "ns_per_run" k) with
+                | Some (Json.String n), Some v -> (
+                    try Some ("kernel:" ^ n, Json.to_float v) with Failure _ -> None)
+                | _ -> None)
+              ks
+        | _ -> [])
+    | _ ->
+        let s =
+          try Merge.merged (Merge.of_json doc)
+          with Failure msg -> failwith ("Obs.Diff: " ^ msg)
+        in
+        List.map (fun (n, _, t, _, _, _) -> ("span:" ^ n, Int64.to_float t)) s.spans
+        @ List.map (fun (n, _, _, w, _, _) -> ("alloc:" ^ n, float_of_int w)) s.spans
+        @ List.filter_map
+            (fun (n, (h : Snapshot.hist)) ->
+              if Float.is_finite h.h_mean then Some ("hist:" ^ n ^ ".mean", h.h_mean)
+              else None)
+            s.histograms
 
   (* [normalize] divides every current value by the median current/baseline
      ratio across the common metrics, cancelling a uniform machine-speed
@@ -1356,643 +1848,6 @@ module Diff = struct
       scale }
 end
 
-(* --------------------------------------------------------------- reports *)
-
-module Report = struct
-  let sorted_fold registry f =
-    Hashtbl.fold (fun name v acc -> (name, f v) :: acc) registry []
-    |> List.sort compare
-
-  (* hetarch_util sits below this library, so the Parallel executor keeps
-     plain atomics; snapshot them into gauges whenever a report is cut. *)
-  let g_parallel_tasks = Gauge.create "parallel.tasks_total"
-  let g_parallel_domains = Gauge.create "parallel.domains_spawned_total"
-  let g_parallel_queue = Gauge.create "parallel.queue_depth"
-  let g_parallel_busy = Gauge.create "parallel.busy_domains"
-
-  let snapshot_parallel () =
-    let tasks, domains = Parallel.stats () in
-    Gauge.set g_parallel_tasks (float_of_int tasks);
-    Gauge.set g_parallel_domains (float_of_int domains);
-    let queue, busy = Parallel.queue_stats () in
-    Gauge.set g_parallel_queue (float_of_int queue);
-    Gauge.set g_parallel_busy (float_of_int busy)
-
-  (* Free per-run process telemetry: GC counters (Gc.quick_stat reads
-     mutator-maintained fields only — no heap traversal), peak heap, and
-     wall-clock seconds since the module was initialised. *)
-  let process_json () =
-    let st = Gc.quick_stat () in
-    Json.Obj
-      [ ("wall_seconds",
-         Json.Float (Int64.to_float (Int64.sub (now_ns ()) Trace.t0) /. 1e9));
-        ("minor_collections", Json.Int st.Gc.minor_collections);
-        ("major_collections", Json.Int st.Gc.major_collections);
-        ("compactions", Json.Int st.Gc.compactions);
-        (* [Gc.minor_words], not [quick_stat]'s field, which only refreshes
-           at collection boundaries on OCaml 5 — span alloc attribution
-           reconciles against this number. *)
-        ("minor_words", Json.Float (Gc.minor_words ()));
-        ("promoted_words", Json.Float st.Gc.promoted_words);
-        ("major_words", Json.Float st.Gc.major_words);
-        ("heap_words", Json.Int st.Gc.heap_words);
-        ("top_heap_words", Json.Int st.Gc.top_heap_words) ]
-
-  let to_json () =
-    snapshot_parallel ();
-    (* Sample the process section before assembling the (allocation-heavy)
-       metric sections: the manifest's minor_words is what span allocation
-       attribution reconciles against, so the report's own assembly cost
-       must not land between the last span and the sample. *)
-    let process = process_json () in
-    let counters =
-      sorted_fold Counter.registry (fun c -> Json.Int (Counter.value c))
-    in
-    let gauges =
-      sorted_fold Gauge.registry (fun g -> Json.Float (Gauge.value g))
-    in
-    let histograms =
-      sorted_fold Histogram.registry (fun h ->
-          let buckets =
-            Histogram.bucket_counts h |> Array.to_list
-            |> List.filter (fun (_, c) -> c > 0)
-            |> List.map (fun (le, c) ->
-                   Json.Obj [ ("le", Json.Float le); ("count", Json.Int c) ])
-          in
-          Json.Obj
-            [ ("count", Json.Int (Histogram.count h));
-              ("mean", Json.Float (Histogram.mean h));
-              ("variance", Json.Float (Histogram.variance h));
-              ("min", Json.Float (Histogram.min_value h));
-              ("max", Json.Float (Histogram.max_value h));
-              ("p50", Json.Float (Histogram.quantile h 0.5));
-              ("p90", Json.Float (Histogram.quantile h 0.9));
-              ("p99", Json.Float (Histogram.quantile h 0.99));
-              ("overflow", Json.Int (Histogram.overflow h));
-              ("buckets", Json.List buckets) ])
-    in
-    (* Span duration quantiles come from the retained ring (the per-name
-       totals keep no distribution), so they describe the most recent
-       [capacity] spans when the ring has evicted. *)
-    let ring_durs : (string, float list) Hashtbl.t = Hashtbl.create 32 in
-    List.iter
-      (fun (s : Trace.span) ->
-        let durs = Option.value ~default:[] (Hashtbl.find_opt ring_durs s.Trace.name) in
-        Hashtbl.replace ring_durs s.Trace.name (Int64.to_float s.Trace.dur_ns :: durs))
-      (Trace.spans ());
-    let spans =
-      List.map
-        (fun (name, count, total_ns, minor_w, promoted_w, major_w) ->
-          let quantiles =
-            match Hashtbl.find_opt ring_durs name with
-            | None | Some [] -> []
-            | Some durs ->
-                let xs = Array.of_list durs in
-                [ ("p50_ns", Json.Float (Stats.percentile xs 50.));
-                  ("p90_ns", Json.Float (Stats.percentile xs 90.));
-                  ("p99_ns", Json.Float (Stats.percentile xs 99.)) ]
-          in
-          ( name,
-            Json.Obj
-              ([ ("count", Json.Int count);
-                 ("total_ns", Json.Int (Int64.to_int total_ns));
-                 ("minor_w", Json.Int minor_w);
-                 ("promoted_w", Json.Int promoted_w);
-                 ("major_w", Json.Int major_w) ]
-              @ quantiles) ))
-        (Trace.summaries ())
-    in
-    Json.Obj
-      [ ("schema", Json.String "hetarch.obs/5");
-        ("run", Context.stamp ());
-        ("process", process);
-        ("counters", Json.Obj counters);
-        ("gauges", Json.Obj gauges);
-        ("histograms", Json.Obj histograms);
-        ("spans", Json.Obj spans) ]
-
-  let write ~path =
-    let oc = open_out path in
-    Fun.protect
-      ~finally:(fun () -> close_out oc)
-      (fun () ->
-        output_string oc (Json.to_string (to_json ()));
-        output_char oc '\n')
-end
-
-(* ------------------------------------------------------------- snapshots *)
-
-(* Complete, versioned serialization of one process's obs state — the unit
-   of fleet-scale aggregation.  Unlike the Report manifest (a human-facing
-   summary with lossy derived quantities), a snapshot carries the *raw*
-   mergeable state: integer bucket counts, Welford (n, mean, m2) triples,
-   and per-caller-path span aggregates (from which the profile trie is
-   reconstructed exactly).  Serialization is canonical — sections sorted by
-   name, floats via the round-tripping emitter — so parse ∘ serialize is the
-   identity on bytes and the content hash is well-defined. *)
-
-module Snapshot = struct
-  let schema = "hetarch.snapshot/3"
-
-  (* One version back still parses: v2 (no trace context — context fields
-     default to "") and v1 (additionally no per-span allocation aggregates —
-     alloc fields default to zero) both load, so registries recorded before
-     the bumps stay readable; serialization always emits v3. *)
-  let schema_v2 = "hetarch.snapshot/2"
-  let schema_v1 = "hetarch.snapshot/1"
-
-  type hist = {
-    h_bounds : float array;
-    h_counts : int array;
-    h_overflow : int;
-    h_count : int;
-    h_mean : float;
-    h_m2 : float;  (* Welford sum of squared deviations *)
-    h_min : float;
-    h_max : float;
-  }
-
-  type process = {
-    p_minor_collections : int;
-    p_major_collections : int;
-    p_compactions : int;
-    p_minor_words : float;
-    p_promoted_words : float;
-    p_major_words : float;
-    p_heap_words : int;
-    p_top_heap_words : int;
-  }
-
-  type t = {
-    run_id : string;
-    shard : string;
-    trace_id : string;
-    span_id : string;
-    parent_span_id : string;  (* "" for a root (unparented) run *)
-    argv : string list;
-    started_unix : float;
-    wall_seconds : float;
-    jobs : int;
-    counters : (string * int) list;  (* sorted by name *)
-    gauges : (string * float) list;
-    histograms : (string * hist) list;
-    (* (name, count, total_ns, minor_w, promoted_w, major_w) *)
-    spans : (string * int * int64 * int * int * int) list;
-    (* profile trie, keyed by path; same aggregate shape *)
-    paths : (string * int * int64 * int * int * int) list;
-    process : process;
-  }
-
-  let capture () =
-    Report.snapshot_parallel ();
-    let histograms =
-      Report.sorted_fold Histogram.registry (fun h ->
-          Mutex.protect h.Histogram.lock (fun () ->
-              { h_bounds = Array.copy h.Histogram.bounds;
-                h_counts = Array.copy h.Histogram.counts;
-                h_overflow = h.Histogram.over;
-                h_count = Stats.running_count h.Histogram.welford;
-                h_mean = Stats.running_mean h.Histogram.welford;
-                h_m2 = Stats.running_m2 h.Histogram.welford;
-                h_min = h.Histogram.lo;
-                h_max = h.Histogram.hi }))
-    in
-    let st = Gc.quick_stat () in
-    let ctx = Context.current () in
-    { run_id = Run.id ();
-      shard = Run.shard ();
-      trace_id = ctx.Context.trace_id;
-      span_id = ctx.Context.span_id;
-      parent_span_id = ctx.Context.parent_span_id;
-      argv = Array.to_list Sys.argv;
-      started_unix = Run.started_unix;
-      wall_seconds = Int64.to_float (Int64.sub (now_ns ()) Trace.t0) /. 1e9;
-      jobs = Parallel.jobs ();
-      counters = Report.sorted_fold Counter.registry Counter.value;
-      gauges = Report.sorted_fold Gauge.registry Gauge.value;
-      histograms;
-      spans = Trace.summaries ();
-      paths = Trace.by_path ();
-      process =
-        { p_minor_collections = st.Gc.minor_collections;
-          p_major_collections = st.Gc.major_collections;
-          p_compactions = st.Gc.compactions;
-          (* exact mid-interval, unlike [quick_stat]'s field on OCaml 5 *)
-          p_minor_words = Gc.minor_words ();
-          p_promoted_words = st.Gc.promoted_words;
-          p_major_words = st.Gc.major_words;
-          p_heap_words = st.Gc.heap_words;
-          p_top_heap_words = st.Gc.top_heap_words } }
-
-  let hist_json h =
-    Json.Obj
-      [ ("bounds", Json.List (Array.to_list (Array.map (fun b -> Json.Float b) h.h_bounds)));
-        ("counts", Json.List (Array.to_list (Array.map (fun c -> Json.Int c) h.h_counts)));
-        ("overflow", Json.Int h.h_overflow);
-        ("count", Json.Int h.h_count);
-        ("mean", Json.Float h.h_mean);
-        ("m2", Json.Float h.h_m2);
-        ("min", Json.Float h.h_min);
-        ("max", Json.Float h.h_max) ]
-
-  let agg_json (name, count, total_ns, minor_w, promoted_w, major_w) =
-    ( name,
-      Json.Obj
-        [ ("count", Json.Int count);
-          ("total_ns", Json.Int (Int64.to_int total_ns));
-          ("minor_w", Json.Int minor_w);
-          ("promoted_w", Json.Int promoted_w);
-          ("major_w", Json.Int major_w) ] )
-
-  let process_json p =
-    Json.Obj
-      [ ("minor_collections", Json.Int p.p_minor_collections);
-        ("major_collections", Json.Int p.p_major_collections);
-        ("compactions", Json.Int p.p_compactions);
-        ("minor_words", Json.Float p.p_minor_words);
-        ("promoted_words", Json.Float p.p_promoted_words);
-        ("major_words", Json.Float p.p_major_words);
-        ("heap_words", Json.Int p.p_heap_words);
-        ("top_heap_words", Json.Int p.p_top_heap_words) ]
-
-  (* Every field except the content hash itself; the hash is computed over
-     this serialization, so any bit of state change changes the hash. *)
-  let body t =
-    [ ("schema", Json.String schema);
-      ( "run",
-        Json.Obj
-          [ ("id", Json.String t.run_id);
-            ("shard", Json.String t.shard);
-            ("trace_id", Json.String t.trace_id);
-            ("span_id", Json.String t.span_id);
-            ("parent_span_id", Json.String t.parent_span_id);
-            ("argv", Json.List (List.map (fun a -> Json.String a) t.argv));
-            ("started_unix", Json.Float t.started_unix);
-            ("wall_seconds", Json.Float t.wall_seconds);
-            ("jobs", Json.Int t.jobs) ] );
-      ("counters", Json.Obj (List.map (fun (n, v) -> (n, Json.Int v)) t.counters));
-      ("gauges", Json.Obj (List.map (fun (n, v) -> (n, Json.Float v)) t.gauges));
-      ("histograms", Json.Obj (List.map (fun (n, h) -> (n, hist_json h)) t.histograms));
-      ("spans", Json.Obj (List.map agg_json t.spans));
-      ("paths", Json.Obj (List.map agg_json t.paths));
-      ("process", process_json t.process) ]
-
-  let content_hash t =
-    Content_hash.of_components [ schema; Json.to_string (Json.Obj (body t)) ]
-
-  let to_json t =
-    Json.Obj (body t @ [ ("content_hash", Json.String (content_hash t)) ])
-
-  let of_json doc =
-    let fail fmt = Printf.ksprintf (fun m -> failwith ("Obs.Snapshot.of_json: " ^ m)) fmt in
-    (match Json.member "schema" doc with
-    | Some (Json.String s) when s = schema || s = schema_v2 || s = schema_v1 -> ()
-    | Some (Json.String s) -> fail "schema %s (want %s)" s schema
-    | _ -> fail "missing schema");
-    let section name =
-      match Json.member name doc with
-      | Some (Json.Obj kvs) -> kvs
-      | _ -> fail "missing %s section" name
-    in
-    let str name j =
-      match Json.member name j with
-      | Some (Json.String s) -> s
-      | _ -> fail "missing string %s" name
-    in
-    let int_ name j =
-      match Json.member name j with
-      | Some (Json.Int i) -> i
-      | _ -> fail "missing integer %s" name
-    in
-    let float_ name j =
-      match Json.member name j with
-      | Some v -> ( try Json.to_float v with Failure _ -> fail "non-numeric %s" name)
-      | None -> fail "missing number %s" name
-    in
-    let run = Json.Obj (section "run") in
-    let hist_of j =
-      let arr name f =
-        match Json.member name j with
-        | Some (Json.List xs) -> Array.of_list (List.map f xs)
-        | _ -> fail "missing array %s" name
-      in
-      { h_bounds = arr "bounds" Json.to_float;
-        h_counts = arr "counts" (function Json.Int i -> i | _ -> fail "non-integer bucket count");
-        h_overflow = int_ "overflow" j;
-        h_count = int_ "count" j;
-        h_mean = float_ "mean" j;
-        h_m2 = float_ "m2" j;
-        h_min = float_ "min" j;
-        h_max = float_ "max" j }
-    in
-    (* Alloc fields are absent in v1 documents; default to zero.  Trace
-       context fields are absent in v1/v2; default to "". *)
-    let opt_int name j =
-      match Json.member name j with Some (Json.Int i) -> i | _ -> 0
-    in
-    let opt_str name j =
-      match Json.member name j with Some (Json.String s) -> s | _ -> ""
-    in
-    let agg_of (name, j) =
-      ( name,
-        int_ "count" j,
-        Int64.of_int (int_ "total_ns" j),
-        opt_int "minor_w" j,
-        opt_int "promoted_w" j,
-        opt_int "major_w" j )
-    in
-    let p = Json.Obj (section "process") in
-    { run_id = str "id" run;
-      shard = str "shard" run;
-      trace_id = opt_str "trace_id" run;
-      span_id = opt_str "span_id" run;
-      parent_span_id = opt_str "parent_span_id" run;
-      argv =
-        (match Json.member "argv" run with
-        | Some (Json.List xs) ->
-            List.map (function Json.String s -> s | _ -> fail "non-string argv entry") xs
-        | _ -> fail "missing argv");
-      started_unix = float_ "started_unix" run;
-      wall_seconds = float_ "wall_seconds" run;
-      jobs = int_ "jobs" run;
-      counters =
-        List.sort compare
-          (List.map
-             (fun (n, v) -> match v with Json.Int i -> (n, i) | _ -> fail "non-integer counter %s" n)
-             (section "counters"));
-      gauges =
-        List.sort compare
-          (List.map
-             (fun (n, v) -> (n, (try Json.to_float v with Failure _ -> fail "non-numeric gauge %s" n)))
-             (section "gauges"));
-      histograms = List.sort compare (List.map (fun (n, v) -> (n, hist_of v)) (section "histograms"));
-      spans = List.sort compare (List.map agg_of (section "spans"));
-      paths = List.sort compare (List.map agg_of (section "paths"));
-      process =
-        { p_minor_collections = int_ "minor_collections" p;
-          p_major_collections = int_ "major_collections" p;
-          p_compactions = int_ "compactions" p;
-          p_minor_words = float_ "minor_words" p;
-          p_promoted_words = float_ "promoted_words" p;
-          p_major_words = float_ "major_words" p;
-          p_heap_words = int_ "heap_words" p;
-          p_top_heap_words = int_ "top_heap_words" p } }
-
-  (* Atomic write: temp file in the destination directory, then rename — a
-     concurrent reader (or a kill mid-write) never sees a torn snapshot. *)
-  let write ~path t =
-    let tmp = Printf.sprintf "%s.tmp.%d" path (Unix.getpid ()) in
-    let oc = open_out tmp in
-    (try
-       output_string oc (Json.to_string (to_json t));
-       output_char oc '\n';
-       close_out oc
-     with e ->
-       close_out_noerr oc;
-       (try Sys.remove tmp with Sys_error _ -> ());
-       raise e);
-    Sys.rename tmp path
-
-  let load path =
-    let ic = open_in_bin path in
-    Fun.protect
-      ~finally:(fun () -> close_in ic)
-      (fun () -> of_json (Json.parse (really_input_string ic (in_channel_length ic))))
-end
-
-(* ----------------------------------------------------------------- merge *)
-
-(* Order-insensitive union of snapshots into one fleet view.  The merged
-   document embeds its full source snapshots and recomputes every aggregate
-   by folding over them in a canonical order (run-id, then content hash,
-   duplicates removed) — so merging A∪B and B∪A, or (A∪B)∪C and A∪(B∪C),
-   produces byte-identical output even though float addition itself is not
-   associative.  Histograms bucket-merge and combine their Welford states
-   with Chan's parallel update; gauges cannot be meaningfully summed across
-   processes, so they carry per-source values plus min/max/sum. *)
-
-module Merge = struct
-  let schema = "hetarch.fleet/3"
-
-  (* One version back still flattens: v2 (no trace context) and v1 fleet
-     documents (sources are v1 snapshots) both load. *)
-  let schema_v2 = "hetarch.fleet/2"
-  let schema_v1 = "hetarch.fleet/1"
-
-  type t = { keyed : (string * Snapshot.t) list }  (* (content_hash, snapshot) *)
-
-  let canonicalize keyed =
-    let seen = Hashtbl.create 8 in
-    List.filter
-      (fun (h, _) ->
-        if Hashtbl.mem seen h then false
-        else begin
-          Hashtbl.add seen h ();
-          true
-        end)
-      keyed
-    |> List.sort (fun (ha, a) (hb, b) ->
-           match compare a.Snapshot.run_id b.Snapshot.run_id with
-           | 0 -> compare ha hb
-           | c -> c)
-
-  let of_snapshots snaps =
-    { keyed = canonicalize (List.map (fun s -> (Snapshot.content_hash s, s)) snaps) }
-
-  let union a b = { keyed = canonicalize (a.keyed @ b.keyed) }
-  let sources t = List.map snd t.keyed
-
-  let names proj ss = List.sort_uniq compare (List.concat_map proj ss)
-
-  let merged_counters ss =
-    List.map
-      (fun k ->
-        ( k,
-          List.fold_left
-            (fun acc (s : Snapshot.t) ->
-              acc + Option.value ~default:0 (List.assoc_opt k s.counters))
-            0 ss ))
-      (names (fun (s : Snapshot.t) -> List.map fst s.counters) ss)
-
-  let merged_gauges ss =
-    List.map
-      (fun k ->
-        let per_source =
-          List.filter_map
-            (fun (s : Snapshot.t) ->
-              Option.map (fun v -> (s.run_id, s.shard, v)) (List.assoc_opt k s.gauges))
-            ss
-        in
-        let sum = List.fold_left (fun acc (_, _, v) -> acc +. v) 0. per_source in
-        let mn = List.fold_left (fun acc (_, _, v) -> Float.min acc v) infinity per_source in
-        let mx = List.fold_left (fun acc (_, _, v) -> Float.max acc v) neg_infinity per_source in
-        ( k,
-          Json.Obj
-            [ ("n", Json.Int (List.length per_source));
-              ("sum", Json.Float sum);
-              ("min", Json.Float mn);
-              ("max", Json.Float mx);
-              ( "by_source",
-                Json.List
-                  (List.map
-                     (fun (run, shard, v) ->
-                       Json.Obj
-                         [ ("run", Json.String run);
-                           ("shard", Json.String shard);
-                           ("value", Json.Float v) ])
-                     per_source) ) ] ))
-      (names (fun (s : Snapshot.t) -> List.map fst s.gauges) ss)
-
-  let merge_hist name (a : Snapshot.hist) (b : Snapshot.hist) =
-    if a.h_bounds <> b.h_bounds then
-      failwith
-        (Printf.sprintf "Obs.Merge: histogram %s bucket bounds differ across snapshots" name);
-    let n = a.h_count + b.h_count in
-    let mean, m2 =
-      if a.h_count = 0 then (b.h_mean, b.h_m2)
-      else if b.h_count = 0 then (a.h_mean, a.h_m2)
-      else begin
-        (* Chan's pairwise Welford merge: exact combination of two
-           (n, mean, m2) accumulators without revisiting samples. *)
-        let fa = float_of_int a.h_count
-        and fb = float_of_int b.h_count
-        and fn = float_of_int n in
-        let delta = b.h_mean -. a.h_mean in
-        ( a.h_mean +. (delta *. fb /. fn),
-          a.h_m2 +. b.h_m2 +. (delta *. delta *. fa *. fb /. fn) )
-      end
-    in
-    { Snapshot.h_bounds = a.h_bounds;
-      h_counts = Array.mapi (fun i c -> c + b.h_counts.(i)) a.h_counts;
-      h_overflow = a.h_overflow + b.h_overflow;
-      h_count = n;
-      h_mean = mean;
-      h_m2 = m2;
-      h_min = Float.min a.h_min b.h_min;
-      h_max = Float.max a.h_max b.h_max }
-
-  let merged_histograms ss =
-    List.map
-      (fun k ->
-        let hs =
-          List.filter_map (fun (s : Snapshot.t) -> List.assoc_opt k s.histograms) ss
-        in
-        match hs with
-        | [] -> assert false
-        | first :: rest -> (k, List.fold_left (merge_hist k) first rest))
-      (names (fun (s : Snapshot.t) -> List.map fst s.histograms) ss)
-
-  (* Spans and paths share the (name, count, total_ns, minor_w, promoted_w,
-     major_w) aggregate shape; merging path aggregates is exactly grafting
-     profile tries by path, and the alloc fields fold under the same
-     commutative/associative/idempotent laws as count and total_ns. *)
-  let merged_aggs proj ss =
-    List.map
-      (fun k ->
-        let c, tns, mw, pw, jw =
-          List.fold_left
-            (fun (c, tns, mw, pw, jw) s ->
-              match List.find_opt (fun (n, _, _, _, _, _) -> n = k) (proj s) with
-              | Some (_, c', t', mw', pw', jw') ->
-                  (c + c', Int64.add tns t', mw + mw', pw + pw', jw + jw')
-              | None -> (c, tns, mw, pw, jw))
-            (0, 0L, 0, 0, 0) ss
-        in
-        (k, c, tns, mw, pw, jw))
-      (names (fun s -> List.map (fun (n, _, _, _, _, _) -> n) (proj s)) ss)
-
-  let merged_process ss =
-    let sum f = List.fold_left (fun acc s -> acc + f s) 0 ss in
-    let sumf f = List.fold_left (fun acc s -> acc +. f s) 0. ss in
-    { Snapshot.p_minor_collections = sum (fun (s : Snapshot.t) -> s.process.p_minor_collections);
-      p_major_collections = sum (fun (s : Snapshot.t) -> s.process.p_major_collections);
-      p_compactions = sum (fun (s : Snapshot.t) -> s.process.p_compactions);
-      p_minor_words = sumf (fun (s : Snapshot.t) -> s.process.p_minor_words);
-      p_promoted_words = sumf (fun (s : Snapshot.t) -> s.process.p_promoted_words);
-      p_major_words = sumf (fun (s : Snapshot.t) -> s.process.p_major_words);
-      p_heap_words = sum (fun (s : Snapshot.t) -> s.process.p_heap_words);
-      p_top_heap_words =
-        List.fold_left (fun acc (s : Snapshot.t) -> max acc s.process.p_top_heap_words) 0 ss }
-
-  let to_json t =
-    let ss = sources t in
-    let runs = List.length ss in
-    let window =
-      if runs = 0 then Json.Obj []
-      else begin
-        let started =
-          List.fold_left (fun acc (s : Snapshot.t) -> Float.min acc s.started_unix) infinity ss
-        in
-        let ended =
-          List.fold_left
-            (fun acc (s : Snapshot.t) -> Float.max acc (s.started_unix +. s.wall_seconds))
-            neg_infinity ss
-        in
-        Json.Obj
-          [ ("started_unix", Json.Float started);
-            ("ended_unix", Json.Float ended);
-            ("wall_span_seconds", Json.Float (ended -. started));
-            ( "total_wall_seconds",
-              Json.Float
-                (List.fold_left (fun acc (s : Snapshot.t) -> acc +. s.wall_seconds) 0. ss) ) ]
-      end
-    in
-    let attribution =
-      Json.List
-        (List.map
-           (fun (h, (s : Snapshot.t)) ->
-             Json.Obj
-               [ ("run", Json.String s.run_id);
-                 ("shard", Json.String s.shard);
-                 ("trace_id", Json.String s.trace_id);
-                 ("content_hash", Json.String h);
-                 ("started_unix", Json.Float s.started_unix);
-                 ("wall_seconds", Json.Float s.wall_seconds);
-                 ("jobs", Json.Int s.jobs) ])
-           t.keyed)
-    in
-    let body =
-      [ ("schema", Json.String schema);
-        ("runs", Json.Int runs);
-        ("window", window);
-        ("attribution", attribution);
-        ("counters", Json.Obj (List.map (fun (n, v) -> (n, Json.Int v)) (merged_counters ss)));
-        ("gauges", Json.Obj (merged_gauges ss));
-        ( "histograms",
-          Json.Obj
-            (List.map (fun (n, h) -> (n, Snapshot.hist_json h)) (merged_histograms ss)) );
-        ( "spans",
-          Json.Obj
-            (List.map Snapshot.agg_json (merged_aggs (fun (s : Snapshot.t) -> s.spans) ss)) );
-        ( "paths",
-          Json.Obj
-            (List.map Snapshot.agg_json (merged_aggs (fun (s : Snapshot.t) -> s.paths) ss)) );
-        ("process", Snapshot.process_json (merged_process ss));
-        ("sources", Json.List (List.map Snapshot.to_json ss)) ]
-    in
-    Json.Obj
-      (body
-      @ [ ( "content_hash",
-            Json.String (Content_hash.of_components [ schema; Json.to_string (Json.Obj body) ]) )
-        ])
-
-  (* Accepts a single snapshot or a fleet document; a fleet input is
-     flattened back to its sources, so merging merged documents is exact. *)
-  let of_json doc =
-    match Json.member "schema" doc with
-    | Some (Json.String s) when s = schema || s = schema_v2 || s = schema_v1 -> (
-        match Json.member "sources" doc with
-        | Some (Json.List ss) -> of_snapshots (List.map Snapshot.of_json ss)
-        | _ -> failwith "Obs.Merge.of_json: fleet document without sources")
-    | Some (Json.String s)
-      when s = Snapshot.schema || s = Snapshot.schema_v2 || s = Snapshot.schema_v1 ->
-        of_snapshots [ Snapshot.of_json doc ]
-    | _ ->
-        failwith
-          (Printf.sprintf "Obs.Merge.of_json: unrecognized schema (want %s or %s)"
-             Snapshot.schema schema)
-end
-
 (* -------------------------------------------------------------- registry *)
 
 (* Append-only run registry: HETARCH_OBS_DIR (or an explicit [set_dir])
@@ -2005,7 +1860,7 @@ module Registry = struct
   type entry = {
     e_run_id : string;
     e_shard : string;
-    e_trace : string;  (* trace_id; "" for entries recorded before v3 *)
+    e_trace : string;  (* trace_id *)
     e_cmd : string;  (* leading non-flag argv words, e.g. "collect uec" *)
     e_file : string;  (* snapshot file name, relative to <dir>/snapshots *)
     e_hash : string;  (* snapshot content hash *)
@@ -2058,10 +1913,11 @@ module Registry = struct
       | Some v -> ( try Some (Json.to_float v) with Failure _ -> None)
       | None -> None
     in
-    match (str "run_id", str "shard", str "cmd", str "file", str "hash", num "unix") with
-    | Some e_run_id, Some e_shard, Some e_cmd, Some e_file, Some e_hash, Some e_unix ->
-        (* trace_id is absent from pre-v3 index lines; default "". *)
-        let e_trace = Option.value ~default:"" (str "trace_id") in
+    match
+      (str "run_id", str "shard", str "trace_id", str "cmd", str "file", str "hash", num "unix")
+    with
+    | Some e_run_id, Some e_shard, Some e_trace, Some e_cmd, Some e_file, Some e_hash, Some e_unix
+      when Context.is_id e_run_id && Context.is_id e_hash ->
         Some { e_run_id; e_shard; e_trace; e_cmd; e_file; e_hash; e_unix }
     | _ -> None
 
@@ -2089,8 +1945,9 @@ module Registry = struct
             output_char oc '\n');
         Some e
 
-  (* Index order = append order; blank and unparsable lines (torn tail of a
-     killed process) are skipped, mirroring Collect.Ledger.fold. *)
+  (* Index order = append order; blank, unparsable and malformed lines
+     (torn tail of a killed process, an id or hash that is not 16 hex
+     digits) are skipped, mirroring Collect.Ledger.fold. *)
   let entries ?dir () =
     match resolve dir with
     | None -> []
@@ -2098,23 +1955,10 @@ module Registry = struct
         let path = index_path d in
         if not (Sys.file_exists path) then []
         else
-          In_channel.with_open_text path (fun ic ->
-              let rec go acc =
-                match In_channel.input_line ic with
-                | None -> List.rev acc
-                | Some line ->
-                    let acc =
-                      if String.trim line = "" then acc
-                      else
-                        match
-                          (try entry_of_json (Json.parse line) with Failure _ -> None)
-                        with
-                        | Some e -> e :: acc
-                        | None -> acc
-                    in
-                    go acc
-              in
-              go [])
+          List.rev
+            (fold_jsonl path
+               (fun acc j -> match entry_of_json j with Some e -> e :: acc | None -> acc)
+               [])
 
   let load ?dir e =
     match resolve dir with
@@ -2170,23 +2014,8 @@ module Registry = struct
         let kept, dropped =
           List.partition (fun e -> snapshot_exists ~dir:d e) all
         in
-        if dropped <> [] then begin
-          let path = index_path d in
-          let tmp = Printf.sprintf "%s.tmp.%d" path (Unix.getpid ()) in
-          let oc = open_out tmp in
-          (try
-             List.iter
-               (fun e ->
-                 output_string oc (Json.to_string (entry_to_json e));
-                 output_char oc '\n')
-               kept;
-             close_out oc
-           with e ->
-             close_out_noerr oc;
-             (try Sys.remove tmp with Sys_error _ -> ());
-             raise e);
-          Sys.rename tmp path
-        end;
+        if dropped <> [] then
+          write_lines_atomic (index_path d) (List.map entry_to_json kept);
         (List.length kept, List.length dropped)
 end
 
@@ -2214,14 +2043,6 @@ module Trend = struct
 
   let default_nmad = 5.
   let default_min_pct = 10.
-
-  let median = function
-    | [] -> 0.
-    | xs ->
-        let arr = Array.of_list xs in
-        Array.sort compare arr;
-        let n = Array.length arr in
-        if n mod 2 = 1 then arr.(n / 2) else (arr.((n / 2) - 1) +. arr.(n / 2)) /. 2.
 
   let judge ?(nmad = default_nmad) ?(min_pct = default_min_pct) ?(noise_floor_ns = 0.)
       ~history current =
@@ -2259,7 +2080,7 @@ end
    <run_id>.jsonl stream, summarizing the stream's last record.  Reads are
    torn-tail-tolerant (a stream being appended to mid-record simply yields
    its previous record), and classification needs no cooperation from the
-   writer beyond the v4 telemetry fields: a stream is Done when its last
+   writer beyond the telemetry fields: a stream is Done when its last
    record carries ("final", true) or its run has reached index.jsonl,
    Stalled when the file has not been touched for stall_factor × the
    stream's own declared throttle interval, and Live otherwise. *)
@@ -2488,8 +2309,7 @@ module Trace_merge = struct
     orphans : string list;  (* parent span ids with no source in the merge *)
   }
 
-  let mem_str name j ~default =
-    match Json.member name j with Some (Json.String s) -> s | _ -> default
+  let mem_str = Monitor.mem_str
 
   let parse_source text =
     let lines = String.split_on_char '\n' text in

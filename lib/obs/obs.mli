@@ -1,4 +1,4 @@
-(** Observability: process-global metrics, span tracing, and run manifests.
+(** Observability: process-global metrics, span tracing, and run snapshots.
 
     Three layers, all cheap enough to leave permanently enabled:
 
@@ -9,8 +9,10 @@
     - {b span tracing} — [Trace.with_span] times a scoped computation on
       the monotonic clock and records it into a bounded in-memory ring
       buffer, exportable as Chrome-trace-compatible JSONL.
-    - {b run manifests} — [Report.write] snapshots the whole registry plus
-      per-span-name summaries into one JSON document per run.
+    - {b run snapshots} — {!Snapshot.capture} records the whole registry,
+      the span aggregates and a GC sample as one mergeable document per
+      run: the only serialized run state ([--metrics], the run registry,
+      fleet merges).
 
     Metric names follow the [subsystem.noun_unit] convention
     (e.g. [des.events_total], [pauli.decode_seconds.uf]).  Nothing here
@@ -64,7 +66,7 @@ val fold_jsonl : string -> ('a -> Json.t -> 'a) -> 'a -> 'a
     Raises [Sys_error] if the file cannot be opened. *)
 
 (** Process-level run identity, stamped into every observability artifact
-    (run manifests, telemetry records, Chrome-trace exports, snapshots) so
+    (snapshots, telemetry records, Chrome-trace exports) so
     fleet tooling can correlate the artifacts of one run after the fact. *)
 module Run : sig
   val id : unit -> string
@@ -81,11 +83,6 @@ module Run : sig
       by every artifact; empty by default.  Set once at startup. *)
 
   val shard : unit -> string
-
-  val json : unit -> Json.t
-  (** [{"id": ..., "shard": ...}] — the bare run stamp.  Most documents
-      embed {!Context.stamp} instead, which extends this with the trace
-      context. *)
 end
 
 (** Distributed trace context, W3C-traceparent style: a 128-bit
@@ -98,7 +95,7 @@ end
     ids form a tree, which is what lets [obs trace-merge] and
     [obs monitor] correlate a coordinator with the shard children it
     forked.  The context is stamped into telemetry records, Chrome-trace
-    metadata events, run manifests, and registry snapshots. *)
+    metadata events, and snapshots. *)
 module Context : sig
   type t = {
     trace_id : string;  (** 16 hex digits, shared fleet-wide *)
@@ -133,12 +130,9 @@ module Context : sig
       value, else [HETARCH_TRACE_PARENT], else a freshly minted root.  A
       malformed parent string warns on stderr and falls back to minting. *)
 
-  val fields : unit -> (string * Json.t) list
-  (** [trace_id]/[span_id]/[parent_span_id] as JSON object fields. *)
-
   val stamp : unit -> Json.t
-  (** {!Run.json} extended with {!fields} — the run stamp every
-      observability document embeds. *)
+  (** [{"id", "shard", "trace_id", "span_id", "parent_span_id"}] — the run
+      stamp every observability document embeds. *)
 end
 
 (** Monotonically increasing integer metric. *)
@@ -322,21 +316,18 @@ module Profile : sig
       path); [limit] defaults to 20, [sort] to self time. *)
 end
 
-(** Append-only JSONL telemetry heartbeat, schema [hetarch.telemetry/4]
-    (v2 added the {!Run} stamp to every record; v3 adds the minor-words
-    allocation delta to the [gc] section and a [gc.minor_words_per_s]
-    rate; v4 stamps the trace context into [run], adds [interval_s] — the
-    writer's declared throttle interval, which staleness detectors judge
-    against — a [parallel] section with live [queue_depth]/[busy_domains]
-    gauges, and marks the stream's closing record with [("final", true)]
-    so readers can tell a completed stream from a stalled one).
+(** Append-only JSONL telemetry heartbeat, schema [hetarch.telemetry/4].
 
-    One record per tick: monotonic elapsed seconds, every counter's value
-    and its delta since the previous record (plus derived per-second rates),
-    GC minor/major deltas and the allocation-words delta (clamped >= 0),
-    and — when a campaign registered a progress provider — per-task
-    progress (shots, errors, Wilson half-width, remaining shots) and a
-    campaign ETA at the current rate.
+    One record per tick: the {!Context.stamp}, monotonic elapsed seconds,
+    [interval_s] (the writer's declared throttle interval, which staleness
+    detectors judge against), every counter's value and its delta since
+    the previous record (plus derived per-second rates), GC minor/major
+    deltas and the allocation-words delta (clamped >= 0), live
+    [parallel.queue_depth]/[busy_domains] gauges, and — when a campaign
+    registered a progress provider — per-task progress (shots, errors,
+    Wilson half-width, remaining shots) and a campaign ETA at the current
+    rate.  The stream's closing record carries [("final", true)], so
+    readers can tell a completed stream from a stalled one.
 
     Ticks are driven {e synchronously} from [Parallel] chunk boundaries and
     [Collect] batch completions; there is no background thread, so enabling
@@ -398,14 +389,14 @@ module Telemetry : sig
       next record's deltas measure from zero rather than going negative. *)
 end
 
-(** Manifest and bench comparison: a perf-regression gate.
+(** Snapshot and bench comparison: a perf-regression gate.
 
     Extracts the worse-when-higher metrics of two parsed documents — kernel
     ns/run from [hetarch.bench/*]; span [total_ns], span minor-word totals
-    (as [alloc:<name>], when present) and histogram means from
-    [hetarch.obs/*], [hetarch.snapshot/*] and [hetarch.fleet/*] — and flags
-    relative regressions past a threshold.  The alloc metrics feed the
-    {!Trend} watchdog, so allocation regressions gate like time ones. *)
+    (as [alloc:<name>]) and histogram means from a snapshot or fleet
+    document — and flags relative regressions past a threshold.  The alloc
+    metrics feed the {!Trend} watchdog, so allocation regressions gate like
+    time ones. *)
 module Diff : sig
   type entry = {
     metric : string;
@@ -454,38 +445,18 @@ module Diff : sig
       against a baseline produced on different hardware. *)
 end
 
-(** One-document run manifest: the registry plus span summaries.
+(** Complete, content-hashed serialization of one process's obs state
+    (schema [hetarch.snapshot/3]) — the only captured run state: what
+    [--metrics] writes, what the {!Registry} stores, and the unit {!Merge}
+    folds.
 
-    Schema [hetarch.obs/5] (v4 added per-span-name [minor_w]/[promoted_w]/
-    [major_w] allocation totals; v5 stamps the trace context into [run]
-    and adds [parallel.queue_depth]/[parallel.busy_domains] gauges): a
-    [run] stamp ({!Context.stamp}), a [process]
-    section (GC collection and allocation counters from [Gc.quick_stat],
-    peak heap words, wall-clock run seconds), p50/p90/p99 quantile
-    estimates on every histogram, and [p50_ns]/[p90_ns]/[p99_ns] per span
-    name computed over the retained trace ring (absent when the ring holds
-    no spans of that name). *)
-module Report : sig
-  val to_json : unit -> Json.t
-  (** Keys sorted within each section for deterministic output. *)
-
-  val write : path:string -> unit
-end
-
-(** Complete, versioned, content-hashed serialization of one process's obs
-    state — the unit of fleet-scale aggregation (schema
-    [hetarch.snapshot/3]; v2 documents still parse with trace-context
-    fields defaulting to [""], and v1 additionally with absent alloc
-    fields defaulting to zero).
-
-    Where the {!Report} manifest is a human-facing summary with lossy
-    derived quantities (quantile estimates, variance), a snapshot carries
-    the {e raw mergeable state}: integer bucket counts, Welford
-    [(count, mean, m2)] triples, per-span-name and per-caller-path
+    A snapshot carries the {e raw mergeable state}: integer bucket counts,
+    Welford [(count, mean, m2)] triples, per-span-name and per-caller-path
     aggregates including raw allocation words (the path aggregates
     reconstruct the profile trie — time and allocation — exactly via
     {!Profile.of_totals}), the GC/process section, and run metadata (run
-    id, shard label, argv, wall span, jobs).
+    id, shard label, trace context, argv, wall span, jobs).  Derived
+    quantities (quantiles, variance) are left to readers.
 
     Serialization is canonical — sections sorted by name, floats emitted in
     round-tripping form — so [of_json] ∘ [to_json] is the identity and the
@@ -518,7 +489,7 @@ module Snapshot : sig
   type t = {
     run_id : string;
     shard : string;
-    trace_id : string;  (** [""] on documents older than v3 *)
+    trace_id : string;
     span_id : string;
     parent_span_id : string;  (** [""] for a root (unparented) run *)
     argv : string list;
@@ -537,19 +508,21 @@ module Snapshot : sig
 
   val schema : string
 
-  val schema_v2 : string
-  (** The pre-trace-context schema string, still accepted by {!of_json}. *)
-
-  val schema_v1 : string
-  (** The pre-allocation schema string, still accepted by {!of_json}. *)
-
   val capture : unit -> t
   (** Snapshot the whole registry plus trace aggregates, process stats and
-      run metadata.  Histograms are read under their locks; domain-safe. *)
+      run metadata.  The GC/process section is sampled first, so the
+      capture's own allocation stays out of it.  Histograms are read under
+      their locks; domain-safe. *)
+
+  val quantile : hist -> float -> float
+  (** Bucket-interpolated quantile, the same estimate {!Histogram.quantile}
+      gives for the live histogram. *)
 
   val to_json : t -> Json.t
   val of_json : Json.t -> t
-  (** Raises [Failure] on an unrecognized schema or a malformed document. *)
+  (** Raises [Failure] on another schema or a malformed document — including
+      a histogram whose [counts] and [bounds] differ in length, whose
+      bounds do not strictly increase, or with a negative count. *)
 
   val content_hash : t -> string
   (** 16-hex-digit hash of the canonical serialization (excluding the
@@ -563,32 +536,25 @@ module Snapshot : sig
 end
 
 (** Deterministic, order-insensitive union of snapshots into one fleet view
-    (schema [hetarch.fleet/3], whose attribution entries carry each
-    source's [trace_id]; v2 and v1 documents still flatten via
-    {!of_json}).
+    (schema [hetarch.fleet/4]).
 
-    The merged document embeds its full source snapshots and recomputes
-    every aggregate by folding them in a canonical order (run id, then
-    content hash, duplicates removed) — so the output is {e byte-identical}
-    regardless of merge order, merge grouping, or the [--jobs] setting of
-    the source processes, even though float addition itself is not
-    associative.  Counters and span/path aggregates (times and allocation
-    words alike) sum; histograms
-    bucket-merge and combine Welford states exactly (Chan's parallel
-    update), raising [Failure] on mismatched bucket bounds; gauges — not
-    meaningfully summable across processes — carry per-source values with
-    n/sum/min/max; the process section sums, keeping the max peak heap. *)
+    The sources fold into one {!Snapshot.t} in a canonical order (run id,
+    then content hash, duplicates removed) — so the output is
+    {e byte-identical} regardless of merge order, merge grouping, or the
+    [--jobs] setting of the source processes, even though float addition
+    itself is not associative.  Counters, gauges, span/path aggregates
+    (times and allocation words alike) and the process section sum, except
+    the peak heap, which takes the max; histograms bucket-merge and combine
+    Welford states exactly (Chan's parallel update), raising [Failure] on
+    mismatched bucket bounds.
+
+    The fleet document is the merged snapshot's state sections plus
+    [runs], [window], [attribution] (run, shard, trace id, content hash,
+    start, wall, jobs per source) and the embedded [sources]. *)
 module Merge : sig
   type t
 
   val schema : string
-
-  val schema_v2 : string
-  (** The pre-trace-context schema string, still accepted by {!of_json}. *)
-
-  val schema_v1 : string
-  (** The original schema string, still accepted by {!of_json}. *)
-
   val of_snapshots : Snapshot.t list -> t
   val union : t -> t -> t
   (** Commutative, associative and idempotent up to byte equality of
@@ -596,6 +562,11 @@ module Merge : sig
 
   val sources : t -> Snapshot.t list
   (** Deduplicated sources in canonical order. *)
+
+  val merged : t -> Snapshot.t
+  (** The sources folded into one snapshot.  Its run fields are empty
+      except [started_unix] and [wall_seconds], which span the sources'
+      window. *)
 
   val to_json : t -> Json.t
 
@@ -614,7 +585,7 @@ module Registry : sig
   type entry = {
     e_run_id : string;
     e_shard : string;
-    e_trace : string;  (** trace_id; [""] on entries recorded before v3 *)
+    e_trace : string;  (** trace_id *)
     e_cmd : string;  (** leading non-flag argv words, e.g. ["collect uec"] *)
     e_file : string;  (** snapshot file name relative to [<dir>/snapshots] *)
     e_hash : string;  (** snapshot content hash *)
@@ -638,7 +609,9 @@ module Registry : sig
       [None] when no directory is configured. *)
 
   val entries : ?dir:string -> unit -> entry list
-  (** Index entries in append order; [] without a configured directory. *)
+  (** Index entries in append order; [] without a configured directory.
+      Torn lines and entries whose run id or hash is not 16 hex digits are
+      skipped. *)
 
   val load : ?dir:string -> entry -> Snapshot.t
 
@@ -668,7 +641,7 @@ end
 (** Live fleet view over {!Registry.telemetry_dir}: one row per heartbeat
     stream, summarizing its last complete record (reads are
     torn-tail-tolerant via {!fold_jsonl}).  Status classification needs no
-    cooperation from the writer beyond the v4 telemetry fields: [Done]
+    cooperation from the writer beyond the telemetry fields: [Done]
     when the last record carries [("final", true)] or the run has reached
     [index.jsonl]; [Stalled] when the file has gone untouched for
     [stall_factor × max(interval_s, 1 s)] — judged against the stream's

@@ -224,13 +224,19 @@ let test_json_string_fuzz_roundtrip =
       parse (to_string (String s)) = String s
       && parse (to_string (Obj [ (s, Int 1) ])) = Obj [ (s, Int 1) ])
 
+(* The document --metrics writes: a captured snapshot, re-read from its
+   serialization. *)
+let metrics_doc () =
+  Obs.Json.parse
+    (Obs.Json.to_string (Obs.Snapshot.to_json (Obs.Snapshot.capture ())))
+
 let test_report_process_section () =
   Obs.reset ();
   ignore (Sys.opaque_identity (Array.init 10_000 (fun i -> float_of_int i)));
-  let doc = Obs.Json.parse (Obs.Json.to_string (Obs.Report.to_json ())) in
-  Alcotest.(check bool) "schema v5" true
-    (Obs.Json.member "schema" doc = Some (Obs.Json.String "hetarch.obs/5"));
-  (* every manifest carries the run stamp for fleet attribution *)
+  let doc = metrics_doc () in
+  Alcotest.(check bool) "snapshot schema" true
+    (Obs.Json.member "schema" doc = Some (Obs.Json.String Obs.Snapshot.schema));
+  (* every snapshot carries the run stamp for fleet attribution *)
   let run = Option.get (Obs.Json.member "run" doc) in
   Alcotest.(check bool) "run id is 16 hex digits" true
     (match Obs.Json.member "id" run with
@@ -238,9 +244,10 @@ let test_report_process_section () =
         String.length id = 16
         && String.for_all (function '0' .. '9' | 'a' .. 'f' -> true | _ -> false) id
     | _ -> false);
+  Alcotest.(check bool) "wall clock nonnegative" true
+    (Obs.Json.to_float (Option.get (Obs.Json.member "wall_seconds" run)) >= 0.);
   let proc = Option.get (Obs.Json.member "process" doc) in
   let f name = Obs.Json.to_float (Option.get (Obs.Json.member name proc)) in
-  Alcotest.(check bool) "wall clock nonnegative" true (f "wall_seconds" >= 0.);
   Alcotest.(check bool) "minor words counted" true (f "minor_words" > 0.);
   Alcotest.(check bool) "heap words positive" true (f "heap_words" > 0.);
   Alcotest.(check bool) "top heap >= heap" true
@@ -248,34 +255,22 @@ let test_report_process_section () =
   Alcotest.(check bool) "collections nonnegative" true
     (f "minor_collections" >= 0. && f "major_collections" >= 0.)
 
+(* Quantiles are derived by readers from the snapshot's buckets, through the
+   same estimate the live histogram gives. *)
 let test_report_quantiles () =
   Obs.reset ();
   let h = Obs.Histogram.create ~buckets:[| 1.; 10. |] "rq.hist" in
   List.iter (Obs.Histogram.observe h) [ 0.5; 2.; 3.; 4.; 20. ];
-  Obs.Trace.with_span "rq.span" (fun () -> ());
-  let doc = Obs.Json.parse (Obs.Json.to_string (Obs.Report.to_json ())) in
-  let hist =
-    Option.get
-      (Obs.Json.member "rq.hist" (Option.get (Obs.Json.member "histograms" doc)))
-  in
+  let snap = Obs.Snapshot.of_json (metrics_doc ()) in
+  let hist = List.assoc "rq.hist" snap.Obs.Snapshot.histograms in
   List.iter
     (fun q ->
-      match Obs.Json.member q hist with
-      | Some v ->
-          let x = Obs.Json.to_float v in
-          Alcotest.(check bool) (q ^ " within range") true (x >= 0.5 && x <= 20.)
-      | None -> Alcotest.failf "histogram summary missing %s" q)
-    [ "p50"; "p90"; "p99" ];
-  let span =
-    Option.get
-      (Obs.Json.member "rq.span" (Option.get (Obs.Json.member "spans" doc)))
-  in
-  List.iter
-    (fun q ->
-      match Obs.Json.member q span with
-      | Some v -> Alcotest.(check bool) (q ^ " nonnegative") true (Obs.Json.to_float v >= 0.)
-      | None -> Alcotest.failf "span summary missing %s" q)
-    [ "p50_ns"; "p90_ns"; "p99_ns" ]
+      let x = Obs.Snapshot.quantile hist q in
+      Alcotest.(check bool) (Printf.sprintf "q%g within range" q) true
+        (x >= 0.5 && x <= 20.);
+      Alcotest.(check bool) (Printf.sprintf "q%g matches live histogram" q) true
+        (x = Obs.Histogram.quantile h q))
+    [ 0.5; 0.9; 0.99 ]
 
 let test_report_roundtrip () =
   Obs.reset ();
@@ -286,7 +281,7 @@ let test_report_roundtrip () =
   let h = Obs.Histogram.create ~buckets:[| 1.; 2. |] "rt.hist" in
   Obs.Histogram.observe h 0.5;
   Obs.Trace.with_span "rt.span" (fun () -> ());
-  let doc = Obs.Json.parse (Obs.Json.to_string (Obs.Report.to_json ())) in
+  let doc = metrics_doc () in
   let counters = Option.get (Obs.Json.member "counters" doc) in
   Alcotest.(check bool) "counter value" true
     (Obs.Json.member "rt.events_total" counters = Some (Obs.Json.Int 7));

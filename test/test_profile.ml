@@ -1,5 +1,5 @@
 (* Tests for the call-tree profiler, the telemetry heartbeat, and the
-   manifest/bench diff gate: tree structure and the self-time telescoping
+   snapshot/bench diff gate: tree structure and the self-time telescoping
    identity, path integrity on exception exits, folded-stack determinism
    across --jobs, delta arithmetic across Obs.reset, and regression
    detection on crafted documents. *)
@@ -298,7 +298,7 @@ let test_diff_manifest_metrics () =
   let h = Obs.Histogram.create ~buckets:[| 1.; 10. |] "diff_test.hist" in
   Obs.Histogram.observe h 4.;
   Obs.Trace.with_span "diff_test.span" (fun () -> ());
-  let doc = Obs.Report.to_json () in
+  let doc = Obs.Snapshot.to_json (Obs.Snapshot.capture ()) in
   let metrics = Obs.Diff.metrics_of doc in
   Alcotest.(check bool) "histogram mean extracted" true
     (List.mem_assoc "hist:diff_test.hist.mean" metrics);

@@ -164,10 +164,14 @@ let spawn_daemon ?(obs_dir = None) ~socket () =
     | _ -> false);
   pid
 
+(* A client connection keeps the bytes read past the last line it
+   returned: the daemon may answer pipelined requests in a single read. *)
+type conn = { fd : Unix.file_descr; pending : Buffer.t }
+
 let connect_unix socket =
   let fd = Unix.socket Unix.PF_UNIX Unix.SOCK_STREAM 0 in
   Unix.connect fd (Unix.ADDR_UNIX socket);
-  fd
+  { fd; pending = Buffer.create 256 }
 
 let send_all fd s =
   let b = Bytes.of_string s in
@@ -177,18 +181,21 @@ let send_all fd s =
     off := !off + Unix.write fd b !off (n - !off)
   done
 
-let recv_line fd =
-  let buf = Buffer.create 256 in
+let recv_line c =
   let chunk = Bytes.create 1024 in
   let rec go () =
-    match Unix.read fd chunk 0 (Bytes.length chunk) with
-    | 0 -> Alcotest.fail "connection closed before a response line"
-    | n -> (
-        Buffer.add_subbytes buf chunk 0 n;
-        let s = Buffer.contents buf in
-        match String.index_opt s '\n' with
-        | Some i -> String.sub s 0 i
-        | None -> go ())
+    let s = Buffer.contents c.pending in
+    match String.index_opt s '\n' with
+    | Some i ->
+        Buffer.clear c.pending;
+        Buffer.add_substring c.pending s (i + 1) (String.length s - i - 1);
+        String.sub s 0 i
+    | None -> (
+        match Unix.read c.fd chunk 0 (Bytes.length chunk) with
+        | 0 -> Alcotest.fail "connection closed before a response line"
+        | n ->
+            Buffer.add_subbytes c.pending chunk 0 n;
+            go ())
   in
   go ()
 
@@ -202,22 +209,22 @@ let test_split_reads_and_pipelining () =
           ignore (Unix.waitpid [] pid))
         (fun () ->
           (* one request delivered byte-dribbled across many writes *)
-          let fd = connect_unix socket in
+          let c = connect_unix socket in
           let line = "{\"kind\":\"threshold\",\"shots\":64,\"seed\":3}\n" in
           String.iter
             (fun ch ->
-              send_all fd (String.make 1 ch);
+              send_all c.fd (String.make 1 ch);
               if ch = ',' then ignore (Unix.select [] [] [] 0.01))
             line;
-          let split_resp = recv_line fd in
-          Unix.close fd;
+          let split_resp = recv_line c in
+          Unix.close c.fd;
           (* the same request in one piece, plus pipelined control traffic
              on a single connection *)
-          let fd = connect_unix socket in
-          send_all fd (line ^ "{\"kind\":\"ping\"}\n");
-          let whole_resp = recv_line fd in
-          let pong = recv_line fd in
-          Unix.close fd;
+          let c = connect_unix socket in
+          send_all c.fd (line ^ "{\"kind\":\"ping\"}\n");
+          let whole_resp = recv_line c in
+          let pong = recv_line c in
+          Unix.close c.fd;
           Alcotest.(check string)
             "split delivery and whole delivery answer byte-identically"
             whole_resp split_resp;
@@ -227,15 +234,15 @@ let test_split_reads_and_pipelining () =
             | _ -> false);
           (* an over-long line without a newline is answered 413 and the
              connection closed — the daemon neither crashes nor hangs *)
-          let fd = connect_unix socket in
-          send_all fd (String.make (Serve.max_request_bytes + 1024) 'j');
-          let resp = recv_line fd in
+          let c = connect_unix socket in
+          send_all c.fd (String.make (Serve.max_request_bytes + 1024) 'j');
+          let resp = recv_line c in
           (match Obs.Json.member "error" (Obs.Json.parse resp) with
           | Some e ->
               Alcotest.(check int) "oversized stream -> 413" 413
                 (Obs.Json.to_int (Option.get (Obs.Json.member "code" e)))
           | None -> Alcotest.fail "expected an error response");
-          Unix.close fd;
+          Unix.close c.fd;
           (* daemon survives all of the above *)
           let pong =
             Serve.request (Serve.Unix_path socket) "{\"kind\":\"ping\"}"

@@ -114,63 +114,54 @@ let test_pinned_content_hash () =
     (Obs.Snapshot.content_hash fixed);
   let empty = snap ~run_id:"00000000000000bb" () in
   Alcotest.(check string) "pinned empty-snapshot hash" "c916c79e831f0b30"
-    (Obs.Snapshot.content_hash empty)
+    (Obs.Snapshot.content_hash empty);
+  let fleet = Obs.Merge.to_json (Obs.Merge.of_snapshots [ fixed; empty ]) in
+  Alcotest.(check bool) "pinned fleet hash" true
+    (Obs.Json.member "content_hash" fleet = Some (Obs.Json.String "b19f640784972860"))
 
-(* Older snapshots must still parse.  v2 predates trace-context propagation
-   (no trace_id/span_id/parent_span_id in the run section); v1 additionally
-   predates allocation accounting (no minor_w/promoted_w/major_w in the
-   span/path aggregates).  Missing members default to ""/0. *)
-let replace ~sub ~by s =
-  let buf = Buffer.create (String.length s) in
-  let n = String.length sub in
-  let i = ref 0 in
-  while !i <= String.length s - n do
-    if String.sub s !i n = sub then begin
-      Buffer.add_string buf by;
-      i := !i + n
-    end
-    else begin
-      Buffer.add_char buf s.[!i];
-      incr i
-    end
-  done;
-  Buffer.add_substring buf s !i (String.length s - !i);
-  Buffer.contents buf
-
-let strip_trace =
-  replace
-    ~sub:
-      "\"trace_id\":\"0123456789abcdef\",\"span_id\":\"fedcba9876543210\",\"parent_span_id\":\"\","
-    ~by:""
-
-let test_v2_parse_defaults_trace () =
-  let v2 =
-    to_string fixed
-    |> replace ~sub:"\"hetarch.snapshot/3\"" ~by:"\"hetarch.snapshot/2\""
-    |> strip_trace
+(* One format: a document under any other schema string is rejected, not
+   read with defaults. *)
+let test_other_schemas_rejected () =
+  let with_schema name = function
+    | Obs.Json.Obj kvs ->
+        Obs.Json.Obj
+          (List.map
+             (fun (k, v) -> if k = "schema" then (k, Obs.Json.String name) else (k, v))
+             kvs)
+    | j -> j
   in
-  let s = Obs.Snapshot.of_json (Obs.Json.parse v2) in
-  Alcotest.(check string) "v2 trace_id defaults to empty" ""
-    s.Obs.Snapshot.trace_id;
-  Alcotest.(check string) "v2 span_id defaults to empty" ""
-    s.Obs.Snapshot.span_id;
-  Alcotest.(check bool) "v2 spans parse with alloc intact" true
-    (s.Obs.Snapshot.spans = [ ("s.run", 3, 900L, 450, 30, 12) ])
+  List.iter
+    (fun old ->
+      let doc = with_schema old (Obs.Snapshot.to_json fixed) in
+      Alcotest.(check bool) (old ^ " rejected") true
+        (match Obs.Snapshot.of_json doc with
+        | exception Failure _ -> true
+        | _ -> false))
+    [ "hetarch.snapshot/2"; "hetarch.snapshot/1"; "hetarch.obs/5" ]
 
-let test_v1_parse_defaults_alloc () =
-  let v1 =
-    to_string fixed
-    |> replace ~sub:"\"hetarch.snapshot/3\"" ~by:"\"hetarch.snapshot/1\""
-    |> strip_trace
-    |> replace ~sub:",\"major_w\":12" ~by:""
-    |> replace ~sub:"\"minor_w\":450," ~by:""
-    |> replace ~sub:",\"promoted_w\":30" ~by:""
+(* A torn snapshot or fleet document — cut at any byte — is a Failure and
+   nothing else; only the complete document parses. *)
+let test_truncated_every_byte () =
+  Obs.reset ();
+  Obs.Counter.add (Obs.Counter.create "torn.events_total") 3;
+  Obs.Histogram.observe (Obs.Histogram.create "torn.seconds") 1e-3;
+  Obs.Trace.with_span "torn.span" (fun () -> ());
+  let captured = Obs.Snapshot.capture () in
+  let fleet = Obs.Merge.of_snapshots [ captured; fixed ] in
+  let check what bytes of_json =
+    let n = String.length bytes in
+    for cut = 0 to n - 1 do
+      match of_json (Obs.Json.parse (String.sub bytes 0 cut)) with
+      | exception Failure _ -> ()
+      | exception e ->
+          Alcotest.failf "%s cut at %d/%d raised %s" what cut n
+            (Printexc.to_string e)
+      | _ -> Alcotest.failf "%s cut at %d/%d parsed" what cut n
+    done;
+    ignore (of_json (Obs.Json.parse bytes))
   in
-  let s = Obs.Snapshot.of_json (Obs.Json.parse v1) in
-  Alcotest.(check bool) "v1 spans parse, alloc defaults to 0" true
-    (s.Obs.Snapshot.spans = [ ("s.run", 3, 900L, 0, 0, 0) ]);
-  Alcotest.(check bool) "v1 paths parse, alloc defaults to 0" true
-    (s.Obs.Snapshot.paths = [ ("root;s.run", 3, 900L, 0, 0, 0) ])
+  check "snapshot" (to_string captured) (fun j -> ignore (Obs.Snapshot.of_json j));
+  check "fleet" (fleet_string fleet) (fun j -> ignore (Obs.Merge.of_json j))
 
 (* -------------------------------------------------------- merge algebra *)
 
@@ -212,12 +203,12 @@ let test_merge_sums_and_attribution () =
     && mem [ "spans"; "s"; "major_w" ] = Some (Obs.Json.Int 10));
   Alcotest.(check bool) "path alloc words sum" true
     (mem [ "paths"; "root;s"; "minor_w" ] = Some (Obs.Json.Int 100));
-  (* gauges keep per-source values, never a meaningless cross-process sum
-     presented as one reading *)
-  Alcotest.(check bool) "gauge n/min/max" true
-    (mem [ "gauges"; "g"; "n" ] = Some (Obs.Json.Int 2)
-    && mem [ "gauges"; "g"; "min" ] = Some (Obs.Json.Float 1.)
-    && mem [ "gauges"; "g"; "max" ] = Some (Obs.Json.Float 3.));
+  (* gauges sum like counters; the per-source readings stay in the
+     embedded sources *)
+  Alcotest.(check bool) "gauges sum" true
+    (mem [ "gauges"; "g" ] = Some (Obs.Json.Float 4.));
+  Alcotest.(check int) "sources embedded" 2
+    (match mem [ "sources" ] with Some (Obs.Json.List l) -> List.length l | _ -> -1);
   (* histogram buckets add; count/mean/M2 follow Chan's pairwise Welford:
      [2;4] + [6] -> count 3, mean 4, M2 8 *)
   let hf name = Option.map Obs.Json.to_float (mem [ "histograms"; "h"; name ]) in
@@ -239,7 +230,20 @@ let test_merge_bounds_mismatch_rejected () =
   in
   Alcotest.check_raises "incompatible bucket bounds"
     (Failure "Obs.Merge: histogram h bucket bounds differ across snapshots")
-    (fun () -> ignore (fleet_string (Obs.Merge.of_snapshots [ s1; s2 ])))
+    (fun () -> ignore (fleet_string (Obs.Merge.of_snapshots [ s1; s2 ])));
+  (* Malformed bucket state is rejected when a document is read, before a
+     merge could index past the end of a short counts array. *)
+  let doc h = Obs.Json.parse (to_string (snap ~histograms:[ ("h", h) ] ())) in
+  List.iter
+    (fun (what, h) ->
+      Alcotest.(check bool) what true
+        (match Obs.Merge.of_json (doc h) with
+        | exception Failure _ -> true
+        | _ -> false))
+    [ ("counts shorter than bounds", { hist_a with Obs.Snapshot.h_counts = [| 2 |] });
+      ("bounds not increasing", { hist_a with Obs.Snapshot.h_bounds = [| 10.; 1. |] });
+      ("negative bucket count", { hist_a with Obs.Snapshot.h_counts = [| -1; 3 |] });
+      ("negative overflow", { hist_a with Obs.Snapshot.h_overflow = -1 }) ]
 
 let test_merge_of_json_flattens_fleet () =
   let s1 = snap ~run_id:"0000000000000001" ~counters:[ ("c", 1) ] () in
@@ -393,9 +397,14 @@ let test_registry_torn_index_tail () =
           0o644
           (Filename.concat dir "index.jsonl")
       in
+      (* a complete line whose hash is not 16 hex digits *)
+      output_string oc
+        "{\"run_id\":\"00000000000000ac\",\"shard\":\"\",\"trace_id\":\"\",\
+         \"cmd\":\"fig3\",\"file\":\"00000000000000ac.json\",\"hash\":\"abc\",\
+         \"unix\":1.0}\n";
       output_string oc "{\"run_id\":\"00000000000000ab\",\"sha";
       close_out oc;
-      Alcotest.(check int) "torn tail skipped" 1
+      Alcotest.(check int) "torn tail and bad hash skipped" 1
         (List.length (Obs.Registry.entries ~dir ())))
 
 (* ------------------------------------------------------ trend watchdog *)
@@ -444,10 +453,10 @@ let () =
           Alcotest.test_case "live capture" `Quick test_capture_roundtrip;
           Alcotest.test_case "write/load" `Quick test_write_load;
           Alcotest.test_case "pinned hashes" `Quick test_pinned_content_hash;
-          Alcotest.test_case "v2 parse leniency" `Quick
-            test_v2_parse_defaults_trace;
-          Alcotest.test_case "v1 parse leniency" `Quick
-            test_v1_parse_defaults_alloc ] );
+          Alcotest.test_case "other schemas rejected" `Quick
+            test_other_schemas_rejected;
+          Alcotest.test_case "truncated at every byte" `Quick
+            test_truncated_every_byte ] );
       ( "merge",
         [ Alcotest.test_case "sums and attribution" `Quick
             test_merge_sums_and_attribution;
