@@ -15,7 +15,7 @@
 DUNE ?= dune
 SMOKE_ARTIFACTS ?=
 
-.PHONY: all build test bench ci jobs-smoke collect-smoke obs-merge-smoke monitor-smoke cache-smoke decode-smoke alloc-smoke serve-smoke clean
+.PHONY: all build test bench ci jobs-smoke collect-smoke obs-merge-smoke cache-smoke decode-smoke alloc-smoke serve-smoke clean
 
 all: build
 
@@ -62,8 +62,7 @@ collect-smoke: build
 # prefixes in reverse order, with counters summing exactly (6 tasks x 1024
 # shots).  The registry lists all three runs with their shard labels, and
 # the trend watchdog judges a fresh run against registry history — warn-only
-# here, hard gate in GitHub CI via TREND_GATE=--gate.  Also covers `obs
-# tail` on empty and mid-record-truncated telemetry streams.
+# here, hard gate in GitHub CI via TREND_GATE=--gate.
 #
 # Runs the built binary directly: three concurrent `dune exec` invocations
 # would race on the build lock.
@@ -99,67 +98,7 @@ obs-merge-smoke: build
 	done && \
 	$$bin obs compare --obs-dir $$d/trendreg --last 2 \
 	  --threshold 50 --noise-floor-ns 1000000 $(TREND_GATE) && \
-	printf '' > $$d/empty.jsonl && \
-	{ $$bin obs tail $$d/empty.jsonl | grep -q empty \
-	  || { echo "obs-merge-smoke: obs tail chokes on an empty stream"; exit 1; }; } && \
-	$$bin collect $(MERGE_FLAGS) --telemetry $$d/tel.jsonl --telemetry-interval 0 > /dev/null && \
-	head -c $$(($$(wc -c < $$d/tel.jsonl) - 37)) $$d/tel.jsonl > $$d/torn.jsonl && \
-	$$bin obs tail $$d/torn.jsonl > /dev/null && \
 	echo "obs-merge-smoke: 3-shard fleet view order-insensitive, counters exact, trend watchdog ran"
-
-# Distributed tracing + fleet monitor, end to end: one `collect --shards 2`
-# coordinator forks two shard processes; all three must stream telemetry
-# into the registry's sink, carry one fleet-wide trace id, and show up in
-# `obs monitor --once` with nonzero shard throughput.  Parent resolution is
-# proven by `obs trace-merge --check`: the full fleet merges with no orphan
-# parents (exit 0) while the shards without their coordinator do not (exit
-# 1) — and the merged timeline is byte-identical for any input order.  Also
-# covers the stall detector (a stream with an old mtime and no final record
-# flags "stalled") and `obs runs --prune` compaction of dangling entries.
-MONITOR_FLAGS = threshold --seed 7 --max-shots 2048 --batch 256
-monitor-smoke: build
-	@d=$$(mktemp -d); \
-	trap 'rc=$$?; if [ $$rc -ne 0 ] && [ -n "$(SMOKE_ARTIFACTS)" ]; then \
-	       mkdir -p "$(SMOKE_ARTIFACTS)" && cp -r "$$d" "$(SMOKE_ARTIFACTS)/monitor-smoke"; fi; \
-	     rm -rf "$$d"; exit $$rc' EXIT; \
-	bin=$$PWD/_build/default/bin/main.exe; \
-	$$bin collect $(MONITOR_FLAGS) --shards 2 --obs-dir $$d/reg \
-	  --trace $$d/trace.jsonl --telemetry-interval 0 > /dev/null && \
-	{ test $$(ls $$d/reg/telemetry | wc -l) -eq 3 \
-	  || { echo "monitor-smoke: expected 3 telemetry streams (coordinator + 2 shards)"; exit 1; }; } && \
-	$$bin obs monitor --obs-dir $$d/reg --once > $$d/mon.jsonl && \
-	{ test $$(wc -l < $$d/mon.jsonl) -eq 3 \
-	  || { echo "monitor-smoke: monitor --once misses streams"; exit 1; }; } && \
-	{ test $$(grep -o '"trace_id":"[0-9a-f]*"' $$d/mon.jsonl | sort -u | wc -l) -eq 1 \
-	  || { echo "monitor-smoke: fleet does not share one trace id"; exit 1; }; } && \
-	for s in shard0/2 shard1/2; do \
-	  grep '"shard":"'$$s'"' $$d/mon.jsonl | grep -q '"status":"done"' \
-	    || { echo "monitor-smoke: $$s not reported done"; exit 1; }; \
-	  grep '"shard":"'$$s'"' $$d/mon.jsonl | grep -vq '"shots_per_s":0.0,' \
-	    || { echo "monitor-smoke: $$s reports zero throughput"; exit 1; }; \
-	done && \
-	$$bin obs trace-merge --check -o $$d/m_fwd.jsonl \
-	  $$d/trace.jsonl $$d/trace.jsonl.shard0 $$d/trace.jsonl.shard1 && \
-	$$bin obs trace-merge -o $$d/m_rev.jsonl \
-	  $$d/trace.jsonl.shard1 $$d/trace.jsonl.shard0 $$d/trace.jsonl && \
-	{ cmp -s $$d/m_fwd.jsonl $$d/m_rev.jsonl \
-	  || { echo "monitor-smoke: merged timeline depends on input order"; exit 1; }; } && \
-	{ ! $$bin obs trace-merge --check -o /dev/null \
-	      $$d/trace.jsonl.shard0 $$d/trace.jsonl.shard1 2> /dev/null \
-	  || { echo "monitor-smoke: orphaned shard parents not detected"; exit 1; }; } && \
-	mkdir -p $$d/stall/telemetry && \
-	head -n -1 $$(ls $$d/reg/telemetry/*.jsonl | head -1) > $$d/stall/telemetry/run.jsonl && \
-	touch -d '1 hour ago' $$d/stall/telemetry/run.jsonl && \
-	{ $$bin obs monitor --obs-dir $$d/stall --once | grep -q '"status":"stalled"' \
-	  || { echo "monitor-smoke: silent stream not flagged as stalled"; exit 1; }; } && \
-	rm $$(ls $$d/reg/snapshots/*.json | head -1) && \
-	{ $$bin obs runs --obs-dir $$d/reg | grep -q MISSING \
-	  || { echo "monitor-smoke: dangling registry entry not marked"; exit 1; }; } && \
-	{ $$bin obs runs --obs-dir $$d/reg --prune | grep -q 'pruned 1' \
-	  || { echo "monitor-smoke: prune did not drop the dangling entry"; exit 1; }; } && \
-	{ ! $$bin obs runs --obs-dir $$d/reg | grep -q MISSING \
-	  || { echo "monitor-smoke: dangling entry survives --prune"; exit 1; }; } && \
-	echo "monitor-smoke: 2-shard fleet traced under one id, monitor live, merge canonical, stall + prune verified"
 
 # The warm-start contract, end to end: a characterization sweep against a
 # fresh --cache-dir (cold: every point pays density-matrix simulation,
@@ -342,7 +281,7 @@ serve-smoke: build
 	  || { echo "serve-smoke: telemetry streams not closed exactly once each"; exit 1; }; } && \
 	echo "serve-smoke: $$co coalesced, $$wm warm hits; bodies byte-identical across 8 clients, 2 waves, --jobs 1/2; both shutdown paths left valid registry artifacts"
 
-ci: build test jobs-smoke collect-smoke obs-merge-smoke monitor-smoke cache-smoke decode-smoke alloc-smoke serve-smoke
+ci: build test jobs-smoke collect-smoke obs-merge-smoke cache-smoke decode-smoke alloc-smoke serve-smoke
 	$(DUNE) exec bench/main.exe -- --quick
 	$(DUNE) exec tools/check_bench.exe -- BENCH_hetarch.json
 	@$(DUNE) exec bin/main.exe -- obs diff BENCH_baseline.json BENCH_hetarch.json \

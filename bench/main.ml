@@ -233,7 +233,7 @@ let merge_sources =
   lazy
     (let base = Obs.Snapshot.capture () in
      List.map
-       (fun i -> { base with Obs.Snapshot.run_id = Printf.sprintf "%016x" i })
+       (fun i -> { base with run = { base.run with run_id = Printf.sprintf "%016x" i } })
        [ 1; 2; 3 ])
 
 let kernel_obs_merge () =
@@ -241,8 +241,9 @@ let kernel_obs_merge () =
     (Obs.Merge.to_json (Obs.Merge.of_snapshots (Lazy.force merge_sources)))
 
 (* One `obs monitor --once` refresh over a synthetic 4-stream fleet (32
-   records per stream, realistic record shape): directory scan, torn-tail
-   JSONL fold to each last record, row derivation, JSON render.  This is
+   records per stream, written by the telemetry codec): directory scan,
+   torn-tail JSONL fold to each last record, decode, row derivation, JSON
+   render.  This is
    the polling cost the live monitor pays every --interval, so check_bench
    requires it to keep the refresh trend machine-readable. *)
 let monitor_fixture =
@@ -256,43 +257,34 @@ let monitor_fixture =
      for s = 0 to 3 do
        let run_id = Printf.sprintf "%016x" (0xbe40 + s) in
        let oc = open_out (Filename.concat td (run_id ^ ".jsonl")) in
+       let run =
+         { Obs.Context.run_id; shard = Printf.sprintf "shard%d/4" s;
+           ctx = { trace_id = "00000000000be400"; span_id = run_id; parent_span_id = "00000000000be4ff" } }
+       in
        for seq = 0 to 31 do
-         let record =
-           Obs.Json.Obj
-             [ ("schema", Obs.Json.String "hetarch.telemetry/4");
-               ( "run",
-                 Obs.Json.Obj
-                   [ ("id", Obs.Json.String run_id);
-                     ("shard", Obs.Json.String (Printf.sprintf "shard%d/4" s));
-                     ("trace_id", Obs.Json.String "00000000000be400");
-                     ("span_id", Obs.Json.String run_id);
-                     ("parent_span_id", Obs.Json.String "00000000000be4ff") ] );
-               ("seq", Obs.Json.Int seq);
-               ("elapsed_s", Obs.Json.Float (0.5 *. float_of_int seq));
-               ("dt_s", Obs.Json.Float 0.5);
-               ("interval_s", Obs.Json.Float 0.5);
-               ( "campaign",
-                 Obs.Json.Obj
-                   [ ("shots", Obs.Json.Int (1024 * (seq + 1)));
-                     ("shots_per_s", Obs.Json.Float 2048.);
-                     ("eta_s", Obs.Json.Float 12.5);
-                     ("tasks_done", Obs.Json.Int (seq / 8));
-                     ("tasks", Obs.Json.Int 6);
-                     ( "task_progress",
-                       Obs.Json.List
-                         (List.init 6 (fun t ->
-                              Obs.Json.Obj
-                                [ ("done", Obs.Json.Bool (t < seq / 8));
-                                  ( "rel_halfwidth",
-                                    Obs.Json.Float (0.05 /. float_of_int (t + 1))
-                                  ) ])) ) ] );
-               ("gc", Obs.Json.Obj [ ("minor_words_delta", Obs.Json.Int 80_000) ]);
-               ( "parallel",
-                 Obs.Json.Obj
-                   [ ("queue_depth", Obs.Json.Int 3);
-                     ("busy_domains", Obs.Json.Int 2) ] ) ]
+         let shots = 1024 * (seq + 1) in
+         let task t =
+           { Obs.Telemetry.tp_id = Printf.sprintf "%016x" t; tp_kind = "qec.surface";
+             tp_shots = shots / 6; tp_errors = 40; tp_resumed = 0;
+             tp_rel_halfwidth = 0.05 /. float_of_int (t + 1); tp_remaining = 1024;
+             tp_done = t < seq / 8 }
          in
-         output_string oc (Obs.Json.to_string record);
+         output_string oc
+           (Obs.Json.to_string
+              (Obs.Telemetry.to_json
+                 { run; seq; elapsed_s = 0.5 *. float_of_int seq; dt_s = 0.5; interval_s = 0.5;
+                   counters = [ ("collect.shots_total", shots) ];
+                   deltas = [ ("collect.shots_total", 1024) ];
+                   rates = [ ("collect.shots_total", 2048.) ];
+                   gc_minor_delta = 1; gc_major_delta = 0; gc_minor_words_delta = 80_000;
+                   gc_heap_words = 1 lsl 20; gc_top_heap_words = 1 lsl 20;
+                   queue_depth = 3; busy_domains = 2;
+                   campaign =
+                     Some
+                       { c_done = seq / 8; c_total = 6; c_shots = shots; c_new_shots = shots;
+                         c_rate = 2048.; c_remaining = 4096; c_eta_s = Some 12.5;
+                         c_tasks = List.init 6 task };
+                   final = false }));
          output_char oc '\n'
        done;
        close_out oc

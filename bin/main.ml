@@ -738,82 +738,22 @@ let run_collect campaign seed shards shard_opt ledger resume progress max_shots
 let load_json path =
   Obs.Json.parse (In_channel.with_open_bin path In_channel.input_all)
 
-let jint j = int_of_float (Obs.Json.to_float j)
-
-let jstring = function Obs.Json.String s -> Some s | _ -> None
-
-(* [None] both on a missing field and a non-numeric one (eta_s and
-   rel_halfwidth are JSON null until defined). *)
-let jnum = function
-  | Obs.Json.Int i -> Some (float_of_int i)
-  | Obs.Json.Float f -> Some f
+(* Snapshots, fleet views, telemetry and traces decode through their
+   codecs in Obs; a bench document has none, so its fields (and any
+   document's schema tag) are read here: [None] on a missing or mistyped
+   field. *)
+let mem_float name j =
+  match Obs.Json.member name j with
+  | Some (Obs.Json.Int i) -> Some (float_of_int i)
+  | Some (Obs.Json.Float f) -> Some f
   | _ -> None
 
-let mem_float name j = Option.bind (Obs.Json.member name j) jnum
 let mem_int name j = Option.map int_of_float (mem_float name j)
 
-let mem_string name j = Option.bind (Obs.Json.member name j) jstring
-
-let obj_fields = function Obs.Json.Obj kvs -> kvs | _ -> []
+let mem_string name j =
+  match Obs.Json.member name j with Some (Obs.Json.String s) -> Some s | _ -> None
 
 let schema_of doc = Option.value ~default:"?" (mem_string "schema" doc)
-
-(* Re-aggregate an exported trace into (path, count, total_ns, minor_w,
-   promoted_w, major_w) totals — the same shape Trace.by_path returns
-   in-process.  Durations in the file are integer microseconds (the
-   Chrome-trace unit), so totals re-read from disk are µs-granular; counts,
-   allocation words, and tree structure are exact.  Traces written before
-   the allocation-attribution schema carry no alloc args and re-read as
-   zeros. *)
-let trace_totals path =
-  let tbl : (string, int * int64 * int * int * int) Hashtbl.t =
-    Hashtbl.create 256
-  in
-  Obs.fold_jsonl path
-    (fun () ev ->
-      match mem_string "ph" ev with
-      | Some ph when ph <> "X" -> () (* metadata events carry no duration *)
-      | _ ->
-      let name = Option.value ~default:"?" (mem_string "name" ev) in
-      let args = Obs.Json.member "args" ev in
-      let span_path =
-        match Option.bind args (mem_string "path") with
-        | Some p -> p
-        | None -> name
-      in
-      let dur_ns =
-        match mem_float "dur" ev with
-        | Some us -> Int64.of_float (us *. 1e3)
-        | None -> 0L
-      in
-      let words field =
-        Option.value ~default:0 (Option.bind args (mem_int field))
-      in
-      let c, t, mw, pw, jw =
-        Option.value ~default:(0, 0L, 0, 0, 0) (Hashtbl.find_opt tbl span_path)
-      in
-      Hashtbl.replace tbl span_path
-        ( c + 1, Int64.add t dur_ns, mw + words "minor_w",
-          pw + words "promoted_w", jw + words "major_w" ))
-    ();
-  Hashtbl.fold (fun p (c, t, mw, pw, jw) acc -> (p, c, t, mw, pw, jw) :: acc)
-    tbl []
-  |> List.sort compare
-
-let run_obs_flame file counts alloc =
-  (if counts && alloc then begin
-     Printf.eprintf "hetarch obs flame: --counts and --alloc are exclusive\n";
-     exit 2
-   end);
-  let weight =
-    if alloc then `Self_alloc else if counts then `Count else `Self_ns
-  in
-  print_string (Obs.Profile.folded ~weight (Obs.Profile.of_totals (trace_totals file)))
-
-let run_obs_top file limit sort =
-  print_string
-    (Obs.Profile.top_table ~sort ~limit
-       (Obs.Profile.of_totals (trace_totals file)))
 
 let obs_fail fmt =
   Printf.ksprintf
@@ -826,6 +766,24 @@ let obs_fail fmt =
    file is a structured error (exit 2), never an uncaught exception. *)
 let guard file f =
   try f () with Failure msg | Sys_error msg -> obs_fail "%s: %s" file msg
+
+(* A trace file's call tree, merged traces included; a line that is not a
+   trace event is an error, not a zero. *)
+let trace_profile file =
+  guard file (fun () -> Obs.Profile.of_events (Obs.Trace.read file))
+
+let run_obs_flame file counts alloc =
+  (if counts && alloc then begin
+     Printf.eprintf "hetarch obs flame: --counts and --alloc are exclusive\n";
+     exit 2
+   end);
+  let weight =
+    if alloc then `Self_alloc else if counts then `Count else `Self_ns
+  in
+  print_string (Obs.Profile.folded ~weight (trace_profile file))
+
+let run_obs_top file limit sort =
+  print_string (Obs.Profile.top_table ~sort ~limit (trace_profile file))
 
 let utc_stamp unix =
   let tm = Unix.gmtime unix in
@@ -863,10 +821,10 @@ let print_section title header rows =
    fleet view, whose gauges are sums: each then also shows its spread over
    the sources. *)
 let render_snapshot ?(sources = []) (s : Obs.Snapshot.t) =
-  if s.run_id <> "" then
+  if s.run.run_id <> "" then
     Printf.printf "run %s%s: %s\n  started %s, jobs %d, content hash %s\n"
-      s.run_id
-      (if s.shard = "" then "" else Printf.sprintf " [%s]" s.shard)
+      s.run.run_id
+      (if s.run.shard = "" then "" else Printf.sprintf " [%s]" s.run.shard)
       (String.concat " " s.argv) (utc_stamp s.started_unix) s.jobs
       (Obs.Snapshot.content_hash s);
   let p = s.process in
@@ -928,8 +886,8 @@ let render_fleet m =
     [ "run"; "shard"; "started (UTC)"; "wall s"; "jobs" ]
     (List.map
        (fun (src : Obs.Snapshot.t) ->
-         [ src.run_id;
-           (if src.shard = "" then "-" else src.shard);
+         [ src.run.run_id;
+           (if src.run.shard = "" then "-" else src.run.shard);
            utc_stamp src.started_unix;
            Printf.sprintf "%.3f" src.wall_seconds;
            string_of_int src.jobs ])
@@ -979,102 +937,64 @@ let render_state = function
 let run_obs_report file = render_state (load_state file)
 
 let run_obs_tail file =
-  let records = List.rev (Obs.fold_jsonl file (fun acc r -> r :: acc) []) in
-  match records with
+  match
+    guard file (fun () -> Obs.fold_jsonl file (fun acc j -> Obs.Telemetry.of_json j :: acc) [])
+  with
   | [] -> print_endline "telemetry stream is empty"
-  | _ ->
-      let campaign r = Obs.Json.member "campaign" r in
+  | (last : Obs.Telemetry.record) :: _ as newest_first ->
+      let dash f = function Some v -> f v | None -> "-" in
       Tableio.print
         ~header:[ "seq"; "t(s)"; "dt(s)"; "gc minor"; "words/s"; "shots"; "shots/s"; "done"; "eta(s)" ]
         (List.map
-           (fun r ->
-             let c = campaign r in
-             let ci name =
-               match Option.bind c (mem_int name) with
-               | Some v -> string_of_int v
-               | None -> "-"
-             in
-             [ string_of_int (Option.value ~default:0 (mem_int "seq" r));
-               Printf.sprintf "%.2f" (Option.value ~default:0. (mem_float "elapsed_s" r));
-               Printf.sprintf "%.2f" (Option.value ~default:0. (mem_float "dt_s" r));
-               (match Option.bind (Obs.Json.member "gc" r) (mem_int "minor_delta") with
-                | Some v -> string_of_int v
-                | None -> "-");
-               (* allocation rate: minor words per second over the record's
-                  interval, clamped >= 0 like the GC deltas *)
-               (match
-                  ( Option.bind (Obs.Json.member "gc" r)
-                      (mem_float "minor_words_delta"),
-                    mem_float "dt_s" r )
-                with
-                | Some w, Some dt when dt > 0. ->
-                    Printf.sprintf "%.0f" (Float.max 0. (w /. dt))
-                | _ -> "0");
-               ci "shots";
-               (match Option.bind c (mem_float "shots_per_s") with
-                | Some v -> Printf.sprintf "%.0f" (Float.max 0. v)
-                | None -> "-");
-               (match (Option.bind c (mem_int "tasks_done"), Option.bind c (mem_int "tasks")) with
-                | Some d, Some t -> Printf.sprintf "%d/%d" d t
-                | _ -> "-");
-               (match Option.bind c (mem_float "eta_s") with
-                | Some v -> Printf.sprintf "%.1f" (Float.max 0. v)
-                | None -> "-") ])
-           records);
-      let last = List.nth records (List.length records - 1) in
-      Printf.printf "\nlast record (seq %d, t=%.2fs):\n"
-        (Option.value ~default:0 (mem_int "seq" last))
-        (Option.value ~default:0. (mem_float "elapsed_s" last));
-      let deltas =
-        obj_fields (Option.value ~default:Obs.Json.Null (Obs.Json.member "deltas" last))
-        |> List.filter (fun (_, v) -> jint v > 0)
-      in
+           (fun (r : Obs.Telemetry.record) ->
+             let c = r.campaign in
+             [ string_of_int r.seq;
+               Printf.sprintf "%.2f" r.elapsed_s;
+               Printf.sprintf "%.2f" r.dt_s;
+               string_of_int r.gc_minor_delta;
+               (* allocation rate over the record's interval *)
+               (if r.dt_s > 0. then
+                  Printf.sprintf "%.0f"
+                    (Float.max 0. (float_of_int r.gc_minor_words_delta /. r.dt_s))
+                else "0");
+               dash (fun c -> string_of_int c.Obs.Telemetry.c_shots) c;
+               dash (fun c -> Printf.sprintf "%.0f" (Float.max 0. c.Obs.Telemetry.c_rate)) c;
+               dash (fun c -> Printf.sprintf "%d/%d" c.Obs.Telemetry.c_done c.c_total) c;
+               dash
+                 (fun e -> Printf.sprintf "%.1f" (Float.max 0. e))
+                 (Option.bind c (fun c -> c.c_eta_s)) ])
+           (List.rev newest_first));
+      Printf.printf "\nlast record (seq %d, t=%.2fs):\n" last.seq last.elapsed_s;
       List.iter
-        (fun (name, v) -> Printf.printf "  %s +%d\n" name (jint v))
-        deltas;
+        (fun (name, d) -> if d > 0 then Printf.printf "  %s +%d\n" name d)
+        last.deltas;
       Option.iter
-        (fun c ->
+        (fun (c : Obs.Telemetry.campaign) ->
           List.iter
-            (fun t ->
-              Printf.printf "  task %s %s: %d shots, %d errors%s%s\n"
-                (Option.value ~default:"?" (mem_string "id" t))
-                (Option.value ~default:"?" (mem_string "kind" t))
-                (Option.value ~default:0 (mem_int "shots" t))
-                (Option.value ~default:0 (mem_int "errors" t))
-                (match mem_float "rel_halfwidth" t with
-                 | Some w -> Printf.sprintf ", ci %.3f" w
-                 | None -> "")
-                (match Obs.Json.member "done" t with
-                 | Some (Obs.Json.Bool true) -> " [done]"
-                 | _ -> ""))
-            (match Obs.Json.member "task_progress" c with
-             | Some (Obs.Json.List ts) -> ts
-             | _ -> []))
-        (campaign last);
-      (* Stream status from evidence, not the embedded rate: a quiet stream
-         keeps reporting its last shots/s forever, so staleness must come
-         from the file's mtime vs the stream's own declared heartbeat
-         interval — the same detector `obs monitor` uses. *)
-      let final =
-        match Obs.Json.member "final" last with
-        | Some (Obs.Json.Bool true) -> true
-        | _ -> false
-      in
-      let interval_s = Option.value ~default:1.0 (mem_float "interval_s" last) in
-      let age =
-        Float.max 0. (Unix.gettimeofday () -. (Unix.stat file).Unix.st_mtime)
-      in
-      let threshold =
-        Obs.Monitor.stall_threshold
-          ~stall_factor:Obs.Monitor.default_stall_factor ~interval_s
-      in
-      if final then print_endline "stream: complete (final record present)"
-      else if age > threshold then
-        Printf.printf
-          "stream: STALLED (no heartbeat for %.1fs; threshold %.1fs at a \
-           %.1fs interval)\n"
-          age threshold interval_s
-      else Printf.printf "stream: live (last write %.1fs ago)\n" age
+            (fun (t : Obs.Telemetry.task_progress) ->
+              Printf.printf "  task %s %s: %d shots, %d errors%s%s\n" t.tp_id t.tp_kind
+                t.tp_shots t.tp_errors
+                (if Float.is_nan t.tp_rel_halfwidth then ""
+                 else Printf.sprintf ", ci %.3f" t.tp_rel_halfwidth)
+                (if t.tp_done then " [done]" else ""))
+            c.c_tasks)
+        last.campaign;
+      (* Stream status from evidence, not the embedded rate: the monitor's
+         verdict for this stream, from the file's mtime against the
+         stream's own declared heartbeat interval. *)
+      let row = Obs.Monitor.row_of_stream file last in
+      match row.status with
+      | Done -> print_endline "stream: complete (final record present)"
+      | Stalled ->
+          Printf.printf
+            "stream: STALLED (no heartbeat for %.1fs; threshold %.1fs at a \
+             %.1fs interval)\n"
+            row.age_s
+            (Obs.Monitor.stall_threshold
+               ~stall_factor:Obs.Monitor.default_stall_factor
+               ~interval_s:last.interval_s)
+            last.interval_s
+      | Live -> Printf.printf "stream: live (last write %.1fs ago)\n" row.age_s
 
 let run_obs_diff file_a file_b threshold noise_floor normalize =
   let load file = guard file (fun () -> load_json file) in
@@ -1239,33 +1159,30 @@ let render_monitor_rows rows =
           "done"; "words/s"; "queue"; "busy"; "age(s)" ]
       (List.map
          (fun (r : Obs.Monitor.row) ->
-           [ r.Obs.Monitor.m_run_id;
-             (if r.Obs.Monitor.m_shard = "" then "-" else r.Obs.Monitor.m_shard);
-             (let s = Obs.Monitor.status_string r.Obs.Monitor.m_status in
-              if r.Obs.Monitor.m_status = Obs.Monitor.Stalled then
-                String.uppercase_ascii s
-              else s);
-             string_of_int r.Obs.Monitor.m_shots;
-             Printf.sprintf "%.0f" r.Obs.Monitor.m_rate;
-             (if Float.is_nan r.Obs.Monitor.m_rel_halfwidth then "-"
-              else Printf.sprintf "%.3f" r.Obs.Monitor.m_rel_halfwidth);
-             (match r.Obs.Monitor.m_eta_s with
+           let l = r.last in
+           let campaign f default = Option.fold ~none:default ~some:f l.campaign in
+           [ l.run.run_id;
+             (if l.run.shard = "" then "-" else l.run.shard);
+             (let s = Obs.Monitor.status_string r.status in
+              if r.status = Stalled then String.uppercase_ascii s else s);
+             string_of_int (campaign (fun c -> c.c_shots) 0);
+             Printf.sprintf "%.0f" (campaign (fun c -> c.c_rate) 0.);
+             (if Float.is_nan r.rel_halfwidth then "-"
+              else Printf.sprintf "%.3f" r.rel_halfwidth);
+             (match campaign (fun c -> c.c_eta_s) None with
              | Some e -> Printf.sprintf "%.1f" (Float.max 0. e)
              | None -> "-");
-             Printf.sprintf "%d/%d" r.Obs.Monitor.m_tasks_done
-               r.Obs.Monitor.m_tasks;
-             Printf.sprintf "%.0f" r.Obs.Monitor.m_alloc_w_per_s;
-             string_of_int r.Obs.Monitor.m_queue_depth;
-             string_of_int r.Obs.Monitor.m_busy_domains;
-             Printf.sprintf "%.1f" r.Obs.Monitor.m_age_s ])
+             campaign (fun c -> Printf.sprintf "%d/%d" c.c_done c.c_total) "0/0";
+             Printf.sprintf "%.0f" r.alloc_w_per_s;
+             string_of_int l.queue_depth;
+             string_of_int l.busy_domains;
+             Printf.sprintf "%.1f" r.age_s ])
          rows);
     let count st =
-      List.length
-        (List.filter (fun (r : Obs.Monitor.row) -> r.Obs.Monitor.m_status = st) rows)
+      List.length (List.filter (fun (r : Obs.Monitor.row) -> r.status = st) rows)
     in
     Printf.printf "%d stream(s): %d live, %d stalled, %d done\n"
-      (List.length rows) (count Obs.Monitor.Live) (count Obs.Monitor.Stalled)
-      (count Obs.Monitor.Done)
+      (List.length rows) (count Live) (count Stalled) (count Done)
   end
 
 let run_obs_monitor once interval stall_factor =
@@ -1294,8 +1211,7 @@ let run_obs_monitor once interval stall_factor =
           if
             rows = []
             || List.exists
-                 (fun (r : Obs.Monitor.row) ->
-                   r.Obs.Monitor.m_status <> Obs.Monitor.Done)
+                 (fun (r : Obs.Monitor.row) -> r.status <> Done)
                  rows
           then begin
             Unix.sleepf interval;
@@ -1327,7 +1243,7 @@ let run_obs_compare current_ref last nmad min_pct noise_floor gate =
   in
   let cur_hash = Obs.Snapshot.content_hash current in
   let cur_cmd = Obs.Registry.cmd_of_argv current.Obs.Snapshot.argv in
-  let cur_shard = current.Obs.Snapshot.shard in
+  let cur_shard = current.Obs.Snapshot.run.shard in
   (* History = the last K other runs of the same command and shard. *)
   let history_entries =
     List.filter
@@ -1357,7 +1273,7 @@ let run_obs_compare current_ref last nmad min_pct noise_floor gate =
   in
   Printf.printf
     "trend: run %s (%s%s) vs median of last %d same-command run(s)\n"
-    current.Obs.Snapshot.run_id cur_cmd
+    current.run.run_id cur_cmd
     (if cur_shard = "" then "" else Printf.sprintf ", shard %s" cur_shard)
     (List.length history);
   Tableio.print ~align:Tableio.Left
@@ -1400,10 +1316,20 @@ let shots_arg =
 let seed_arg = Arg.(value & opt int 2023 & info [ "seed" ] ~doc:"RNG seed")
 let full_arg = Arg.(value & flag & info [ "full" ] ~doc:"Run the full (slow) sweep")
 
+(* A count below [min] is a usage error naming its flag (exit 124), not an
+   Invalid_argument from the code it would reach. *)
+let int_at_least min =
+  Arg.conv
+    ( (fun s ->
+        match int_of_string_opt s with
+        | Some n when n >= min -> Ok n
+        | _ -> Error (`Msg (Printf.sprintf "expected an integer >= %d, got %S" min s))),
+      Format.pp_print_int )
+
 let jobs_arg =
   Arg.(
     value
-    & opt int (Parallel.jobs ())
+    & opt (int_at_least 1) (Parallel.jobs ())
     & info [ "jobs"; "j" ] ~docv:"N"
         ~doc:
           "Worker domains for Monte-Carlo fan-out.  Defaults to \
@@ -2061,7 +1987,7 @@ let commands =
       Term.(
         const (fun n () -> run_charsweep n)
         $ Arg.(
-            value & opt int 5
+            value & opt (int_at_least 2) 5
             & info [ "n" ] ~docv:"N" ~doc:"Number of alpha points (>= 2)"));
     cmd "hierarchy" "Module hierarchy trees" Term.(const run_hierarchy) ]
 

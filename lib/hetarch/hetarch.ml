@@ -3,11 +3,11 @@ let version = "1.0.0"
 type experiment = { id : string; title : string; paper_claim : string }
 
 let experiments =
-  [ { id = "table1";
-      title = "Device catalog";
+  [ { id = "devices";
+      title = "Table 1: Device catalog";
       paper_claim = "Properties of near-term superconducting quantum devices" };
-    { id = "table2";
-      title = "Standard cells";
+    { id = "cells";
+      title = "Table 2: Standard cells";
       paper_claim = "Register/ParCheck/SeqOp/USC assembled under DR1-DR4" };
     { id = "fig3";
       title = "Distillation infidelity over time";

@@ -277,6 +277,53 @@ module Json = struct
     | _ -> failwith "Obs.Json.to_int: not an integer"
 end
 
+(* Strict field readers shared by the artifact decoders: a missing or
+   mistyped field raises [Failure] naming it, and [decoding] prefixes the
+   message with the decoder's name. *)
+module Field = struct
+  let fail fmt = Printf.ksprintf failwith fmt
+  let decoding who f j = try f j with Failure m -> failwith (who ^ ": " ^ m)
+
+  let get what extract name j =
+    match Option.bind (Json.member name j) extract with
+    | Some v -> v
+    | None -> fail "missing %s %s" what name
+
+  let as_int = function Json.Int i -> Some i | _ -> None
+
+  let as_float = function
+    | Json.Int i -> Some (float_of_int i)
+    | Json.Float f -> Some f
+    | _ -> None
+
+  let str = get "string" (function Json.String s -> Some s | _ -> None)
+  let int = get "integer" as_int
+  let float = get "number" as_float
+  let bool = get "boolean" (function Json.Bool b -> Some b | _ -> None)
+  let list = get "array" (function Json.List xs -> Some xs | _ -> None)
+  let obj = get "object" (function Json.Obj kvs -> Some kvs | _ -> None)
+
+  (* JSON null is an undefined number; an absent field is still an error. *)
+  let float_opt name j =
+    if Json.member name j = Some Json.Null then None else Some (float name j)
+
+  (* An object of named numbers, e.g. counters or rates. *)
+  let table what extract name j =
+    List.map
+      (fun (k, v) ->
+        match extract v with Some x -> (k, x) | None -> fail "non-%s %s.%s" what name k)
+      (obj name j)
+
+  let ints = table "integer" as_int
+  let floats = table "numeric" as_float
+
+  let schema want j =
+    match Json.member "schema" j with
+    | Some (Json.String s) when s = want -> ()
+    | Some (Json.String s) -> fail "schema %s (want %s)" s want
+    | _ -> fail "missing schema (want %s)" want
+end
+
 (* Torn-tail-tolerant JSONL fold: blank and unparsable lines — the
    truncated final record a killed writer leaves behind — are skipped,
    mirroring the collect ledger's replay.  Shared by the fleet monitor and
@@ -397,16 +444,28 @@ module Context = struct
 
   let current () = Lazy.force computed
 
-  (* The run identity plus trace context — the stamp every document embeds
-     under "run". *)
-  let stamp () =
-    let c = current () in
-    Json.Obj
-      [ ("id", Json.String (Run.id ()));
-        ("shard", Json.String (Run.shard ()));
-        ("trace_id", Json.String c.trace_id);
-        ("span_id", Json.String c.span_id);
-        ("parent_span_id", Json.String c.parent_span_id) ]
+  (* The run identity plus trace context — the stamp every observability
+     document embeds under "run" (trace metadata: in its args). *)
+  type stamp = { run_id : string; shard : string; ctx : t }
+
+  let stamp () = { run_id = Run.id (); shard = Run.shard (); ctx = current () }
+
+  let stamp_fields s =
+    [ ("id", Json.String s.run_id);
+      ("shard", Json.String s.shard);
+      ("trace_id", Json.String s.ctx.trace_id);
+      ("span_id", Json.String s.ctx.span_id);
+      ("parent_span_id", Json.String s.ctx.parent_span_id) ]
+
+  let stamp_to_json s = Json.Obj (stamp_fields s)
+
+  let stamp_of_json j =
+    { run_id = Field.str "id" j;
+      shard = Field.str "shard" j;
+      ctx =
+        { trace_id = Field.str "trace_id" j;
+          span_id = Field.str "span_id" j;
+          parent_span_id = Field.str "parent_span_id" j } }
 end
 
 (* --------------------------------------------------------------- metrics *)
@@ -713,56 +772,158 @@ module Trace = struct
           path_totals [])
     |> List.sort compare
 
-  (* Chrome-trace mapping: [tid] is the recording domain, so Perfetto lays
-     each domain's spans on its own track instead of interleaving every
-     depth-n span from every domain onto one; nesting depth and the caller
-     path travel in [args]. *)
-  let span_json s =
+  (* The trace file format, one JSON object per line, written by [export]
+     and [Trace_merge] and read back by [read]: a "hetarch.run" metadata
+     event (ph "M") carrying the run stamp and clock handshake, a merged
+     trace's "hetarch.trace_merge" header, and one Chrome-trace complete
+     event (ph "X") per span.  [tid] is the recording domain, so Perfetto
+     lays each domain's spans on its own track; nesting depth, the caller
+     path and the allocation words travel in [args]. *)
+  type meta = {
+    run : Context.stamp;
+    ts0_unix : float;
+    clock_offset_us : float option;  (* set by trace-merge *)
+  }
+
+  type span_event = {
+    ev_name : string;
+    ev_ts_us : float;
+    ev_dur_us : float;
+    ev_pid : int;
+    ev_tid : int;
+    ev_trace_id : string;
+    ev_depth : int;
+    ev_path : string;
+    ev_minor_w : int;
+    ev_promoted_w : int;
+    ev_major_w : int;
+    ev_attrs : (string * string) list;
+  }
+
+  type event =
+    | Run of { pid : int; meta : meta }
+    | Merged of { pid : int; sources : int; ts0_unix : float }
+    | Span of span_event
+
+  let merge_schema = "hetarch.tracemerge/1"
+
+  let metadata_json ~pid name args =
     Json.Obj
-      [ ("name", Json.String s.name);
-        ("ph", Json.String "X");
-        ("ts", Json.Float (Int64.to_float s.start_ns /. 1e3));
-        ("dur", Json.Float (Int64.to_float s.dur_ns /. 1e3));
-        ("pid", Json.Int 0);
-        ("tid", Json.Int s.domain);
-        ( "args",
-          Json.Obj
-            (("trace_id", Json.String (Context.current ()).Context.trace_id)
-            :: ("depth", Json.Int s.depth)
-            :: ("path", Json.String s.path)
-            :: ("minor_w", Json.Int s.minor_w)
-            :: ("promoted_w", Json.Int s.promoted_w)
-            :: ("major_w", Json.Int s.major_w)
-            :: List.map (fun (k, v) -> (k, Json.String v)) s.attrs) ) ]
+      [ ("name", Json.String name);
+        ("ph", Json.String "M");
+        ("pid", Json.Int pid);
+        ("tid", Json.Int 0);
+        ("args", Json.Obj args) ]
+
+  let event_to_json = function
+    | Run { pid; meta } ->
+        metadata_json ~pid "hetarch.run"
+          (Context.stamp_fields meta.run
+          @ ("ts0_unix", Json.Float meta.ts0_unix)
+            :: List.map
+                 (fun o -> ("clock_offset_us", Json.Float o))
+                 (Option.to_list meta.clock_offset_us))
+    | Merged { pid; sources; ts0_unix } ->
+        metadata_json ~pid "hetarch.trace_merge"
+          [ ("schema", Json.String merge_schema);
+            ("sources", Json.Int sources);
+            ("ts0_unix", Json.Float ts0_unix) ]
+    | Span e ->
+        Json.Obj
+          [ ("name", Json.String e.ev_name);
+            ("ph", Json.String "X");
+            ("ts", Json.Float e.ev_ts_us);
+            ("dur", Json.Float e.ev_dur_us);
+            ("pid", Json.Int e.ev_pid);
+            ("tid", Json.Int e.ev_tid);
+            ( "args",
+              Json.Obj
+                (("trace_id", Json.String e.ev_trace_id)
+                :: ("depth", Json.Int e.ev_depth)
+                :: ("path", Json.String e.ev_path)
+                :: ("minor_w", Json.Int e.ev_minor_w)
+                :: ("promoted_w", Json.Int e.ev_promoted_w)
+                :: ("major_w", Json.Int e.ev_major_w)
+                :: List.map (fun (k, v) -> (k, Json.String v)) e.ev_attrs) ) ]
+
+  let span_args = [ "trace_id"; "depth"; "path"; "minor_w"; "promoted_w"; "major_w" ]
+
+  let event_of_json =
+    Field.decoding "Obs.Trace.event_of_json" (fun j ->
+        let ph =
+          match Json.member "ph" j with
+          | Some (Json.String ph) -> ph
+          | _ -> Field.fail "not a trace event (no ph)"
+        in
+        let name = Field.str "name" j and args = Json.Obj (Field.obj "args" j) in
+        match (ph, name) with
+        | "M", "hetarch.run" ->
+            Run
+              { pid = Field.int "pid" j;
+                meta =
+                  { run = Context.stamp_of_json args;
+                    ts0_unix = Field.float "ts0_unix" args;
+                    clock_offset_us =
+                      Option.map
+                        (fun _ -> Field.float "clock_offset_us" args)
+                        (Json.member "clock_offset_us" args) } }
+        | "M", "hetarch.trace_merge" ->
+            Field.schema merge_schema args;
+            Merged
+              { pid = Field.int "pid" j;
+                sources = Field.int "sources" args;
+                ts0_unix = Field.float "ts0_unix" args }
+        | "X", name ->
+            Span
+              { ev_name = name;
+                ev_ts_us = Field.float "ts" j;
+                ev_dur_us = Field.float "dur" j;
+                ev_pid = Field.int "pid" j;
+                ev_tid = Field.int "tid" j;
+                ev_trace_id = Field.str "trace_id" args;
+                ev_depth = Field.int "depth" args;
+                ev_path = Field.str "path" args;
+                ev_minor_w = Field.int "minor_w" args;
+                ev_promoted_w = Field.int "promoted_w" args;
+                ev_major_w = Field.int "major_w" args;
+                ev_attrs =
+                  List.filter_map
+                    (fun (k, _) ->
+                      if List.mem k span_args then None else Some (k, Field.str k args))
+                    (Field.obj "args" j) }
+        | ph, name -> Field.fail "unsupported event %s (ph %s)" name ph)
 
   let export ~path =
+    let trace_id = (Context.current ()).Context.trace_id in
+    let span_event s =
+      Span
+        { ev_name = s.name;
+          ev_ts_us = Int64.to_float s.start_ns /. 1e3;
+          ev_dur_us = Int64.to_float s.dur_ns /. 1e3;
+          ev_pid = 0;
+          ev_tid = s.domain;
+          ev_trace_id = trace_id;
+          ev_depth = s.depth;
+          ev_path = s.path;
+          ev_minor_w = s.minor_w;
+          ev_promoted_w = s.promoted_w;
+          ev_major_w = s.major_w;
+          ev_attrs = s.attrs }
+    in
+    let meta =
+      Run { pid = 0; meta = { run = Context.stamp (); ts0_unix = t0_unix; clock_offset_us = None } }
+    in
     let oc = open_out path in
     Fun.protect
       ~finally:(fun () -> close_out oc)
       (fun () ->
-        (* First line is a Chrome-trace metadata event (ph "M") carrying the
-           run identity, trace context, and clock handshake; trace readers
-           aggregate "X" events only. *)
-        let meta_args =
-          match Context.stamp () with
-          | Json.Obj kvs -> Json.Obj (kvs @ [ ("ts0_unix", Json.Float t0_unix) ])
-          | j -> j
-        in
-        let meta =
-          Json.Obj
-            [ ("name", Json.String "hetarch.run");
-              ("ph", Json.String "M");
-              ("pid", Json.Int 0);
-              ("tid", Json.Int 0);
-              ("args", meta_args) ]
-        in
-        output_string oc (Json.to_string meta);
-        output_char oc '\n';
         List.iter
-          (fun s ->
-            output_string oc (Json.to_string (span_json s));
+          (fun ev ->
+            output_string oc (Json.to_string (event_to_json ev));
             output_char oc '\n')
-          (spans ()))
+          (meta :: List.map span_event (spans ())))
+
+  let read path = List.rev (fold_jsonl path (fun acc j -> event_of_json j :: acc) [])
 
   let reset () =
     Mutex.protect lock (fun () ->
@@ -870,6 +1031,20 @@ module Profile = struct
 
   let tree () = of_totals (Trace.by_path ())
 
+  (* A trace file's spans, one total each ([of_totals] sums a repeated
+     path).  Durations on disk are Chrome-trace microseconds, so re-read
+     times are µs-granular; counts, words and tree shape are exact. *)
+  let of_events events =
+    of_totals
+      (List.filter_map
+         (function
+           | Trace.Span e ->
+               Some
+                 ( e.Trace.ev_path, 1, Int64.of_float (e.Trace.ev_dur_us *. 1e3),
+                   e.Trace.ev_minor_w, e.Trace.ev_promoted_w, e.Trace.ev_major_w )
+           | Trace.Run _ | Trace.Merged _ -> None)
+         events)
+
   let rec fold_nodes f acc nodes =
     List.fold_left (fun acc n -> fold_nodes f (f acc n) n.children) acc nodes
 
@@ -942,18 +1117,11 @@ end
 
 (* ------------------------------------------------------------- telemetry *)
 
-(* Append-only JSONL heartbeat (schema hetarch.telemetry/4).  Ticks are
-   driven synchronously from Parallel chunk boundaries and Collect batch
+(* Append-only JSONL heartbeat, one [record] per line.  Ticks are driven
+   synchronously from Parallel chunk boundaries and Collect batch
    completions — never from a background thread — so enabling telemetry
-   cannot change any result.  Each record carries the run stamp, monotonic
-   elapsed time, the throttle interval, counter deltas since the previous
-   record (from which shots/sec and events/sec follow), GC deltas —
-   including the minor-words allocation delta and its words/sec rate —
-   live Parallel queue/worker gauges and, when a campaign has registered a
-   progress provider, per-task progress with Wilson half-widths and an ETA
-   at the current rate.  The closing record carries ("final", true) so
-   readers can tell a completed stream from a stalled one.  The collect
-   --progress line reads the same [campaign_snapshot] code path. *)
+   cannot change any result.  The collect --progress line reads the same
+   [campaign_snapshot] code path. *)
 
 module Telemetry = struct
   type task_progress = {
@@ -968,7 +1136,6 @@ module Telemetry = struct
   }
 
   type campaign = {
-    c_elapsed_s : float;  (* since the provider registered (campaign start) *)
     c_done : int;
     c_total : int;
     c_shots : int;  (* merged, incl. resumed *)
@@ -978,6 +1145,124 @@ module Telemetry = struct
     c_eta_s : float option;  (* None until the rate is measurable *)
     c_tasks : task_progress list;
   }
+
+  (* One line of the stream.  [to_json] is what [emit] writes; [of_json]
+     is the one reader, and it requires every section [emit] always
+     writes.  [tp_resumed] is not on the wire: a decoded task carries 0. *)
+  type record = {
+    run : Context.stamp;
+    seq : int;
+    elapsed_s : float;
+    dt_s : float;
+    interval_s : float;
+    counters : (string * int) list;
+    deltas : (string * int) list;
+    rates : (string * float) list;
+    gc_minor_delta : int;
+    gc_major_delta : int;
+    gc_minor_words_delta : int;
+    gc_heap_words : int;
+    gc_top_heap_words : int;
+    queue_depth : int;
+    busy_domains : int;
+    campaign : campaign option;
+    final : bool;
+  }
+
+  let schema = "hetarch.telemetry/4"
+
+  let task_json t =
+    Json.Obj
+      [ ("id", Json.String t.tp_id);
+        ("kind", Json.String t.tp_kind);
+        ("shots", Json.Int t.tp_shots);
+        ("errors", Json.Int t.tp_errors);
+        ("rel_halfwidth", Json.Float t.tp_rel_halfwidth);
+        ("remaining", Json.Int t.tp_remaining);
+        ("done", Json.Bool t.tp_done) ]
+
+  let to_json r =
+    let ints kvs = Json.Obj (List.map (fun (n, v) -> (n, Json.Int v)) kvs) in
+    let campaign c =
+      Json.Obj
+        [ ("tasks_done", Json.Int c.c_done);
+          ("tasks", Json.Int c.c_total);
+          ("shots", Json.Int c.c_shots);
+          ("new_shots", Json.Int c.c_new_shots);
+          ("shots_per_s", Json.Float c.c_rate);
+          ("remaining_shots", Json.Int c.c_remaining);
+          ("eta_s", Json.Float (Option.value ~default:nan c.c_eta_s));
+          ("task_progress", Json.List (List.map task_json c.c_tasks)) ]
+    in
+    Json.Obj
+      ([ ("schema", Json.String schema);
+         ("run", Context.stamp_to_json r.run);
+         ("seq", Json.Int r.seq);
+         ("elapsed_s", Json.Float r.elapsed_s);
+         ("dt_s", Json.Float r.dt_s);
+         (* The throttle interval travels with every record so readers
+            (tail, monitor) can judge staleness without out-of-band
+            configuration. *)
+         ("interval_s", Json.Float r.interval_s);
+         ("counters", ints r.counters);
+         ("deltas", ints r.deltas);
+         ("rates", Json.Obj (List.map (fun (n, v) -> (n, Json.Float v)) r.rates));
+         ( "gc",
+           Json.Obj
+             [ ("minor_delta", Json.Int r.gc_minor_delta);
+               ("major_delta", Json.Int r.gc_major_delta);
+               ("minor_words_delta", Json.Int r.gc_minor_words_delta);
+               ("heap_words", Json.Int r.gc_heap_words);
+               ("top_heap_words", Json.Int r.gc_top_heap_words) ] );
+         ( "parallel",
+           Json.Obj
+             [ ("queue_depth", Json.Int r.queue_depth);
+               ("busy_domains", Json.Int r.busy_domains) ] ) ]
+      @ List.map (fun c -> ("campaign", campaign c)) (Option.to_list r.campaign)
+      @ if r.final then [ ("final", Json.Bool true) ] else [])
+
+  let of_json =
+    Field.decoding "Obs.Telemetry.of_json" (fun j ->
+        Field.schema schema j;
+        let section name = Json.Obj (Field.obj name j) in
+        let task t =
+          { tp_id = Field.str "id" t;
+            tp_kind = Field.str "kind" t;
+            tp_shots = Field.int "shots" t;
+            tp_errors = Field.int "errors" t;
+            tp_resumed = 0;
+            tp_rel_halfwidth = Option.value ~default:nan (Field.float_opt "rel_halfwidth" t);
+            tp_remaining = Field.int "remaining" t;
+            tp_done = Field.bool "done" t }
+        in
+        let campaign c =
+          { c_done = Field.int "tasks_done" c;
+            c_total = Field.int "tasks" c;
+            c_shots = Field.int "shots" c;
+            c_new_shots = Field.int "new_shots" c;
+            c_rate = Field.float "shots_per_s" c;
+            c_remaining = Field.int "remaining_shots" c;
+            c_eta_s = Field.float_opt "eta_s" c;
+            c_tasks = List.map task (Field.list "task_progress" c) }
+        in
+        let gc = section "gc" and par = section "parallel" in
+        { run = Context.stamp_of_json (section "run");
+          seq = Field.int "seq" j;
+          elapsed_s = Field.float "elapsed_s" j;
+          dt_s = Field.float "dt_s" j;
+          interval_s = Field.float "interval_s" j;
+          counters = Field.ints "counters" j;
+          deltas = Field.ints "deltas" j;
+          rates = Field.floats "rates" j;
+          gc_minor_delta = Field.int "minor_delta" gc;
+          gc_major_delta = Field.int "major_delta" gc;
+          gc_minor_words_delta = Field.int "minor_words_delta" gc;
+          gc_heap_words = Field.int "heap_words" gc;
+          gc_top_heap_words = Field.int "top_heap_words" gc;
+          queue_depth = Field.int "queue_depth" par;
+          busy_domains = Field.int "busy_domains" par;
+          campaign = Option.map (fun _ -> campaign (section "campaign")) (Json.member "campaign" j);
+          final = Option.is_some (Json.member "final" j) && Field.bool "final" j })
 
   let enabled_flag = Atomic.make false
   let lock = Mutex.create ()
@@ -1018,8 +1303,7 @@ module Telemetry = struct
         let remaining = sum (fun t -> t.tp_remaining) in
         let rate = if elapsed > 0. then float_of_int new_shots /. elapsed else 0. in
         Some
-          { c_elapsed_s = elapsed;
-            c_done = List.length (List.filter (fun t -> t.tp_done) tasks);
+          { c_done = List.length (List.filter (fun t -> t.tp_done) tasks);
             c_total = List.length tasks;
             c_shots = shots;
             c_new_shots = new_shots;
@@ -1039,18 +1323,6 @@ module Telemetry = struct
         (* [Gc.minor_words], not [quick_stat]'s field: the latter only
            refreshes at collection boundaries on OCaml 5. *)
         prev_minor_words := Gc.minor_words ())
-
-  let task_json t =
-    Json.Obj
-      [ ("id", Json.String t.tp_id);
-        ("kind", Json.String t.tp_kind);
-        ("shots", Json.Int t.tp_shots);
-        ("errors", Json.Int t.tp_errors);
-        ("rel_halfwidth",
-         if Float.is_nan t.tp_rel_halfwidth then Json.Null
-         else Json.Float t.tp_rel_halfwidth);
-        ("remaining", Json.Int t.tp_remaining);
-        ("done", Json.Bool t.tp_done) ]
 
   (* Must be called with [lock] held. *)
   let emit oc now =
@@ -1079,8 +1351,7 @@ module Telemetry = struct
       if dt_s > 0. then
         List.filter_map
           (fun (name, d) ->
-            if d > 0 then Some (name, Json.Float (float_of_int d /. dt_s))
-            else None)
+            if d > 0 then Some (name, float_of_int d /. dt_s) else None)
           deltas
       else []
     in
@@ -1094,55 +1365,29 @@ module Telemetry = struct
     in
     let rates =
       if dt_s > 0. && minor_words_delta > 0 then
-        ( "gc.minor_words_per_s",
-          Json.Float (float_of_int minor_words_delta /. dt_s) )
-        :: rates
+        ("gc.minor_words_per_s", float_of_int minor_words_delta /. dt_s) :: rates
       else rates
     in
-    let campaign =
-      match campaign_snapshot () with
-      | None -> []
-      | Some c ->
-          [ ( "campaign",
-              Json.Obj
-                [ ("tasks_done", Json.Int c.c_done);
-                  ("tasks", Json.Int c.c_total);
-                  ("shots", Json.Int c.c_shots);
-                  ("new_shots", Json.Int c.c_new_shots);
-                  ("shots_per_s", Json.Float c.c_rate);
-                  ("remaining_shots", Json.Int c.c_remaining);
-                  ("eta_s",
-                   match c.c_eta_s with Some e -> Json.Float e | None -> Json.Null);
-                  ("task_progress", Json.List (List.map task_json c.c_tasks)) ] ) ]
-    in
-    let queue_depth, busy = Parallel.queue_stats () in
+    let queue_depth, busy_domains = Parallel.queue_stats () in
     let doc =
-      Json.Obj
-        ([ ("schema", Json.String "hetarch.telemetry/4");
-           ("run", Context.stamp ());
-           ("seq", Json.Int !seq);
-           ("elapsed_s", Json.Float elapsed_s);
-           ("dt_s", Json.Float dt_s);
-           (* The throttle interval travels with every record so readers
-              (tail, monitor) can judge staleness without out-of-band
-              configuration. *)
-           ("interval_s", Json.Float (Int64.to_float !interval_ns /. 1e9));
-           ("counters", Json.Obj (List.map (fun (n, v) -> (n, Json.Int v)) counters));
-           ("deltas", Json.Obj (List.map (fun (n, d) -> (n, Json.Int d)) deltas));
-           ("rates", Json.Obj rates);
-           ( "gc",
-             Json.Obj
-               [ ("minor_delta", Json.Int (max 0 (st.Gc.minor_collections - pminor)));
-                 ("major_delta", Json.Int (max 0 (st.Gc.major_collections - pmajor)));
-                 ("minor_words_delta", Json.Int minor_words_delta);
-                 ("heap_words", Json.Int st.Gc.heap_words);
-                 ("top_heap_words", Json.Int st.Gc.top_heap_words) ] );
-           ( "parallel",
-             Json.Obj
-               [ ("queue_depth", Json.Int queue_depth);
-                 ("busy_domains", Json.Int busy) ] ) ]
-        @ campaign
-        @ if !finalizing then [ ("final", Json.Bool true) ] else [])
+      to_json
+        { run = Context.stamp ();
+          seq = !seq;
+          elapsed_s;
+          dt_s;
+          interval_s = Int64.to_float !interval_ns /. 1e9;
+          counters;
+          deltas;
+          rates;
+          gc_minor_delta = max 0 (st.Gc.minor_collections - pminor);
+          gc_major_delta = max 0 (st.Gc.major_collections - pmajor);
+          gc_minor_words_delta = minor_words_delta;
+          gc_heap_words = st.Gc.heap_words;
+          gc_top_heap_words = st.Gc.top_heap_words;
+          queue_depth;
+          busy_domains;
+          campaign = campaign_snapshot ();
+          final = !finalizing }
     in
     output_string oc (Json.to_string doc);
     output_char oc '\n';
@@ -1264,11 +1509,7 @@ module Snapshot = struct
   }
 
   type t = {
-    run_id : string;
-    shard : string;
-    trace_id : string;
-    span_id : string;
-    parent_span_id : string;  (* "" for a root (unparented) run *)
+    run : Context.stamp;
     argv : string list;
     started_unix : float;
     wall_seconds : float;
@@ -1336,12 +1577,7 @@ module Snapshot = struct
                 h_min = h.Histogram.lo;
                 h_max = h.Histogram.hi }))
     in
-    let ctx = Context.current () in
-    { run_id = Run.id ();
-      shard = Run.shard ();
-      trace_id = ctx.Context.trace_id;
-      span_id = ctx.Context.span_id;
-      parent_span_id = ctx.Context.parent_span_id;
+    { run = Context.stamp ();
       argv = Array.to_list Sys.argv;
       started_unix = Run.started_unix;
       wall_seconds;
@@ -1399,15 +1635,11 @@ module Snapshot = struct
     ("schema", Json.String schema)
     :: ( "run",
          Json.Obj
-           [ ("id", Json.String t.run_id);
-             ("shard", Json.String t.shard);
-             ("trace_id", Json.String t.trace_id);
-             ("span_id", Json.String t.span_id);
-             ("parent_span_id", Json.String t.parent_span_id);
-             ("argv", Json.List (List.map (fun a -> Json.String a) t.argv));
-             ("started_unix", Json.Float t.started_unix);
-             ("wall_seconds", Json.Float t.wall_seconds);
-             ("jobs", Json.Int t.jobs) ] )
+           (Context.stamp_fields t.run
+           @ [ ("argv", Json.List (List.map (fun a -> Json.String a) t.argv));
+               ("started_unix", Json.Float t.started_unix);
+               ("wall_seconds", Json.Float t.wall_seconds);
+               ("jobs", Json.Int t.jobs) ]) )
     :: sections t
 
   let content_hash t =
@@ -1416,110 +1648,71 @@ module Snapshot = struct
   let to_json t =
     Json.Obj (body t @ [ ("content_hash", Json.String (content_hash t)) ])
 
-  let of_json doc =
-    let fail fmt = Printf.ksprintf (fun m -> failwith ("Obs.Snapshot.of_json: " ^ m)) fmt in
-    (match Json.member "schema" doc with
-    | Some (Json.String s) when s = schema -> ()
-    | Some (Json.String s) -> fail "schema %s (want %s)" s schema
-    | _ -> fail "missing schema");
-    let section name =
-      match Json.member name doc with
-      | Some (Json.Obj kvs) -> kvs
-      | _ -> fail "missing %s section" name
-    in
-    let str name j =
-      match Json.member name j with
-      | Some (Json.String s) -> s
-      | _ -> fail "missing string %s" name
-    in
-    let int_ name j =
-      match Json.member name j with
-      | Some (Json.Int i) -> i
-      | _ -> fail "missing integer %s" name
-    in
-    let float_ name j =
-      match Json.member name j with
-      | Some v -> ( try Json.to_float v with Failure _ -> fail "non-numeric %s" name)
-      | None -> fail "missing number %s" name
-    in
-    let run = Json.Obj (section "run") in
-    (* Bucket state is validated here, once, so merging and quantiles can
-       index it without checks of their own. *)
-    let hist_of (name, j) =
-      let arr field f =
-        match Json.member field j with
-        | Some (Json.List xs) -> Array.of_list (List.map f xs)
-        | _ -> fail "histogram %s: missing array %s" name field
-      in
-      let bounds = arr "bounds" Json.to_float in
-      let counts =
-        arr "counts" (function
-          | Json.Int i when i >= 0 -> i
-          | _ -> fail "histogram %s: bucket count is not a non-negative integer" name)
-      in
-      let nb = Array.length bounds in
-      if nb = 0 || Array.length counts <> nb then
-        fail "histogram %s: %d counts for %d bounds" name (Array.length counts) nb;
-      for i = 1 to nb - 1 do
-        if not (bounds.(i - 1) < bounds.(i)) then
-          fail "histogram %s: bounds not strictly increasing" name
-      done;
-      let overflow = int_ "overflow" j in
-      if overflow < 0 then fail "histogram %s: negative overflow" name;
-      ( name,
-        { h_bounds = bounds;
-          h_counts = counts;
-          h_overflow = overflow;
-          h_count = int_ "count" j;
-          h_mean = float_ "mean" j;
-          h_m2 = float_ "m2" j;
-          h_min = float_ "min" j;
-          h_max = float_ "max" j } )
-    in
-    let agg_of (name, j) =
-      ( name,
-        int_ "count" j,
-        Int64.of_int (int_ "total_ns" j),
-        int_ "minor_w" j,
-        int_ "promoted_w" j,
-        int_ "major_w" j )
-    in
-    let p = Json.Obj (section "process") in
-    { run_id = str "id" run;
-      shard = str "shard" run;
-      trace_id = str "trace_id" run;
-      span_id = str "span_id" run;
-      parent_span_id = str "parent_span_id" run;
-      argv =
-        (match Json.member "argv" run with
-        | Some (Json.List xs) ->
-            List.map (function Json.String s -> s | _ -> fail "non-string argv entry") xs
-        | _ -> fail "missing argv");
-      started_unix = float_ "started_unix" run;
-      wall_seconds = float_ "wall_seconds" run;
-      jobs = int_ "jobs" run;
-      counters =
-        List.sort compare
-          (List.map
-             (fun (n, v) -> match v with Json.Int i -> (n, i) | _ -> fail "non-integer counter %s" n)
-             (section "counters"));
-      gauges =
-        List.sort compare
-          (List.map
-             (fun (n, v) -> (n, (try Json.to_float v with Failure _ -> fail "non-numeric gauge %s" n)))
-             (section "gauges"));
-      histograms = List.sort compare (List.map hist_of (section "histograms"));
-      spans = List.sort compare (List.map agg_of (section "spans"));
-      paths = List.sort compare (List.map agg_of (section "paths"));
-      process =
-        { p_minor_collections = int_ "minor_collections" p;
-          p_major_collections = int_ "major_collections" p;
-          p_compactions = int_ "compactions" p;
-          p_minor_words = float_ "minor_words" p;
-          p_promoted_words = float_ "promoted_words" p;
-          p_major_words = float_ "major_words" p;
-          p_heap_words = int_ "heap_words" p;
-          p_top_heap_words = int_ "top_heap_words" p } }
+  let of_json =
+    Field.decoding "Obs.Snapshot.of_json" (fun doc ->
+        Field.schema schema doc;
+        let section name = Field.obj name doc in
+        let run = Json.Obj (section "run") in
+        (* Bucket state is validated here, once, so merging and quantiles can
+           index it without checks of their own. *)
+        let hist_of (name, j) =
+          let arr field f = Array.of_list (List.map f (Field.list field j)) in
+          let bounds = arr "bounds" Json.to_float in
+          let counts =
+            arr "counts" (function
+              | Json.Int i when i >= 0 -> i
+              | _ -> Field.fail "histogram %s: bucket count is not a non-negative integer" name)
+          in
+          let nb = Array.length bounds in
+          if nb = 0 || Array.length counts <> nb then
+            Field.fail "histogram %s: %d counts for %d bounds" name (Array.length counts) nb;
+          for i = 1 to nb - 1 do
+            if not (bounds.(i - 1) < bounds.(i)) then
+              Field.fail "histogram %s: bounds not strictly increasing" name
+          done;
+          let overflow = Field.int "overflow" j in
+          if overflow < 0 then Field.fail "histogram %s: negative overflow" name;
+          ( name,
+            { h_bounds = bounds;
+              h_counts = counts;
+              h_overflow = overflow;
+              h_count = Field.int "count" j;
+              h_mean = Field.float "mean" j;
+              h_m2 = Field.float "m2" j;
+              h_min = Field.float "min" j;
+              h_max = Field.float "max" j } )
+        in
+        let agg_of (name, j) =
+          ( name,
+            Field.int "count" j,
+            Int64.of_int (Field.int "total_ns" j),
+            Field.int "minor_w" j,
+            Field.int "promoted_w" j,
+            Field.int "major_w" j )
+        in
+        let p = Json.Obj (section "process") in
+        { run = Context.stamp_of_json run;
+          argv =
+            List.map
+              (function Json.String s -> s | _ -> Field.fail "non-string argv entry")
+              (Field.list "argv" run);
+          started_unix = Field.float "started_unix" run;
+          wall_seconds = Field.float "wall_seconds" run;
+          jobs = Field.int "jobs" run;
+          counters = List.sort compare (Field.ints "counters" doc);
+          gauges = List.sort compare (Field.floats "gauges" doc);
+          histograms = List.sort compare (List.map hist_of (section "histograms"));
+          spans = List.sort compare (List.map agg_of (section "spans"));
+          paths = List.sort compare (List.map agg_of (section "paths"));
+          process =
+            { p_minor_collections = Field.int "minor_collections" p;
+              p_major_collections = Field.int "major_collections" p;
+              p_compactions = Field.int "compactions" p;
+              p_minor_words = Field.float "minor_words" p;
+              p_promoted_words = Field.float "promoted_words" p;
+              p_major_words = Field.float "major_words" p;
+              p_heap_words = Field.int "heap_words" p;
+              p_top_heap_words = Field.int "top_heap_words" p } })
 
   let write ~path t = write_lines_atomic path [ to_json t ]
   let load path = of_json (Json.parse (In_channel.with_open_bin path In_channel.input_all))
@@ -1551,7 +1744,7 @@ module Merge = struct
         end)
       keyed
     |> List.sort (fun (ha, a) (hb, b) ->
-           match compare a.Snapshot.run_id b.Snapshot.run_id with
+           match compare a.Snapshot.run.run_id b.Snapshot.run.run_id with
            | 0 -> compare ha hb
            | c -> c)
 
@@ -1648,11 +1841,8 @@ module Merge = struct
   let merged t =
     let ss = sources t in
     let started, ended = if ss = [] then (0., 0.) else time_span ss in
-    { Snapshot.run_id = "";
-      shard = "";
-      trace_id = "";
-      span_id = "";
-      parent_span_id = "";
+    { Snapshot.run =
+        { run_id = ""; shard = ""; ctx = { trace_id = ""; span_id = ""; parent_span_id = "" } };
       argv = [];
       started_unix = started;
       wall_seconds = ended -. started;
@@ -1683,9 +1873,9 @@ module Merge = struct
         (List.map
            (fun (h, (s : Snapshot.t)) ->
              Json.Obj
-               [ ("run", Json.String s.run_id);
-                 ("shard", Json.String s.shard);
-                 ("trace_id", Json.String s.trace_id);
+               [ ("run", Json.String s.run.run_id);
+                 ("shard", Json.String s.run.shard);
+                 ("trace_id", Json.String s.run.ctx.trace_id);
                  ("content_hash", Json.String h);
                  ("started_unix", Json.Float s.started_unix);
                  ("wall_seconds", Json.Float s.wall_seconds);
@@ -1764,17 +1954,13 @@ module Diff = struct
      histogram means. *)
   let metrics_of doc =
     match Json.member "schema" doc with
-    | Some (Json.String s) when String.starts_with ~prefix:"hetarch.bench/" s -> (
-        match Json.member "kernels" doc with
-        | Some (Json.List ks) ->
-            List.filter_map
-              (fun k ->
-                match (Json.member "name" k, Json.member "ns_per_run" k) with
-                | Some (Json.String n), Some v -> (
-                    try Some ("kernel:" ^ n, Json.to_float v) with Failure _ -> None)
-                | _ -> None)
-              ks
-        | _ -> [])
+    | Some (Json.String s) when String.starts_with ~prefix:"hetarch.bench/" s ->
+        List.filter_map
+          (fun k ->
+            match ("kernel:" ^ Field.str "name" k, Field.float "ns_per_run" k) with
+            | m -> Some m
+            | exception Failure _ -> None)
+          (try Field.list "kernels" doc with Failure _ -> [])
     | _ ->
         let s =
           try Merge.merged (Merge.of_json doc)
@@ -1907,31 +2093,29 @@ module Registry = struct
         ("unix", Json.Float e.e_unix) ]
 
   let entry_of_json j =
-    let str k = match Json.member k j with Some (Json.String s) -> Some s | _ -> None in
-    let num k =
-      match Json.member k j with
-      | Some v -> ( try Some (Json.to_float v) with Failure _ -> None)
-      | None -> None
-    in
     match
-      (str "run_id", str "shard", str "trace_id", str "cmd", str "file", str "hash", num "unix")
+      { e_run_id = Field.str "run_id" j;
+        e_shard = Field.str "shard" j;
+        e_trace = Field.str "trace_id" j;
+        e_cmd = Field.str "cmd" j;
+        e_file = Field.str "file" j;
+        e_hash = Field.str "hash" j;
+        e_unix = Field.float "unix" j }
     with
-    | Some e_run_id, Some e_shard, Some e_trace, Some e_cmd, Some e_file, Some e_hash, Some e_unix
-      when Context.is_id e_run_id && Context.is_id e_hash ->
-        Some { e_run_id; e_shard; e_trace; e_cmd; e_file; e_hash; e_unix }
-    | _ -> None
+    | e when Context.is_id e.e_run_id && Context.is_id e.e_hash -> Some e
+    | _ | (exception Failure _) -> None
 
   let record ?dir snap =
     match resolve dir with
     | None -> None
     | Some d ->
         mkdir_p (snapshots_dir d);
-        let file = snap.Snapshot.run_id ^ ".json" in
+        let file = snap.Snapshot.run.run_id ^ ".json" in
         Snapshot.write ~path:(Filename.concat (snapshots_dir d) file) snap;
         let e =
-          { e_run_id = snap.Snapshot.run_id;
-            e_shard = snap.Snapshot.shard;
-            e_trace = snap.Snapshot.trace_id;
+          { e_run_id = snap.Snapshot.run.run_id;
+            e_shard = snap.run.shard;
+            e_trace = snap.run.ctx.trace_id;
             e_cmd = cmd_of_argv snap.Snapshot.argv;
             e_file = file;
             e_hash = Snapshot.content_hash snap;
@@ -2077,39 +2261,20 @@ end
 (* --------------------------------------------------------- fleet monitor *)
 
 (* Live fleet view over the registry's telemetry directory: one row per
-   <run_id>.jsonl stream, summarizing the stream's last record.  Reads are
-   torn-tail-tolerant (a stream being appended to mid-record simply yields
-   its previous record), and classification needs no cooperation from the
-   writer beyond the telemetry fields: a stream is Done when its last
-   record carries ("final", true) or its run has reached index.jsonl,
-   Stalled when the file has not been touched for stall_factor × the
-   stream's own declared throttle interval, and Live otherwise. *)
+   <run_id>.jsonl stream, from the stream's last record (a stream being
+   appended to mid-record yields its previous record). *)
 
 module Monitor = struct
   type status = Live | Stalled | Done
 
   type row = {
-    m_file : string;  (* telemetry stream path *)
-    m_run_id : string;
-    m_shard : string;
-    m_trace_id : string;
-    m_parent_span_id : string;
-    m_seq : int;
-    m_elapsed_s : float;
-    m_interval_s : float;  (* writer's declared throttle interval *)
-    m_age_s : float;  (* now - file mtime *)
-    m_final : bool;
-    m_registered : bool;  (* run id present in index.jsonl *)
-    m_shots : int;
-    m_rate : float;  (* campaign shots/s; 0 when no campaign section *)
-    m_rel_halfwidth : float;  (* worst unfinished task; nan when none *)
-    m_eta_s : float option;
-    m_tasks_done : int;
-    m_tasks : int;
-    m_alloc_w_per_s : float;  (* minor words/s over the last tick *)
-    m_queue_depth : int;
-    m_busy_domains : int;
-    m_status : status;
+    file : string;  (* telemetry stream path *)
+    last : Telemetry.record;  (* the stream's last complete record *)
+    age_s : float;  (* now - file mtime *)
+    registered : bool;  (* run id present in index.jsonl *)
+    rel_halfwidth : float;  (* worst unfinished task; nan when none *)
+    alloc_w_per_s : float;  (* minor words/s over the last tick *)
+    status : status;
   }
 
   let default_stall_factor = 5.
@@ -2124,97 +2289,43 @@ module Monitor = struct
     | Stalled -> "stalled"
     | Done -> "done"
 
-  let mem_float name j ~default =
-    match Json.member name j with
-    | Some v -> ( try Json.to_float v with Failure _ -> default)
-    | None -> default
-
-  let mem_int name j ~default =
-    match Json.member name j with Some (Json.Int i) -> i | _ -> default
-
-  let mem_str name j ~default =
-    match Json.member name j with Some (Json.String s) -> s | _ -> default
-
-  let row_of_stream ~registered ~stall_factor ~now_unix path last =
-    let run = Option.value ~default:(Json.Obj []) (Json.member "run" last) in
-    let gc = Option.value ~default:(Json.Obj []) (Json.member "gc" last) in
-    let par = Option.value ~default:(Json.Obj []) (Json.member "parallel" last) in
-    let interval_s = mem_float "interval_s" last ~default:1.0 in
-    let dt_s = mem_float "dt_s" last ~default:0.0 in
-    let final = match Json.member "final" last with Some (Json.Bool b) -> b | _ -> false in
-    let age_s = Float.max 0. (now_unix -. (Unix.stat path).Unix.st_mtime) in
-    let shots, rate, eta_s, tasks_done, tasks, worst =
-      match Json.member "campaign" last with
-      | None -> (0, 0., None, 0, 0, nan)
-      | Some c ->
-          let eta =
-            match Json.member "eta_s" c with
-            | Some Json.Null | None -> None
-            | Some v -> ( try Some (Json.to_float v) with Failure _ -> None)
-          in
-          (* Worst (largest) relative half-width over unfinished tasks —
-             the fleet's convergence laggard.  Folded through options so a
-             nan never poisons the comparison. *)
-          let worst =
-            match Json.member "task_progress" c with
-            | Some (Json.List ts) ->
-                List.fold_left
-                  (fun acc t ->
-                    let done_ =
-                      match Json.member "done" t with Some (Json.Bool b) -> b | _ -> false
-                    in
-                    let hw =
-                      match Json.member "rel_halfwidth" t with
-                      | Some (Json.Float f) -> Some f
-                      | Some (Json.Int i) -> Some (float_of_int i)
-                      | _ -> None
-                    in
-                    match (done_, hw, acc) with
-                    | true, _, _ | _, None, _ -> acc
-                    | false, Some h, None -> Some h
-                    | false, Some h, Some a -> Some (Float.max h a))
-                  None ts
-                |> Option.value ~default:nan
-            | _ -> nan
-          in
-          ( mem_int "shots" c ~default:0,
-            mem_float "shots_per_s" c ~default:0.,
-            eta,
-            mem_int "tasks_done" c ~default:0,
-            mem_int "tasks" c ~default:0,
-            worst )
+  let row_of_stream ?(registered = false) ?(stall_factor = default_stall_factor)
+      ?now_unix file (last : Telemetry.record) =
+    let now_unix = match now_unix with Some t -> t | None -> Unix.gettimeofday () in
+    let age_s = Float.max 0. (now_unix -. (Unix.stat file).Unix.st_mtime) in
+    (* Worst (largest) relative half-width over unfinished tasks — the
+       fleet's convergence laggard. *)
+    let worst (c : Telemetry.campaign) =
+      List.fold_left
+        (fun acc (t : Telemetry.task_progress) ->
+          let h = t.tp_rel_halfwidth in
+          if t.tp_done || Float.is_nan h then acc
+          else if Float.is_nan acc then h
+          else Float.max h acc)
+        nan c.c_tasks
     in
-    let minor_delta = mem_int "minor_words_delta" gc ~default:0 in
-    let status =
-      if final || registered then Done
-      else if age_s > stall_threshold ~stall_factor ~interval_s then Stalled
-      else Live
-    in
-    { m_file = path;
-      m_run_id = mem_str "id" run ~default:"?";
-      m_shard = mem_str "shard" run ~default:"";
-      m_trace_id = mem_str "trace_id" run ~default:"";
-      m_parent_span_id = mem_str "parent_span_id" run ~default:"";
-      m_seq = mem_int "seq" last ~default:0;
-      m_elapsed_s = mem_float "elapsed_s" last ~default:0.;
-      m_interval_s = interval_s;
-      m_age_s = age_s;
-      m_final = final;
-      m_registered = registered;
-      m_shots = shots;
-      m_rate = rate;
-      m_rel_halfwidth = worst;
-      m_eta_s = eta_s;
-      m_tasks_done = tasks_done;
-      m_tasks = tasks;
-      m_alloc_w_per_s = (if dt_s > 0. then float_of_int minor_delta /. dt_s else 0.);
-      m_queue_depth = mem_int "queue_depth" par ~default:0;
-      m_busy_domains = mem_int "busy_domains" par ~default:0;
-      m_status = status }
+    { file;
+      last;
+      age_s;
+      registered;
+      rel_halfwidth = Option.fold ~none:nan ~some:worst last.campaign;
+      alloc_w_per_s =
+        (if last.dt_s > 0. then float_of_int last.gc_minor_words_delta /. last.dt_s
+         else 0.);
+      status =
+        (if last.final || registered then Done
+         else if age_s > stall_threshold ~stall_factor ~interval_s:last.interval_s then
+           Stalled
+         else Live) }
+
+  (* Campaign fields of a row, with [default] when the stream has no
+     campaign section. *)
+  let campaign r f default = Option.fold ~none:default ~some:f r.last.campaign
 
   (* One row per stream under <dir>/telemetry, sorted (shard, run_id) so
      coordinator/shard families group together.  Streams with no complete
-     record yet are skipped — they will appear on the next scan. *)
+     record yet are skipped — they will appear on the next scan — and so
+     are files whose last record is not telemetry. *)
   let scan ?(stall_factor = default_stall_factor) ?now_unix ~dir () =
     let now_unix = match now_unix with Some t -> t | None -> Unix.gettimeofday () in
     let td = Registry.telemetry_dir dir in
@@ -2230,52 +2341,46 @@ module Monitor = struct
              if not (Filename.check_suffix f ".jsonl") then None
              else begin
                let path = Filename.concat td f in
-               let last =
-                 match fold_jsonl path (fun _ j -> Some j) None with
-                 | last -> last
-                 | exception Sys_error _ -> None
-               in
-               Option.map
-                 (fun last ->
+               match Option.map Telemetry.of_json (fold_jsonl path (fun _ j -> Some j) None) with
+               | Some r ->
                    let run_id = Filename.chop_suffix f ".jsonl" in
-                   row_of_stream
-                     ~registered:(List.mem run_id registered)
-                     ~stall_factor ~now_unix path last)
-                 last
+                   Some
+                     (row_of_stream
+                        ~registered:(List.mem run_id registered)
+                        ~stall_factor ~now_unix path r)
+               | None -> None
+               | exception (Sys_error _ | Failure _) -> None
              end)
       |> List.sort (fun a b ->
-             match compare a.m_shard b.m_shard with
-             | 0 -> compare a.m_run_id b.m_run_id
-             | c -> c)
+             compare (a.last.run.shard, a.last.run.run_id) (b.last.run.shard, b.last.run.run_id))
     end
 
   let row_json r =
+    let l = r.last in
     Json.Obj
       [ ("schema", Json.String "hetarch.monitor/1");
-        ("run", Json.String r.m_run_id);
-        ("shard", Json.String r.m_shard);
-        ("trace_id", Json.String r.m_trace_id);
-        ("parent_span_id", Json.String r.m_parent_span_id);
-        ("status", Json.String (status_string r.m_status));
-        ("stalled", Json.Bool (r.m_status = Stalled));
-        ("final", Json.Bool r.m_final);
-        ("registered", Json.Bool r.m_registered);
-        ("seq", Json.Int r.m_seq);
-        ("elapsed_s", Json.Float r.m_elapsed_s);
-        ("age_s", Json.Float r.m_age_s);
-        ("interval_s", Json.Float r.m_interval_s);
-        ("shots", Json.Int r.m_shots);
-        ("shots_per_s", Json.Float r.m_rate);
-        ("rel_halfwidth",
-         if Float.is_nan r.m_rel_halfwidth then Json.Null
-         else Json.Float r.m_rel_halfwidth);
-        ("eta_s", match r.m_eta_s with Some e -> Json.Float e | None -> Json.Null);
-        ("tasks_done", Json.Int r.m_tasks_done);
-        ("tasks", Json.Int r.m_tasks);
-        ("minor_words_per_s", Json.Float r.m_alloc_w_per_s);
-        ("queue_depth", Json.Int r.m_queue_depth);
-        ("busy_domains", Json.Int r.m_busy_domains);
-        ("file", Json.String r.m_file) ]
+        ("run", Json.String l.run.run_id);
+        ("shard", Json.String l.run.shard);
+        ("trace_id", Json.String l.run.ctx.trace_id);
+        ("parent_span_id", Json.String l.run.ctx.parent_span_id);
+        ("status", Json.String (status_string r.status));
+        ("stalled", Json.Bool (r.status = Stalled));
+        ("final", Json.Bool l.final);
+        ("registered", Json.Bool r.registered);
+        ("seq", Json.Int l.seq);
+        ("elapsed_s", Json.Float l.elapsed_s);
+        ("age_s", Json.Float r.age_s);
+        ("interval_s", Json.Float l.interval_s);
+        ("shots", Json.Int (campaign r (fun c -> c.c_shots) 0));
+        ("shots_per_s", Json.Float (campaign r (fun c -> c.c_rate) 0.));
+        ("rel_halfwidth", Json.Float r.rel_halfwidth);
+        ("eta_s", Json.Float (campaign r (fun c -> Option.value ~default:nan c.c_eta_s) nan));
+        ("tasks_done", Json.Int (campaign r (fun c -> c.c_done) 0));
+        ("tasks", Json.Int (campaign r (fun c -> c.c_total) 0));
+        ("minor_words_per_s", Json.Float r.alloc_w_per_s);
+        ("queue_depth", Json.Int l.queue_depth);
+        ("busy_domains", Json.Int l.busy_domains);
+        ("file", Json.String r.file) ]
 end
 
 (* ----------------------------------------------------------- trace merge *)
@@ -2292,14 +2397,8 @@ end
 
 module Trace_merge = struct
   type source = {
-    s_run_id : string;
-    s_shard : string;
-    s_trace_id : string;
-    s_span_id : string;
-    s_parent_span_id : string;
-    s_ts0_unix : float;
-    s_meta_args : (string * Json.t) list;
-    s_events : Json.t list;  (* non-metadata events, file order *)
+    s_meta : Trace.meta;  (* the first "hetarch.run" event *)
+    s_events : Trace.event list;  (* every other event, file order *)
     s_hash : string;  (* content hash of the raw input text *)
   }
 
@@ -2309,48 +2408,24 @@ module Trace_merge = struct
     orphans : string list;  (* parent span ids with no source in the merge *)
   }
 
-  let mem_str = Monitor.mem_str
-
   let parse_source text =
-    let lines = String.split_on_char '\n' text in
-    let meta, events =
-      List.fold_left
-        (fun (meta, events) line ->
-          if String.trim line = "" then (meta, events)
-          else
-            match Json.parse line with
-            | exception Failure _ -> (meta, events)  (* torn tail *)
-            | j ->
-                let is_meta =
-                  mem_str "ph" j ~default:"" = "M"
-                  && mem_str "name" j ~default:"" = "hetarch.run"
-                in
-                if is_meta && meta = None then (Some j, events)
-                else (meta, j :: events))
-        (None, []) lines
+    let events =
+      String.split_on_char '\n' text
+      |> List.filter_map (fun line ->
+             match Json.parse line with
+             | j -> Some (Trace.event_of_json j)
+             | exception Failure _ -> None (* blank line or torn tail *))
     in
-    match meta with
-    | None -> failwith "Obs.Trace_merge: input has no hetarch.run metadata event"
-    | Some m ->
-        let args = Option.value ~default:(Json.Obj []) (Json.member "args" m) in
-        let meta_kvs = match args with Json.Obj kvs -> kvs | _ -> [] in
-        { s_run_id = mem_str "id" args ~default:"?";
-          s_shard = mem_str "shard" args ~default:"";
-          s_trace_id = mem_str "trace_id" args ~default:"";
-          s_span_id = mem_str "span_id" args ~default:"";
-          s_parent_span_id = mem_str "parent_span_id" args ~default:"";
-          s_ts0_unix =
-            (match Json.member "ts0_unix" args with
-            | Some v -> ( try Json.to_float v with Failure _ -> 0.)
-            | None -> 0.);
-          s_meta_args = meta_kvs;
-          s_events = List.rev events;
-          s_hash = Content_hash.hash_hex text }
+    let rec split before = function
+      | Trace.Run { meta; _ } :: rest -> (meta, List.rev_append before rest)
+      | ev :: rest -> split (ev :: before) rest
+      | [] -> failwith "Obs.Trace_merge: input has no hetarch.run metadata event"
+    in
+    let meta, events = split [] events in
+    { s_meta = meta; s_events = events; s_hash = Content_hash.hash_hex text }
 
-  let set_field key value kvs =
-    if List.mem_assoc key kvs then
-      List.map (fun (k, v) -> if k = key then (k, value) else (k, v)) kvs
-    else kvs @ [ (key, value) ]
+  let run_id s = s.s_meta.Trace.run.Context.run_id
+  let ctx s = s.s_meta.Trace.run.Context.ctx
 
   let merge texts =
     let srcs = List.map parse_source texts in
@@ -2366,68 +2441,46 @@ module Trace_merge = struct
           end)
         srcs
       |> List.sort (fun a b ->
-             match compare a.s_run_id b.s_run_id with
+             match compare (run_id a) (run_id b) with
              | 0 -> compare a.s_hash b.s_hash
              | c -> c)
     in
     let zero =
-      List.fold_left (fun acc s -> Float.min acc s.s_ts0_unix) infinity srcs
+      List.fold_left (fun acc s -> Float.min acc s.s_meta.Trace.ts0_unix) infinity srcs
     in
-    let span_ids = List.map (fun s -> s.s_span_id) srcs in
+    let span_ids = List.map (fun s -> (ctx s).Context.span_id) srcs in
     let orphans =
       List.filter_map
         (fun s ->
-          if s.s_parent_span_id <> "" && not (List.mem s.s_parent_span_id span_ids)
-          then Some s.s_parent_span_id
-          else None)
+          let parent = (ctx s).Context.parent_span_id in
+          if parent <> "" && not (List.mem parent span_ids) then Some parent else None)
         srcs
       |> List.sort_uniq compare
     in
     let nevents = List.fold_left (fun acc s -> acc + List.length s.s_events) 0 srcs in
     let buf = Buffer.create 65536 in
-    let emit j =
-      Buffer.add_string buf (Json.to_string j);
+    let emit ev =
+      Buffer.add_string buf (Json.to_string (Trace.event_to_json ev));
       Buffer.add_char buf '\n'
     in
     emit
-      (Json.Obj
-         [ ("name", Json.String "hetarch.trace_merge");
-           ("ph", Json.String "M");
-           ("pid", Json.Int 0);
-           ("tid", Json.Int 0);
-           ( "args",
-             Json.Obj
-               [ ("schema", Json.String "hetarch.tracemerge/1");
-                 ("sources", Json.Int (List.length srcs));
-                 ("ts0_unix", Json.Float (if srcs = [] then 0. else zero)) ] ) ]);
+      (Trace.Merged
+         { pid = 0;
+           sources = List.length srcs;
+           ts0_unix = (if srcs = [] then 0. else zero) });
     List.iteri
       (fun i s ->
         let pid = i + 1 in
-        let offset_us = (s.s_ts0_unix -. zero) *. 1e6 in
-        emit
-          (Json.Obj
-             [ ("name", Json.String "hetarch.run");
-               ("ph", Json.String "M");
-               ("pid", Json.Int pid);
-               ("tid", Json.Int 0);
-               ( "args",
-                 Json.Obj
-                   (s.s_meta_args @ [ ("clock_offset_us", Json.Float offset_us) ]) ) ]);
+        let offset_us = (s.s_meta.Trace.ts0_unix -. zero) *. 1e6 in
+        emit (Trace.Run { pid; meta = { s.s_meta with clock_offset_us = Some offset_us } });
         List.iter
           (fun ev ->
-            match ev with
-            | Json.Obj kvs ->
-                let kvs = set_field "pid" (Json.Int pid) kvs in
-                let kvs =
-                  match Json.member "ts" ev with
-                  | Some v -> (
-                      match Json.to_float v with
-                      | ts -> set_field "ts" (Json.Float (ts +. offset_us)) kvs
-                      | exception Failure _ -> kvs)
-                  | None -> kvs
-                in
-                emit (Json.Obj kvs)
-            | j -> emit j)
+            emit
+              (match ev with
+              | Trace.Span e ->
+                  Trace.Span { e with ev_pid = pid; ev_ts_us = e.ev_ts_us +. offset_us }
+              | Trace.Run r -> Trace.Run { r with pid }
+              | Trace.Merged m -> Trace.Merged { m with pid }))
           s.s_events)
       srcs;
     ( Buffer.contents buf,

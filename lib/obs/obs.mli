@@ -40,7 +40,7 @@ module Json : sig
 
   val to_string : t -> string
   (** Compact serialization.  Floats render via ["%.17g"] so parsing the
-      output recovers the exact value. *)
+      output recovers the exact value; [nan] renders as [null]. *)
 
   val parse : string -> t
   (** Strict parse of one JSON value; raises [Failure] on malformed input
@@ -130,9 +130,15 @@ module Context : sig
       value, else [HETARCH_TRACE_PARENT], else a freshly minted root.  A
       malformed parent string warns on stderr and falls back to minting. *)
 
-  val stamp : unit -> Json.t
-  (** [{"id", "shard", "trace_id", "span_id", "parent_span_id"}] — the run
-      stamp every observability document embeds. *)
+  type stamp = { run_id : string; shard : string; ctx : t }
+  (** The run identity plus trace context that snapshots, telemetry
+      records and trace metadata embed. *)
+
+  val stamp : unit -> stamp
+  (** This process's stamp. *)
+
+  val stamp_to_json : stamp -> Json.t
+  (** [{"id", "shard", "trace_id", "span_id", "parent_span_id"}]. *)
 end
 
 (** Monotonically increasing integer metric. *)
@@ -259,6 +265,23 @@ module Trace : sig
       [ph:"M"] ["hetarch.run"] metadata event carrying {!Context.stamp}
       plus [ts0_unix] — the wall-clock instant of this process's monotonic
       zero, the clock handshake {!Trace_merge} aligns timelines with. *)
+
+  type event
+  (** One line of a trace file: a ["hetarch.run"] metadata event, a merged
+      trace's ["hetarch.trace_merge"] header, or a span's complete
+      ([ph:"X"]) event.  {!export} and {!Trace_merge} write these through
+      {!event_to_json}; every reader goes through {!event_of_json}. *)
+
+  val event_to_json : event -> Json.t
+
+  val event_of_json : Json.t -> event
+  (** Strict: raises [Failure] on any other line, or an event missing a
+      field its writer always sets (for a span, [args.path] and the three
+      word counts among them). *)
+
+  val read : string -> event list
+  (** Every event of a trace file, in order.  A torn (unparsable) line is
+      skipped; an event that does not decode raises [Failure]. *)
 end
 
 (** Call-tree profiler over caller-path-keyed span aggregates.
@@ -295,6 +318,10 @@ module Profile : sig
       trace file.  Paths appearing without their parent produce implicit
       zero-count interior nodes. *)
 
+  val of_events : Trace.event list -> node list
+  (** The tree of a trace file's spans, every source of a merged trace in
+      one tree.  Times are µs-granular; counts, words and shape exact. *)
+
   val folded : ?weight:[ `Self_ns | `Count | `Self_alloc ] -> node list -> string
   (** Folded-stack text ([root;child;leaf weight], one line per node with a
       positive weight, sorted by path) — the input format of flamegraph.pl
@@ -316,18 +343,9 @@ module Profile : sig
       path); [limit] defaults to 20, [sort] to self time. *)
 end
 
-(** Append-only JSONL telemetry heartbeat, schema [hetarch.telemetry/4].
-
-    One record per tick: the {!Context.stamp}, monotonic elapsed seconds,
-    [interval_s] (the writer's declared throttle interval, which staleness
-    detectors judge against), every counter's value and its delta since
-    the previous record (plus derived per-second rates), GC minor/major
-    deltas and the allocation-words delta (clamped >= 0), live
-    [parallel.queue_depth]/[busy_domains] gauges, and — when a campaign
-    registered a progress provider — per-task progress (shots, errors,
-    Wilson half-width, remaining shots) and a campaign ETA at the current
-    rate.  The stream's closing record carries [("final", true)], so
-    readers can tell a completed stream from a stalled one.
+(** Append-only JSONL telemetry heartbeat, schema [hetarch.telemetry/4]:
+    one {!record} per tick, the last one marked [final] so readers can tell
+    a completed stream from a stalled one.
 
     Ticks are driven {e synchronously} from [Parallel] chunk boundaries and
     [Collect] batch completions; there is no background thread, so enabling
@@ -346,7 +364,6 @@ module Telemetry : sig
   }
 
   type campaign = {
-    c_elapsed_s : float;  (** since the provider registered *)
     c_done : int;
     c_total : int;
     c_shots : int;  (** merged, including resumed *)
@@ -356,6 +373,36 @@ module Telemetry : sig
     c_eta_s : float option;
     c_tasks : task_progress list;
   }
+
+  type record = {
+    run : Context.stamp;
+    seq : int;
+    elapsed_s : float;
+    dt_s : float;  (** since the previous record; [0.] for seq 0 *)
+    interval_s : float;  (** the writer's declared throttle interval *)
+    counters : (string * int) list;
+    deltas : (string * int) list;  (** since the previous record, >= 0 *)
+    rates : (string * float) list;  (** per second, positive deltas only *)
+    gc_minor_delta : int;
+    gc_major_delta : int;
+    gc_minor_words_delta : int;
+    gc_heap_words : int;
+    gc_top_heap_words : int;
+    queue_depth : int;
+    busy_domains : int;
+    campaign : campaign option;
+    final : bool;  (** the stream's closing record *)
+  }
+  (** One line of the stream.  [tp_resumed] is not serialized: a decoded
+      task carries [0]. *)
+
+  val to_json : record -> Json.t
+  (** The line {!tick} and {!disable} write. *)
+
+  val of_json : Json.t -> record
+  (** Inverse of {!to_json} (byte-equal on re-encoding).  Strict: raises
+      [Failure] unless the schema is [hetarch.telemetry/4] and every
+      section the writer always emits is present and well typed. *)
 
   val enable : path:string -> interval_s:float -> unit
   (** Open (truncating) [path], write a baseline record (seq 0), and start
@@ -383,10 +430,6 @@ module Telemetry : sig
   (** Aggregate the provider's current task list into campaign totals, rate
       and ETA — the single code path behind both the telemetry records and
       the collect [--progress] line.  [None] when no provider is set. *)
-
-  val reset_baseline : unit -> unit
-  (** Forget the counter/GC delta baseline (done by [Obs.reset]) so the
-      next record's deltas measure from zero rather than going negative. *)
 end
 
 (** Snapshot and bench comparison: a perf-regression gate.
@@ -487,11 +530,7 @@ module Snapshot : sig
   }
 
   type t = {
-    run_id : string;
-    shard : string;
-    trace_id : string;
-    span_id : string;
-    parent_span_id : string;  (** [""] for a root (unparented) run *)
+    run : Context.stamp;
     argv : string list;
     started_unix : float;
     wall_seconds : float;
@@ -619,10 +658,6 @@ module Registry : sig
   (** Latest entry whose run id starts with the given prefix; [None] on no
       match; raises [Failure] when the prefix matches several run ids. *)
 
-  val telemetry_dir : string -> string
-  (** [<dir>/telemetry] — one [<run_id>.jsonl] live heartbeat stream per
-      process, the directory {!Monitor.scan} watches. *)
-
   val telemetry_sink : ?dir:string -> string -> string option
   (** [telemetry_sink run_id] creates the telemetry directory and returns
       the stream path for [run_id]; [None] when no registry directory is
@@ -638,40 +673,23 @@ module Registry : sig
       [(kept, dropped)]; [(0, 0)] without a configured directory. *)
 end
 
-(** Live fleet view over {!Registry.telemetry_dir}: one row per heartbeat
-    stream, summarizing its last complete record (reads are
-    torn-tail-tolerant via {!fold_jsonl}).  Status classification needs no
-    cooperation from the writer beyond the telemetry fields: [Done]
-    when the last record carries [("final", true)] or the run has reached
-    [index.jsonl]; [Stalled] when the file has gone untouched for
-    [stall_factor × max(interval_s, 1 s)] — judged against the stream's
-    {e own} declared throttle interval, not a global constant; [Live]
-    otherwise.  [obs tail] shares this detector. *)
+(** Live fleet view over [<dir>/telemetry]: one row per heartbeat
+    stream, from its last complete record.  [Done] when that record is
+    [final] or the run has reached [index.jsonl]; [Stalled] when the file
+    has gone untouched for [stall_factor × max(interval_s, 1 s)] — judged
+    against the stream's {e own} declared throttle interval; [Live]
+    otherwise.  [obs tail] prints the same verdict. *)
 module Monitor : sig
   type status = Live | Stalled | Done
 
   type row = {
-    m_file : string;  (** telemetry stream path *)
-    m_run_id : string;
-    m_shard : string;
-    m_trace_id : string;
-    m_parent_span_id : string;
-    m_seq : int;
-    m_elapsed_s : float;
-    m_interval_s : float;  (** writer's declared throttle interval *)
-    m_age_s : float;  (** now − file mtime *)
-    m_final : bool;
-    m_registered : bool;  (** run id present in [index.jsonl] *)
-    m_shots : int;
-    m_rate : float;  (** campaign shots/s; [0.] without a campaign *)
-    m_rel_halfwidth : float;  (** worst unfinished task; [nan] when none *)
-    m_eta_s : float option;
-    m_tasks_done : int;
-    m_tasks : int;
-    m_alloc_w_per_s : float;  (** minor words/s over the last tick *)
-    m_queue_depth : int;
-    m_busy_domains : int;
-    m_status : status;
+    file : string;  (** telemetry stream path *)
+    last : Telemetry.record;  (** the stream's last complete record *)
+    age_s : float;  (** now − file mtime *)
+    registered : bool;  (** run id present in [index.jsonl] *)
+    rel_halfwidth : float;  (** worst unfinished task; [nan] when none *)
+    alloc_w_per_s : float;  (** minor words/s over the last tick *)
+    status : status;
   }
 
   val default_stall_factor : float
@@ -681,11 +699,18 @@ module Monitor : sig
   (** [stall_factor × max(interval_s, 1 s)]: the clamp keeps sub-second
       throttle intervals from reading scheduling hiccups as stalls. *)
 
+  val row_of_stream :
+    ?registered:bool -> ?stall_factor:float -> ?now_unix:float -> string ->
+    Telemetry.record -> row
+  (** The row for the stream at [path] whose last record is given;
+      [registered] (default false) marks the run done.  [obs tail] prints
+      this row's status. *)
+
   val scan :
     ?stall_factor:float -> ?now_unix:float -> dir:string -> unit -> row list
-  (** One row per stream with at least one complete record, sorted
-      [(shard, run_id)] so coordinator/shard families group together.
-      [now_unix] pins the staleness clock (tests). *)
+  (** One row per stream whose last complete record decodes as telemetry,
+      sorted [(shard, run_id)] so coordinator/shard families group
+      together.  [now_unix] pins the staleness clock (tests). *)
 
   val status_string : status -> string
   (** ["live"] / ["stalled"] / ["done"]. *)
@@ -722,7 +747,8 @@ module Trace_merge : sig
   val merge : string list -> string * stats
   (** [merge texts] unions raw trace-file contents into one JSONL
       timeline.  Torn trailing lines in the inputs are skipped; raises
-      [Failure] if an input has no ["hetarch.run"] metadata event. *)
+      [Failure] if an event does not decode ({!Trace.event_of_json}) or an
+      input has no ["hetarch.run"] metadata event. *)
 end
 
 (** Trend-based regression watchdog over registry history.

@@ -79,7 +79,7 @@ let test_env_inheritance () =
     (is_hex_id c.Obs.Context.span_id
     && c.Obs.Context.span_id <> "8899aabbccddeeff");
   (* every observability stamp carries all three fields *)
-  match Obs.Context.stamp () with
+  match Obs.Context.(stamp_to_json (stamp ())) with
   | Obs.Json.Obj kvs ->
       List.iter
         (fun k ->

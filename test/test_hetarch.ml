@@ -52,7 +52,7 @@ let test_experiment_index () =
       match Hetarch.find_experiment id with
       | Some e -> Alcotest.(check string) "id round-trips" id e.Hetarch.id
       | None -> Alcotest.failf "experiment %s missing" id)
-    [ "table1"; "table2"; "fig3"; "fig4"; "fig6"; "fig7"; "fig9"; "table3";
+    [ "devices"; "cells"; "fig3"; "fig4"; "fig6"; "fig7"; "fig9"; "table3";
       "fig12"; "table4" ];
   Alcotest.(check bool) "unknown is None" true (Hetarch.find_experiment "fig99" = None)
 

@@ -262,6 +262,84 @@ let test_telemetry_tick_noop_when_disabled () =
   Obs.Telemetry.disable ();
   Alcotest.(check bool) "still disabled" false (Obs.Telemetry.enabled ())
 
+(* ---------------------------------------------------------------- codecs *)
+
+(* The CLI binary is a declared dependency of this test (see test/dune)
+   and lives next to the test executable in the build tree. *)
+let hetarch_bin =
+  Filename.concat
+    (Filename.dirname (Filename.dirname Sys.executable_name))
+    (Filename.concat "bin" "main.exe")
+
+let raises_failure f = match f () with _ -> false | exception Failure _ -> true
+
+(* Every line a real campaign writes decodes, and re-encodes to the same
+   bytes; dropping any section the writer always emits is rejected. *)
+let test_telemetry_codec_roundtrip () =
+  let path = Filename.temp_file "hetarch_collect" ".telemetry.jsonl" in
+  Fun.protect
+    ~finally:(fun () -> Sys.remove path)
+    (fun () ->
+      let cmd =
+        Filename.quote_command hetarch_bin ~stdout:"/dev/null"
+          [ "collect"; "threshold"; "--seed"; "7"; "--max-shots"; "512";
+            "--batch"; "256"; "--telemetry"; path; "--telemetry-interval"; "0" ]
+      in
+      Alcotest.(check int) "collect exits 0" 0 (Sys.command cmd);
+      let lines = In_channel.with_open_text path In_channel.input_lines in
+      Alcotest.(check bool) "several records" true (List.length lines > 2);
+      let records =
+        List.mapi
+          (fun i line ->
+            let r = Obs.Telemetry.of_json (Obs.Json.parse line) in
+            Alcotest.(check string)
+              (Printf.sprintf "record %d re-encodes byte-equal" i)
+              line
+              (Obs.Json.to_string (Obs.Telemetry.to_json r));
+            r)
+          lines
+      in
+      let last = List.nth records (List.length records - 1) in
+      Alcotest.(check bool) "only the last record is final" true
+        (last.Obs.Telemetry.final
+        && List.for_all (fun (r : Obs.Telemetry.record) -> r == last || not r.final) records);
+      Alcotest.(check bool) "campaign section decoded" true (last.campaign <> None);
+      match Obs.Json.parse (List.nth lines (List.length lines - 1)) with
+      | Obs.Json.Obj kvs ->
+          List.iter
+            (fun key ->
+              Alcotest.(check bool) ("without " ^ key ^ " rejected") true
+                (raises_failure (fun () ->
+                     Obs.Telemetry.of_json
+                       (Obs.Json.Obj (List.remove_assoc key kvs)))))
+            [ "schema"; "run"; "seq"; "elapsed_s"; "dt_s"; "interval_s";
+              "counters"; "deltas"; "rates"; "gc"; "parallel" ]
+      | _ -> Alcotest.fail "record is not an object")
+
+(* The exported trace re-reads event for event, to the same bytes; a
+   telemetry record is not a trace event. *)
+let test_trace_codec_roundtrip () =
+  Obs.reset ();
+  Obs.Trace.with_span "a" (fun () ->
+      Obs.Trace.with_span ~attrs:[ ("distance", "5") ] "b" (fun () -> spin ()));
+  let path = Filename.temp_file "hetarch_trace" ".jsonl" in
+  Fun.protect
+    ~finally:(fun () -> Sys.remove path)
+    (fun () ->
+      Obs.Trace.export ~path;
+      let lines = In_channel.with_open_text path In_channel.input_lines in
+      let events = Obs.Trace.read path in
+      Alcotest.(check int) "one event per line" (List.length lines) (List.length events);
+      List.iter2
+        (fun line ev ->
+          Alcotest.(check string) "event re-encodes byte-equal" line
+            (Obs.Json.to_string (Obs.Trace.event_to_json ev)))
+        lines events;
+      Alcotest.(check bool) "telemetry line rejected" true
+        (raises_failure (fun () ->
+             Obs.Trace.event_of_json
+               (Obs.Json.parse {|{"schema":"hetarch.telemetry/4","seq":0}|}))))
+
 (* ----------------------------------------------------------------- diff *)
 
 let bench_doc kernels =
@@ -333,6 +411,10 @@ let () =
             test_telemetry_deltas_across_reset;
           Alcotest.test_case "tick no-op when disabled" `Quick
             test_telemetry_tick_noop_when_disabled ] );
+      ( "codec",
+        [ Alcotest.test_case "telemetry round trip" `Quick
+            test_telemetry_codec_roundtrip;
+          Alcotest.test_case "trace round trip" `Quick test_trace_codec_roundtrip ] );
       ( "diff",
         [ Alcotest.test_case "regression detection" `Quick test_diff_detects_regression;
           Alcotest.test_case "manifest metrics" `Quick test_diff_manifest_metrics ] ) ]

@@ -45,11 +45,9 @@ let hist_b =
 
 let snap ?(run_id = "00000000000000aa") ?(shard = "") ?(counters = [])
     ?(gauges = []) ?(histograms = []) ?(spans = []) () =
-  { Obs.Snapshot.run_id;
-    shard;
-    trace_id = "0123456789abcdef";
-    span_id = "fedcba9876543210";
-    parent_span_id = "";
+  { Obs.Snapshot.run =
+      { run_id; shard;
+        ctx = { trace_id = "0123456789abcdef"; span_id = "fedcba9876543210"; parent_span_id = "" } };
     argv = [ "hetarch"; "collect"; "threshold"; "--seed"; "7" ];
     started_unix = 1723100000.;
     wall_seconds = 1.5;
