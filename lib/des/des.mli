@@ -3,7 +3,11 @@
     Drives the stochastic module-level simulations (probabilistic EP arrival,
     scheduler reactions) of the distillation and code-teleportation
     experiments.  Events are closures on a time-ordered heap; a handler may
-    schedule further events. *)
+    schedule further events.
+
+    Instruments: [des.events_total] counts every processed event;
+    [des.handler_seconds] times the handlers of events 1, 65, 129, ... of
+    each queue (1 in 64); [des.queue_high_water] is the deepest queue seen. *)
 
 type t
 

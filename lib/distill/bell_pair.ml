@@ -39,12 +39,26 @@ let twirl_probs ~t1 ~t2 ~dt =
   let pz = max 0. (((1. -. exp (-.dt /. t2)) /. 2.) -. p1) in
   (p1, p1, pz)
 
+(* [apply_pauli_half] twice with the [twirl_probs] channel, the same float
+   operations in the same order, with the intermediate pair kept in locals:
+   the scheduler refreshes every stored pair on every arrival, so this
+   allocates only the result. *)
 let decay t ~t1 ~t2 ~dt =
   if dt <= 0. then t
   else begin
-    let px, py, pz = twirl_probs ~t1 ~t2 ~dt in
-    let once = apply_pauli_half t ~px ~py ~pz in
-    apply_pauli_half once ~px ~py ~pz
+    let p1 = (1. -. exp (-.dt /. t1)) /. 4. in
+    let z = ((1. -. exp (-.dt /. t2)) /. 2.) -. p1 in
+    let px = p1 and py = p1 and pz = if 0. >= z then 0. else z in
+    let pi = 1. -. px -. py -. pz in
+    if pi < -1e-12 then invalid_arg "Bell_pair.apply_pauli_half: probabilities exceed 1";
+    let phi_p = (pi *. t.phi_p) +. (px *. t.psi_p) +. (py *. t.psi_m) +. (pz *. t.phi_m)
+    and psi_p = (pi *. t.psi_p) +. (px *. t.phi_p) +. (py *. t.phi_m) +. (pz *. t.psi_m)
+    and psi_m = (pi *. t.psi_m) +. (px *. t.phi_m) +. (py *. t.phi_p) +. (pz *. t.psi_p)
+    and phi_m = (pi *. t.phi_m) +. (px *. t.psi_m) +. (py *. t.psi_p) +. (pz *. t.phi_p) in
+    { phi_p = (pi *. phi_p) +. (px *. psi_p) +. (py *. psi_m) +. (pz *. phi_m);
+      psi_p = (pi *. psi_p) +. (px *. phi_p) +. (py *. phi_m) +. (pz *. psi_m);
+      psi_m = (pi *. psi_m) +. (px *. phi_m) +. (py *. phi_p) +. (pz *. psi_p);
+      phi_m = (pi *. phi_m) +. (px *. psi_m) +. (py *. psi_p) +. (pz *. phi_p) }
   end
 
 let decay_one_sided t ~t1 ~t2 ~dt =
@@ -66,35 +80,35 @@ let of_bp q =
   { phi_p = q.(0).(0); phi_m = q.(0).(1); psi_p = q.(1).(0); psi_m = q.(1).(1) }
 
 (* The DEJMPS local rotations Rx(pi/2) (x) Rx(-pi/2) fix phi+ and psi+ and
-   exchange phi- with psi-. *)
-let rotate t = { t with phi_m = t.psi_m; psi_m = t.phi_m }
+   exchange phi- with psi-, so in the rotated frame the (bit, phase)
+   coordinates of [t] are (0,0) = phi_p, (0,1) = psi_m, (1,0) = psi_p,
+   (1,1) = phi_m.  Bilateral CNOT a->b; measure pair b in ZZ; keep when the
+   bit parities agree: the survivor keeps a's bit and accumulates b's phase.
+   Each output coordinate sums its two products in (p1, p2) order, starting
+   from 0. *)
+let[@inline] dejmps_p_succ a b =
+  ((a.phi_p +. a.psi_m) *. (b.phi_p +. b.psi_m))
+  +. ((a.psi_p +. a.phi_m) *. (b.psi_p +. b.phi_m))
 
 let dejmps a b =
-  let a = rotate a and b = rotate b in
-  let qa = to_bp a and qb = to_bp b in
-  (* Bilateral CNOT a->b; measure pair b in ZZ; keep when the bit parities
-     agree.  Surviving pair keeps a's bit and accumulates b's phase. *)
-  let p_succ =
-    ((qa.(0).(0) +. qa.(0).(1)) *. (qb.(0).(0) +. qb.(0).(1)))
-    +. ((qa.(1).(0) +. qa.(1).(1)) *. (qb.(1).(0) +. qb.(1).(1)))
-  in
-  if p_succ <= 0. then (0., perfect)
-  else begin
-    let out = Array.make_matrix 2 2 0. in
-    for bit = 0 to 1 do
-      for p1 = 0 to 1 do
-        for p2 = 0 to 1 do
-          out.(bit).(p1 lxor p2) <-
-            out.(bit).(p1 lxor p2) +. (qa.(bit).(p1) *. qb.(bit).(p2) /. p_succ)
-        done
-      done
-    done;
+  let p = dejmps_p_succ a b in
+  if p <= 0. then (0., perfect)
+  else
     (* No rotate-back: the protocol leaves the survivor in the rotated frame
        (still Bell-diagonal), and the frame alternation across rounds is what
        lets phase errors be caught as bit errors every other round — without
        it the psi- component compounds and iteration diverges. *)
-    (p_succ, of_bp out)
-  end
+    ( p,
+      { phi_p = (0. +. (a.phi_p *. b.phi_p /. p)) +. (a.psi_m *. b.psi_m /. p);
+        phi_m = (0. +. (a.phi_p *. b.psi_m /. p)) +. (a.psi_m *. b.phi_p /. p);
+        psi_p = (0. +. (a.psi_p *. b.psi_p /. p)) +. (a.phi_m *. b.phi_m /. p);
+        psi_m = (0. +. (a.psi_p *. b.phi_m /. p)) +. (a.phi_m *. b.psi_p /. p) } )
+
+(* The phi_p coordinate of [dejmps], without building the pair. *)
+let dejmps_predicted_fidelity a b =
+  let p = dejmps_p_succ a b in
+  if p <= 0. then 1.
+  else (0. +. (a.phi_p *. b.phi_p /. p)) +. (a.psi_m *. b.psi_m /. p)
 
 (* Entanglement swapping: in (bit, phase) coordinates the output error is
    the XOR of the two links' errors. *)
@@ -112,7 +126,5 @@ let swap a b =
     done
   done;
   of_bp out
-
-let dejmps_predicted_fidelity a b = fidelity (snd (dejmps a b))
 
 let to_probs t = [| t.phi_p; t.psi_p; t.psi_m; t.phi_m |]

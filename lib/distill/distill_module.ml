@@ -50,11 +50,33 @@ type stored = {
   rounds : int;  (* how many distillation rounds produced this pair *)
 }
 
+(* A memory of stored pairs, newest first in [slots.(0 .. len - 1)]: the
+   scheduler's ties (first best pairing, first worst pair) are broken in
+   that order.  Fixed capacity, so arrivals and evictions allocate nothing
+   beyond the pair itself. *)
+type pool = { slots : stored array; mutable len : int }
+
+let vacant = { state = Bell_pair.perfect; since = 0.; rounds = 0 }
+
+(* The scheduler never holds more than [max 1 capacity] pairs: it only adds
+   to a memory below capacity, or after evicting from a non-empty one. *)
+let pool_create capacity = { slots = Array.make (max 1 capacity) vacant; len = 0 }
+
+let push_front pool p =
+  Array.blit pool.slots 0 pool.slots 1 pool.len;
+  pool.slots.(0) <- p;
+  pool.len <- pool.len + 1
+
+let remove_at pool k =
+  Array.blit pool.slots (k + 1) pool.slots k (pool.len - k - 1);
+  pool.len <- pool.len - 1;
+  pool.slots.(pool.len) <- vacant
+
 type sim = {
   cfg : config;
   rng : Rng.t;
-  mutable input : stored list;
-  mutable output : stored list;
+  input : pool;
+  output : pool;
   mutable parcheck_busy : bool;
   mutable delivered : int;
   mutable attempts : int;
@@ -69,17 +91,23 @@ let refresh sim now p =
     p.since <- now
   end
 
-let worst pairs =
-  match pairs with
-  | [] -> None
-  | hd :: tl ->
-      Some
-        (List.fold_left
-           (fun acc p ->
-             if Bell_pair.fidelity p.state < Bell_pair.fidelity acc.state then p else acc)
-           hd tl)
+let refresh_all sim now pool =
+  for k = 0 to pool.len - 1 do
+    refresh sim now pool.slots.(k)
+  done
 
-let remove_phys pairs p = List.filter (fun q -> q != p) pairs
+(* Index of the first lowest-fidelity pair among those produced by
+   [rounds] distillation rounds (any pair when [rounds < 0]); -1 if none. *)
+let worst ?(rounds = -1) pool =
+  let w = ref (-1) in
+  for k = 0 to pool.len - 1 do
+    let p = pool.slots.(k) in
+    if (rounds < 0 || p.rounds = rounds)
+       && (!w < 0
+          || Bell_pair.fidelity p.state < Bell_pair.fidelity pool.slots.(!w).state)
+    then w := k
+  done;
+  !w
 
 (* Swap the two local halves out of storage, rotate, bilateral CNOT, read one
    pair out, move the survivor onward. *)
@@ -107,40 +135,44 @@ let noisy_dejmps cfg a b =
 
 let rec try_start_distill sim des =
   if not sim.parcheck_busy then begin
-    let now = Des.now des in
-    List.iter (refresh sim now) sim.input;
+    let input = sim.input in
+    refresh_all sim (Des.now des) input;
     (* Priorities 1 and 3: pair only same-round pairs (entanglement
        pumping): re-distilling two distilled pairs catches the phase errors
        their previous round left unchecked, whereas pairing a distilled pair
        with a fresh one re-injects the fresh pair's unchecked errors and
        never converges.  Among same-round pairings (at most C(6,2) = 15),
-       take the one whose success branch is best. *)
-    let best_pairing =
-      let arr = Array.of_list sim.input in
-      let best = ref None in
-      for i = 0 to Array.length arr - 1 do
-        for j = i + 1 to Array.length arr - 1 do
-          if arr.(i).rounds = arr.(j).rounds then begin
-            let pred = Bell_pair.dejmps_predicted_fidelity arr.(i).state arr.(j).state in
-            match !best with
-            | Some (p, _, _) when p >= pred -> ()
-            | _ -> best := Some (pred, arr.(i), arr.(j))
+       take the first one whose success branch is best. *)
+    let best_i = ref (-1) and best_j = ref (-1) and best_pred = ref 0. in
+    for i = 0 to input.len - 1 do
+      let a = input.slots.(i) in
+      for j = i + 1 to input.len - 1 do
+        let b = input.slots.(j) in
+        if a.rounds = b.rounds then begin
+          let pred = Bell_pair.dejmps_predicted_fidelity a.state b.state in
+          if !best_i < 0 || not (!best_pred >= pred) then begin
+            best_i := i;
+            best_j := j;
+            best_pred := pred
           end
-        done
-      done;
-      !best
-    in
-    match best_pairing with
-    | Some (pred, a, b) when
-        pred > max (Bell_pair.fidelity a.state) (Bell_pair.fidelity b.state) ->
-        sim.input <- remove_phys (remove_phys sim.input a) b;
+        end
+      done
+    done;
+    if !best_i >= 0 then begin
+      let a = input.slots.(!best_i) and b = input.slots.(!best_j) in
+      let pred = !best_pred in
+      if pred > Bell_pair.fidelity a.state && pred > Bell_pair.fidelity b.state
+      then begin
+        remove_at input !best_j;
+        remove_at input !best_i;
         sim.parcheck_busy <- true;
         sim.attempts <- sim.attempts + 1;
         let sa = a.state and sb = b.state in
         let rounds = max a.rounds b.rounds + 1 in
         Des.schedule des ~delay:(op_duration sim.cfg) (fun des ->
             finish_distill sim des sa sb rounds)
-    | _ -> ()
+      end
+    end
   end
 
 and finish_distill sim des sa sb rounds =
@@ -152,46 +184,51 @@ and finish_distill sim des sa sb rounds =
     let pair = { state = out; since = now; rounds } in
     if Bell_pair.fidelity out >= sim.cfg.target_fidelity then begin
       (* Priority 2: promote to output memory. *)
-      List.iter (refresh sim now) sim.output;
-      if List.length sim.output >= sim.cfg.output_capacity then begin
-        match worst sim.output with
-        | Some w -> sim.output <- remove_phys sim.output w
-        | None -> ()
+      refresh_all sim now sim.output;
+      if sim.output.len >= sim.cfg.output_capacity then begin
+        let w = worst sim.output in
+        if w >= 0 then remove_at sim.output w
       end;
-      sim.output <- pair :: sim.output;
+      push_front sim.output pair;
       sim.delivered <- sim.delivered + 1
     end
     else begin
       (* Below target: back to input memory for re-distillation, evicting a
          least-distilled pair when full — the survivor embodies two consumed
          raw pairs and must not be thrown away under arrival pressure. *)
-      if List.length sim.input >= sim.cfg.input_capacity then begin
-        let min_rounds = List.fold_left (fun acc p -> min acc p.rounds) max_int sim.input in
-        let evictable = List.filter (fun p -> p.rounds = min_rounds) sim.input in
-        match worst evictable with
-        | Some w -> sim.input <- remove_phys sim.input w
-        | None -> ()
+      let input = sim.input in
+      if input.len >= sim.cfg.input_capacity then begin
+        let min_rounds = ref max_int in
+        for k = 0 to input.len - 1 do
+          if input.slots.(k).rounds < !min_rounds then
+            min_rounds := input.slots.(k).rounds
+        done;
+        let w = worst ~rounds:!min_rounds input in
+        if w >= 0 then remove_at input w
       end;
-      sim.input <- pair :: sim.input
+      push_front input pair
     end
   end;
   try_start_distill sim des
 
 let store_arrival sim des pair =
   let now = Des.now des in
+  let input = sim.input in
   (* Priority 4: store the incoming pair, evicting the worst stored pair if
      the memory is full and the newcomer is better. *)
-  List.iter (refresh sim now) sim.input;
+  refresh_all sim now input;
   let fresh = { state = pair; since = now; rounds = 0 } in
-  if List.length sim.input < sim.cfg.input_capacity then sim.input <- fresh :: sim.input
+  if input.len < sim.cfg.input_capacity then push_front input fresh
   else begin
     (* Evict the globally worst pair when the newcomer beats it: decayed
        intermediates are worth no more than their current fidelity, and
        holding them can deadlock the same-round pairing rule. *)
-    match worst sim.input with
-    | Some w when Bell_pair.fidelity w.state < Bell_pair.fidelity pair ->
-        sim.input <- fresh :: remove_phys sim.input w
-    | _ -> ()
+    let w = worst input in
+    if w >= 0 && Bell_pair.fidelity input.slots.(w).state < Bell_pair.fidelity pair
+    then begin
+      remove_at input w;
+      push_front input fresh
+    end
   end;
   try_start_distill sim des
 
@@ -203,8 +240,15 @@ let run_impl ?(trace_dt = 1e-6) cfg rng ~horizon =
   if horizon <= 0. then invalid_arg "Distill_module.run: horizon must be positive";
   let des = Des.create () in
   let sim =
-    { cfg; rng; input = []; output = []; parcheck_busy = false; delivered = 0;
-      attempts = 0; successes = 0; trace = [] }
+    { cfg;
+      rng;
+      input = pool_create cfg.input_capacity;
+      output = pool_create cfg.output_capacity;
+      parcheck_busy = false;
+      delivered = 0;
+      attempts = 0;
+      successes = 0;
+      trace = [] }
   in
   let rec arrival des =
     if Des.now des <= horizon then begin
@@ -215,15 +259,18 @@ let run_impl ?(trace_dt = 1e-6) cfg rng ~horizon =
   let rec observe des =
     let now = Des.now des in
     if now <= horizon then begin
-      List.iter (refresh sim now) sim.output;
+      let output = sim.output in
+      refresh_all sim now output;
       let best =
-        match sim.output with
-        | [] -> None
-        | pairs ->
-            Some
-              (List.fold_left
-                 (fun acc p -> min acc (Bell_pair.infidelity p.state))
-                 1. pairs)
+        if output.len = 0 then None
+        else begin
+          let acc = ref 1. in
+          for k = 0 to output.len - 1 do
+            let v = Bell_pair.infidelity output.slots.(k).state in
+            if not (!acc <= v) then acc := v
+          done;
+          Some !acc
+        end
       in
       sim.trace <- { time = now; best_output_infidelity = best } :: sim.trace;
       Des.schedule des ~delay:trace_dt observe

@@ -32,70 +32,97 @@ type profile = {
 
 let all_stabs (code : Code.t) = Array.append code.Code.z_stabs code.Code.x_stabs
 
-(* Serialized check duration for one stabilizer given a register assignment:
-   first swap-out and last swap-in are exposed, swaps pipeline behind the
-   ancilla CXs when consecutive qubits sit in different registers, and every
-   forced same-register adjacency exposes one swap-in + swap-out pair.  With
-   free ordering inside the check, the adjacencies are minimized by
-   interleaving: max(0, majority - minority - 1). *)
-let stab_time p assignment supp =
-  let w = Array.length supp in
-  let counts = Hashtbl.create 4 in
-  Array.iter
-    (fun q ->
-      let r = assignment.(q) in
-      Hashtbl.replace counts r (1 + Option.value ~default:0 (Hashtbl.find_opt counts r)))
-    supp;
-  let majority = Hashtbl.fold (fun _ c acc -> max c acc) counts 0 in
+(* Kernighan popcount: the masks here are sparse words of <= 30 bits. *)
+let popcount mask =
+  let c = ref 0 and x = ref mask in
+  while !x <> 0 do
+    x := !x land (!x - 1);
+    incr c
+  done;
+  !c
+
+(* Serialized check duration for one stabilizer of weight [w] whose largest
+   same-register group has [majority] qubits: first swap-out and last
+   swap-in are exposed, swaps pipeline behind the ancilla CXs when
+   consecutive qubits sit in different registers, and every forced
+   same-register adjacency exposes one swap-in + swap-out pair.  With free
+   ordering inside the check, the adjacencies are minimized by interleaving:
+   max(0, majority - minority - 1). *)
+let check_time p ~w ~majority =
   let exposed = max 0 ((2 * majority) - w - 1) in
   (2. *. p.t_swap)
   +. (float_of_int w *. p.t_2q)
   +. (float_of_int exposed *. 2. *. p.t_swap)
   +. p.t_readout
 
+let stab_time p assignment supp =
+  let w = Array.length supp in
+  let majority = ref 0 in
+  Array.iter
+    (fun q ->
+      let r = assignment.(q) in
+      let c = Array.fold_left (fun c q' -> if assignment.(q') = r then c + 1 else c) 0 supp in
+      if c > !majority then majority := c)
+    supp;
+  check_time p ~w ~majority:!majority
+
 let round_time_of p assignment stabs =
   Array.fold_left (fun acc s -> acc +. stab_time p assignment s) 0. stabs
 
-(* Data-to-register assignment: brute force over balanced 2-register splits
-   for n <= 20, greedy alternation beyond.  Results are memoized per
-   (code, capacity, timing) — the DSE cache pattern: the assignment depends
-   only on the schedule geometry, not on coherence times, so every Ts sweep
-   point reuses it. *)
-let assignment_memo : (string, int array) Hashtbl.t = Hashtbl.create 16
-let assignment_memo_lock = Mutex.create ()
+(* Brute force over balanced 2-register splits, one mask bit per data
+   qubit.  A check's majority depends only on how many of its qubits the
+   mask sets, so its duration is a table lookup indexed by
+   [popcount (mask land support)], and a mask costs no allocation.  A mask
+   and its complement have the same majorities and so bit-identical round
+   times: the first strict minimum in ascending mask order always has bit
+   n-1 clear, and only that half is enumerated. *)
+let search_two_registers p n stabs =
+  let cap = p.register_capacity in
+  let nstabs = Array.length stabs in
+  let supp_mask =
+    Array.map (fun supp -> Array.fold_left (fun acc q -> acc lor (1 lsl q)) 0 supp) stabs
+  in
+  let times =
+    Array.map
+      (fun supp ->
+        let w = Array.length supp in
+        Array.init (w + 1) (fun k -> check_time p ~w ~majority:(max k (w - k))))
+      stabs
+  in
+  let best_mask = ref (-1) and best_t = ref 0. in
+  for mask = 0 to (1 lsl max 0 (n - 1)) - 1 do
+    let ones = popcount mask in
+    if ones <= cap && n - ones <= cap then begin
+      let t = ref 0. in
+      for i = 0 to nstabs - 1 do
+        t := !t +. times.(i).(popcount (mask land supp_mask.(i)))
+      done;
+      if !best_mask < 0 || not (!best_t <= !t) then begin
+        best_mask := mask;
+        best_t := !t
+      end
+    end
+  done;
+  (* n <= 2 * cap here, so the low ceil(n/2) bits always fit. *)
+  assert (!best_mask >= 0);
+  Array.init n (fun q -> (!best_mask lsr q) land 1)
 
 let compute_assignment p (code : Code.t) =
+  if p.register_capacity < 1 then
+    invalid_arg "Uec.compute_assignment: register_capacity must be >= 1";
   let n = code.Code.n in
-  let cap = p.register_capacity in
-  let registers = max 2 ((n + cap - 1) / cap) in
-  let stabs = all_stabs code in
+  let registers = max 2 ((n + p.register_capacity - 1) / p.register_capacity) in
   if registers > 2 || n > 20 then begin
     (* Greedy: alternate qubits across registers in index order. *)
     Array.init n (fun q -> q mod registers)
   end
-  else begin
-    let best = ref None in
-    for mask = 0 to (1 lsl n) - 1 do
-      let ones =
-        let c = ref 0 and x = ref mask in
-        while !x <> 0 do
-          x := !x land (!x - 1);
-          incr c
-        done;
-        !c
-      in
-      if ones <= cap && n - ones <= cap then begin
-        let assignment = Array.init n (fun q -> (mask lsr q) land 1) in
-        let t = round_time_of p assignment stabs in
-        match !best with
-        | Some (bt, _) when bt <= t -> ()
-        | _ -> best := Some (t, assignment)
-      end
-    done;
-    match !best with
-    | Some (_, a) -> a
-    | None -> invalid_arg "Uec.optimize_assignment: code does not fit the registers"
-  end
+  else search_two_registers p n (all_stabs code)
+
+(* Results are memoized per (code, capacity, timing) — the DSE cache
+   pattern: the assignment depends only on the schedule geometry, not on
+   coherence times, so every Ts sweep point reuses it. *)
+let assignment_memo : (string, int array) Hashtbl.t = Hashtbl.create 16
+let assignment_memo_lock = Mutex.create ()
 
 let optimize_assignment p (code : Code.t) =
   let memo_key =
@@ -109,9 +136,13 @@ let optimize_assignment p (code : Code.t) =
   match cached with
   | Some a -> Array.copy a
   | None ->
-      (* Computed outside the lock: brute force can take a while, and a
-         duplicate computation by a racing domain is idempotent. *)
-      let a = compute_assignment p code in
+      (* Computed outside the lock: a duplicate computation by a racing
+         domain is idempotent. *)
+      let a =
+        Obs.Trace.with_span "uec.assign"
+          ~attrs:[ ("code", code.Code.name) ]
+          (fun () -> compute_assignment p code)
+      in
       Mutex.protect assignment_memo_lock (fun () ->
           if not (Hashtbl.mem assignment_memo memo_key) then
             Hashtbl.add assignment_memo memo_key (Array.copy a));
@@ -152,13 +183,13 @@ let hom_profile p (code : Code.t) =
   let n = code.Code.n in
   let nstabs = Code.num_stabs code in
   let gates = Array.make n 0 in
-  let round_time, data_extra =
+  let round_time =
     if code.Code.planar then begin
       (* Lattice-native: four interleaved CX layers, no routing. *)
       Array.iter
         (fun supp -> Array.iter (fun q -> gates.(q) <- gates.(q) + 1) supp)
         (all_stabs code);
-      ((4. *. p.t_2q) +. p.t_readout, fun _ -> ())
+      (4. *. p.t_2q) +. p.t_readout
     end
     else begin
       (* Route every (data, ancilla) op on a shared lattice. *)
@@ -177,15 +208,12 @@ let hom_profile p (code : Code.t) =
         (all_stabs code);
       let ops = List.rev !ops and attribution = List.rev !attribution in
       let sched = Router.schedule grid ops in
-      List.iteri
-        (fun idx q ->
-          let op = List.nth ops idx in
-          gates.(q) <- gates.(q) + Router.route_cost grid op)
-        attribution;
-      ((float_of_int sched.Router.makespan *. p.t_2q) +. p.t_readout, fun _ -> ())
+      List.iter2
+        (fun q op -> gates.(q) <- gates.(q) + Router.route_cost grid op)
+        attribution ops;
+      (float_of_int sched.Router.makespan *. p.t_2q) +. p.t_readout
     end
   in
-  ignore data_extra;
   { arch = Hom;
     code;
     round_time;
@@ -308,14 +336,6 @@ let logical_failures_impl ?jobs ?(params = default_params) prof ~rounds ~shots r
       zerr := !zerr lxor bit
     end
   in
-  let parity mask =
-    let c = ref 0 and x = ref mask in
-    while !x <> 0 do
-      x := !x land (!x - 1);
-      incr c
-    done;
-    !c land 1
-  in
   for _ = 1 to nshots do
     xerr := 0;
     zerr := 0;
@@ -325,7 +345,7 @@ let logical_failures_impl ?jobs ?(params = default_params) prof ~rounds ~shots r
       let read k =
         let is_z = k < nz in
         let err = if is_z then !xerr else !zerr in
-        let p = parity (err land step_masks.(k)) in
+        let p = popcount (err land step_masks.(k)) land 1 in
         let flip_p = if is_z then prof.meas_flip.(0).(k) else prof.meas_flip.(1).(k - nz) in
         let bit = if Rng.bernoulli rng flip_p then 1 - p else p in
         if bit = 1 then

@@ -49,9 +49,21 @@ type profile = {
 
 val profile : ?params:params -> arch -> Code.t -> profile
 (** Build the execution profile.  For [Het], the data-to-register assignment
-    is optimized by brute force (n <= 20) or greedy alternation (larger),
-    maximizing swap/gate pipelining (§4.2.2's brute-force search).  For
-    [Hom], checks are placed on a lattice and routed with {!Router}. *)
+    minimizes the serialized round time (§4.2.2's brute-force search): an
+    exhaustive search over balanced two-register splits when the code needs
+    at most two registers and n <= 20, greedy alternation across registers
+    otherwise.  The search enumerates only splits with qubit n-1 in register
+    0 — a split and its complement take the same time — and costs each check
+    by a table lookup on how many of its qubits sit in register 1.  It runs
+    under a ["uec.assign"] span once per (code, capacity, timing) and is
+    memoized across calls.  For [Hom], checks are placed on a lattice and
+    routed with {!Router}. *)
+
+val compute_assignment : params -> Code.t -> int array
+(** The uncached assignment search behind {!profile}: the register index of
+    each data qubit.  Among equal round times the split with the smallest
+    bitmask (bit q = register of qubit q) wins.
+    Raises [Invalid_argument] when [register_capacity < 1]. *)
 
 val logical_failures :
   ?jobs:int -> ?params:params -> profile -> rounds:int -> shots:int -> Rng.t -> int

@@ -16,4 +16,13 @@ val pop : 'a t -> (float * 'a) option
 (** Remove and return the minimum-priority element. *)
 
 val peek : 'a t -> (float * 'a) option
+
+val min_prio : 'a t -> float
+(** The minimum priority, without allocating.  Raises [Invalid_argument] on
+    an empty heap. *)
+
+val pop_min : 'a t -> 'a
+(** [pop] without the option and tuple: remove the minimum-priority element
+    and return its value.  Raises [Invalid_argument] on an empty heap. *)
+
 val clear : 'a t -> unit

@@ -76,6 +76,40 @@ let test_simultaneous_events_all_fire () =
   Des.run des;
   Alcotest.(check int) "all five" 5 !count
 
+let test_events_total_exact () =
+  (* Handler timing is sampled; the event counter is not.  [handler t] runs
+     for events 1, 65, 129, ... of each queue. *)
+  let events = Obs.Counter.create "des.events_total" in
+  let timed = Obs.Histogram.create "des.handler_seconds" in
+  let events0 = Obs.Counter.value events and timed0 = Obs.Histogram.count timed in
+  let des = Des.create () in
+  let n = 1000 in
+  let count = ref 0 in
+  let rec tick d =
+    incr count;
+    if !count < n then Des.schedule d ~delay:1. tick
+  in
+  Des.schedule des ~delay:1. tick;
+  Des.run des;
+  Alcotest.(check int) "processed" n (Des.events_processed des);
+  Alcotest.(check int) "des.events_total delta" (Des.events_processed des)
+    (Obs.Counter.value events - events0);
+  Alcotest.(check int) "handlers timed" ((n + 63) / 64)
+    (Obs.Histogram.count timed - timed0)
+
+let test_queue_high_water () =
+  let gauge = Obs.Gauge.create "des.queue_high_water" in
+  let des = Des.create () in
+  let depth = int_of_float (Obs.Gauge.value gauge) + 5 in
+  for i = 1 to depth do
+    Des.schedule des ~delay:(float_of_int i) (fun _ -> ())
+  done;
+  Des.run des;
+  Des.schedule des ~delay:1. (fun _ -> ());
+  Des.run des;
+  Alcotest.(check (float 0.)) "gauge holds the deepest queue"
+    (float_of_int depth) (Obs.Gauge.value gauge)
+
 let () =
   Alcotest.run "des"
     [ ( "engine",
@@ -86,4 +120,7 @@ let () =
           Alcotest.test_case "schedule_at" `Quick test_schedule_at;
           Alcotest.test_case "rejects past" `Quick test_rejects_past;
           Alcotest.test_case "rejects negative" `Quick test_rejects_negative_delay;
-          Alcotest.test_case "simultaneous" `Quick test_simultaneous_events_all_fire ] ) ]
+          Alcotest.test_case "simultaneous" `Quick test_simultaneous_events_all_fire ] );
+      ( "instruments",
+        [ Alcotest.test_case "events_total exact" `Quick test_events_total_exact;
+          Alcotest.test_case "queue high-water" `Quick test_queue_high_water ] ) ]

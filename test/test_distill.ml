@@ -147,6 +147,32 @@ let prop_dejmps_output_normalized =
       Bell_pair.validate out;
       true)
 
+(* The scheduler's closed-form prediction is the fidelity of the full
+   DEJMPS output, bit for bit — including the failed-branch convention
+   (p_succ = 0 yields the perfect pair). *)
+let dejmps_prediction_exact a b =
+  Int64.equal
+    (Int64.bits_of_float (Bell_pair.dejmps_predicted_fidelity a b))
+    (Int64.bits_of_float (Bell_pair.fidelity (snd (Bell_pair.dejmps a b))))
+
+let prop_dejmps_prediction_exact =
+  let weights = QCheck.(quad (float_range 0. 1.) (float_range 0. 1.) (float_range 0. 1.) (float_range 0. 1.)) in
+  let pair (w, x, y, z) =
+    if w +. x +. y +. z <= 0. then Bell_pair.perfect
+    else Bell_pair.normalize { Bell_pair.phi_p = w; psi_p = x; psi_m = y; phi_m = z }
+  in
+  QCheck.Test.make ~name:"dejmps prediction = fidelity of dejmps output" ~count:500
+    QCheck.(pair weights weights)
+    (fun (a, b) -> dejmps_prediction_exact (pair a) (pair b))
+
+let test_dejmps_prediction_zero_success () =
+  let psi_p = { Bell_pair.phi_p = 0.; psi_p = 1.; psi_m = 0.; phi_m = 0. } in
+  Alcotest.(check (float 0.)) "p_succ" 0. (fst (Bell_pair.dejmps Bell_pair.perfect psi_p));
+  Alcotest.(check bool) "prediction exact" true
+    (dejmps_prediction_exact Bell_pair.perfect psi_p);
+  Alcotest.(check (float 0.)) "prediction" 1.
+    (Bell_pair.dejmps_predicted_fidelity Bell_pair.perfect psi_p)
+
 let prop_decay_keeps_valid =
   QCheck.Test.make ~name:"decay preserves validity" ~count:200
     QCheck.(pair (float_range 0.5 1.) (float_range 1e-7 1e-3))
@@ -238,6 +264,28 @@ let test_module_output_fidelity_at_target () =
        -. float_of_int r.Distill_module.delivered)
     < 1e-9)
 
+(* Allocation floor of the event loop: a fixed-seed heterogeneous run at
+   1 MHz, in minor words per processed DES event (the trace samples
+   included).  The pools, the pairing search and the engine's step allocate
+   nothing of their own; what remains is pair records, boxed timestamps,
+   completion closures and trace samples. *)
+let words_per_event_ceiling = 70
+
+let test_module_words_per_event () =
+  let cfg = Distill_module.heterogeneous ~rate_hz:1e6 () in
+  let run () = ignore (Distill_module.run cfg (Rng.create 17) ~horizon:1e-3) in
+  run ();
+  let events = Obs.Counter.create "des.events_total" in
+  let before = Obs.Counter.value events in
+  let words = Alloc.words run in
+  let n = Obs.Counter.value events - before in
+  Alcotest.(check bool) "events processed" true (n > 1000);
+  Alcotest.(check bool)
+    (Printf.sprintf "%d words over %d events <= %d per event" words n
+       words_per_event_ceiling)
+    true
+    (words <= words_per_event_ceiling * n)
+
 let () =
   let qc = List.map QCheck_alcotest.to_alcotest in
   Alcotest.run "distill"
@@ -249,7 +297,9 @@ let () =
       ( "dejmps",
         [ Alcotest.test_case "matches exact circuit" `Quick test_dejmps_matches_circuit;
           Alcotest.test_case "iteration converges" `Quick test_dejmps_iteration_converges;
-          Alcotest.test_case "improves above 1/2" `Quick test_dejmps_improves_above_half ] );
+          Alcotest.test_case "improves above 1/2" `Quick test_dejmps_improves_above_half;
+          Alcotest.test_case "prediction at p_succ = 0" `Quick
+            test_dejmps_prediction_zero_success ] );
       ( "source",
         [ Alcotest.test_case "rate" `Quick test_source_rate;
           Alcotest.test_case "infidelity range" `Quick test_source_infidelity_range;
@@ -259,5 +309,9 @@ let () =
           Alcotest.test_case "het beats hom" `Slow test_module_het_beats_hom_at_low_rate;
           Alcotest.test_case "monotone in Ts" `Slow test_module_rate_monotone_in_ts;
           Alcotest.test_case "trace" `Quick test_module_trace_present;
-          Alcotest.test_case "rate conversion" `Quick test_module_output_fidelity_at_target ] );
-      ("properties", qc [ prop_dejmps_output_normalized; prop_decay_keeps_valid ]) ]
+          Alcotest.test_case "rate conversion" `Quick test_module_output_fidelity_at_target;
+          Alcotest.test_case "words per event" `Quick test_module_words_per_event ] );
+      ("properties", qc
+          [ prop_dejmps_output_normalized;
+            prop_dejmps_prediction_exact;
+            prop_decay_keeps_valid ]) ]

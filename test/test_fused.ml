@@ -127,18 +127,6 @@ let test_decode_batch_matches_scalar distance () =
 
 (* ------------------------------------------- zero-alloc steady decode --- *)
 
-(* Calibrated minor-word window: reading [Gc.minor_words] itself boxes a
-   float AFTER the counter is sampled, so an empty window measures a small
-   constant; subtracting it makes "exactly zero" observable. *)
-let alloc_words f =
-  let base0 = Gc.minor_words () in
-  let base1 = Gc.minor_words () in
-  let overhead = int_of_float (base1 -. base0) in
-  let before = Gc.minor_words () in
-  f ();
-  let after = Gc.minor_words () in
-  int_of_float (after -. before) - overhead
-
 let test_decode_batch_steady_zero_alloc () =
   (* The CI gate in miniature: once the arena pool and output row are warm,
      [decode_batch_into] must allocate exactly nothing — not amortized-few,
@@ -159,7 +147,7 @@ let test_decode_batch_steady_zero_alloc () =
   for i = 1 to 5 do
     Alcotest.(check int)
       (Printf.sprintf "warm decode_batch_into #%d allocates zero words" i)
-      0 (alloc_words run)
+      0 (Alloc.words run)
   done
 
 (* Pinned seed vector: the fused estimator's exact counts for a fixed seed,

@@ -224,6 +224,119 @@ let test_schedule_render_and_csv () =
     (List.length s.Schedule.ops + 1)
     (List.length (String.split_on_char '\n' csv))
 
+(* ---------------------------------------------- assignment search --- *)
+
+(* Reference two-register search for codes that fit two registers: every
+   mask over all n bits builds its assignment array, and every check counts
+   its registers in a Hashtbl.  [Uec.compute_assignment] must return the
+   same winner, and the profile a bit-identical round time. *)
+let oracle_assignment (p : Uec.params) (code : Code.t) =
+  let stab_time assignment supp =
+    let w = Array.length supp in
+    let counts = Hashtbl.create 4 in
+    Array.iter
+      (fun q ->
+        let r = assignment.(q) in
+        Hashtbl.replace counts r (1 + Option.value ~default:0 (Hashtbl.find_opt counts r)))
+      supp;
+    let majority = Hashtbl.fold (fun _ c acc -> max c acc) counts 0 in
+    let exposed = max 0 ((2 * majority) - w - 1) in
+    (2. *. p.t_swap)
+    +. (float_of_int w *. p.t_2q)
+    +. (float_of_int exposed *. 2. *. p.t_swap)
+    +. p.t_readout
+  in
+  let stabs = Array.append code.Code.z_stabs code.Code.x_stabs in
+  let round_time a = Array.fold_left (fun acc s -> acc +. stab_time a s) 0. stabs in
+  let n = code.Code.n in
+  let cap = p.register_capacity in
+  let best = ref None in
+  for mask = 0 to (1 lsl n) - 1 do
+    let ones = ref 0 in
+    for q = 0 to n - 1 do
+      ones := !ones + ((mask lsr q) land 1)
+    done;
+    if !ones <= cap && n - !ones <= cap then begin
+      let a = Array.init n (fun q -> (mask lsr q) land 1) in
+      let t = round_time a in
+      match !best with
+      | Some (bt, _) when bt <= t -> ()
+      | _ -> best := Some (t, a)
+    end
+  done;
+  match !best with
+  | Some (t, a) -> (a, t)
+  | None -> invalid_arg "oracle: code does not fit the registers"
+
+let assignment_codes =
+  [ Codes.steane; Codes.shor; Codes.reed_muller_15; Codes.color_17;
+    Codes.surface 3; Codes.surface 4; Codes.repetition 5 ]
+
+(* Same winner as the oracle, and the profile's round time for it is the
+   oracle's minimum, bit for bit. *)
+let check_against_oracle params code =
+  let label =
+    Printf.sprintf "%s cap=%d t_swap=%g" code.Code.name params.Uec.register_capacity
+      params.Uec.t_swap
+  in
+  let want_a, want_t = oracle_assignment params code in
+  let got_a = Uec.compute_assignment params code in
+  Alcotest.(check (array int)) (label ^ " assignment") want_a got_a;
+  let prof = Uec.profile ~params (Uec.Het { ts = 10e-3 }) code in
+  Alcotest.(check int64) (label ^ " round time bits") (Int64.bits_of_float want_t)
+    (Int64.bits_of_float prof.Uec.round_time);
+  got_a
+
+let test_assignment_matches_oracle () =
+  List.iter
+    (fun code ->
+      List.iter
+        (fun register_capacity ->
+          ignore
+            (check_against_oracle { Uec.default_params with register_capacity } code))
+        [ 9; 10 ])
+    assignment_codes
+
+let test_assignment_all_tie () =
+  (* Free swaps make every balanced split equally fast: the first balanced
+     mask in ascending order wins, i.e. the lowest n - cap qubits go to
+     register 1. *)
+  let params = { Uec.default_params with t_swap = 0. } in
+  List.iter
+    (fun (code : Code.t) ->
+      let a = check_against_oracle params code in
+      let ones = max 0 (code.Code.n - params.Uec.register_capacity) in
+      Alcotest.(check (array int))
+        (code.Code.name ^ " first balanced mask")
+        (Array.init code.Code.n (fun q -> if q < ones then 1 else 0))
+        a)
+    assignment_codes
+
+let test_assignment_does_not_fit () =
+  let params = { Uec.default_params with register_capacity = -1 } in
+  let raises f = try ignore (f ()); false with Invalid_argument _ -> true in
+  Alcotest.(check bool) "oracle raises" true
+    (raises (fun () -> oracle_assignment params Codes.steane));
+  Alcotest.(check bool) "kernel raises" true
+    (raises (fun () -> Uec.compute_assignment params Codes.steane));
+  Alcotest.(check bool) "zero capacity raises" true
+    (raises (fun () ->
+         Uec.compute_assignment
+           { Uec.default_params with register_capacity = 0 }
+           Codes.steane))
+
+let test_assignment_alloc_floor () =
+  (* The search allocates its lookup tables and the winner, never per mask:
+     the Hashtbl-per-check oracle takes tens of millions of words here. *)
+  let code = Codes.color_17 in
+  ignore (Uec.compute_assignment Uec.default_params code);
+  let words =
+    Alloc.words (fun () -> ignore (Uec.compute_assignment Uec.default_params code))
+  in
+  Alcotest.(check bool)
+    (Printf.sprintf "17QCC search allocates %d < 10000 minor words" words)
+    true (words < 10_000)
+
 let () =
   Alcotest.run "uec"
     [ ( "profiles",
@@ -232,6 +345,11 @@ let () =
           Alcotest.test_case "hom planar round" `Quick test_hom_planar_fast_round;
           Alcotest.test_case "hom routing cost" `Quick test_hom_nonplanar_pays_routing;
           Alcotest.test_case "gate counts" `Quick test_gate_counts_het ] );
+      ( "assignment",
+        [ Alcotest.test_case "matches oracle" `Quick test_assignment_matches_oracle;
+          Alcotest.test_case "all-tie first balanced mask" `Quick test_assignment_all_tie;
+          Alcotest.test_case "does not fit" `Quick test_assignment_does_not_fit;
+          Alcotest.test_case "allocation floor" `Quick test_assignment_alloc_floor ] );
       ( "monte carlo",
         [ Alcotest.test_case "zero noise" `Quick test_logical_rate_zero_noise;
           Alcotest.test_case "monotone in p2" `Slow test_logical_rate_monotone_in_p2;
