@@ -171,9 +171,11 @@ decode-smoke: build
 # alloc-weighted flamegraph must be byte-identical across --jobs (word
 # counters are exact and domain-local, so a sequential workload folds
 # identically no matter how many domains are idle); and the flamegraph's
-# root total must reconcile with the manifest's process-level minor-word
-# counter to within 1% — proving span attribution accounts for essentially
-# every word the process allocates.
+# root total must reconcile to within 1% with the words the process
+# allocated after its root span opened: the snapshot's process-level
+# minor-word counter minus the `process.startup_minor_words` gauge (library
+# initialisers and argument parsing, which no span can attribute) — proving
+# span attribution accounts for essentially every word the run allocates.
 alloc-smoke: build
 	@d=$$(mktemp -d) && \
 	trap 'rc=$$?; if [ $$rc -ne 0 ] && [ -n "$(SMOKE_ARTIFACTS)" ]; then \
@@ -196,10 +198,14 @@ alloc-smoke: build
 	  || { echo "alloc-smoke: alloc flamegraph is empty"; exit 1; }; } && \
 	root=$$(awk '{ s += $$NF } END { printf "%d", s }' $$d/a1.folded) && \
 	proc=$$(grep -o '"minor_words":[0-9]*' $$d/a1.metrics.json | head -n1 | cut -d: -f2) && \
-	gap=$$(( root > proc ? root - proc : proc - root )) && \
-	{ test $$(( gap * 100 )) -le $$proc \
-	  || { echo "alloc-smoke: flame root total $$root vs process minor words $$proc: off by >1%"; exit 1; }; } && \
-	echo "alloc-smoke: zero-alloc decode proven to d=9; alloc flamegraph jobs-invariant, reconciles within 1% ($$root vs $$proc words)"
+	startup=$$(grep -o '"process.startup_minor_words":[0-9]*' $$d/a1.metrics.json | cut -d: -f2) && \
+	{ test -n "$$startup" \
+	  || { echo "alloc-smoke: no process.startup_minor_words gauge in the snapshot"; exit 1; }; } && \
+	run=$$(( proc - startup )) && \
+	gap=$$(( root > run ? root - run : run - root )) && \
+	{ test $$(( gap * 100 )) -le $$run \
+	  || { echo "alloc-smoke: flame root total $$root vs process minor words after startup $$run ($$proc - $$startup): off by >1%"; exit 1; }; } && \
+	echo "alloc-smoke: zero-alloc decode proven to d=9; alloc flamegraph jobs-invariant, reconciles within 1% ($$root vs $$run words after $$startup startup words)"
 
 # The serve daemon contract, end to end: 8 concurrent clients over 3
 # distinct queries must coalesce (single-flight dedup counter > 0), a

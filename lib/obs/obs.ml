@@ -677,6 +677,13 @@ module Trace = struct
   let lock = Mutex.create ()
   let stack_key = Domain.DLS.new_key (fun () -> ref ([] : string list))
 
+  (* Minor words the process had allocated when its first root span opened:
+     library initialisers and argument parsing, which no span can
+     attribute.  What the span tree accounts for is the process counter
+     minus this. *)
+  let g_startup_words = Gauge.create "process.startup_minor_words"
+  let root_opened = Atomic.make false
+
   let set_capacity c =
     if c <= 0 then invalid_arg "Obs.Trace.set_capacity";
     Mutex.protect lock (fun () ->
@@ -722,6 +729,8 @@ module Trace = struct
        bookkeeping (span record, hashtable fold) stays outside. *)
     let gc0 = Gc.quick_stat () in
     let mw0 = Gc.minor_words () in
+    if depth = 0 && Atomic.compare_and_set root_opened false true then
+      Gauge.set g_startup_words mw0;
     let finish () =
       let mw1 = Gc.minor_words () in
       let gc1 = Gc.quick_stat () in

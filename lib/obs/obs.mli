@@ -235,7 +235,10 @@ module Trace : sig
   (** Run the thunk, record a completed span (also on exception, which is
       re-raised).  Spans closed after the ring fills overwrite the oldest.
       Entry/exit sample the domain-local GC word counters, so every span
-      carries its own allocation alongside its duration. *)
+      carries its own allocation alongside its duration.  The first root
+      (depth 0) span of the process also sets the gauge
+      [process.startup_minor_words] to the minor words allocated before it
+      opened, which no span attributes. *)
 
   val spans : unit -> span list
   (** Retained spans, in completion order. *)

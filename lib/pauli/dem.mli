@@ -7,6 +7,15 @@
     components with identical signatures are merged by combining their
     probabilities.
 
+    Compilation is split in two.  The {e structure} pass runs the backward
+    walk once per circuit shape: it assigns every distinct signature a
+    mechanism id and records, in backward-pass order, which op component
+    contributes to which mechanism.  The {e weight} pass then reads each
+    contribution's probability from a circuit of that shape and folds it
+    into its mechanism — a linear scan with no signature work.  A sweep over
+    noise points on one circuit layout (fig 6's coherence scaling) pays the
+    walk once and only reweights afterwards.
+
     The result is the exact error hypergraph a decoder should operate on. *)
 
 type mechanism = {
@@ -15,10 +24,36 @@ type mechanism = {
   obs_mask : int;  (** bit i set = observable i flipped *)
 }
 
+type structure
+(** The probability-free part of a circuit's DEM: its shape (gate kinds,
+    qubits, which recorded noise probabilities are positive — [p /. 15.]
+    for a [Depol2] — measurement count,
+    detector and observable lists), the merged signatures, and the ordered
+    contribution list.  Immutable; it does not retain the circuit. *)
+
+val structure : Circuit.t -> structure
+(** Run the backward sensitivity walk.  Increments {!structures_total}. *)
+
+val weigh : structure -> Circuit.t -> mechanism list
+(** Probabilities of the structure's mechanisms under the circuit's noise,
+    in mechanism-id (first-seen) order.  Each mechanism's [p] is its first
+    contribution, then [p <- p1 (1-p2) + p2 (1-p1)] for every later one in
+    backward-pass order, so the result is bit-identical to merging during
+    the walk.  Raises [Invalid_argument] when the circuit's shape differs
+    from the structure's.  The [detectors] arrays are shared between calls
+    on one structure. *)
+
 val of_circuit : Circuit.t -> mechanism list
-(** Extract and merge all error mechanisms.  Mechanisms flipping nothing are
-    dropped.  Probabilities of identical signatures combine as independent
-    XOR-ed coins: p <- p1 (1-p2) + p2 (1-p1). *)
+(** [weigh (structure c) c], reusing the last structure when the circuit has
+    the same shape.  One structure is kept, in an atomic slot, so concurrent
+    compiles from several domains stay correct; reuse happens only after a
+    full shape comparison (no hash is trusted).  Mechanisms flipping nothing
+    are dropped.  The list order is an implementation detail — consumers
+    that need a canonical order sort (see {!Dem_sampler}). *)
+
+val structures_total : Obs.Counter.t
+(** [pauli.dem_structures_total]: structure passes run, so a same-shape
+    sweep of n points shows 1 here and n compiles. *)
 
 val check_graphlike : mechanism list -> bool
 (** True when every mechanism flips at most two detectors (the matching-graph

@@ -10,10 +10,10 @@ let dem_shots_total = Obs.Counter.create "pauli.dem_shots_total"
 let sample_seconds = Obs.Histogram.create "pauli.dem_sample_seconds"
 
 (* Canonical mechanism order: lexicographic on the detector set, then the
-   observable mask.  [Dem.of_circuit] folds a hashtable, so its list order
-   is an implementation detail; sorting pins the RNG consumption order of
-   [sample] (seed determinism) and the serialized byte stream (store
-   round-trips). *)
+   observable mask.  [Dem.of_circuit] lists mechanisms in the order its
+   structure pass first met them, an implementation detail; sorting pins
+   the RNG consumption order of [sample] (seed determinism) and the
+   serialized byte stream (store round-trips). *)
 let compare_mechanism (a : Dem.mechanism) (b : Dem.mechanism) =
   let c = compare a.Dem.detectors b.Dem.detectors in
   if c <> 0 then c

@@ -21,8 +21,8 @@ type t
 val compile : Circuit.t -> t
 (** Extract, merge ({!Dem.of_circuit}) and canonically order the circuit's
     error mechanisms.  Mechanisms are sorted by (detectors, obs_mask), so
-    the sampling stream for a given seed is independent of hash-table
-    iteration order and stable across save/load. *)
+    the sampling stream for a given seed is independent of the compiler's
+    list order and stable across save/load. *)
 
 val of_mechanisms : ndet:int -> nobs:int -> Dem.mechanism list -> t
 (** Package pre-extracted mechanisms (canonically re-sorted here) with the

@@ -13,8 +13,7 @@ val create : nodes:int -> edges:(int * int * int * bool) list -> t
     flips_logical)] with [v] possibly {!Decoder_uf.boundary}. *)
 
 val of_dem : ?scale:float -> ?max_weight:int -> nodes:int -> Dem.mechanism list -> t
-(** Build from a detector error model with the same conventions as
-    {!Dem_graph.build}. *)
+(** The edges of {!Dem_graph.build}, in its construction order. *)
 
 val decode : t -> Bitvec.t -> bool
 (** Predicted logical flip for the given defect pattern. *)

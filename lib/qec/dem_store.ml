@@ -6,56 +6,74 @@
 
 let kind = "qec.dem"
 let magic = "QECDEM"
-let format_version = 1
+let format_version = 2
 
 let hits_total = Obs.Counter.create "qec.dem_store_hits_total"
 let misses_total = Obs.Counter.create "qec.dem_store_misses_total"
 
 (* ---------------------------------------------------------- circuit key --- *)
 
-(* Canonical byte encoding of a circuit: every gate with its qubit indices,
-   every noise parameter as raw IEEE-754 bits (so 1e-4 and the nearest
-   neighboring double never collide), measurement count, detector and
-   observable index lists.  Anything that can change the compiled DEM is in
-   here; the key is its content hash. *)
+(* Unsigned LEB128 over the 63-bit pattern: injective on every int. *)
+let rec add_varint b n =
+  if n land lnot 0x7f = 0 then Buffer.add_uint8 b n
+  else begin
+    Buffer.add_uint8 b (n land 0x7f lor 0x80);
+    add_varint b (n lsr 7)
+  end
+
+(* Canonical binary encoding of a circuit: qubit count, op count, every
+   gate as a tag byte and its qubit indices, every noise parameter as raw
+   IEEE-754 bits (so 1e-4 and the nearest neighboring double never
+   collide), measurement count, and the detector and observable lists, each
+   list prefixed by its length.  Every variable-length part carries its
+   length, so distinct circuits never share an encoding; anything that can
+   change the compiled DEM is in here, and the key is its content hash. *)
 let encode_circuit (c : Circuit.t) =
-  let b = Buffer.create 4096 in
-  let fbits x = Printf.bprintf b ":%Lx" (Int64.bits_of_float x) in
-  Printf.bprintf b "q%d;" c.Circuit.nqubits;
+  let b = Buffer.create 65536 in
+  let gate tag q =
+    Buffer.add_char b tag;
+    add_varint b q
+  in
+  let gate2 tag q1 q2 =
+    gate tag q1;
+    add_varint b q2
+  in
+  let fbits x = Buffer.add_int64_le b (Int64.bits_of_float x) in
+  add_varint b c.Circuit.nqubits;
+  add_varint b (Array.length c.Circuit.ops);
   Array.iter
     (fun (g : Circuit.gate) ->
-      (match g with
-      | Circuit.H q -> Printf.bprintf b "H%d" q
-      | Circuit.S q -> Printf.bprintf b "S%d" q
-      | Circuit.X q -> Printf.bprintf b "X%d" q
-      | Circuit.Y q -> Printf.bprintf b "Y%d" q
-      | Circuit.Z q -> Printf.bprintf b "Z%d" q
-      | Circuit.CX (a, t) -> Printf.bprintf b "C%d,%d" a t
-      | Circuit.CZ (a, t) -> Printf.bprintf b "E%d,%d" a t
-      | Circuit.SWAP (a, t) -> Printf.bprintf b "W%d,%d" a t
-      | Circuit.M q -> Printf.bprintf b "M%d" q
-      | Circuit.R q -> Printf.bprintf b "R%d" q
+      match g with
+      | Circuit.H q -> gate 'H' q
+      | Circuit.S q -> gate 'S' q
+      | Circuit.X q -> gate 'X' q
+      | Circuit.Y q -> gate 'Y' q
+      | Circuit.Z q -> gate 'Z' q
+      | Circuit.CX (a, t) -> gate2 'C' a t
+      | Circuit.CZ (a, t) -> gate2 'E' a t
+      | Circuit.SWAP (a, t) -> gate2 'W' a t
+      | Circuit.M q -> gate 'M' q
+      | Circuit.R q -> gate 'R' q
       | Circuit.Noise1 { px; py; pz; q } ->
-          Printf.bprintf b "N%d" q;
+          gate 'N' q;
           fbits px;
           fbits py;
           fbits pz
       | Circuit.Depol2 { p; a; b = t } ->
-          Printf.bprintf b "D%d,%d" a t;
-          fbits p);
-      Buffer.add_char b ';')
+          gate2 'D' a t;
+          fbits p)
     c.Circuit.ops;
-  Printf.bprintf b "m%d;" c.Circuit.nmeas;
-  let index_lists tag groups =
-    Printf.bprintf b "%s%d;" tag (Array.length groups);
+  add_varint b c.Circuit.nmeas;
+  let index_lists groups =
+    add_varint b (Array.length groups);
     Array.iter
       (fun ms ->
-        Array.iter (fun m -> Printf.bprintf b "%d," m) ms;
-        Buffer.add_char b ';')
+        add_varint b (Array.length ms);
+        Array.iter (add_varint b) ms)
       groups
   in
-  index_lists "d" c.Circuit.detectors;
-  index_lists "o" c.Circuit.observables;
+  index_lists c.Circuit.detectors;
+  index_lists c.Circuit.observables;
   Buffer.contents b
 
 let circuit_key c =
@@ -158,8 +176,8 @@ let decode s =
 
 (* ---------------------------------------------------------- store entry --- *)
 
-let find store circuit =
-  match Option.bind (Store.find store (circuit_key circuit)) decode with
+let find store key =
+  match Option.bind (Store.find store key) decode with
   | Some pair ->
       Obs.Counter.incr hits_total;
       Some pair
@@ -167,16 +185,18 @@ let find store circuit =
       Obs.Counter.incr misses_total;
       None
 
-let put store circuit sampler graph =
-  Store.put store (circuit_key circuit) (encode sampler graph)
+let put store key sampler graph = Store.put store key (encode sampler graph)
 
+(* The key is computed once and serves both the lookup and the write-back. *)
 let compile_cached circuit build =
   match Char_store.store () with
   | None -> build ()
-  | Some store -> (
-      match find store circuit with
-      | Some pair -> pair
-      | None ->
-          let sampler, graph = build () in
-          put store circuit sampler graph;
-          (sampler, graph))
+  | Some store ->
+      Obs.Trace.with_span "qec.dem_store" (fun () ->
+          let key = circuit_key circuit in
+          match find store key with
+          | Some pair -> pair
+          | None ->
+              let sampler, graph = build () in
+              put store key sampler graph;
+              (sampler, graph))

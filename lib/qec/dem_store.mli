@@ -1,14 +1,23 @@
 (** Persistence of compiled detector error models in the content-addressed
     {!Store}.
 
-    [Dem.of_circuit] walks the whole circuit backward and the matching-graph
-    build re-derives edge weights from the merged mechanisms; for the d=13
-    surface experiments that compile step dwarfs the first sampling batch.
+    [Dem.of_circuit] walks the whole circuit backward (or, for a circuit
+    shaped like the last one, reweights that walk's structure) and the
+    matching-graph build re-derives edge weights from the merged mechanisms.
     This module serializes the compiled DEM ({!Dem_sampler.t}) together with
     its matching graph as one versioned record kind (["qec.dem"]) keyed by
     the content hash of the full circuit — every gate, noise parameter,
     detector and observable — so a warm run (same [--cache-dir]) skips both
-    [Dem.of_circuit] and graph construction entirely.
+    the DEM compile and graph construction entirely.
+
+    Key encoding v2 ([format_version] 2) is binary: LEB128 varints for the
+    qubit count, the op count, each gate's qubits, the measurement count
+    and every detector/observable list (each prefixed by its length), a tag
+    byte per gate, and raw little-endian IEEE-754 bits for every noise
+    parameter.  Every variable-length part carries its length, so the
+    encoding is injective.  Version 1 keys (a [Printf]-rendered text
+    encoding) are never looked up again: their entries are orphaned
+    misses.
 
     Record discipline matches HETSTORE/v1: a payload-level magic + format
     version inside the store's own framing, bit-exact float encoding
@@ -23,7 +32,8 @@ val format_version : int
 
 val circuit_key : Circuit.t -> string
 (** Content-hash store key (via {!Store.key}, kind ["qec.dem"]) of the
-    canonical circuit encoding.  Pinned-value tests guard its stability. *)
+    canonical binary circuit encoding.  Pinned-value tests guard its
+    stability. *)
 
 val encode : Dem_sampler.t -> Decoder_uf.graph -> string
 (** Versioned binary payload for a compiled DEM + matching graph pair. *)
@@ -31,11 +41,12 @@ val encode : Dem_sampler.t -> Decoder_uf.graph -> string
 val decode : string -> (Dem_sampler.t * Decoder_uf.graph) option
 (** Inverse of {!encode}; [None] on any malformed payload. *)
 
-val find : Store.t -> Circuit.t -> (Dem_sampler.t * Decoder_uf.graph) option
-(** Look up the compiled pair for a circuit. *)
+val find : Store.t -> string -> (Dem_sampler.t * Decoder_uf.graph) option
+(** Look up the compiled pair stored under a {!circuit_key}; counts a hit or
+    a miss. *)
 
-val put : Store.t -> Circuit.t -> Dem_sampler.t -> Decoder_uf.graph -> unit
-(** Write the compiled pair under the circuit's key. *)
+val put : Store.t -> string -> Dem_sampler.t -> Decoder_uf.graph -> unit
+(** Write the compiled pair under a {!circuit_key}. *)
 
 val compile_cached :
   Circuit.t -> (unit -> Dem_sampler.t * Decoder_uf.graph) ->
@@ -43,7 +54,9 @@ val compile_cached :
 (** [compile_cached circuit build] resolves through the ambient
     characterization store ({!Char_store.store}, installed by
     [--cache-dir]): disk hit when present, otherwise [build ()] with
-    write-back.  With no ambient store this is just [build ()]. *)
+    write-back.  The key is computed once for both.  The whole round trip,
+    [build] included, runs in a [qec.dem_store] span.  With no ambient store
+    this is just [build ()]. *)
 
 val hits_total : Obs.Counter.t
 val misses_total : Obs.Counter.t

@@ -66,7 +66,7 @@ let stabs_of_distance d =
   done;
   (List.rev !acc, !next_anc)
 
-let build_with ~coherence p =
+let circuit_of ~coherence p =
   let d = p.distance in
   if d < 2 then invalid_arg "Surface_circuit.build: distance >= 2";
   if p.rounds < 1 then invalid_arg "Surface_circuit.build: rounds >= 1";
@@ -156,23 +156,35 @@ let build_with ~coherence p =
   Circuit.add_observable b (List.init d (fun c -> data_meas.(c)));
   let circuit = Circuit.finish b in
   Circuit.validate circuit;
-  (* Compiled DEM + decoding graph straight from the circuit's detector
-     error model, so edge weights and logical flags reflect the exact noise
-     (including hook errors and mid-cycle mechanisms).  Both are resolved
-     through the ambient persistent store when one is installed
-     (--cache-dir): a warm run skips Dem.of_circuit and graph construction
-     and decodes on a byte-identical deserialized graph. *)
-  let sampler, graph =
-    Dem_store.compile_cached circuit (fun () ->
-        let sampler = Dem_sampler.compile circuit in
-        let graph =
-          Dem_graph.build
-            ~nodes:(Array.length circuit.Circuit.detectors)
-            (Array.to_list (Dem_sampler.mechanisms sampler))
-        in
-        (sampler, graph))
-  in
-  { circuit; graph; sampler; params = p; n_qubits; n_z_stabs = n_z }
+  (circuit, n_qubits, n_z)
+
+(* Every step of a build sits in a named span: the circuit itself, the
+   store round trip (key, lookup, write-back) and, on a miss, the DEM
+   compile and the matching-graph construction inside it.  None is on a
+   per-shot path. *)
+let build_with ~coherence p =
+  Obs.Trace.with_span "qec.build" (fun () ->
+      let circuit, n_qubits, n_z =
+        Obs.Trace.with_span "qec.circuit" (fun () -> circuit_of ~coherence p)
+      in
+      (* Compiled DEM + decoding graph straight from the circuit's detector
+         error model, so edge weights and logical flags reflect the exact
+         noise (including hook errors and mid-cycle mechanisms).  Both are
+         resolved through the ambient persistent store when one is installed
+         (--cache-dir): a warm run skips the DEM compile and graph
+         construction and decodes on a byte-identical deserialized graph. *)
+      let sampler, graph =
+        Dem_store.compile_cached circuit (fun () ->
+            let sampler = Dem_sampler.compile circuit in
+            let graph =
+              Obs.Trace.with_span "qec.dem_graph" (fun () ->
+                  Dem_graph.build
+                    ~nodes:(Array.length circuit.Circuit.detectors)
+                    (Array.to_list (Dem_sampler.mechanisms sampler)))
+            in
+            (sampler, graph))
+      in
+      { circuit; graph; sampler; params = p; n_qubits; n_z_stabs = n_z })
 
 let nominal_coherence p ~n_data q = if q < n_data then p.t_data else p.t_anc
 

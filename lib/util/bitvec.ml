@@ -154,10 +154,25 @@ let and_popcount a b =
   done;
   !acc
 
-let is_zero t = Array.for_all (fun w -> w = 0) t.bits
+(* Indexed loops, not Array.for_all/for_all2: those allocate their inner
+   loop closure on every call, and both run per noise component in the DEM
+   structure pass. *)
+let is_zero t =
+  let w = ref 0 and n = Array.length t.bits in
+  while !w < n && Array.unsafe_get t.bits !w = 0 do
+    incr w
+  done;
+  !w = n
 
 let equal a b =
-  a.n = b.n && Array.for_all2 (fun x y -> x = y) a.bits b.bits
+  a.n = b.n
+  && begin
+       let w = ref 0 and n = Array.length a.bits in
+       while !w < n && Array.unsafe_get a.bits !w = Array.unsafe_get b.bits !w do
+         incr w
+       done;
+       !w = n
+     end
 
 let iter_set t f =
   for w = 0 to Array.length t.bits - 1 do

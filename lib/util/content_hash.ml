@@ -14,13 +14,16 @@ let fmix64 h =
   let h = Int64.mul h 0xC4CEB9FE1A85EC53L in
   Int64.logxor h (Int64.shift_right_logical h 32)
 
+(* An indexed loop over a local ref, not String.iteri: a closure would
+   capture [h] and box a fresh int64 per byte; here it stays unboxed. *)
 let hash64 s =
   let h = ref 0x2545F4914F6CDD1DL in
-  String.iteri
-    (fun i c ->
-      let x = Int64.logxor !h (Int64.of_int ((Char.code c + 1) * (i + 1))) in
-      h := Int64.add (Int64.mul (rotl x 23) 0x9E3779B97F4A7C15L) 0x165667B19E3779F9L)
-    s;
+  for i = 0 to String.length s - 1 do
+    let x =
+      Int64.logxor !h (Int64.of_int ((Char.code (String.unsafe_get s i) + 1) * (i + 1)))
+    in
+    h := Int64.add (Int64.mul (rotl x 23) 0x9E3779B97F4A7C15L) 0x165667B19E3779F9L
+  done;
   fmix64 (Int64.logxor !h (Int64.of_int (String.length s)))
 
 let hash_hex s = Printf.sprintf "%016Lx" (hash64 s)

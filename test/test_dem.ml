@@ -156,6 +156,297 @@ let test_surface_code_dem_probabilities_positive () =
       Alcotest.(check bool) "p in (0, 0.5]" true (m.Dem.p > 0. && m.Dem.p <= 0.5))
     dem
 
+(* --------------------------------------------- differential vs. oracle --- *)
+
+(* The string-keyed single-pass compiler the structure/weight split
+   replaced, kept only as an oracle: every component is merged into a
+   hashtable keyed on its rendered signature as the walk reaches it. *)
+let oracle_of_circuit (c : Circuit.t) =
+  let ndet = Array.length c.Circuit.detectors in
+  let nobs = Array.length c.Circuit.observables in
+  let width = ndet + nobs in
+  if width = 0 then []
+  else begin
+    let meas_sig = Array.init (max 1 c.Circuit.nmeas) (fun _ -> Bitvec.create width) in
+    Array.iteri
+      (fun di meas -> Array.iter (fun m -> Bitvec.flip meas_sig.(m) di) meas)
+      c.Circuit.detectors;
+    Array.iteri
+      (fun oi meas -> Array.iter (fun m -> Bitvec.flip meas_sig.(m) (ndet + oi)) meas)
+      c.Circuit.observables;
+    let n = c.Circuit.nqubits in
+    let sens_x = Array.init n (fun _ -> Bitvec.create width) in
+    let sens_z = Array.init n (fun _ -> Bitvec.create width) in
+    let table : (string, float ref) Hashtbl.t = Hashtbl.create 1024 in
+    let sigs : (string, int list * int) Hashtbl.t = Hashtbl.create 1024 in
+    let record p sig_bits =
+      if p > 0. && not (Bitvec.is_zero sig_bits) then begin
+        let dets = ref [] and obs = ref 0 in
+        Bitvec.iter_set sig_bits (fun i ->
+            if i < ndet then dets := i :: !dets else obs := !obs lor (1 lsl (i - ndet)));
+        let dets = List.rev !dets in
+        let key =
+          String.concat "," (List.map string_of_int dets) ^ "|" ^ string_of_int !obs
+        in
+        match Hashtbl.find_opt table key with
+        | Some r -> r := (!r *. (1. -. p)) +. (p *. (1. -. !r))
+        | None ->
+            Hashtbl.add table key (ref p);
+            Hashtbl.add sigs key (dets, !obs)
+      end
+    in
+    let xor_of a b =
+      let v = Bitvec.copy a in
+      Bitvec.xor_into ~dst:v b;
+      v
+    in
+    let mi = ref c.Circuit.nmeas in
+    for i = Array.length c.Circuit.ops - 1 downto 0 do
+      match c.Circuit.ops.(i) with
+      | Circuit.H q ->
+          let t = sens_x.(q) in
+          sens_x.(q) <- sens_z.(q);
+          sens_z.(q) <- t
+      | Circuit.S q -> Bitvec.xor_into ~dst:sens_x.(q) sens_z.(q)
+      | Circuit.X _ | Circuit.Y _ | Circuit.Z _ -> ()
+      | Circuit.CX (a, b) ->
+          Bitvec.xor_into ~dst:sens_x.(a) sens_x.(b);
+          Bitvec.xor_into ~dst:sens_z.(b) sens_z.(a)
+      | Circuit.CZ (a, b) ->
+          Bitvec.xor_into ~dst:sens_x.(a) sens_z.(b);
+          Bitvec.xor_into ~dst:sens_x.(b) sens_z.(a)
+      | Circuit.SWAP (a, b) ->
+          let tx = sens_x.(a) and tz = sens_z.(a) in
+          sens_x.(a) <- sens_x.(b);
+          sens_z.(a) <- sens_z.(b);
+          sens_x.(b) <- tx;
+          sens_z.(b) <- tz
+      | Circuit.M q ->
+          decr mi;
+          Bitvec.xor_into ~dst:sens_x.(q) meas_sig.(!mi)
+      | Circuit.R q ->
+          Bitvec.clear sens_x.(q);
+          Bitvec.clear sens_z.(q)
+      | Circuit.Noise1 { px; py; pz; q } ->
+          record px sens_x.(q);
+          record pz sens_z.(q);
+          record py (xor_of sens_x.(q) sens_z.(q))
+      | Circuit.Depol2 { p; a; b } ->
+          let comp = p /. 15. in
+          let sigs1 q =
+            [| None; Some sens_x.(q); Some (xor_of sens_x.(q) sens_z.(q)); Some sens_z.(q) |]
+          in
+          let sa = sigs1 a and sb = sigs1 b in
+          for pa = 0 to 3 do
+            for pb = 0 to 3 do
+              if pa <> 0 || pb <> 0 then
+                record comp
+                  (match (sa.(pa), sb.(pb)) with
+                  | None, None -> assert false
+                  | Some x, None -> Bitvec.copy x
+                  | None, Some y -> Bitvec.copy y
+                  | Some x, Some y -> xor_of x y)
+            done
+          done
+    done;
+    assert (!mi = 0);
+    Hashtbl.fold
+      (fun key pref acc ->
+        let dets, obs_mask = Hashtbl.find sigs key in
+        { Dem.p = !pref; detectors = Array.of_list dets; obs_mask } :: acc)
+      table []
+  end
+
+(* Order-free, bit-exact view of a mechanism list. *)
+let canonical mechanisms =
+  List.sort compare
+    (List.map
+       (fun m ->
+         (Array.to_list m.Dem.detectors, m.Dem.obs_mask, Int64.bits_of_float m.Dem.p))
+       mechanisms)
+
+let same_as_oracle c = canonical (Dem.of_circuit c) = canonical (oracle_of_circuit c)
+
+let check_oracle msg c =
+  Alcotest.(check bool) (msg ^ ": bit-identical to the oracle") true (same_as_oracle c)
+
+(* Random small noisy Clifford circuits: H, S, CX, CZ, SWAP, M, R, Noise1
+   and Depol2 over 2-5 qubits, a quarter of the noise components zero, and
+   detectors/observables drawn from the measurements. *)
+let gen_circuit =
+  QCheck.Gen.(
+    int_range 2 5 >>= fun n ->
+    let qubit = int_bound (n - 1) in
+    let pair =
+      qubit >>= fun a ->
+      int_bound (n - 2) >|= fun k -> (a, if k >= a then k + 1 else k)
+    in
+    let prob = frequency [ (1, return 0.); (3, float_range 1e-4 0.2) ] in
+    let op =
+      frequency
+        [ (2, qubit >|= fun q -> Circuit.H q);
+          (1, qubit >|= fun q -> Circuit.S q);
+          (2, pair >|= fun (a, b) -> Circuit.CX (a, b));
+          (1, pair >|= fun (a, b) -> Circuit.CZ (a, b));
+          (1, pair >|= fun (a, b) -> Circuit.SWAP (a, b));
+          (2, qubit >|= fun q -> Circuit.M q);
+          (1, qubit >|= fun q -> Circuit.R q);
+          ( 3,
+            map2
+              (fun q (px, py, pz) -> Circuit.Noise1 { px; py; pz; q })
+              qubit (triple prob prob prob) );
+          (2, map2 (fun (a, b) p -> Circuit.Depol2 { p; a; b }) pair prob) ]
+    in
+    list_size (int_range 1 40) op >>= fun ops ->
+    let nmeas = List.length (List.filter (function Circuit.M _ -> true | _ -> false) ops) in
+    let groups k =
+      if nmeas = 0 then return []
+      else list_size (int_range 0 k) (list_size (int_range 1 3) (int_bound (nmeas - 1)))
+    in
+    map2
+      (fun detectors observables ->
+        let b = Circuit.builder n in
+        List.iter (Circuit.add b) ops;
+        List.iter (Circuit.add_detector b) detectors;
+        List.iter (Circuit.add_observable b) observables;
+        Circuit.finish b)
+      (groups 6) (groups 2))
+
+let print_circuit (c : Circuit.t) =
+  let op = function
+    | Circuit.H q -> Printf.sprintf "H%d" q
+    | Circuit.S q -> Printf.sprintf "S%d" q
+    | Circuit.X q -> Printf.sprintf "X%d" q
+    | Circuit.Y q -> Printf.sprintf "Y%d" q
+    | Circuit.Z q -> Printf.sprintf "Z%d" q
+    | Circuit.CX (a, b) -> Printf.sprintf "CX%d,%d" a b
+    | Circuit.CZ (a, b) -> Printf.sprintf "CZ%d,%d" a b
+    | Circuit.SWAP (a, b) -> Printf.sprintf "SWAP%d,%d" a b
+    | Circuit.M q -> Printf.sprintf "M%d" q
+    | Circuit.R q -> Printf.sprintf "R%d" q
+    | Circuit.Noise1 { px; py; pz; q } -> Printf.sprintf "N%d(%g,%g,%g)" q px py pz
+    | Circuit.Depol2 { p; a; b } -> Printf.sprintf "D%d,%d(%g)" a b p
+  in
+  let groups g =
+    String.concat " "
+      (Array.to_list
+         (Array.map (fun ms -> String.concat "," (Array.to_list (Array.map string_of_int ms))) g))
+  in
+  Printf.sprintf "q=%d ops=[%s] dets=[%s] obs=[%s]" c.Circuit.nqubits
+    (String.concat " " (Array.to_list (Array.map op c.Circuit.ops)))
+    (groups c.Circuit.detectors) (groups c.Circuit.observables)
+
+let prop_matches_oracle =
+  QCheck.Test.make ~name:"of_circuit = string-keyed oracle (bit-exact p)" ~count:500
+    (QCheck.make ~print:print_circuit gen_circuit)
+    same_as_oracle
+
+let surface ~distance ~sigma seed =
+  (Surface_circuit.build_varied ~sigma (Rng.create seed)
+     (Surface_circuit.default ~distance))
+    .Surface_circuit.circuit
+
+let test_reweight_matches_oracle () =
+  (* Same d=5 shape, new coherences: the reused structure reweights. *)
+  let sigmas = [ 0.; 0.3; 0.6; 1.0; 0.3 ] in
+  List.iteri
+    (fun i sigma -> check_oracle (Printf.sprintf "d=5 sigma=%g" sigma) (surface ~distance:5 ~sigma i))
+    sigmas;
+  (* The same through the explicit passes, with no slot involved. *)
+  let s = Dem.structure (surface ~distance:5 ~sigma:0.2 9) in
+  List.iteri
+    (fun i sigma ->
+      let c = surface ~distance:5 ~sigma i in
+      Alcotest.(check bool)
+        (Printf.sprintf "weigh d=5 sigma=%g = oracle" sigma)
+        true
+        (canonical (Dem.weigh s c) = canonical (oracle_of_circuit c)))
+    sigmas;
+  Alcotest.check_raises "weigh rejects another shape"
+    (Invalid_argument "Dem.weigh: circuit shape differs") (fun () ->
+      ignore (Dem.weigh s (surface ~distance:3 ~sigma:0. 0)))
+
+let rebuild (c : Circuit.t) ~ops ~detectors =
+  let b = Circuit.builder c.Circuit.nqubits in
+  Array.iter (Circuit.add b) ops;
+  Array.iter (fun ms -> Circuit.add_detector b (Array.to_list ms)) detectors;
+  Array.iter (fun ms -> Circuit.add_observable b (Array.to_list ms)) c.Circuit.observables;
+  Circuit.finish b
+
+let test_shape_changes_recompile () =
+  (* Each variant differs from the base in one part of its shape.  After a
+     d=3 compile evicts the slot, the variant compiles first and the base
+     then meets the variant's structure, which it must not reuse.  This
+     order matters for the zeroed component: reusing the base's structure
+     for the variant would only combine a 0 (exact), but reusing the
+     variant's for the base loses a contribution. *)
+  let c = surface ~distance:5 ~sigma:0.3 1 in
+  let ops = Array.copy c.Circuit.ops in
+  let k = ref (-1) in
+  Array.iteri
+    (fun i g -> match g with Circuit.Noise1 _ when !k < 0 -> k := i | _ -> ())
+    ops;
+  (match ops.(!k) with
+  | Circuit.Noise1 n -> ops.(!k) <- Circuit.Noise1 { n with px = 0. }
+  | _ -> assert false);
+  (* A subnormal Depol2 p is positive, but its p/15 components round to 0
+     and record nothing. *)
+  let tiny = Array.copy c.Circuit.ops in
+  let j = ref (-1) in
+  Array.iteri
+    (fun i g -> match g with Circuit.Depol2 _ when !j < 0 -> j := i | _ -> ())
+    tiny;
+  (match tiny.(!j) with
+  | Circuit.Depol2 d -> tiny.(!j) <- Circuit.Depol2 { d with p = 1e-323 }
+  | _ -> assert false);
+  let detectors = Array.copy c.Circuit.detectors in
+  detectors.(0) <- c.Circuit.detectors.(1);
+  detectors.(1) <- c.Circuit.detectors.(0);
+  List.iter
+    (fun (msg, variant) ->
+      ignore (Dem.of_circuit (surface ~distance:3 ~sigma:0. 0));
+      check_oracle msg variant;
+      check_oracle ("base after " ^ msg) c;
+      check_oracle msg variant)
+    [ ("first px zeroed", rebuild c ~ops ~detectors:c.Circuit.detectors);
+      ("first depol2 p subnormal", rebuild c ~ops:tiny ~detectors:c.Circuit.detectors);
+      ("two detectors swapped", rebuild c ~ops:c.Circuit.ops ~detectors) ]
+
+let test_two_domains () =
+  (* Two shapes compiled at once from two domains share the one slot. *)
+  let c3 = surface ~distance:3 ~sigma:0.4 5 and c5 = surface ~distance:5 ~sigma:0.4 6 in
+  let want3 = canonical (oracle_of_circuit c3) and want5 = canonical (oracle_of_circuit c5) in
+  let worker c want () =
+    List.for_all (fun _ -> canonical (Dem.of_circuit c) = want) (List.init 8 Fun.id)
+  in
+  let d3 = Domain.spawn (worker c3 want3) and d5 = Domain.spawn (worker c5 want5) in
+  Alcotest.(check bool) "d=3 from its domain" true (Domain.join d3);
+  Alcotest.(check bool) "d=5 from its domain" true (Domain.join d5)
+
+(* Minor words one reweight may allocate per mechanism: the result list
+   cell, the mechanism record and its boxed [p] (3 + 4 + 2 words), plus a
+   constant for the result closure.  The shape check and the weight scan
+   allocate nothing of their own; the probability array is major-heap
+   sized.  Measured: 7952 words for the 883 mechanisms below. *)
+let reweight_words_per_mechanism = 9
+let reweight_words_constant = 64
+
+let test_one_structure_per_shape () =
+  ignore (surface ~distance:3 ~sigma:0. 0);
+  let before = Obs.Counter.value Dem.structures_total in
+  List.iter (fun seed -> ignore (surface ~distance:7 ~sigma:0.3 seed)) [ 1; 2; 3; 4; 5 ];
+  Alcotest.(check int) "five same-shape d=7 builds, one structure pass" 1
+    (Obs.Counter.value Dem.structures_total - before);
+  let c = surface ~distance:7 ~sigma:0.5 6 in
+  let n = List.length (Dem.of_circuit c) in
+  let words = Alloc.words (fun () -> ignore (Dem.of_circuit c)) in
+  Alcotest.(check int) "reweights only" 1 (Obs.Counter.value Dem.structures_total - before);
+  Alcotest.(check bool)
+    (Printf.sprintf "reweight: %d words over %d mechanisms <= %d per mechanism + %d" words n
+       reweight_words_per_mechanism reweight_words_constant)
+    true
+    (words <= (reweight_words_per_mechanism * n) + reweight_words_constant)
+
 let () =
   Alcotest.run "dem"
     [ ( "mechanisms",
@@ -169,4 +460,10 @@ let () =
       ( "integration",
         [ Alcotest.test_case "matches frame stats" `Slow test_dem_matches_frame_statistics;
           Alcotest.test_case "surface DEM graphlike" `Quick test_surface_code_dem_mostly_graphlike;
-          Alcotest.test_case "surface DEM probs" `Quick test_surface_code_dem_probabilities_positive ] ) ]
+          Alcotest.test_case "surface DEM probs" `Quick test_surface_code_dem_probabilities_positive ] );
+      ( "structure reuse",
+        [ QCheck_alcotest.to_alcotest prop_matches_oracle;
+          Alcotest.test_case "reweight = oracle" `Quick test_reweight_matches_oracle;
+          Alcotest.test_case "shape changes recompile" `Quick test_shape_changes_recompile;
+          Alcotest.test_case "two domains" `Quick test_two_domains;
+          Alcotest.test_case "one structure per shape" `Quick test_one_structure_per_shape ] ) ]

@@ -233,7 +233,7 @@ let test_pinned_circuit_key () =
   let key =
     Dem_store.circuit_key (Lazy.force small_exp).Surface_circuit.circuit
   in
-  Alcotest.(check string) "pinned d=3 circuit key" "498b22aa90d1c07e" key;
+  Alcotest.(check string) "pinned d=3 circuit key" "67bab1e2e2db236e" key;
   (* Any noise-parameter change must move the key. *)
   let varied =
     Surface_circuit.build
@@ -317,29 +317,29 @@ let test_store_malformed_payloads () =
 let test_store_corruption_heals () =
   with_store_dir (fun dir ->
       let exp = Lazy.force small_exp in
-      let circuit = exp.Surface_circuit.circuit in
+      let key = Dem_store.circuit_key exp.Surface_circuit.circuit in
       let store = Store.open_dir dir in
       Alcotest.(check bool) "fresh store misses" true
-        (Dem_store.find store circuit = None);
-      Dem_store.put store circuit exp.Surface_circuit.sampler
+        (Dem_store.find store key = None);
+      Dem_store.put store key exp.Surface_circuit.sampler
         exp.Surface_circuit.graph;
-      (match Dem_store.find store circuit with
+      (match Dem_store.find store key with
       | Some (_, graph) ->
           Alcotest.(check bool) "hit decodes the stored graph" true
             (same_graph graph exp.Surface_circuit.graph)
       | None -> Alcotest.fail "stored entry missed");
       (* Truncate the entry in place: the next find must degrade to a miss
          (not raise), and a re-put must heal it. *)
-      let path = Store.entry_path store (Dem_store.circuit_key circuit) in
+      let path = Store.entry_path store key in
       let full = In_channel.with_open_bin path In_channel.input_all in
       Out_channel.with_open_bin path (fun oc ->
           Out_channel.output_string oc (String.sub full 0 10));
       Alcotest.(check bool) "truncated entry -> miss" true
-        (Dem_store.find store circuit = None);
-      Dem_store.put store circuit exp.Surface_circuit.sampler
+        (Dem_store.find store key = None);
+      Dem_store.put store key exp.Surface_circuit.sampler
         exp.Surface_circuit.graph;
       Alcotest.(check bool) "re-put heals" true
-        (Dem_store.find store circuit <> None))
+        (Dem_store.find store key <> None))
 
 let test_compile_cached_warm_identical () =
   with_store_dir (fun dir ->
