@@ -1,10 +1,9 @@
 type edge = { u : int; v : int; weight : int; logical : bool }
 
-(* Border lists and the peel adjacency are stored as half-edges: half-edge
-   2*eid sits at edges.(eid).u, half-edge 2*eid + 1 at edges.(eid).v, so one
-   int array of next-pointers represents every per-vertex list at once with
-   O(1) append and concat — the allocation-free replacement for the cons
-   lists the original decoder built per shot. *)
+(* Incidence is stored in CSR form: vertex [w]'s incident edges are
+   [slot_e.(off.(w)) .. slot_e.(off.(w + 1) - 1)], in construction order.
+   A cluster's border is the linked list of its vertices, so walking a
+   border is walking each of its vertices' slot ranges in list order. *)
 type graph = {
   n : int;  (* real nodes; vertex n is the virtual boundary *)
   edges : edge array;
@@ -14,9 +13,8 @@ type graph = {
   e_v : int array;
   e_full : int array;  (* 2 * weight, the half-step growth target *)
   e_logical : bool array;
-  init_head : int array;  (* vertex -> first incident half-edge, -1 end *)
-  init_tail : int array;
-  init_next : int array;  (* half-edge -> next incident half-edge of its vertex *)
+  off : int array;  (* n + 2 entries: slot range start per vertex, then 2 * ne *)
+  slot_e : int array;  (* 2 * ne incident edge ids *)
   total_weight : int;
   (* reusable decode arenas: a LIFO stack in a growable array, not a cons
      list, so steady-state take/release allocate nothing (the array only
@@ -27,9 +25,10 @@ type graph = {
 }
 
 (* Pre-sized scratch for one in-flight decode.  Nothing in here is allocated
-   per shot: every mutation is logged in a dirty stack (deduplicated by a
-   mark array) and undone after the shot, so reset cost is proportional to
-   the work the shot actually did — a quiet syndrome costs O(defects), not
+   per shot: every vertex the shot mutates is logged in a dirty stack
+   (deduplicated by a mark array) and restored after the shot, together with
+   the growth of its incident edges, so reset cost is proportional to the
+   work the shot actually did — a quiet syndrome costs O(defects), not
    O(V + E). *)
 and arena = {
   (* union-find over nv = n + 1 vertices *)
@@ -38,23 +37,18 @@ and arena = {
   parity : int array;
   bnd : bool array;  (* cluster touches the boundary *)
   defect : bool array;
-  (* border lists (live copy of init_head/tail/next) *)
+  (* border vertex lists: head/tail per root, vnext per vertex, -1 end *)
   head : int array;
   tail : int array;
-  next : int array;
+  vnext : int array;
   growth : int array;  (* per edge, in half-steps *)
   (* dirty logs: what to restore after the shot *)
   dirty_v : int array;
   mutable ndirty_v : int;
   vmark : bool array;
-  dirty_h : int array;
-  mutable ndirty_h : int;
-  hmark : bool array;
-  dirty_e : int array;
-  mutable ndirty_e : int;
   (* parent-only dirty log: path compression touches many vertices but
-     mutates just [parent], so its undo is one write instead of the
-     eight-field restore of the full vertex log *)
+     mutates just [parent], so its undo is one write instead of the full
+     restore of the vertex log *)
   dirty_p : int array;
   mutable ndirty_p : int;
   pmark : bool array;
@@ -63,14 +57,12 @@ and arena = {
   mutable ndef : int;
   roots : int array;
   seen : int array;  (* epoch stamps: root already collected this round *)
-  mutable epoch : int;
-  to_merge : int array;
-  mutable nmerge : int;
-  (* fast-forward scratch: per-edge growth rate this round (1 or 2 live
-     half-edges on active borders), epoch-stamped so it never needs reset *)
-  rate : int array;
+  mutable epoch : int;  (* one per border walk *)
+  (* per-edge stamp of the current walk, [(epoch lsl 1) lor (rate - 1)]:
+     the edge's growth rate is its number of live half-edges on active
+     borders (1 or 2), and the stamp never needs reset *)
   rate_seen : int array;
-  rate_edges : int array;
+  rate_edges : int array;  (* live edges of the current walk *)
   mutable nrate : int;
   full : int array;  (* every edge that reached full growth this shot *)
   mutable nfull : int;
@@ -109,25 +101,27 @@ let weighted_graph ~nodes ~edges =
            { u; v; weight; logical })
          edges)
   in
+  (* Every endpoint is in [0, nodes] (checked above), so every [off] entry
+     is in [0, 2 * ne] and every [slot_e] entry is an edge id in [0, ne) —
+     the invariant the unchecked reads of the border walk rely on. *)
   let nv = nodes + 1 in
-  let ne = Array.length edges in
-  let init_head = Array.make nv (-1) in
-  let init_tail = Array.make nv (-1) in
-  let init_next = Array.make (max 1 (2 * ne)) (-1) in
-  let append v h =
-    if init_head.(v) = -1 then begin
-      init_head.(v) <- h;
-      init_tail.(v) <- h
-    end
-    else begin
-      init_next.(init_tail.(v)) <- h;
-      init_tail.(v) <- h
-    end
-  in
+  let off = Array.make (nv + 1) 0 in
+  Array.iter
+    (fun e ->
+      off.(e.u + 1) <- off.(e.u + 1) + 1;
+      off.(e.v + 1) <- off.(e.v + 1) + 1)
+    edges;
+  for w = 1 to nv do
+    off.(w) <- off.(w) + off.(w - 1)
+  done;
+  let slot_e = Array.make (2 * Array.length edges) 0 in
+  let fill = Array.sub off 0 nv in
   Array.iteri
     (fun i e ->
-      append e.u (2 * i);
-      append e.v ((2 * i) + 1))
+      slot_e.(fill.(e.u)) <- i;
+      fill.(e.u) <- fill.(e.u) + 1;
+      slot_e.(fill.(e.v)) <- i;
+      fill.(e.v) <- fill.(e.v) + 1)
     edges;
   let total_weight = Array.fold_left (fun acc e -> acc + e.weight) 1 edges in
   { n = nodes; edges;
@@ -135,7 +129,7 @@ let weighted_graph ~nodes ~edges =
     e_v = Array.map (fun e -> e.v) edges;
     e_full = Array.map (fun e -> 2 * e.weight) edges;
     e_logical = Array.map (fun e -> e.logical) edges;
-    init_head; init_tail; init_next; total_weight;
+    off; slot_e; total_weight;
     pool = [||]; npool = 0; pool_lock = Mutex.create () }
 
 let graph ~nodes ~edges =
@@ -154,25 +148,19 @@ let edge_list g =
 let create_arena g =
   Obs.Counter.incr arenas_total;
   let nv = g.n + 1 in
-  let ne = Array.length g.edges in
-  let nh = max 1 (2 * ne) in
+  let ne = max 1 (Array.length g.edges) in
   { parent = Array.init nv (fun v -> v);
     rank = Array.make nv 0;
     parity = Array.make nv 0;
     bnd = Array.init nv (fun v -> v = g.n);
     defect = Array.make nv false;
-    head = Array.copy g.init_head;
-    tail = Array.copy g.init_tail;
-    next = Array.copy g.init_next;
-    growth = Array.make (max 1 ne) 0;
+    head = Array.init nv (fun v -> v);
+    tail = Array.init nv (fun v -> v);
+    vnext = Array.make nv (-1);
+    growth = Array.make ne 0;
     dirty_v = Array.make nv 0;
     ndirty_v = 0;
     vmark = Array.make nv false;
-    dirty_h = Array.make nh 0;
-    ndirty_h = 0;
-    hmark = Array.make nh false;
-    dirty_e = Array.make (max 1 ne) 0;
-    ndirty_e = 0;
     dirty_p = Array.make nv 0;
     ndirty_p = 0;
     pmark = Array.make nv false;
@@ -181,16 +169,13 @@ let create_arena g =
     roots = Array.make (max 1 g.n) 0;
     seen = Array.make nv 0;
     epoch = 0;
-    to_merge = Array.make (max 1 ne) 0;
-    nmerge = 0;
-    rate = Array.make (max 1 ne) 0;
-    rate_seen = Array.make (max 1 ne) 0;
-    rate_edges = Array.make (max 1 ne) 0;
+    rate_seen = Array.make ne 0;
+    rate_edges = Array.make ne 0;
     nrate = 0;
-    full = Array.make (max 1 ne) 0;
+    full = Array.make ne 0;
     nfull = 0;
     adj_head = Array.make nv (-1);
-    adj_next = Array.make nh 0;
+    adj_next = Array.make (2 * ne) 0;
     visited = Array.make nv false;
     parent_v = Array.make nv (-1);
     parent_edge = Array.make nv (-1);
@@ -237,13 +222,6 @@ let touch_v a v =
     a.ndirty_v <- a.ndirty_v + 1
   end
 
-let touch_h a h =
-  if not a.hmark.(h) then begin
-    a.hmark.(h) <- true;
-    a.dirty_h.(a.ndirty_h) <- h;
-    a.ndirty_h <- a.ndirty_h + 1
-  end
-
 let touch_p a v =
   if not a.pmark.(v) then begin
     a.pmark.(v) <- true;
@@ -251,14 +229,12 @@ let touch_p a v =
     a.ndirty_p <- a.ndirty_p + 1
   end
 
-let touch_e a e =
-  if a.growth.(e) = 0 then begin
-    a.dirty_e.(a.ndirty_e) <- e;
-    a.ndirty_e <- a.ndirty_e + 1
-  end
-
 (* Undo every mutation of the shot, returning the arena to the pristine
-   create_arena state.  Cost is proportional to the dirty logs. *)
+   create_arena state.  Growth is cleared through the slots of the touched
+   vertices: only clusters without the boundary grow, every vertex of such a
+   cluster is touched (as a defect or as a merged root), and every grown
+   edge has an endpoint in one, so the boundary vertex's slots can be
+   skipped.  Cost is proportional to the dirty logs. *)
 let reset_arena g a =
   for i = 0 to a.ndirty_v - 1 do
     let v = a.dirty_v.(i) in
@@ -267,21 +243,16 @@ let reset_arena g a =
     a.parity.(v) <- 0;
     a.bnd.(v) <- v = g.n;
     a.defect.(v) <- false;
-    a.head.(v) <- g.init_head.(v);
-    a.tail.(v) <- g.init_tail.(v);
-    a.vmark.(v) <- false
+    a.head.(v) <- v;
+    a.tail.(v) <- v;
+    a.vnext.(v) <- -1;
+    a.vmark.(v) <- false;
+    if v <> g.n then
+      for k = g.off.(v) to g.off.(v + 1) - 1 do
+        a.growth.(g.slot_e.(k)) <- 0
+      done
   done;
   a.ndirty_v <- 0;
-  for i = 0 to a.ndirty_h - 1 do
-    let h = a.dirty_h.(i) in
-    a.next.(h) <- g.init_next.(h);
-    a.hmark.(h) <- false
-  done;
-  a.ndirty_h <- 0;
-  for i = 0 to a.ndirty_e - 1 do
-    a.growth.(a.dirty_e.(i)) <- 0
-  done;
-  a.ndirty_e <- 0;
   for i = 0 to a.ndirty_p - 1 do
     let v = a.dirty_p.(i) in
     a.parent.(v) <- v;
@@ -322,17 +293,63 @@ let merge a u v =
     if a.rank.(ru) = a.rank.(rv) then a.rank.(r) <- a.rank.(r) + 1;
     a.parity.(r) <- (a.parity.(ru) + a.parity.(rv)) land 1;
     a.bnd.(r) <- a.bnd.(ru) || a.bnd.(rv);
-    (* concat border lists: r's list ++ other's list, O(1) *)
-    if a.head.(r) = -1 then begin
-      a.head.(r) <- a.head.(other);
-      a.tail.(r) <- a.tail.(other)
-    end
-    else if a.head.(other) <> -1 then begin
-      touch_h a a.tail.(r);
-      a.next.(a.tail.(r)) <- a.head.(other);
-      a.tail.(r) <- a.tail.(other)
-    end
+    (* concat border vertex lists: r's list ++ other's list, O(1) *)
+    let t = a.tail.(r) in
+    touch_v a t;
+    a.vnext.(t) <- a.head.(other);
+    a.tail.(r) <- a.tail.(other)
   end
+
+(* One unit growth round: walk the borders of the first [nroots] roots,
+   growing every live edge one half-step and recording each edge that
+   reaches full growth.  Full edges stay on the borders; the growth check
+   skips them.  Returns the fast-forward bound: the number of unit rounds
+   from the start of this walk until the first edge fulls, i.e. the minimum
+   over live edges of ceil(remaining / rate).  It is folded in without a
+   division: at an edge's first visit the candidate is its remaining
+   half-steps, at its second (rate 2, one increment already applied) it is
+   ceil(remaining / 2), which is never larger.  An edge has two endpoints
+   and each vertex sits on one border, so no edge is visited a third time.
+
+   Reads of [off], [slot_e] and the per-edge arrays are unchecked:
+   [weighted_graph] guarantees every vertex indexes [off] and every slot
+   holds an edge id in range (see its comment). *)
+let walk_borders g a nroots =
+  let stamp = a.epoch lsl 1 in
+  let bound = ref max_int in
+  a.nrate <- 0;
+  for i = 0 to nroots - 1 do
+    let v = ref a.head.(a.roots.(i)) in
+    while !v <> -1 do
+      for k = Array.unsafe_get g.off !v to Array.unsafe_get g.off (!v + 1) - 1 do
+        let eid = Array.unsafe_get g.slot_e k in
+        let full = Array.unsafe_get g.e_full eid in
+        let gr = Array.unsafe_get a.growth eid in
+        if gr < full then begin
+          let cand =
+            if Array.unsafe_get a.rate_seen eid <> stamp then begin
+              Array.unsafe_set a.rate_seen eid stamp;
+              a.rate_edges.(a.nrate) <- eid;
+              a.nrate <- a.nrate + 1;
+              full - gr
+            end
+            else begin
+              Array.unsafe_set a.rate_seen eid (stamp lor 1);
+              (full - gr + 2) lsr 1
+            end
+          in
+          if cand < !bound then bound := cand;
+          Array.unsafe_set a.growth eid (gr + 1);
+          if gr + 1 >= full then begin
+            a.full.(a.nfull) <- eid;
+            a.nfull <- a.nfull + 1
+          end
+        end
+      done;
+      v := a.vnext.(!v)
+    done
+  done;
+  !bound
 
 (* Iterative spanning-forest DFS over the full edges from [root].  Top-level
    (not a local closure inside [decode_into]) so the per-shot decode loop
@@ -367,8 +384,14 @@ let peel_dfs g a root =
   end
 
 (* Grow clusters from defects until every cluster has even parity or touches
-   the boundary (same half-step growth rule as the original list-based
-   implementation), then peel a spanning forest of the full edges. *)
+   the boundary, then peel a spanning forest of the full edges.  Growth is
+   in unit rounds of one half-step per live half-edge on an active border;
+   one border walk runs each round.  A walk that fulls an edge ends the
+   round with merges, and the next round collects its roots afresh.  A walk
+   that fulls nothing returns a bound b >= 2 and leaves the roots as they
+   were: rounds 2 .. b - 1 would full nothing either, so they are applied at
+   once as rate * (b - 2) to every live edge, and the next walk, on the
+   same roots, is round b — bit-identical to running every round. *)
 let decode_into g a syndrome ~record =
   a.ndef <- 0;
   for w = 0 to Bitvec.word_count syndrome - 1 do
@@ -389,97 +412,52 @@ let decode_into g a syndrome ~record =
   a.ncorr <- 0;
   if a.ndef = 0 then false
   else begin
+    (* [guard] counts unit rounds; only a cluster with no live border edge
+       (an odd component without a boundary edge) can stall it *)
     let guard = ref 0 in
+    let nroots = ref 0 in
+    let collect = ref true in
     let progress = ref true in
     while !progress do
       if !guard > 4 * g.total_weight then
         failwith "Decoder_uf: growth failed to converge";
       incr guard;
-      (* Collect the active roots (odd parity, no boundary) of this round. *)
       a.epoch <- a.epoch + 1;
-      let nroots = ref 0 in
-      for i = 0 to a.ndef - 1 do
-        let r = find a a.defects.(i) in
-        if a.seen.(r) <> a.epoch then begin
-          a.seen.(r) <- a.epoch;
-          if a.parity.(r) = 1 && not a.bnd.(r) then begin
-            a.roots.(!nroots) <- r;
-            incr nroots
+      if !collect then begin
+        (* the active roots (odd parity, no boundary), in defect order *)
+        collect := false;
+        nroots := 0;
+        for i = 0 to a.ndef - 1 do
+          let r = find a a.defects.(i) in
+          if a.seen.(r) <> a.epoch then begin
+            a.seen.(r) <- a.epoch;
+            if a.parity.(r) = 1 && not a.bnd.(r) then begin
+              a.roots.(!nroots) <- r;
+              incr nroots
+            end
           end
-        end
-      done;
+        done
+      end;
       if !nroots = 0 then progress := false
       else begin
-        (* Fast-forward: a border edge grows by its number of live half-edges
-           on active borders (1 or 2) per unit round, and nothing else changes
-           until an edge fulls.  Jump all growth ahead by the largest round
-           count that provably fulls no edge, then run one ordinary unit
-           round — bit-identical to running every skipped round one by one. *)
-        a.nrate <- 0;
-        for i = 0 to !nroots - 1 do
-          let h = ref a.head.(a.roots.(i)) in
-          while !h <> -1 do
-            let eid = !h lsr 1 in
-            if a.growth.(eid) < g.e_full.(eid) then begin
-              if a.rate_seen.(eid) <> a.epoch then begin
-                a.rate_seen.(eid) <- a.epoch;
-                a.rate.(eid) <- 1;
-                a.rate_edges.(a.nrate) <- eid;
-                a.nrate <- a.nrate + 1
-              end
-              else a.rate.(eid) <- 2
-            end;
-            h := a.next.(!h)
-          done
-        done;
-        let step = ref max_int in
-        for i = 0 to a.nrate - 1 do
-          let eid = a.rate_edges.(i) in
-          let remaining = g.e_full.(eid) - a.growth.(eid) in
-          let rounds = (remaining + a.rate.(eid) - 1) / a.rate.(eid) in
-          if rounds < !step then step := rounds
-        done;
-        if !step > 1 && !step < max_int then begin
-          let skip = !step - 1 in
+        let nfull0 = a.nfull in
+        let bound = walk_borders g a !nroots in
+        if a.nfull > nfull0 then begin
+          for k = nfull0 to a.nfull - 1 do
+            let eid = a.full.(k) in
+            merge a g.e_u.(eid) g.e_v.(eid)
+          done;
+          collect := true
+        end
+        else if bound < max_int then begin
+          let skip = bound - 2 in
           guard := !guard + skip;
           for i = 0 to a.nrate - 1 do
             let eid = a.rate_edges.(i) in
-            touch_e a eid;
-            a.growth.(eid) <- a.growth.(eid) + (a.rate.(eid) * skip)
+            let rate = (a.rate_seen.(eid) land 1) + 1 in
+            a.growth.(eid) <- a.growth.(eid) + (rate * skip)
           done
-        end;
-        a.nmerge <- 0;
-        for i = 0 to !nroots - 1 do
-          (* An earlier merge this round may have absorbed the root. *)
-          let r = find a a.roots.(i) in
-          if a.parity.(r) = 1 && not a.bnd.(r) then begin
-            (* Walk the border, growing every live edge one half-step.  Full
-               edges stay in the list as stale entries — the growth check
-               skips them, and with fast-forwarded rounds the lists are
-               walked too few times for trimming to pay for its relink
-               bookkeeping. *)
-            let h = ref a.head.(r) in
-            while !h <> -1 do
-              let eid = !h lsr 1 in
-              let full = g.e_full.(eid) in
-              if a.growth.(eid) < full then begin
-                touch_e a eid;
-                a.growth.(eid) <- a.growth.(eid) + 1;
-                if a.growth.(eid) >= full then begin
-                  a.to_merge.(a.nmerge) <- eid;
-                  a.nmerge <- a.nmerge + 1;
-                  a.full.(a.nfull) <- eid;
-                  a.nfull <- a.nfull + 1
-                end
-              end;
-              h := a.next.(!h)
-            done
-          end
-        done;
-        for i = 0 to a.nmerge - 1 do
-          let eid = a.to_merge.(i) in
-          merge a g.e_u.(eid) g.e_v.(eid)
-        done
+        end
       end
     done;
     (* Peel: spanning forest over the full edges, boundary-rooted first so

@@ -11,12 +11,21 @@
     This plays the role of PyMatching in the paper's Stim-based experiments;
     union-find achieves near-matching accuracy at near-linear cost.
 
-    Decoding runs on a reusable arena: pre-sized parent/rank/parity arrays,
-    int-array border/adjacency linked lists and peel scratch, with every
-    per-shot mutation undone through dirty logs — zero allocation per shot
-    and reset cost proportional to the work the shot did.  Arenas are pooled
-    per graph behind a mutex, so {!decode} and {!decode_batch} are safe to
-    call concurrently from worker domains. *)
+    Decoding runs on a reusable arena.  The graph holds its incidence in
+    CSR form (each vertex's incident edge ids, in construction order), and
+    a cluster's border is the linked list of its vertices, so a merge
+    appends one list to another in O(1).  Each unit growth round walks the
+    active borders once: it grows every live edge one half-step and folds
+    in, without a division, the number of rounds until the next edge fulls.
+    A walk that fulls nothing applies all of those rounds but the last at
+    once, and the next walk, on the same clusters, is the fulling round —
+    the same growth as running every round.  Every vertex the shot mutates
+    goes on a dirty log, and the reset restores it and clears the growth of
+    its incident edges: zero allocation per shot and reset cost
+    proportional to the work the shot did.  Arenas are pooled per graph
+    behind a mutex, so {!decode} and {!decode_batch} are safe to call
+    concurrently from worker domains; an arena whose decode raised is
+    dropped, never pooled. *)
 
 type graph
 
@@ -46,7 +55,10 @@ val edge_list : graph -> (int * int * int * bool) array
 val decode : graph -> Bitvec.t -> bool
 (** [decode g syndrome] returns the predicted logical flip for the defect
     pattern [syndrome] (one bit per node).  The syndrome must have even total
-    parity or the excess is matched to the boundary. *)
+    parity or the excess is matched to the boundary.  Raises
+    [Failure "Decoder_uf: growth failed to converge"] when a connected
+    component without a boundary edge holds an odd number of defects (for
+    example a defect on a node with no edges). *)
 
 val decode_correction : graph -> Bitvec.t -> int list
 (** The chosen correction as edge indices (ordered as given to {!graph});

@@ -220,11 +220,16 @@ let logical_error_count ?jobs exp rng ~shots =
       [ ("distance", string_of_int exp.params.distance);
         ("shots", string_of_int shots) ]
     (fun () ->
+      (* one span per Monte-Carlo chunk, never per shot *)
       Parallel.monte_carlo_count ?jobs ~rng ~shots (fun rng nshots ->
-          let b = Dem_sampler.sample exp.sampler rng ~nshots in
-          Decoder_uf.decode_batch_count exp.graph
-            ~detectors:b.Frame_batch.detectors
-            ~observable:b.Frame_batch.observables.(0) ~nshots))
+          let b =
+            Obs.Trace.with_span "pauli.sample" (fun () ->
+                Dem_sampler.sample exp.sampler rng ~nshots)
+          in
+          Obs.Trace.with_span "qec.decode" (fun () ->
+              Decoder_uf.decode_batch_count exp.graph
+                ~detectors:b.Frame_batch.detectors
+                ~observable:b.Frame_batch.observables.(0) ~nshots)))
 
 let logical_error_rate ?jobs exp rng ~shots =
   float_of_int (logical_error_count ?jobs exp rng ~shots) /. float_of_int shots

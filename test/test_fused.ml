@@ -130,25 +130,29 @@ let test_decode_batch_matches_scalar distance () =
 let test_decode_batch_steady_zero_alloc () =
   (* The CI gate in miniature: once the arena pool and output row are warm,
      [decode_batch_into] must allocate exactly nothing — not amortized-few,
-     zero minor words — across repeated batches. *)
-  let exp = Surface_circuit.build (Surface_circuit.default ~distance:5) in
-  let nshots = 256 in
-  let b =
-    Dem_sampler.sample exp.Surface_circuit.sampler (Rng.create 9) ~nshots
-  in
-  let g = exp.Surface_circuit.graph in
-  let out = Bitvec.create nshots in
-  let run () =
-    Decoder_uf.decode_batch_into g ~detectors:b.Frame_batch.detectors ~nshots
-      ~out
-  in
-  run ();
-  (* warms the arena pool *)
-  for i = 1 to 5 do
-    Alcotest.(check int)
-      (Printf.sprintf "warm decode_batch_into #%d allocates zero words" i)
-      0 (Alloc.words run)
-  done
+     zero minor words — across repeated batches, at every distance. *)
+  List.iter
+    (fun distance ->
+      let exp = Surface_circuit.build (Surface_circuit.default ~distance) in
+      let nshots = 256 in
+      let b =
+        Dem_sampler.sample exp.Surface_circuit.sampler (Rng.create 9) ~nshots
+      in
+      let g = exp.Surface_circuit.graph in
+      let out = Bitvec.create nshots in
+      let run () =
+        Decoder_uf.decode_batch_into g ~detectors:b.Frame_batch.detectors
+          ~nshots ~out
+      in
+      run ();
+      (* warms the arena pool *)
+      for i = 1 to 5 do
+        Alcotest.(check int)
+          (Printf.sprintf "d=%d warm decode_batch_into #%d allocates zero words"
+             distance i)
+          0 (Alloc.words run)
+      done)
+    [ 3; 5; 7; 9 ]
 
 (* Pinned seed vector: the fused estimator's exact counts for a fixed seed,
    at one and four domains.  Any change to mechanism canonicalization, RNG
