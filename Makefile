@@ -1,9 +1,10 @@
 # Developer and CI entry points.  `make ci` is the smoke gate: full build,
-# the whole test suite, a quick bench pass, a structural check that the
-# bench produced a well-formed BENCH_hetarch.json, a determinism check
-# that --jobs does not change any output for a fixed seed, and a
-# warm-start check that the persistent characterization store serves a
-# second sweep from disk without changing a byte of output.
+# the whole test suite (whose cram tests include the check that --jobs
+# does not change any output for a fixed seed, test/jobs.t), a quick bench
+# pass, a structural check that the bench produced a well-formed
+# BENCH_hetarch.json, and a warm-start check that the persistent
+# characterization store serves a second sweep from disk without changing
+# a byte of output.
 #
 # Every smoke target works in its own `mktemp -d` scratch directory and
 # removes it on exit (success or failure), so parallel checkouts and CI
@@ -15,7 +16,7 @@
 DUNE ?= dune
 SMOKE_ARTIFACTS ?=
 
-.PHONY: all build test bench ci jobs-smoke collect-smoke obs-merge-smoke cache-smoke decode-smoke alloc-smoke serve-smoke clean
+.PHONY: all build test bench ci collect-smoke obs-merge-smoke cache-smoke decode-smoke alloc-smoke serve-smoke clean
 
 all: build
 
@@ -27,19 +28,6 @@ test:
 
 bench:
 	$(DUNE) exec bench/main.exe
-
-# The Parallel determinism contract, end to end: the same seed must produce
-# byte-identical stdout whether the Monte-Carlo fan-out runs on one domain
-# or two.
-jobs-smoke: build
-	@d=$$(mktemp -d) && trap 'rm -rf "$$d"' EXIT && \
-	for sub in fig6 table3; do \
-	  $(DUNE) exec bin/main.exe -- $$sub --shots 200 --seed 7 --jobs 1 > $$d/j1.out || exit 1; \
-	  $(DUNE) exec bin/main.exe -- $$sub --shots 200 --seed 7 --jobs 2 > $$d/j2.out || exit 1; \
-	  diff -u $$d/j1.out $$d/j2.out \
-	    || { echo "jobs-smoke: $$sub output depends on --jobs"; exit 1; }; \
-	  echo "jobs-smoke: $$sub deterministic across --jobs 1/2"; \
-	done
 
 # The campaign resume contract, end to end: a tiny threshold campaign run
 # to completion must produce a byte-identical merged CSV to the same
@@ -287,7 +275,7 @@ serve-smoke: build
 	  || { echo "serve-smoke: telemetry streams not closed exactly once each"; exit 1; }; } && \
 	echo "serve-smoke: $$co coalesced, $$wm warm hits; bodies byte-identical across 8 clients, 2 waves, --jobs 1/2; both shutdown paths left valid registry artifacts"
 
-ci: build test jobs-smoke collect-smoke obs-merge-smoke cache-smoke decode-smoke alloc-smoke serve-smoke
+ci: build test collect-smoke obs-merge-smoke cache-smoke decode-smoke alloc-smoke serve-smoke
 	$(DUNE) exec bench/main.exe -- --quick
 	$(DUNE) exec tools/check_bench.exe -- BENCH_hetarch.json
 	@$(DUNE) exec bin/main.exe -- obs diff BENCH_baseline.json BENCH_hetarch.json \

@@ -36,10 +36,11 @@ let kernel_fig4 () =
    work is light.  The default p2 = 1e-2 sits at the code threshold — ~9.5
    error events per d=7 shot — which benchmarks the decoder on saturated
    syndromes rather than the estimation pipeline. *)
-let fig6_exp =
-  lazy
-    (Surface_circuit.build
-       { (Surface_circuit.default ~distance:7) with t_data = 5e-4; p2 = 1e-3 })
+let fig6_params =
+  { (Surface_circuit.default ~distance:7) with t_data = 5e-4; p2 = 1e-3 }
+
+let fig6_exp = lazy (Surface_circuit.build fig6_params)
+let fig6_circuit = lazy (Surface_circuit.circuit fig6_params)
 
 let kernel_fig6 () =
   Surface_circuit.logical_error_rate (Lazy.force fig6_exp) (Rng.create seed) ~shots:10
@@ -56,7 +57,7 @@ let kernel_fig7 () =
 let pair_shots = 126
 
 let kernel_sample_scalar () =
-  let c = (Lazy.force fig6_exp).Surface_circuit.circuit in
+  let c = Lazy.force fig6_circuit in
   let rng = Rng.create seed in
   let flips = ref 0 in
   for _ = 1 to pair_shots do
@@ -66,7 +67,7 @@ let kernel_sample_scalar () =
   !flips
 
 let kernel_sample_batch () =
-  let c = (Lazy.force fig6_exp).Surface_circuit.circuit in
+  let c = Lazy.force fig6_circuit in
   (Frame_batch.flip_counts (Frame_batch.sample c (Rng.create seed) ~nshots:pair_shots)).(0)
 
 (* Fused sample->decode pair: identical work (estimate the d=7 logical error
@@ -78,7 +79,7 @@ let kernel_sample_batch () =
 let kernel_sample_decode_scalar () =
   let exp = Lazy.force fig6_exp in
   let b =
-    Frame_batch.sample exp.Surface_circuit.circuit (Rng.create seed)
+    Frame_batch.sample (Lazy.force fig6_circuit) (Rng.create seed)
       ~nshots:pair_shots
   in
   let errors = ref 0 in

@@ -127,19 +127,20 @@ let run_fig6 shots seed =
     "Fig 6: d=13 surface-code logical error per cycle vs coherence scaling alpha";
   let base = 1e-4 in
   let point ~t_data ~t_anc =
-    let p = { (Surface_circuit.default ~distance:13) with t_data; t_anc } in
-    let exp = Surface_circuit.build p in
-    let rate = Surface_circuit.logical_error_rate exp (Rng.create seed) ~shots in
-    Surface_circuit.per_cycle_rate ~shot_rate:rate ~rounds:p.Surface_circuit.rounds
+    { (Surface_circuit.default ~distance:13) with t_data; t_anc }
   in
   let alphas = [ 1.; 2.; 3.; 4.; 5. ] in
+  let rates =
+    Array.of_list
+      (Surface_circuit.per_cycle_rates ~seed ~shots
+         (List.concat_map
+            (fun a ->
+              [ point ~t_data:(a *. base) ~t_anc:base;
+                point ~t_data:base ~t_anc:(a *. base) ])
+            alphas))
+  in
   let rows =
-    List.map
-      (fun a ->
-        [ g a;
-          g (point ~t_data:(a *. base) ~t_anc:base);
-          g (point ~t_data:base ~t_anc:(a *. base)) ])
-      alphas
+    List.mapi (fun i a -> [ g a; g rates.(2 * i); g rates.((2 * i) + 1) ]) alphas
   in
   Tableio.print
     ~header:[ "alpha"; "Tcd = a*100us (Tca=100us)"; "Tca = a*100us (Tcd=100us)" ]
@@ -153,21 +154,25 @@ let run_fig7 shots seed full =
   let base = 1e-4 in
   let distances = if full then [ 5; 7; 9; 11; 13; 15 ] else [ 5; 7; 9; 11 ] in
   let ratios = [ 1.; 2.; 3.; 5.; 8. ] in
+  let rates =
+    Array.of_list
+      (Surface_circuit.per_cycle_rates ~seed ~shots
+         (List.concat_map
+            (fun d ->
+              List.map
+                (fun r ->
+                  { (Surface_circuit.default ~distance:d) with
+                    t_data = r *. base;
+                    t_anc = base })
+                ratios)
+            distances))
+  in
+  let per_row = List.length ratios in
   let rows =
-    List.map
-      (fun d ->
+    List.mapi
+      (fun i d ->
         string_of_int d
-        :: List.map
-             (fun r ->
-               let p =
-                 { (Surface_circuit.default ~distance:d) with
-                   t_data = r *. base;
-                   t_anc = base }
-               in
-               let exp = Surface_circuit.build p in
-               let rate = Surface_circuit.logical_error_rate exp (Rng.create seed) ~shots in
-               g (Surface_circuit.per_cycle_rate ~shot_rate:rate ~rounds:d))
-             ratios)
+        :: List.mapi (fun k _ -> g rates.((i * per_row) + k)) ratios)
       distances
   in
   Tableio.print
@@ -339,18 +344,18 @@ let run_ablations shots seed =
   print_endline "Ablations of DESIGN.md design choices\n";
   (* 1. Decoder: weighted union-find vs greedy matching on d=5 circuits. *)
   print_endline "1. Decoder choice (d=5 surface code, paper noise):";
-  let exp = Surface_circuit.build (Surface_circuit.default ~distance:5) in
-  let dem = Dem.of_circuit exp.Surface_circuit.circuit in
+  let p5 = Surface_circuit.default ~distance:5 in
+  let exp = Surface_circuit.build p5 in
+  let circuit = Surface_circuit.circuit p5 in
+  let dem = Dem.of_circuit circuit in
   let matcher =
-    Decoder_match.of_dem
-      ~nodes:(Array.length exp.Surface_circuit.circuit.Circuit.detectors)
-      dem
+    Decoder_match.of_dem ~nodes:(Array.length circuit.Circuit.detectors) dem
   in
   let uf_rate =
     Surface_circuit.logical_error_rate exp (Rng.create seed) ~shots
   in
   let match_rate =
-    Frame.logical_error_rate exp.Surface_circuit.circuit (Rng.create seed) ~shots
+    Frame.logical_error_rate circuit (Rng.create seed) ~shots
       ~decode:(fun dets ->
         let out = Bitvec.create 1 in
         Bitvec.set out 0 (Decoder_match.decode matcher dets);
@@ -1332,9 +1337,9 @@ let jobs_arg =
     & opt (int_at_least 1) (Parallel.jobs ())
     & info [ "jobs"; "j" ] ~docv:"N"
         ~doc:
-          "Worker domains for Monte-Carlo fan-out.  Defaults to \
-           $(b,HETARCH_JOBS) (or 1).  Output is bit-identical for a given \
-           seed at any job count.")
+          "Worker domains for Monte-Carlo and sweep-point fan-out.  \
+           Defaults to $(b,HETARCH_JOBS) (or 1).  Output is bit-identical \
+           for a given seed at any job count.")
 
 let cache_dir_arg =
   Arg.(

@@ -266,14 +266,27 @@ let weigh s c =
 
 let last : structure option Atomic.t = Atomic.make None
 
+(* A miss is single-flight: domains compiling same-shape circuits at once
+   would each run the structure pass (slower under contention, and two
+   structures live); instead the second waits for the first's and reuses
+   it. *)
+let structure_lock = Mutex.create ()
+
+let reusable c =
+  match Atomic.get last with Some s when same_shape s c -> Some s | _ -> None
+
 let of_circuit (c : Circuit.t) =
   let s =
-    match Atomic.get last with
-    | Some s when same_shape s c -> s
-    | _ ->
-        let s = structure c in
-        if c.Circuit.nqubits lsr qubit_bits = 0 then Atomic.set last (Some s);
-        s
+    match reusable c with
+    | Some s -> s
+    | None ->
+        Mutex.protect structure_lock (fun () ->
+            match reusable c with
+            | Some s -> s
+            | None ->
+                let s = structure c in
+                if c.Circuit.nqubits lsr qubit_bits = 0 then Atomic.set last (Some s);
+                s)
   in
   weigh_unchecked s c
 

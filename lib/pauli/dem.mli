@@ -47,7 +47,9 @@ val of_circuit : Circuit.t -> mechanism list
 (** [weigh (structure c) c], reusing the last structure when the circuit has
     the same shape.  One structure is kept, in an atomic slot, so concurrent
     compiles from several domains stay correct; reuse happens only after a
-    full shape comparison (no hash is trusted).  Mechanisms flipping nothing
+    full shape comparison (no hash is trusted).  Structure passes are
+    single-flight: a domain that misses while another runs one waits for it
+    and reuses its result when the shape matches.  Mechanisms flipping nothing
     are dropped.  The list order is an implementation detail — consumers
     that need a canonical order sort (see {!Dem_sampler}). *)
 

@@ -13,13 +13,56 @@ let misses_total = Obs.Counter.create "qec.dem_store_misses_total"
 
 (* ---------------------------------------------------------- circuit key --- *)
 
-(* Unsigned LEB128 over the 63-bit pattern: injective on every int. *)
-let rec add_varint b n =
-  if n land lnot 0x7f = 0 then Buffer.add_uint8 b n
-  else begin
-    Buffer.add_uint8 b (n land 0x7f lor 0x80);
-    add_varint b (n lsr 7)
+(* The encoding is written through a fixed scratch that is handed to
+   [flush] each time it fills and once at the end: [encode_circuit] appends
+   the pieces to a string, [circuit_key] hashes them as they come, so a key
+   never holds the encoding (about 1.4 MB at d=13).  Float bits go in with
+   [Bytes.set_int64_le], so no writer call allocates. *)
+type writer = { buf : Bytes.t; mutable pos : int; flush : Bytes.t -> int -> unit }
+
+let scratch_bytes = 65536
+
+let room w n =
+  if w.pos + n > Bytes.length w.buf then begin
+    w.flush w.buf w.pos;
+    w.pos <- 0
   end
+
+let add_u8 w v =
+  room w 1;
+  Bytes.unsafe_set w.buf w.pos (Char.unsafe_chr v);
+  w.pos <- w.pos + 1
+
+let add_float w x =
+  room w 8;
+  Bytes.set_int64_le w.buf w.pos (Int64.bits_of_float x);
+  w.pos <- w.pos + 8
+
+(* Unsigned LEB128 over the 63-bit pattern: injective on every int. *)
+let rec add_varint w n =
+  if n land lnot 0x7f = 0 then add_u8 w n
+  else begin
+    add_u8 w (n land 0x7f lor 0x80);
+    add_varint w (n lsr 7)
+  end
+
+let add_gate w tag q =
+  add_u8 w (Char.code tag);
+  add_varint w q
+
+let add_gate2 w tag q1 q2 =
+  add_gate w tag q1;
+  add_varint w q2
+
+let add_index_lists w groups =
+  add_varint w (Array.length groups);
+  for i = 0 to Array.length groups - 1 do
+    let ms = groups.(i) in
+    add_varint w (Array.length ms);
+    for k = 0 to Array.length ms - 1 do
+      add_varint w ms.(k)
+    done
+  done
 
 (* Canonical binary encoding of a circuit: qubit count, op count, every
    gate as a tag byte and its qubit indices, every noise parameter as raw
@@ -28,58 +71,48 @@ let rec add_varint b n =
    list prefixed by its length.  Every variable-length part carries its
    length, so distinct circuits never share an encoding; anything that can
    change the compiled DEM is in here, and the key is its content hash. *)
-let encode_circuit (c : Circuit.t) =
-  let b = Buffer.create 65536 in
-  let gate tag q =
-    Buffer.add_char b tag;
-    add_varint b q
-  in
-  let gate2 tag q1 q2 =
-    gate tag q1;
-    add_varint b q2
-  in
-  let fbits x = Buffer.add_int64_le b (Int64.bits_of_float x) in
-  add_varint b c.Circuit.nqubits;
-  add_varint b (Array.length c.Circuit.ops);
-  Array.iter
-    (fun (g : Circuit.gate) ->
-      match g with
-      | Circuit.H q -> gate 'H' q
-      | Circuit.S q -> gate 'S' q
-      | Circuit.X q -> gate 'X' q
-      | Circuit.Y q -> gate 'Y' q
-      | Circuit.Z q -> gate 'Z' q
-      | Circuit.CX (a, t) -> gate2 'C' a t
-      | Circuit.CZ (a, t) -> gate2 'E' a t
-      | Circuit.SWAP (a, t) -> gate2 'W' a t
-      | Circuit.M q -> gate 'M' q
-      | Circuit.R q -> gate 'R' q
-      | Circuit.Noise1 { px; py; pz; q } ->
-          gate 'N' q;
-          fbits px;
-          fbits py;
-          fbits pz
-      | Circuit.Depol2 { p; a; b = t } ->
-          gate2 'D' a t;
-          fbits p)
-    c.Circuit.ops;
-  add_varint b c.Circuit.nmeas;
-  let index_lists groups =
-    add_varint b (Array.length groups);
-    Array.iter
-      (fun ms ->
-        add_varint b (Array.length ms);
-        Array.iter (add_varint b) ms)
-      groups
-  in
-  index_lists c.Circuit.detectors;
-  index_lists c.Circuit.observables;
+let write_circuit flush (c : Circuit.t) =
+  let w = { buf = Bytes.create scratch_bytes; pos = 0; flush } in
+  add_varint w c.Circuit.nqubits;
+  let ops = c.Circuit.ops in
+  add_varint w (Array.length ops);
+  for i = 0 to Array.length ops - 1 do
+    match ops.(i) with
+    | Circuit.H q -> add_gate w 'H' q
+    | Circuit.S q -> add_gate w 'S' q
+    | Circuit.X q -> add_gate w 'X' q
+    | Circuit.Y q -> add_gate w 'Y' q
+    | Circuit.Z q -> add_gate w 'Z' q
+    | Circuit.CX (a, t) -> add_gate2 w 'C' a t
+    | Circuit.CZ (a, t) -> add_gate2 w 'E' a t
+    | Circuit.SWAP (a, t) -> add_gate2 w 'W' a t
+    | Circuit.M q -> add_gate w 'M' q
+    | Circuit.R q -> add_gate w 'R' q
+    | Circuit.Noise1 { px; py; pz; q } ->
+        add_gate w 'N' q;
+        add_float w px;
+        add_float w py;
+        add_float w pz
+    | Circuit.Depol2 { p; a; b = t } ->
+        add_gate2 w 'D' a t;
+        add_float w p
+  done;
+  add_varint w c.Circuit.nmeas;
+  add_index_lists w c.Circuit.detectors;
+  add_index_lists w c.Circuit.observables;
+  flush w.buf w.pos
+
+let encode_circuit c =
+  let b = Buffer.create scratch_bytes in
+  write_circuit (fun buf len -> Buffer.add_subbytes b buf 0 len) c;
   Buffer.contents b
 
 let circuit_key c =
+  let st = Content_hash.init () in
+  write_circuit (fun buf len -> Content_hash.feed st buf 0 len) c;
   Store.key ~kind
     ~fields:
-      [ ("circuit", Content_hash.hash_hex (encode_circuit c));
+      [ ("circuit", Printf.sprintf "%016Lx" (Content_hash.digest st));
         ("format", string_of_int format_version) ]
 
 (* -------------------------------------------------------------- payload --- *)

@@ -30,10 +30,14 @@ val format_version : int
 (** Bump when the payload layout or the meaning of a compiled DEM changes;
     old entries then degrade to misses. *)
 
+val encode_circuit : Circuit.t -> string
+(** The canonical binary circuit encoding, as one string. *)
+
 val circuit_key : Circuit.t -> string
-(** Content-hash store key (via {!Store.key}, kind ["qec.dem"]) of the
-    canonical binary circuit encoding.  Pinned-value tests guard its
-    stability. *)
+(** Content-hash store key (via {!Store.key}, kind ["qec.dem"]) of
+    {!encode_circuit}.  The encoding is hashed as it is written, through a
+    fixed 64 KiB scratch, so the key allocates O(1) minor words and never
+    holds the whole encoding.  Pinned-value tests guard its stability. *)
 
 val encode : Dem_sampler.t -> Decoder_uf.graph -> string
 (** Versioned binary payload for a compiled DEM + matching graph pair. *)

@@ -20,7 +20,6 @@ let default ~distance =
     t_meas = 1e-6 }
 
 type experiment = {
-  circuit : Circuit.t;
   graph : Decoder_uf.graph;
   sampler : Dem_sampler.t;
   params : params;
@@ -158,14 +157,36 @@ let circuit_of ~coherence p =
   Circuit.validate circuit;
   (circuit, n_qubits, n_z)
 
+let nominal_coherence p ~n_data q = if q < n_data then p.t_data else p.t_anc
+
+let coherence ?variability p =
+  let n_data = p.distance * p.distance in
+  match variability with
+  | None -> nominal_coherence p ~n_data
+  | Some (sigma, rng) ->
+      if sigma < 0. then invalid_arg "Surface_circuit.build_varied: sigma >= 0";
+      let _, n_qubits = stabs_of_distance p.distance in
+      (* Log-normal with unit mean: exp(sigma g - sigma^2 / 2). *)
+      let factors =
+        Array.init n_qubits (fun _ ->
+            exp ((sigma *. Rng.gaussian rng) -. (sigma *. sigma /. 2.)))
+      in
+      fun q -> nominal_coherence p ~n_data q *. factors.(q)
+
+let circuit ?variability p =
+  let c, _, _ = circuit_of ~coherence:(coherence ?variability p) p in
+  c
+
 (* Every step of a build sits in a named span: the circuit itself, the
    store round trip (key, lookup, write-back) and, on a miss, the DEM
    compile and the matching-graph construction inside it.  None is on a
-   per-shot path. *)
-let build_with ~coherence p =
+   per-shot path.  The circuit is not kept: it is the largest part of a
+   build, and estimation needs only the sampler and the graph. *)
+let build_with ?variability p =
   Obs.Trace.with_span "qec.build" (fun () ->
       let circuit, n_qubits, n_z =
-        Obs.Trace.with_span "qec.circuit" (fun () -> circuit_of ~coherence p)
+        Obs.Trace.with_span "qec.circuit" (fun () ->
+            circuit_of ~coherence:(coherence ?variability p) p)
       in
       (* Compiled DEM + decoding graph straight from the circuit's detector
          error model, so edge weights and logical flags reflect the exact
@@ -184,24 +205,10 @@ let build_with ~coherence p =
             in
             (sampler, graph))
       in
-      { circuit; graph; sampler; params = p; n_qubits; n_z_stabs = n_z })
+      { graph; sampler; params = p; n_qubits; n_z_stabs = n_z })
 
-let nominal_coherence p ~n_data q = if q < n_data then p.t_data else p.t_anc
-
-let build p =
-  let n_data = p.distance * p.distance in
-  build_with ~coherence:(nominal_coherence p ~n_data) p
-
-let build_varied ~sigma rng p =
-  if sigma < 0. then invalid_arg "Surface_circuit.build_varied: sigma >= 0";
-  let _, n_qubits = stabs_of_distance p.distance in
-  let n_data = p.distance * p.distance in
-  (* Log-normal with unit mean: exp(sigma g - sigma^2 / 2). *)
-  let factors =
-    Array.init n_qubits (fun _ ->
-        exp ((sigma *. Rng.gaussian rng) -. (sigma *. sigma /. 2.)))
-  in
-  build_with ~coherence:(fun q -> nominal_coherence p ~n_data q *. factors.(q)) p
+let build p = build_with p
+let build_varied ~sigma rng p = build_with ~variability:(sigma, rng) p
 
 let shots_total = Obs.Counter.create "qec.shots_total"
 
@@ -255,3 +262,37 @@ let collect_task p =
 let per_cycle_rate ~shot_rate ~rounds =
   if shot_rate >= 1. then 1.
   else 1. -. ((1. -. shot_rate) ** (1. /. float_of_int rounds))
+
+(* Points compare by their floats' IEEE bits: -0. and 0. may give different
+   circuits, and a NaN point still equals itself. *)
+let point_key p =
+  ( p.distance,
+    p.rounds,
+    List.map Int64.bits_of_float [ p.t_data; p.t_anc; p.p2; p.t_1q; p.t_2q; p.t_meas ] )
+
+(* Each distinct point is one sweep task that builds, estimates and drops
+   its experiment, so the points fan across domains and only the points in
+   flight hold a sampler and a graph.  A point's Monte-Carlo chunks run
+   inline on its domain (Parallel's nesting rule), and every point draws
+   from its own [Rng.create seed], so rates are byte-identical at any
+   --jobs. *)
+let per_cycle_rates ~seed ~shots points =
+  let index = Hashtbl.create 16 in
+  let distinct =
+    List.filter
+      (fun p ->
+        let k = point_key p in
+        if Hashtbl.mem index k then false
+        else begin
+          Hashtbl.add index k (Hashtbl.length index);
+          true
+        end)
+      points
+  in
+  let rates =
+    Array.of_list
+      (Sweep.sweep distinct ~f:(fun p ->
+           let rate = logical_error_rate (build p) (Rng.create seed) ~shots in
+           per_cycle_rate ~shot_rate:rate ~rounds:p.rounds))
+  in
+  List.map (fun p -> snd rates.(Hashtbl.find index (point_key p))) points

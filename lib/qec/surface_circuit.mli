@@ -24,13 +24,21 @@ val default : distance:int -> params
     error, 40 ns / 100 ns / 1 us timings. *)
 
 type experiment = {
-  circuit : Circuit.t;
   graph : Decoder_uf.graph;
   sampler : Dem_sampler.t;
   params : params;
   n_qubits : int;
   n_z_stabs : int;
 }
+(** What estimation needs: the compiled DEM sampler and the matching graph.
+    The circuit they were compiled from is not kept; {!circuit} rebuilds
+    it. *)
+
+val circuit : ?variability:float * Rng.t -> params -> Circuit.t
+(** The noisy memory-Z circuit {!build} compiles.  With
+    [~variability:(sigma, rng)], every qubit's coherence is drawn as in
+    {!build_varied}, so the same [rng] state gives the circuit
+    {!build_varied} compiles. *)
 
 val build : params -> experiment
 (** Construct the memory-Z experiment.  Detector i of the circuit is node i
@@ -62,3 +70,11 @@ val collect_task : params -> Collect.Task.t
 val per_cycle_rate : shot_rate:float -> rounds:int -> float
 (** Convert a per-shot logical error probability into the per-cycle rate the
     paper plots: 1 - (1 - P)^(1/rounds). *)
+
+val per_cycle_rates : seed:int -> shots:int -> params list -> float list
+(** The per-cycle logical error rate of each point, in order: {!build},
+    {!logical_error_rate} over [shots] with [Rng.create seed], then
+    {!per_cycle_rate}.  Each distinct point (floats compared by IEEE bits)
+    is evaluated once, in first-appearance order, as one {!Sweep.sweep}
+    task, so points fan across domains and their Monte-Carlo chunks run
+    inline.  Results are byte-identical at any job count. *)

@@ -14,17 +14,40 @@ let fmix64 h =
   let h = Int64.mul h 0xC4CEB9FE1A85EC53L in
   Int64.logxor h (Int64.shift_right_logical h 32)
 
-(* An indexed loop over a local ref, not String.iteri: a closure would
-   capture [h] and box a fresh int64 per byte; here it stays unboxed. *)
-let hash64 s =
-  let h = ref 0x2545F4914F6CDD1DL in
-  for i = 0 to String.length s - 1 do
+let seed = 0x2545F4914F6CDD1DL
+
+(* Absorb [len] bytes of [b] from [off]; [pos] is the stream offset of the
+   first, since each byte is weighted by its position.  An indexed loop over
+   a local ref, not Bytes.iteri: a closure would capture [h] and box a fresh
+   int64 per byte; here it stays unboxed. *)
+let absorb h b ~off ~len ~pos =
+  let h = ref h in
+  for i = 0 to len - 1 do
     let x =
-      Int64.logxor !h (Int64.of_int ((Char.code (String.unsafe_get s i) + 1) * (i + 1)))
+      Int64.logxor !h
+        (Int64.of_int ((Char.code (Bytes.unsafe_get b (off + i)) + 1) * (pos + i + 1)))
     in
     h := Int64.add (Int64.mul (rotl x 23) 0x9E3779B97F4A7C15L) 0x165667B19E3779F9L
   done;
-  fmix64 (Int64.logxor !h (Int64.of_int (String.length s)))
+  !h
+
+let finish h len = fmix64 (Int64.logxor h (Int64.of_int len))
+
+let hash64 s =
+  let n = String.length s in
+  finish (absorb seed (Bytes.unsafe_of_string s) ~off:0 ~len:n ~pos:0) n
+
+type state = { mutable h : int64; mutable len : int }
+
+let init () = { h = seed; len = 0 }
+
+let feed st b off len =
+  if off < 0 || len < 0 || off > Bytes.length b - len then
+    invalid_arg "Content_hash.feed";
+  st.h <- absorb st.h b ~off ~len ~pos:st.len;
+  st.len <- st.len + len
+
+let digest st = finish st.h st.len
 
 let hash_hex s = Printf.sprintf "%016Lx" (hash64 s)
 

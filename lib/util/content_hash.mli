@@ -11,6 +11,19 @@
 val hash64 : string -> int64
 (** 64-bit content hash of a byte string. *)
 
+type state
+(** A [hash64] computed over bytes fed in pieces. *)
+
+val init : unit -> state
+
+val feed : state -> Bytes.t -> int -> int -> unit
+(** [feed st b off len] absorbs [len] bytes of [b] from [off].  Each call
+    allocates O(1) words whatever [len] is. *)
+
+val digest : state -> int64
+(** [hash64] of everything fed so far, in order: feeding a string in any
+    split gives [hash64] of the whole string. *)
+
 val hash_hex : string -> string
 (** [hash64] rendered as 16 lowercase hex digits. *)
 

@@ -64,6 +64,13 @@ let queue_stats () = (Atomic.get queue_remaining, Atomic.get busy_domains)
 let task_context : (unit -> unit -> unit) ref = ref (fun () () -> ())
 let on_task_done : (unit -> unit) ref = ref (fun () -> ())
 
+(* Set while a domain executes the tasks of a multi-domain run.  A run
+   started from inside such a task goes inline (j = 1): a sweep point's
+   Monte-Carlo chunks run on the domain that owns the point, so nested
+   fan-outs never spawn domains beyond the outer run's.  The decomposition
+   does not depend on j, so this changes no result. *)
+let in_task = Domain.DLS.new_key (fun () -> false)
+
 (* Run every thunk, returning results in task order.  Tasks are claimed from
    a shared atomic cursor, so domains stay busy under uneven task costs; the
    result array is indexed by task id, which makes the output independent of
@@ -72,7 +79,10 @@ let on_task_done : (unit -> unit) ref = ref (fun () -> ())
 let run ?jobs:requested tasks =
   let n = Array.length tasks in
   ignore (Atomic.fetch_and_add tasks_total n);
-  let j = max 1 (min (match requested with Some j -> j | None -> jobs ()) n) in
+  let j =
+    if Domain.DLS.get in_task then 1
+    else max 1 (min (match requested with Some j -> j | None -> jobs ()) n)
+  in
   if n = 0 then [||]
   else begin
     ignore (Atomic.fetch_and_add queue_remaining n);
@@ -109,21 +119,27 @@ let run ?jobs:requested tasks =
       let setup = !task_context () in
       let worker () =
         setup ();
+        let outer = Domain.DLS.get in_task in
+        Domain.DLS.set in_task true;
         Atomic.incr busy_domains;
-        let continue = ref true in
-        while !continue do
-          let i = Atomic.fetch_and_add next 1 in
-          if i >= n || Atomic.get error <> None then continue := false
-          else begin
-            claim ();
-            match tasks.(i) () with
-            | v ->
-                results.(i) <- Some v;
-                !on_task_done ()
-            | exception e -> ignore (Atomic.compare_and_set error None (Some e))
-          end
-        done;
-        Atomic.decr busy_domains
+        Fun.protect
+          ~finally:(fun () ->
+            Atomic.decr busy_domains;
+            Domain.DLS.set in_task outer)
+          (fun () ->
+            let continue = ref true in
+            while !continue do
+              let i = Atomic.fetch_and_add next 1 in
+              if i >= n || Atomic.get error <> None then continue := false
+              else begin
+                claim ();
+                match tasks.(i) () with
+                | v ->
+                    results.(i) <- Some v;
+                    !on_task_done ()
+                | exception e -> ignore (Atomic.compare_and_set error None (Some e))
+              end
+            done)
       in
       ignore (Atomic.fetch_and_add domains_spawned_total (j - 1));
       let domains = Array.init (j - 1) (fun _ -> Domain.spawn worker) in

@@ -20,7 +20,9 @@ val set_jobs : int -> unit
 val run : ?jobs:int -> (unit -> 'a) array -> 'a array
 (** Execute every thunk, result [i] from task [i] regardless of which domain
     ran it.  [jobs = 1] (the default with no override) runs inline with no
-    domain spawns.  The first task exception is re-raised after all domains
+    domain spawns.  A [run] called from inside a task of a multi-domain
+    [run] also runs inline, whatever its [jobs]: nested fan-outs never
+    spawn domains.  The first task exception is re-raised after all domains
     join. *)
 
 val map : ?jobs:int -> ('a -> 'b) -> 'a array -> 'b array

@@ -139,8 +139,9 @@ let test_dem_matches_frame_statistics () =
   Alcotest.(check bool) "graphlike" true (Dem.check_graphlike dem)
 
 let test_surface_code_dem_mostly_graphlike () =
-  let exp = Surface_circuit.build (Surface_circuit.default ~distance:3) in
-  let dem = Dem.of_circuit exp.Surface_circuit.circuit in
+  let dem =
+    Dem.of_circuit (Surface_circuit.circuit (Surface_circuit.default ~distance:3))
+  in
   let bad = Dem_graph.non_graphlike_count dem in
   let total = List.length dem in
   Alcotest.(check bool)
@@ -149,8 +150,9 @@ let test_surface_code_dem_mostly_graphlike () =
     (float_of_int bad < 0.12 *. float_of_int total)
 
 let test_surface_code_dem_probabilities_positive () =
-  let exp = Surface_circuit.build (Surface_circuit.default ~distance:3) in
-  let dem = Dem.of_circuit exp.Surface_circuit.circuit in
+  let dem =
+    Dem.of_circuit (Surface_circuit.circuit (Surface_circuit.default ~distance:3))
+  in
   List.iter
     (fun m ->
       Alcotest.(check bool) "p in (0, 0.5]" true (m.Dem.p > 0. && m.Dem.p <= 0.5))
@@ -342,9 +344,8 @@ let prop_matches_oracle =
     same_as_oracle
 
 let surface ~distance ~sigma seed =
-  (Surface_circuit.build_varied ~sigma (Rng.create seed)
-     (Surface_circuit.default ~distance))
-    .Surface_circuit.circuit
+  Surface_circuit.circuit ~variability:(sigma, Rng.create seed)
+    (Surface_circuit.default ~distance)
 
 let test_reweight_matches_oracle () =
   (* Same d=5 shape, new coherences: the reused structure reweights. *)
@@ -432,10 +433,12 @@ let reweight_words_per_mechanism = 9
 let reweight_words_constant = 64
 
 let test_one_structure_per_shape () =
-  ignore (surface ~distance:3 ~sigma:0. 0);
+  ignore (Dem.of_circuit (surface ~distance:3 ~sigma:0. 0));
   let before = Obs.Counter.value Dem.structures_total in
-  List.iter (fun seed -> ignore (surface ~distance:7 ~sigma:0.3 seed)) [ 1; 2; 3; 4; 5 ];
-  Alcotest.(check int) "five same-shape d=7 builds, one structure pass" 1
+  List.iter
+    (fun seed -> ignore (Dem.of_circuit (surface ~distance:7 ~sigma:0.3 seed)))
+    [ 1; 2; 3; 4; 5 ];
+  Alcotest.(check int) "five same-shape d=7 compiles, one structure pass" 1
     (Obs.Counter.value Dem.structures_total - before);
   let c = surface ~distance:7 ~sigma:0.5 6 in
   let n = List.length (Dem.of_circuit c) in

@@ -134,8 +134,7 @@ let test_depol2_marginal () =
 (* ------------------------------------------- surface-code cross checks *)
 
 let test_surface_flip_rates_agree distance () =
-  let exp = Surface_circuit.build (Surface_circuit.default ~distance) in
-  let c = exp.Surface_circuit.circuit in
+  let c = Surface_circuit.circuit (Surface_circuit.default ~distance) in
   let shots = 3000 in
   let scalar = scalar_flip_counts c (Rng.create 31) ~shots in
   let batch = Frame_batch.sample_flip_counts ~jobs:1 c (Rng.create 31) ~shots in
@@ -153,8 +152,9 @@ let test_surface_flip_rates_agree distance () =
 let test_surface_logical_rate_agrees () =
   (* End to end with decoding: the batch path of Frame.logical_error_rate
      must land near a scalar-sampled estimate on the d=3 circuit. *)
-  let exp = Surface_circuit.build (Surface_circuit.default ~distance:3) in
-  let c = exp.Surface_circuit.circuit in
+  let p = Surface_circuit.default ~distance:3 in
+  let exp = Surface_circuit.build p in
+  let c = Surface_circuit.circuit p in
   let decode dets =
     let out = Bitvec.create 1 in
     Bitvec.set out 0 (Decoder_uf.decode exp.Surface_circuit.graph dets);
@@ -180,8 +180,9 @@ let test_surface_logical_rate_agrees () =
 
 let test_jobs_determinism () =
   (* Same seed, different job counts: identical counts, bit for bit. *)
-  let exp = Surface_circuit.build (Surface_circuit.default ~distance:3) in
-  let c = exp.Surface_circuit.circuit in
+  let p = Surface_circuit.default ~distance:3 in
+  let exp = Surface_circuit.build p in
+  let c = Surface_circuit.circuit p in
   let counts jobs = Frame_batch.sample_flip_counts ~jobs c (Rng.create 41) ~shots:1500 in
   let c1 = counts 1 in
   Alcotest.(check (array int)) "flip counts jobs=1 vs jobs=4" c1 (counts 4);

@@ -62,11 +62,9 @@ let intervals_overlap ~n1 ~k1 ~n2 ~k2 =
   lo1 <= hi2 && lo2 <= hi1
 
 let test_surface_flip_rates_agree distance jobs () =
-  let exp =
-    Surface_circuit.build
-      { (Surface_circuit.default ~distance) with t_data = 5e-4 }
-  in
-  let c = exp.Surface_circuit.circuit in
+  let p = { (Surface_circuit.default ~distance) with t_data = 5e-4 } in
+  let exp = Surface_circuit.build p in
+  let c = Surface_circuit.circuit p in
   let shots = if distance >= 5 then 4000 else 12_000 in
   let dem =
     (Dem_sampler.sample_flip_counts ~jobs exp.Surface_circuit.sampler
@@ -228,23 +226,51 @@ let with_store_dir f =
   Sys.remove dir;
   Fun.protect ~finally:(fun () -> rm_rf dir) (fun () -> f dir)
 
-let small_exp = lazy (Surface_circuit.build (Surface_circuit.default ~distance:3))
+let small_params = Surface_circuit.default ~distance:3
+let small_exp = lazy (Surface_circuit.build small_params)
 
 let test_pinned_circuit_key () =
   (* The store key of the default d=3 circuit, pinned: any unintended change
      to the canonical circuit encoding (or the key discipline) silently
      orphans every existing store entry — this fails loudly instead. *)
-  let key =
-    Dem_store.circuit_key (Lazy.force small_exp).Surface_circuit.circuit
-  in
+  let key = Dem_store.circuit_key (Surface_circuit.circuit small_params) in
   Alcotest.(check string) "pinned d=3 circuit key" "67bab1e2e2db236e" key;
   (* Any noise-parameter change must move the key. *)
   let varied =
-    Surface_circuit.build
+    Surface_circuit.circuit
       { (Surface_circuit.default ~distance:3) with t_data = 1.0000001e-4 }
   in
   Alcotest.(check bool) "key sensitive to noise params" false
-    (Dem_store.circuit_key varied.Surface_circuit.circuit = key)
+    (Dem_store.circuit_key varied = key)
+
+(* The key is hashed as the encoding is written, through a fixed scratch:
+   the same value as hashing the whole encoding, and a constant number of
+   minor words whatever the circuit's size (d=13 has about 51k ops and a
+   1.4 MB encoding; measured 255 words at d=3 and 294 at d=13, the
+   difference being one boxed hash state per 64 KiB flush). *)
+let test_streamed_circuit_key () =
+  let oracle c =
+    Store.key ~kind:"qec.dem"
+      ~fields:
+        [ ("circuit", Content_hash.hash_hex (Dem_store.encode_circuit c));
+          ("format", string_of_int Dem_store.format_version) ]
+  in
+  let d3 = Surface_circuit.circuit small_params in
+  let d13 = Surface_circuit.circuit (Surface_circuit.default ~distance:13) in
+  let varied =
+    Surface_circuit.circuit ~variability:(0.4, Rng.create 5)
+      (Surface_circuit.default ~distance:7)
+  in
+  List.iter
+    (fun (name, c) ->
+      Alcotest.(check string) (name ^ " key = oracle") (oracle c) (Dem_store.circuit_key c))
+    [ ("d=3", d3); ("d=13", d13); ("varied d=7", varied) ];
+  let w3 = Alloc.words (fun () -> ignore (Dem_store.circuit_key d3)) in
+  let w13 = Alloc.words (fun () -> ignore (Dem_store.circuit_key d13)) in
+  Alcotest.(check bool)
+    (Printf.sprintf "d=13 key %d minor words <= 512, d=3 %d" w13 w3)
+    true
+    (w13 <= 512 && w13 - w3 <= 64)
 
 let same_graph g1 g2 = Decoder_uf.edge_list g1 = Decoder_uf.edge_list g2
 
@@ -321,7 +347,7 @@ let test_store_malformed_payloads () =
 let test_store_corruption_heals () =
   with_store_dir (fun dir ->
       let exp = Lazy.force small_exp in
-      let key = Dem_store.circuit_key exp.Surface_circuit.circuit in
+      let key = Dem_store.circuit_key (Surface_circuit.circuit small_params) in
       let store = Store.open_dir dir in
       Alcotest.(check bool) "fresh store misses" true
         (Dem_store.find store key = None);
@@ -405,6 +431,7 @@ let () =
       ( "dem store",
         [ Alcotest.test_case "pinned circuit key" `Quick
             test_pinned_circuit_key;
+          Alcotest.test_case "streamed circuit key" `Quick test_streamed_circuit_key;
           Alcotest.test_case "round trip" `Quick test_store_roundtrip;
           Alcotest.test_case "malformed payloads" `Quick
             test_store_malformed_payloads;

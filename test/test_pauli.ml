@@ -342,6 +342,39 @@ let test_frame_idle_noise_rates () =
   let rate = float_of_int counts.(0) /. float_of_int shots in
   Alcotest.(check bool) "idle flip rate" true (Float.abs (rate -. expected) < 0.01)
 
+let test_idle_noise_shared_payload () =
+  (* The builder reuses the last idle channel when (t1, t2, dt) repeat by
+     IEEE bits: every op must still carry exactly the channel the formula
+     gives, -0. and 0. must not share one, and repeats share the boxed
+     floats. *)
+  let calls =
+    [ (1e-4, 1e-4, 4e-8); (1e-4, 1e-4, 4e-8); (2e-4, 1e-4, 4e-8); (1e-4, 1e-4, 4e-8);
+      (1e-4, 1e-4, 1e-7); (0., 1e-4, 1e-7); (-0., 1e-4, 1e-7); (-0., 1e-4, 1e-7);
+      (1e-4, nan, 1e-7); (1e-4, nan, 1e-7); (1e-4, 1e-4, 0.) ]
+  in
+  let b = Circuit.builder 1 in
+  List.iter (fun (t1, t2, dt) -> Circuit.idle_noise b ~t1 ~t2 ~dt 0) calls;
+  let ops = (Circuit.finish b).Circuit.ops in
+  let bits = Int64.bits_of_float in
+  Alcotest.(check int) "dt = 0 adds nothing" (List.length calls - 1) (Array.length ops);
+  List.iteri
+    (fun i (t1, t2, dt) ->
+      if dt > 0. then
+        match ops.(i) with
+        | Circuit.Noise1 { px; py; pz; q } ->
+            let p1 = (1. -. exp (-.dt /. t1)) /. 4. in
+            let ez = max 0. (((1. -. exp (-.dt /. t2)) /. 2.) -. p1) in
+            Alcotest.(check bool)
+              (Printf.sprintf "call %d: the formula's channel" i)
+              true
+              (q = 0 && bits px = bits p1 && bits py = bits p1 && bits pz = bits ez)
+        | _ -> Alcotest.fail "expected Noise1")
+    calls;
+  let px i = match ops.(i) with Circuit.Noise1 r -> r.px | _ -> nan in
+  Alcotest.(check bool) "repeat shares the payload" true (px 0 == px 1);
+  Alcotest.(check bool) "t1 = 0. and -0. differ" false (bits (px 5) = bits (px 6));
+  Alcotest.(check bool) "-0. repeat shares" true (px 6 == px 7)
+
 let test_tableau_random_circuits_match_dm () =
   (* Strong cross-validation: for random Clifford circuits on 3 qubits, the
      tableau's sampled final-measurement distribution must match the exact
@@ -485,6 +518,8 @@ let () =
           Alcotest.test_case "h converts z to x" `Quick test_frame_h_converts_z_to_x;
           Alcotest.test_case "cx propagates" `Quick test_frame_cx_propagates_x;
           Alcotest.test_case "idle noise rate" `Quick test_frame_idle_noise_rates;
+          Alcotest.test_case "idle noise shared payload" `Quick
+            test_idle_noise_shared_payload;
           Alcotest.test_case "validate bad qubit" `Quick test_circuit_validate_catches_bad_qubit;
           Alcotest.test_case "circuit counts" `Quick test_circuit_counts ] );
       ( "properties",

@@ -223,10 +223,11 @@ let test_uf_rejects_bad_graph () =
 (* ------------------------------------------------- surface code circuit *)
 
 let test_surface_circuit_shapes () =
-  let exp = Surface_circuit.build (Surface_circuit.default ~distance:3) in
+  let p = Surface_circuit.default ~distance:3 in
+  let exp = Surface_circuit.build p in
   Alcotest.(check int) "qubits = data + ancilla" 17 exp.Surface_circuit.n_qubits;
   Alcotest.(check int) "z stabs" 4 exp.Surface_circuit.n_z_stabs;
-  let c = exp.Surface_circuit.circuit in
+  let c = Surface_circuit.circuit p in
   (* detectors: 4 per round x 3 rounds + 4 final *)
   Alcotest.(check int) "detectors" 16 (Array.length c.Circuit.detectors);
   Alcotest.(check int) "observables" 1 (Array.length c.Circuit.observables)
@@ -240,12 +241,12 @@ let test_surface_circuit_detectors_deterministic () =
       t_data = 1e9;
       t_anc = 1e9 }
   in
-  let exp = Surface_circuit.build p in
+  let c = Surface_circuit.circuit p in
   let rng = Rng.create 17 in
   for _ = 1 to 20 do
-    let t = Tableau.create exp.Surface_circuit.n_qubits in
-    let record = Tableau.run t rng exp.Surface_circuit.circuit in
-    let dets, obs = Tableau.detector_values exp.Surface_circuit.circuit record in
+    let t = Tableau.create c.Circuit.nqubits in
+    let record = Tableau.run t rng c in
+    let dets, obs = Tableau.detector_values c record in
     Alcotest.(check bool) "detectors quiet" true (Bitvec.is_zero dets);
     Alcotest.(check bool) "observable quiet" true (Bitvec.is_zero obs)
   done
@@ -375,15 +376,11 @@ let test_match_decoder_weighted_preference () =
   Alcotest.(check bool) "avoids heavy logical edge" false (Decoder_match.decode m s)
 
 let test_match_decoder_on_surface_code () =
-  let exp = Surface_circuit.build { (Surface_circuit.default ~distance:3) with p2 = 2e-3 } in
-  let dem = Dem.of_circuit exp.Surface_circuit.circuit in
-  let m =
-    Decoder_match.of_dem
-      ~nodes:(Array.length exp.Surface_circuit.circuit.Circuit.detectors)
-      dem
-  in
+  let c = Surface_circuit.circuit { (Surface_circuit.default ~distance:3) with p2 = 2e-3 } in
+  let dem = Dem.of_circuit c in
+  let m = Decoder_match.of_dem ~nodes:(Array.length c.Circuit.detectors) dem in
   let rate =
-    Frame.logical_error_rate exp.Surface_circuit.circuit (Rng.create 41) ~shots:400
+    Frame.logical_error_rate c (Rng.create 41) ~shots:400
       ~decode:(fun dets ->
         let out = Bitvec.create 1 in
         Bitvec.set out 0 (Decoder_match.decode m dets);
@@ -392,6 +389,59 @@ let test_match_decoder_on_surface_code () =
   Alcotest.(check bool) (Printf.sprintf "decodes better than chance (%.3f)" rate)
     true (rate < 0.25)
 
+(* The d=13 circuit build's minor words, pinned under a ceiling: idle noise
+   shares one channel per slot and coherence, and ops go into a doubling
+   array rather than a list.  Measured 269_661 words (748_868 before both
+   changes); allocation counts are deterministic. *)
+let d13_circuit_words_ceiling = 300_000
+
+let test_circuit_build_words () =
+  let p = Surface_circuit.default ~distance:13 in
+  ignore (Surface_circuit.circuit p);
+  let words = Alloc.words (fun () -> ignore (Surface_circuit.circuit p)) in
+  Alcotest.(check bool)
+    (Printf.sprintf "d=13 circuit %d minor words <= %d" words d13_circuit_words_ceiling)
+    true
+    (words <= d13_circuit_words_ceiling)
+
+(* The point fan-out equals building and estimating each point in turn, at
+   any job count, and evaluates a repeated point once. *)
+let test_per_cycle_rates () =
+  let seed = 7 and shots = 300 in
+  let base = Surface_circuit.default ~distance:3 in
+  let points =
+    [ base; { base with t_data = 3e-4 }; base; { base with t_anc = 2e-4 } ]
+  in
+  let serial =
+    List.map
+      (fun p ->
+        let rate =
+          Surface_circuit.logical_error_rate ~jobs:1 (Surface_circuit.build p)
+            (Rng.create seed) ~shots
+        in
+        Surface_circuit.per_cycle_rate ~shot_rate:rate ~rounds:p.Surface_circuit.rounds)
+      points
+  in
+  (* Names are interned: this is the compile counter Dem_sampler bumps. *)
+  let compiles = Obs.Counter.create "pauli.dem_compiles_total" in
+  let saved = Parallel.jobs () in
+  Fun.protect
+    ~finally:(fun () -> Parallel.set_jobs saved)
+    (fun () ->
+      List.iter
+        (fun jobs ->
+          Parallel.set_jobs jobs;
+          let before = Obs.Counter.value compiles in
+          let rates = Surface_circuit.per_cycle_rates ~seed ~shots points in
+          Alcotest.(check (list (float 0.)))
+            (Printf.sprintf "jobs=%d = serial" jobs)
+            serial rates;
+          Alcotest.(check int)
+            (Printf.sprintf "jobs=%d: three distinct points, three compiles" jobs)
+            3
+            (Obs.Counter.value compiles - before))
+        [ 1; 2; 3 ])
+
 let test_build_varied () =
   let p = Surface_circuit.default ~distance:3 in
   let exp = Surface_circuit.build_varied ~sigma:0.5 (Rng.create 42) p in
@@ -399,8 +449,8 @@ let test_build_varied () =
   Alcotest.(check bool) "still decodes" true (rate < 0.4);
   Alcotest.(check bool) "sigma 0 equals nominal ops" true
     (Circuit.depth_events
-       (Surface_circuit.build_varied ~sigma:0. (Rng.create 1) p).Surface_circuit.circuit
-    = Circuit.depth_events (Surface_circuit.build p).Surface_circuit.circuit)
+       (Surface_circuit.circuit ~variability:(0., Rng.create 1) p)
+    = Circuit.depth_events (Surface_circuit.circuit p))
 
 let test_logical_rate_zero_noise () =
   let code = Codes.steane in
@@ -468,6 +518,8 @@ let () =
             test_surface_circuit_detectors_deterministic;
           Alcotest.test_case "noiseless frame" `Quick test_surface_circuit_noiseless_frame;
           Alcotest.test_case "noisy rate sane" `Quick test_surface_logical_rate_reasonable;
+          Alcotest.test_case "d=13 build words" `Quick test_circuit_build_words;
+          Alcotest.test_case "point fan-out" `Quick test_per_cycle_rates;
           Alcotest.test_case "distance scaling" `Slow test_surface_distance_scaling_below_threshold;
           Alcotest.test_case "varied coherence" `Quick test_build_varied;
           Alcotest.test_case "per-cycle conversion" `Quick test_per_cycle_rate ] );

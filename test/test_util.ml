@@ -395,6 +395,31 @@ let test_parallel_set_jobs () =
     (Invalid_argument "Parallel.set_jobs: jobs must be >= 1") (fun () ->
       Parallel.set_jobs 0)
 
+(* A run started inside a task of a multi-domain run goes inline: it
+   spawns no domain of its own and returns what it returns at jobs = 1. *)
+let inner_tasks () = Array.init 9 (fun i () -> (i * i) + 1)
+
+let test_parallel_nested_inline () =
+  let expect = Parallel.run ~jobs:1 (inner_tasks ()) in
+  let _, spawned0 = Parallel.stats () in
+  let results =
+    Parallel.run ~jobs:2 (Array.init 2 (fun _ () -> Parallel.run ~jobs:4 (inner_tasks ())))
+  in
+  let _, spawned1 = Parallel.stats () in
+  Alcotest.(check int) "only the outer run spawns a domain" 1 (spawned1 - spawned0);
+  Array.iter (Alcotest.(check (array int)) "nested run = jobs:1" expect) results
+
+let test_parallel_nested_flag_restored () =
+  Alcotest.check_raises "task failure propagates" (Failure "boom") (fun () ->
+      ignore
+        (Parallel.run ~jobs:2
+           (Array.init 4 (fun i () ->
+                if i = 1 then failwith "boom" else Parallel.run ~jobs:2 (inner_tasks ())))));
+  let _, spawned0 = Parallel.stats () in
+  ignore (Parallel.run ~jobs:2 (inner_tasks ()));
+  let _, spawned1 = Parallel.stats () in
+  Alcotest.(check int) "the next top-level run still fans out" 1 (spawned1 - spawned0)
+
 (* -------------------------------------------------------------- Tableio *)
 
 let test_table_render () =
@@ -510,6 +535,33 @@ let test_content_hash_canonical_injective () =
   Alcotest.(check bool) "order matters" false
     (Content_hash.of_components [ "a"; "b" ] = Content_hash.of_components [ "b"; "a" ])
 
+(* Strings around one and two 64 KiB flushes (the store key's scratch
+   size), fed in scratch-sized pieces and at one random cut: the streamed
+   digest is [hash64] of the whole. *)
+let prop_content_hash_stream =
+  let flush = 65536 in
+  QCheck.Test.make ~name:"streamed hash = hash64 across 64 KiB flushes" ~count:40
+    QCheck.(triple (int_range 1 2) (int_range (-300) 300) (pair small_nat int))
+    (fun (k, delta, (cut, seed)) ->
+      let rng = Rng.create seed in
+      let n = (k * flush) + delta in
+      let s = String.init n (fun _ -> Char.chr (Rng.int rng 256)) in
+      let b = Bytes.unsafe_of_string s in
+      let pieces = Content_hash.init () in
+      let off = ref 0 in
+      while !off < n do
+        let len = min flush (n - !off) in
+        Content_hash.feed pieces b !off len;
+        off := !off + len
+      done;
+      let cut = min n (cut * 997) in
+      let halves = Content_hash.init () in
+      Content_hash.feed halves b 0 cut;
+      Content_hash.feed halves b cut (n - cut);
+      let h = Content_hash.hash64 s in
+      Int64.equal (Content_hash.digest pieces) h
+      && Int64.equal (Content_hash.digest halves) h)
+
 let prop_stats_running_matches_batch =
   QCheck.Test.make ~name:"running stats match batch stats" ~count:100
     QCheck.(list_of_size (Gen.int_range 2 100) (float_bound_inclusive 100.))
@@ -573,7 +625,10 @@ let () =
           Alcotest.test_case "covers all shots" `Quick
             test_parallel_monte_carlo_covers_all_shots;
           Alcotest.test_case "map_list" `Quick test_parallel_map_list;
-          Alcotest.test_case "set_jobs" `Quick test_parallel_set_jobs ] );
+          Alcotest.test_case "set_jobs" `Quick test_parallel_set_jobs;
+          Alcotest.test_case "nested run inline" `Quick test_parallel_nested_inline;
+          Alcotest.test_case "nesting flag restored" `Quick
+            test_parallel_nested_flag_restored ] );
       ( "tableio",
         [ Alcotest.test_case "render" `Quick test_table_render;
           Alcotest.test_case "short rows" `Quick test_table_pads_short_rows;
@@ -592,4 +647,5 @@ let () =
           [ prop_heap_sorted;
             prop_bitvec_xor_involution;
             prop_uf_transitive;
+            prop_content_hash_stream;
             prop_stats_running_matches_batch ] ) ]
