@@ -63,6 +63,21 @@ let run_cells () =
       [ "SeqOp 5 sequential CNOTs"; g (seq.Characterize.duration *. 1e6); g seq.Characterize.error ];
       [ "USC weight-4 stabilizer (serial)"; g (stab.Characterize.duration *. 1e6); g stab.Characterize.error ] ]
 
+(* Point fan-out for the module commands: [fan_grid rows cols f] evaluates
+   [f row col] for every cell, one Parallel task per cell, and returns the
+   results row by row.  Every cell draws from its own [Rng.create seed], so
+   the output does not depend on --jobs, and a cell's Monte-Carlo chunks
+   run inline on the domain that owns it. *)
+let fan_grid rows cols f =
+  let ncols = List.length cols in
+  let cells =
+    Array.of_list
+      (Parallel.map_list
+         (fun (r, c) -> f r c)
+         (List.concat_map (fun r -> List.map (fun c -> (r, c)) cols) rows))
+  in
+  List.mapi (fun i _ -> List.init ncols (fun k -> cells.((i * ncols) + k))) rows
+
 (* ---------------------------------------------------------------- fig3 *)
 
 let run_fig3 seed =
@@ -71,20 +86,18 @@ let run_fig3 seed =
   let run cfg = Distill_module.run ~trace_dt:5e-6 cfg (Rng.create seed) ~horizon in
   let het = run (Distill_module.heterogeneous ~rate_hz:1e6 ()) in
   let hom = run (Distill_module.homogeneous ~rate_hz:1e6 ()) in
+  (* The first sample nearest to [t]; "-" while the output is empty. *)
   let fmt r t =
-    let nearest =
-      List.fold_left
-        (fun acc s ->
-          match acc with
-          | Some best
-            when Float.abs (best.Distill_module.time -. t)
-                 <= Float.abs (s.Distill_module.time -. t) -> acc
-          | _ -> Some s)
-        None r.Distill_module.trace
-    in
-    match nearest with
-    | Some { Distill_module.best_output_infidelity = Some i; _ } -> g i
-    | _ -> "-"
+    let times = r.Distill_module.trace_time in
+    let nearest = ref (-1) in
+    Array.iteri
+      (fun k time ->
+        if !nearest < 0
+           || not (Float.abs (times.(!nearest) -. t) <= Float.abs (time -. t))
+        then nearest := k)
+      times;
+    if !nearest < 0 || Float.is_nan r.Distill_module.trace_best.(!nearest) then "-"
+    else g r.Distill_module.trace_best.(!nearest)
   in
   let times = List.init 11 (fun i -> float_of_int i *. 10e-6) in
   Tableio.print
@@ -106,15 +119,12 @@ let run_fig4 seed =
       ("Ts=12.5ms", fun rate -> Distill_module.heterogeneous ~ts:12.5e-3 ~rate_hz:rate ()) ]
   in
   let rows =
-    List.map
-      (fun rate ->
-        string_of_float (rate /. 1e3)
-        :: List.map
-             (fun (_, mk) ->
-               let r = Distill_module.run (mk rate) (Rng.create seed) ~horizon:5e-3 in
-               g (Distill_module.delivered_rate_per_ms r))
-             configs)
+    List.map2
+      (fun rate cells -> string_of_float (rate /. 1e3) :: cells)
       rates
+      (fan_grid rates configs (fun rate (_, mk) ->
+           let r = Distill_module.run (mk rate) (Rng.create seed) ~horizon:5e-3 in
+           g (Distill_module.delivered_rate_per_ms r)))
   in
   Tableio.print
     ~header:("gen rate (kHz)" :: List.map fst configs)
@@ -186,13 +196,11 @@ let run_fig9 shots seed =
   print_endline "Fig 9: UEC logical error rate per round vs storage coherence Ts";
   let ts_list = [ 0.5e-3; 1e-3; 2e-3; 5e-3; 10e-3; 20e-3; 50e-3 ] in
   let data =
-    List.map
-      (fun code ->
-        ( code.Code.name,
-          List.map
-            (fun ts -> (ts, Uec.fig9_point ~code ~ts ~shots (Rng.create seed)))
-            ts_list ))
+    List.map2
+      (fun code rates -> (code.Code.name, List.combine ts_list rates))
       Codes.paper_codes
+      (fan_grid Codes.paper_codes ts_list (fun code ts ->
+           Uec.fig9_point ~code ~ts ~shots (Rng.create seed)))
   in
   Tableio.print
     ~header:("code" :: List.map (fun ts -> Printf.sprintf "Ts=%gms" (ts *. 1e3)) ts_list)
@@ -208,8 +216,9 @@ let run_fig9 shots seed =
 
 let run_table3 shots seed =
   print_endline "Table 3: pseudothreshold and UEC logical error rates (Ts = 50 ms)";
+  (* One Parallel task per row, each on its own [Rng.create seed]. *)
   let rows =
-    List.map
+    Parallel.map_list
       (fun code ->
         let rng = Rng.create seed in
         let pt =
@@ -233,14 +242,11 @@ let run_fig12 shots seed =
   in
   let ts_list = [ 1e-3; 5e-3; 10e-3; 25e-3; 50e-3 ] in
   let rows =
-    List.map
-      (fun (a, b) ->
-        Printf.sprintf "%s & %s" a.Code.name b.Code.name
-        :: List.map
-             (fun ts ->
-               g (Teleport.fig12_point ~code_a:a ~code_b:b ~ts ~shots (Rng.create seed)))
-             ts_list)
+    List.map2
+      (fun (a, b) cells -> Printf.sprintf "%s & %s" a.Code.name b.Code.name :: cells)
       pairs
+      (fan_grid pairs ts_list (fun (a, b) ts ->
+           g (Teleport.fig12_point ~code_a:a ~code_b:b ~ts ~shots (Rng.create seed))))
   in
   Tableio.print
     ~header:("codes" :: List.map (fun ts -> Printf.sprintf "Ts=%gms" (ts *. 1e3)) ts_list)

@@ -34,14 +34,13 @@ let homogeneous ~rate_hz () =
   let het = heterogeneous ~rate_hz () in
   { het with ts = het.tc }
 
-type sample = { time : float; best_output_infidelity : float option }
-
 type result = {
   delivered : int;
   distill_attempts : int;
   distill_successes : int;
   horizon : float;
-  trace : sample list;
+  trace_time : float array;
+  trace_best : float array;
 }
 
 type stored = {
@@ -81,7 +80,10 @@ type sim = {
   mutable delivered : int;
   mutable attempts : int;
   mutable successes : int;
-  mutable trace : sample list;
+  (* Trace samples in flat float storage, [trace_len] of them so far. *)
+  trace_time : float array;
+  trace_best : float array;
+  mutable trace_len : int;
 }
 
 let refresh sim now p =
@@ -239,6 +241,17 @@ let delivered_total = Obs.Counter.create "distill.delivered_total"
 let run_impl ?(trace_dt = 1e-6) cfg rng ~horizon =
   if horizon <= 0. then invalid_arg "Distill_module.run: horizon must be positive";
   let des = Des.create () in
+  (* The observer fires at 0 and then every [trace_dt], each time at the
+     clock plus [trace_dt], while within the horizon.  Counting those times
+     the same way sizes the trace exactly, once. *)
+  let samples =
+    let n = ref 0 and t = ref 0. in
+    while !t <= horizon do
+      incr n;
+      t := !t +. trace_dt
+    done;
+    !n
+  in
   let sim =
     { cfg;
       rng;
@@ -248,7 +261,9 @@ let run_impl ?(trace_dt = 1e-6) cfg rng ~horizon =
       delivered = 0;
       attempts = 0;
       successes = 0;
-      trace = [] }
+      trace_time = Array.make samples 0.;
+      trace_best = Array.make samples nan;
+      trace_len = 0 }
   in
   let rec arrival des =
     if Des.now des <= horizon then begin
@@ -261,18 +276,17 @@ let run_impl ?(trace_dt = 1e-6) cfg rng ~horizon =
     if now <= horizon then begin
       let output = sim.output in
       refresh_all sim now output;
-      let best =
-        if output.len = 0 then None
-        else begin
-          let acc = ref 1. in
-          for k = 0 to output.len - 1 do
-            let v = Bell_pair.infidelity output.slots.(k).state in
-            if not (!acc <= v) then acc := v
-          done;
-          Some !acc
-        end
-      in
-      sim.trace <- { time = now; best_output_infidelity = best } :: sim.trace;
+      let i = sim.trace_len in
+      sim.trace_time.(i) <- now;
+      if output.len > 0 then begin
+        let acc = ref 1. in
+        for k = 0 to output.len - 1 do
+          let v = Bell_pair.infidelity output.slots.(k).state in
+          if not (!acc <= v) then acc := v
+        done;
+        sim.trace_best.(i) <- !acc
+      end;
+      sim.trace_len <- i + 1;
       Des.schedule des ~delay:trace_dt observe
     end
   in
@@ -286,7 +300,8 @@ let run_impl ?(trace_dt = 1e-6) cfg rng ~horizon =
     distill_attempts = sim.attempts;
     distill_successes = sim.successes;
     horizon;
-    trace = List.rev sim.trace }
+    trace_time = sim.trace_time;
+    trace_best = sim.trace_best }
 
 let run ?trace_dt cfg rng ~horizon =
   Obs.Trace.with_span "distill.run"

@@ -37,17 +37,15 @@ val homogeneous : rate_hz:float -> unit -> config
 (** Same module on a sea of compute qubits: Ts = Tc = 0.5 ms and
     compute-grade moves instead of storage swaps. *)
 
-type sample = {
-  time : float;
-  best_output_infidelity : float option;  (** None while the output is empty *)
-}
-
 type result = {
   delivered : int;  (** pairs that entered output memory at target fidelity *)
   distill_attempts : int;
   distill_successes : int;
   horizon : float;
-  trace : sample list;  (** Fig-3 time series, oldest first *)
+  trace_time : float array;  (** Fig-3 sample times, oldest first *)
+  trace_best : float array;
+      (** best output infidelity at each sample time; [nan] while the
+          output is empty *)
 }
 
 val run : ?trace_dt:float -> config -> Rng.t -> horizon:float -> result

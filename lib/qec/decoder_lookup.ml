@@ -11,13 +11,18 @@ type t = {
   logical_x_mask : int;  (* support of logical X_0, for Z-residual parity *)
 }
 
+(* Plain loops, no closures: the estimation loops call this once per shot
+   through the logical-flip fast paths, and it must allocate nothing. *)
 let syndrome_key checks err_mask =
   let key = ref 0 in
-  Array.iteri
-    (fun i s ->
-      let c = Array.fold_left (fun acc q -> acc lxor ((err_mask lsr q) land 1)) 0 s in
-      if c = 1 then key := !key lor (1 lsl i))
-    checks;
+  for i = 0 to Array.length checks - 1 do
+    let s = checks.(i) in
+    let c = ref 0 in
+    for j = 0 to Array.length s - 1 do
+      c := !c lxor ((err_mask lsr s.(j)) land 1)
+    done;
+    if !c = 1 then key := !key lor (1 lsl i)
+  done;
   !key
 
 let build_table ~n ~checks =

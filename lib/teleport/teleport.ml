@@ -35,14 +35,13 @@ let ep_infidelity p ~het ~ts rng =
   in
   let cfg = { cfg with Distill_module.target_fidelity = p.ep_target } in
   let result = Distill_module.run cfg rng ~horizon:p.distill_horizon in
-  let best =
-    List.fold_left
-      (fun acc s ->
-        match s.Distill_module.best_output_infidelity with
-        | Some i -> min acc i
-        | None -> acc)
-      1. result.Distill_module.trace
-  in
+  let trace = result.Distill_module.trace_best in
+  let best = ref 1. in
+  for k = 0 to Array.length trace - 1 do
+    (* A [nan] sample (output empty) never compares below. *)
+    if trace.(k) < !best then best := trace.(k)
+  done;
+  let best = !best in
   if result.Distill_module.delivered > 0 then min best (1. -. p.ep_target)
   else best
 
@@ -144,19 +143,38 @@ let fig12_point ?(params = default_params) ~code_a ~code_b ~ts ~shots rng =
   point_span ~code_a ~code_b (fun () ->
       (heterogeneous ~params ~code_a ~code_b ~ts ~shots rng).total)
 
+(* RNG splits [heterogeneous] and then [homogeneous] take from their shared
+   generator: each takes one for the EP sub-module's stream, then one per
+   Monte-Carlo chunk of each of its three UEC estimates. *)
+let splits_per_pair ~shots = 2 * (1 + (3 * Parallel.chunk_count shots))
+
+(* The pairs fan across domains, and each pair's UEC chunks run inline on
+   its domain.  The sequential table threads one generator through every
+   pair, so each pair gets a copy of the master at the state the sequential
+   loop would start it at, and the master skips the splits the pair takes:
+   every stream, and so the table, is that of the sequential loop at any
+   --jobs. *)
 let table4 ?(params = default_params) ~codes ~ts ~shots rng =
-  let pairs = ref [] in
-  List.iter
-    (fun a ->
-      List.iter
-        (fun b ->
-          if a.Code.name <> b.Code.name then
-            point_span ~code_a:a ~code_b:b (fun () ->
-                let het =
-                  (heterogeneous ~params ~code_a:a ~code_b:b ~ts ~shots rng).total
-                in
-                let hom = (homogeneous ~params ~code_a:a ~code_b:b ~shots rng).total in
-                pairs := (a.Code.name, b.Code.name, het, hom) :: !pairs))
-        codes)
-    codes;
-  List.rev !pairs
+  let pairs =
+    List.concat_map
+      (fun a ->
+        List.filter_map
+          (fun b ->
+            if a.Code.name = b.Code.name then None
+            else begin
+              let pair_rng = Rng.copy rng in
+              for _ = 1 to splits_per_pair ~shots do
+                ignore (Rng.split rng)
+              done;
+              Some (a, b, pair_rng)
+            end)
+          codes)
+      codes
+  in
+  Parallel.map_list
+    (fun (a, b, rng) ->
+      point_span ~code_a:a ~code_b:b (fun () ->
+          let het = (heterogeneous ~params ~code_a:a ~code_b:b ~ts ~shots rng).total in
+          let hom = (homogeneous ~params ~code_a:a ~code_b:b ~shots rng).total in
+          (a.Code.name, b.Code.name, het, hom)))
+    pairs

@@ -49,8 +49,17 @@ val fig12_point :
   Rng.t -> float
 (** Heterogeneous CT logical error probability (Fig. 12 y-value). *)
 
+val splits_per_pair : shots:int -> int
+(** [Rng.split] draws one Table-4 pair takes from the shared generator:
+    [heterogeneous] then [homogeneous], each one split for the EP stream
+    plus {!Parallel.chunk_count}[ shots] per UEC estimate (three each). *)
+
 val table4 :
   ?params:params -> codes:Code.t list -> ts:float -> shots:int -> Rng.t ->
   (string * string * float * float) list
 (** All ordered pairs (a, b, heterogeneous, homogeneous) of distinct codes —
-    the upper and lower triangles of Table 4. *)
+    the upper and lower triangles of Table 4.  Results equal the sequential
+    loop of [heterogeneous] then [homogeneous] over the pairs on the one
+    generator; the pairs run as {!Parallel} tasks, each from a copy of the
+    generator advanced by {!splits_per_pair} per earlier pair, so the table
+    is the same at any {!Parallel.jobs}. *)

@@ -271,33 +271,75 @@ let effective_channels ?(params = default_params) prof =
 
 let uec_shots_total = Obs.Counter.create "uec.shots_total"
 
+(* Lookup decoders, one per code: a build takes 80k (17QCC) to 823k (SC4)
+   minor words, and a module sweep estimates each code dozens of times.  A
+   decoder is read-only once built, so every domain shares it.  Keyed by
+   name like the assignment memo, with the code itself checked on a hit. *)
+let decoder_memo : (string, Code.t * Decoder_lookup.t) Hashtbl.t = Hashtbl.create 8
+let decoder_memo_lock = Mutex.create ()
+
+let lookup_decoder (code : Code.t) =
+  let cached =
+    Mutex.protect decoder_memo_lock (fun () ->
+        Hashtbl.find_opt decoder_memo code.Code.name)
+  in
+  match cached with
+  | Some (c, d) when c == code || c = code -> d
+  | _ ->
+      (* Built outside the lock, like the assignment. *)
+      let d = Decoder_lookup.create code in
+      Mutex.protect decoder_memo_lock (fun () ->
+          Hashtbl.replace decoder_memo code.Code.name (code, d));
+      d
+
+(* The shot loop's draws.  [Rng.uniform] would box its float result across
+   the module boundary; forming it here from the immediate [Rng.bits53]
+   keeps it unboxed, and the stream is the same. *)
+let[@inline] uniform rng = float_of_int (Rng.bits53 rng) *. 0x1.0p-53
+
+(* One draw from the Pauli channel [c] (I, X, Z, Y) on qubit [q], applied to
+   the shot's error masks: [err.(0)] holds X errors, [err.(1)] Z errors. *)
+let inject rng (c : float array) (err : int array) q =
+  let u = uniform rng in
+  let bit = 1 lsl q in
+  if u < c.(1) then err.(0) <- err.(0) lxor bit
+  else if u < c.(1) +. c.(2) then err.(1) <- err.(1) lxor bit
+  else if u < c.(1) +. c.(2) +. c.(3) then begin
+    err.(0) <- err.(0) lxor bit;
+    err.(1) <- err.(1) lxor bit
+  end
+
+(* Noisy read of check [k] (Z checks first, then X checks, as in
+   [all_stabs]): its parity on the errors it detects, flipped with
+   probability [flips.(k)] by one bernoulli draw, as bit [k] of the
+   round's syndrome word. *)
+let read_check rng (err : int array) ~nz (masks : int array) (flips : float array) k =
+  let e = if k < nz then err.(0) else err.(1) in
+  let p = popcount (e land masks.(k)) land 1 in
+  let bit = if uniform rng < flips.(k) then 1 - p else p in
+  bit lsl k
+
 let logical_failures_impl ?jobs ?(params = default_params) prof ~rounds ~shots rng =
   if rounds < 1 || shots < 1 then invalid_arg "Uec.logical_error_rate";
   let code = prof.code in
   let n = code.Code.n in
-  let decoder = Decoder_lookup.create code in
-  let rest_t = match prof.arch with Het { ts } -> ts | Hom -> params.tc in
+  let decoder = lookup_decoder code in
   (* Checks are extracted at distinct times within a round (fully serialized
      on the USC; a single parallel step on the lattice), so noise is injected
      per extraction step — mid-round errors leave the serial syndrome
      internally inconsistent, which is the real cost of serialization. *)
+  let stabs = all_stabs code in
   let nz = Array.length code.Code.z_stabs in
-  let steps =
+  let nchecks = Array.length stabs in
+  let interval_probs =
     match prof.arch with
-    | Het _ ->
+    | Het { ts } ->
         Array.map
           (fun supp ->
-            ( idle_probs ~eta:params.eta ~t:rest_t
-                ~dt:(stab_time params prof.assignment supp) (),
-              supp ))
-          (all_stabs code)
-    | Hom ->
-        Array.map
-          (fun supp ->
-            ( idle_probs ~eta:params.eta ~t:rest_t
-                ~dt:(prof.round_time /. float_of_int (Code.num_stabs code)) (),
-              supp ))
-          (all_stabs code)
+            idle_probs ~eta:params.eta ~t:ts
+              ~dt:(stab_time params prof.assignment supp) ())
+          stabs
+    | Hom -> [||]
   in
   (* Per-check extras for the touched qubits: compute-idle during the swaps
      and CX, plus the CX depolarizing marginal. *)
@@ -310,85 +352,73 @@ let logical_failures_impl ?jobs ?(params = default_params) prof ~rounds ~shots r
   let hom_channels =
     match prof.arch with Hom -> effective_channels ~params prof | Het _ -> [||]
   in
-  let step_masks =
-    Array.map
-      (fun (_, supp) -> Array.fold_left (fun acc q -> acc lor (1 lsl q)) 0 supp)
-      steps
+  let masks =
+    Array.map (fun supp -> Array.fold_left (fun acc q -> acc lor (1 lsl q)) 0 supp) stabs
   in
-  (* Shot chunks fan across domains; everything above (steps, touch_probs,
-     hom_channels, the decoder) is read-only and shared.  Error state lives
-     in two int bitmasks (bit q = qubit q; n <= 30 is enforced by
-     [Decoder_lookup.create]) and syndromes in packed int keys, so the shot
-     loop allocates nothing.  RNG consumption order is unchanged from the
-     bool-array version — one uniform per inject, one bernoulli per check
-     read — and the packed-key agreement test and mask corrections are
-     exact rewrites, so failure counts are bit-identical to it. *)
+  let flips = Array.append prof.meas_flip.(0) prof.meas_flip.(1) in
+  let z_keys = (1 lsl nz) - 1 in
+  (* Shot chunks fan across domains; everything above (the channels, masks,
+     flip probabilities and the decoder) is read-only and shared.  Error
+     state lives in two int bitmasks (bit q = qubit q; n <= 30 is enforced
+     by [Decoder_lookup.create]) and a round's syndrome in one int word (Z
+     checks in the low [nz] bits), and the draws and updates are calls to
+     closed functions with no float arguments, so a shot allocates nothing.
+     RNG consumption order is that of the bool-array version — one uniform
+     per inject, one bernoulli per check read — and the packed-key
+     agreement test and mask corrections are exact rewrites, so failure
+     counts are bit-identical to it. *)
   let run_chunk rng nshots =
-  let failures = ref 0 in
-  let xerr = ref 0 and zerr = ref 0 in
-  let inject c q =
-    let u = Rng.uniform rng in
-    let bit = 1 lsl q in
-    if u < c.(1) then xerr := !xerr lxor bit
-    else if u < c.(1) +. c.(2) then zerr := !zerr lxor bit
-    else if u < c.(1) +. c.(2) +. c.(3) then begin
-      xerr := !xerr lxor bit;
-      zerr := !zerr lxor bit
-    end
-  in
-  for _ = 1 to nshots do
-    xerr := 0;
-    zerr := 0;
-    let prev_sz = ref (-1) and prev_sx = ref (-1) in
-    for _ = 1 to rounds do
-      let sz = ref 0 and sx = ref 0 in
-      let read k =
-        let is_z = k < nz in
-        let err = if is_z then !xerr else !zerr in
-        let p = popcount (err land step_masks.(k)) land 1 in
-        let flip_p = if is_z then prof.meas_flip.(0).(k) else prof.meas_flip.(1).(k - nz) in
-        let bit = if Rng.bernoulli rng flip_p then 1 - p else p in
-        if bit = 1 then
-          if is_z then sz := !sz lor (1 lsl k)
-          else sx := !sx lor (1 lsl (k - nz))
-      in
-      (match prof.arch with
-      | Het _ ->
-          (* Serial: idle interval, read the check, then its gate noise. *)
-          Array.iteri
-            (fun k (interval_probs, supp) ->
+    let failures = ref 0 in
+    let err = [| 0; 0 |] in
+    for _ = 1 to nshots do
+      err.(0) <- 0;
+      err.(1) <- 0;
+      let prev_sz = ref (-1) and prev_sx = ref (-1) in
+      for _ = 1 to rounds do
+        let syndrome = ref 0 in
+        (match prof.arch with
+        | Het _ ->
+            (* Serial: idle interval, read the check, then its gate noise. *)
+            for k = 0 to nchecks - 1 do
+              let c = interval_probs.(k) in
               for q = 0 to n - 1 do
-                inject interval_probs q
+                inject rng c err q
               done;
-              read k;
-              Array.iter (fun q -> inject touch_probs q) supp)
-            steps
-      | Hom ->
-          (* Parallel: all of the round's noise (idle plus every routed 2q
-             gate) lands, then every check reads the same error state. *)
-          for q = 0 to n - 1 do
-            inject hom_channels.(q) q
-          done;
-          Array.iteri (fun k _ -> read k) steps);
-      (* Repeat-until-agree: apply a correction only when two consecutive
-         extractions agree, suppressing syndrome noise to second order. *)
-      if !prev_sz >= 0 && !prev_sz = !sz then
-        xerr := !xerr lxor Decoder_lookup.x_correction_mask decoder ~key:!sz;
-      prev_sz := !sz;
-      if !prev_sx >= 0 && !prev_sx = !sx then
-        zerr := !zerr lxor Decoder_lookup.z_correction_mask decoder ~key:!sx;
-      prev_sx := !sx
+              syndrome := !syndrome lor read_check rng err ~nz masks flips k;
+              let supp = stabs.(k) in
+              for i = 0 to Array.length supp - 1 do
+                inject rng touch_probs err supp.(i)
+              done
+            done
+        | Hom ->
+            (* Parallel: all of the round's noise (idle plus every routed 2q
+               gate) lands, then every check reads the same error state. *)
+            for q = 0 to n - 1 do
+              inject rng hom_channels.(q) err q
+            done;
+            for k = 0 to nchecks - 1 do
+              syndrome := !syndrome lor read_check rng err ~nz masks flips k
+            done);
+        let sz = !syndrome land z_keys and sx = !syndrome lsr nz in
+        (* Repeat-until-agree: apply a correction only when two consecutive
+           extractions agree, suppressing syndrome noise to second order. *)
+        if !prev_sz >= 0 && !prev_sz = sz then
+          err.(0) <- err.(0) lxor Decoder_lookup.x_correction_mask decoder ~key:sz;
+        prev_sz := sz;
+        if !prev_sx >= 0 && !prev_sx = sx then
+          err.(1) <- err.(1) lxor Decoder_lookup.z_correction_mask decoder ~key:sx;
+        prev_sx := sx
+      done;
+      (* End-of-experiment evaluation with a final ideal recovery (noiseless
+         syndrome, perfect decode) — the standard memory-experiment
+         semantics; judging the transient state every round would count
+         correctable weight-2 patterns as failures.  [logical_x_flip_mask]
+         is exactly ideal-residual-then-logical-parity on masks. *)
+      let x_fail = Decoder_lookup.logical_x_flip_mask decoder ~actual:err.(0) in
+      let z_fail = Decoder_lookup.logical_z_flip_mask decoder ~actual:err.(1) in
+      if x_fail || z_fail then incr failures
     done;
-    (* End-of-experiment evaluation with a final ideal recovery (noiseless
-       syndrome, perfect decode) — the standard memory-experiment semantics;
-       judging the transient state every round would count correctable
-       weight-2 patterns as failures.  [logical_x_flip_mask] is exactly
-       ideal-residual-then-logical-parity on masks. *)
-    let x_fail = Decoder_lookup.logical_x_flip_mask decoder ~actual:!xerr in
-    let z_fail = Decoder_lookup.logical_z_flip_mask decoder ~actual:!zerr in
-    if x_fail || z_fail then incr failures
-  done;
-  !failures
+    !failures
   in
   Parallel.monte_carlo_count ?jobs ~rng ~shots run_chunk
 

@@ -167,6 +167,8 @@ let split_rngs rng n =
 
 let default_chunk = 256
 
+let chunk_count ?(chunk = default_chunk) shots = (shots + chunk - 1) / chunk
+
 (* Deterministic Monte-Carlo fan-out: [f chunk_rng chunk_shots] produces a
    partial result; partials merge left-to-right in chunk order.  [chunk] is
    part of the determinism contract — changing it changes the RNG streams —
@@ -176,7 +178,7 @@ let monte_carlo ?jobs ?(chunk = default_chunk) ~rng ~shots ~init ~merge f =
   if shots < 0 then invalid_arg "Parallel.monte_carlo: shots must be >= 0";
   if shots = 0 then init
   else begin
-    let nchunks = (shots + chunk - 1) / chunk in
+    let nchunks = chunk_count ~chunk shots in
     let rngs = split_rngs rng nchunks in
     let tasks =
       Array.init nchunks (fun i ->

@@ -35,6 +35,12 @@ val default_chunk : int
 (** Shots per Monte-Carlo chunk (256): one chunk = one RNG split = one unit
     of scheduling. *)
 
+val chunk_count : ?chunk:int -> int -> int
+(** [chunk_count shots] is the number of chunks {!monte_carlo} cuts [shots]
+    into, and so the number of [Rng.split] draws it takes from its master
+    generator.  A caller that fans out work sharing one master stream uses
+    it to know where each piece's stream starts. *)
+
 val monte_carlo :
   ?jobs:int ->
   ?chunk:int ->

@@ -30,7 +30,11 @@ let create seed =
 
 let rotl x k = Int64.logor (Int64.shift_left x k) (Int64.shift_right_logical x (64 - k))
 
-let bits64 t =
+(* [@inline] on the draw primitives: a call inside this module then keeps
+   its int64 and float intermediates unboxed.  Across the module boundary
+   an int64 or float result is still boxed, which is why [bits53] and
+   [geometric] return immediate ints for the shot loops. *)
+let[@inline] bits64 t =
   let open Int64 in
   let s0 = get t 0 and s1 = get t 8 and s2 = get t 16 and s3 = get t 24 in
   let result = mul (rotl (mul s1 5L) 7) 9L in
@@ -61,40 +65,21 @@ let int t n =
   let v = Int64.to_int (bits64 t) land max_int in
   v mod n
 
-let uniform t =
-  (* 53-bit mantissa from the top bits. *)
-  let v = Int64.to_int (Int64.shift_right_logical (bits64 t) 11) in
-  float_of_int v *. 0x1.0p-53
+(* The 53-bit mantissa source of [uniform], from the top bits. *)
+let[@inline] bits53 t = Int64.to_int (Int64.shift_right_logical (bits64 t) 11)
+
+let[@inline] uniform t = float_of_int (bits53 t) *. 0x1.0p-53
 
 (* One geometric gap draw for sparse Bernoulli fills: consumes exactly one
-   uniform draw and computes floor(log1p(-u) / log1mp), with the xoshiro
-   step written out in this body so nothing is boxed — neither the int64
-   state words (raw bytes loads/stores), the uniform float, nor the log
-   intermediates (log1p is an [@@unboxed] external; the result is an
-   immediate int).  This keeps the Dem_sampler event-direct path
-   allocation-free per event.  Stream-identical to
-   [int_of_float (log1p (-.(uniform t)) /. log1mp)]. *)
-let geometric t ~log1mp =
-  let open Int64 in
-  let s0 = get t 0 and s1 = get t 8 and s2 = get t 16 and s3 = get t 24 in
-  let result = mul (rotl (mul s1 5L) 7) 9L in
-  let tmp = shift_left s1 17 in
-  let s2 = logxor s2 s0 in
-  let s3 = logxor s3 s1 in
-  let s1 = logxor s1 s2 in
-  let s0 = logxor s0 s3 in
-  let s2 = logxor s2 tmp in
-  let s3 = rotl s3 45 in
-  set t 0 s0;
-  set t 8 s1;
-  set t 16 s2;
-  set t 24 s3;
-  let u = float_of_int (to_int (shift_right_logical result 11)) *. 0x1.0p-53 in
-  int_of_float (log1p (-.u) /. log1mp)
+   uniform draw and computes floor(log1p(-u) / log1mp).  Nothing is boxed:
+   the draw is inlined, log1p is an [@@unboxed] external, and the result is
+   an immediate int, so the Dem_sampler event-direct path allocates nothing
+   per event. *)
+let geometric t ~log1mp = int_of_float (log1p (-.uniform t) /. log1mp)
 
 let float t x = uniform t *. x
 let bool t = Int64.logand (bits64 t) 1L = 1L
-let bernoulli t p = uniform t < p
+let[@inline] bernoulli t p = uniform t < p
 
 let exponential t rate =
   if rate <= 0. then invalid_arg "Rng.exponential: rate must be positive";

@@ -31,13 +31,18 @@ val float : t -> float -> float
 val uniform : t -> float
 (** Uniform on [0, 1). *)
 
+val bits53 : t -> int
+(** The 53 random bits behind the next {!uniform}:
+    [uniform t = float_of_int (bits53 t) *. 0x1.0p-53], consuming the same
+    single draw.  The result is an immediate int, so a hot loop in another
+    module can form its uniform locally and keep it unboxed. *)
+
 val geometric : t -> log1mp:float -> int
 (** [geometric t ~log1mp] is one sparse-Bernoulli gap draw:
     [int_of_float (log1p (-.(uniform t)) /. log1mp)] where
-    [log1mp = log1p (-.p)], consuming exactly one [uniform].  Fused into a
-    single allocation-free body (no boxed intermediates) for the
-    event-direct sampling hot paths; the stream is identical to computing
-    the expression from {!uniform} directly. *)
+    [log1mp = log1p (-.p)], consuming exactly one [uniform].  Allocates
+    nothing (no boxed intermediates), for the event-direct sampling hot
+    paths. *)
 
 val bool : t -> bool
 

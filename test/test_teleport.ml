@@ -73,6 +73,57 @@ let test_table4_excludes_diagonal () =
     (fun (a, b, _, _) -> Alcotest.(check bool) "no self pair" true (a <> b))
     results
 
+(* Table 4 fanned across two domains equals the sequential loop over the
+   pairs on one shared generator (the loop the perfbench replay reconciles
+   against), bit for bit.  300 shots is two UEC chunks, the last one short. *)
+let test_table4_parallel_matches_sequential () =
+  let codes = [ Codes.steane; Codes.surface 3; Codes.color_17 ] in
+  let ts = 50e-3 and shots = 300 in
+  let rng = Rng.create 5 in
+  let sequential =
+    List.concat_map
+      (fun a ->
+        List.filter_map
+          (fun b ->
+            if a.Code.name = b.Code.name then None
+            else begin
+              let het = Teleport.heterogeneous ~code_a:a ~code_b:b ~ts ~shots rng in
+              let hom = Teleport.homogeneous ~code_a:a ~code_b:b ~shots rng in
+              Some (a.Code.name, b.Code.name, het.Teleport.total, hom.Teleport.total)
+            end)
+          codes)
+      codes
+  in
+  let fanned =
+    let jobs = Parallel.jobs () in
+    Parallel.set_jobs 2;
+    Fun.protect
+      ~finally:(fun () -> Parallel.set_jobs jobs)
+      (fun () -> Teleport.table4 ~codes ~ts ~shots (Rng.create 5))
+  in
+  let show (a, b, het, hom) = Printf.sprintf "%s %s %h %h" a b het hom in
+  Alcotest.(check (list string))
+    "table4 at 2 jobs = sequential loop"
+    (List.map show sequential) (List.map show fanned)
+
+(* One pair advances the shared generator by exactly [splits_per_pair]
+   splits: one EP stream and three UEC estimates of two chunks, per arch. *)
+let test_splits_per_pair () =
+  let shots = 300 in
+  Alcotest.(check int) "2 * (1 + 3 * 2)" 14 (Teleport.splits_per_pair ~shots);
+  let master = Rng.create 9 in
+  let predicted = Rng.copy master in
+  let code_a = Codes.steane and code_b = Codes.surface 3 in
+  ignore (Teleport.heterogeneous ~code_a ~code_b ~ts:50e-3 ~shots master);
+  ignore (Teleport.homogeneous ~code_a ~code_b ~shots master);
+  for _ = 1 to Teleport.splits_per_pair ~shots do
+    ignore (Rng.split predicted)
+  done;
+  for _ = 1 to 4 do
+    Alcotest.(check int64) "master after one pair" (Rng.bits64 predicted)
+      (Rng.bits64 master)
+  done
+
 let test_cat_sim_noiseless () =
   let r = Cat_sim.run ~n:6 ~p2:0. ~t_coh:1e6 ~shots:200 (Rng.create 7) in
   Alcotest.(check (float 1e-9)) "always accepts" 1. r.Cat_sim.accept_rate;
@@ -158,7 +209,10 @@ let () =
           Alcotest.test_case "Ts trend" `Slow test_total_decreases_with_ts;
           Alcotest.test_case "het beats hom" `Slow test_het_beats_hom_every_pair;
           Alcotest.test_case "code size cost" `Slow test_bigger_codes_cost_more;
-          Alcotest.test_case "table4 pairs" `Slow test_table4_excludes_diagonal ] );
+          Alcotest.test_case "table4 pairs" `Slow test_table4_excludes_diagonal;
+          Alcotest.test_case "table4 fan-out = sequential" `Quick
+            test_table4_parallel_matches_sequential;
+          Alcotest.test_case "splits per pair" `Quick test_splits_per_pair ] );
       ( "cat sim",
         [ Alcotest.test_case "noiseless" `Quick test_cat_sim_noiseless;
           Alcotest.test_case "noise reduces acceptance" `Quick test_cat_sim_noise_reduces_acceptance;

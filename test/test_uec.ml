@@ -337,6 +337,25 @@ let test_assignment_alloc_floor () =
     (Printf.sprintf "17QCC search allocates %d < 10000 minor words" words)
     true (words < 10_000)
 
+(* Allocation floor of the shot loop, 17QCC het and hom.  A shot allocates
+   nothing: 768 and 513 shots are both three chunks and cost the same
+   words.  1000 and 500 shots differ by two chunks, and each chunk's stream
+   split and task closure cost 48 words. *)
+let test_shot_loop_alloc_floor () =
+  let code = Codes.color_17 in
+  List.iter
+    (fun (name, arch) ->
+      let prof = Uec.profile arch code in
+      let words shots =
+        Alloc.words (fun () ->
+            ignore (Uec.logical_failures prof ~rounds:3 ~shots (Rng.create 5)))
+      in
+      ignore (words 10);
+      Alcotest.(check int) (name ^ ": words(768) - words(513)") 0 (words 768 - words 513);
+      Alcotest.(check int) (name ^ ": words(1000) - words(500)") 96
+        (words 1000 - words 500))
+    [ ("het", Uec.Het { ts = 50e-3 }); ("hom", Uec.Hom) ]
+
 let () =
   Alcotest.run "uec"
     [ ( "profiles",
@@ -360,7 +379,8 @@ let () =
           Alcotest.test_case "register pipelining" `Quick test_two_registers_pipeline_faster;
           Alcotest.test_case "usc-ext three registers" `Slow test_usc_ext_three_registers;
           Alcotest.test_case "bias favors shor" `Slow test_bias_favors_shor;
-          Alcotest.test_case "bias split" `Quick test_bias_split_conserves ] );
+          Alcotest.test_case "bias split" `Quick test_bias_split_conserves;
+          Alcotest.test_case "shot allocation floor" `Quick test_shot_loop_alloc_floor ] );
       ( "schedule",
         [ Alcotest.test_case "validates + tracks analytic" `Quick
             test_schedule_validates_and_tracks_analytic;

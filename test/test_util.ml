@@ -91,6 +91,31 @@ let test_rng_poisson_large_lambda () =
   let mean = float_of_int !acc /. float_of_int n in
   Alcotest.(check bool) "Poisson(1000) mean within 2%" true (Float.abs (mean -. 1000.) < 20.)
 
+(* The streams every pinned experiment output rests on: the first uniforms
+   and bernoulli draws at seed 2023, and the bits53/geometric forms of the
+   same single draw. *)
+let test_rng_pinned_stream () =
+  let r = Rng.create 2023 in
+  List.iter
+    (fun want -> Alcotest.(check (float 0.)) "uniform" want (Rng.uniform r))
+    [ 0x1.1d36691dc74edp-1; 0x1.3cb47660a0d07p-1; 0x1.a0adca9af613ap-2;
+      0x1.275bf9e0cb33cp-1 ];
+  let r = Rng.create 2023 in
+  Alcotest.(check string) "bernoulli, p = (i mod 4 + 1) / 5"
+    "00110011001001100111101000011101"
+    (String.init 32 (fun i ->
+         if Rng.bernoulli r (float_of_int ((i mod 4) + 1) /. 5.) then '1' else '0'));
+  let a = Rng.create 7 in
+  let b = Rng.copy a and c = Rng.copy a in
+  let log1mp = log1p (-0.01) in
+  for _ = 1 to 100 do
+    let u = Rng.uniform a in
+    Alcotest.(check (float 0.)) "bits53" u (float_of_int (Rng.bits53 b) *. 0x1.0p-53);
+    Alcotest.(check int) "geometric"
+      (int_of_float (log1p (-.u) /. log1mp))
+      (Rng.geometric c ~log1mp)
+  done
+
 let test_rng_bernoulli () =
   let r = Rng.create 29 in
   let hits = ref 0 in
@@ -586,6 +611,7 @@ let () =
           Alcotest.test_case "exponential mean" `Quick test_rng_exponential_mean;
           Alcotest.test_case "poisson mean" `Quick test_rng_poisson_mean;
           Alcotest.test_case "poisson large lambda" `Quick test_rng_poisson_large_lambda;
+          Alcotest.test_case "pinned stream" `Quick test_rng_pinned_stream;
           Alcotest.test_case "bernoulli" `Quick test_rng_bernoulli;
           Alcotest.test_case "categorical" `Quick test_rng_categorical;
           Alcotest.test_case "shuffle permutation" `Quick test_rng_shuffle_permutation;
