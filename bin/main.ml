@@ -462,7 +462,7 @@ let run_schedule () =
 
 (* ---------------------------------------------------------- decode-check *)
 
-(* Fused-pipeline self-check used by `make decode-smoke`: for d=3 and d=5
+(* Fused-pipeline self-check (test/decode_check.t): for d=3 and d=5
    surface experiments, sample one DEM-direct batch and verify the batch
    arena decoder agrees shot-for-shot with the per-shot scalar decoder, then
    print the fused logical-error counts.  Stdout depends only on the seed —
@@ -484,7 +484,7 @@ let alloc_words f =
   let b = Gc.minor_words () in
   int_of_float (b -. a -. overhead)
 
-let run_decode_check shots seed dmax alloc_budget =
+let run_decode_check shots seed dmax =
   print_endline "Fused decode self-check: batch arena decoder vs per-shot scalar";
   let ok = ref true in
   let distances = List.filter (fun d -> d <= max 3 dmax) [ 3; 5; 7; 9 ] in
@@ -512,7 +512,7 @@ let run_decode_check shots seed dmax alloc_budget =
       (* jobs:1 on purpose: GC allocation counters are domain-local, so
          work fanned out to worker domains escapes the enclosing
          cmd.decode-check span's window.  Keeping the cross-check on the
-         recording domain is what lets alloc-smoke reconcile the alloc
+         recording domain is what lets test/alloc_flame.t reconcile the alloc
          flamegraph's root total against the snapshot's process counter and
          demand byte-identical folded output at any --jobs.  Jobs
          determinism of this estimator is covered by test_fused's pinned
@@ -523,9 +523,10 @@ let run_decode_check shots seed dmax alloc_budget =
       in
       Printf.printf "d=%d: %d shots, batch/scalar mismatches %d, logical errors %d\n"
         d nshots !mismatches errors;
-      (* Steady-state allocation proof: with the arena pool and the output
-         row warm, a batch decode must allocate nothing at all; the full
-         sample+decode pipeline is budgeted in words per shot. *)
+      (* Steady-state allocation accounting: with the arena pool and the
+         output row warm, a batch decode allocates nothing at all; the full
+         sample+decode pipeline is reported in words per shot.  The bounds
+         are asserted by test_fused. *)
       let graph = exp.Surface_circuit.graph in
       let out = Bitvec.create nshots in
       Decoder_uf.decode_batch_into graph ~detectors:b.Frame_batch.detectors
@@ -548,28 +549,11 @@ let run_decode_check shots seed dmax alloc_budget =
       Printf.printf
         "d=%d: steady decode %d words, sample+decode %d words/shot\n" d
         decode_words fused_per_shot;
-      (match alloc_budget with
-      | Some budget ->
-          if decode_words > 0 then begin
-            Printf.eprintf
-              "d=%d: warm decode_batch_into allocated %d words (want 0)\n" d
-              decode_words;
-            ok := false
-          end;
-          if fused_per_shot > budget then begin
-            Printf.eprintf
-              "d=%d: sample+decode %d words/shot exceeds budget %d\n" d
-              fused_per_shot budget;
-            ok := false
-          end
-      | None -> ());
       if !mismatches > 0 then ok := false)
     distances;
   if !ok then print_endline "decode-check OK"
   else begin
-    prerr_endline
-      "decode-check FAILED: batch/scalar disagreement or allocation budget \
-       exceeded";
+    prerr_endline "decode-check FAILED: batch/scalar disagreement";
     exit 1
   end
 
@@ -743,28 +727,16 @@ let run_collect campaign seed shards shard_opt ledger resume progress max_shots
 
 (* Offline analysis of the observability artifacts the other subcommands
    emit: run snapshots (--metrics, the registry) and fleet views,
-   Chrome-trace spans (--trace), telemetry streams (--telemetry), and bench
-   JSON.  Pure readers — no simulation. *)
+   Chrome-trace spans (--trace) and telemetry streams (--telemetry).  Pure
+   readers — no simulation. *)
 
 let load_json path =
   Obs.Json.parse (In_channel.with_open_bin path In_channel.input_all)
 
 (* Snapshots, fleet views, telemetry and traces decode through their
-   codecs in Obs; a bench document has none, so its fields (and any
-   document's schema tag) are read here: [None] on a missing or mistyped
-   field. *)
-let mem_float name j =
-  match Obs.Json.member name j with
-  | Some (Obs.Json.Int i) -> Some (float_of_int i)
-  | Some (Obs.Json.Float f) -> Some f
-  | _ -> None
-
-let mem_int name j = Option.map int_of_float (mem_float name j)
-
-let mem_string name j =
-  match Obs.Json.member name j with Some (Obs.Json.String s) -> Some s | _ -> None
-
-let schema_of doc = Option.value ~default:"?" (mem_string "schema" doc)
+   codecs in Obs; only a document's schema tag is read here. *)
+let schema_of doc =
+  match Obs.Json.member "schema" doc with Some (Obs.Json.String s) -> s | _ -> "?"
 
 let obs_fail fmt =
   Printf.ksprintf
@@ -802,23 +774,16 @@ let utc_stamp unix =
     (tm.Unix.tm_mon + 1) tm.Unix.tm_mday tm.Unix.tm_hour tm.Unix.tm_min
     tm.Unix.tm_sec
 
-let bench_schema = "hetarch.bench/3"
-
 (* The documents the analysis commands render: a snapshot (--metrics, the
-   run registry), a fleet view (obs merge), or a bench file, whose metrics
-   member is a snapshot. *)
+   run registry) or a fleet view (obs merge). *)
 let state_of_doc doc =
   match schema_of doc with
   | s when s = Obs.Snapshot.schema -> `Snap (Obs.Snapshot.of_json doc)
   | s when s = Obs.Merge.schema -> `Fleet (Obs.Merge.of_json doc)
-  | s when s = bench_schema -> (
-      match Obs.Json.member "metrics" doc with
-      | Some m -> `Bench (doc, Obs.Snapshot.of_json m)
-      | None -> failwith "bench file without a metrics member")
   | s ->
       failwith
-        (Printf.sprintf "unsupported schema %s (want %s, %s or %s)" s
-           Obs.Snapshot.schema Obs.Merge.schema bench_schema)
+        (Printf.sprintf "unsupported schema %s (want %s or %s)" s
+           Obs.Snapshot.schema Obs.Merge.schema)
 
 let load_state file = guard file (fun () -> state_of_doc (load_json file))
 
@@ -906,44 +871,9 @@ let render_fleet m =
   print_newline ();
   render_snapshot ~sources s
 
-let render_bench doc =
-  Printf.printf "bench: seed %d, jobs %d%s\n"
-    (Option.value ~default:0 (mem_int "seed" doc))
-    (Option.value ~default:1 (mem_int "jobs" doc))
-    (match Obs.Json.member "quick" doc with
-     | Some (Obs.Json.Bool true) -> ", quick"
-     | _ -> "");
-  let kernels =
-    match Obs.Json.member "kernels" doc with
-    | Some (Obs.Json.List ks) -> ks
-    | _ -> []
-  in
-  let num name k = match mem_float name k with Some v -> g v | None -> "-" in
-  print_section "kernels" [ "kernel"; "ns/run" ]
-    (List.map
-       (fun k ->
-         [ Option.value ~default:"?" (mem_string "name" k); num "ns_per_run" k ])
-       kernels);
-  (* The floor-gated kernels and their measured steady-state minor words
-     per run. *)
-  print_section "allocation (floor-gated kernels)"
-    [ "kernel"; "minor words/run"; "max allowed" ]
-    (List.filter_map
-       (fun k ->
-         if mem_float "max_minor_words_per_run" k = None then None
-         else
-           Some
-             [ Option.value ~default:"?" (mem_string "name" k);
-               num "minor_words_per_run" k; num "max_minor_words_per_run" k ])
-       kernels);
-  print_newline ()
-
 let render_state = function
   | `Snap s -> render_snapshot s
   | `Fleet m -> render_fleet m
-  | `Bench (doc, s) ->
-      render_bench doc;
-      render_snapshot s
 
 let run_obs_report file = render_state (load_state file)
 
@@ -1007,26 +937,22 @@ let run_obs_tail file =
             last.interval_s
       | Live -> Printf.printf "stream: live (last write %.1fs ago)\n" row.age_s
 
-let run_obs_diff file_a file_b threshold noise_floor normalize =
+let run_obs_diff file_a file_b threshold noise_floor =
   let load file = guard file (fun () -> load_json file) in
   let doc_a = load file_a and doc_b = load file_b in
   let r =
     try
       Obs.Diff.compare_docs ?threshold_pct:threshold
-        ?noise_floor_ns:noise_floor ~normalize doc_a doc_b
+        ?noise_floor_ns:noise_floor doc_a doc_b
     with Failure msg ->
       Printf.eprintf "hetarch obs diff: %s\n" msg;
       exit 2
   in
   let thr = Option.value ~default:Obs.Diff.default_threshold_pct threshold in
-  Printf.printf "diff %s -> %s (threshold %g%%%s%s)\n" file_a file_b thr
+  Printf.printf "diff %s -> %s (threshold %g%%%s)\n" file_a file_b thr
     (match noise_floor with
      | Some f -> Printf.sprintf ", noise floor %g ns" f
-     | None -> "")
-    (if normalize then
-       Printf.sprintf ", current normalized by /%.3f (median machine ratio)"
-         r.Obs.Diff.scale
-     else "");
+     | None -> "");
   Tableio.print ~align:Tableio.Left
     ~header:[ "metric"; "baseline"; "current"; "delta" ]
     (List.map
@@ -1122,8 +1048,7 @@ let run_obs_merge refs out =
         Obs.Merge.union acc
           (match resolve_ref arg with
           | `Snap s -> Obs.Merge.of_snapshots [ s ]
-          | `Fleet m -> m
-          | `Bench _ -> obs_fail "%s: a bench file is not a run snapshot" arg))
+          | `Fleet m -> m))
       (Obs.Merge.of_snapshots []) refs
   in
   let text =
@@ -1242,7 +1167,7 @@ let run_obs_compare current_ref last nmad min_pct noise_floor gate =
     | Some arg -> (
         match resolve_ref arg with
         | `Snap s -> s
-        | `Fleet _ | `Bench _ -> obs_fail "%s: not a run snapshot" arg)
+        | `Fleet _ -> obs_fail "%s: not a run snapshot" arg)
     | None -> (
         match List.rev entries with
         | [] ->
@@ -1321,12 +1246,6 @@ let run_obs_compare current_ref last nmad min_pct noise_floor gate =
 
 open Cmdliner
 
-let shots_arg =
-  Arg.(value & opt int default_shots & info [ "shots" ] ~doc:"Monte-Carlo shots per point")
-
-let seed_arg = Arg.(value & opt int 2023 & info [ "seed" ] ~doc:"RNG seed")
-let full_arg = Arg.(value & flag & info [ "full" ] ~doc:"Run the full (slow) sweep")
-
 (* A count below [min] is a usage error naming its flag (exit 124), not an
    Invalid_argument from the code it would reach. *)
 let int_at_least min =
@@ -1336,6 +1255,15 @@ let int_at_least min =
         | Some n when n >= min -> Ok n
         | _ -> Error (`Msg (Printf.sprintf "expected an integer >= %d, got %S" min s))),
       Format.pp_print_int )
+
+let shots_arg =
+  Arg.(
+    value
+    & opt (int_at_least 1) default_shots
+    & info [ "shots" ] ~doc:"Monte-Carlo shots per point")
+
+let seed_arg = Arg.(value & opt int 2023 & info [ "seed" ] ~doc:"RNG seed")
+let full_arg = Arg.(value & flag & info [ "full" ] ~doc:"Run the full (slow) sweep")
 
 let jobs_arg =
   Arg.(
@@ -1511,7 +1439,8 @@ let collect_term =
   in
   let shards =
     Arg.(
-      value & opt int 1
+      value
+      & opt (int_at_least 1) 1
       & info [ "shards" ] ~docv:"N"
           ~doc:
             "Partition the campaign across $(docv) cooperating processes by \
@@ -1555,12 +1484,14 @@ let collect_term =
   in
   let max_shots =
     Arg.(
-      value & opt int 20_000
+      value
+      & opt (int_at_least 1) 20_000
       & info [ "max-shots" ] ~docv:"N" ~doc:"Per-task shot ceiling")
   in
   let max_errors =
     Arg.(
-      value & opt int 0
+      value
+      & opt (int_at_least 0) 0
       & info [ "max-errors" ] ~docv:"N"
           ~doc:"Stop a task after this many errors (0 disables)")
   in
@@ -1574,13 +1505,15 @@ let collect_term =
   in
   let min_shots =
     Arg.(
-      value & opt int 1000
+      value
+      & opt (int_at_least 1) 1000
       & info [ "min-shots" ] ~docv:"N"
           ~doc:"Do not evaluate --rel-ci below this many shots")
   in
   let batch =
     Arg.(
-      value & opt int 1024
+      value
+      & opt (int_at_least 1) 1024
       & info [ "batch" ] ~docv:"N"
           ~doc:"Shots per scheduling batch (= one ledger record)")
   in
@@ -1649,34 +1582,24 @@ let obs_cmd =
              below $(docv) nanoseconds — relative thresholds are \
              meaningless under scheduling noise")
   in
-  let normalize_arg =
-    Arg.(
-      value & flag
-      & info [ "normalize" ]
-          ~doc:
-            "Divide current values by the median current/baseline ratio \
-             before comparing, cancelling a uniform machine-speed \
-             difference (gate CI runners against a baseline from different \
-             hardware)")
-  in
   let report_pos =
     Arg.(
       required
       & pos 0 (some file) None
       & info [] ~docv:"FILE"
-          ~doc:"Run snapshot (--metrics), fleet view, or bench JSON document")
+          ~doc:"Run snapshot (--metrics) or fleet view")
   in
   let baseline_pos =
     Arg.(
       required
       & pos 0 (some file) None
-      & info [] ~docv:"BASELINE" ~doc:"Baseline snapshot or bench JSON")
+      & info [] ~docv:"BASELINE" ~doc:"Baseline snapshot or fleet view")
   in
   let current_pos =
     Arg.(
       required
       & pos 1 (some file) None
-      & info [] ~docv:"CURRENT" ~doc:"Current snapshot or bench JSON")
+      & info [] ~docv:"CURRENT" ~doc:"Current snapshot or fleet view")
   in
   let telemetry_pos =
     Arg.(
@@ -1745,8 +1668,8 @@ let obs_cmd =
     (Cmd.info "obs"
        ~doc:
          "Analyze observability artifacts: run snapshots, fleet views, \
-          traces, telemetry, bench JSON")
-    [ cmd "report" "Summarize a run snapshot, fleet view, or bench JSON document"
+          traces, telemetry")
+    [ cmd "report" "Summarize a run snapshot or fleet view"
         Term.(const (fun file () -> run_obs_report file) $ report_pos);
       cmd "flame" "Render a trace as folded stacks (flamegraph.pl input)"
         Term.(
@@ -1779,11 +1702,10 @@ let obs_cmd =
       cmd "tail" "Rate-over-time table and last-record status of a telemetry stream"
         Term.(const (fun file () -> run_obs_tail file) $ telemetry_pos);
       cmd "diff"
-        "Compare two snapshots or bench documents; exit 1 on perf regressions"
+        "Compare two snapshots or fleet views; exit 1 on perf regressions"
         Term.(
-          const (fun a b thr floor norm () -> run_obs_diff a b thr floor norm)
-          $ baseline_pos $ current_pos $ threshold_arg $ noise_floor_arg
-          $ normalize_arg);
+          const (fun a b thr floor () -> run_obs_diff a b thr floor)
+          $ baseline_pos $ current_pos $ threshold_arg $ noise_floor_arg);
       cmd "runs" "List the run registry (--obs-dir / HETARCH_OBS_DIR)"
         Term.(
           const (fun limit prune () -> run_obs_runs limit prune)
@@ -1874,10 +1796,6 @@ let serve_endpoint socket port =
   match port with Some p -> Serve.Tcp p | None -> Serve.Unix_path socket
 
 let run_serve socket port max_queue =
-  if max_queue < 1 then begin
-    prerr_endline "hetarch serve: --max-queue must be >= 1";
-    exit 1
-  end;
   let endpoint = serve_endpoint socket port in
   (match endpoint with
   | Serve.Unix_path path -> Printf.eprintf "hetarch serve: listening on %s\n%!" path
@@ -1902,7 +1820,8 @@ let serve_term =
     const (fun socket port max_queue () -> run_serve socket port max_queue)
     $ serve_socket_arg $ serve_port_arg
     $ Arg.(
-        value & opt int 64
+        value
+        & opt (int_at_least 1) 64
         & info [ "max-queue" ] ~docv:"N"
             ~doc:
               "Admission limit: past $(docv) pending unique requests the \
@@ -1970,23 +1889,14 @@ let commands =
        plus steady-state allocation accounting (byte-identical stdout at \
        any --jobs and across --cache-dir warm starts)"
       Term.(
-        const (fun shots seed dmax budget () ->
-            run_decode_check shots seed dmax budget)
+        const (fun shots seed dmax () -> run_decode_check shots seed dmax)
         $ shots_arg $ seed_arg
         $ Arg.(
             value & opt int 5
             & info [ "dmax" ] ~docv:"D"
                 ~doc:
                   "Largest surface-code distance to check (3, 5, or 7; \
-                   default 5)")
-        $ Arg.(
-            value
-            & opt (some int) None
-            & info [ "alloc-budget" ] ~docv:"WORDS"
-                ~doc:
-                  "Fail unless the warm batch decode allocates exactly 0 \
-                   minor words and the fused sample+decode stays within \
-                   $(docv) minor words per shot"));
+                   default 5)"));
     cmd "schedule" "Explicit timed UEC round schedules (Gantt)"
       Term.(const run_schedule);
     cmd "protocol" "Timed six-step CT protocol: throughput and latency"

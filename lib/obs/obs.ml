@@ -1931,11 +1931,10 @@ let median = function
       let n = Array.length arr in
       if n mod 2 = 1 then arr.(n / 2) else (arr.((n / 2) - 1) +. arr.(n / 2)) /. 2.
 
-(* Snapshot/bench comparison: extract the time-like metrics of two parsed
-   documents and flag relative regressions past a threshold.  Understands
-   hetarch.bench/* (kernel ns/run) and snapshots or fleet documents (span
-   total_ns and minor words, histogram means); CI uses it warn-only as a
-   perf-trend report, and scripts can use the exit status as a hard gate. *)
+(* Snapshot comparison: extract the time-like metrics of two parsed
+   snapshots or fleet documents (span total_ns and minor words, histogram
+   means) and flag relative regressions past a threshold; scripts can use
+   the exit status as a hard gate. *)
 
 module Diff = struct
   type entry = {
@@ -1951,7 +1950,6 @@ module Diff = struct
     regressions : entry list;  (* entries past the threshold, worst first *)
     only_a : string list;
     only_b : string list;
-    scale : float;  (* divisor applied to current values; 1 unless normalized *)
   }
 
   let default_threshold_pct = 20.
@@ -1962,60 +1960,31 @@ module Diff = struct
      regressions with the same median + MAD machinery it uses for ns) and
      histogram means. *)
   let metrics_of doc =
-    match Json.member "schema" doc with
-    | Some (Json.String s) when String.starts_with ~prefix:"hetarch.bench/" s ->
-        List.filter_map
-          (fun k ->
-            match ("kernel:" ^ Field.str "name" k, Field.float "ns_per_run" k) with
-            | m -> Some m
-            | exception Failure _ -> None)
-          (try Field.list "kernels" doc with Failure _ -> [])
-    | _ ->
-        let s =
-          try Merge.merged (Merge.of_json doc)
-          with Failure msg -> failwith ("Obs.Diff: " ^ msg)
-        in
-        List.map (fun (n, _, t, _, _, _) -> ("span:" ^ n, Int64.to_float t)) s.spans
-        @ List.map (fun (n, _, _, w, _, _) -> ("alloc:" ^ n, float_of_int w)) s.spans
-        @ List.filter_map
-            (fun (n, (h : Snapshot.hist)) ->
-              if Float.is_finite h.h_mean then Some ("hist:" ^ n ^ ".mean", h.h_mean)
-              else None)
-            s.histograms
+    let s =
+      try Merge.merged (Merge.of_json doc)
+      with Failure msg -> failwith ("Obs.Diff: " ^ msg)
+    in
+    List.map (fun (n, _, t, _, _, _) -> ("span:" ^ n, Int64.to_float t)) s.spans
+    @ List.map (fun (n, _, _, w, _, _) -> ("alloc:" ^ n, float_of_int w)) s.spans
+    @ List.filter_map
+        (fun (n, (h : Snapshot.hist)) ->
+          if Float.is_finite h.h_mean then Some ("hist:" ^ n ^ ".mean", h.h_mean)
+          else None)
+        s.histograms
 
-  (* [normalize] divides every current value by the median current/baseline
-     ratio across the common metrics, cancelling a uniform machine-speed
-     difference (CI runners vs the machine that produced the committed
-     baseline) while leaving genuine per-metric regressions — which move
-     against the median — visible.  [noise_floor_ns] keeps sub-floor
-     metrics listed but never flags them: a 50% swing on a 300 ns kernel
-     is scheduling noise, not a regression. *)
+  (* [noise_floor_ns] keeps sub-floor metrics listed but never flags them:
+     a 50% swing on a 300 ns span is scheduling noise, not a regression. *)
   let compare_docs ?(threshold_pct = default_threshold_pct)
-      ?(noise_floor_ns = 0.) ?(normalize = false) a b =
+      ?(noise_floor_ns = 0.) a b =
     let ma = metrics_of a and mb = metrics_of b in
     let tbl = Hashtbl.create 32 in
     List.iter (fun (k, v) -> Hashtbl.replace tbl k v) ma;
-    let scale =
-      if not normalize then 1.
-      else
-        let ratios =
-          List.filter_map
-            (fun (k, vb) ->
-              match Hashtbl.find_opt tbl k with
-              | Some va when va > 0. && vb > 0. -> Some (vb /. va)
-              | _ -> None)
-            mb
-        in
-        let m = median ratios in
-        if Float.is_finite m && m > 0. then m else 1.
-    in
     let entries =
       List.filter_map
-        (fun (k, vb_raw) ->
+        (fun (k, vb) ->
           match Hashtbl.find_opt tbl k with
           | None -> None
           | Some va ->
-              let vb = vb_raw /. scale in
               let pct =
                 if va > 0. then 100. *. (vb -. va) /. va
                 else if vb > 0. then infinity
@@ -2039,8 +2008,7 @@ module Diff = struct
         List.filter (fun e -> e.regression) entries
         |> List.sort (fun x y -> compare y.pct x.pct);
       only_a = List.sort compare (diff_names (names ma) (names mb));
-      only_b = List.sort compare (diff_names (names mb) (names ma));
-      scale }
+      only_b = List.sort compare (diff_names (names mb) (names ma)) }
 end
 
 (* -------------------------------------------------------------- registry *)

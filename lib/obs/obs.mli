@@ -435,12 +435,12 @@ module Telemetry : sig
       the collect [--progress] line.  [None] when no provider is set. *)
 end
 
-(** Snapshot and bench comparison: a perf-regression gate.
+(** Snapshot comparison: a perf-regression gate.
 
-    Extracts the worse-when-higher metrics of two parsed documents — kernel
-    ns/run from [hetarch.bench/*]; span [total_ns], span minor-word totals
-    (as [alloc:<name>]) and histogram means from a snapshot or fleet
-    document — and flags relative regressions past a threshold.  The alloc
+    Extracts the worse-when-higher metrics of two parsed snapshot or fleet
+    documents — span [total_ns], span minor-word totals (as
+    [alloc:<name>]) and histogram means — and flags relative regressions
+    past a threshold.  The alloc
     metrics feed the {!Trend} watchdog, so allocation regressions gate like
     time ones. *)
 module Diff : sig
@@ -457,10 +457,6 @@ module Diff : sig
     regressions : entry list;  (** past the threshold, worst first *)
     only_a : string list;  (** metrics present only in the first document *)
     only_b : string list;
-    scale : float;
-        (** Divisor applied to every current value before comparison: the
-            median current/baseline ratio when [normalize] was set,
-            [1.] otherwise. *)
   }
 
   val default_threshold_pct : float
@@ -472,7 +468,6 @@ module Diff : sig
   val compare_docs :
     ?threshold_pct:float ->
     ?noise_floor_ns:float ->
-    ?normalize:bool ->
     Json.t ->
     Json.t ->
     result
@@ -481,14 +476,7 @@ module Diff : sig
       [noise_floor_ns] (default 0): metrics whose baseline and current
       values are both below the floor stay listed but are never flagged
       as regressions — relative thresholds are meaningless under the
-      machine's scheduling noise.
-
-      [normalize] (default false): divide every current value by the
-      median current/baseline ratio across the common metrics before
-      comparing, cancelling a uniform machine-speed difference between
-      the two documents; a genuine single-metric regression moves against
-      the median and survives normalization.  Use when gating CI runners
-      against a baseline produced on different hardware. *)
+      machine's scheduling noise. *)
 end
 
 (** Complete, content-hashed serialization of one process's obs state
@@ -507,8 +495,8 @@ end
     Serialization is canonical — sections sorted by name, floats emitted in
     round-tripping form — so [of_json] ∘ [to_json] is the identity and the
     content hash (computed over the serialization minus the hash field
-    itself) is well defined.  The record type is exposed so tests and
-    benches can build synthetic snapshots. *)
+    itself) is well defined.  The record type is exposed so tests can
+    build synthetic snapshots. *)
 module Snapshot : sig
   type hist = {
     h_bounds : float array;  (** bucket upper bounds, as configured *)

@@ -527,8 +527,7 @@ let decode_correction g syndrome =
    warm — allocates nothing at all.  Local refs compile to mutable stack
    variables, the arena pool is an array stack, and the timing/histogram
    instrumentation (boxed Int64/float) lives only in the [decode_batch]
-   wrapper.  The zero-alloc CI gate (bench kernel fig6-decode-d7-batch-steady
-   and the test-level twin) pins this property. *)
+   wrapper.  The zero-alloc test in test_fused pins this property. *)
 let decode_batch_into g ~detectors ~nshots ~out =
   if Array.length detectors <> g.n then
     invalid_arg "Decoder_uf.decode_batch: detector row count mismatch";

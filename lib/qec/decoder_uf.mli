@@ -79,9 +79,8 @@ val decode_batch_into :
 (** Steady-state core of {!decode_batch}: writes the prediction row into the
     caller-owned [out] (cleared first; must be exactly [nshots] bits).  Once
     the arena pool is warm this path allocates nothing — no closures, no
-    boxed timing values, no fresh result row — which is what the zero-alloc
-    bench gate ([max_minor_words_per_run = 0] on the steady-state kernel)
-    enforces.  {!decode_batch} is this plus a fresh [out] and batch timing
+    boxed timing values, no fresh result row — which the zero-alloc test
+    in [test_fused] enforces at d=3..9.  {!decode_batch} is this plus a fresh [out] and batch timing
     instrumentation. *)
 
 val decode_batch_count :

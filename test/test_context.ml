@@ -5,7 +5,7 @@
 
    The merge law is checked on the serialized bytes: `obs trace-merge`
    from any input order must produce byte-identical timelines, which is
-   the property CI's monitor-smoke relies on. *)
+   the property test/monitor_smoke.t relies on. *)
 
 (* Install an inherited parent before anything forces the lazy context:
    this test process itself plays the child half of the env-var

@@ -241,6 +241,42 @@ let test_cold_warm_determinism () =
       Alcotest.(check bool) "warm = cold" true (warm = cold);
       Cache.reset Char_store.cache)
 
+(* The persistent store's payoff: the density-matrix-heavy storage-cell
+   operations of the charsweep alpha sweep, once simulated (cold: fresh
+   memory tier, no store) and once served from a populated store (warm:
+   fresh memory tier, so every characterization is a disk hit). *)
+let char_points =
+  List.concat_map
+    (fun alpha ->
+      let base = Device.multimode_resonator_3d in
+      let storage =
+        Device.with_coherence base ~t1:(alpha *. base.Device.t1)
+          ~t2:(alpha *. base.Device.t2)
+      in
+      [ (Cell.seqop ~storage (), Characterize.Seq_cnots { count = 5 });
+        (Cell.usc ~storage (),
+         Characterize.Stabilizer { weight = 4; serialized = true }) ])
+    [ 1.; 2.; 3.; 4.; 5. ]
+
+let char_run ?disk () =
+  let cache = Cache.create () in
+  let memo =
+    { Characterize.memoize =
+        (fun ~kind ~fields ~dim f ->
+          Cache.find_or_compute ?disk cache ~key:(Store.key ~kind ~fields) ~dim f) }
+  in
+  List.iter (fun (cell, op) -> ignore (Characterize.characterize_op ~memo cell op)) char_points
+
+let test_warm_store_speedup () =
+  with_store_dir (fun dir ->
+      let disk = (Store.open_dir dir, Char_store.codec) in
+      char_run ~disk ();
+      let floor = 5.0 in
+      let x = Timing.speedup ~floor ~slow:(fun () -> char_run ()) ~fast:(char_run ~disk) in
+      Alcotest.(check bool)
+        (Printf.sprintf "warm store %.1fx faster than cold, floor %gx" x floor)
+        true (x >= floor))
+
 (* --------------------------------------------------------------- burden *)
 
 let test_burden_modules () =
@@ -293,7 +329,8 @@ let () =
           Alcotest.test_case "corruption degrades to miss" `Quick
             test_store_corruption_degrades_to_miss;
           Alcotest.test_case "cold/warm determinism" `Quick
-            test_cold_warm_determinism ] );
+            test_cold_warm_determinism;
+          Alcotest.test_case "warm start speedup" `Quick test_warm_store_speedup ] );
       ( "burden",
         [ Alcotest.test_case "paper modules" `Quick test_burden_modules;
           Alcotest.test_case "qubit counts" `Quick test_burden_qubits;

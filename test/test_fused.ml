@@ -171,6 +171,85 @@ let test_pinned_seed_vector () =
         pinned (count d 4))
     [ (3, 125); (5, 191) ]
 
+(* ------------------------------------------ fused pipeline budgets ----- *)
+
+(* The sub-threshold fig 6 operating point (d=7, p2 = 1e-3), where logical
+   errors are rare and per-shot decode work is light, at 126 shots. *)
+let fig6_point =
+  { (Surface_circuit.default ~distance:7) with t_data = 5e-4; p2 = 1e-3 }
+
+let fig6_shots = 126
+let fig6_exp = lazy (Surface_circuit.build fig6_point)
+
+let fused_count exp rng ~nshots =
+  let b = Dem_sampler.sample exp.Surface_circuit.sampler rng ~nshots in
+  Decoder_uf.decode_batch_count exp.Surface_circuit.graph
+    ~detectors:b.Frame_batch.detectors
+    ~observable:b.Frame_batch.observables.(0) ~nshots
+
+(* Fused sample+decode stays within 64 minor words per shot: at the fig 6
+   point, and at d=3..9 with the batch decoded into a warm output row, the
+   configuration `decode-check --seed 7 --shots 512 --dmax 9` reports. *)
+let test_fused_alloc_budget () =
+  let budget = 64 in
+  let exp = Lazy.force fig6_exp in
+  let words =
+    Alloc.min_words (fun () ->
+        ignore (fused_count exp (Rng.create 2023) ~nshots:fig6_shots))
+  in
+  Alcotest.(check bool)
+    (Printf.sprintf "d=7 p2=1e-3: %d words for %d shots, budget %d/shot" words
+       fig6_shots budget)
+    true
+    (words <= budget * fig6_shots);
+  List.iter
+    (fun distance ->
+      let exp =
+        Surface_circuit.build
+          { (Surface_circuit.default ~distance) with t_data = 5e-4 }
+      in
+      let nshots = 512 in
+      let out = Bitvec.create nshots in
+      let words =
+        Alloc.min_words (fun () ->
+            let b =
+              Dem_sampler.sample exp.Surface_circuit.sampler (Rng.create 7)
+                ~nshots
+            in
+            Decoder_uf.decode_batch_into exp.Surface_circuit.graph
+              ~detectors:b.Frame_batch.detectors ~nshots ~out)
+      in
+      let per_shot = (words + nshots - 1) / nshots in
+      Alcotest.(check bool)
+        (Printf.sprintf "d=%d: %d words/shot, budget %d" distance per_shot
+           budget)
+        true (per_shot <= budget))
+    [ 3; 5; 7; 9 ]
+
+(* The fused path against the pipeline it replaced, on identical work at the
+   fig 6 point: circuit batch sampling, then a transpose and a scalar
+   union-find decode per shot. *)
+let test_fused_speedup () =
+  let exp = Lazy.force fig6_exp in
+  let circuit = Surface_circuit.circuit fig6_point in
+  let per_shot () =
+    let b = Frame_batch.sample circuit (Rng.create 2023) ~nshots:fig6_shots in
+    let errors = ref 0 in
+    for s = 0 to fig6_shots - 1 do
+      let detectors, observables = Frame_batch.shot b s in
+      if Decoder_uf.decode exp.Surface_circuit.graph detectors
+         <> Bitvec.get observables 0
+      then incr errors
+    done;
+    !errors
+  in
+  let fused () = fused_count exp (Rng.create 2023) ~nshots:fig6_shots in
+  let floor = 5.0 in
+  let x = Timing.speedup ~floor ~slow:per_shot ~fast:fused in
+  Alcotest.(check bool)
+    (Printf.sprintf "fused %.1fx faster than per-shot decode, floor %gx" x floor)
+    true (x >= floor)
+
 (* -------------------------------- satellite: multi-detector decomposition *)
 
 let test_dem_graph_three_detector_flag () =
@@ -427,7 +506,11 @@ let () =
           Alcotest.test_case "pinned seed vector" `Quick
             test_pinned_seed_vector;
           Alcotest.test_case "3-detector flag placement" `Quick
-            test_dem_graph_three_detector_flag ] );
+            test_dem_graph_three_detector_flag;
+          Alcotest.test_case "fused alloc budget" `Quick
+            test_fused_alloc_budget;
+          Alcotest.test_case "fused vs per-shot speedup" `Quick
+            test_fused_speedup ] );
       ( "dem store",
         [ Alcotest.test_case "pinned circuit key" `Quick
             test_pinned_circuit_key;

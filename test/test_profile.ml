@@ -1,5 +1,5 @@
 (* Tests for the call-tree profiler, the telemetry heartbeat, and the
-   snapshot/bench diff gate: tree structure and the self-time telescoping
+   snapshot diff gate: tree structure and the self-time telescoping
    identity, path integrity on exception exits, folded-stack determinism
    across --jobs, delta arithmetic across Obs.reset, and regression
    detection on crafted documents. *)
@@ -342,34 +342,45 @@ let test_trace_codec_roundtrip () =
 
 (* ----------------------------------------------------------------- diff *)
 
-let bench_doc kernels =
-  Obs.Json.Obj
-    [ ("schema", Obs.Json.String "hetarch.bench/3");
-      ( "kernels",
-        Obs.Json.List
-          (List.map
-             (fun (name, ns) ->
-               Obs.Json.Obj
-                 [ ("name", Obs.Json.String name);
-                   ("ns_per_run", Obs.Json.Float ns) ])
-             kernels) ) ]
+(* A snapshot document whose spans are [(name, total_ns, minor_words)]. *)
+let snapshot_doc spans =
+  let spans = List.map (fun (n, ns, w) -> (n, 1, Int64.of_int ns, w, 0, 0)) spans in
+  Obs.Snapshot.to_json
+    { Obs.Snapshot.run =
+        { run_id = "00000000000000aa"; shard = "";
+          ctx = { trace_id = "0123456789abcdef"; span_id = "fedcba9876543210"; parent_span_id = "" } };
+      argv = [ "hetarch"; "fig6" ];
+      started_unix = 1723100000.;
+      wall_seconds = 1.;
+      jobs = 1;
+      counters = [];
+      gauges = [];
+      histograms = [];
+      spans;
+      paths = List.map (fun (n, c, t, mw, pw, jw) -> ("root;" ^ n, c, t, mw, pw, jw)) spans;
+      process =
+        { p_minor_collections = 0; p_major_collections = 0; p_compactions = 0;
+          p_minor_words = 0.; p_promoted_words = 0.; p_major_words = 0.;
+          p_heap_words = 0; p_top_heap_words = 0 } }
 
 let test_diff_detects_regression () =
-  let a = bench_doc [ ("k1", 100.); ("k2", 50.); ("gone", 10.) ] in
-  let b = bench_doc [ ("k1", 150.); ("k2", 51.); ("new", 10.) ] in
+  let a = snapshot_doc [ ("k1", 100, 8); ("k2", 50, 100); ("gone", 10, 0) ] in
+  let b = snapshot_doc [ ("k1", 150, 8); ("k2", 51, 200); ("new", 10, 0) ] in
   let r = Obs.Diff.compare_docs ~threshold_pct:20. a b in
-  Alcotest.(check int) "two shared metrics" 2 (List.length r.Obs.Diff.entries);
-  (match r.Obs.Diff.regressions with
-  | [ e ] ->
-      Alcotest.(check string) "k1 flagged" "kernel:k1" e.Obs.Diff.metric;
-      Alcotest.(check bool) "pct is +50" true (Float.abs (e.Obs.Diff.pct -. 50.) < 1e-9)
-  | regs -> Alcotest.failf "expected 1 regression, got %d" (List.length regs));
-  Alcotest.(check (list string)) "only_a" [ "kernel:gone" ] r.Obs.Diff.only_a;
-  Alcotest.(check (list string)) "only_b" [ "kernel:new" ] r.Obs.Diff.only_b;
-  (* A looser threshold accepts the same pair. *)
+  Alcotest.(check int) "four shared metrics" 4 (List.length r.Obs.Diff.entries);
+  Alcotest.(check (list (pair string (float 1e-9)))) "regressions, worst first"
+    [ ("alloc:k2", 100.); ("span:k1", 50.) ]
+    (List.map (fun (e : Obs.Diff.entry) -> (e.metric, e.pct)) r.Obs.Diff.regressions);
+  Alcotest.(check (list string)) "only_a" [ "alloc:gone"; "span:gone" ] r.Obs.Diff.only_a;
+  Alcotest.(check (list string)) "only_b" [ "alloc:new"; "span:new" ] r.Obs.Diff.only_b;
+  (* A looser threshold keeps only the doubled allocation. *)
   let loose = Obs.Diff.compare_docs ~threshold_pct:60. a b in
-  Alcotest.(check int) "no regressions at 60%" 0
-    (List.length loose.Obs.Diff.regressions)
+  Alcotest.(check (list string)) "one regression at 60%" [ "alloc:k2" ]
+    (List.map (fun (e : Obs.Diff.entry) -> e.metric) loose.Obs.Diff.regressions);
+  (* Both spans fall below a 200 ns noise floor: listed, never flagged. *)
+  let floored = Obs.Diff.compare_docs ~threshold_pct:20. ~noise_floor_ns:200. a b in
+  Alcotest.(check (list string)) "span:k1 under the noise floor" [ "alloc:k2" ]
+    (List.map (fun (e : Obs.Diff.entry) -> e.metric) floored.Obs.Diff.regressions)
 
 let test_diff_manifest_metrics () =
   Obs.reset ();

@@ -97,6 +97,24 @@ let test_answer_bytes_jobs_invariant () =
   | None -> Alcotest.fail "cached response not found in warm tier");
   Alcotest.(check string) "answer() serves the warm bytes" one (Serve.answer q)
 
+(* A warm daemon's per-request cost, socket I/O aside: parse one request
+   line, normalize and hash it, and answer from the memory tier.  This is
+   the daemon's hot loop, so its allocation is budgeted. *)
+let test_warm_request_alloc () =
+  let line = {|{"kind":"threshold","distance":3,"shots":1024,"seed":1}|} in
+  let q = parse_query line in
+  Serve.cache_response q (Serve.compute_answer q);
+  let words =
+    Alloc.min_words (fun () ->
+        match Serve.parse_request line with
+        | Ok (Serve.Query q) ->
+            if Serve.warm_answer q = None then Alcotest.fail "warm tier missed"
+        | _ -> Alcotest.fail "request line did not parse")
+  in
+  Alcotest.(check bool)
+    (Printf.sprintf "warm request %d minor words, budget 2048" words)
+    true (words <= 2048)
+
 let test_answer_matches_campaign_stream () =
   (* The serve answer must be byte-comparable with what a collect campaign
      would record for batch 0 of the same task at the same seed. *)
@@ -291,7 +309,9 @@ let () =
         [ Alcotest.test_case "byte identity across --jobs and tiers" `Quick
             test_answer_bytes_jobs_invariant;
           Alcotest.test_case "matches campaign batch stream" `Quick
-            test_answer_matches_campaign_stream ] );
+            test_answer_matches_campaign_stream ;
+          Alcotest.test_case "warm request alloc budget" `Quick
+            test_warm_request_alloc ] );
       ( "daemon",
         [ Alcotest.test_case "split reads, pipelining, oversized" `Quick
             test_split_reads_and_pipelining;

@@ -4,7 +4,7 @@
    The merge laws (commutativity / associativity / idempotence) are checked
    on the serialized bytes, not on abstract values: `hetarch obs merge` from
    any process order must produce byte-identical fleet views, which is the
-   property CI's obs-merge-smoke relies on. *)
+   property test/obs_merge.t relies on. *)
 
 let to_string snap = Obs.Json.to_string (Obs.Snapshot.to_json snap)
 let fleet_string m = Obs.Json.to_string (Obs.Merge.to_json m)
