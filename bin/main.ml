@@ -12,7 +12,6 @@ let g = Tableio.fmt_g
 (* ------------------------------------------------------------- devices *)
 
 let run_devices () =
-  print_endline "Table 1: near-term superconducting quantum devices";
   Tableio.print ~align:Tableio.Left
     ~header:
       [ "Device"; "T1/T2"; "Readout"; "Gates"; "Gate error (time)"; "Conn.";
@@ -24,7 +23,6 @@ let run_devices () =
 (* --------------------------------------------------------------- cells *)
 
 let run_cells () =
-  print_endline "Table 2: quantum standard cells (design rules DR1-DR4)";
   let rows =
     List.map
       (fun c ->
@@ -63,25 +61,16 @@ let run_cells () =
       [ "SeqOp 5 sequential CNOTs"; g (seq.Characterize.duration *. 1e6); g seq.Characterize.error ];
       [ "USC weight-4 stabilizer (serial)"; g (stab.Characterize.duration *. 1e6); g stab.Characterize.error ] ]
 
-(* Point fan-out for the module commands: [fan_grid rows cols f] evaluates
-   [f row col] for every cell, one Parallel task per cell, and returns the
-   results row by row.  Every cell draws from its own [Rng.create seed], so
-   the output does not depend on --jobs, and a cell's Monte-Carlo chunks
-   run inline on the domain that owns it. *)
-let fan_grid rows cols f =
-  let ncols = List.length cols in
-  let cells =
-    Array.of_list
-      (Parallel.map_list
-         (fun (r, c) -> f r c)
-         (List.concat_map (fun r -> List.map (fun c -> (r, c)) cols) rows))
-  in
-  List.mapi (fun i _ -> List.init ncols (fun k -> cells.((i * ncols) + k))) rows
+(* The module commands fan their grids out through [Sweep.grid], one task
+   per cell.  Every cell draws from its own [Rng.create seed], so the output
+   does not depend on --jobs.  [grid_row cells x] is row [x] of the result,
+   in column order. *)
+let grid_row cells x =
+  List.filter_map (fun (x', _, v) -> if x' = x then Some v else None) cells
 
 (* ---------------------------------------------------------------- fig3 *)
 
-let run_fig3 seed =
-  print_endline "Fig 3: best output-register EP infidelity over time (1 MHz generation)";
+let run_fig3 seed () =
   let horizon = 100e-6 in
   let run cfg = Distill_module.run ~trace_dt:5e-6 cfg (Rng.create seed) ~horizon in
   let het = run (Distill_module.heterogeneous ~rate_hz:1e6 ()) in
@@ -108,8 +97,7 @@ let run_fig3 seed =
 
 (* ---------------------------------------------------------------- fig4 *)
 
-let run_fig4 seed =
-  print_endline "Fig 4: distilled-EP rate (F >= 0.995) vs generation rate and Ts";
+let run_fig4 seed () =
   let rates = [ 1e5; 2e5; 5e5; 1e6; 2e6; 5e6; 1e7 ] in
   let configs =
     [ ("Ts=0.5ms (hom)", fun rate -> Distill_module.homogeneous ~rate_hz:rate ());
@@ -118,23 +106,20 @@ let run_fig4 seed =
       ("Ts=5.0ms", fun rate -> Distill_module.heterogeneous ~ts:5e-3 ~rate_hz:rate ());
       ("Ts=12.5ms", fun rate -> Distill_module.heterogeneous ~ts:12.5e-3 ~rate_hz:rate ()) ]
   in
-  let rows =
-    List.map2
-      (fun rate cells -> string_of_float (rate /. 1e3) :: cells)
-      rates
-      (fan_grid rates configs (fun rate (_, mk) ->
-           let r = Distill_module.run (mk rate) (Rng.create seed) ~horizon:5e-3 in
-           g (Distill_module.delivered_rate_per_ms r)))
+  let cells =
+    Sweep.grid rates configs ~f:(fun rate (_, mk) ->
+        let r = Distill_module.run (mk rate) (Rng.create seed) ~horizon:5e-3 in
+        g (Distill_module.delivered_rate_per_ms r))
   in
   Tableio.print
     ~header:("gen rate (kHz)" :: List.map fst configs)
-    rows
+    (List.map
+       (fun rate -> string_of_float (rate /. 1e3) :: grid_row cells rate)
+       rates)
 
 (* ---------------------------------------------------------------- fig6 *)
 
-let run_fig6 shots seed =
-  print_endline
-    "Fig 6: d=13 surface-code logical error per cycle vs coherence scaling alpha";
+let run_fig6 shots seed () =
   let base = 1e-4 in
   let point ~t_data ~t_anc =
     { (Surface_circuit.default ~distance:13) with t_data; t_anc }
@@ -159,8 +144,7 @@ let run_fig6 shots seed =
 
 (* ---------------------------------------------------------------- fig7 *)
 
-let run_fig7 shots seed full =
-  print_endline "Fig 7: logical error per cycle vs distance for Tcd/Tca ratios";
+let run_fig7 shots seed full () =
   let base = 1e-4 in
   let distances = if full then [ 5; 7; 9; 11; 13; 15 ] else [ 5; 7; 9; 11 ] in
   let ratios = [ 1.; 2.; 3.; 5.; 8. ] in
@@ -192,15 +176,17 @@ let run_fig7 shots seed full =
 
 (* ---------------------------------------------------------------- fig9 *)
 
-let run_fig9 shots seed =
-  print_endline "Fig 9: UEC logical error rate per round vs storage coherence Ts";
+let run_fig9 shots seed () =
   let ts_list = [ 0.5e-3; 1e-3; 2e-3; 5e-3; 10e-3; 20e-3; 50e-3 ] in
+  let cells =
+    Sweep.grid Codes.paper_codes ts_list ~f:(fun code ts ->
+        Uec.fig9_point ~code ~ts ~shots (Rng.create seed))
+  in
   let data =
-    List.map2
-      (fun code rates -> (code.Code.name, List.combine ts_list rates))
+    List.map
+      (fun code ->
+        (code.Code.name, List.combine ts_list (grid_row cells code)))
       Codes.paper_codes
-      (fan_grid Codes.paper_codes ts_list (fun code ts ->
-           Uec.fig9_point ~code ~ts ~shots (Rng.create seed)))
   in
   Tableio.print
     ~header:("code" :: List.map (fun ts -> Printf.sprintf "Ts=%gms" (ts *. 1e3)) ts_list)
@@ -214,49 +200,45 @@ let run_fig9 shots seed =
 
 (* -------------------------------------------------------------- table3 *)
 
-let run_table3 shots seed =
-  print_endline "Table 3: pseudothreshold and UEC logical error rates (Ts = 50 ms)";
-  (* One Parallel task per row, each on its own [Rng.create seed]. *)
+let run_table3 shots seed () =
+  (* One sweep point per row, each on its own [Rng.create seed]. *)
   let rows =
-    Parallel.map_list
-      (fun code ->
-        let rng = Rng.create seed in
-        let pt =
-          if code.Code.planar then "-"
-          else g (Threshold.pseudothreshold ~shots:(max 2000 (shots / 2)) code rng)
-        in
-        let het, hom, red = Uec.table3_row ~code ~ts:50e-3 ~shots rng in
-        [ code.Code.name; pt; g het; g hom; Printf.sprintf "%.1fx" red ])
-      Codes.paper_codes
+    List.map snd
+      (Sweep.sweep Codes.paper_codes ~f:(fun code ->
+           let rng = Rng.create seed in
+           let pt =
+             if code.Code.planar then "-"
+             else g (Threshold.pseudothreshold ~shots:(max 2000 (shots / 2)) code rng)
+           in
+           let het, hom, red = Uec.table3_row ~code ~ts:50e-3 ~shots rng in
+           [ code.Code.name; pt; g het; g hom; Printf.sprintf "%.1fx" red ]))
   in
   Tableio.print ~header:[ "Code"; "PT"; "Het."; "Hom."; "Red." ] rows
 
 (* --------------------------------------------------------------- fig12 *)
 
-let run_fig12 shots seed =
-  print_endline "Fig 12: code-teleportation logical error probability vs Ts";
+let run_fig12 shots seed () =
   let pairs =
     [ (Codes.surface 3, Codes.reed_muller_15);
       (Codes.surface 3, Codes.surface 4);
       (Codes.color_17, Codes.surface 4) ]
   in
   let ts_list = [ 1e-3; 5e-3; 10e-3; 25e-3; 50e-3 ] in
-  let rows =
-    List.map2
-      (fun (a, b) cells -> Printf.sprintf "%s & %s" a.Code.name b.Code.name :: cells)
-      pairs
-      (fan_grid pairs ts_list (fun (a, b) ts ->
-           g (Teleport.fig12_point ~code_a:a ~code_b:b ~ts ~shots (Rng.create seed))))
+  let cells =
+    Sweep.grid pairs ts_list ~f:(fun (a, b) ts ->
+        g (Teleport.fig12_point ~code_a:a ~code_b:b ~ts ~shots (Rng.create seed)))
   in
   Tableio.print
     ~header:("codes" :: List.map (fun ts -> Printf.sprintf "Ts=%gms" (ts *. 1e3)) ts_list)
-    rows;
+    (List.map
+       (fun ((a, b) as pair) ->
+         Printf.sprintf "%s & %s" a.Code.name b.Code.name :: grid_row cells pair)
+       pairs);
   print_endline "(EP generation 1000 kHz, distillation target 99.5%)"
 
 (* -------------------------------------------------------------- table4 *)
 
-let run_table4 shots seed =
-  print_endline "Table 4: CT logical error probabilities, heterogeneous vs homogeneous";
+let run_table4 shots seed () =
   let results =
     Teleport.table4 ~codes:Codes.paper_codes ~ts:50e-3 ~shots (Rng.create seed)
   in
@@ -276,7 +258,6 @@ let run_table4 shots seed =
 (* -------------------------------------------------------------- burden *)
 
 let run_burden () =
-  print_endline "DSE simulation-burden reduction (hierarchical vs flat density matrix)";
   let rows =
     List.map
       (fun (name, cells) ->
@@ -302,9 +283,7 @@ let run_burden () =
    warm-starts.  The stdout table depends only on the characterized values,
    so it is byte-identical cold, warm, half-warm, or with no store at all;
    cache statistics go to stderr (and the --metrics snapshot) only. *)
-let run_charsweep n =
-  print_endline
-    "Characterization sweep: storage-cell operations vs coherence scaling alpha";
+let run_charsweep n () =
   let memo = Char_store.memo () in
   let alphas = Sweep.linspace ~lo:1. ~hi:5. ~n in
   let point alpha =
@@ -346,8 +325,8 @@ let run_charsweep n =
 
 (* ----------------------------------------------------------- ablations *)
 
-let run_ablations shots seed =
-  print_endline "Ablations of DESIGN.md design choices\n";
+let run_ablations shots seed () =
+  print_newline ();
   (* 1. Decoder: weighted union-find vs greedy matching on d=5 circuits. *)
   print_endline "1. Decoder choice (d=5 surface code, paper noise):";
   let p5 = Surface_circuit.default ~distance:5 in
@@ -418,8 +397,7 @@ let run_ablations shots seed =
 (* ------------------------------------------------------------ protocol *)
 
 let run_protocol () =
-  print_endline
-    "Timed six-step CT protocol (Fig 10): throughput and latency vs Ts\n";
+  print_newline ();
   List.iter
     (fun (a, b) ->
       Printf.printf "%s & %s:\n" a.Code.name b.Code.name;
@@ -440,7 +418,7 @@ let run_protocol () =
 (* ------------------------------------------------------------ schedule *)
 
 let run_schedule () =
-  print_endline "Serialized UEC round schedules (one Gantt per code):\n";
+  print_newline ();
   List.iter
     (fun code ->
       let prof = Uec.profile (Uec.Het { ts = 10e-3 }) code in
@@ -484,8 +462,7 @@ let alloc_words f =
   let b = Gc.minor_words () in
   int_of_float (b -. a -. overhead)
 
-let run_decode_check shots seed dmax =
-  print_endline "Fused decode self-check: batch arena decoder vs per-shot scalar";
+let run_decode_check shots seed dmax () =
   let ok = ref true in
   let distances = List.filter (fun d -> d <= max 3 dmax) [ 3; 5; 7; 9 ] in
   List.iter
@@ -560,7 +537,7 @@ let run_decode_check shots seed dmax =
 (* ------------------------------------------------------------ hierarchy *)
 
 let run_hierarchy () =
-  print_endline "HetArch module hierarchies (Figs. 1, 5, 8, 11):\n";
+  print_newline ();
   List.iter
     (fun n ->
       Hierarchy.validate n;
@@ -647,7 +624,7 @@ let run_collect_coordinator campaign shards =
   end
 
 let run_collect campaign seed shards shard_opt ledger resume progress max_shots
-    max_errors rel_ci min_shots batch halt_after csv_path =
+    max_errors rel_ci min_shots batch halt_after csv_path () =
   if shards > 1 && shard_opt = None then run_collect_coordinator campaign shards
   else begin
   let shard = Option.value ~default:0 shard_opt in
@@ -755,7 +732,7 @@ let guard file f =
 let trace_profile file =
   guard file (fun () -> Obs.Profile.of_events (Obs.Trace.read file))
 
-let run_obs_flame file counts alloc =
+let run_obs_flame file counts alloc () =
   (if counts && alloc then begin
      Printf.eprintf "hetarch obs flame: --counts and --alloc are exclusive\n";
      exit 2
@@ -765,7 +742,7 @@ let run_obs_flame file counts alloc =
   in
   print_string (Obs.Profile.folded ~weight (trace_profile file))
 
-let run_obs_top file limit sort =
+let run_obs_top file limit sort () =
   print_string (Obs.Profile.top_table ~sort ~limit (trace_profile file))
 
 let utc_stamp unix =
@@ -875,9 +852,7 @@ let render_state = function
   | `Snap s -> render_snapshot s
   | `Fleet m -> render_fleet m
 
-let run_obs_report file = render_state (load_state file)
-
-let run_obs_tail file =
+let run_obs_tail file () =
   match
     guard file (fun () -> Obs.fold_jsonl file (fun acc j -> Obs.Telemetry.of_json j :: acc) [])
   with
@@ -937,7 +912,7 @@ let run_obs_tail file =
             last.interval_s
       | Live -> Printf.printf "stream: live (last write %.1fs ago)\n" row.age_s
 
-let run_obs_diff file_a file_b threshold noise_floor =
+let run_obs_diff file_a file_b threshold noise_floor () =
   let load file = guard file (fun () -> load_json file) in
   let doc_a = load file_a and doc_b = load file_b in
   let r =
@@ -991,7 +966,7 @@ let resolve_ref arg =
               arg
         | Some d -> obs_fail "%s: no such file or run-id prefix in %s" arg d)
 
-let run_obs_runs limit prune =
+let run_obs_runs limit prune () =
   match Obs.Registry.dir () with
   | None ->
       obs_fail
@@ -1039,9 +1014,9 @@ let run_obs_runs limit prune =
           !missing
           (if !missing = 1 then "y" else "ies")
 
-let run_obs_show ref_ = render_state (resolve_ref ref_)
+let run_obs_report ref_ () = render_state (resolve_ref ref_)
 
-let run_obs_merge refs out =
+let run_obs_merge refs out () =
   let merged =
     List.fold_left
       (fun acc arg ->
@@ -1064,9 +1039,11 @@ let run_obs_merge refs out =
         (List.length (Obs.Merge.sources merged))
         path
 
-let run_obs_trace_merge files out check =
+let run_obs_trace_merge files out check () =
   let texts =
-    List.map (fun f -> In_channel.with_open_bin f In_channel.input_all) files
+    List.map
+      (fun f -> guard f (fun () -> In_channel.with_open_bin f In_channel.input_all))
+      files
   in
   let merged, stats =
     try Obs.Trace_merge.merge texts with Failure msg -> obs_fail "%s" msg
@@ -1121,7 +1098,7 @@ let render_monitor_rows rows =
       (List.length rows) (count Live) (count Stalled) (count Done)
   end
 
-let run_obs_monitor once interval stall_factor =
+let run_obs_monitor once interval stall_factor () =
   match Obs.Registry.dir () with
   | None ->
       obs_fail
@@ -1157,7 +1134,7 @@ let run_obs_monitor once interval stall_factor =
         loop ()
       end
 
-let run_obs_compare current_ref last nmad min_pct noise_floor gate =
+let run_obs_compare current_ref last nmad min_pct noise_floor gate () =
   if Obs.Registry.dir () = None then
     obs_fail
       "no run registry configured (set HETARCH_OBS_DIR or pass --obs-dir)";
@@ -1256,6 +1233,20 @@ let int_at_least min =
         | _ -> Error (`Msg (Printf.sprintf "expected an integer >= %d, got %S" min s))),
       Format.pp_print_int )
 
+(* The same for a float flag; [~strict] excludes [min] itself, and nan is
+   never in range. *)
+let float_at_least ?(strict = false) min =
+  Arg.conv
+    ( (fun s ->
+        match float_of_string_opt s with
+        | Some x when x > min || ((not strict) && x = min) -> Ok x
+        | _ ->
+            Error
+              (`Msg
+                (Printf.sprintf "expected a number %s %g, got %S"
+                   (if strict then ">" else ">=") min s))),
+      Format.pp_print_float )
+
 let shots_arg =
   Arg.(
     value
@@ -1325,7 +1316,7 @@ let obs_dir_arg =
           "Run registry directory (defaults to $(b,HETARCH_OBS_DIR)): on \
            exit the run's obs snapshot is written under $(docv)/snapshots \
            and indexed in $(docv)/index.jsonl; inspect with $(b,hetarch obs \
-           runs/show/merge/compare)")
+           runs/report/merge/compare)")
 
 let shard_label_arg =
   Arg.(
@@ -1338,23 +1329,11 @@ let shard_label_arg =
 
 let telemetry_interval_arg =
   Arg.(
-    value & opt float 1.0
+    value & opt (float_at_least 0.) 1.0
     & info [ "telemetry-interval" ] ~docv:"SEC"
         ~doc:
           "Minimum seconds between telemetry records (0 records every \
            heartbeat); only meaningful with $(b,--telemetry)")
-
-let trace_parent_arg =
-  Arg.(
-    value
-    & opt (some string) None
-    & info [ "trace-parent" ] ~docv:"CTX"
-        ~doc:
-          "Parent trace context as $(i,trace_id)-$(i,span_id) (two 16-hex \
-           halves, as printed by a coordinator or taken from \
-           $(b,HETARCH_TRACE_PARENT), which this flag overrides): this run \
-           keeps the parent's trace_id and records its span_id as \
-           parent_span_id, so fleet tooling can assemble the process tree")
 
 (* Every subcommand runs under a root span; the exporters only fire when the
    flags are given, so the stdout of an uninstrumented invocation is
@@ -1369,8 +1348,7 @@ let trace_parent_arg =
    leave complete artifacts.  [record=false] keeps the pure-reader obs
    analysis subcommands from polluting the run registry. *)
 let cmd ?(record = true) name doc term =
-  let wrap jobs cache_dir obs_dir shard trace_parent metrics trace telemetry
-      interval f =
+  let wrap jobs cache_dir obs_dir shard metrics trace telemetry interval f =
     Parallel.set_jobs jobs;
     (try Char_store.set_dir cache_dir
      with Invalid_argument msg | Sys_error msg ->
@@ -1378,10 +1356,6 @@ let cmd ?(record = true) name doc term =
        exit 1);
     Option.iter (fun d -> Obs.Registry.set_dir (Some d)) obs_dir;
     if shard <> "" then Obs.Run.set_shard shard;
-    (* Must precede anything that stamps a document (telemetry enable
-       writes the baseline record): the context is computed once, on first
-       use. *)
-    Option.iter Obs.Context.set_parent trace_parent;
     (* With a registry configured, recorded runs stream a live heartbeat
        into <obs-dir>/telemetry/<run_id>.jsonl even without an explicit
        --telemetry — that directory is what `hetarch obs monitor`
@@ -1426,8 +1400,7 @@ let cmd ?(record = true) name doc term =
   Cmd.v (Cmd.info name ~doc)
     Term.(
       const wrap $ jobs_arg $ cache_dir_arg $ obs_dir_arg $ shard_label_arg
-      $ trace_parent_arg $ metrics_arg $ trace_arg $ telemetry_arg
-      $ telemetry_interval_arg $ term)
+      $ metrics_arg $ trace_arg $ telemetry_arg $ telemetry_interval_arg $ term)
 
 let collect_term =
   let campaign =
@@ -1497,7 +1470,7 @@ let collect_term =
   in
   let rel_ci =
     Arg.(
-      value & opt float 0.
+      value & opt (float_at_least 0.) 0.
       & info [ "rel-ci" ] ~docv:"W"
           ~doc:
             "Stop a task when the relative 95% Wilson half-width reaches \
@@ -1534,12 +1507,9 @@ let collect_term =
           ~doc:"Write merged per-task statistics to $(docv)")
   in
   Term.(
-    const (fun campaign seed shards shard ledger resume progress max_shots
-               max_errors rel_ci min_shots batch halt_after csv () ->
-        run_collect campaign seed shards shard ledger resume progress
-          max_shots max_errors rel_ci min_shots batch halt_after csv)
-    $ campaign $ seed_arg $ shards $ shard $ ledger $ resume $ progress
-    $ max_shots $ max_errors $ rel_ci $ min_shots $ batch $ halt_after $ csv)
+    const run_collect $ campaign $ seed_arg $ shards $ shard $ ledger $ resume
+    $ progress $ max_shots $ max_errors $ rel_ci $ min_shots $ batch
+    $ halt_after $ csv)
 
 (* Offline analysis command group over observability artifacts.  The leaves
    go through the same [cmd] wrapper as the experiments so that every
@@ -1581,13 +1551,6 @@ let obs_cmd =
             "Never flag metrics whose baseline and current values are both \
              below $(docv) nanoseconds — relative thresholds are \
              meaningless under scheduling noise")
-  in
-  let report_pos =
-    Arg.(
-      required
-      & pos 0 (some file) None
-      & info [] ~docv:"FILE"
-          ~doc:"Run snapshot (--metrics) or fleet view")
   in
   let baseline_pos =
     Arg.(
@@ -1670,11 +1633,10 @@ let obs_cmd =
          "Analyze observability artifacts: run snapshots, fleet views, \
           traces, telemetry")
     [ cmd "report" "Summarize a run snapshot or fleet view"
-        Term.(const (fun file () -> run_obs_report file) $ report_pos);
+        Term.(const run_obs_report $ run_ref_pos);
       cmd "flame" "Render a trace as folded stacks (flamegraph.pl input)"
         Term.(
-          const (fun file counts alloc () -> run_obs_flame file counts alloc)
-          $ trace_pos $ counts_flag
+          const run_obs_flame $ trace_pos $ counts_flag
           $ Arg.(
               value & flag
               & info [ "alloc" ]
@@ -1685,8 +1647,7 @@ let obs_cmd =
                      deterministic workload"));
       cmd "top" "Rank call paths by self time, cumulative time, count, or allocation"
         Term.(
-          const (fun file limit sort () -> run_obs_top file limit sort)
-          $ trace_pos $ limit_arg
+          const run_obs_top $ trace_pos $ limit_arg
           $ Arg.(
               value
               & opt
@@ -1700,16 +1661,14 @@ let obs_cmd =
                      ns), $(b,count) (span count), or $(b,alloc) (self \
                      minor-heap words)"));
       cmd "tail" "Rate-over-time table and last-record status of a telemetry stream"
-        Term.(const (fun file () -> run_obs_tail file) $ telemetry_pos);
+        Term.(const run_obs_tail $ telemetry_pos);
       cmd "diff"
         "Compare two snapshots or fleet views; exit 1 on perf regressions"
         Term.(
-          const (fun a b thr floor () -> run_obs_diff a b thr floor)
-          $ baseline_pos $ current_pos $ threshold_arg $ noise_floor_arg);
+          const run_obs_diff $ baseline_pos $ current_pos $ threshold_arg $ noise_floor_arg);
       cmd "runs" "List the run registry (--obs-dir / HETARCH_OBS_DIR)"
         Term.(
-          const (fun limit prune () -> run_obs_runs limit prune)
-          $ limit_arg
+          const run_obs_runs $ limit_arg
           $ Arg.(
               value & flag
               & info [ "prune" ]
@@ -1721,7 +1680,7 @@ let obs_cmd =
         "Union per-process Chrome-trace JSONL files into one clock-aligned \
          timeline (order-independent, idempotent)"
         Term.(
-          const (fun files out check () -> run_obs_trace_merge files out check)
+          const run_obs_trace_merge
           $ Arg.(
               non_empty & pos_all file []
               & info [] ~docv:"TRACE"
@@ -1738,7 +1697,7 @@ let obs_cmd =
         "Live fleet view: tail every run's telemetry stream under the \
          registry with rate/ETA/stall detection"
         Term.(
-          const (fun once interval stall () -> run_obs_monitor once interval stall)
+          const run_obs_monitor
           $ Arg.(
               value & flag
               & info [ "once" ]
@@ -1751,26 +1710,21 @@ let obs_cmd =
                   ~doc:"Refresh period of the live view (default 2)")
           $ Arg.(
               value
-              & opt float Obs.Monitor.default_stall_factor
+              & opt (float_at_least ~strict:true 0.) Obs.Monitor.default_stall_factor
               & info [ "stall-factor" ] ~docv:"K"
                   ~doc:
                     "Flag a stream as stalled after K x its own telemetry \
                      interval without a heartbeat (default 5)"));
-      cmd "show" "Render a run snapshot or merged fleet view"
-        Term.(const (fun r () -> run_obs_show r) $ run_ref_pos);
       cmd "merge"
         "Merge run snapshots into one fleet view (order-insensitive, \
          byte-deterministic)"
         Term.(
-          const (fun refs out () -> run_obs_merge refs out)
-          $ merge_refs_pos $ out_arg);
+          const run_obs_merge $ merge_refs_pos $ out_arg);
       cmd "compare"
         "Judge a run against the registry trend (median + MAD of last K); \
          warn-only unless --gate"
         Term.(
-          const (fun cur last nmad thr floor gate () ->
-              run_obs_compare cur last nmad thr floor gate)
-          $ current_opt_pos $ last_arg $ nmad_arg $ threshold_arg
+          const run_obs_compare $ current_opt_pos $ last_arg $ nmad_arg $ threshold_arg
           $ noise_floor_arg $ gate_arg) ]
 
 (* --------------------------------------------------------------- serve *)
@@ -1795,7 +1749,7 @@ let serve_port_arg =
 let serve_endpoint socket port =
   match port with Some p -> Serve.Tcp p | None -> Serve.Unix_path socket
 
-let run_serve socket port max_queue =
+let run_serve socket port max_queue () =
   let endpoint = serve_endpoint socket port in
   (match endpoint with
   | Serve.Unix_path path -> Printf.eprintf "hetarch serve: listening on %s\n%!" path
@@ -1805,7 +1759,7 @@ let run_serve socket port max_queue =
     Printf.eprintf "hetarch serve: %s(%s): %s\n" fn arg (Unix.error_message e);
     exit 1
 
-let run_query socket port retry_for body =
+let run_query socket port retry_for body () =
   match Serve.request ~retry_for (serve_endpoint socket port) body with
   | response -> print_endline response
   | exception Unix.Unix_error (e, fn, arg) ->
@@ -1817,8 +1771,7 @@ let run_query socket port retry_for body =
 
 let serve_term =
   Term.(
-    const (fun socket port max_queue () -> run_serve socket port max_queue)
-    $ serve_socket_arg $ serve_port_arg
+    const run_serve $ serve_socket_arg $ serve_port_arg
     $ Arg.(
         value
         & opt (int_at_least 1) 64
@@ -1831,8 +1784,7 @@ let serve_term =
 
 let query_term =
   Term.(
-    const (fun socket port retry body () -> run_query socket port retry body)
-    $ serve_socket_arg $ serve_port_arg
+    const run_query $ serve_socket_arg $ serve_port_arg
     $ Arg.(
         value & opt float 0.
         & info [ "retry-for" ] ~docv:"SEC"
@@ -1848,79 +1800,107 @@ let query_term =
               "Request body: one JSON object with a $(b,kind) field \
                (threshold, uec, distill, dse, ping, stats, shutdown)"))
 
+(* The paper's evaluation, one row per experiment subcommand.  [title] is
+   the first line the command prints, its --help doc and its line in the
+   bare `hetarch` listing; [term] carries the command's own flags. *)
+type experiment = { id : string; title : string; term : (unit -> unit) Term.t }
+
+let experiments =
+  [ { id = "devices";
+      title = "Table 1: near-term superconducting quantum devices";
+      term = Term.const run_devices };
+    { id = "cells";
+      title = "Table 2: quantum standard cells (design rules DR1-DR4)";
+      term = Term.const run_cells };
+    { id = "fig3";
+      title = "Fig 3: best output-register EP infidelity over time (1 MHz generation)";
+      term = Term.(const run_fig3 $ seed_arg) };
+    { id = "fig4";
+      title = "Fig 4: distilled-EP rate (F >= 0.995) vs generation rate and Ts";
+      term = Term.(const run_fig4 $ seed_arg) };
+    { id = "fig6";
+      title = "Fig 6: d=13 surface-code logical error per cycle vs coherence scaling alpha";
+      term = Term.(const run_fig6 $ shots_arg $ seed_arg) };
+    { id = "fig7";
+      title = "Fig 7: logical error per cycle vs distance for Tcd/Tca ratios";
+      term = Term.(const run_fig7 $ shots_arg $ seed_arg $ full_arg) };
+    { id = "fig9";
+      title = "Fig 9: UEC logical error rate per round vs storage coherence Ts";
+      term = Term.(const run_fig9 $ shots_arg $ seed_arg) };
+    { id = "table3";
+      title = "Table 3: pseudothreshold and UEC logical error rates (Ts = 50 ms)";
+      term = Term.(const run_table3 $ shots_arg $ seed_arg) };
+    { id = "fig12";
+      title = "Fig 12: code-teleportation logical error probability vs Ts";
+      term = Term.(const run_fig12 $ shots_arg $ seed_arg) };
+    { id = "table4";
+      title = "Table 4: CT logical error probabilities, heterogeneous vs homogeneous";
+      term = Term.(const run_table4 $ shots_arg $ seed_arg) };
+    { id = "ablations";
+      title = "Ablations of DESIGN.md design choices";
+      term = Term.(const run_ablations $ shots_arg $ seed_arg) };
+    { id = "decode-check";
+      title = "Fused decode self-check: batch arena decoder vs per-shot scalar";
+      term =
+        Term.(
+          const run_decode_check $ shots_arg $ seed_arg
+          $ Arg.(
+              value & opt int 5
+              & info [ "dmax" ] ~docv:"D"
+                  ~doc:
+                    "Largest surface-code distance to check (3, 5, or 7; \
+                     default 5)")) };
+    { id = "schedule";
+      title = "Serialized UEC round schedules (one Gantt per code):";
+      term = Term.const run_schedule };
+    { id = "protocol";
+      title = "Timed six-step CT protocol (Fig 10): throughput and latency vs Ts";
+      term = Term.const run_protocol };
+    { id = "burden";
+      title = "DSE simulation-burden reduction (hierarchical vs flat density matrix)";
+      term = Term.const run_burden };
+    { id = "charsweep";
+      title = "Characterization sweep: storage-cell operations vs coherence scaling alpha";
+      term =
+        Term.(
+          const run_charsweep
+          $ Arg.(
+              value & opt (int_at_least 2) 5
+              & info [ "n" ] ~docv:"N" ~doc:"Number of alpha points (>= 2)")) };
+    { id = "hierarchy";
+      title = "HetArch module hierarchies (Figs. 1, 5, 8, 11):";
+      term = Term.const run_hierarchy } ]
+
+(* An experiment prints its title inside its cmd.<id> span, then its rows. *)
+let experiment_cmd e =
+  cmd e.id e.title
+    Term.(
+      const (fun run () ->
+          print_endline e.title;
+          run ())
+      $ e.term)
+
 let commands =
-  [ cmd "devices" "Table 1: device catalog" Term.(const run_devices);
-    cmd "serve"
-      "Long-running estimation daemon: newline-delimited JSON queries over \
-       a Unix/TCP socket, warm-store answers, single-flight dedup"
-      serve_term;
-    cmd ~record:false "query"
-      "Send one request line to a running hetarch serve daemon and print \
-       the response"
-      query_term;
-    cmd "collect"
-      "Resumable sample-collection campaign with adaptive stopping"
-      collect_term;
-    obs_cmd;
-    cmd "cells" "Table 2: standard cells and characterization"
-      Term.(const run_cells);
-    cmd "fig3" "Fig 3: distillation fidelity over time"
-      Term.(const (fun seed () -> run_fig3 seed) $ seed_arg);
-    cmd "fig4" "Fig 4: distilled-EP rate sweep"
-      Term.(const (fun seed () -> run_fig4 seed) $ seed_arg);
-    cmd "fig6" "Fig 6: d=13 surface code coherence scaling"
-      Term.(const (fun shots seed () -> run_fig6 shots seed) $ shots_arg $ seed_arg);
-    cmd "fig7" "Fig 7: distance sweep vs Tcd/Tca"
-      Term.(
-        const (fun shots seed full () -> run_fig7 shots seed full)
-        $ shots_arg $ seed_arg $ full_arg);
-    cmd "fig9" "Fig 9: UEC vs storage coherence"
-      Term.(const (fun shots seed () -> run_fig9 shots seed) $ shots_arg $ seed_arg);
-    cmd "table3" "Table 3: UEC het vs hom"
-      Term.(const (fun shots seed () -> run_table3 shots seed) $ shots_arg $ seed_arg);
-    cmd "fig12" "Fig 12: code teleportation vs Ts"
-      Term.(const (fun shots seed () -> run_fig12 shots seed) $ shots_arg $ seed_arg);
-    cmd "table4" "Table 4: CT for all code pairs"
-      Term.(const (fun shots seed () -> run_table4 shots seed) $ shots_arg $ seed_arg);
-    cmd "ablations" "Design-choice ablations (decoder, registers, variability, CAT model)"
-      Term.(const (fun shots seed () -> run_ablations shots seed) $ shots_arg $ seed_arg);
-    cmd "decode-check"
-      "Fused decode self-check: batch arena decoder vs per-shot scalar, \
-       plus steady-state allocation accounting (byte-identical stdout at \
-       any --jobs and across --cache-dir warm starts)"
-      Term.(
-        const (fun shots seed dmax () -> run_decode_check shots seed dmax)
-        $ shots_arg $ seed_arg
-        $ Arg.(
-            value & opt int 5
-            & info [ "dmax" ] ~docv:"D"
-                ~doc:
-                  "Largest surface-code distance to check (3, 5, or 7; \
-                   default 5)"));
-    cmd "schedule" "Explicit timed UEC round schedules (Gantt)"
-      Term.(const run_schedule);
-    cmd "protocol" "Timed six-step CT protocol: throughput and latency"
-      Term.(const run_protocol);
-    cmd "burden" "DSE simulation-burden accounting" Term.(const run_burden);
-    cmd "charsweep"
-      "Characterization sweep over storage coherence (warm-startable via \
-       --cache-dir)"
-      Term.(
-        const (fun n () -> run_charsweep n)
-        $ Arg.(
-            value & opt (int_at_least 2) 5
-            & info [ "n" ] ~docv:"N" ~doc:"Number of alpha points (>= 2)"));
-    cmd "hierarchy" "Module hierarchy trees" Term.(const run_hierarchy) ]
+  List.map experiment_cmd experiments
+  @ [ cmd "serve"
+        "Long-running estimation daemon: newline-delimited JSON queries over \
+         a Unix/TCP socket, warm-store answers, single-flight dedup"
+        serve_term;
+      cmd ~record:false "query"
+        "Send one request line to a running hetarch serve daemon and print \
+         the response"
+        query_term;
+      cmd "collect"
+        "Resumable sample-collection campaign with adaptive stopping"
+        collect_term;
+      obs_cmd ]
 
 let default =
   Term.(
     const (fun () ->
         print_endline "hetarch: HetArch paper reproduction harness";
         print_endline "Experiments:";
-        List.iter
-          (fun e ->
-            Printf.printf "  %-8s %s\n" e.Hetarch.id e.Hetarch.title)
-          Hetarch.experiments;
+        List.iter (fun e -> Printf.printf "  %-12s %s\n" e.id e.title) experiments;
         print_endline "Run `hetarch <experiment>`; see --help.")
     $ const ())
 

@@ -47,26 +47,6 @@ let grid ?jobs ?store xs ys ~f =
         (fun (i, (x, y)) -> (x, y, point_span ~index:i (f x) y))
         (indexed (List.concat_map (fun x -> List.map (fun y -> (x, y)) ys) xs)))
 
-(* Campaign-backed sweeps: each point becomes one Collect task, so a long
-   sweep inherits the ledger's resume and adaptive stopping.  Points must map
-   to distinct tasks (distinct identity fields) or Collect.run rejects the
-   campaign; results pair each point with its merged ledger stat, in point
-   order. *)
-let collect ?ledger ?resume ?progress ?stop ?halt_after ?store ~seed points ~task =
-  with_store_opt store (fun () ->
-      let tasks = List.map task points in
-      let outcome =
-        Collect.run ?ledger ?resume ?progress ?stop ?halt_after ~seed tasks
-      in
-      (* Collect.run returns stats in task (= point) order. *)
-      (List.combine points outcome.Collect.stats, outcome))
-
-let collect_grid ?ledger ?resume ?progress ?stop ?halt_after ?store ~seed xs ys
-    ~task =
-  let points = List.concat_map (fun x -> List.map (fun y -> (x, y)) ys) xs in
-  collect ?ledger ?resume ?progress ?stop ?halt_after ?store ~seed points
-    ~task:(fun (x, y) -> task x y)
-
 let argmin = function
   | [] -> invalid_arg "Sweep.argmin: empty"
   | hd :: tl ->

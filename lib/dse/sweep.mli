@@ -29,37 +29,6 @@ val grid :
   ('a * 'b * 'c) list
 (** Cartesian product sweep, row-major; parallelised like {!sweep}. *)
 
-val collect :
-  ?ledger:string ->
-  ?resume:bool ->
-  ?progress:bool ->
-  ?stop:Collect.stop_rule ->
-  ?halt_after:int ->
-  ?store:Store.t ->
-  seed:int ->
-  'a list ->
-  task:('a -> Collect.Task.t) ->
-  ('a * Collect.stat) list * Collect.outcome
-(** Campaign-backed sweep: [task] turns each point into a {!Collect} task and
-    the whole sweep runs as one campaign — resumable from [ledger] and
-    adaptively stoppable per point.  Returns each point paired with its
-    merged stat (in point order) plus the campaign outcome.  Points must map
-    to tasks with distinct identities. *)
-
-val collect_grid :
-  ?ledger:string ->
-  ?resume:bool ->
-  ?progress:bool ->
-  ?stop:Collect.stop_rule ->
-  ?halt_after:int ->
-  ?store:Store.t ->
-  seed:int ->
-  'a list ->
-  'b list ->
-  task:('a -> 'b -> Collect.Task.t) ->
-  (('a * 'b) * Collect.stat) list * Collect.outcome
-(** Cartesian-product {!collect}, row-major. *)
-
 val argmin : ('a * float) list -> 'a * float
 (** Point with the smallest objective; raises on empty input. *)
 

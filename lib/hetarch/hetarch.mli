@@ -1,8 +1,8 @@
 (** HetArch public facade.
 
     The library family is flat (one OCaml library per subsystem, all
-    unwrapped); this module provides the entry-point documentation, version,
-    and the index of paper experiments with their parameters.
+    unwrapped); this module provides the entry-point documentation and the
+    version.  The paper's experiments are the [hetarch] CLI's subcommands.
 
     {2 Layer map}
 
@@ -19,14 +19,3 @@
     - {!Hierarchy}: module/cell/device trees (Fig. 2). *)
 
 val version : string
-
-type experiment = {
-  id : string;  (** e.g. "fig3", "table4" *)
-  title : string;
-  paper_claim : string;  (** the headline the experiment reproduces *)
-}
-
-val experiments : experiment list
-(** Every table and figure of the paper's evaluation, in order. *)
-
-val find_experiment : string -> experiment option

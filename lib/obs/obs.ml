@@ -382,11 +382,11 @@ end
 
 (* Distributed trace identity, W3C-traceparent style: a 128-bit
    (trace_id, span_id) pair of 16-hex-digit halves.  A root process mints
-   both from its run id; a child process handed "<trace_id>-<span_id>" (via
-   the HETARCH_TRACE_PARENT environment variable or the --trace-parent
-   flag) keeps the parent's trace_id, records the parent's span_id as
-   parent_span_id, and mints only its own span_id — so every process of a
-   fleet shares one trace_id and the per-process span ids form a tree.
+   both from its run id; a child process handed "<trace_id>-<span_id>" in
+   the HETARCH_TRACE_PARENT environment variable keeps the parent's
+   trace_id, records the parent's span_id as parent_span_id, and mints only
+   its own span_id — so every process of a fleet shares one trace_id and
+   the per-process span ids form a tree.
    The context is stamped into every observability artifact (telemetry
    records, Chrome-trace metadata, snapshots), which is what
    lets `obs trace-merge` and `obs monitor` correlate a coordinator with
@@ -420,17 +420,9 @@ module Context = struct
     end
     else None
 
-  let parent_override : string option ref = ref None
-  let set_parent s = parent_override := Some s
-
   let computed =
     lazy
-      (let inherited =
-         match !parent_override with
-         | Some _ as s -> s
-         | None -> Sys.getenv_opt env_var
-       in
-       match inherited with
+      (match Sys.getenv_opt env_var with
        | None -> mint ~run_id:(Run.id ())
        | Some s -> (
            match of_string (String.trim s) with

@@ -88,9 +88,9 @@ end
 (** Distributed trace context, W3C-traceparent style: a 128-bit
     [(trace_id, span_id)] pair of 16-hex-digit halves, minted from the run
     id at first use — or inherited from the [HETARCH_TRACE_PARENT]
-    environment variable / [--trace-parent] flag, in which case this
-    process keeps the parent's [trace_id], records the parent's [span_id]
-    as [parent_span_id], and mints only its own [span_id].  Every process
+    environment variable, in which case this process keeps the parent's
+    [trace_id], records the parent's [span_id] as [parent_span_id], and
+    mints only its own [span_id].  Every process
     of a fleet therefore shares one [trace_id] and the per-process span
     ids form a tree, which is what lets [obs trace-merge] and
     [obs monitor] correlate a coordinator with the shard children it
@@ -120,15 +120,10 @@ module Context : sig
   val of_string : string -> t option
   (** Parse the wire form; [None] unless exactly [<16 hex>-<16 hex>]. *)
 
-  val set_parent : string -> unit
-  (** Install a parent context string (the [--trace-parent] flag), taking
-      precedence over the environment variable.  Must run before the first
-      {!current} forces the context; later calls have no effect. *)
-
   val current : unit -> t
-  (** This process's context, computed once on first use: [set_parent]
-      value, else [HETARCH_TRACE_PARENT], else a freshly minted root.  A
-      malformed parent string warns on stderr and falls back to minting. *)
+  (** This process's context, computed once on first use: inherited from
+      [HETARCH_TRACE_PARENT], else a freshly minted root.  A malformed
+      parent string warns on stderr and falls back to minting. *)
 
   type stamp = { run_id : string; shard : string; ctx : t }
   (** The run identity plus trace context that snapshots, telemetry

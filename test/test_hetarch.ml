@@ -1,4 +1,4 @@
-(* Tests for the facade: module hierarchies and the experiment index. *)
+(* Tests for the facade: module hierarchies and the version. *)
 
 let test_hierarchies_validate () =
   List.iter Hierarchy.validate
@@ -45,17 +45,6 @@ let test_bad_distance_rejected () =
        false
      with Invalid_argument _ -> true)
 
-let test_experiment_index () =
-  Alcotest.(check int) "ten experiments" 10 (List.length Hetarch.experiments);
-  List.iter
-    (fun id ->
-      match Hetarch.find_experiment id with
-      | Some e -> Alcotest.(check string) "id round-trips" id e.Hetarch.id
-      | None -> Alcotest.failf "experiment %s missing" id)
-    [ "devices"; "cells"; "fig3"; "fig4"; "fig6"; "fig7"; "fig9"; "table3";
-      "fig12"; "table4" ];
-  Alcotest.(check bool) "unknown is None" true (Hetarch.find_experiment "fig99" = None)
-
 let test_version () =
   Alcotest.(check bool) "semver-ish" true (String.length Hetarch.version >= 5)
 
@@ -70,5 +59,4 @@ let () =
           Alcotest.test_case "render" `Quick test_render;
           Alcotest.test_case "bad distance" `Quick test_bad_distance_rejected ] );
       ( "experiments",
-        [ Alcotest.test_case "index" `Quick test_experiment_index;
-          Alcotest.test_case "version" `Quick test_version ] ) ]
+        [ Alcotest.test_case "version" `Quick test_version ] ) ]
