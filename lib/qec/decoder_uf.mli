@@ -11,19 +11,28 @@
     This plays the role of PyMatching in the paper's Stim-based experiments;
     union-find achieves near-matching accuracy at near-linear cost.
 
-    Decoding runs on a reusable arena.  The graph holds its incidence in
-    CSR form (each vertex's incident edge ids, in construction order), and
-    a cluster's border is the linked list of its vertices, so a merge
-    appends one list to another in O(1).  Each unit growth round walks the
-    active borders once: it grows every live edge one half-step and folds
-    in, without a division, the number of rounds until the next edge fulls.
-    A walk that fulls nothing applies all of those rounds but the last at
-    once, and the next walk, on the same clusters, is the fulling round —
-    the same growth as running every round.  Every vertex the shot mutates
-    goes on a dirty log, and the reset restores it and clears the growth of
-    its incident edges: zero allocation per shot and reset cost
-    proportional to the work the shot did.  Arenas are pooled per graph
-    behind a mutex, so {!decode} and {!decode_batch} are safe to call
+    Decoding runs on a reusable arena, and growth is event-driven.  The
+    graph holds its incidence in CSR form (each vertex's incident edges, in
+    construction order), and a cluster's border is the linked list of its
+    vertices.  No growth is stored per edge: each cluster keeps a clock of
+    the rounds it has been active (odd parity, no boundary) and each vertex
+    an offset from its cluster's clock, so an edge's growth is the sum of
+    its two ends' sides, capped at its target, and a cluster that goes
+    inactive or touches the boundary costs O(1).  An event ring, indexed by
+    round modulo a power of two above the largest half-step target, holds
+    the rounds at which edges full: an edge with an active end is queued
+    at its remaining half-steps divided by its rate, and a vertex's edges
+    to never-activated ends share one cursor in target order.  Events made
+    stale by a cluster going inactive are re-timed or dropped when they
+    pop; when an inactive cluster is absorbed into an active one, only its
+    vertices are scheduled.  The edges that full in one round are merged
+    in the walk order of the unit-round decoder this replaced (clusters by
+    smallest defect, each border in list order, each vertex's edges in
+    order), so merges, the peel and every prediction are identical to it.
+    Every vertex the shot mutates goes on a dirty log and the ring is
+    cleared through its own entries: zero allocation per shot and reset
+    cost proportional to the work the shot did.  Arenas are pooled per
+    graph behind a mutex, so {!decode} and {!decode_batch} are safe to call
     concurrently from worker domains; an arena whose decode raised is
     dropped, never pooled. *)
 
@@ -41,7 +50,8 @@ val weighted_graph : nodes:int -> edges:(int * int * int * bool) list -> graph
 (** [(u, v, weight, flips_logical)]: clusters must grow [weight] half-steps
     from each side before the edge closes, so low-probability mechanisms
     (high weight) are matched across only when nothing cheaper exists.
-    Weights must be >= 1. *)
+    Weights must be in [1, 2^30); the event ring has a slot per round up
+    to twice the largest weight. *)
 
 val num_nodes : graph -> int
 val num_edges : graph -> int
@@ -54,8 +64,9 @@ val edge_list : graph -> (int * int * int * bool) array
 
 val decode : graph -> Bitvec.t -> bool
 (** [decode g syndrome] returns the predicted logical flip for the defect
-    pattern [syndrome] (one bit per node).  The syndrome must have even total
-    parity or the excess is matched to the boundary.  Raises
+    pattern [syndrome], one bit per node: any other length raises
+    [Invalid_argument].  The syndrome must have even total parity or the
+    excess is matched to the boundary.  Raises
     [Failure "Decoder_uf: growth failed to converge"] when a connected
     component without a boundary edge holds an odd number of defects (for
     example a defect on a node with no edges). *)
@@ -80,7 +91,8 @@ val decode_batch_into :
     caller-owned [out] (cleared first; must be exactly [nshots] bits).  Once
     the arena pool is warm this path allocates nothing — no closures, no
     boxed timing values, no fresh result row — which the zero-alloc test
-    in [test_fused] enforces at d=3..9.  {!decode_batch} is this plus a fresh [out] and batch timing
+    in [test_fused] enforces at d=3..9, at the Fig 6 d=13 point and with
+    weight-40 edges.  {!decode_batch} is this plus a fresh [out] and batch timing
     instrumentation. *)
 
 val decode_batch_count :

@@ -125,32 +125,54 @@ let test_decode_batch_matches_scalar distance () =
 
 (* ------------------------------------------- zero-alloc steady decode --- *)
 
+(* Once the arena pool and output row are warm, [decode_batch_into] must
+   allocate exactly nothing — not amortized-few, zero minor words — across
+   repeated batches. *)
+let check_steady_zero_alloc name g ~detectors ~nshots =
+  let out = Bitvec.create nshots in
+  let run () = Decoder_uf.decode_batch_into g ~detectors ~nshots ~out in
+  run ();
+  (* warms the arena pool *)
+  for i = 1 to 5 do
+    Alcotest.(check int)
+      (Printf.sprintf "%s warm decode_batch_into #%d allocates zero words" name i)
+      0 (Alloc.words run)
+  done
+
+let check_surface_zero_alloc name p =
+  let exp = Surface_circuit.build p in
+  let nshots = 256 in
+  let b = Dem_sampler.sample exp.Surface_circuit.sampler (Rng.create 9) ~nshots in
+  check_steady_zero_alloc name exp.Surface_circuit.graph
+    ~detectors:b.Frame_batch.detectors ~nshots
+
+(* The CI gate in miniature, at d=3..9, at the fig 6 d=13 point
+   (t_data = t_anc = 100 us), and on a path with weight-40 edges, the
+   DEM graphs' largest weight, so events are queued a full ring span
+   (80 rounds) ahead and the ring wraps. *)
 let test_decode_batch_steady_zero_alloc () =
-  (* The CI gate in miniature: once the arena pool and output row are warm,
-     [decode_batch_into] must allocate exactly nothing — not amortized-few,
-     zero minor words — across repeated batches, at every distance. *)
   List.iter
     (fun distance ->
-      let exp = Surface_circuit.build (Surface_circuit.default ~distance) in
-      let nshots = 256 in
-      let b =
-        Dem_sampler.sample exp.Surface_circuit.sampler (Rng.create 9) ~nshots
-      in
-      let g = exp.Surface_circuit.graph in
-      let out = Bitvec.create nshots in
-      let run () =
-        Decoder_uf.decode_batch_into g ~detectors:b.Frame_batch.detectors
-          ~nshots ~out
-      in
-      run ();
-      (* warms the arena pool *)
-      for i = 1 to 5 do
-        Alcotest.(check int)
-          (Printf.sprintf "d=%d warm decode_batch_into #%d allocates zero words"
-             distance i)
-          0 (Alloc.words run)
-      done)
-    [ 3; 5; 7; 9 ]
+      check_surface_zero_alloc (Printf.sprintf "d=%d" distance)
+        (Surface_circuit.default ~distance))
+    [ 3; 5; 7; 9 ];
+  check_surface_zero_alloc "fig6 d=13"
+    { (Surface_circuit.default ~distance:13) with t_data = 1e-4; t_anc = 1e-4 };
+  let g =
+    Decoder_uf.weighted_graph ~nodes:4
+      ~edges:
+        [ (0, 1, 40, false); (1, 2, 1, false); (2, 3, 40, true);
+          (3, Decoder_uf.boundary, 40, false) ]
+  in
+  let nshots = 126 in
+  let rng = Rng.create 40 in
+  let detectors =
+    Array.init 4 (fun _ ->
+        let row = Bitvec.create nshots in
+        Bitvec.random_into rng row ~p:0.3;
+        row)
+  in
+  check_steady_zero_alloc "weight-40 path" g ~detectors ~nshots
 
 (* Pinned seed vector: the fused estimator's exact counts for a fixed seed,
    at one and four domains.  Any change to mechanism canonicalization, RNG
