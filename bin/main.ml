@@ -868,11 +868,8 @@ let run_obs_tail file () =
                Printf.sprintf "%.2f" r.elapsed_s;
                Printf.sprintf "%.2f" r.dt_s;
                string_of_int r.gc_minor_delta;
-               (* allocation rate over the record's interval *)
-               (if r.dt_s > 0. then
-                  Printf.sprintf "%.0f"
-                    (Float.max 0. (float_of_int r.gc_minor_words_delta /. r.dt_s))
-                else "0");
+               Printf.sprintf "%.0f"
+                 (Option.value ~default:0. (List.assoc_opt "gc.minor_words_per_s" r.rates));
                dash (fun c -> string_of_int c.Obs.Telemetry.c_shots) c;
                dash (fun c -> Printf.sprintf "%.0f" (Float.max 0. c.Obs.Telemetry.c_rate)) c;
                dash (fun c -> Printf.sprintf "%d/%d" c.Obs.Telemetry.c_done c.c_total) c;
@@ -1535,17 +1532,18 @@ let obs_cmd =
       value & opt int 20
       & info [ "n"; "limit" ] ~docv:"N" ~doc:"Rows to show")
   in
-  let threshold_arg =
+  (* [obs diff] flags past its threshold; [obs compare] passes the same flag
+     as the trend band's floor, whose default differs. *)
+  let threshold_arg doc =
     Arg.(
       value
-      & opt (some float) None
-      & info [ "threshold" ] ~docv:"PCT"
-          ~doc:"Regression threshold in percent (default 20)")
+      & opt (some (float_at_least 0.)) None
+      & info [ "threshold" ] ~docv:"PCT" ~doc)
   in
   let noise_floor_arg =
     Arg.(
       value
-      & opt (some float) None
+      & opt (some (float_at_least 0.)) None
       & info [ "noise-floor-ns" ] ~docv:"NS"
           ~doc:
             "Never flag metrics whose baseline and current values are both \
@@ -1612,9 +1610,11 @@ let obs_cmd =
   let nmad_arg =
     Arg.(
       value
-      & opt (some float) None
+      & opt (some (float_at_least 0.)) None
       & info [ "nmad" ] ~docv:"N"
-          ~doc:"MAD multiplier of the trend noise band (default 5)")
+          ~doc:
+            (Printf.sprintf "MAD multiplier of the trend noise band (default %g)"
+               Obs.Trend.default_nmad))
   in
   let gate_arg =
     Arg.(
@@ -1665,7 +1665,11 @@ let obs_cmd =
       cmd "diff"
         "Compare two snapshots or fleet views; exit 1 on perf regressions"
         Term.(
-          const run_obs_diff $ baseline_pos $ current_pos $ threshold_arg $ noise_floor_arg);
+          const run_obs_diff $ baseline_pos $ current_pos
+          $ threshold_arg
+              (Printf.sprintf "Regression threshold in percent (default %g)"
+                 Obs.Diff.default_threshold_pct)
+          $ noise_floor_arg);
       cmd "runs" "List the run registry (--obs-dir / HETARCH_OBS_DIR)"
         Term.(
           const run_obs_runs $ limit_arg
@@ -1705,7 +1709,7 @@ let obs_cmd =
                     "Render one scan as machine-readable JSON (one \
                      hetarch.monitor/1 object per line) and exit")
           $ Arg.(
-              value & opt float 2.0
+              value & opt (float_at_least ~strict:true 0.) 2.0
               & info [ "interval" ] ~docv:"SEC"
                   ~doc:"Refresh period of the live view (default 2)")
           $ Arg.(
@@ -1724,7 +1728,10 @@ let obs_cmd =
         "Judge a run against the registry trend (median + MAD of last K); \
          warn-only unless --gate"
         Term.(
-          const run_obs_compare $ current_opt_pos $ last_arg $ nmad_arg $ threshold_arg
+          const run_obs_compare $ current_opt_pos $ last_arg $ nmad_arg
+          $ threshold_arg
+              (Printf.sprintf "Trend band floor in percent of the median (default %g)"
+                 Obs.Trend.default_min_pct)
           $ noise_floor_arg $ gate_arg) ]
 
 (* --------------------------------------------------------------- serve *)

@@ -142,26 +142,14 @@ module Ledger = struct
       t_seconds = t.t_seconds +. r.seconds;
       t_records = t.t_records + 1 }
 
+  (* A torn tail of a killed run does not parse and a line that is not a
+     record does not decode; both are skipped. *)
   let fold ~f ~init path =
     if not (Sys.file_exists path) then init
     else
-      In_channel.with_open_text path (fun ic ->
-          let rec go acc =
-            match In_channel.input_line ic with
-            | None -> acc
-            | Some line ->
-                let acc =
-                  if String.trim line = "" then acc
-                  else
-                    match
-                      (try record_of_json (Obs.Json.parse line) with Failure _ -> None)
-                    with
-                    | Some r -> f acc r
-                    | None -> acc (* truncated tail of a killed run *)
-                in
-                go acc
-          in
-          go init)
+      Obs.fold_jsonl path
+        (fun acc j -> match record_of_json j with Some r -> f acc r | None -> acc)
+        init
 
   (* Per-task merged totals; partial records for the same task sum. *)
   let replay path : (string, totals) Hashtbl.t =

@@ -36,5 +36,3 @@ let schedule grid ops =
       if finish > !makespan then makespan := finish)
     ops;
   { makespan = !makespan; two_qubit_gates = !gates; busy; op_finish }
-
-let parallel_depth grid ops = (schedule grid ops).makespan

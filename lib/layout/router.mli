@@ -26,6 +26,3 @@ val route_cost : Grid.t -> op -> int
 val schedule : Grid.t -> op list -> schedule
 (** Greedy list scheduling in input order: an op starts when every node on
     its routing path is free and occupies the whole path for its duration. *)
-
-val parallel_depth : Grid.t -> op list -> int
-(** Convenience: makespan of {!schedule}. *)

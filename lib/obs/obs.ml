@@ -325,9 +325,9 @@ module Field = struct
 end
 
 (* Torn-tail-tolerant JSONL fold: blank and unparsable lines — the
-   truncated final record a killed writer leaves behind — are skipped,
-   mirroring the collect ledger's replay.  Shared by the fleet monitor and
-   the offline `obs` readers. *)
+   truncated final record a killed writer leaves behind — are skipped.
+   The one such reader: the fleet monitor, the offline `obs` readers, the
+   run registry and the collect ledger all replay through it. *)
 let fold_jsonl path f init =
   let ic = open_in path in
   Fun.protect
@@ -649,18 +649,14 @@ module Trace = struct
   let ring : span option array ref = ref (Array.make !capacity None)
   let next = ref 0 (* total spans ever recorded *)
 
-  (* Aggregate shape shared by the name- and path-keyed tables:
-     (count, total_ns, minor_w, promoted_w, major_w). *)
-  let totals : (string, int * int64 * int * int * int) Hashtbl.t =
-    Hashtbl.create 32
-
-  (* Caller-path-keyed aggregates, the profiler's input.  Unlike the ring,
-     these never evict, so self-time trees stay exact over arbitrarily long
-     runs. *)
+  (* Caller-path-keyed aggregates (count, total_ns, minor_w, promoted_w,
+     major_w): the profiler's input, and grouped by last segment the
+     per-name summaries.  Unlike the ring, these never evict, so self-time
+     trees stay exact over arbitrarily long runs. *)
   let path_totals : (string, int * int64 * int * int * int) Hashtbl.t =
     Hashtbl.create 64
 
-  (* One lock for ring + totals + capacity swaps; span recording is far off
+  (* One lock for ring + path totals + capacity swaps; span recording is far off
      the per-shot hot path (spans wrap whole experiments), so contention is
      negligible.  The enclosing-span path is tracked per domain (innermost
      first); [Parallel.task_context] seeds a worker domain's stack with the
@@ -683,23 +679,21 @@ module Trace = struct
         ring := Array.make c None;
         next := 0)
 
-  let bump tbl key s =
-    let count, total, mw, pw, jw =
+  let add tbl key (c, t, mw, pw, jw) =
+    let count, total, mw', pw', jw' =
       Option.value ~default:(0, 0L, 0, 0, 0) (Hashtbl.find_opt tbl key)
     in
-    Hashtbl.replace tbl key
-      ( count + 1,
-        Int64.add total s.dur_ns,
-        mw + s.minor_w,
-        pw + s.promoted_w,
-        jw + s.major_w )
+    Hashtbl.replace tbl key (count + c, Int64.add total t, mw' + mw, pw' + pw, jw' + jw)
+
+  let rows tbl =
+    Hashtbl.fold (fun key (c, t, mw, pw, jw) acc -> (key, c, t, mw, pw, jw) :: acc) tbl []
+    |> List.sort compare
 
   let record s =
     Mutex.protect lock (fun () ->
         !ring.(!next mod !capacity) <- Some s;
         incr next;
-        bump totals s.name s;
-        bump path_totals s.path s)
+        add path_totals s.path (1, s.dur_ns, s.minor_w, s.promoted_w, s.major_w))
 
   let with_span ?(attrs = []) name f =
     let start = now_ns () in
@@ -759,19 +753,20 @@ module Trace = struct
 
   let recorded () = Mutex.protect lock (fun () -> !next)
 
-  let summaries () =
-    Mutex.protect lock (fun () ->
-        Hashtbl.fold
-          (fun name (c, t, mw, pw, jw) acc -> (name, c, t, mw, pw, jw) :: acc)
-          totals [])
-    |> List.sort compare
+  let by_path () = Mutex.protect lock (fun () -> rows path_totals)
 
-  let by_path () =
-    Mutex.protect lock (fun () ->
-        Hashtbl.fold
-          (fun path (c, t, mw, pw, jw) acc -> (path, c, t, mw, pw, jw) :: acc)
-          path_totals [])
-    |> List.sort compare
+  let summaries () =
+    let by_name = Hashtbl.create 32 in
+    List.iter
+      (fun (path, c, t, mw, pw, jw) ->
+        let name =
+          match String.rindex_opt path ';' with
+          | Some i -> String.sub path (i + 1) (String.length path - i - 1)
+          | None -> path
+        in
+        add by_name name (c, t, mw, pw, jw))
+      (by_path ());
+    rows by_name
 
   (* The trace file format, one JSON object per line, written by [export]
      and [Trace_merge] and read back by [read]: a "hetarch.run" metadata
@@ -930,7 +925,6 @@ module Trace = struct
     Mutex.protect lock (fun () ->
         Array.fill !ring 0 !capacity None;
         next := 0;
-        Hashtbl.reset totals;
         Hashtbl.reset path_totals);
     Domain.DLS.get stack_key := []
 end
@@ -1114,343 +1108,6 @@ module Profile = struct
           n.count (ms n.cum_ns) pct n.self_w n.path)
       (top ~sort ~limit nodes);
     Buffer.contents b
-end
-
-(* ------------------------------------------------------------- telemetry *)
-
-(* Append-only JSONL heartbeat, one [record] per line.  Ticks are driven
-   synchronously from Parallel chunk boundaries and Collect batch
-   completions — never from a background thread — so enabling telemetry
-   cannot change any result.  The collect --progress line reads the same
-   [campaign_snapshot] code path. *)
-
-module Telemetry = struct
-  type task_progress = {
-    tp_id : string;
-    tp_kind : string;
-    tp_shots : int;
-    tp_errors : int;
-    tp_resumed : int;  (* shots replayed from a ledger, not sampled now *)
-    tp_rel_halfwidth : float;  (* nan when undefined (no errors yet) *)
-    tp_remaining : int;  (* shots to the task's ceiling; 0 once stopped *)
-    tp_done : bool;
-  }
-
-  type campaign = {
-    c_done : int;
-    c_total : int;
-    c_shots : int;  (* merged, incl. resumed *)
-    c_new_shots : int;  (* sampled by this run *)
-    c_rate : float;  (* new shots per second *)
-    c_remaining : int;
-    c_eta_s : float option;  (* None until the rate is measurable *)
-    c_tasks : task_progress list;
-  }
-
-  (* One line of the stream.  [to_json] is what [emit] writes; [of_json]
-     is the one reader, and it requires every section [emit] always
-     writes.  [tp_resumed] is not on the wire: a decoded task carries 0. *)
-  type record = {
-    run : Context.stamp;
-    seq : int;
-    elapsed_s : float;
-    dt_s : float;
-    interval_s : float;
-    counters : (string * int) list;
-    deltas : (string * int) list;
-    rates : (string * float) list;
-    gc_minor_delta : int;
-    gc_major_delta : int;
-    gc_minor_words_delta : int;
-    gc_heap_words : int;
-    gc_top_heap_words : int;
-    queue_depth : int;
-    busy_domains : int;
-    campaign : campaign option;
-    final : bool;
-  }
-
-  let schema = "hetarch.telemetry/4"
-
-  let task_json t =
-    Json.Obj
-      [ ("id", Json.String t.tp_id);
-        ("kind", Json.String t.tp_kind);
-        ("shots", Json.Int t.tp_shots);
-        ("errors", Json.Int t.tp_errors);
-        ("rel_halfwidth", Json.Float t.tp_rel_halfwidth);
-        ("remaining", Json.Int t.tp_remaining);
-        ("done", Json.Bool t.tp_done) ]
-
-  let to_json r =
-    let ints kvs = Json.Obj (List.map (fun (n, v) -> (n, Json.Int v)) kvs) in
-    let campaign c =
-      Json.Obj
-        [ ("tasks_done", Json.Int c.c_done);
-          ("tasks", Json.Int c.c_total);
-          ("shots", Json.Int c.c_shots);
-          ("new_shots", Json.Int c.c_new_shots);
-          ("shots_per_s", Json.Float c.c_rate);
-          ("remaining_shots", Json.Int c.c_remaining);
-          ("eta_s", Json.Float (Option.value ~default:nan c.c_eta_s));
-          ("task_progress", Json.List (List.map task_json c.c_tasks)) ]
-    in
-    Json.Obj
-      ([ ("schema", Json.String schema);
-         ("run", Context.stamp_to_json r.run);
-         ("seq", Json.Int r.seq);
-         ("elapsed_s", Json.Float r.elapsed_s);
-         ("dt_s", Json.Float r.dt_s);
-         (* The throttle interval travels with every record so readers
-            (tail, monitor) can judge staleness without out-of-band
-            configuration. *)
-         ("interval_s", Json.Float r.interval_s);
-         ("counters", ints r.counters);
-         ("deltas", ints r.deltas);
-         ("rates", Json.Obj (List.map (fun (n, v) -> (n, Json.Float v)) r.rates));
-         ( "gc",
-           Json.Obj
-             [ ("minor_delta", Json.Int r.gc_minor_delta);
-               ("major_delta", Json.Int r.gc_major_delta);
-               ("minor_words_delta", Json.Int r.gc_minor_words_delta);
-               ("heap_words", Json.Int r.gc_heap_words);
-               ("top_heap_words", Json.Int r.gc_top_heap_words) ] );
-         ( "parallel",
-           Json.Obj
-             [ ("queue_depth", Json.Int r.queue_depth);
-               ("busy_domains", Json.Int r.busy_domains) ] ) ]
-      @ List.map (fun c -> ("campaign", campaign c)) (Option.to_list r.campaign)
-      @ if r.final then [ ("final", Json.Bool true) ] else [])
-
-  let of_json =
-    Field.decoding "Obs.Telemetry.of_json" (fun j ->
-        Field.schema schema j;
-        let section name = Json.Obj (Field.obj name j) in
-        let task t =
-          { tp_id = Field.str "id" t;
-            tp_kind = Field.str "kind" t;
-            tp_shots = Field.int "shots" t;
-            tp_errors = Field.int "errors" t;
-            tp_resumed = 0;
-            tp_rel_halfwidth = Option.value ~default:nan (Field.float_opt "rel_halfwidth" t);
-            tp_remaining = Field.int "remaining" t;
-            tp_done = Field.bool "done" t }
-        in
-        let campaign c =
-          { c_done = Field.int "tasks_done" c;
-            c_total = Field.int "tasks" c;
-            c_shots = Field.int "shots" c;
-            c_new_shots = Field.int "new_shots" c;
-            c_rate = Field.float "shots_per_s" c;
-            c_remaining = Field.int "remaining_shots" c;
-            c_eta_s = Field.float_opt "eta_s" c;
-            c_tasks = List.map task (Field.list "task_progress" c) }
-        in
-        let gc = section "gc" and par = section "parallel" in
-        { run = Context.stamp_of_json (section "run");
-          seq = Field.int "seq" j;
-          elapsed_s = Field.float "elapsed_s" j;
-          dt_s = Field.float "dt_s" j;
-          interval_s = Field.float "interval_s" j;
-          counters = Field.ints "counters" j;
-          deltas = Field.ints "deltas" j;
-          rates = Field.floats "rates" j;
-          gc_minor_delta = Field.int "minor_delta" gc;
-          gc_major_delta = Field.int "major_delta" gc;
-          gc_minor_words_delta = Field.int "minor_words_delta" gc;
-          gc_heap_words = Field.int "heap_words" gc;
-          gc_top_heap_words = Field.int "top_heap_words" gc;
-          queue_depth = Field.int "queue_depth" par;
-          busy_domains = Field.int "busy_domains" par;
-          campaign = Option.map (fun _ -> campaign (section "campaign")) (Json.member "campaign" j);
-          final = Option.is_some (Json.member "final" j) && Field.bool "final" j })
-
-  let enabled_flag = Atomic.make false
-  let lock = Mutex.create ()
-  let sink : out_channel option ref = ref None
-  let interval_ns = ref 1_000_000_000L
-  let t_enable = ref 0L
-  let last_ns = ref 0L
-  let seq = ref 0
-  let prev_counters : (string, int) Hashtbl.t = Hashtbl.create 32
-  let prev_gc = ref (0, 0)
-  let prev_minor_words = ref 0.
-  let provider : (unit -> task_progress list) option ref = ref None
-  let provider_t0 = ref 0L
-
-  (* Set by [disable] around its last emit so the closing record carries
-     ("final", true) — the monitor's clean "stream complete" signal, as
-     opposed to a stream that merely went quiet (stalled). *)
-  let finalizing = ref false
-
-  let enabled () = Atomic.get enabled_flag
-
-  let set_campaign p =
-    Mutex.protect lock (fun () ->
-        provider := p;
-        provider_t0 := now_ns ())
-
-  let campaign_snapshot () =
-    match !provider with
-    | None -> None
-    | Some f ->
-        let tasks = f () in
-        let elapsed =
-          Int64.to_float (Int64.sub (now_ns ()) !provider_t0) /. 1e9
-        in
-        let sum g = List.fold_left (fun a t -> a + g t) 0 tasks in
-        let shots = sum (fun t -> t.tp_shots) in
-        let new_shots = sum (fun t -> t.tp_shots - t.tp_resumed) in
-        let remaining = sum (fun t -> t.tp_remaining) in
-        let rate = if elapsed > 0. then float_of_int new_shots /. elapsed else 0. in
-        Some
-          { c_done = List.length (List.filter (fun t -> t.tp_done) tasks);
-            c_total = List.length tasks;
-            c_shots = shots;
-            c_new_shots = new_shots;
-            c_rate = rate;
-            c_remaining = remaining;
-            c_eta_s = (if rate > 0. then Some (float_of_int remaining /. rate) else None);
-            c_tasks = tasks }
-
-  (* Forget the delta baseline (called by [Obs.reset]): the next record's
-     deltas measure from zero instead of going negative against counters
-     that were just zeroed. *)
-  let reset_baseline () =
-    Mutex.protect lock (fun () ->
-        Hashtbl.reset prev_counters;
-        let st = Gc.quick_stat () in
-        prev_gc := (st.Gc.minor_collections, st.Gc.major_collections);
-        (* [Gc.minor_words], not [quick_stat]'s field: the latter only
-           refreshes at collection boundaries on OCaml 5. *)
-        prev_minor_words := Gc.minor_words ())
-
-  (* Must be called with [lock] held. *)
-  let emit oc now =
-    let elapsed_s = Int64.to_float (Int64.sub now !t_enable) /. 1e9 in
-    let dt_s =
-      if !seq = 0 then 0.
-      else Int64.to_float (Int64.sub now !last_ns) /. 1e9
-    in
-    let counters =
-      Hashtbl.fold
-        (fun name c acc -> (name, Counter.value c) :: acc)
-        Counter.registry []
-      |> List.sort compare
-    in
-    let deltas =
-      List.map
-        (fun (name, v) ->
-          let prev = Option.value ~default:0 (Hashtbl.find_opt prev_counters name) in
-          (* Clamp: a counter reset between ticks must not produce negative
-             deltas (reset_baseline handles Obs.reset; the clamp covers any
-             other external zeroing). *)
-          (name, max 0 (v - prev)))
-        counters
-    in
-    let rates =
-      if dt_s > 0. then
-        List.filter_map
-          (fun (name, d) ->
-            if d > 0 then Some (name, float_of_int d /. dt_s) else None)
-          deltas
-      else []
-    in
-    let st = Gc.quick_stat () in
-    let pminor, pmajor = !prev_gc in
-    (* Clamped like the counter deltas: an external baseline reset must not
-       produce a negative allocation delta. *)
-    let minor_words_now = Gc.minor_words () in
-    let minor_words_delta =
-      max 0 (int_of_float (minor_words_now -. !prev_minor_words))
-    in
-    let rates =
-      if dt_s > 0. && minor_words_delta > 0 then
-        ("gc.minor_words_per_s", float_of_int minor_words_delta /. dt_s) :: rates
-      else rates
-    in
-    let queue_depth, busy_domains = Parallel.queue_stats () in
-    let doc =
-      to_json
-        { run = Context.stamp ();
-          seq = !seq;
-          elapsed_s;
-          dt_s;
-          interval_s = Int64.to_float !interval_ns /. 1e9;
-          counters;
-          deltas;
-          rates;
-          gc_minor_delta = max 0 (st.Gc.minor_collections - pminor);
-          gc_major_delta = max 0 (st.Gc.major_collections - pmajor);
-          gc_minor_words_delta = minor_words_delta;
-          gc_heap_words = st.Gc.heap_words;
-          gc_top_heap_words = st.Gc.top_heap_words;
-          queue_depth;
-          busy_domains;
-          campaign = campaign_snapshot ();
-          final = !finalizing }
-    in
-    output_string oc (Json.to_string doc);
-    output_char oc '\n';
-    flush oc;
-    incr seq;
-    last_ns := now;
-    prev_gc := (st.Gc.minor_collections, st.Gc.major_collections);
-    prev_minor_words := minor_words_now;
-    List.iter (fun (name, v) -> Hashtbl.replace prev_counters name v) counters
-
-  let tick ?(force = false) () =
-    if Atomic.get enabled_flag then begin
-      let now = now_ns () in
-      (* Throttle check before taking the lock: the Parallel chunk hook
-         costs one atomic load plus one clock read when idle. *)
-      if force || Int64.sub now !last_ns >= !interval_ns then
-        Mutex.protect lock (fun () ->
-            if force || Int64.sub now !last_ns >= !interval_ns then
-              match !sink with None -> () | Some oc -> emit oc now)
-    end
-
-  let disable () =
-    Mutex.protect lock (fun () ->
-        (match !sink with
-        | Some oc ->
-            (* Final record so the file always ends with the run's last
-               state, marked ("final", true), then close. *)
-            finalizing := true;
-            Fun.protect
-              ~finally:(fun () -> finalizing := false)
-              (fun () -> emit oc (now_ns ()));
-            close_out oc
-        | None -> ());
-        sink := None;
-        Atomic.set enabled_flag false)
-
-  (* Registered once, lazily: a run killed between ticks (or leaving via
-     [exit] from deep inside a command) still flushes one final forced
-     record, so the stream always ends with the run's last state. *)
-  let exit_flush_registered = ref false
-
-  let enable ~path ~interval_s =
-    if not (interval_s >= 0.) then invalid_arg "Obs.Telemetry.enable: interval";
-    (match !sink with Some _ -> disable () | None -> ());
-    if not !exit_flush_registered then begin
-      exit_flush_registered := true;
-      at_exit (fun () -> if Atomic.get enabled_flag then disable ())
-    end;
-    Mutex.protect lock (fun () ->
-        let oc = open_out path in
-        sink := Some oc;
-        interval_ns := Int64.of_float (interval_s *. 1e9);
-        t_enable := now_ns ();
-        last_ns := 0L;
-        seq := 0;
-        Hashtbl.reset prev_counters;
-        let st = Gc.quick_stat () in
-        prev_gc := (st.Gc.minor_collections, st.Gc.major_collections);
-        prev_minor_words := Gc.minor_words ();
-        (* Baseline record at enable time: seq 0, dt 0. *)
-        emit oc (now_ns ());
-        Atomic.set enabled_flag true)
 end
 
 (* ------------------------------------------------------------- snapshots *)
@@ -1717,6 +1374,323 @@ module Snapshot = struct
 
   let write ~path t = write_lines_atomic path [ to_json t ]
   let load path = of_json (Json.parse (In_channel.with_open_bin path In_channel.input_all))
+end
+
+(* ------------------------------------------------------------- telemetry *)
+
+(* Append-only JSONL heartbeat, one [record] per line, each the delta of
+   two snapshot captures (so this block sits below [Snapshot]).  Ticks are driven
+   synchronously from Parallel chunk boundaries and Collect batch
+   completions — never from a background thread — so enabling telemetry
+   cannot change any result.  The collect --progress line reads the same
+   [campaign_snapshot] code path. *)
+
+module Telemetry = struct
+  type task_progress = {
+    tp_id : string;
+    tp_kind : string;
+    tp_shots : int;
+    tp_errors : int;
+    tp_resumed : int;  (* shots replayed from a ledger, not sampled now *)
+    tp_rel_halfwidth : float;  (* nan when undefined (no errors yet) *)
+    tp_remaining : int;  (* shots to the task's ceiling; 0 once stopped *)
+    tp_done : bool;
+  }
+
+  type campaign = {
+    c_done : int;
+    c_total : int;
+    c_shots : int;  (* merged, incl. resumed *)
+    c_new_shots : int;  (* sampled by this run *)
+    c_rate : float;  (* new shots per second *)
+    c_remaining : int;
+    c_eta_s : float option;  (* None until the rate is measurable *)
+    c_tasks : task_progress list;
+  }
+
+  (* One line of the stream.  [to_json] is what [emit] writes; [of_json]
+     is the one reader, and it requires every section [emit] always
+     writes.  [tp_resumed] is not on the wire: a decoded task carries 0. *)
+  type record = {
+    run : Context.stamp;
+    seq : int;
+    elapsed_s : float;
+    dt_s : float;
+    interval_s : float;
+    counters : (string * int) list;
+    deltas : (string * int) list;
+    rates : (string * float) list;
+    gc_minor_delta : int;
+    gc_major_delta : int;
+    gc_minor_words_delta : int;
+    gc_heap_words : int;
+    gc_top_heap_words : int;
+    queue_depth : int;
+    busy_domains : int;
+    campaign : campaign option;
+    final : bool;
+  }
+
+  let schema = "hetarch.telemetry/4"
+
+  let task_json t =
+    Json.Obj
+      [ ("id", Json.String t.tp_id);
+        ("kind", Json.String t.tp_kind);
+        ("shots", Json.Int t.tp_shots);
+        ("errors", Json.Int t.tp_errors);
+        ("rel_halfwidth", Json.Float t.tp_rel_halfwidth);
+        ("remaining", Json.Int t.tp_remaining);
+        ("done", Json.Bool t.tp_done) ]
+
+  let to_json r =
+    let ints kvs = Json.Obj (List.map (fun (n, v) -> (n, Json.Int v)) kvs) in
+    let campaign c =
+      Json.Obj
+        [ ("tasks_done", Json.Int c.c_done);
+          ("tasks", Json.Int c.c_total);
+          ("shots", Json.Int c.c_shots);
+          ("new_shots", Json.Int c.c_new_shots);
+          ("shots_per_s", Json.Float c.c_rate);
+          ("remaining_shots", Json.Int c.c_remaining);
+          ("eta_s", Json.Float (Option.value ~default:nan c.c_eta_s));
+          ("task_progress", Json.List (List.map task_json c.c_tasks)) ]
+    in
+    Json.Obj
+      ([ ("schema", Json.String schema);
+         ("run", Context.stamp_to_json r.run);
+         ("seq", Json.Int r.seq);
+         ("elapsed_s", Json.Float r.elapsed_s);
+         ("dt_s", Json.Float r.dt_s);
+         (* The throttle interval travels with every record so readers
+            (tail, monitor) can judge staleness without out-of-band
+            configuration. *)
+         ("interval_s", Json.Float r.interval_s);
+         ("counters", ints r.counters);
+         ("deltas", ints r.deltas);
+         ("rates", Json.Obj (List.map (fun (n, v) -> (n, Json.Float v)) r.rates));
+         ( "gc",
+           Json.Obj
+             [ ("minor_delta", Json.Int r.gc_minor_delta);
+               ("major_delta", Json.Int r.gc_major_delta);
+               ("minor_words_delta", Json.Int r.gc_minor_words_delta);
+               ("heap_words", Json.Int r.gc_heap_words);
+               ("top_heap_words", Json.Int r.gc_top_heap_words) ] );
+         ( "parallel",
+           Json.Obj
+             [ ("queue_depth", Json.Int r.queue_depth);
+               ("busy_domains", Json.Int r.busy_domains) ] ) ]
+      @ List.map (fun c -> ("campaign", campaign c)) (Option.to_list r.campaign)
+      @ if r.final then [ ("final", Json.Bool true) ] else [])
+
+  let of_json =
+    Field.decoding "Obs.Telemetry.of_json" (fun j ->
+        Field.schema schema j;
+        let section name = Json.Obj (Field.obj name j) in
+        let task t =
+          { tp_id = Field.str "id" t;
+            tp_kind = Field.str "kind" t;
+            tp_shots = Field.int "shots" t;
+            tp_errors = Field.int "errors" t;
+            tp_resumed = 0;
+            tp_rel_halfwidth = Option.value ~default:nan (Field.float_opt "rel_halfwidth" t);
+            tp_remaining = Field.int "remaining" t;
+            tp_done = Field.bool "done" t }
+        in
+        let campaign c =
+          { c_done = Field.int "tasks_done" c;
+            c_total = Field.int "tasks" c;
+            c_shots = Field.int "shots" c;
+            c_new_shots = Field.int "new_shots" c;
+            c_rate = Field.float "shots_per_s" c;
+            c_remaining = Field.int "remaining_shots" c;
+            c_eta_s = Field.float_opt "eta_s" c;
+            c_tasks = List.map task (Field.list "task_progress" c) }
+        in
+        let gc = section "gc" and par = section "parallel" in
+        { run = Context.stamp_of_json (section "run");
+          seq = Field.int "seq" j;
+          elapsed_s = Field.float "elapsed_s" j;
+          dt_s = Field.float "dt_s" j;
+          interval_s = Field.float "interval_s" j;
+          counters = Field.ints "counters" j;
+          deltas = Field.ints "deltas" j;
+          rates = Field.floats "rates" j;
+          gc_minor_delta = Field.int "minor_delta" gc;
+          gc_major_delta = Field.int "major_delta" gc;
+          gc_minor_words_delta = Field.int "minor_words_delta" gc;
+          gc_heap_words = Field.int "heap_words" gc;
+          gc_top_heap_words = Field.int "top_heap_words" gc;
+          queue_depth = Field.int "queue_depth" par;
+          busy_domains = Field.int "busy_domains" par;
+          campaign = Option.map (fun _ -> campaign (section "campaign")) (Json.member "campaign" j);
+          final = Option.is_some (Json.member "final" j) && Field.bool "final" j })
+
+  let enabled_flag = Atomic.make false
+  let lock = Mutex.create ()
+  let sink : out_channel option ref = ref None
+  let interval_ns = ref 1_000_000_000L
+  let t_enable = ref 0L
+  let last_ns = ref 0L
+  let seq = ref 0
+
+  (* The delta baseline: the previous record's capture.  [None] before seq
+     0, whose deltas then measure counters from zero and GC from the
+     record's own capture. *)
+  let prev : Snapshot.t option ref = ref None
+  let provider : (unit -> task_progress list) option ref = ref None
+  let provider_t0 = ref 0L
+
+  (* Set by [disable] around its last emit so the closing record carries
+     ("final", true) — the monitor's clean "stream complete" signal, as
+     opposed to a stream that merely went quiet (stalled). *)
+  let finalizing = ref false
+
+  let enabled () = Atomic.get enabled_flag
+
+  let set_campaign p =
+    Mutex.protect lock (fun () ->
+        provider := p;
+        provider_t0 := now_ns ())
+
+  let campaign_snapshot () =
+    match !provider with
+    | None -> None
+    | Some f ->
+        let tasks = f () in
+        let elapsed =
+          Int64.to_float (Int64.sub (now_ns ()) !provider_t0) /. 1e9
+        in
+        let sum g = List.fold_left (fun a t -> a + g t) 0 tasks in
+        let shots = sum (fun t -> t.tp_shots) in
+        let new_shots = sum (fun t -> t.tp_shots - t.tp_resumed) in
+        let remaining = sum (fun t -> t.tp_remaining) in
+        let rate = if elapsed > 0. then float_of_int new_shots /. elapsed else 0. in
+        Some
+          { c_done = List.length (List.filter (fun t -> t.tp_done) tasks);
+            c_total = List.length tasks;
+            c_shots = shots;
+            c_new_shots = new_shots;
+            c_rate = rate;
+            c_remaining = remaining;
+            c_eta_s = (if rate > 0. then Some (float_of_int remaining /. rate) else None);
+            c_tasks = tasks }
+
+  (* Forget the delta baseline (called by [Obs.reset]): the next record's
+     counter deltas measure from zero instead of going negative against
+     counters that were just zeroed, and its GC deltas from now. *)
+  let reset_baseline () =
+    Mutex.protect lock (fun () ->
+        if !sink <> None then prev := Some { (Snapshot.capture ()) with counters = [] })
+
+  (* Must be called with [lock] held; the capture then takes the histogram
+     and trace locks, so [lock] always comes first.  Counter, GC and
+     executor numbers come from this capture and the previous one only. *)
+  let emit oc now =
+    let cur = Snapshot.capture () in
+    let base = Option.value !prev ~default:{ cur with counters = [] } in
+    let elapsed_s = Int64.to_float (Int64.sub now !t_enable) /. 1e9 in
+    let dt_s =
+      if !seq = 0 then 0.
+      else Int64.to_float (Int64.sub now !last_ns) /. 1e9
+    in
+    (* Deltas are clamped: a counter reset between ticks must not produce
+       negative deltas (reset_baseline handles Obs.reset; the clamp covers
+       any other external zeroing). *)
+    let deltas =
+      List.map
+        (fun (name, v) ->
+          (name, max 0 (v - Option.value ~default:0 (List.assoc_opt name base.counters))))
+        cur.counters
+    in
+    let p = cur.process and p0 = base.process in
+    let minor_words_delta = max 0 (int_of_float (p.p_minor_words -. p0.p_minor_words)) in
+    let rates =
+      if dt_s > 0. then
+        List.filter_map
+          (fun (name, d) -> if d > 0 then Some (name, float_of_int d /. dt_s) else None)
+          (("gc.minor_words_per_s", minor_words_delta) :: deltas)
+      else []
+    in
+    let gauge name =
+      int_of_float (Option.value ~default:0. (List.assoc_opt name cur.gauges))
+    in
+    let doc =
+      to_json
+        { run = cur.run;
+          seq = !seq;
+          elapsed_s;
+          dt_s;
+          interval_s = Int64.to_float !interval_ns /. 1e9;
+          counters = cur.counters;
+          deltas;
+          rates;
+          gc_minor_delta = max 0 (p.p_minor_collections - p0.p_minor_collections);
+          gc_major_delta = max 0 (p.p_major_collections - p0.p_major_collections);
+          gc_minor_words_delta = minor_words_delta;
+          gc_heap_words = p.p_heap_words;
+          gc_top_heap_words = p.p_top_heap_words;
+          queue_depth = gauge "parallel.queue_depth";
+          busy_domains = gauge "parallel.busy_domains";
+          campaign = campaign_snapshot ();
+          final = !finalizing }
+    in
+    output_string oc (Json.to_string doc);
+    output_char oc '\n';
+    flush oc;
+    incr seq;
+    last_ns := now;
+    prev := Some cur
+
+  let tick ?(force = false) () =
+    if Atomic.get enabled_flag then begin
+      let now = now_ns () in
+      (* Throttle check before taking the lock: the Parallel chunk hook
+         costs one atomic load plus one clock read when idle. *)
+      if force || Int64.sub now !last_ns >= !interval_ns then
+        Mutex.protect lock (fun () ->
+            if force || Int64.sub now !last_ns >= !interval_ns then
+              match !sink with None -> () | Some oc -> emit oc now)
+    end
+
+  let disable () =
+    Mutex.protect lock (fun () ->
+        (match !sink with
+        | Some oc ->
+            (* Final record so the file always ends with the run's last
+               state, marked ("final", true), then close. *)
+            finalizing := true;
+            Fun.protect
+              ~finally:(fun () -> finalizing := false)
+              (fun () -> emit oc (now_ns ()));
+            close_out oc
+        | None -> ());
+        sink := None;
+        Atomic.set enabled_flag false)
+
+  (* Registered once, lazily: a run killed between ticks (or leaving via
+     [exit] from deep inside a command) still flushes one final forced
+     record, so the stream always ends with the run's last state. *)
+  let exit_flush_registered = ref false
+
+  let enable ~path ~interval_s =
+    if not (interval_s >= 0.) then invalid_arg "Obs.Telemetry.enable: interval";
+    (match !sink with Some _ -> disable () | None -> ());
+    if not !exit_flush_registered then begin
+      exit_flush_registered := true;
+      at_exit (fun () -> if Atomic.get enabled_flag then disable ())
+    end;
+    Mutex.protect lock (fun () ->
+        let oc = open_out path in
+        sink := Some oc;
+        interval_ns := Int64.of_float (interval_s *. 1e9);
+        t_enable := now_ns ();
+        last_ns := 0L;
+        seq := 0;
+        prev := None;
+        (* Baseline record at enable time: seq 0, dt 0. *)
+        emit oc (now_ns ());
+        Atomic.set enabled_flag true)
 end
 
 (* ----------------------------------------------------------------- merge *)
@@ -2242,7 +2216,7 @@ module Monitor = struct
     age_s : float;  (* now - file mtime *)
     registered : bool;  (* run id present in index.jsonl *)
     rel_halfwidth : float;  (* worst unfinished task; nan when none *)
-    alloc_w_per_s : float;  (* minor words/s over the last tick *)
+    alloc_w_per_s : float;  (* the last record's gc.minor_words_per_s rate *)
     status : status;
   }
 
@@ -2278,9 +2252,7 @@ module Monitor = struct
       age_s;
       registered;
       rel_halfwidth = Option.fold ~none:nan ~some:worst last.campaign;
-      alloc_w_per_s =
-        (if last.dt_s > 0. then float_of_int last.gc_minor_words_delta /. last.dt_s
-         else 0.);
+      alloc_w_per_s = Option.value ~default:0. (List.assoc_opt "gc.minor_words_per_s" last.rates);
       status =
         (if last.final || registered then Done
          else if age_s > stall_threshold ~stall_factor ~interval_s:last.interval_s then

@@ -62,8 +62,8 @@ end
 val fold_jsonl : string -> ('a -> Json.t -> 'a) -> 'a -> 'a
 (** Torn-tail-tolerant fold over a JSONL file: blank and unparsable lines
     (the truncated final record a killed — or still-writing — process
-    leaves behind) are skipped, mirroring the collect ledger's replay.
-    Raises [Sys_error] if the file cannot be opened. *)
+    leaves behind) are skipped.  The collect ledger replays through it
+    too.  Raises [Sys_error] if the file cannot be opened. *)
 
 (** Process-level run identity, stamped into every observability artifact
     (snapshots, telemetry records, Chrome-trace exports) so
@@ -243,8 +243,8 @@ module Trace : sig
 
   val summaries : unit -> (string * int * int64 * int * int * int) list
   (** Per-name [(name, count, total_ns, minor_w, promoted_w, major_w)]
-      aggregates over {e all} spans, sorted by name; unaffected by ring
-      eviction. *)
+      aggregates over {e all} spans, sorted by name: {!by_path} grouped by
+      each path's last segment, the span's own name. *)
 
   val by_path : unit -> (string * int * int64 * int * int * int) list
   (** Per-caller-path [(path, count, total_ns, minor_w, promoted_w,
@@ -343,7 +343,12 @@ end
 
 (** Append-only JSONL telemetry heartbeat, schema [hetarch.telemetry/4]:
     one {!record} per tick, the last one marked [final] so readers can tell
-    a completed stream from a stalled one.
+    a completed stream from a stalled one.  A record is the delta of two
+    {!Snapshot.capture}s, its own and the previous record's: counters and
+    their deltas from [counters], GC deltas and heap from [process], queue
+    depth and busy domains from the [parallel.*] gauges.  Seq 0 and the
+    first record after [Obs.reset] take counter deltas from zero and GC
+    deltas from the moment of the enable or reset.
 
     Ticks are driven {e synchronously} from [Parallel] chunk boundaries and
     [Collect] batch completions; there is no background thread, so enabling
@@ -674,7 +679,8 @@ module Monitor : sig
     age_s : float;  (** now − file mtime *)
     registered : bool;  (** run id present in [index.jsonl] *)
     rel_halfwidth : float;  (** worst unfinished task; [nan] when none *)
-    alloc_w_per_s : float;  (** minor words/s over the last tick *)
+    alloc_w_per_s : float;
+        (** the last record's [gc.minor_words_per_s] rate; [0.] when absent *)
     status : status;
   }
 

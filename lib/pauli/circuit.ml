@@ -62,7 +62,6 @@ let measure b q =
 
 let add_detector b meas = b.rev_detectors <- Array.of_list meas :: b.rev_detectors
 let add_observable b meas = b.rev_observables <- Array.of_list meas :: b.rev_observables
-let nmeas_so_far b = b.meas_count
 
 let finish b =
   { nqubits = b.n;

@@ -51,8 +51,6 @@ val add_observable : builder -> int list -> unit
 
 val finish : builder -> t
 
-val nmeas_so_far : builder -> int
-
 val idle_noise : builder -> t1:float -> t2:float -> dt:float -> int -> unit
 (** Append the Pauli-twirled thermal idle error for duration [dt]:
     px = py = (1 - exp(-dt/t1))/4 and pz chosen so the total phase-flip

@@ -81,10 +81,7 @@ let support_pauli n kind s =
     s;
   p
 
-let x_stab_pauli t i = support_pauli t.n `X t.x_stabs.(i)
 let z_stab_pauli t i = support_pauli t.n `Z t.z_stabs.(i)
-let logical_x_pauli t i = support_pauli t.n `X t.logical_x.(i)
-let logical_z_pauli t i = support_pauli t.n `Z t.logical_z.(i)
 
 let syndrome_against stabs qubits =
   Array.map
@@ -101,12 +98,6 @@ let flipped support qubits =
 
 let x_logical_flipped t i qubits = flipped t.logical_z.(i) qubits
 let z_logical_flipped t i qubits = flipped t.logical_x.(i) qubits
-
-let max_stab_weight t =
-  Array.fold_left
-    (fun acc s -> max acc (Array.length s))
-    0
-    (Array.append t.x_stabs t.z_stabs)
 
 let rows_to_bits supports ~n =
   ignore n;

@@ -26,10 +26,7 @@ val validate : t -> unit
 
 val num_stabs : t -> int
 
-val x_stab_pauli : t -> int -> Pauli.t
 val z_stab_pauli : t -> int -> Pauli.t
-val logical_x_pauli : t -> int -> Pauli.t
-val logical_z_pauli : t -> int -> Pauli.t
 
 val syndrome_of_x_error : t -> int list -> int array
 (** [syndrome_of_x_error code qubits] is the Z-stabilizer syndrome (one bit
@@ -43,8 +40,6 @@ val x_logical_flipped : t -> int -> int list -> bool
     Z_i (odd overlap with its support)? *)
 
 val z_logical_flipped : t -> int -> int list -> bool
-
-val max_stab_weight : t -> int
 
 val gf2_rank : int array array -> n:int -> int
 (** Rank over GF(2) of supports viewed as rows of an [n]-column matrix

@@ -106,9 +106,6 @@ let parity_over mask support_mask =
   done;
   !c land 1 = 1
 
-let x_syndrome_key t ~actual = syndrome_key t.x_table.checks actual
-let z_syndrome_key t ~actual = syndrome_key t.z_table.checks actual
-
 let correction_mask table name ~key =
   if key < 0 || key >= Array.length table.corrections then
     invalid_arg (name ^ ": syndrome key out of range");

@@ -26,14 +26,6 @@ val logical_x_error_after_correction : t -> actual:int list -> bool
 
 val logical_z_error_after_correction : t -> actual:int list -> bool
 
-val x_syndrome_key : t -> actual:int -> int
-(** Z-stabilizer syndrome of the X-error bitmask [actual], packed as an int
-    key (bit [i] = check [i], the {!decode_x} index order).  Zero
-    allocation. *)
-
-val z_syndrome_key : t -> actual:int -> int
-(** X-stabilizer syndrome of the Z-error bitmask [actual]. *)
-
 val x_correction_mask : t -> key:int -> int
 (** Minimum-weight X correction for a packed syndrome [key], as a qubit
     bitmask — the mask twin of {!decode_x}.  The allocation-free building

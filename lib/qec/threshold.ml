@@ -73,24 +73,6 @@ let logical_rate ?jobs code decoder ~p ~shots rng =
   float_of_int (logical_errors ?jobs code decoder ~p ~shots rng)
   /. float_of_int shots
 
-(* Campaign integration: the same sampler as a Collect task, identified by
-   code, decoder, and noise model rather than sweep position.  The lookup
-   decoder is built on first batch, not at task-definition time — a resumed
-   campaign whose task is already converged never pays for it. *)
-let collect_task (code : Code.t) ~p =
-  if p < 0. || p > 1. then invalid_arg "Threshold.collect_task: bad p";
-  let decoder = lazy (Decoder_lookup.create code) in
-  Collect.Task.create ~kind:"qec.threshold"
-    ~fields:
-      [ ("code", code.Code.name);
-        ("n", string_of_int code.Code.n);
-        ("distance", string_of_int code.Code.distance);
-        ("decoder", "lookup");
-        ("noise", "code_capacity_depolarizing");
-        ("p", Printf.sprintf "%.17g" p) ]
-    ~sample:(fun rng shots ->
-      logical_errors code (Lazy.force decoder) ~p ~shots rng)
-
 let pseudothreshold ?jobs ?(lo = 1e-4) ?(hi = 0.45) ?(iters = 12)
     ?(shots = 20_000) (code : Code.t) rng =
   Obs.Trace.with_span "qec.pseudothreshold" ~attrs:[ ("code", code.Code.name) ]

@@ -20,12 +20,6 @@ val logical_rate :
   ?jobs:int -> Code.t -> Decoder_lookup.t -> p:float -> shots:int -> Rng.t -> float
 (** [logical_errors] divided by [shots]. *)
 
-val collect_task : Code.t -> p:float -> Collect.Task.t
-(** The same estimator packaged as a {!Collect} campaign task (kind
-    ["qec.threshold"]), identified by code name, [n], distance, decoder, and
-    noise model — resumable and adaptively stoppable.  The lookup decoder is
-    built lazily on the first sampled batch. *)
-
 val pseudothreshold :
   ?jobs:int ->
   ?lo:float -> ?hi:float -> ?iters:int -> ?shots:int -> Code.t -> Rng.t -> float

@@ -13,11 +13,9 @@ let h =
   Cmat.of_lists [ [ r s; r s ]; [ r s; r (-.s) ] ]
 
 let s = Cmat.of_lists [ [ z1; z0 ]; [ z0; c 0. 1. ] ]
-let sdg = Cmat.of_lists [ [ z1; z0 ]; [ z0; c 0. (-1.) ] ]
 
 let phase theta = Cmat.of_lists [ [ z1; z0 ]; [ z0; c (cos theta) (sin theta) ] ]
 let t = phase (Float.pi /. 4.)
-let tdg = phase (-.Float.pi /. 4.)
 
 let rx theta =
   let ct = cos (theta /. 2.) and st = sin (theta /. 2.) in

@@ -9,9 +9,7 @@ val y : Cmat.t
 val z : Cmat.t
 val h : Cmat.t
 val s : Cmat.t
-val sdg : Cmat.t
 val t : Cmat.t
-val tdg : Cmat.t
 
 val rx : float -> Cmat.t
 val ry : float -> Cmat.t

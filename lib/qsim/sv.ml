@@ -141,8 +141,6 @@ let fidelity_with a b =
   done;
   (!re *. !re) +. (!im *. !im)
 
-let expectation_z t q = 1. -. (2. *. prob_one t q)
-
 let to_dm t =
   if t.n > 10 then invalid_arg "Sv.to_dm: too many qubits for a density matrix";
   let amps = Array.init (1 lsl t.n) (fun i -> { Complex.re = t.re.(i); im = t.im.(i) }) in

@@ -40,8 +40,6 @@ val measure : t -> Rng.t -> int -> int
 val fidelity_with : t -> t -> float
 (** |<a|b>|^2. *)
 
-val expectation_z : t -> int -> float
-
 val to_dm : t -> Dm.t
 (** Density matrix |psi><psi| (small n only). *)
 

@@ -13,10 +13,6 @@ let variance xs =
 
 let stddev xs = sqrt (variance xs)
 
-let stderr_of_mean xs =
-  let n = Array.length xs in
-  if n = 0 then 0. else stddev xs /. sqrt (float_of_int n)
-
 let wilson_interval ~successes ~trials ~z =
   if trials = 0 then (0., 1.)
   else begin
@@ -37,14 +33,6 @@ let wilson_rel_halfwidth ~successes ~trials ~z =
     let lo, hi = wilson_interval ~successes ~trials ~z in
     let p = float_of_int successes /. float_of_int trials in
     (hi -. lo) /. (2. *. p)
-  end
-
-let binomial_stderr ~successes ~trials =
-  if trials = 0 then 0.
-  else begin
-    let n = float_of_int trials in
-    let p = float_of_int successes /. n in
-    sqrt (p *. (1. -. p) /. n)
   end
 
 let percentile xs p =

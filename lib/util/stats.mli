@@ -8,9 +8,6 @@ val variance : float array -> float
 
 val stddev : float array -> float
 
-val stderr_of_mean : float array -> float
-(** Standard error of the mean. *)
-
 val wilson_interval : successes:int -> trials:int -> z:float -> float * float
 (** Wilson score confidence interval for a binomial proportion.  [z] is the
     normal quantile (1.96 for 95%). *)
@@ -20,9 +17,6 @@ val wilson_rel_halfwidth : successes:int -> trials:int -> z:float -> float
     relative precision of a Monte-Carlo proportion, used by adaptive
     stopping rules.  [infinity] when [successes] or [trials] is zero, so a
     rate with no observed events never counts as converged. *)
-
-val binomial_stderr : successes:int -> trials:int -> float
-(** Gaussian-approximation standard error of an estimated proportion. *)
 
 val percentile : float array -> float -> float
 (** [percentile xs p] with [p] in [0,100]; linear interpolation; input need

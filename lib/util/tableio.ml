@@ -49,4 +49,3 @@ let csv ~header rows =
   String.concat "\n" (line header :: List.map line rows)
 
 let fmt_g x = Printf.sprintf "%.4g" x
-let fmt_sci x = Printf.sprintf "%.3e" x

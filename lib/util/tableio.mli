@@ -13,6 +13,3 @@ val csv : header:string list -> string list list -> string
 
 val fmt_g : float -> string
 (** Compact float rendering used across harness output (%.4g). *)
-
-val fmt_sci : float -> string
-(** Scientific rendering (%.3e). *)

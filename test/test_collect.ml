@@ -109,14 +109,21 @@ let test_ledger_truncated_tail () =
       Collect.Ledger.append w r;
       Collect.Ledger.append w r;
       Collect.Ledger.close w;
-      (* Simulate a kill mid-append: chop the last line in half. *)
+      (* Simulate a kill mid-append: cut the last record at every byte.  Only
+         the whole record (with or without its newline) replays. *)
       let contents = In_channel.with_open_text path In_channel.input_all in
-      let oc = open_out path in
-      output_string oc (String.sub contents 0 (String.length contents - 20));
-      close_out oc;
-      let totals = Collect.Ledger.replay path in
-      Alcotest.(check int) "truncated tail skipped" 100
-        (Hashtbl.find totals "aaaa").Collect.Ledger.t_shots;
+      let n = String.length contents in
+      let first_end = String.index contents '\n' + 1 in
+      for cut = first_end to n do
+        let oc = open_out path in
+        output_string oc (String.sub contents 0 cut);
+        close_out oc;
+        let want = if cut >= n - 1 then 200 else 100 in
+        Alcotest.(check int)
+          (Printf.sprintf "cut at %d/%d" cut n)
+          want
+          (Hashtbl.find (Collect.Ledger.replay path) "aaaa").Collect.Ledger.t_shots
+      done;
       (* A missing file is an empty ledger, not an error. *)
       Alcotest.(check int) "missing file empty" 0
         (Hashtbl.length (Collect.Ledger.replay (path ^ ".does_not_exist"))))

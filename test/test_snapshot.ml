@@ -87,13 +87,39 @@ let test_capture_roundtrip () =
   let h = Obs.Histogram.create ~buckets:[| 1.; 2. |] "snapcap.hist" in
   List.iter (Obs.Histogram.observe h) [ 0.5; 1.5; 3. ];
   Obs.Trace.with_span "snapcap.span" (fun () -> ());
+  (* One span name under two callers and nested in itself: a;x, b;x, x;x. *)
+  let x () = Obs.Trace.with_span "x" (fun () -> ignore (Sys.opaque_identity (List.init 8 Fun.id))) in
+  Obs.Trace.with_span "a" x;
+  Obs.Trace.with_span "b" x;
+  Obs.Trace.with_span "x" x;
   let s = Obs.Snapshot.capture () in
   let bytes = to_string s in
   let reread = Obs.Snapshot.of_json (Obs.Json.parse bytes) in
   Alcotest.(check string) "live capture round-trips bit-equal" bytes
     (to_string reread);
   Alcotest.(check bool) "counter captured" true
-    (List.mem ("snapcap.events_total", 5) s.Obs.Snapshot.counters)
+    (List.mem ("snapcap.events_total", 5) s.Obs.Snapshot.counters);
+  let last_segment path = List.nth (List.rev (String.split_on_char ';' path)) 0 in
+  let grouped =
+    List.fold_left
+      (fun acc (path, c, t, mw, pw, jw) ->
+        let name = last_segment path in
+        let c', t', mw', pw', jw' =
+          Option.value ~default:(0, 0L, 0, 0, 0) (List.assoc_opt name acc)
+        in
+        (name, (c + c', Int64.add t t', mw + mw', pw + pw', jw + jw'))
+        :: List.remove_assoc name acc)
+      [] s.paths
+    |> List.map (fun (n, (c, t, mw, pw, jw)) -> (n, c, t, mw, pw, jw))
+    |> List.sort compare
+  in
+  Alcotest.(check bool) "spans = paths grouped by last segment" true (s.spans = grouped);
+  Alcotest.(check (list string)) "x's three paths" [ "a;x"; "b;x"; "x"; "x;x" ]
+    (List.filter_map
+       (fun (p, _, _, _, _, _) -> if last_segment p = "x" then Some p else None)
+       s.paths);
+  Alcotest.(check bool) "x counted four times" true
+    (List.exists (fun (n, c, _, _, _, _) -> n = "x" && c = 4) s.spans)
 
 let test_write_load () =
   let path = Filename.temp_file "hetarch_snap" ".json" in
