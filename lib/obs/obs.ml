@@ -1939,7 +1939,9 @@ module Diff = struct
         s.histograms
 
   (* [noise_floor_ns] keeps sub-floor metrics listed but never flags them:
-     a 50% swing on a 300 ns span is scheduling noise, not a regression. *)
+     a 50% swing on a 300 ns span is scheduling noise, not a regression.  A
+     metric that grows from 0 is an infinite rise, flagged like any other
+     once its new value reaches the floor. *)
   let compare_docs ?(threshold_pct = default_threshold_pct)
       ?(noise_floor_ns = 0.) a b =
     let ma = metrics_of a and mb = metrics_of b in
@@ -1962,8 +1964,7 @@ module Diff = struct
                   b = vb;
                   pct;
                   regression =
-                    va > 0. && pct > threshold_pct
-                    && Float.max va vb >= noise_floor_ns })
+                    pct > threshold_pct && Float.max va vb >= noise_floor_ns })
         mb
       |> List.sort (fun x y -> compare x.metric y.metric)
     in

@@ -476,7 +476,9 @@ module Diff : sig
       [noise_floor_ns] (default 0): metrics whose baseline and current
       values are both below the floor stay listed but are never flagged
       as regressions — relative thresholds are meaningless under the
-      machine's scheduling noise. *)
+      machine's scheduling noise.  A metric whose baseline is 0 and whose
+      current value is positive and at or above the floor is a
+      regression ([pct] is [infinity]). *)
 end
 
 (** Complete, content-hashed serialization of one process's obs state

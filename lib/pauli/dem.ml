@@ -4,14 +4,27 @@ let[@inline] combine p1 p2 = (p1 *. (1. -. p2)) +. (p2 *. (1. -. p1))
 
 let structures_total = Obs.Counter.create "pauli.dem_structures_total"
 
-(* Signature table keyed on the live bit vector.  [Hashtbl] takes the
-   bucket from the low bits, and a bare multiply-xor only carries low bits
-   upward, so every word goes through a full murmur-style finalizer that
-   folds the high bits back down. *)
+(* Signatures are sorted int arrays: the detector indices, then each
+   flipped observable [i] as [ndet + i].  Sensitivity rows are immutable,
+   so an XOR is a merge into a fresh array and a row can be a table key as
+   it is.  Almost every row holds a handful of indices, where a dense row
+   at d=13 is 19 words wide.  [Hashtbl] takes the bucket from the low bits,
+   and a bare multiply-xor only carries low bits upward, so every element
+   goes through a full murmur-style finalizer that folds the high bits
+   back down. *)
 module Sig_table = Hashtbl.Make (struct
-  type t = Bitvec.t
+  type t = int array
 
-  let equal = Bitvec.equal
+  let equal (a : int array) b =
+    let n = Array.length a in
+    n = Array.length b
+    && begin
+         let i = ref 0 in
+         while !i < n && Array.unsafe_get a !i = Array.unsafe_get b !i do
+           incr i
+         done;
+         !i = n
+       end
 
   let fmix h =
     let h = h lxor (h lsr 29) in
@@ -20,13 +33,66 @@ module Sig_table = Hashtbl.Make (struct
     let h = h * 0x04cd9e8f5a6b3c2d in
     h lxor (h lsr 29)
 
-  let hash v =
-    let h = ref (Bitvec.length v) in
-    for w = 0 to Bitvec.word_count v - 1 do
-      h := fmix (!h lxor Bitvec.get_word v w)
+  let hash s =
+    let h = ref (Array.length s) in
+    for i = 0 to Array.length s - 1 do
+      h := fmix (!h lxor Array.unsafe_get s i)
     done;
     !h land max_int
 end)
+
+(* Symmetric difference of two sorted sets, merged through [buf] (the
+   signature width long, which bounds any result) and copied out at its
+   exact length. *)
+let sym_diff buf (a : int array) (b : int array) =
+  let la = Array.length a and lb = Array.length b in
+  if la = 0 then b
+  else if lb = 0 then a
+  else begin
+    let i = ref 0 and j = ref 0 and k = ref 0 in
+    while !i < la && !j < lb do
+      let x = Array.unsafe_get a !i and y = Array.unsafe_get b !j in
+      if x < y then begin
+        buf.(!k) <- x;
+        incr k;
+        incr i
+      end
+      else if y < x then begin
+        buf.(!k) <- y;
+        incr k;
+        incr j
+      end
+      else begin
+        incr i;
+        incr j
+      end
+    done;
+    let tail src from len =
+      let n = len - from in
+      Array.blit src from buf !k n;
+      k := !k + n
+    in
+    tail a !i la;
+    tail b !j lb;
+    Array.sub buf 0 !k
+  end
+
+(* Polymorphic [compare]'s order on int arrays (length first), without its
+   generic traversal. *)
+let compare_mechanism a b =
+  let da = a.detectors and db = b.detectors in
+  let la = Array.length da and lb = Array.length db in
+  if la <> lb then compare la lb
+  else begin
+    let i = ref 0 in
+    while !i < la && da.(!i) = db.(!i) do
+      incr i
+    done;
+    if !i < la then compare da.(!i) db.(!i)
+    else
+      let c = compare a.obs_mask b.obs_mask in
+      if c <> 0 then c else Float.compare a.p b.p
+  end
 
 (* ------------------------------------------------------------ shape --- *)
 
@@ -68,15 +134,16 @@ type structure = {
   det_lists : int array array;
   obs_lists : int array array;
   shape : int array;  (* op_code per op *)
-  mech_detectors : int array array;  (* by mechanism id, first-seen order *)
+  mech_detectors : int array array;  (* by mechanism id, canonical order *)
   mech_obs : int array;
   counts : Bytes.t;  (* contributions per op, at most 15 *)
   contributions : (int32, Bigarray.int32_elt, Bigarray.c_layout) Bigarray.Array1.t;
-      (* backward-pass order, (mechanism id lsl 2) lor comp: comp 0 = px,
-         1 = pz, 2 = py of a Noise1; Depol2 components are all p/15 and code
-         3.  Off the OCaml heap and half a word each: this is most of what
-         the reuse slot keeps alive.  One trimmed int array packing the op
-         index instead (no [counts]) measured 3 MB more perfbench
+      (* backward-pass order, (mechanism id lsl 3) lor (first lsl 2) lor
+         comp: [first] marks the mechanism's first contribution; comp 0 =
+         px, 1 = pz, 2 = py of a Noise1; Depol2 components are all p/15
+         and code 3.  Off the OCaml heap and half a word each: this is most
+         of what the reuse slot keeps alive.  One trimmed int array packing
+         the op index instead (no [counts]) measured 3 MB more perfbench
          surface-sweep peak RSS (36.8 vs 33.8 MB, 2-vCPU machine). *)
 }
 
@@ -97,6 +164,25 @@ let same_shape s (c : Circuit.t) =
 
 (* ------------------------------------------------------ structure pass --- *)
 
+(* Which detectors ([di]) and observables ([ndet + oi]) contain each
+   measurement, as sorted sets: a measurement listed twice in one group
+   cancels. *)
+let measurement_signatures (c : Circuit.t) ~ndet =
+  let rows = Array.make (max 1 c.Circuit.nmeas) [] in
+  let add base groups =
+    Array.iteri
+      (fun gi meas -> Array.iter (fun m -> rows.(m) <- (base + gi) :: rows.(m)) meas)
+      groups
+  in
+  add 0 c.Circuit.detectors;
+  add ndet c.Circuit.observables;
+  let rec cancel = function
+    | x :: y :: rest when x = y -> cancel rest
+    | x :: rest -> x :: cancel rest
+    | [] -> []
+  in
+  Array.map (fun l -> Array.of_list (cancel (List.sort compare l))) rows
+
 let structure (c : Circuit.t) =
   Obs.Counter.incr structures_total;
   let ops = c.Circuit.ops in
@@ -107,54 +193,48 @@ let structure (c : Circuit.t) =
   let table = Sig_table.create 1024 in
   let rev_mechs = ref [] and nmech = ref 0 in
   let counts = Bytes.make nops '\000' in
-  let contribs = ref (Array.make 1024 0) and ncontrib = ref 0 in
+  (* Scratch for the first-seen contributions, sized by the most an op can
+     make (3 per Noise1, 15 per Depol2) and off the OCaml heap: a doubling
+     int array would leave a trail of major-heap garbage at the moment a
+     sweep's first points are all in flight. *)
+  let bound =
+    Array.fold_left
+      (fun n g -> match g with Circuit.Noise1 _ -> n + 3 | Circuit.Depol2 _ -> n + 15 | _ -> n)
+      0 ops
+  in
+  let contribs = Bigarray.(Array1.create int32 c_layout bound) and ncontrib = ref 0 in
   let push x =
-    if !ncontrib = Array.length !contribs then begin
-      let bigger = Array.make (2 * !ncontrib) 0 in
-      Array.blit !contribs 0 bigger 0 !ncontrib;
-      contribs := bigger
-    end;
-    !contribs.(!ncontrib) <- x;
+    Bigarray.Array1.unsafe_set contribs !ncontrib (Int32.of_int x);
     incr ncontrib
   in
-  (* [sig_bits] is live scratch: it is copied only when first seen. *)
-  let record op comp p sig_bits =
-    if p > 0. && not (Bitvec.is_zero sig_bits) then begin
+  (* Ids are first-seen here and renumbered canonically below. *)
+  let record op comp p (sig_ : int array) =
+    if p > 0. && Array.length sig_ > 0 then begin
       let id =
-        match Sig_table.find table sig_bits with
+        match Sig_table.find table sig_ with
         | id -> id
         | exception Not_found ->
             let id = !nmech in
-            Sig_table.add table (Bitvec.copy sig_bits) id;
-            let dets = ref [] and obs = ref 0 in
-            Bitvec.iter_set sig_bits (fun i ->
-                if i < ndet then dets := i :: !dets
-                else obs := !obs lor (1 lsl (i - ndet)));
-            rev_mechs := (Array.of_list (List.rev !dets), !obs) :: !rev_mechs;
+            Sig_table.add table sig_ id;
+            let k = ref 0 and obs = ref 0 in
+            Array.iter
+              (fun i -> if i < ndet then incr k else obs := !obs lor (1 lsl (i - ndet)))
+              sig_;
+            rev_mechs := { p = 0.; detectors = Array.sub sig_ 0 !k; obs_mask = !obs } :: !rev_mechs;
             incr nmech;
             id
       in
-      if id lsr 29 <> 0 then invalid_arg "Dem.structure: too many mechanisms";
+      if id lsr 28 <> 0 then invalid_arg "Dem.structure: too many mechanisms";
       Bytes.set counts op (Char.chr (Char.code (Bytes.get counts op) + 1));
       push ((id lsl 2) lor comp)
     end
   in
   if width > 0 then begin
-    (* Which detectors/observables contain each measurement. *)
-    let meas_sig = Array.init (max 1 c.Circuit.nmeas) (fun _ -> Bitvec.create width) in
-    Array.iteri
-      (fun di meas -> Array.iter (fun m -> Bitvec.flip meas_sig.(m) di) meas)
-      c.Circuit.detectors;
-    Array.iteri
-      (fun oi meas -> Array.iter (fun m -> Bitvec.flip meas_sig.(m) (ndet + oi)) meas)
-      c.Circuit.observables;
+    let meas_sig = measurement_signatures c ~ndet in
     let n = c.Circuit.nqubits in
-    let sens_x = Array.init n (fun _ -> Bitvec.create width) in
-    let sens_z = Array.init n (fun _ -> Bitvec.create width) in
-    let zero = Bitvec.create width in
-    let y_a = Bitvec.create width and y_b = Bitvec.create width in
-    let pair = Bitvec.create width in
-    let pauli sx sz y = function 0 -> zero | 1 -> sx | 2 -> y | _ -> sz in
+    let sens_x = Array.make n [||] and sens_z = Array.make n [||] in
+    let buf = Array.make width 0 in
+    let xor = sym_diff buf in
     let mi = ref c.Circuit.nmeas in
     (* Backward pass: sens_x.(q) is the signature an X error at the current
        position will flip. *)
@@ -166,14 +246,14 @@ let structure (c : Circuit.t) =
           sens_z.(q) <- t
       | Circuit.S q ->
           (* X before S acts as Y = X.Z after. *)
-          Bitvec.xor_into ~dst:sens_x.(q) sens_z.(q)
+          sens_x.(q) <- xor sens_x.(q) sens_z.(q)
       | Circuit.X _ | Circuit.Y _ | Circuit.Z _ -> ()
       | Circuit.CX (a, b) ->
-          Bitvec.xor_into ~dst:sens_x.(a) sens_x.(b);
-          Bitvec.xor_into ~dst:sens_z.(b) sens_z.(a)
+          sens_x.(a) <- xor sens_x.(a) sens_x.(b);
+          sens_z.(b) <- xor sens_z.(b) sens_z.(a)
       | Circuit.CZ (a, b) ->
-          Bitvec.xor_into ~dst:sens_x.(a) sens_z.(b);
-          Bitvec.xor_into ~dst:sens_x.(b) sens_z.(a)
+          sens_x.(a) <- xor sens_x.(a) sens_z.(b);
+          sens_x.(b) <- xor sens_x.(b) sens_z.(a)
       | Circuit.SWAP (a, b) ->
           let tx = sens_x.(a) and tz = sens_z.(a) in
           sens_x.(a) <- sens_x.(b);
@@ -182,65 +262,84 @@ let structure (c : Circuit.t) =
           sens_z.(b) <- tz
       | Circuit.M q ->
           decr mi;
-          Bitvec.xor_into ~dst:sens_x.(q) meas_sig.(!mi)
+          sens_x.(q) <- xor sens_x.(q) meas_sig.(!mi)
       | Circuit.R q ->
-          Bitvec.clear sens_x.(q);
-          Bitvec.clear sens_z.(q)
+          sens_x.(q) <- [||];
+          sens_z.(q) <- [||]
       | Circuit.Noise1 { px; py; pz; q } ->
           record i 0 px sens_x.(q);
           record i 1 pz sens_z.(q);
-          Bitvec.xor_words ~dst:y_a sens_x.(q) sens_z.(q);
-          record i 2 py y_a
+          if py > 0. then record i 2 py (xor sens_x.(q) sens_z.(q))
       | Circuit.Depol2 { p; a; b } ->
-          (* The 15 non-identity Pauli pairs, in (I, X, Y, Z) x (I, X, Y, Z)
-             order. *)
           let comp = p /. 15. in
-          Bitvec.xor_words ~dst:y_a sens_x.(a) sens_z.(a);
-          Bitvec.xor_words ~dst:y_b sens_x.(b) sens_z.(b);
-          for pa = 0 to 3 do
-            for pb = 0 to 3 do
-              if pa <> 0 || pb <> 0 then begin
-                let sa = pauli sens_x.(a) sens_z.(a) y_a pa
-                and sb = pauli sens_x.(b) sens_z.(b) y_b pb in
-                Bitvec.xor_words ~dst:pair sa sb;
-                record i 3 comp pair
-              end
+          if comp > 0. then begin
+            (* The 15 non-identity Pauli pairs, in (I, X, Y, Z) x (I, X, Y, Z)
+               order. *)
+            let pa = [| [||]; sens_x.(a); xor sens_x.(a) sens_z.(a); sens_z.(a) |]
+            and pb = [| [||]; sens_x.(b); xor sens_x.(b) sens_z.(b); sens_z.(b) |] in
+            for ka = 0 to 3 do
+              for kb = 0 to 3 do
+                if ka <> 0 || kb <> 0 then record i 3 comp (xor pa.(ka) pb.(kb))
+              done
             done
-          done
+          end
     done;
     assert (!mi = 0)
   end;
+  (* Canonical ids: rank every mechanism in (detectors, obs_mask) order and
+     rewrite the contributions, marking each mechanism's first one. *)
   let mechs = Array.of_list (List.rev !rev_mechs) in
+  let nmech = Array.length mechs in
+  let order = Array.init nmech Fun.id in
+  Array.sort (fun i j -> compare_mechanism mechs.(i) mechs.(j)) order;
+  let rank = Array.make nmech 0 in
+  Array.iteri (fun r id -> rank.(id) <- r) order;
+  let seen = Bytes.make nmech '\000' in
   let contributions = Bigarray.(Array1.create int32 c_layout !ncontrib) in
   for k = 0 to !ncontrib - 1 do
-    Bigarray.Array1.unsafe_set contributions k (Int32.of_int !contribs.(k))
+    let x = Int32.to_int (Bigarray.Array1.unsafe_get contribs k) in
+    let id = rank.(x lsr 2) in
+    let first = if Bytes.get seen id = '\000' then 4 else 0 in
+    Bytes.set seen id '\001';
+    Bigarray.Array1.unsafe_set contributions k
+      (Int32.of_int ((id lsl 3) lor first lor (x land 3)))
   done;
   { nqubits = c.Circuit.nqubits;
     nmeas = c.Circuit.nmeas;
     det_lists = Array.map Array.copy c.Circuit.detectors;
     obs_lists = Array.map Array.copy c.Circuit.observables;
     shape = Array.map (op_code c.Circuit.nqubits) ops;
-    mech_detectors = Array.map fst mechs;
-    mech_obs = Array.map snd mechs;
+    mech_detectors = Array.map (fun id -> mechs.(id).detectors) order;
+    mech_obs = Array.map (fun id -> mechs.(id).obs_mask) order;
     counts;
     contributions }
 
+let contributions s =
+  let out = ref [] and k = ref 0 in
+  for i = Bytes.length s.counts - 1 downto 0 do
+    for _ = 1 to Char.code (Bytes.get s.counts i) do
+      let x = Int32.to_int (Bigarray.Array1.get s.contributions !k) in
+      incr k;
+      out := (i, x land 3, x lsr 3) :: !out
+    done
+  done;
+  Array.of_list (List.rev !out)
+
 (* --------------------------------------------------------- weight pass --- *)
 
-(* Mechanism ids are handed out in first-contribution order, so the first
-   contribution of id [k] arrives exactly when [fresh = k]: it sets [p], and
-   every later one combines into it in the same order the old per-signature
-   hashtable did — bit-identical probabilities. *)
+(* A mechanism's first contribution sets its [p], and every later one
+   combines into it in backward-pass order, the order the single-pass
+   merge used — bit-identical probabilities. *)
 let weigh_unchecked s (c : Circuit.t) =
   let ops = c.Circuit.ops in
   let nmech = Array.length s.mech_obs in
   let ps = Array.make nmech 0. in
-  let fresh = ref 0 and k = ref 0 in
+  let k = ref 0 in
   for i = Array.length ops - 1 downto 0 do
     for _ = 1 to Char.code (Bytes.unsafe_get s.counts i) do
       let x = Int32.to_int (Bigarray.Array1.unsafe_get s.contributions !k) in
       incr k;
-      let m = x lsr 2 in
+      let m = x lsr 3 in
       let p =
         match ops.(i) with
         | Circuit.Noise1 { px; py; pz; _ } -> (
@@ -248,11 +347,7 @@ let weigh_unchecked s (c : Circuit.t) =
         | Circuit.Depol2 { p; _ } -> p /. 15.
         | _ -> assert false
       in
-      if m = !fresh then begin
-        ps.(m) <- p;
-        incr fresh
-      end
-      else ps.(m) <- combine ps.(m) p
+      if x land 4 <> 0 then ps.(m) <- p else ps.(m) <- combine ps.(m) p
     done
   done;
   List.init nmech (fun m ->

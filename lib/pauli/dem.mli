@@ -10,7 +10,16 @@
     Compilation is split in two.  The {e structure} pass runs the backward
     walk once per circuit shape: it assigns every distinct signature a
     mechanism id and records, in backward-pass order, which op component
-    contributes to which mechanism.  The {e weight} pass then reads each
+    contributes to which mechanism.  The walk is sparse: each sensitivity
+    row is an immutable sorted [int array] (detector [d] as [d],
+    observable [i] as [ndet + i]), an XOR is a merge, and the signature
+    table hashes the elements, so the cost follows the few indices a row
+    holds rather than the circuit's detector count.  A component whose
+    probability is not positive builds no signature at all.  Mechanism ids
+    are canonical: once the walk ends they are renumbered in
+    {!compare_mechanism} order, the order {!Dem_sampler} samples in.
+
+    The {e weight} pass then reads each
     contribution's probability from a circuit of that shape and folds it
     into its mechanism — a linear scan with no signature work.  A sweep over
     noise points on one circuit layout (fig 6's coherence scaling) pays the
@@ -24,6 +33,11 @@ type mechanism = {
   obs_mask : int;  (** bit i set = observable i flipped *)
 }
 
+val compare_mechanism : mechanism -> mechanism -> int
+(** The canonical mechanism order: [detectors] by length, then
+    element-wise (the order polymorphic [compare] gives int arrays), then
+    [obs_mask], then [p]. *)
+
 type structure
 (** The probability-free part of a circuit's DEM: its shape (gate kinds,
     qubits, which recorded noise probabilities are positive — [p /. 15.]
@@ -36,7 +50,8 @@ val structure : Circuit.t -> structure
 
 val weigh : structure -> Circuit.t -> mechanism list
 (** Probabilities of the structure's mechanisms under the circuit's noise,
-    in mechanism-id (first-seen) order.  Each mechanism's [p] is its first
+    in mechanism-id order, which is {!compare_mechanism} order (no two
+    share [detectors] and [obs_mask]).  Each mechanism's [p] is its first
     contribution, then [p <- p1 (1-p2) + p2 (1-p1)] for every later one in
     backward-pass order, so the result is bit-identical to merging during
     the walk.  Raises [Invalid_argument] when the circuit's shape differs
@@ -50,8 +65,15 @@ val of_circuit : Circuit.t -> mechanism list
     full shape comparison (no hash is trusted).  Structure passes are
     single-flight: a domain that misses while another runs one waits for it
     and reuses its result when the shape matches.  Mechanisms flipping nothing
-    are dropped.  The list order is an implementation detail — consumers
-    that need a canonical order sort (see {!Dem_sampler}). *)
+    are dropped.  The list is in {!compare_mechanism} order (see
+    {!weigh}), the order {!Dem_sampler.of_mechanisms} sorts into, so
+    {!Dem_sampler.compile} takes it as it is. *)
+
+val contributions : structure -> (int * int * int) array
+(** Every contribution as [(op index, component, mechanism id)], in
+    backward-pass order: component 0, 1, 2 are the [px], [pz], [py] of a
+    [Noise1], 3 any of a [Depol2]'s fifteen.  For tests against another
+    structure pass. *)
 
 val structures_total : Obs.Counter.t
 (** [pauli.dem_structures_total]: structure passes run, so a same-shape

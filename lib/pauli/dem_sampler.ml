@@ -9,21 +9,13 @@ let dem_batches_total = Obs.Counter.create "pauli.dem_batches_total"
 let dem_shots_total = Obs.Counter.create "pauli.dem_shots_total"
 let sample_seconds = Obs.Histogram.create "pauli.dem_sample_seconds"
 
-(* Canonical mechanism order: lexicographic on the detector set, then the
-   observable mask.  [Dem.of_circuit] lists mechanisms in the order its
-   structure pass first met them, an implementation detail; sorting pins
-   the RNG consumption order of [sample] (seed determinism) and the
-   serialized byte stream (store round-trips). *)
-let compare_mechanism (a : Dem.mechanism) (b : Dem.mechanism) =
-  let c = compare a.Dem.detectors b.Dem.detectors in
-  if c <> 0 then c
-  else
-    let c = compare a.Dem.obs_mask b.Dem.obs_mask in
-    if c <> 0 then c else compare a.Dem.p b.Dem.p
-
-let of_mechanisms ~ndet ~nobs mechanisms =
+(* Mechanisms are kept in [Dem.compare_mechanism] order.  It pins the RNG
+   consumption order of [sample] (seed determinism) and the serialized
+   byte stream (store round-trips).  [Dem.of_circuit] already lists its
+   mechanisms in this order; input from anywhere else (a decoded store
+   record) is sorted. *)
+let make ~ndet ~nobs mechanisms =
   if ndet < 0 || nobs < 0 then invalid_arg "Dem_sampler.of_mechanisms: bad dims";
-  let mechanisms = Array.of_list mechanisms in
   Array.iter
     (fun (m : Dem.mechanism) ->
       if m.Dem.p < 0. || m.Dem.p > 1. || Float.is_nan m.Dem.p then
@@ -36,16 +28,20 @@ let of_mechanisms ~ndet ~nobs mechanisms =
       if m.Dem.obs_mask lsr nobs <> 0 then
         invalid_arg "Dem_sampler.of_mechanisms: observable out of range")
     mechanisms;
-  Array.sort compare_mechanism mechanisms;
   { ndet; nobs; mechanisms }
+
+let of_mechanisms ~ndet ~nobs mechanisms =
+  let t = make ~ndet ~nobs (Array.of_list mechanisms) in
+  Array.sort Dem.compare_mechanism t.mechanisms;
+  t
 
 let compile (c : Circuit.t) =
   Obs.Counter.incr compiles_total;
   Obs.Trace.with_span "pauli.dem_compile" (fun () ->
-      of_mechanisms
+      make
         ~ndet:(Array.length c.Circuit.detectors)
         ~nobs:(Array.length c.Circuit.observables)
-        (Dem.of_circuit c))
+        (Array.of_list (Dem.of_circuit c)))
 
 let ndet t = t.ndet
 let nobs t = t.nobs

@@ -19,13 +19,14 @@
 type t
 
 val compile : Circuit.t -> t
-(** Extract, merge ({!Dem.of_circuit}) and canonically order the circuit's
-    error mechanisms.  Mechanisms are sorted by (detectors, obs_mask), so
-    the sampling stream for a given seed is independent of the compiler's
-    list order and stable across save/load. *)
+(** Extract and merge ({!Dem.of_circuit}) the circuit's error mechanisms.
+    They come out in canonical ({!Dem.compare_mechanism}) order, the order
+    {!of_mechanisms} sorts into, so the sampling stream for a given seed is
+    stable across save/load. *)
 
 val of_mechanisms : ndet:int -> nobs:int -> Dem.mechanism list -> t
-(** Package pre-extracted mechanisms (canonically re-sorted here) with the
+(** Package pre-extracted mechanisms (sorted here by
+    {!Dem.compare_mechanism}) with the
     detector/observable counts; the deserialization entry point. *)
 
 val ndet : t -> int

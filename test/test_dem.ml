@@ -450,6 +450,175 @@ let test_one_structure_per_shape () =
     true
     (words <= (reweight_words_per_mechanism * n) + reweight_words_constant)
 
+(* ------------------------------------ sparse pass vs. the Bitvec pass --- *)
+
+(* The sparse structure pass against the dense one it replaced
+   ([Dem_bitvec]): the same signatures in canonical order, and the same
+   contributions (op, component) in the same order, each naming the same
+   signature.  Equal contributions mean equal per-op counts. *)
+let same_structure_as_bitvec c =
+  let s = Dem.structure c in
+  let mechs = Array.of_list (Dem.weigh s c) in
+  let sigs = Array.map (fun m -> (m.Dem.detectors, m.Dem.obs_mask)) mechs in
+  let o = Dem_bitvec.structure c in
+  let oracle_sigs = Array.map2 (fun d m -> (d, m)) o.Dem_bitvec.detectors o.Dem_bitvec.obs_masks in
+  let id = Hashtbl.create 64 in
+  Array.iteri (fun k sg -> Hashtbl.replace id sg k) sigs;
+  List.sort compare (Array.to_list oracle_sigs) = Array.to_list sigs
+  && Array.map
+       (fun (op, comp, oid) -> (op, comp, Hashtbl.find id oracle_sigs.(oid)))
+       o.Dem_bitvec.contributions
+     = Dem.contributions s
+
+(* [Dem.of_circuit]'s order is the one [Dem_sampler.of_mechanisms] sorts
+   into: the sort leaves every mechanism where it was. *)
+let canonical_order c =
+  let dem = Dem.of_circuit c in
+  let sorted =
+    Dem_sampler.mechanisms
+      (Dem_sampler.of_mechanisms
+         ~ndet:(Array.length c.Circuit.detectors)
+         ~nobs:(Array.length c.Circuit.observables)
+         dem)
+  in
+  Array.length sorted = List.length dem && List.for_all2 ( == ) (Array.to_list sorted) dem
+
+let prop_matches_bitvec =
+  QCheck.Test.make ~name:"structure = Bitvec pass; of_circuit order = of_mechanisms sort"
+    ~count:500
+    (QCheck.make ~print:print_circuit gen_circuit)
+    (fun c -> same_structure_as_bitvec c && canonical_order c)
+
+let test_surface_matches_bitvec () =
+  List.iter
+    (fun (distance, sigma) ->
+      let c = surface ~distance ~sigma distance in
+      let msg = Printf.sprintf "d=%d sigma=%g" distance sigma in
+      Alcotest.(check bool) (msg ^ ": structure = Bitvec pass") true (same_structure_as_bitvec c);
+      Alcotest.(check bool) (msg ^ ": canonical order") true (canonical_order c))
+    [ (3, 0.); (5, 0.); (7, 0.); (9, 0.); (11, 0.); (13, 0.); (5, 0.3); (7, 1.0); (9, 0.6) ]
+
+(* ------------------------------------------------------ matching graph --- *)
+
+(* The graph construction the plan/fold split replaced, kept as an oracle:
+   every link merges into a table keyed on its endpoint pair, and the edge
+   list is the table's fold. *)
+let table_graph ?(scale = 2.0) ?(max_weight = 40) ~nodes mechanisms =
+  let table : (int * int, (float * bool * float) ref) Hashtbl.t = Hashtbl.create 256 in
+  let add u v p logical =
+    let key = if u <= v then (u, v) else (v, u) in
+    match Hashtbl.find_opt table key with
+    | Some r ->
+        let total, flag, best = !r in
+        let total = (total *. (1. -. p)) +. (p *. (1. -. total)) in
+        let flag, best = if p > best then (logical, p) else (flag, best) in
+        r := (total, flag, best)
+    | None -> Hashtbl.add table key (ref (p, logical, p))
+  in
+  List.iter
+    (fun (m : Dem.mechanism) ->
+      let logical = m.Dem.obs_mask <> 0 in
+      match m.Dem.detectors with
+      | [||] -> ()
+      | [| d |] -> add d Decoder_uf.boundary m.Dem.p logical
+      | [| a; b |] -> add a b m.Dem.p logical
+      | many ->
+          let k = Array.length many in
+          let i = ref 0 in
+          while !i + 1 < k do
+            add many.(!i) many.(!i + 1) m.Dem.p (logical && !i = 0);
+            i := !i + 2
+          done;
+          if k mod 2 = 1 then add many.(k - 1) Decoder_uf.boundary m.Dem.p false)
+    mechanisms;
+  let weight_of p =
+    if p <= 0. then max_weight
+    else if p >= 0.5 then 1
+    else max 1 (min max_weight (int_of_float (Float.round (scale *. log ((1. -. p) /. p)))))
+  in
+  Decoder_uf.edge_list
+    (Decoder_uf.weighted_graph ~nodes
+       ~edges:
+         (Hashtbl.fold
+            (fun (u, v) r acc ->
+              let p, logical, _ = !r in
+              let u, v = if u = Decoder_uf.boundary then (v, u) else (u, v) in
+              (u, v, weight_of p, logical) :: acc)
+            table []))
+
+let edge = Alcotest.(array (pair (pair int int) (pair int bool)))
+let view edges = Array.map (fun (u, v, w, l) -> ((u, v), (w, l))) edges
+
+(* Builds [mechanisms] through [Dem_graph.build], checks its edge list
+   (order, weights, flags) against the table oracle and returns how many
+   plans the build made. *)
+let check_graph msg ~nodes mechanisms =
+  let before = Obs.Counter.value Dem_graph.plans_total in
+  let got = Decoder_uf.edge_list (Dem_graph.build ~nodes mechanisms) in
+  Alcotest.check edge (msg ^ ": edge list = table oracle") (view (table_graph ~nodes mechanisms))
+    (view got);
+  Obs.Counter.value Dem_graph.plans_total - before
+
+let test_plan_reuse_across_reweights () =
+  let c0 = surface ~distance:5 ~sigma:0.3 1 in
+  let nodes = Array.length c0.Circuit.detectors in
+  let s = Dem.structure c0 in
+  let plans =
+    List.map
+      (fun (sigma, seed) ->
+        check_graph (Printf.sprintf "d=5 sigma=%g seed=%d" sigma seed) ~nodes
+          (Dem.weigh s (surface ~distance:5 ~sigma seed)))
+      [ (0.3, 1); (0., 0); (0.6, 2); (1.0, 3); (0.3, 4) ]
+  in
+  Alcotest.(check (list int)) "one plan, then four reuses" [ 1; 0; 0; 0; 0 ] plans
+
+let test_plan_flag_flips () =
+  (* Two mechanisms on the edge (0, 1): whichever is likelier sets its
+     logical flag, so swapping their probabilities on one plan flips it. *)
+  let d01 = [| 0; 1 |] and d1 = [| 1 |] in
+  let dem p_plain p_logical =
+    [ { Dem.p = 0.05; detectors = d1; obs_mask = 0 };
+      { Dem.p = p_plain; detectors = d01; obs_mask = 0 };
+      { Dem.p = p_logical; detectors = d01; obs_mask = 1 } ]
+  in
+  let flag dem =
+    let _, _, _, l =
+      List.find (fun (u, v, _, _) -> (u, v) = (0, 1))
+        (Array.to_list (Decoder_uf.edge_list (Dem_graph.build ~nodes:2 dem)))
+    in
+    l
+  in
+  Alcotest.(check int) "first point plans" 1 (check_graph "plain likelier" ~nodes:2 (dem 0.2 0.01));
+  Alcotest.(check bool) "plain likelier: flag clear" false (flag (dem 0.2 0.01));
+  Alcotest.(check int) "reweight reuses" 0 (check_graph "logical likelier" ~nodes:2 (dem 0.01 0.2));
+  Alcotest.(check bool) "logical likelier: flag set" true (flag (dem 0.01 0.2));
+  (* A tie keeps the earlier mechanism's flag. *)
+  Alcotest.(check int) "tie reuses" 0 (check_graph "tie" ~nodes:2 (dem 0.1 0.1));
+  Alcotest.(check bool) "tie: flag clear" false (flag (dem 0.1 0.1));
+  (* The same arrays with another mask are another DEM. *)
+  let unflagged = List.map (fun m -> { m with Dem.obs_mask = 0 }) (dem 0.01 0.2) in
+  Alcotest.(check int) "mask change replans" 1 (check_graph "masks cleared" ~nodes:2 unflagged);
+  Alcotest.(check bool) "masks cleared: flag clear" false (flag unflagged)
+
+let test_plan_not_reused_across_structures () =
+  let c = surface ~distance:5 ~sigma:0.3 1 in
+  let nodes = Array.length c.Circuit.detectors in
+  let a = Dem.structure c and b = Dem.structure c in
+  let copied =
+    List.map (fun m -> { m with Dem.detectors = Array.copy m.Dem.detectors }) (Dem.weigh a c)
+  in
+  let c3 = surface ~distance:3 ~sigma:0.3 1 in
+  List.iter
+    (fun (msg, nodes, dem, want) ->
+      Alcotest.(check int) (msg ^ ": plans built") want (check_graph msg ~nodes dem))
+    [ ("structure a", nodes, Dem.weigh a c, 1);
+      ("structure a again", nodes, Dem.weigh a c, 0);
+      ("structure b, same shape", nodes, Dem.weigh b c, 1);
+      ("structure a after b", nodes, Dem.weigh a c, 1);
+      ("a's mechanisms, copied arrays", nodes, copied, 1);
+      ("a's mechanisms less the last", nodes, List.rev (List.tl (List.rev (Dem.weigh a c))), 1);
+      ("d=3", Array.length c3.Circuit.detectors, Dem.of_circuit c3, 1) ]
+
 let () =
   Alcotest.run "dem"
     [ ( "mechanisms",
@@ -469,4 +638,12 @@ let () =
           Alcotest.test_case "reweight = oracle" `Quick test_reweight_matches_oracle;
           Alcotest.test_case "shape changes recompile" `Quick test_shape_changes_recompile;
           Alcotest.test_case "two domains" `Quick test_two_domains;
-          Alcotest.test_case "one structure per shape" `Quick test_one_structure_per_shape ] ) ]
+          Alcotest.test_case "one structure per shape" `Quick test_one_structure_per_shape ] );
+      ( "sparse pass",
+        [ QCheck_alcotest.to_alcotest prop_matches_bitvec;
+          Alcotest.test_case "surface = Bitvec pass" `Quick test_surface_matches_bitvec ] );
+      ( "graph plan",
+        [ Alcotest.test_case "reuse across reweights" `Quick test_plan_reuse_across_reweights;
+          Alcotest.test_case "flag flips" `Quick test_plan_flag_flips;
+          Alcotest.test_case "no reuse across structures" `Quick
+            test_plan_not_reused_across_structures ] ) ]

@@ -380,7 +380,16 @@ let test_diff_detects_regression () =
   (* Both spans fall below a 200 ns noise floor: listed, never flagged. *)
   let floored = Obs.Diff.compare_docs ~threshold_pct:20. ~noise_floor_ns:200. a b in
   Alcotest.(check (list string)) "span:k1 under the noise floor" [ "alloc:k2" ]
-    (List.map (fun (e : Obs.Diff.entry) -> e.metric) floored.Obs.Diff.regressions)
+    (List.map (fun (e : Obs.Diff.entry) -> e.metric) floored.Obs.Diff.regressions);
+  (* An allocation that grows from 0 is an infinite rise: it gates. *)
+  let zero = snapshot_doc [ ("z", 100, 0) ] and big = snapshot_doc [ ("z", 100, 1_000_000_000) ] in
+  let r = Obs.Diff.compare_docs zero big in
+  Alcotest.(check (list (pair string (float 0.)))) "0 -> 1e9 words flagged"
+    [ ("alloc:z", infinity) ]
+    (List.map (fun (e : Obs.Diff.entry) -> (e.metric, e.pct)) r.Obs.Diff.regressions);
+  let floored = Obs.Diff.compare_docs ~noise_floor_ns:2e9 zero big in
+  Alcotest.(check int) "0 -> 1e9 under a 2e9 floor not flagged" 0
+    (List.length floored.Obs.Diff.regressions)
 
 let test_diff_manifest_metrics () =
   Obs.reset ();
