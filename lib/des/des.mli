@@ -5,7 +5,9 @@
     experiments.  Events are closures on a time-ordered heap; a handler may
     schedule further events.
 
-    Instruments: [des.events_total] counts every processed event;
+    Instruments: [des.events_total] counts every processed event, added
+    once when {!run} or {!run_until} returns (not per event: the counter is
+    shared by every domain);
     [des.handler_seconds] times the handlers of events 1, 65, 129, ... of
     each queue (1 in 64); [des.queue_high_water] is the deepest queue seen. *)
 

@@ -34,32 +34,55 @@ let apply_pauli_half t ~px ~py ~pz =
     psi_m = (pi *. t.psi_m) +. (px *. t.phi_m) +. (py *. t.phi_p) +. (pz *. t.psi_p);
     phi_m = (pi *. t.phi_m) +. (px *. t.psi_m) +. (py *. t.psi_p) +. (pz *. t.phi_p) }
 
-let twirl_probs ~t1 ~t2 ~dt =
-  let p1 = (1. -. exp (-.dt /. t1)) /. 4. in
-  let pz = max 0. (((1. -. exp (-.dt /. t2)) /. 2.) -. p1) in
-  (p1, p1, pz)
+(* A Pauli channel on each half of a pair with px = py: the twirled idle
+   channel of [twirl_probs] and the depolarizing channel both have that
+   form.  [pi] is computed once, as [apply_pauli_half] computes it. *)
+type channel = { px : float; pz : float; pi : float }
 
-(* [apply_pauli_half] twice with the [twirl_probs] channel, the same float
-   operations in the same order, with the intermediate pair kept in locals:
-   the scheduler refreshes every stored pair on every arrival, so this
-   allocates only the result. *)
-let decay t ~t1 ~t2 ~dt =
-  if dt <= 0. then t
-  else begin
-    let p1 = (1. -. exp (-.dt /. t1)) /. 4. in
-    let z = ((1. -. exp (-.dt /. t2)) /. 2.) -. p1 in
-    let px = p1 and py = p1 and pz = if 0. >= z then 0. else z in
-    let pi = 1. -. px -. py -. pz in
-    if pi < -1e-12 then invalid_arg "Bell_pair.apply_pauli_half: probabilities exceed 1";
-    let phi_p = (pi *. t.phi_p) +. (px *. t.psi_p) +. (py *. t.psi_m) +. (pz *. t.phi_m)
-    and psi_p = (pi *. t.psi_p) +. (px *. t.phi_p) +. (py *. t.phi_m) +. (pz *. t.psi_m)
-    and psi_m = (pi *. t.psi_m) +. (px *. t.phi_m) +. (py *. t.phi_p) +. (pz *. t.psi_p)
-    and phi_m = (pi *. t.phi_m) +. (px *. t.psi_m) +. (py *. t.psi_p) +. (pz *. t.phi_p) in
-    { phi_p = (pi *. phi_p) +. (px *. psi_p) +. (py *. psi_m) +. (pz *. phi_m);
-      psi_p = (pi *. psi_p) +. (px *. phi_p) +. (py *. phi_m) +. (pz *. psi_m);
-      psi_m = (pi *. psi_m) +. (px *. phi_m) +. (py *. phi_p) +. (pz *. psi_p);
-      phi_m = (pi *. phi_m) +. (px *. psi_m) +. (py *. psi_p) +. (pz *. phi_p) }
-  end
+let[@inline] channel ~px ~pz =
+  let pi = 1. -. px -. px -. pz in
+  if pi < -1e-12 then invalid_arg "Bell_pair.apply_pauli_half: probabilities exceed 1";
+  { px; pz; pi }
+
+(* Pauli-twirled thermal idling for [dt] on one half. *)
+let decay_channel ~t1 ~t2 ~dt =
+  let p1 = (1. -. exp (-.dt /. t1)) /. 4. in
+  let z = ((1. -. exp (-.dt /. t2)) /. 2.) -. p1 in
+  channel ~px:p1 ~pz:(if 0. >= z then 0. else z)
+
+let twirl_probs ~t1 ~t2 ~dt =
+  let c = decay_channel ~t1 ~t2 ~dt in
+  (c.px, c.px, c.pz)
+
+let depolarizing ~p =
+  let comp = p /. 3. in
+  channel ~px:comp ~pz:comp
+
+(* [apply_pauli_half] twice, the same float operations in the same order,
+   on four weights in [to_probs] order at [w.(o) .. w.(o + 3)], in place:
+   the scheduler keeps its stored pairs in flat float arrays. *)
+let apply c w o =
+  let px = c.px and py = c.px and pz = c.pz and pi = c.pi in
+  let phi_p = w.(o) and psi_p = w.(o + 1) and psi_m = w.(o + 2) and phi_m = w.(o + 3) in
+  let phi_p1 = (pi *. phi_p) +. (px *. psi_p) +. (py *. psi_m) +. (pz *. phi_m)
+  and psi_p1 = (pi *. psi_p) +. (px *. phi_p) +. (py *. phi_m) +. (pz *. psi_m)
+  and psi_m1 = (pi *. psi_m) +. (px *. phi_m) +. (py *. phi_p) +. (pz *. psi_p)
+  and phi_m1 = (pi *. phi_m) +. (px *. psi_m) +. (py *. psi_p) +. (pz *. phi_p) in
+  w.(o) <- (pi *. phi_p1) +. (px *. psi_p1) +. (py *. psi_m1) +. (pz *. phi_m1);
+  w.(o + 1) <- (pi *. psi_p1) +. (px *. phi_p1) +. (py *. phi_m1) +. (pz *. psi_m1);
+  w.(o + 2) <- (pi *. psi_m1) +. (px *. phi_m1) +. (py *. phi_p1) +. (pz *. psi_p1);
+  w.(o + 3) <- (pi *. phi_m1) +. (px *. psi_m1) +. (py *. psi_p1) +. (pz *. phi_p1)
+
+let to_probs t = [| t.phi_p; t.psi_p; t.psi_m; t.phi_m |]
+
+let of_probs w o = { phi_p = w.(o); psi_p = w.(o + 1); psi_m = w.(o + 2); phi_m = w.(o + 3) }
+
+let apply_to c t =
+  let w = to_probs t in
+  apply c w 0;
+  of_probs w 0
+
+let decay t ~t1 ~t2 ~dt = if dt <= 0. then t else apply_to (decay_channel ~t1 ~t2 ~dt) t
 
 let decay_one_sided t ~t1 ~t2 ~dt =
   if dt <= 0. then t
@@ -68,10 +91,7 @@ let decay_one_sided t ~t1 ~t2 ~dt =
     apply_pauli_half t ~px ~py ~pz
   end
 
-let depolarize t ~p =
-  let comp = p /. 3. in
-  let once = apply_pauli_half t ~px:comp ~py:comp ~pz:comp in
-  apply_pauli_half once ~px:comp ~py:comp ~pz:comp
+let depolarize t ~p = apply_to (depolarizing ~p) t
 
 (* (bit, phase) coordinates: phi+=(0,0), psi+=(1,0), phi-=(0,1), psi-=(1,1). *)
 let to_bp t = [| [| t.phi_p; t.phi_m |]; [| t.psi_p; t.psi_m |] |]
@@ -90,19 +110,39 @@ let[@inline] dejmps_p_succ a b =
   ((a.phi_p +. a.psi_m) *. (b.phi_p +. b.psi_m))
   +. ((a.psi_p +. a.phi_m) *. (b.psi_p +. b.phi_m))
 
-let dejmps a b =
-  let p = dejmps_p_succ a b in
-  if p <= 0. then (0., perfect)
-  else
+(* [dejmps] on the pairs at [w.(a) ..] and [w.(b) ..] ([to_probs] order):
+   the survivor overwrites the pair at [a]; the result is the success
+   probability. *)
+let dejmps_in_place w a b =
+  let a_phi_p = w.(a) and a_psi_p = w.(a + 1) and a_psi_m = w.(a + 2) and a_phi_m = w.(a + 3)
+  and b_phi_p = w.(b) and b_psi_p = w.(b + 1) and b_psi_m = w.(b + 2) and b_phi_m = w.(b + 3) in
+  let p =
+    ((a_phi_p +. a_psi_m) *. (b_phi_p +. b_psi_m))
+    +. ((a_psi_p +. a_phi_m) *. (b_psi_p +. b_phi_m))
+  in
+  if p <= 0. then begin
+    w.(a) <- 1.;
+    w.(a + 1) <- 0.;
+    w.(a + 2) <- 0.;
+    w.(a + 3) <- 0.;
+    0.
+  end
+  else begin
     (* No rotate-back: the protocol leaves the survivor in the rotated frame
        (still Bell-diagonal), and the frame alternation across rounds is what
        lets phase errors be caught as bit errors every other round — without
        it the psi- component compounds and iteration diverges. *)
-    ( p,
-      { phi_p = (0. +. (a.phi_p *. b.phi_p /. p)) +. (a.psi_m *. b.psi_m /. p);
-        phi_m = (0. +. (a.phi_p *. b.psi_m /. p)) +. (a.psi_m *. b.phi_p /. p);
-        psi_p = (0. +. (a.psi_p *. b.psi_p /. p)) +. (a.phi_m *. b.phi_m /. p);
-        psi_m = (0. +. (a.psi_p *. b.phi_m /. p)) +. (a.phi_m *. b.psi_p /. p) } )
+    w.(a) <- (0. +. (a_phi_p *. b_phi_p /. p)) +. (a_psi_m *. b_psi_m /. p);
+    w.(a + 1) <- (0. +. (a_psi_p *. b_psi_p /. p)) +. (a_phi_m *. b_phi_m /. p);
+    w.(a + 2) <- (0. +. (a_psi_p *. b_phi_m /. p)) +. (a_phi_m *. b_psi_p /. p);
+    w.(a + 3) <- (0. +. (a_phi_p *. b_psi_m /. p)) +. (a_psi_m *. b_phi_p /. p);
+    p
+  end
+
+let dejmps a b =
+  let w = Array.append (to_probs a) (to_probs b) in
+  let p = dejmps_in_place w 0 4 in
+  (p, of_probs w 0)
 
 (* The phi_p coordinate of [dejmps], without building the pair. *)
 let dejmps_predicted_fidelity a b =
@@ -126,5 +166,3 @@ let swap a b =
     done
   done;
   of_bp out
-
-let to_probs t = [| t.phi_p; t.psi_p; t.psi_m; t.phi_m |]

@@ -43,39 +43,127 @@ type result = {
   trace_best : float array;
 }
 
-type stored = {
-  mutable state : Bell_pair.t;
-  mutable since : float;
-  rounds : int;  (* how many distillation rounds produced this pair *)
-}
+module Pool = struct
+  (* A memory of stored pairs in flat storage, newest first in slots
+     [0 .. len - 1]: slot [k]'s Bell weights are [w.(4k .. 4k + 3)] in
+     [Bell_pair.to_probs] order, [since.(k)] is when they were last decayed
+     and [rounds.(k)] how many distillation rounds produced the pair.  The
+     scheduler's ties (first best pairing, first worst pair) are broken in
+     slot order.  Fixed capacity, so arrivals, evictions and refreshes
+     allocate nothing beyond the decay channels. *)
+  type t = { w : float array; since : float array; rounds : int array; mutable len : int }
 
-(* A memory of stored pairs, newest first in [slots.(0 .. len - 1)]: the
-   scheduler's ties (first best pairing, first worst pair) are broken in
-   that order.  Fixed capacity, so arrivals and evictions allocate nothing
-   beyond the pair itself. *)
-type pool = { slots : stored array; mutable len : int }
+  (* The scheduler never holds more than [max 1 capacity] pairs: it only
+     adds to a memory below capacity, or after evicting from a non-empty
+     one. *)
+  let create capacity =
+    let n = max 1 capacity in
+    { w = Array.make (4 * n) 0.; since = Array.make n 0.; rounds = Array.make n 0; len = 0 }
 
-let vacant = { state = Bell_pair.perfect; since = 0.; rounds = 0 }
+  let length pool = pool.len
+  let get pool k = Bell_pair.of_probs pool.w (4 * k)
+  let[@inline] fidelity pool k = pool.w.(4 * k)
 
-(* The scheduler never holds more than [max 1 capacity] pairs: it only adds
-   to a memory below capacity, or after evicting from a non-empty one. *)
-let pool_create capacity = { slots = Array.make (max 1 capacity) vacant; len = 0 }
+  (* Copy slot [src] over slot [dst]: a pool holds a handful of pairs, so
+     shifts are plain loops rather than three [Array.blit] calls. *)
+  let move pool ~src ~dst =
+    for c = 0 to 3 do
+      pool.w.((4 * dst) + c) <- pool.w.((4 * src) + c)
+    done;
+    pool.since.(dst) <- pool.since.(src);
+    pool.rounds.(dst) <- pool.rounds.(src)
 
-let push_front pool p =
-  Array.blit pool.slots 0 pool.slots 1 pool.len;
-  pool.slots.(0) <- p;
-  pool.len <- pool.len + 1
+  (* Shift every slot up by one; the caller fills slot 0's weights. *)
+  let open_front pool ~since ~rounds =
+    for k = pool.len - 1 downto 0 do
+      move pool ~src:k ~dst:(k + 1)
+    done;
+    pool.since.(0) <- since;
+    pool.rounds.(0) <- rounds;
+    pool.len <- pool.len + 1
 
-let remove_at pool k =
-  Array.blit pool.slots (k + 1) pool.slots k (pool.len - k - 1);
-  pool.len <- pool.len - 1;
-  pool.slots.(pool.len) <- vacant
+  let push pool (pair : Bell_pair.t) ~since ~rounds =
+    open_front pool ~since ~rounds;
+    pool.w.(0) <- pair.phi_p;
+    pool.w.(1) <- pair.psi_p;
+    pool.w.(2) <- pair.psi_m;
+    pool.w.(3) <- pair.phi_m
+
+  let push_weights pool src o ~since ~rounds =
+    open_front pool ~since ~rounds;
+    Array.blit src o pool.w 0 4
+
+  let remove_at pool k =
+    for k = k to pool.len - 2 do
+      move pool ~src:(k + 1) ~dst:k
+    done;
+    pool.len <- pool.len - 1
+
+  (* Never applied: [refresh] builds a channel before its first use. *)
+  let no_channel = Bell_pair.decay_channel ~t1:1. ~t2:1. ~dt:0.
+
+  (* Decay every pair to [now] on storage of coherence [ts] (T1 = T2).  The
+     channel depends only on dt, and after a refresh every pair shares one
+     [since] (only pairs stored later differ), so it is built once per
+     distinct dt: the same bits as building it per pair. *)
+  let refresh pool ~ts ~now =
+    let last_dt = ref 0. and chan = ref no_channel in
+    for k = 0 to pool.len - 1 do
+      let dt = now -. pool.since.(k) in
+      if dt > 0. then begin
+        if not (dt = !last_dt) then begin
+          chan := Bell_pair.decay_channel ~t1:ts ~t2:ts ~dt;
+          last_dt := dt
+        end;
+        Bell_pair.apply !chan pool.w (4 * k);
+        pool.since.(k) <- now
+      end
+    done
+
+  (* [Bell_pair.dejmps_predicted_fidelity] of slots [i] and [j], read
+     straight from the weights. *)
+  let[@inline] pairing_score pool i j =
+    let w = pool.w and a = 4 * i and b = 4 * j in
+    let a_phi_p = w.(a) and a_psi_p = w.(a + 1) and a_psi_m = w.(a + 2) and a_phi_m = w.(a + 3)
+    and b_phi_p = w.(b) and b_psi_p = w.(b + 1) and b_psi_m = w.(b + 2) and b_phi_m = w.(b + 3) in
+    let p =
+      ((a_phi_p +. a_psi_m) *. (b_phi_p +. b_psi_m))
+      +. ((a_psi_p +. a_phi_m) *. (b_psi_p +. b_phi_m))
+    in
+    if p <= 0. then 1. else (0. +. (a_phi_p *. b_phi_p /. p)) +. (a_psi_m *. b_psi_m /. p)
+
+  (* Index of the first lowest-fidelity pair among those produced by
+     [rounds] distillation rounds (any pair when [rounds < 0]); -1 if none. *)
+  let worst pool ~rounds =
+    let w = ref (-1) in
+    for k = 0 to pool.len - 1 do
+      if (rounds < 0 || pool.rounds.(k) = rounds)
+         && (!w < 0 || fidelity pool k < fidelity pool !w)
+      then w := k
+    done;
+    !w
+end
+
+(* [Bell_pair.decay] and [Bell_pair.depolarize] steps of fixed strength, as
+   channels built once per run; [None] where those skip the pair. *)
+let fixed_decay ~t ~dt = if dt <= 0. then None else Some (Bell_pair.decay_channel ~t1:t ~t2:t ~dt)
+let fixed_depolarizing p = if p > 0. then Some (Bell_pair.depolarizing ~p) else None
+let apply_opt c w o = match c with Some c -> Bell_pair.apply c w o | None -> ()
 
 type sim = {
   cfg : config;
   rng : Rng.t;
-  input : pool;
-  output : pool;
+  input : Pool.t;
+  output : Pool.t;
+  op_duration : float;
+  gate_decay : Bell_pair.channel option;  (* Tc over the gate phase *)
+  swap_decay : Bell_pair.channel option;  (* Tc over one SWAP *)
+  swap_depol : Bell_pair.channel option;
+  gate_depol : Bell_pair.channel option;
+  (* The pair under parity check, pair a at 0 and pair b at 4 (at most one
+     check is in flight); its survivor is written over pair a. *)
+  pending : float array;
+  mutable pending_rounds : int;
   mutable parcheck_busy : bool;
   mutable delivered : int;
   mutable attempts : int;
@@ -86,59 +174,36 @@ type sim = {
   mutable trace_len : int;
 }
 
-let refresh sim now p =
-  let dt = now -. p.since in
-  if dt > 0. then begin
-    p.state <- Bell_pair.decay p.state ~t1:sim.cfg.ts ~t2:sim.cfg.ts ~dt;
-    p.since <- now
-  end
-
-let refresh_all sim now pool =
-  for k = 0 to pool.len - 1 do
-    refresh sim now pool.slots.(k)
-  done
-
-(* Index of the first lowest-fidelity pair among those produced by
-   [rounds] distillation rounds (any pair when [rounds < 0]); -1 if none. *)
-let worst ?(rounds = -1) pool =
-  let w = ref (-1) in
-  for k = 0 to pool.len - 1 do
-    let p = pool.slots.(k) in
-    if (rounds < 0 || p.rounds = rounds)
-       && (!w < 0
-          || Bell_pair.fidelity p.state < Bell_pair.fidelity pool.slots.(!w).state)
-    then w := k
-  done;
-  !w
-
 (* Swap the two local halves out of storage, rotate, bilateral CNOT, read one
    pair out, move the survivor onward. *)
 let op_duration cfg =
   (2. *. cfg.swap_time) +. cfg.gate_time_1q +. cfg.gate_time_2q +. cfg.readout_time
 
-(* Noisy DEJMPS: the pairs sit on compute qubits through the gate phase
-   (swap in + rotation + CNOT), taking coherence-limited decay plus any
-   configured extra gate/swap depolarizing.  The survivor is swapped onward
-   immediately — it waits out the 1 us parity readout in memory, not on
-   compute (classical communication is neglected, so keep/discard is applied
-   retroactively). *)
-let noisy_dejmps cfg a b =
-  let gate_phase = cfg.swap_time +. cfg.gate_time_1q +. cfg.gate_time_2q in
-  let prep p =
-    let p = Bell_pair.decay p ~t1:cfg.tc ~t2:cfg.tc ~dt:gate_phase in
-    let p = if cfg.swap_error > 0. then Bell_pair.depolarize p ~p:cfg.swap_error else p in
-    if cfg.gate_error_2q > 0. then Bell_pair.depolarize p ~p:cfg.gate_error_2q else p
+(* Noisy DEJMPS on [sim.pending]: the pairs sit on compute qubits through
+   the gate phase (swap in + rotation + CNOT), taking coherence-limited
+   decay plus any configured extra gate/swap depolarizing.  The survivor is
+   swapped onward immediately — it waits out the 1 us parity readout in
+   memory, not on compute (classical communication is neglected, so
+   keep/discard is applied retroactively).  Returns the success
+   probability. *)
+let noisy_dejmps sim =
+  let w = sim.pending in
+  let prep o =
+    apply_opt sim.gate_decay w o;
+    apply_opt sim.swap_depol w o;
+    apply_opt sim.gate_depol w o
   in
-  let a = prep a and b = prep b in
-  let p_succ, out = Bell_pair.dejmps a b in
-  let out = Bell_pair.decay out ~t1:cfg.tc ~t2:cfg.tc ~dt:cfg.swap_time in
-  let out = if cfg.swap_error > 0. then Bell_pair.depolarize out ~p:cfg.swap_error else out in
-  (p_succ, out)
+  prep 0;
+  prep 4;
+  let p_succ = Bell_pair.dejmps_in_place w 0 4 in
+  apply_opt sim.swap_decay w 0;
+  apply_opt sim.swap_depol w 0;
+  p_succ
 
-let rec try_start_distill sim des =
+let try_start_distill sim des ~finish =
   if not sim.parcheck_busy then begin
     let input = sim.input in
-    refresh_all sim (Des.now des) input;
+    Pool.refresh input ~ts:sim.cfg.ts ~now:(Des.now des);
     (* Priorities 1 and 3: pair only same-round pairs (entanglement
        pumping): re-distilling two distilled pairs catches the phase errors
        their previous round left unchecked, whereas pairing a distilled pair
@@ -147,11 +212,9 @@ let rec try_start_distill sim des =
        take the first one whose success branch is best. *)
     let best_i = ref (-1) and best_j = ref (-1) and best_pred = ref 0. in
     for i = 0 to input.len - 1 do
-      let a = input.slots.(i) in
       for j = i + 1 to input.len - 1 do
-        let b = input.slots.(j) in
-        if a.rounds = b.rounds then begin
-          let pred = Bell_pair.dejmps_predicted_fidelity a.state b.state in
+        if input.rounds.(i) = input.rounds.(j) then begin
+          let pred = Pool.pairing_score input i j in
           if !best_i < 0 || not (!best_pred >= pred) then begin
             best_i := i;
             best_j := j;
@@ -160,38 +223,38 @@ let rec try_start_distill sim des =
         end
       done
     done;
-    if !best_i >= 0 then begin
-      let a = input.slots.(!best_i) and b = input.slots.(!best_j) in
+    let i = !best_i and j = !best_j in
+    if i >= 0 then begin
       let pred = !best_pred in
-      if pred > Bell_pair.fidelity a.state && pred > Bell_pair.fidelity b.state
-      then begin
-        remove_at input !best_j;
-        remove_at input !best_i;
+      if pred > Pool.fidelity input i && pred > Pool.fidelity input j then begin
+        Array.blit input.w (4 * i) sim.pending 0 4;
+        Array.blit input.w (4 * j) sim.pending 4 4;
+        sim.pending_rounds <- max input.rounds.(i) input.rounds.(j) + 1;
+        Pool.remove_at input j;
+        Pool.remove_at input i;
         sim.parcheck_busy <- true;
         sim.attempts <- sim.attempts + 1;
-        let sa = a.state and sb = b.state in
-        let rounds = max a.rounds b.rounds + 1 in
-        Des.schedule des ~delay:(op_duration sim.cfg) (fun des ->
-            finish_distill sim des sa sb rounds)
+        Des.schedule des ~delay:sim.op_duration finish
       end
     end
   end
 
-and finish_distill sim des sa sb rounds =
+let finish_distill sim des =
   sim.parcheck_busy <- false;
   let now = Des.now des in
-  let p_succ, out = noisy_dejmps sim.cfg sa sb in
+  let p_succ = noisy_dejmps sim in
   if Rng.bernoulli sim.rng p_succ then begin
     sim.successes <- sim.successes + 1;
-    let pair = { state = out; since = now; rounds } in
-    if Bell_pair.fidelity out >= sim.cfg.target_fidelity then begin
+    let rounds = sim.pending_rounds in
+    if sim.pending.(0) >= sim.cfg.target_fidelity then begin
       (* Priority 2: promote to output memory. *)
-      refresh_all sim now sim.output;
-      if sim.output.len >= sim.cfg.output_capacity then begin
-        let w = worst sim.output in
-        if w >= 0 then remove_at sim.output w
+      let output = sim.output in
+      Pool.refresh output ~ts:sim.cfg.ts ~now;
+      if output.len >= sim.cfg.output_capacity then begin
+        let w = Pool.worst output ~rounds:(-1) in
+        if w >= 0 then Pool.remove_at output w
       end;
-      push_front sim.output pair;
+      Pool.push_weights output sim.pending 0 ~since:now ~rounds;
       sim.delivered <- sim.delivered + 1
     end
     else begin
@@ -202,37 +265,32 @@ and finish_distill sim des sa sb rounds =
       if input.len >= sim.cfg.input_capacity then begin
         let min_rounds = ref max_int in
         for k = 0 to input.len - 1 do
-          if input.slots.(k).rounds < !min_rounds then
-            min_rounds := input.slots.(k).rounds
+          if input.rounds.(k) < !min_rounds then min_rounds := input.rounds.(k)
         done;
-        let w = worst ~rounds:!min_rounds input in
-        if w >= 0 then remove_at input w
+        let w = Pool.worst input ~rounds:!min_rounds in
+        if w >= 0 then Pool.remove_at input w
       end;
-      push_front input pair
+      Pool.push_weights input sim.pending 0 ~since:now ~rounds
     end
-  end;
-  try_start_distill sim des
+  end
 
-let store_arrival sim des pair =
+let store_arrival sim des (pair : Bell_pair.t) =
   let now = Des.now des in
   let input = sim.input in
   (* Priority 4: store the incoming pair, evicting the worst stored pair if
      the memory is full and the newcomer is better. *)
-  refresh_all sim now input;
-  let fresh = { state = pair; since = now; rounds = 0 } in
-  if input.len < sim.cfg.input_capacity then push_front input fresh
+  Pool.refresh input ~ts:sim.cfg.ts ~now;
+  if input.len < sim.cfg.input_capacity then Pool.push input pair ~since:now ~rounds:0
   else begin
     (* Evict the globally worst pair when the newcomer beats it: decayed
        intermediates are worth no more than their current fidelity, and
        holding them can deadlock the same-round pairing rule. *)
-    let w = worst input in
-    if w >= 0 && Bell_pair.fidelity input.slots.(w).state < Bell_pair.fidelity pair
-    then begin
-      remove_at input w;
-      push_front input fresh
+    let w = Pool.worst input ~rounds:(-1) in
+    if w >= 0 && Pool.fidelity input w < pair.phi_p then begin
+      Pool.remove_at input w;
+      Pool.push input pair ~since:now ~rounds:0
     end
-  end;
-  try_start_distill sim des
+  end
 
 let attempts_total = Obs.Counter.create "distill.attempts_total"
 let successes_total = Obs.Counter.create "distill.successes_total"
@@ -255,8 +313,16 @@ let run_impl ?(trace_dt = 1e-6) cfg rng ~horizon =
   let sim =
     { cfg;
       rng;
-      input = pool_create cfg.input_capacity;
-      output = pool_create cfg.output_capacity;
+      input = Pool.create cfg.input_capacity;
+      output = Pool.create cfg.output_capacity;
+      op_duration = op_duration cfg;
+      gate_decay =
+        fixed_decay ~t:cfg.tc ~dt:(cfg.swap_time +. cfg.gate_time_1q +. cfg.gate_time_2q);
+      swap_decay = fixed_decay ~t:cfg.tc ~dt:cfg.swap_time;
+      swap_depol = fixed_depolarizing cfg.swap_error;
+      gate_depol = fixed_depolarizing cfg.gate_error_2q;
+      pending = Array.make 8 0.;
+      pending_rounds = 0;
       parcheck_busy = false;
       delivered = 0;
       attempts = 0;
@@ -265,9 +331,15 @@ let run_impl ?(trace_dt = 1e-6) cfg rng ~horizon =
       trace_best = Array.make samples nan;
       trace_len = 0 }
   in
+  (* One completion handler per run: it reads the pending pair from [sim]. *)
+  let rec finish des =
+    finish_distill sim des;
+    try_start_distill sim des ~finish
+  in
   let rec arrival des =
     if Des.now des <= horizon then begin
       store_arrival sim des (Ep_source.sample_pair cfg.source sim.rng);
+      try_start_distill sim des ~finish;
       Des.schedule des ~delay:(Ep_source.next_gap cfg.source sim.rng) arrival
     end
   in
@@ -275,13 +347,13 @@ let run_impl ?(trace_dt = 1e-6) cfg rng ~horizon =
     let now = Des.now des in
     if now <= horizon then begin
       let output = sim.output in
-      refresh_all sim now output;
+      Pool.refresh output ~ts:cfg.ts ~now;
       let i = sim.trace_len in
       sim.trace_time.(i) <- now;
       if output.len > 0 then begin
         let acc = ref 1. in
         for k = 0 to output.len - 1 do
-          let v = Bell_pair.infidelity output.slots.(k).state in
+          let v = 1. -. Pool.fidelity output k in
           if not (!acc <= v) then acc := v
         done;
         sim.trace_best.(i) <- !acc

@@ -48,6 +48,31 @@ type result = {
           output is empty *)
 }
 
+(** The scheduler's pair memory: flat weights, timestamps and round counts,
+    refreshed in place.  Exposed for the bit-exact tests. *)
+module Pool : sig
+  type t
+
+  val create : int -> t
+  (** An empty memory of the given capacity (at least 1). *)
+
+  val length : t -> int
+
+  val get : t -> int -> Bell_pair.t
+  (** Slot [k], newest first. *)
+
+  val push : t -> Bell_pair.t -> since:float -> rounds:int -> unit
+  (** Store a pair as the newest, last decayed at [since]. *)
+
+  val refresh : t -> ts:float -> now:float -> unit
+  (** Decay every pair whose [since] is before [now] to [now], on storage of
+      coherence [ts]: bit for bit {!Bell_pair.decay} with [t1 = t2 = ts]. *)
+
+  val pairing_score : t -> int -> int -> float
+  (** The scheduler's score of pairing slots [i] and [j]: bit for bit
+      {!Bell_pair.dejmps_predicted_fidelity}. *)
+end
+
 val run : ?trace_dt:float -> config -> Rng.t -> horizon:float -> result
 (** Simulate for [horizon] seconds.  [trace_dt] (default 1 us) sets the
     sampling period of the Fig-3 trace. *)

@@ -181,6 +181,76 @@ let prop_decay_keeps_valid =
       Bell_pair.validate p;
       Bell_pair.fidelity p <= f +. 1e-9)
 
+(* -------------------------------------------------- flat pool oracle *)
+
+let same_bits x y = Int64.equal (Int64.bits_of_float x) (Int64.bits_of_float y)
+
+let same_pair (p : Bell_pair.t) (q : Bell_pair.t) =
+  same_bits p.phi_p q.phi_p && same_bits p.psi_p q.psi_p && same_bits p.psi_m q.psi_m
+  && same_bits p.phi_m q.phi_m
+
+(* What a refresh must equal: [apply_pauli_half] twice with the
+   [twirl_probs] channel, per pair, or the pair itself when dt = 0. *)
+let decayed_by_oracle p ~ts ~dt =
+  if dt > 0. then begin
+    let px, py, pz = Bell_pair.twirl_probs ~t1:ts ~t2:ts ~dt in
+    Bell_pair.apply_pauli_half (Bell_pair.apply_pauli_half p ~px ~py ~pz) ~px ~py ~pz
+  end
+  else p
+
+let bell_weights =
+  QCheck.(quad (float_range 0. 1.) (float_range 0. 1.) (float_range 0. 1.) (float_range 0. 1.))
+
+let bell_pair_of (w, x, y, z) =
+  if w +. x +. y +. z <= 0. then Bell_pair.perfect
+  else Bell_pair.normalize { Bell_pair.phi_p = w; psi_p = x; psi_m = y; phi_m = z }
+
+(* Up to six stored pairs, each last refreshed at one of three times: [now]
+   (dt = 0) or [now - d1] or [now - d2], so several slots share a dt.  Two
+   refreshes, the second with every slot at the same dt; after each, every
+   weight and every pairing score is compared bit for bit. *)
+let prop_pool_refresh_bit_exact =
+  QCheck.Test.make ~name:"pool refresh and pairing score = record oracles, bit for bit"
+    ~count:500
+    QCheck.(
+      pair
+        (list_of_size Gen.(1 -- 6) (pair bell_weights (int_range 0 2)))
+        (quad (float_range 1e-4 2e-2) (float_range 0. 1e-4) (float_range 0. 1e-4)
+           (float_range 0. 1e-4)))
+    (fun (slots, (ts, d1, d2, d3)) ->
+      let module Pool = Distill_module.Pool in
+      let now = 1e-3 in
+      let sinces = [| now; now -. d1; now -. d2 |] in
+      let expected = Array.of_list (List.map (fun (w, s) -> (bell_pair_of w, sinces.(s))) slots) in
+      let n = Array.length expected in
+      let pool = Pool.create n in
+      for k = n - 1 downto 0 do
+        let p, since = expected.(k) in
+        Pool.push pool p ~since ~rounds:0
+      done;
+      let ok = ref (Pool.length pool = n) in
+      let check_at now =
+        Pool.refresh pool ~ts ~now;
+        for k = 0 to n - 1 do
+          let p, since = expected.(k) in
+          let dt = now -. since in
+          let p = decayed_by_oracle p ~ts ~dt in
+          expected.(k) <- (p, if dt > 0. then now else since);
+          if not (same_pair p (Pool.get pool k)) then ok := false
+        done;
+        for i = 0 to n - 1 do
+          for j = i + 1 to n - 1 do
+            let oracle =
+              Bell_pair.dejmps_predicted_fidelity (fst expected.(i)) (fst expected.(j))
+            in
+            if not (same_bits oracle (Pool.pairing_score pool i j)) then ok := false
+          done
+        done
+      in
+      check_at now;
+      check_at (now +. d3);
+      !ok)
+
 (* -------------------------------------------------------------- source *)
 
 let test_source_rate () =
@@ -268,12 +338,37 @@ let test_module_output_fidelity_at_target () =
        -. float_of_int r.Distill_module.delivered)
     < 1e-9)
 
+(* The depolarizing branches of noisy DEJMPS (swap_error and gate_error_2q
+   above 0), which no experiment digest reaches, at a fixed seed with a
+   small input memory.  The values were generated with the record-based
+   pools, before the pools became flat arrays. *)
+let test_module_error_branches_pinned () =
+  let cfg =
+    { (Distill_module.heterogeneous ~rate_hz:1e6 ()) with
+      Distill_module.swap_error = 1e-3;
+      gate_error_2q = 1e-3;
+      input_capacity = 3;
+      target_fidelity = 0.99 }
+  in
+  let r = Distill_module.run ~trace_dt:5e-6 cfg (Rng.create 29) ~horizon:1e-3 in
+  let bits = Buffer.create 4096 in
+  Array.iter
+    (fun x -> Buffer.add_string bits (Printf.sprintf "%016Lx" (Int64.bits_of_float x)))
+    r.Distill_module.trace_best;
+  Alcotest.(check int) "delivered" 143 r.Distill_module.delivered;
+  Alcotest.(check int) "distill_attempts" 490 r.Distill_module.distill_attempts;
+  Alcotest.(check int) "distill_successes" 463 r.Distill_module.distill_successes;
+  Alcotest.(check int) "trace samples" 200 (Array.length r.Distill_module.trace_best);
+  Alcotest.(check string) "trace_best bits" "6dd5a9c8e2c7f1e6bce60d48de2331c1"
+    (Digest.to_hex (Digest.string (Buffer.contents bits)))
+
 (* Allocation floor of the event loop: a fixed-seed heterogeneous run at
    1 MHz, in minor words per processed DES event (the trace included).  The
-   pools, the pairing search, the engine's step and the flat trace allocate
-   nothing per event; what remains is pair records, boxed timestamps and
-   completion closures.  Measured at 58.2. *)
-let words_per_event_ceiling = 60
+   flat pools, their in-place refresh, the pairing search, the parity-check
+   completion and the flat trace allocate nothing per event but one decay
+   channel per refresh; what remains is the arriving pair and the floats
+   boxed across module calls (RNG draws, event times).  Measured at 18.05. *)
+let words_per_event_ceiling = 20
 
 let test_module_words_per_event () =
   let cfg = Distill_module.heterogeneous ~rate_hz:1e6 () in
@@ -314,8 +409,11 @@ let () =
           Alcotest.test_case "monotone in Ts" `Slow test_module_rate_monotone_in_ts;
           Alcotest.test_case "trace" `Quick test_module_trace_present;
           Alcotest.test_case "rate conversion" `Quick test_module_output_fidelity_at_target;
+          Alcotest.test_case "error branches pinned" `Quick
+            test_module_error_branches_pinned;
           Alcotest.test_case "words per event" `Quick test_module_words_per_event ] );
       ("properties", qc
           [ prop_dejmps_output_normalized;
             prop_dejmps_prediction_exact;
+            prop_pool_refresh_bit_exact;
             prop_decay_keeps_valid ]) ]
