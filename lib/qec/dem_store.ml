@@ -112,7 +112,7 @@ let circuit_key c =
   write_circuit (fun buf len -> Content_hash.feed st buf 0 len) c;
   Store.key ~kind
     ~fields:
-      [ ("circuit", Printf.sprintf "%016Lx" (Content_hash.digest st));
+      [ ("circuit", Content_hash.hex64 (Content_hash.digest st));
         ("format", string_of_int format_version) ]
 
 (* -------------------------------------------------------------- payload --- *)

@@ -178,7 +178,7 @@ let parse_control ~kind ~ctl members =
   ignore (finish ~kind ~allowed:[] members []);
   Control ctl
 
-let parse_request line =
+let parse_line line =
   try
     if String.length line > max_request_bytes then
       bad 413 "request exceeds %d bytes" max_request_bytes;
@@ -239,6 +239,7 @@ let warm_disk_hits_total = Obs.Counter.create "serve.warm_disk_hits_total"
 let computed_total = Obs.Counter.create "serve.computed_total"
 let rejected_total = Obs.Counter.create "serve.rejected_total"
 let error_responses_total = Obs.Counter.create "serve.error_responses_total"
+let line_hits_total = Obs.Counter.create "serve.line_hits_total"
 let queue_depth_gauge = Obs.Gauge.create "serve.queue_depth"
 let connections_gauge = Obs.Gauge.create "serve.connections"
 
@@ -260,7 +261,8 @@ let stats_body () =
                  ("serve.warm_disk_hits_total", c warm_disk_hits_total);
                  ("serve.computed_total", c computed_total);
                  ("serve.rejected_total", c rejected_total);
-                 ("serve.error_responses_total", c error_responses_total) ] );
+                 ("serve.error_responses_total", c error_responses_total);
+                 ("serve.line_hits_total", c line_hits_total) ] );
            ( "gauges",
              Obj
                [ ("serve.queue_depth", Float (Obs.Gauge.value queue_depth_gauge));
@@ -273,6 +275,43 @@ let stats_body () =
                  ("domains_spawned", Int domains_spawned);
                  ("queue_remaining", Int queue_remaining);
                  ("busy_domains", Int busy_domains) ] ) ]))
+
+(* ------------------------------------------------------------------ *)
+(* Line table: raw request line -> parsed query.  [parse_line] is a pure
+   function of the line and static tables (Codes.by_name,
+   Surface_circuit.default), so a stored result is exactly what a fresh
+   parse would return.  Only successful queries are stored, so a flood of
+   bad lines cannot churn the table.  Owned by the daemon loop, like
+   [memory]: no lock. *)
+
+let line_table_capacity = 1024
+let line_table_max_bytes = 512
+
+module Lines = Hashtbl.Make (struct
+  type t = string
+
+  let equal = String.equal
+  let hash = Hashtbl.hash
+end)
+
+let lines : (request, error) result Lines.t = Lines.create 64
+
+let line_table_length () = Lines.length lines
+
+let parse_request line =
+  if String.length line > line_table_max_bytes then parse_line line
+  else
+    match Lines.find lines line with
+    | parsed ->
+        Obs.Counter.incr line_hits_total;
+        parsed
+    | exception Not_found -> (
+        match parse_line line with
+        | Ok (Query _) as parsed ->
+            if Lines.length lines >= line_table_capacity then Lines.reset lines;
+            Lines.add lines line parsed;
+            parsed
+        | parsed -> parsed)
 
 (* ------------------------------------------------------------------ *)
 (* Computation: normalized fields -> deterministic response body      *)
@@ -483,7 +522,20 @@ let request ?(retry_for = 0.) endpoint line =
 (* ------------------------------------------------------------------ *)
 (* The daemon                                                         *)
 
-type conn = { fd : Unix.file_descr; buf : Buffer.t; mutable alive : bool }
+(* Bytes read from a connection and not yet framed: [buf.[0 .. len-1]],
+   with no newline before [scanned]. *)
+type conn = {
+  fd : Unix.file_descr;
+  mutable buf : Bytes.t;
+  mutable len : int;
+  mutable scanned : int;
+  mutable alive : bool;
+}
+
+let rec newline_in buf i len =
+  if i >= len then -1
+  else if Bytes.unsafe_get buf i = '\n' then i
+  else newline_in buf (i + 1) len
 
 let stop = ref false
 
@@ -580,42 +632,55 @@ let run ?(max_queue = 64) endpoint =
                   Queue.push q.hash queue;
                   set_queue_gauge ())))
   in
+  (* Frame by offset: each complete line is copied out once, the newline
+     search resumes where the previous read left it, and the unterminated
+     tail moves to the front once per read — a read carrying k pipelined
+     lines costs O(bytes), not O(k * bytes). *)
   let drain_conn conn =
-    let rec go () =
-      let s = Buffer.contents conn.buf in
-      match String.index_opt s '\n' with
-      | Some i ->
-          let line = String.sub s 0 i in
-          Buffer.clear conn.buf;
-          Buffer.add_substring conn.buf s (i + 1) (String.length s - i - 1);
-          let line =
-            if line <> "" && line.[String.length line - 1] = '\r' then
-              String.sub line 0 (String.length line - 1)
-            else line
+    let rec go start =
+      match newline_in conn.buf conn.scanned conn.len with
+      | -1 ->
+          conn.scanned <- conn.len;
+          start
+      | i ->
+          let stop_at =
+            if i > start && Bytes.get conn.buf (i - 1) = '\r' then i - 1 else i
           in
+          let line = Bytes.sub_string conn.buf start (stop_at - start) in
+          conn.scanned <- i + 1;
           if String.trim line <> "" then handle_request conn line;
-          if conn.alive && not !stop then go ()
-      | None ->
-          if String.length s > max_request_bytes then (
-            (* no newline in sight and the bound is blown: answer and close
-               (there is no reliable way to resync the stream) *)
-            Obs.Counter.incr error_responses_total;
-            reply conn
-              (error_body
-                 { code = 413;
-                   message =
-                     Printf.sprintf "request exceeds %d bytes" max_request_bytes
-                 });
-            conn.alive <- false)
+          if conn.alive && not !stop then go (i + 1) else i + 1
     in
-    go ()
+    let start = go 0 in
+    if start > 0 then begin
+      Bytes.blit conn.buf start conn.buf 0 (conn.len - start);
+      conn.len <- conn.len - start;
+      conn.scanned <- conn.scanned - start
+    end;
+    if conn.alive && conn.scanned = conn.len && conn.len > max_request_bytes
+    then begin
+      (* no newline in sight and the bound is blown: answer and close
+         (there is no reliable way to resync the stream) *)
+      Obs.Counter.incr error_responses_total;
+      reply conn
+        (error_body
+           { code = 413;
+             message = Printf.sprintf "request exceeds %d bytes" max_request_bytes });
+      conn.alive <- false
+    end
   in
   let read_chunk = Bytes.create 4096 in
   let read_conn conn =
     match Unix.read conn.fd read_chunk 0 (Bytes.length read_chunk) with
     | 0 -> conn.alive <- false
     | n ->
-        Buffer.add_subbytes conn.buf read_chunk 0 n;
+        if conn.len + n > Bytes.length conn.buf then begin
+          let grown = Bytes.create (max (conn.len + n) (2 * Bytes.length conn.buf)) in
+          Bytes.blit conn.buf 0 grown 0 conn.len;
+          conn.buf <- grown
+        end;
+        Bytes.blit read_chunk 0 conn.buf conn.len n;
+        conn.len <- conn.len + n;
         drain_conn conn
     | exception Unix.Unix_error (Unix.EINTR, _, _) -> ()
     | exception Unix.Unix_error ((Unix.ECONNRESET | Unix.EPIPE), _, _) ->
@@ -623,7 +688,10 @@ let run ?(max_queue = 64) endpoint =
   in
   let accept_conn () =
     match Unix.accept listen_fd with
-    | fd, _ -> conns := { fd; buf = Buffer.create 256; alive = true } :: !conns
+    | fd, _ ->
+        conns :=
+          { fd; buf = Bytes.create 256; len = 0; scanned = 0; alive = true }
+          :: !conns
     | exception Unix.Unix_error (Unix.EINTR, _, _) -> ()
   in
   let compute_one () =

@@ -14,9 +14,11 @@
     The hash keys everything downstream: the warm response caches, the
     single-flight table, and the per-request trace attribution.
 
-    {b Warm answers}: identical requests are answered from a two-tier
-    response cache — process memory first, then the persistent {!Store}
-    (under the ambient [--cache-dir], kind ["serve.response"]) — and the
+    {b Warm answers}: a byte-identical repeat of a request line skips the
+    parser through a bounded line table (see {!parse_request}), and
+    identical requests are answered from a two-tier response cache —
+    process memory first, then the persistent {!Store} (under the ambient
+    [--cache-dir], kind ["serve.response"]) — and the
     [dse] kind additionally rides the {!Char_store} characterization
     tiers.  Responses contain only deterministic content (no timestamps,
     no serving metadata), so identical requests receive byte-identical
@@ -62,7 +64,27 @@ val request_hash : kind:string -> fields:(string * string) list -> string
 val parse_request : string -> (request, error) result
 (** Parse and normalize one request line.  Never raises: malformed JSON,
     non-object bodies, unknown kinds, unknown fields, wrong types, and
-    out-of-range values all come back as structured [Error]s. *)
+    out-of-range values all come back as structured [Error]s.
+
+    A bounded line table sits in front of the parser: a line that parsed
+    to a [Query] before returns the stored result (the same value, since
+    parsing is a pure function of the line) at the cost of one string-hash
+    lookup, and bumps [serve.line_hits_total].  Only [Ok (Query _)]
+    results of lines up to {!line_table_max_bytes} are stored; errors,
+    control kinds and longer lines are parsed every time.  The table holds
+    at most {!line_table_capacity} lines and is emptied when full.  Like
+    the memory response tier, it belongs to the daemon loop: it is
+    process-global and unlocked, so call [parse_request] from one domain
+    at a time. *)
+
+val line_table_capacity : int
+(** Most lines the table holds (1024) before it is emptied. *)
+
+val line_table_max_bytes : int
+(** Longest line the table stores (512 bytes). *)
+
+val line_table_length : unit -> int
+(** Lines stored now; never more than {!line_table_capacity}. *)
 
 val error_body : error -> string
 (** One-line JSON rendering of an error response. *)

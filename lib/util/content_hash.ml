@@ -49,19 +49,48 @@ let feed st b off len =
 
 let digest st = finish st.h st.len
 
-let hash_hex s = Printf.sprintf "%016Lx" (hash64 s)
+(* Hex and decimal rendering by hand: Printf and string_of_int go through
+   the C formatter, which cost more than the hash itself on the short
+   component lists request identities are built from. *)
+let hex_digit = "0123456789abcdef"
+
+let hex64 h =
+  let b = Bytes.create 16 in
+  for i = 0 to 15 do
+    let nibble = Int64.to_int (Int64.shift_right_logical h (60 - (4 * i))) land 15 in
+    Bytes.unsafe_set b i (String.unsafe_get hex_digit nibble)
+  done;
+  Bytes.unsafe_to_string b
+
+let hash_hex s = hex64 (hash64 s)
 
 (* Length-prefixed canonical encoding: every component is written as
    "<len>:<bytes>", which makes the concatenation injective (no delimiter
-   collisions) — two component lists collide only if they are equal. *)
-let add_component b s =
-  Buffer.add_string b (string_of_int (String.length s));
-  Buffer.add_char b ':';
-  Buffer.add_string b s
+   collisions) — two component lists collide only if they are equal.  The
+   exact size is known up front, so the string is written in one pass. *)
+let rec decimal_width n = if n < 10 then 1 else 1 + decimal_width (n / 10)
+
+let component_size s =
+  let n = String.length s in
+  decimal_width n + 1 + n
 
 let canonical components =
-  let b = Buffer.create 64 in
-  List.iter (add_component b) components;
-  Buffer.contents b
+  let b =
+    Bytes.create (List.fold_left (fun acc s -> acc + component_size s) 0 components)
+  in
+  let put pos s =
+    let n = String.length s in
+    let w = decimal_width n in
+    let v = ref n in
+    for i = pos + w - 1 downto pos do
+      Bytes.unsafe_set b i (Char.unsafe_chr (48 + (!v mod 10)));
+      v := !v / 10
+    done;
+    Bytes.unsafe_set b (pos + w) ':';
+    Bytes.unsafe_blit_string s 0 b (pos + w + 1) n;
+    pos + w + 1 + n
+  in
+  ignore (List.fold_left put 0 components);
+  Bytes.unsafe_to_string b
 
 let of_components components = hash_hex (canonical components)

@@ -24,8 +24,11 @@ val digest : state -> int64
 (** [hash64] of everything fed so far, in order: feeding a string in any
     split gives [hash64] of the whole string. *)
 
+val hex64 : int64 -> string
+(** 16 lowercase hex digits, most significant first (as [%016Lx]). *)
+
 val hash_hex : string -> string
-(** [hash64] rendered as 16 lowercase hex digits. *)
+(** [hex64 (hash64 s)]. *)
 
 val canonical : string list -> string
 (** Length-prefixed encoding ["<len>:<bytes>..."] of the components, in

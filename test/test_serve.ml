@@ -99,21 +99,37 @@ let test_answer_bytes_jobs_invariant () =
 
 (* A warm daemon's per-request cost, socket I/O aside: parse one request
    line, normalize and hash it, and answer from the memory tier.  This is
-   the daemon's hot loop, so its allocation is budgeted. *)
+   the daemon's hot loop, so its allocation is budgeted twice: a repeated
+   line is a line-table hit (4 words measured; the budget is that plus 10%,
+   rounded up), and a never-seen line still pays the full parse within 2048
+   words. *)
 let test_warm_request_alloc () =
   let line = {|{"kind":"threshold","distance":3,"shots":1024,"seed":1}|} in
   let q = parse_query line in
   Serve.cache_response q (Serve.compute_answer q);
-  let words =
+  let warm_request line () =
+    match Serve.parse_request line with
+    | Ok (Serve.Query q) ->
+        if Serve.warm_answer q = None then Alcotest.fail "warm tier missed"
+    | _ -> Alcotest.fail "request line did not parse"
+  in
+  let words = Alloc.min_words (warm_request line) in
+  Alcotest.(check bool)
+    (Printf.sprintf "repeated request %d minor words, budget 5" words)
+    true (words <= 5);
+  (* The same query spelled with a different amount of leading space each
+     run, so every measured parse misses the line table. *)
+  let fresh = Array.init 8 (fun i -> String.make (i + 1) ' ' ^ line) in
+  let next = ref 0 in
+  let cold =
     Alloc.min_words (fun () ->
-        match Serve.parse_request line with
-        | Ok (Serve.Query q) ->
-            if Serve.warm_answer q = None then Alcotest.fail "warm tier missed"
-        | _ -> Alcotest.fail "request line did not parse")
+        let l = fresh.(!next) in
+        incr next;
+        warm_request l ())
   in
   Alcotest.(check bool)
-    (Printf.sprintf "warm request %d minor words, budget 2048" words)
-    true (words <= 2048)
+    (Printf.sprintf "never-seen request %d minor words, budget 2048" cold)
+    true (cold <= 2048)
 
 let test_answer_matches_campaign_stream () =
   (* The serve answer must be byte-comparable with what a collect campaign
@@ -135,6 +151,117 @@ let test_answer_matches_campaign_stream () =
     (match Obs.Json.member "task" body with
     | Some (Obs.Json.String s) -> s
     | _ -> "")
+
+(* ------------------------------------------------------- line table *)
+
+let line_hits () =
+  Obs.Counter.value (Obs.Counter.create "serve.line_hits_total")
+
+let oversized_line =
+  Printf.sprintf "{\"kind\":\"threshold\",\"pad\":\"%s\"}"
+    (String.make Serve.max_request_bytes 'x')
+
+(* Every query kind, omitted and spelled-out defaults, reordered fields,
+   number spellings, the control kinds, and every error class of
+   [test_codec_errors]. *)
+let corpus =
+  [ {|{"kind":"threshold","shots":16,"seed":1}|};
+    {|{"kind":"threshold","seed":1,"shots":16}|};
+    {|{"kind":"threshold","shots":16,"seed":1,"distance":3,"t_data":1e-4}|};
+    {|{"kind":"uec","shots":16}|};
+    {|{"kind":"uec","ts":0.05}|};
+    {|{"kind":"uec","ts":5e-2}|};
+    {|{"kind":"uec","code":"SC3","rounds":3,"arch":"het","ts":0.05,"shots":1024,"seed":1}|};
+    {|{"kind":"distill","shots":16}|};
+    {|{"kind":"distill","arch":"hom","rate_hz":2e6,"horizon":5e-5,"min_delivered":2}|};
+    {|{"kind":"dse"}|};
+    {|{"kind":"dse","serialized":false,"weight":6,"op":"stabilizer"}|};
+    {|{"kind":"ping"}|};
+    {|{"kind":"stats"}|};
+    {|{"kind":"shutdown"}|};
+    "{nope";
+    {|{"kind":"ping"} {}|};
+    "[1,2,3]";
+    "{}";
+    {|{"kind":3}|};
+    {|{"kind":"frobnicate"}|};
+    {|{"kind":"threshold","distence":5}|};
+    {|{"kind":"threshold","distance":"five"}|};
+    {|{"kind":"threshold","distance":99}|};
+    {|{"kind":"uec","code":"NOPE"}|};
+    {|{"kind":"ping","x":1}|};
+    oversized_line ]
+
+let test_line_table_repeats () =
+  List.iter
+    (fun line ->
+      let label = if String.length line > 80 then String.sub line 0 80 else line in
+      let first = Serve.parse_request line in
+      let before = line_hits () in
+      let second = Serve.parse_request line in
+      let hits = line_hits () - before in
+      Alcotest.(check bool) ("repeat equals first: " ^ label) true (first = second);
+      match first, second with
+      | Ok (Serve.Query _), _ ->
+          Alcotest.(check int) ("query repeat is a table hit: " ^ label) 1 hits;
+          (* a leading space makes a line the table has never seen: the
+             stored result equals a fresh parse *)
+          Alcotest.(check bool) ("stored = fresh parse: " ^ label) true
+            (second = Serve.parse_request (" " ^ line))
+      | Ok (Serve.Control _), _ ->
+          Alcotest.(check int) ("control lines are parsed every time: " ^ label) 0 hits
+      | Error e1, Error e2 ->
+          Alcotest.(check int) ("error lines are parsed every time: " ^ label) 0 hits;
+          Alcotest.(check int) ("error repeat keeps its code: " ^ label) e1.Serve.code
+            e2.Serve.code
+      | Error _, Ok _ -> Alcotest.failf "error turned into a result: %s" label)
+    corpus
+
+let test_line_table_flood () =
+  let line seed = Printf.sprintf {|{"kind":"threshold","shots":16,"seed":%d}|} seed in
+  let n = Serve.line_table_capacity + 300 in
+  for seed = 2 to n + 1 do
+    ignore (parse_query (line seed));
+    if Serve.line_table_length () > Serve.line_table_capacity then
+      Alcotest.failf "line table holds %d lines, bound %d"
+        (Serve.line_table_length ()) Serve.line_table_capacity
+  done;
+  (* answers after the flood: every seed, evicted or still stored, parses
+     to the identity its normalized fields hash to, and the pinned vector
+     still holds *)
+  List.iter
+    (fun seed ->
+      let q = parse_query (line seed) in
+      Alcotest.(check string)
+        (Printf.sprintf "seed %d identity" seed)
+        (Serve.request_hash ~kind:q.Serve.kind ~fields:q.Serve.fields)
+        q.Serve.hash;
+      Alcotest.(check bool)
+        (Printf.sprintf "seed %d repeat = fresh parse" seed)
+        true
+        (Serve.parse_request (line seed) = Serve.parse_request (" " ^ line seed)))
+    [ 2; 3; n / 2; n; n + 1 ];
+  Alcotest.(check string) "pinned vector after the flood" "7b1a24fa9b5a045b"
+    (parse_query {|{"kind":"threshold","shots":16,"seed":1}|}).Serve.hash
+
+let test_line_table_length_cap () =
+  let short = {|{"kind":"threshold","shots":16,"seed":1}|} in
+  (* the same query with JSON whitespace between tokens, past the cap *)
+  let long =
+    let pad = String.make (Serve.line_table_max_bytes / 2) ' ' in
+    Printf.sprintf {|{"kind":"threshold",%s"shots":16,%s"seed":1}|} pad pad
+  in
+  Alcotest.(check bool) "line exceeds the cap" true
+    (String.length long > Serve.line_table_max_bytes);
+  let stored = Serve.line_table_length () in
+  let before = line_hits () in
+  let first = parse_query long in
+  let second = parse_query long in
+  Alcotest.(check int) "long lines never hit the table" 0 (line_hits () - before);
+  Alcotest.(check int) "long lines are not stored" stored (Serve.line_table_length ());
+  Alcotest.(check string) "long line, same identity" (parse_query short).Serve.hash
+    first.Serve.hash;
+  Alcotest.(check bool) "long line parses equal on a repeat" true (first = second)
 
 (* ------------------------------------------------- live daemon tests *)
 
@@ -250,6 +377,37 @@ let test_split_reads_and_pipelining () =
             (match Obs.Json.member "ok" (Obs.Json.parse pong) with
             | Some (Obs.Json.Bool true) -> true
             | _ -> false);
+          (* a burst of pipelined queries in a single write, spanning
+             several daemon reads (lines cut at read boundaries, CRLF and
+             LF endings mixed, control lines between queries): every line
+             is answered in order, with the bytes a one-at-a-time request
+             gets *)
+          let variants =
+            [| String.sub line 0 (String.length line - 1);
+               {|{"kind":"threshold","seed":3,"shots":64}|};
+               {|{"kind":"ping"}|};
+               {|{"kind":"threshold","shots":32,"seed":4}|};
+               {|{"kind":"uec","shots":32,"seed":4}|};
+               {|{"kind":"threshold","distance":9}|} |]
+          in
+          let alone =
+            Array.map (fun l -> Serve.request (Serve.Unix_path socket) l) variants
+          in
+          let burst = 240 in
+          let pick k = k mod Array.length variants in
+          let payload =
+            String.concat ""
+              (List.init burst (fun k ->
+                   variants.(pick k) ^ if k mod 5 = 0 then "\r\n" else "\n"))
+          in
+          let c = connect_unix socket in
+          send_all c.fd payload;
+          for k = 0 to burst - 1 do
+            Alcotest.(check string)
+              (Printf.sprintf "pipelined answer %d" k)
+              alone.(pick k) (recv_line c)
+          done;
+          Unix.close c.fd;
           (* an over-long line without a newline is answered 413 and the
              connection closed — the daemon neither crashes nor hangs *)
           let c = connect_unix socket in
@@ -305,6 +463,11 @@ let () =
           Alcotest.test_case "pinned request-hash vectors" `Quick
             test_pinned_hashes;
           Alcotest.test_case "normalization" `Quick test_normalization ] );
+      ( "line table",
+        [ Alcotest.test_case "repeats parse equal" `Quick test_line_table_repeats;
+          Alcotest.test_case "flood stays bounded" `Quick test_line_table_flood;
+          Alcotest.test_case "long lines parsed every time" `Quick
+            test_line_table_length_cap ] );
       ( "answers",
         [ Alcotest.test_case "byte identity across --jobs and tiers" `Quick
             test_answer_bytes_jobs_invariant;

@@ -587,6 +587,23 @@ let prop_content_hash_stream =
       Int64.equal (Content_hash.digest pieces) h
       && Int64.equal (Content_hash.digest halves) h)
 
+(* The hand-written renderings against the formatter ones they replaced:
+   component lengths around every decimal width (0, 9, 10, 99, 100, ...)
+   and arbitrary 64-bit values, including negative ones. *)
+let prop_content_hash_renderings =
+  let reference components =
+    String.concat ""
+      (List.map (fun c -> string_of_int (String.length c) ^ ":" ^ c) components)
+  in
+  QCheck.Test.make ~name:"canonical and hex64 = string_of_int and %016Lx" ~count:300
+    QCheck.(pair (small_list (int_bound 1200)) int64)
+    (fun (lens, h) ->
+      let components = List.mapi (fun i n -> String.make n (Char.chr (97 + (i mod 26)))) lens in
+      String.equal (Content_hash.canonical components) (reference components)
+      && String.equal (Content_hash.hex64 h) (Printf.sprintf "%016Lx" h)
+      && String.equal (Content_hash.hex64 Int64.min_int) "8000000000000000"
+      && String.equal (Content_hash.hex64 (-1L)) "ffffffffffffffff")
+
 let prop_stats_running_matches_batch =
   QCheck.Test.make ~name:"running stats match batch stats" ~count:100
     QCheck.(list_of_size (Gen.int_range 2 100) (float_bound_inclusive 100.))
@@ -674,4 +691,5 @@ let () =
             prop_bitvec_xor_involution;
             prop_uf_transitive;
             prop_content_hash_stream;
+            prop_content_hash_renderings;
             prop_stats_running_matches_batch ] ) ]
