@@ -712,14 +712,6 @@ let run_collect campaign seed shards shard_opt ledger resume progress max_shots
    Chrome-trace spans (--trace) and telemetry streams (--telemetry).  Pure
    readers — no simulation. *)
 
-let load_json path =
-  Obs.Json.parse (In_channel.with_open_bin path In_channel.input_all)
-
-(* Snapshots, fleet views, telemetry and traces decode through their
-   codecs in Obs; only a document's schema tag is read here. *)
-let schema_of doc =
-  match Obs.Json.member "schema" doc with Some (Obs.Json.String s) -> s | _ -> "?"
-
 let obs_fail fmt =
   Printf.ksprintf
     (fun msg ->
@@ -737,18 +729,15 @@ let guard file f =
 let trace_profile file =
   guard file (fun () -> Obs.Profile.of_events (Obs.Trace.read file))
 
-let run_obs_flame file counts alloc () =
-  (if counts && alloc then begin
-     Printf.eprintf "hetarch obs flame: --counts and --alloc are exclusive\n";
-     exit 2
-   end);
-  let weight =
-    if alloc then `Self_alloc else if counts then `Count else `Self_ns
-  in
-  print_string (Obs.Profile.folded ~weight (trace_profile file))
-
-let run_obs_top file limit sort () =
-  print_string (Obs.Profile.top_table ~sort ~limit (trace_profile file))
+(* [--folded] prints the self quantity [--sort] ranks by as folded stacks
+   (flamegraph.pl input); cumulative time has no self quantity to fold. *)
+let run_obs_top file limit sort folded () =
+  match (folded, sort) with
+  | false, _ -> print_string (Obs.Profile.top_table ~sort ~limit (trace_profile file))
+  | true, `Cum ->
+      obs_fail "--folded weights stacks by a self quantity: use --sort self, count or alloc"
+  | true, ((`Self | `Count | `Alloc) as weight) ->
+      print_string (Obs.Profile.folded ~weight (trace_profile file))
 
 let utc_stamp unix =
   let tm = Unix.gmtime unix in
@@ -757,17 +746,19 @@ let utc_stamp unix =
     tm.Unix.tm_sec
 
 (* The documents the analysis commands render: a snapshot (--metrics, the
-   run registry) or a fleet view (obs merge). *)
-let state_of_doc doc =
-  match schema_of doc with
-  | s when s = Obs.Snapshot.schema -> `Snap (Obs.Snapshot.of_json doc)
-  | s when s = Obs.Merge.schema -> `Fleet (Obs.Merge.of_json doc)
-  | s ->
-      failwith
-        (Printf.sprintf "unsupported schema %s (want %s or %s)" s
-           Obs.Snapshot.schema Obs.Merge.schema)
-
-let load_state file = guard file (fun () -> state_of_doc (load_json file))
+   run registry) or a fleet view (obs merge).  Every stream decodes through
+   its codec in Obs; only a document's schema tag is read here. *)
+let load_state file =
+  guard file (fun () ->
+      let doc = Obs.Json.parse (In_channel.with_open_bin file In_channel.input_all) in
+      match Obs.Json.member "schema" doc with
+      | Some (Obs.Json.String s) when s = Obs.Snapshot.schema -> `Snap (Obs.Snapshot.of_json doc)
+      | Some (Obs.Json.String s) when s = Obs.Merge.schema -> `Fleet (Obs.Merge.of_json doc)
+      | s ->
+          failwith
+            (Printf.sprintf "unsupported schema %s (want %s or %s)"
+               (match s with Some (Obs.Json.String s) -> s | _ -> "?")
+               Obs.Snapshot.schema Obs.Merge.schema))
 
 let print_section title header rows =
   if rows <> [] then begin
@@ -857,99 +848,6 @@ let render_state = function
   | `Snap s -> render_snapshot s
   | `Fleet m -> render_fleet m
 
-let run_obs_tail file () =
-  match
-    guard file (fun () -> Obs.fold_jsonl file (fun acc j -> Obs.Telemetry.of_json j :: acc) [])
-  with
-  | [] -> print_endline "telemetry stream is empty"
-  | (last : Obs.Telemetry.record) :: _ as newest_first ->
-      let dash f = function Some v -> f v | None -> "-" in
-      Tableio.print
-        ~header:[ "seq"; "t(s)"; "dt(s)"; "gc minor"; "words/s"; "shots"; "shots/s"; "done"; "eta(s)" ]
-        (List.map
-           (fun (r : Obs.Telemetry.record) ->
-             let c = r.campaign in
-             [ string_of_int r.seq;
-               Printf.sprintf "%.2f" r.elapsed_s;
-               Printf.sprintf "%.2f" r.dt_s;
-               string_of_int r.gc_minor_delta;
-               Printf.sprintf "%.0f"
-                 (Option.value ~default:0. (List.assoc_opt "gc.minor_words_per_s" r.rates));
-               dash (fun c -> string_of_int c.Obs.Telemetry.c_shots) c;
-               dash (fun c -> Printf.sprintf "%.0f" (Float.max 0. c.Obs.Telemetry.c_rate)) c;
-               dash (fun c -> Printf.sprintf "%d/%d" c.Obs.Telemetry.c_done c.c_total) c;
-               dash
-                 (fun e -> Printf.sprintf "%.1f" (Float.max 0. e))
-                 (Option.bind c (fun c -> c.c_eta_s)) ])
-           (List.rev newest_first));
-      Printf.printf "\nlast record (seq %d, t=%.2fs):\n" last.seq last.elapsed_s;
-      List.iter
-        (fun (name, d) -> if d > 0 then Printf.printf "  %s +%d\n" name d)
-        last.deltas;
-      Option.iter
-        (fun (c : Obs.Telemetry.campaign) ->
-          List.iter
-            (fun (t : Obs.Telemetry.task_progress) ->
-              Printf.printf "  task %s %s: %d shots, %d errors%s%s\n" t.tp_id t.tp_kind
-                t.tp_shots t.tp_errors
-                (if Float.is_nan t.tp_rel_halfwidth then ""
-                 else Printf.sprintf ", ci %.3f" t.tp_rel_halfwidth)
-                (if t.tp_done then " [done]" else ""))
-            c.c_tasks)
-        last.campaign;
-      (* Stream status from evidence, not the embedded rate: the monitor's
-         verdict for this stream, from the file's mtime against the
-         stream's own declared heartbeat interval. *)
-      let row = Obs.Monitor.row_of_stream file last in
-      match row.status with
-      | Done -> print_endline "stream: complete (final record present)"
-      | Stalled ->
-          Printf.printf
-            "stream: STALLED (no heartbeat for %.1fs; threshold %.1fs at a \
-             %.1fs interval)\n"
-            row.age_s
-            (Obs.Monitor.stall_threshold
-               ~stall_factor:Obs.Monitor.default_stall_factor
-               ~interval_s:last.interval_s)
-            last.interval_s
-      | Live -> Printf.printf "stream: live (last write %.1fs ago)\n" row.age_s
-
-let run_obs_diff file_a file_b threshold noise_floor () =
-  let load file = guard file (fun () -> load_json file) in
-  let doc_a = load file_a and doc_b = load file_b in
-  let r =
-    try
-      Obs.Diff.compare_docs ?threshold_pct:threshold
-        ?noise_floor_ns:noise_floor doc_a doc_b
-    with Failure msg ->
-      Printf.eprintf "hetarch obs diff: %s\n" msg;
-      exit 2
-  in
-  let thr = Option.value ~default:Obs.Diff.default_threshold_pct threshold in
-  Printf.printf "diff %s -> %s (threshold %g%%%s)\n" file_a file_b thr
-    (match noise_floor with
-     | Some f -> Printf.sprintf ", noise floor %g ns" f
-     | None -> "");
-  Tableio.print ~align:Tableio.Left
-    ~header:[ "metric"; "baseline"; "current"; "delta" ]
-    (List.map
-       (fun (e : Obs.Diff.entry) ->
-         [ e.Obs.Diff.metric; g e.Obs.Diff.a; g e.Obs.Diff.b;
-           Printf.sprintf "%+.1f%%%s" e.Obs.Diff.pct
-             (if e.Obs.Diff.regression then "  REGRESSION" else "") ])
-       r.Obs.Diff.entries);
-  if r.Obs.Diff.only_a <> [] then
-    Printf.printf "only in baseline: %s\n" (String.concat ", " r.Obs.Diff.only_a);
-  if r.Obs.Diff.only_b <> [] then
-    Printf.printf "only in current: %s\n" (String.concat ", " r.Obs.Diff.only_b);
-  match r.Obs.Diff.regressions with
-  | [] -> Printf.printf "no regressions past %g%% (%d metrics compared)\n" thr (List.length r.Obs.Diff.entries)
-  | regs ->
-      Printf.printf "%d regression(s) past %g%%, worst %s (%+.1f%%)\n"
-        (List.length regs) thr
-        (List.hd regs).Obs.Diff.metric (List.hd regs).Obs.Diff.pct;
-      exit 1
-
 (* ------------------------------------------------- obs fleet commands *)
 
 (* A run reference on the command line is either a file path or a run-id
@@ -982,7 +880,7 @@ let run_obs_runs limit prune () =
       end;
       let all = Obs.Registry.entries () in
       let shown =
-        if limit > 0 && List.length all > limit then
+        if List.length all > limit then
           (* keep the most recent [limit] entries, preserving index order *)
           List.filteri (fun i _ -> i >= List.length all - limit) all
         else all
@@ -1100,12 +998,64 @@ let render_monitor_rows rows =
       (List.length rows) (count Live) (count Stalled) (count Done)
   end
 
-let run_obs_monitor once interval stall_factor () =
-  match Obs.Registry.dir () with
-  | None ->
+(* One stream: its rate-over-time table and last record, then the same
+   monitor row the registry view prints — status from the file's mtime
+   against the stream's own heartbeat interval, not the embedded rate. *)
+let render_stream row newest_first =
+  let dash f = function Some v -> f v | None -> "-" in
+  Tableio.print
+    ~header:[ "seq"; "t(s)"; "dt(s)"; "gc minor"; "words/s"; "shots"; "shots/s"; "done"; "eta(s)" ]
+    (List.map
+       (fun (r : Obs.Telemetry.record) ->
+         let c = r.campaign in
+         [ string_of_int r.seq;
+           Printf.sprintf "%.2f" r.elapsed_s;
+           Printf.sprintf "%.2f" r.dt_s;
+           string_of_int r.gc_minor_delta;
+           Printf.sprintf "%.0f"
+             (Option.value ~default:0. (List.assoc_opt "gc.minor_words_per_s" r.rates));
+           dash (fun c -> string_of_int c.Obs.Telemetry.c_shots) c;
+           dash (fun c -> Printf.sprintf "%.0f" (Float.max 0. c.Obs.Telemetry.c_rate)) c;
+           dash (fun c -> Printf.sprintf "%d/%d" c.Obs.Telemetry.c_done c.c_total) c;
+           dash
+             (fun e -> Printf.sprintf "%.1f" (Float.max 0. e))
+             (Option.bind c (fun c -> c.c_eta_s)) ])
+       (List.rev newest_first));
+  let last = row.Obs.Monitor.last in
+  Printf.printf "\nlast record (seq %d, t=%.2fs):\n" last.seq last.elapsed_s;
+  List.iter
+    (fun (name, d) -> if d > 0 then Printf.printf "  %s +%d\n" name d)
+    last.deltas;
+  Option.iter
+    (fun (c : Obs.Telemetry.campaign) ->
+      List.iter
+        (fun (t : Obs.Telemetry.task_progress) ->
+          Printf.printf "  task %s %s: %d shots, %d errors%s%s\n" t.tp_id t.tp_kind
+            t.tp_shots t.tp_errors
+            (if Float.is_nan t.tp_rel_halfwidth then ""
+             else Printf.sprintf ", ci %.3f" t.tp_rel_halfwidth)
+            (if t.tp_done then " [done]" else ""))
+        c.c_tasks)
+    last.campaign;
+  print_newline ();
+  render_monitor_rows [ row ]
+
+let run_obs_monitor file once interval stall_factor () =
+  match (file, Obs.Registry.dir ()) with
+  | Some file, _ -> (
+      match
+        guard file (fun () ->
+            Obs.fold_jsonl file (fun acc j -> Obs.Telemetry.of_json j :: acc) [])
+      with
+      | [] -> if not once then print_endline "telemetry stream is empty"
+      | last :: _ as newest_first ->
+          let row = Obs.Monitor.row_of_stream ~stall_factor file last in
+          if once then print_endline (Obs.Json.to_string (Obs.Monitor.row_json row))
+          else render_stream row newest_first)
+  | None, None ->
       obs_fail
         "no run registry configured (set HETARCH_OBS_DIR or pass --obs-dir)"
-  | Some d ->
+  | None, Some d ->
       let scan () = Obs.Monitor.scan ~stall_factor ~dir:d () in
       if once then
         (* Machine-readable: one hetarch.monitor/1 JSON object per line. *)
@@ -1136,7 +1086,13 @@ let run_obs_monitor once interval stall_factor () =
         loop ()
       end
 
-let run_obs_compare current_ref last nmad min_pct noise_floor gate () =
+let metrics_of_state = function
+  | `Snap s -> Obs.Trend.metrics_of s
+  | `Fleet m -> Obs.Trend.metrics_of (Obs.Merge.merged m)
+
+(* The current run against the median + MAD of the last [last] other runs
+   of its command and shard in the registry: (title, history, current). *)
+let registry_history current_ref last =
   if Obs.Registry.dir () = None then
     obs_fail
       "no run registry configured (set HETARCH_OBS_DIR or pass --obs-dir)";
@@ -1159,67 +1115,82 @@ let run_obs_compare current_ref last nmad min_pct noise_floor gate () =
   let cur_hash = Obs.Snapshot.content_hash current in
   let cur_cmd = Obs.Registry.cmd_of_argv current.Obs.Snapshot.argv in
   let cur_shard = current.Obs.Snapshot.run.shard in
-  (* History = the last K other runs of the same command and shard. *)
-  let history_entries =
+  let same =
     List.filter
       (fun (e : Obs.Registry.entry) ->
-        e.Obs.Registry.e_cmd = cur_cmd
-        && e.Obs.Registry.e_shard = cur_shard
-        && e.Obs.Registry.e_hash <> cur_hash)
+        e.e_cmd = cur_cmd && e.e_shard = cur_shard && e.e_hash <> cur_hash)
       entries
   in
-  let history_entries =
-    let n = List.length history_entries in
-    if last > 0 && n > last then
-      List.filteri (fun i _ -> i >= n - last) history_entries
-    else history_entries
-  in
+  let n = List.length same in
   let history =
-    List.filter_map
-      (fun e ->
-        try Some (Obs.Diff.metrics_of (Obs.Snapshot.to_json (Obs.Registry.load e)))
-        with Failure _ | Sys_error _ -> None)
-      history_entries
+    List.filteri (fun i _ -> i >= n - last) same
+    |> List.filter_map (fun e ->
+           try Some (Obs.Trend.metrics_of (Obs.Registry.load e))
+           with Failure _ | Sys_error _ -> None)
   in
-  let current_metrics = Obs.Diff.metrics_of (Obs.Snapshot.to_json current) in
+  ( Printf.sprintf "trend: run %s (%s%s) vs median of last %d same-command run(s)"
+      current.run.run_id cur_cmd
+      (if cur_shard = "" then "" else Printf.sprintf ", shard %s" cur_shard)
+      (List.length history),
+    history,
+    Obs.Trend.metrics_of current )
+
+(* One judge, two histories: BASELINE RUN is a one-point history that may
+   flag and always gates; zero or one argument judges against the registry
+   trend, which needs two points to flag and gates only with --gate. *)
+let run_obs_diff baseline run last nmad threshold noise_floor gate () =
+  let title, history, current, min_pct, min_samples, gate =
+    match (baseline, run) with
+    | Some base, Some run ->
+        let thr = Option.value ~default:Obs.Trend.default_baseline_pct threshold in
+        ( Printf.sprintf "diff %s -> %s (threshold %g%%%s)" base run thr
+            (match noise_floor with
+            | Some f -> Printf.sprintf ", noise floor %g ns" f
+            | None -> ""),
+          [ metrics_of_state (resolve_ref base) ],
+          metrics_of_state (resolve_ref run),
+          thr, 1, true )
+    | run, _ ->
+        let title, history, current = registry_history run last in
+        ( title, history, current,
+          Option.value ~default:Obs.Trend.default_min_pct threshold, 2, gate )
+  in
+  (* A metric no history point carries is listed as only in the current run. *)
   let verdicts =
-    Obs.Trend.judge ?nmad ?min_pct ?noise_floor_ns:noise_floor
-      ~history current_metrics
+    Obs.Trend.judge ?nmad ~min_pct ?noise_floor_ns:noise_floor ~min_samples
+      ~history current
+    |> List.filter (fun (v : Obs.Trend.verdict) -> v.v_samples > 0)
   in
-  Printf.printf
-    "trend: run %s (%s%s) vs median of last %d same-command run(s)\n"
-    current.run.run_id cur_cmd
-    (if cur_shard = "" then "" else Printf.sprintf ", shard %s" cur_shard)
-    (List.length history);
+  print_endline title;
   Tableio.print ~align:Tableio.Left
-    ~header:[ "metric"; "current"; "median"; "mad"; "limit"; "status" ]
+    ~header:
+      [ "metric"; (if min_samples = 1 then "baseline" else "median"); "current";
+        "delta"; "limit"; "status" ]
     (List.map
        (fun (v : Obs.Trend.verdict) ->
-         [ v.Obs.Trend.v_metric;
-           g v.Obs.Trend.v_current;
-           g v.Obs.Trend.v_median;
-           g v.Obs.Trend.v_mad;
-           (if v.Obs.Trend.v_limit = infinity then "-"
-            else g v.Obs.Trend.v_limit);
-           (if v.Obs.Trend.v_regression then "REGRESSION"
-            else if v.Obs.Trend.v_samples < 2 then
-              Printf.sprintf "thin history (%d)" v.Obs.Trend.v_samples
+         [ v.v_metric; g v.v_median; g v.v_current;
+           Printf.sprintf "%+.1f%%" (Obs.Trend.delta_pct v);
+           (if v.v_limit = infinity then "-" else g v.v_limit);
+           (if v.v_regression then "REGRESSION"
+            else if v.v_samples < min_samples then
+              Printf.sprintf "thin history (%d)" v.v_samples
             else "ok") ])
        verdicts);
-  let regressions =
-    List.filter (fun (v : Obs.Trend.verdict) -> v.Obs.Trend.v_regression)
-      verdicts
-  in
-  match regressions with
+  let only_base, only_cur = Obs.Trend.only_in ~history current in
+  if only_base <> [] then
+    Printf.printf "only in baseline: %s\n" (String.concat ", " only_base);
+  if only_cur <> [] then
+    Printf.printf "only in current: %s\n" (String.concat ", " only_cur);
+  match Obs.Trend.regressions verdicts with
   | [] ->
-      Printf.printf "no trend regressions (%d metrics, history depth %d)\n"
+      Printf.printf "no regressions (%d metrics, history depth %d)\n"
         (List.length verdicts) (List.length history)
-  | worst :: _ ->
-      Printf.printf "%d trend regression(s), worst %s (%s > limit %s)\n"
-        (List.length regressions) worst.Obs.Trend.v_metric
-        (g worst.Obs.Trend.v_current) (g worst.Obs.Trend.v_limit);
+  | worst :: _ as regs ->
+      Printf.printf "%d regression(s), worst %s (%+.1f%%, %s > limit %s)%s\n"
+        (List.length regs) worst.v_metric (Obs.Trend.delta_pct worst)
+        (g worst.v_current) (g worst.v_limit)
+        (if gate then "" else "; warn-only, pass --gate to fail");
       if gate then exit 1
-      else print_endline "warn-only: pass --gate to fail on trend regressions"
 
 (* ----------------------------------------------------------------- CLI *)
 
@@ -1305,9 +1276,9 @@ let telemetry_arg =
         ~doc:
           "Stream live JSONL telemetry records (schema hetarch.telemetry/4) \
            to $(docv) while the command runs; inspect with $(b,hetarch obs \
-           tail).  With a run registry configured, recorded runs stream to \
-           <obs-dir>/telemetry/<run_id>.jsonl automatically; this flag \
-           overrides that path")
+           monitor) $(docv).  With a run registry configured, recorded \
+           runs stream to <obs-dir>/telemetry/<run_id>.jsonl \
+           automatically; this flag overrides that path")
 
 let obs_dir_arg =
   Arg.(
@@ -1318,7 +1289,7 @@ let obs_dir_arg =
           "Run registry directory (defaults to $(b,HETARCH_OBS_DIR)): on \
            exit the run's obs snapshot is written under $(docv)/snapshots \
            and indexed in $(docv)/index.jsonl; inspect with $(b,hetarch obs \
-           runs/report/merge/compare)")
+           runs/report/merge/diff)")
 
 let shard_label_arg =
   Arg.(
@@ -1346,7 +1317,7 @@ let telemetry_interval_arg =
    Finalization (telemetry flush, one snapshot capture for --metrics and
    the registry, trace export) runs exactly once, both on the normal path — where a
    write failure exits 1 — and via [at_exit], so early [exit] paths (obs
-   diff/compare gates, collect validation) and killed-early runs still
+   diff gates, collect validation) and killed-early runs still
    leave complete artifacts.  [record=false] keeps the pure-reader obs
    analysis subcommands from polluting the run registry. *)
 let cmd ?(record = true) name doc term =
@@ -1523,56 +1494,10 @@ let obs_cmd =
       & pos 0 (some file) None
       & info [] ~docv:"TRACE" ~doc:"Trace JSONL file written by --trace")
   in
-  let counts_flag =
-    Arg.(
-      value & flag
-      & info [ "counts" ]
-          ~doc:
-            "Weight folded stacks by span count instead of self nanoseconds \
-             — byte-identical across --jobs settings for a deterministic \
-             workload")
-  in
   let limit_arg =
     Arg.(
-      value & opt int 20
+      value & opt (int_at_least 1) 20
       & info [ "n"; "limit" ] ~docv:"N" ~doc:"Rows to show")
-  in
-  (* [obs diff] flags past its threshold; [obs compare] passes the same flag
-     as the trend band's floor, whose default differs. *)
-  let threshold_arg doc =
-    Arg.(
-      value
-      & opt (some (float_at_least 0.)) None
-      & info [ "threshold" ] ~docv:"PCT" ~doc)
-  in
-  let noise_floor_arg =
-    Arg.(
-      value
-      & opt (some (float_at_least 0.)) None
-      & info [ "noise-floor-ns" ] ~docv:"NS"
-          ~doc:
-            "Never flag metrics whose baseline and current values are both \
-             below $(docv) nanoseconds — relative thresholds are \
-             meaningless under scheduling noise")
-  in
-  let baseline_pos =
-    Arg.(
-      required
-      & pos 0 (some file) None
-      & info [] ~docv:"BASELINE" ~doc:"Baseline snapshot or fleet view")
-  in
-  let current_pos =
-    Arg.(
-      required
-      & pos 1 (some file) None
-      & info [] ~docv:"CURRENT" ~doc:"Current snapshot or fleet view")
-  in
-  let telemetry_pos =
-    Arg.(
-      required
-      & pos 0 (some file) None
-      & info [] ~docv:"TELEMETRY"
-          ~doc:"Telemetry JSONL stream written by --telemetry")
   in
   let run_ref_pos =
     Arg.(
@@ -1582,15 +1507,6 @@ let obs_cmd =
           ~doc:
             "Snapshot/fleet JSON file, or a run-id prefix resolved through \
              the registry")
-  in
-  let current_opt_pos =
-    Arg.(
-      value
-      & pos 0 (some string) None
-      & info [] ~docv:"RUN"
-          ~doc:
-            "Snapshot file or run-id prefix to judge (default: the latest \
-             registry run)")
   in
   let merge_refs_pos =
     Arg.(
@@ -1606,29 +1522,6 @@ let obs_cmd =
       & info [ "o"; "output" ] ~docv:"FILE"
           ~doc:"Write the fleet view to $(docv) instead of stdout")
   in
-  let last_arg =
-    Arg.(
-      value & opt int 10
-      & info [ "last" ] ~docv:"K"
-          ~doc:"History depth: the most recent $(docv) same-command runs")
-  in
-  let nmad_arg =
-    Arg.(
-      value
-      & opt (some (float_at_least 0.)) None
-      & info [ "nmad" ] ~docv:"N"
-          ~doc:
-            (Printf.sprintf "MAD multiplier of the trend noise band (default %g)"
-               Obs.Trend.default_nmad))
-  in
-  let gate_arg =
-    Arg.(
-      value & flag
-      & info [ "gate" ]
-          ~doc:
-            "Exit 1 on trend regressions (CI hard gate); the default is \
-             warn-only for local runs")
-  in
   (* Analysis leaves are pure readers — [~record:false] keeps them out of
      the run registry they inspect. *)
   let cmd = cmd ~record:false in
@@ -1639,18 +1532,9 @@ let obs_cmd =
           traces, telemetry")
     [ cmd "report" "Summarize a run snapshot or fleet view"
         Term.(const run_obs_report $ run_ref_pos);
-      cmd "flame" "Render a trace as folded stacks (flamegraph.pl input)"
-        Term.(
-          const run_obs_flame $ trace_pos $ counts_flag
-          $ Arg.(
-              value & flag
-              & info [ "alloc" ]
-                  ~doc:
-                    "Weight folded stacks by self minor-heap words instead \
-                     of self nanoseconds — an allocation flamegraph, \
-                     byte-identical across --jobs settings for a \
-                     deterministic workload"));
-      cmd "top" "Rank call paths by self time, cumulative time, count, or allocation"
+      cmd "top"
+        "Rank call paths by self time, cumulative time, count, or \
+         allocation; or print them as folded stacks"
         Term.(
           const run_obs_top $ trace_pos $ limit_arg
           $ Arg.(
@@ -1664,17 +1548,73 @@ let obs_cmd =
                   ~doc:
                     "Ranking key: $(b,self) (self ns), $(b,cum) (cumulative \
                      ns), $(b,count) (span count), or $(b,alloc) (self \
-                     minor-heap words)"));
-      cmd "tail" "Rate-over-time table and last-record status of a telemetry stream"
-        Term.(const run_obs_tail $ telemetry_pos);
+                     minor-heap words)")
+          $ Arg.(
+              value & flag
+              & info [ "folded" ]
+                  ~doc:
+                    "Print every path as folded stacks (flamegraph.pl \
+                     input) weighted by the self quantity of $(b,--sort): \
+                     self ns, span count, or self minor-heap words; count \
+                     and alloc weights are byte-identical across --jobs \
+                     settings for a deterministic workload.  $(b,--limit) \
+                     does not apply, and $(b,--sort cum) is an error"));
       cmd "diff"
-        "Compare two snapshots or fleet views; exit 1 on perf regressions"
+        "Judge a run for perf regressions: against BASELINE (exit 1 on a \
+         regression), or with at most one argument against the registry \
+         trend (median + MAD of the last K runs; warn-only unless --gate)"
         Term.(
-          const run_obs_diff $ baseline_pos $ current_pos
-          $ threshold_arg
-              (Printf.sprintf "Regression threshold in percent (default %g)"
-                 Obs.Diff.default_threshold_pct)
-          $ noise_floor_arg);
+          const run_obs_diff
+          $ Arg.(
+              value
+              & pos 0 (some string) None
+              & info [] ~docv:"BASELINE"
+                  ~doc:
+                    "Baseline snapshot/fleet file or run-id prefix; given \
+                     alone, it is the $(i,RUN) judged against the trend")
+          $ Arg.(
+              value
+              & pos 1 (some string) None
+              & info [] ~docv:"RUN"
+                  ~doc:
+                    "Snapshot/fleet file or run-id prefix to judge (default: \
+                     the latest registry run)")
+          $ Arg.(
+              value & opt (int_at_least 1) 10
+              & info [ "last" ] ~docv:"K"
+                  ~doc:
+                    "Trend history depth: the most recent $(docv) \
+                     same-command runs")
+          $ Arg.(
+              value
+              & opt (some (float_at_least 0.)) None
+              & info [ "nmad" ] ~docv:"N"
+                  ~doc:
+                    (Printf.sprintf
+                       "MAD multiplier of the trend noise band (default %g)"
+                       Obs.Trend.default_nmad))
+          $ Arg.(
+              value
+              & opt (some (float_at_least 0.)) None
+              & info [ "threshold" ] ~docv:"PCT"
+                  ~doc:
+                    (Printf.sprintf
+                       "Percent: default %g against BASELINE, %g as trend floor"
+                       Obs.Trend.default_baseline_pct Obs.Trend.default_min_pct))
+          $ Arg.(
+              value
+              & opt (some (float_at_least 0.)) None
+              & info [ "noise-floor-ns" ] ~docv:"NS"
+                  ~doc:
+                    "Never flag metrics whose baseline and current values \
+                     are both below $(docv) nanoseconds — relative \
+                     thresholds are meaningless under scheduling noise")
+          $ Arg.(
+              value & flag
+              & info [ "gate" ]
+                  ~doc:
+                    "Exit 1 on trend regressions (CI hard gate); the trend \
+                     default is warn-only for local runs"));
       cmd "runs" "List the run registry (--obs-dir / HETARCH_OBS_DIR)"
         Term.(
           const run_obs_runs $ limit_arg
@@ -1703,16 +1643,23 @@ let obs_cmd =
                      that is not among the merged sources (an incomplete \
                      fleet)"));
       cmd "monitor"
-        "Live fleet view: tail every run's telemetry stream under the \
-         registry with rate/ETA/stall detection"
+        "Telemetry view with rate/ETA/stall detection: one stream's rate \
+         table and status, or one row per stream under the registry"
         Term.(
           const run_obs_monitor
+          $ Arg.(
+              value
+              & pos 0 (some file) None
+              & info [] ~docv:"FILE"
+                  ~doc:
+                    "Telemetry JSONL stream written by --telemetry (default: \
+                     every stream under the registry)")
           $ Arg.(
               value & flag
               & info [ "once" ]
                   ~doc:
                     "Render one scan as machine-readable JSON (one \
-                     hetarch.monitor/1 object per line) and exit")
+                     hetarch.monitor/1 object per stream and line) and exit")
           $ Arg.(
               value & opt (float_at_least ~strict:true 0.) 2.0
               & info [ "interval" ] ~docv:"SEC"
@@ -1728,16 +1675,7 @@ let obs_cmd =
         "Merge run snapshots into one fleet view (order-insensitive, \
          byte-deterministic)"
         Term.(
-          const run_obs_merge $ merge_refs_pos $ out_arg);
-      cmd "compare"
-        "Judge a run against the registry trend (median + MAD of last K); \
-         warn-only unless --gate"
-        Term.(
-          const run_obs_compare $ current_opt_pos $ last_arg $ nmad_arg
-          $ threshold_arg
-              (Printf.sprintf "Trend band floor in percent of the median (default %g)"
-                 Obs.Trend.default_min_pct)
-          $ noise_floor_arg $ gate_arg) ]
+          const run_obs_merge $ merge_refs_pos $ out_arg) ]
 
 (* --------------------------------------------------------------- serve *)
 

@@ -228,7 +228,7 @@ module Progress = struct
 
   (* Totals, rate and ETA all come from [Obs.Telemetry.campaign_snapshot] —
      the same code path that fills the telemetry JSONL records — so what
-     the status line shows is exactly what `hetarch obs tail` reads back. *)
+     the status line shows is exactly what `hetarch obs monitor` reads back. *)
   let tick t ~cur_kind ~cur_shots ~cur_errors =
     if t.enabled then begin
       let now = Obs.now_ns () in

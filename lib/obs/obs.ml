@@ -1045,22 +1045,22 @@ module Profile = struct
 
   (* Folded-stack text (flamegraph.pl / speedscope "folded" input): one
      [path weight] line per node with a positive weight, sorted by path.
-     [`Self_ns] weights are wall-clock and vary run to run; [`Count] weights
+     [`Self] weights are wall-clock and vary run to run; [`Count] weights
      depend only on the span structure, so they are byte-identical across
-     --jobs settings — that is what the CI smoke diffs.  [`Self_alloc]
+     --jobs settings — that is what the CI smoke diffs.  [`Alloc]
      weights by self minor words: exact (not sampled), so for a workload
      whose spans run sequentially the allocation flamegraph is
      byte-identical across runs and --jobs settings too. *)
-  let folded ?(weight = `Self_ns) nodes =
+  let folded ?(weight = `Self) nodes =
     let b = Buffer.create 256 in
     let lines =
       fold_nodes
         (fun acc n ->
           let w =
             match weight with
-            | `Self_ns -> Int64.to_int n.self_ns
+            | `Self -> Int64.to_int n.self_ns
             | `Count -> n.count
-            | `Self_alloc -> n.self_w
+            | `Alloc -> n.self_w
           in
           if w > 0 then (n.path, w) :: acc else acc)
         [] nodes
@@ -1463,7 +1463,7 @@ module Telemetry = struct
          ("elapsed_s", Json.Float r.elapsed_s);
          ("dt_s", Json.Float r.dt_s);
          (* The throttle interval travels with every record so readers
-            (tail, monitor) can judge staleness without out-of-band
+            (obs monitor) can judge staleness without out-of-band
             configuration. *)
          ("interval_s", Json.Float r.interval_s);
          ("counters", ints r.counters);
@@ -1886,98 +1886,6 @@ module Merge = struct
              Snapshot.schema schema)
 end
 
-(* ------------------------------------------------------------------ diff *)
-
-(* [nan] on an empty list. *)
-let median = function
-  | [] -> Float.nan
-  | xs ->
-      let arr = Array.of_list xs in
-      Array.sort compare arr;
-      let n = Array.length arr in
-      if n mod 2 = 1 then arr.(n / 2) else (arr.((n / 2) - 1) +. arr.(n / 2)) /. 2.
-
-(* Snapshot comparison: extract the time-like metrics of two parsed
-   snapshots or fleet documents (span total_ns and minor words, histogram
-   means) and flag relative regressions past a threshold; scripts can use
-   the exit status as a hard gate. *)
-
-module Diff = struct
-  type entry = {
-    metric : string;
-    a : float;
-    b : float;
-    pct : float;  (* 100 * (b - a) / a; 0 when both sides are 0 *)
-    regression : bool;
-  }
-
-  type result = {
-    entries : entry list;  (* intersection of both docs, sorted by metric *)
-    regressions : entry list;  (* entries past the threshold, worst first *)
-    only_a : string list;
-    only_b : string list;
-  }
-
-  let default_threshold_pct = 20.
-
-  (* (metric, value) list for one document; higher is always worse.  A
-     snapshot or fleet document contributes its span totals, span minor
-     words (exact counts, so the trend watchdog flags allocation
-     regressions with the same median + MAD machinery it uses for ns) and
-     histogram means. *)
-  let metrics_of doc =
-    let s =
-      try Merge.merged (Merge.of_json doc)
-      with Failure msg -> failwith ("Obs.Diff: " ^ msg)
-    in
-    List.map (fun (n, _, t, _, _, _) -> ("span:" ^ n, Int64.to_float t)) s.spans
-    @ List.map (fun (n, _, _, w, _, _) -> ("alloc:" ^ n, float_of_int w)) s.spans
-    @ List.filter_map
-        (fun (n, (h : Snapshot.hist)) ->
-          if Float.is_finite h.h_mean then Some ("hist:" ^ n ^ ".mean", h.h_mean)
-          else None)
-        s.histograms
-
-  (* [noise_floor_ns] keeps sub-floor metrics listed but never flags them:
-     a 50% swing on a 300 ns span is scheduling noise, not a regression.  A
-     metric that grows from 0 is an infinite rise, flagged like any other
-     once its new value reaches the floor. *)
-  let compare_docs ?(threshold_pct = default_threshold_pct)
-      ?(noise_floor_ns = 0.) a b =
-    let ma = metrics_of a and mb = metrics_of b in
-    let tbl = Hashtbl.create 32 in
-    List.iter (fun (k, v) -> Hashtbl.replace tbl k v) ma;
-    let entries =
-      List.filter_map
-        (fun (k, vb) ->
-          match Hashtbl.find_opt tbl k with
-          | None -> None
-          | Some va ->
-              let pct =
-                if va > 0. then 100. *. (vb -. va) /. va
-                else if vb > 0. then infinity
-                else 0.
-              in
-              Some
-                { metric = k;
-                  a = va;
-                  b = vb;
-                  pct;
-                  regression =
-                    pct > threshold_pct && Float.max va vb >= noise_floor_ns })
-        mb
-      |> List.sort (fun x y -> compare x.metric y.metric)
-    in
-    let names m = List.map fst m in
-    let diff_names xs ys = List.filter (fun x -> not (List.mem x ys)) xs in
-    { entries;
-      regressions =
-        List.filter (fun e -> e.regression) entries
-        |> List.sort (fun x y -> compare y.pct x.pct);
-      only_a = List.sort compare (diff_names (names ma) (names mb));
-      only_b = List.sort compare (diff_names (names mb) (names ma)) }
-end
-
 (* -------------------------------------------------------------- registry *)
 
 (* Append-only run registry: HETARCH_OBS_DIR (or an explicit [set_dir])
@@ -2149,21 +2057,30 @@ end
 
 (* ----------------------------------------------------------------- trend *)
 
-(* Registry-backed regression watchdog: instead of one committed baseline,
-   judge the current run against the median of the last K runs with a
-   median-absolute-deviation noise band.  The MAD is a robust spread
-   estimate — one historic outlier cannot widen or shift the gate the way
-   it would a mean/stddev band — and 1.4826·MAD estimates sigma for
-   normally-distributed noise.  A floor of min_pct% of the median keeps
-   near-deterministic metrics (MAD ≈ 0) from flagging on harmless jitter,
-   and nothing is flagged with fewer than two history points. *)
+(* The one regression judge: the current value of each metric against the
+   median of a history with a median-absolute-deviation noise band.  The
+   MAD is a robust spread estimate — one historic outlier cannot widen or
+   shift the gate the way it would a mean/stddev band — and 1.4826·MAD
+   estimates sigma for normally-distributed noise.  A floor of min_pct% of
+   the median keeps near-deterministic metrics (MAD ≈ 0) from flagging on
+   harmless jitter.  A one-point history is an explicit baseline: its MAD
+   is 0, so the limit is baseline·(1 + min_pct/100), and a metric that
+   grows from 0 (limit 0) gates. *)
+
+(* [nan] on an empty list. *)
+let median = function
+  | [] -> Float.nan
+  | xs ->
+      let arr = Array.of_list xs in
+      Array.sort compare arr;
+      let n = Array.length arr in
+      if n mod 2 = 1 then arr.(n / 2) else (arr.((n / 2) - 1) +. arr.(n / 2)) /. 2.
 
 module Trend = struct
   type verdict = {
     v_metric : string;
     v_current : float;
-    v_median : float;
-    v_mad : float;
+    v_median : float;  (* the current value when no history carries it *)
     v_limit : float;  (* regression boundary; infinity with thin history *)
     v_samples : int;  (* history points that carried this metric *)
     v_regression : bool;
@@ -2171,35 +2088,55 @@ module Trend = struct
 
   let default_nmad = 5.
   let default_min_pct = 10.
+  let default_baseline_pct = 20.
+
+  (* (metric, value) list of one run; higher is always worse: span totals,
+     span minor words (exact counts, so allocation regressions gate like
+     time ones) and histogram means. *)
+  let metrics_of (s : Snapshot.t) =
+    List.map (fun (n, _, t, _, _, _) -> ("span:" ^ n, Int64.to_float t)) s.spans
+    @ List.map (fun (n, _, _, w, _, _) -> ("alloc:" ^ n, float_of_int w)) s.spans
+    @ List.filter_map
+        (fun (n, (h : Snapshot.hist)) ->
+          if Float.is_finite h.h_mean then Some ("hist:" ^ n ^ ".mean", h.h_mean)
+          else None)
+        s.histograms
 
   let judge ?(nmad = default_nmad) ?(min_pct = default_min_pct) ?(noise_floor_ns = 0.)
-      ~history current =
+      ?(min_samples = 2) ~history current =
     List.map
       (fun (metric, cur) ->
         let vals = List.filter_map (List.assoc_opt metric) history in
         let samples = List.length vals in
-        if samples < 2 then
-          { v_metric = metric;
-            v_current = cur;
-            v_median = (match vals with [ v ] -> v | _ -> cur);
-            v_mad = 0.;
-            v_limit = infinity;
-            v_samples = samples;
-            v_regression = false }
-        else begin
-          let med = median vals in
-          let mad = median (List.map (fun v -> Float.abs (v -. med)) vals) in
-          let limit = med +. Float.max (nmad *. 1.4826 *. mad) (min_pct /. 100. *. med) in
-          { v_metric = metric;
-            v_current = cur;
-            v_median = med;
-            v_mad = mad;
-            v_limit = limit;
-            v_samples = samples;
-            v_regression = cur > limit && Float.max cur med >= noise_floor_ns }
-        end)
+        let med = if vals = [] then cur else median vals in
+        let mad = median (List.map (fun v -> Float.abs (v -. med)) vals) in
+        let limit =
+          if samples < max 1 min_samples then infinity
+          else med +. Float.max (nmad *. 1.4826 *. mad) (min_pct /. 100. *. med)
+        in
+        { v_metric = metric;
+          v_current = cur;
+          v_median = med;
+          v_limit = limit;
+          v_samples = samples;
+          v_regression = cur > limit && Float.max cur med >= noise_floor_ns })
       current
     |> List.sort (fun a b -> compare a.v_metric b.v_metric)
+
+  let delta_pct v =
+    if v.v_median > 0. then 100. *. (v.v_current -. v.v_median) /. v.v_median
+    else if v.v_current > 0. then infinity
+    else 0.
+
+  let regressions verdicts =
+    List.filter (fun v -> v.v_regression) verdicts
+    |> List.stable_sort (fun a b -> compare (delta_pct b) (delta_pct a))
+
+  let only_in ~history current =
+    let names m = List.sort_uniq compare (List.map fst m) in
+    let hist = names (List.concat history) and cur = names current in
+    ( List.filter (fun k -> not (List.mem k cur)) hist,
+      List.filter (fun k -> not (List.mem k hist)) cur )
 end
 
 (* --------------------------------------------------------- fleet monitor *)
@@ -2222,11 +2159,6 @@ module Monitor = struct
   }
 
   let default_stall_factor = 5.
-
-  (* Sub-second throttle intervals would make any scheduling hiccup read as
-     a stall; clamp the staleness window to at least one second. *)
-  let stall_threshold ~stall_factor ~interval_s =
-    stall_factor *. Float.max interval_s 1.0
 
   let status_string = function
     | Live -> "live"
@@ -2256,8 +2188,9 @@ module Monitor = struct
       alloc_w_per_s = Option.value ~default:0. (List.assoc_opt "gc.minor_words_per_s" last.rates);
       status =
         (if last.final || registered then Done
-         else if age_s > stall_threshold ~stall_factor ~interval_s:last.interval_s then
-           Stalled
+         (* Sub-second throttle intervals would make any scheduling hiccup
+            read as a stall; the staleness window is at least one second. *)
+         else if age_s > stall_factor *. Float.max last.interval_s 1.0 then Stalled
          else Live) }
 
   (* Campaign fields of a row, with [default] when the stream has no

@@ -320,13 +320,14 @@ module Profile : sig
   (** The tree of a trace file's spans, every source of a merged trace in
       one tree.  Times are µs-granular; counts, words and shape exact. *)
 
-  val folded : ?weight:[ `Self_ns | `Count | `Self_alloc ] -> node list -> string
+  val folded : ?weight:[ `Self | `Count | `Alloc ] -> node list -> string
   (** Folded-stack text ([root;child;leaf weight], one line per node with a
       positive weight, sorted by path) — the input format of flamegraph.pl
-      and speedscope.  [`Self_ns] (default) weights by self nanoseconds;
-      [`Count] weights by span count, which is byte-identical across
-      [--jobs] settings for a deterministic workload; [`Self_alloc] weights
-      by self minor words — exact counts, byte-identical across runs and
+      and speedscope.  The weight is the self quantity of the same key
+      {!top} ranks by: [`Self] (default) self nanoseconds;
+      [`Count] span count, which is byte-identical across
+      [--jobs] settings for a deterministic workload; [`Alloc] self
+      minor words — exact counts, byte-identical across runs and
       [--jobs] for workloads whose spans execute sequentially. *)
 
   val top :
@@ -433,52 +434,6 @@ module Telemetry : sig
   (** Aggregate the provider's current task list into campaign totals, rate
       and ETA — the single code path behind both the telemetry records and
       the collect [--progress] line.  [None] when no provider is set. *)
-end
-
-(** Snapshot comparison: a perf-regression gate.
-
-    Extracts the worse-when-higher metrics of two parsed snapshot or fleet
-    documents — span [total_ns], span minor-word totals (as
-    [alloc:<name>]) and histogram means — and flags relative regressions
-    past a threshold.  The alloc
-    metrics feed the {!Trend} watchdog, so allocation regressions gate like
-    time ones. *)
-module Diff : sig
-  type entry = {
-    metric : string;
-    a : float;
-    b : float;
-    pct : float;  (** [100 * (b - a) / a]; [0.] when both sides are zero *)
-    regression : bool;
-  }
-
-  type result = {
-    entries : entry list;  (** metric intersection, sorted by name *)
-    regressions : entry list;  (** past the threshold, worst first *)
-    only_a : string list;  (** metrics present only in the first document *)
-    only_b : string list;
-  }
-
-  val default_threshold_pct : float
-  (** 20%. *)
-
-  val metrics_of : Json.t -> (string * float) list
-  (** Raises [Failure] on an unrecognized schema. *)
-
-  val compare_docs :
-    ?threshold_pct:float ->
-    ?noise_floor_ns:float ->
-    Json.t ->
-    Json.t ->
-    result
-  (** [compare_docs a b] treats [a] as the baseline.
-
-      [noise_floor_ns] (default 0): metrics whose baseline and current
-      values are both below the floor stay listed but are never flagged
-      as regressions — relative thresholds are meaningless under the
-      machine's scheduling noise.  A metric whose baseline is 0 and whose
-      current value is positive and at or above the floor is a
-      regression ([pct] is [infinity]). *)
 end
 
 (** Complete, content-hashed serialization of one process's obs state
@@ -671,7 +626,7 @@ end
     [final] or the run has reached [index.jsonl]; [Stalled] when the file
     has gone untouched for [stall_factor × max(interval_s, 1 s)] — judged
     against the stream's {e own} declared throttle interval; [Live]
-    otherwise.  [obs tail] prints the same verdict. *)
+    otherwise.  [obs monitor FILE] prints the same row for one stream. *)
 module Monitor : sig
   type status = Live | Stalled | Done
 
@@ -689,16 +644,11 @@ module Monitor : sig
   val default_stall_factor : float
   (** 5.0 — five missed heartbeats flag a stall. *)
 
-  val stall_threshold : stall_factor:float -> interval_s:float -> float
-  (** [stall_factor × max(interval_s, 1 s)]: the clamp keeps sub-second
-      throttle intervals from reading scheduling hiccups as stalls. *)
-
   val row_of_stream :
     ?registered:bool -> ?stall_factor:float -> ?now_unix:float -> string ->
     Telemetry.record -> row
   (** The row for the stream at [path] whose last record is given;
-      [registered] (default false) marks the run done.  [obs tail] prints
-      this row's status. *)
+      [registered] (default false) marks the run done. *)
 
   val scan :
     ?stall_factor:float -> ?now_unix:float -> dir:string -> unit -> row list
@@ -745,23 +695,22 @@ module Trace_merge : sig
       input has no ["hetarch.run"] metadata event. *)
 end
 
-(** Trend-based regression watchdog over registry history.
+(** The regression judge, over one explicit baseline or registry history.
 
-    Generalizes the single-baseline {!Diff} gate: the current value of each
-    metric is judged against the {e median} of the last K runs with a
-    median-absolute-deviation noise band —
+    The current value of each metric is judged against the {e median} of
+    its history with a median-absolute-deviation noise band —
     [limit = median + max(nmad * 1.4826 * MAD, min_pct% of median)].
     The MAD is robust (one historic outlier cannot shift or widen the
     gate), 1.4826·MAD estimates sigma under normal noise, and the
     [min_pct] floor keeps near-deterministic metrics (MAD ≈ 0) from
-    flagging on harmless jitter.  Metrics with fewer than two history
-    points are never flagged. *)
+    flagging on harmless jitter.  A one-point history is a baseline: the
+    MAD is 0 and the limit [baseline * (1 + min_pct/100)]; a metric that
+    grows from 0 has limit 0, so it gates. *)
 module Trend : sig
   type verdict = {
     v_metric : string;
     v_current : float;
-    v_median : float;
-    v_mad : float;
+    v_median : float;  (** the current value when no history carries it *)
     v_limit : float;  (** regression boundary; [infinity] on thin history *)
     v_samples : int;  (** history points that carried this metric *)
     v_regression : bool;
@@ -771,17 +720,41 @@ module Trend : sig
   (** 5.0 — flag only ~5-sigma excursions. *)
 
   val default_min_pct : float
-  (** 10%. *)
+  (** 10%, the floor against registry history. *)
+
+  val default_baseline_pct : float
+  (** 20%, the threshold against one explicit baseline. *)
+
+  val metrics_of : Snapshot.t -> (string * float) list
+  (** The worse-when-higher metrics of one run: span [total_ns] (as
+      [span:<name>]), span minor-word totals ([alloc:<name>]) and finite
+      histogram means ([hist:<name>.mean]).  For a fleet view pass
+      {!Merge.merged}. *)
 
   val judge :
     ?nmad:float ->
     ?min_pct:float ->
     ?noise_floor_ns:float ->
+    ?min_samples:int ->
     history:(string * float) list list ->
     (string * float) list ->
     verdict list
-  (** [judge ~history current] with metric lists as produced by
-      {!Diff.metrics_of}.  [noise_floor_ns] (default 0) never flags a
-      metric whose current and median values are both below the floor.
-      Verdicts are sorted by metric name. *)
+  (** [judge ~history current], one verdict per current metric, sorted by
+      name.  A metric carried by fewer than [min_samples] (default 2; 1
+      against an explicit baseline) history points is never flagged.
+      [noise_floor_ns] (default 0) never flags a metric whose current and
+      median values are both below the floor. *)
+
+  val delta_pct : verdict -> float
+  (** [100 * (current - median) / median]; [infinity] for a rise from 0,
+      [0.] when both are 0. *)
+
+  val regressions : verdict list -> verdict list
+  (** The flagged verdicts, largest {!delta_pct} first. *)
+
+  val only_in :
+    history:(string * float) list list -> (string * float) list ->
+    string list * string list
+  (** Metric names found only in the history and only in the current run,
+      each sorted. *)
 end

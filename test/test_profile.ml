@@ -97,7 +97,7 @@ let test_of_totals_implicit_parent () =
       Alcotest.(check string) "folded counts" "p;q 3\np;q;r 2\n"
         (Obs.Profile.folded ~weight:`Count nodes);
       Alcotest.(check string) "folded self alloc" "p;q 50\np;q;r 40\n"
-        (Obs.Profile.folded ~weight:`Self_alloc nodes)
+        (Obs.Profile.folded ~weight:`Alloc nodes)
   | _ -> Alcotest.fail "expected a single root"
 
 let test_top_ranking () =
@@ -179,7 +179,7 @@ let test_span_alloc_attribution () =
 
 let test_self_alloc_deterministic_sequential () =
   (* Minor words are a pure function of the allocation sequence, so a
-     sequential workload folds to byte-identical `Self_alloc output on
+     sequential workload folds to byte-identical `Alloc output on
      every run. *)
   let run () =
     Obs.reset ();
@@ -187,7 +187,7 @@ let test_self_alloc_deterministic_sequential () =
         for _ = 1 to 4 do
           Obs.Trace.with_span "work" (fun () -> alloc_n 512)
         done);
-    Obs.Profile.folded ~weight:`Self_alloc (Obs.Profile.tree ())
+    Obs.Profile.folded ~weight:`Alloc (Obs.Profile.tree ())
   in
   let a = run () in
   let b = run () in
@@ -342,74 +342,86 @@ let test_trace_codec_roundtrip () =
 
 (* ----------------------------------------------------------------- diff *)
 
-(* A snapshot document whose spans are [(name, total_ns, minor_words)]. *)
-let snapshot_doc spans =
+(* A snapshot whose spans are [(name, total_ns, minor_words)]. *)
+let snapshot spans =
   let spans = List.map (fun (n, ns, w) -> (n, 1, Int64.of_int ns, w, 0, 0)) spans in
-  Obs.Snapshot.to_json
-    { Obs.Snapshot.run =
-        { run_id = "00000000000000aa"; shard = "";
-          ctx = { trace_id = "0123456789abcdef"; span_id = "fedcba9876543210"; parent_span_id = "" } };
-      argv = [ "hetarch"; "fig6" ];
-      started_unix = 1723100000.;
-      wall_seconds = 1.;
-      jobs = 1;
-      counters = [];
-      gauges = [];
-      histograms = [];
-      spans;
-      paths = List.map (fun (n, c, t, mw, pw, jw) -> ("root;" ^ n, c, t, mw, pw, jw)) spans;
-      process =
-        { p_minor_collections = 0; p_major_collections = 0; p_compactions = 0;
-          p_minor_words = 0.; p_promoted_words = 0.; p_major_words = 0.;
-          p_heap_words = 0; p_top_heap_words = 0 } }
+  { Obs.Snapshot.run =
+      { run_id = "00000000000000aa"; shard = "";
+        ctx = { trace_id = "0123456789abcdef"; span_id = "fedcba9876543210"; parent_span_id = "" } };
+    argv = [ "hetarch"; "fig6" ];
+    started_unix = 1723100000.;
+    wall_seconds = 1.;
+    jobs = 1;
+    counters = [];
+    gauges = [];
+    histograms = [];
+    spans;
+    paths = List.map (fun (n, c, t, mw, pw, jw) -> ("root;" ^ n, c, t, mw, pw, jw)) spans;
+    process =
+      { p_minor_collections = 0; p_major_collections = 0; p_compactions = 0;
+        p_minor_words = 0.; p_promoted_words = 0.; p_major_words = 0.;
+        p_heap_words = 0; p_top_heap_words = 0 } }
+
+(* [b] judged against the explicit baseline [a]: a one-point history that
+   may flag. *)
+let against ?noise_floor_ns ~threshold_pct a b =
+  let history = [ Obs.Trend.metrics_of a ] and current = Obs.Trend.metrics_of b in
+  ( Obs.Trend.judge ~min_pct:threshold_pct ?noise_floor_ns ~min_samples:1 ~history current,
+    Obs.Trend.only_in ~history current )
+
+let regressions verdicts =
+  List.map (fun (v : Obs.Trend.verdict) -> (v.v_metric, Obs.Trend.delta_pct v))
+    (Obs.Trend.regressions verdicts)
 
 let test_diff_detects_regression () =
-  let a = snapshot_doc [ ("k1", 100, 8); ("k2", 50, 100); ("gone", 10, 0) ] in
-  let b = snapshot_doc [ ("k1", 150, 8); ("k2", 51, 200); ("new", 10, 0) ] in
-  let r = Obs.Diff.compare_docs ~threshold_pct:20. a b in
-  Alcotest.(check int) "four shared metrics" 4 (List.length r.Obs.Diff.entries);
+  let a = snapshot [ ("k1", 100, 8); ("k2", 50, 100); ("gone", 10, 0) ] in
+  let b = snapshot [ ("k1", 150, 8); ("k2", 51, 200); ("new", 10, 0) ] in
+  let r, (only_a, only_b) = against ~threshold_pct:20. a b in
+  Alcotest.(check int) "four shared metrics" 4
+    (List.length (List.filter (fun (v : Obs.Trend.verdict) -> v.v_samples > 0) r));
   Alcotest.(check (list (pair string (float 1e-9)))) "regressions, worst first"
     [ ("alloc:k2", 100.); ("span:k1", 50.) ]
-    (List.map (fun (e : Obs.Diff.entry) -> (e.metric, e.pct)) r.Obs.Diff.regressions);
-  Alcotest.(check (list string)) "only_a" [ "alloc:gone"; "span:gone" ] r.Obs.Diff.only_a;
-  Alcotest.(check (list string)) "only_b" [ "alloc:new"; "span:new" ] r.Obs.Diff.only_b;
+    (regressions r);
+  Alcotest.(check (list string)) "only_a" [ "alloc:gone"; "span:gone" ] only_a;
+  Alcotest.(check (list string)) "only_b" [ "alloc:new"; "span:new" ] only_b;
   (* A looser threshold keeps only the doubled allocation. *)
-  let loose = Obs.Diff.compare_docs ~threshold_pct:60. a b in
+  let loose, _ = against ~threshold_pct:60. a b in
   Alcotest.(check (list string)) "one regression at 60%" [ "alloc:k2" ]
-    (List.map (fun (e : Obs.Diff.entry) -> e.metric) loose.Obs.Diff.regressions);
+    (List.map fst (regressions loose));
   (* Both spans fall below a 200 ns noise floor: listed, never flagged. *)
-  let floored = Obs.Diff.compare_docs ~threshold_pct:20. ~noise_floor_ns:200. a b in
+  let floored, _ = against ~threshold_pct:20. ~noise_floor_ns:200. a b in
   Alcotest.(check (list string)) "span:k1 under the noise floor" [ "alloc:k2" ]
-    (List.map (fun (e : Obs.Diff.entry) -> e.metric) floored.Obs.Diff.regressions);
+    (List.map fst (regressions floored));
   (* An allocation that grows from 0 is an infinite rise: it gates. *)
-  let zero = snapshot_doc [ ("z", 100, 0) ] and big = snapshot_doc [ ("z", 100, 1_000_000_000) ] in
-  let r = Obs.Diff.compare_docs zero big in
+  let zero = snapshot [ ("z", 100, 0) ] and big = snapshot [ ("z", 100, 1_000_000_000) ] in
+  let r, _ = against ~threshold_pct:Obs.Trend.default_baseline_pct zero big in
   Alcotest.(check (list (pair string (float 0.)))) "0 -> 1e9 words flagged"
     [ ("alloc:z", infinity) ]
-    (List.map (fun (e : Obs.Diff.entry) -> (e.metric, e.pct)) r.Obs.Diff.regressions);
-  let floored = Obs.Diff.compare_docs ~noise_floor_ns:2e9 zero big in
+    (regressions r);
+  let floored, _ =
+    against ~threshold_pct:Obs.Trend.default_baseline_pct ~noise_floor_ns:2e9 zero big
+  in
   Alcotest.(check int) "0 -> 1e9 under a 2e9 floor not flagged" 0
-    (List.length floored.Obs.Diff.regressions)
+    (List.length (regressions floored))
 
 let test_diff_manifest_metrics () =
   Obs.reset ();
   let h = Obs.Histogram.create ~buckets:[| 1.; 10. |] "diff_test.hist" in
   Obs.Histogram.observe h 4.;
   Obs.Trace.with_span "diff_test.span" (fun () -> ());
-  let doc = Obs.Snapshot.to_json (Obs.Snapshot.capture ()) in
-  let metrics = Obs.Diff.metrics_of doc in
+  let snap = Obs.Snapshot.capture () in
+  let metrics = Obs.Trend.metrics_of snap in
   Alcotest.(check bool) "histogram mean extracted" true
     (List.mem_assoc "hist:diff_test.hist.mean" metrics);
   Alcotest.(check bool) "span total extracted" true
     (List.mem_assoc "span:diff_test.span" metrics);
-  (* Identical documents never regress. *)
-  let r = Obs.Diff.compare_docs doc doc in
-  Alcotest.(check int) "self-compare clean" 0 (List.length r.Obs.Diff.regressions);
-  Alcotest.(check bool) "unknown schema rejected" true
-    (try
-       ignore (Obs.Diff.metrics_of (Obs.Json.Obj [ ("schema", Obs.Json.String "x/1") ]));
-       false
-     with Failure _ -> true)
+  (* Identical runs never regress. *)
+  let r, _ = against ~threshold_pct:Obs.Trend.default_baseline_pct snap snap in
+  Alcotest.(check int) "self-compare clean" 0 (List.length (regressions r));
+  (* A fleet view is judged by its merged snapshot: one source gives the
+     same metrics. *)
+  Alcotest.(check bool) "fleet of one, same metrics" true
+    (Obs.Trend.metrics_of (Obs.Merge.merged (Obs.Merge.of_snapshots [ snap ])) = metrics)
 
 let () =
   Alcotest.run "profile"

@@ -38,13 +38,10 @@ let test_total_decreases_with_ts () =
     true (high < low)
 
 let test_het_beats_hom_every_pair () =
-  (* Table 4's headline: heterogeneous wins every pair studied. *)
-  let results =
-    Teleport.table4
-      ~codes:[ Codes.steane; Codes.surface 3 ]
-      ~ts:50e-3 ~shots (Rng.create 4)
-  in
-  Alcotest.(check int) "two ordered pairs" 2 (List.length results);
+  (* Table 4's headline: heterogeneous wins every ordered pair of the
+     paper's five codes. *)
+  let results = Teleport.table4 ~codes:Codes.paper_codes ~ts:50e-3 ~shots (Rng.create 4) in
+  Alcotest.(check int) "twenty ordered pairs" 20 (List.length results);
   List.iter
     (fun (a, b, het, hom) ->
       Alcotest.(check bool)
