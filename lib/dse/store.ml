@@ -96,14 +96,18 @@ let decode_record contents =
       let checksum = String.get_int64_le contents (header_len + payload_len) in
       if Int64.equal checksum (Content_hash.hash64 payload) then Some payload else None
 
-let encode_record payload =
-  let b = Buffer.create (header_len + String.length payload + 8) in
-  Buffer.add_string b magic;
-  Buffer.add_int32_le b (Int32.of_int format_version);
-  Buffer.add_int32_le b (Int32.of_int (String.length payload));
-  Buffer.add_string b payload;
-  Buffer.add_int64_le b (Content_hash.hash64 payload);
-  Buffer.contents b
+(* The record goes out in three writes, header, payload and trailer,
+   without copying the payload into one record string first. *)
+let output_record oc payload =
+  let header = Bytes.create header_len in
+  Bytes.blit_string magic 0 header 0 (String.length magic);
+  Bytes.set_int32_le header (String.length magic) (Int32.of_int format_version);
+  Bytes.set_int32_le header (String.length magic + 4) (Int32.of_int (String.length payload));
+  Out_channel.output_bytes oc header;
+  Out_channel.output_string oc payload;
+  let trailer = Bytes.create 8 in
+  Bytes.set_int64_le trailer 0 (Content_hash.hash64 payload);
+  Out_channel.output_bytes oc trailer
 
 let find t k =
   let path = entry_path t k in
@@ -140,8 +144,7 @@ let put t k payload =
   in
   let ok =
     try
-      Out_channel.with_open_bin tmp (fun oc ->
-          Out_channel.output_string oc (encode_record payload));
+      Out_channel.with_open_bin tmp (fun oc -> output_record oc payload);
       Sys.rename tmp path;
       true
     with Sys_error _ ->

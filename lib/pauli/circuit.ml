@@ -80,6 +80,11 @@ let finish b =
    boxed floats and skips both [exp]s. *)
 let[@inline] same_bits x y = Int64.equal (Int64.bits_of_float x) (Int64.bits_of_float y)
 
+let idle_probs ~t1 ~t2 ~dt =
+  let p1 = (1. -. exp (-.dt /. t1)) /. 4. in
+  let pz = ((1. -. exp (-.dt /. t2)) /. 2.) -. p1 in
+  (p1, max 0. pz)
+
 let idle_noise b ~t1 ~t2 ~dt q =
   if dt > 0. then begin
     let k = b.idle_key in
@@ -88,9 +93,7 @@ let idle_noise b ~t1 ~t2 ~dt q =
       when same_bits k.(0) t1 && same_bits k.(1) t2 && same_bits k.(2) dt ->
         add b (Noise1 { r with q })
     | _ ->
-        let p1 = (1. -. exp (-.dt /. t1)) /. 4. in
-        let pz = ((1. -. exp (-.dt /. t2)) /. 2.) -. p1 in
-        let pz = max 0. pz in
+        let p1, pz = idle_probs ~t1 ~t2 ~dt in
         let g = Noise1 { px = p1; py = p1; pz; q } in
         k.(0) <- t1;
         k.(1) <- t2;
@@ -108,6 +111,12 @@ let count_gates t =
     0 t.ops
 
 let depth_events t = Array.length t.ops
+
+let check_noise1 ~px ~py ~pz =
+  if px < 0. || py < 0. || pz < 0. || px +. py +. pz > 1. then
+    invalid_arg "Circuit.validate: bad noise probabilities"
+
+let check_depol2 p = if p < 0. || p > 1. then invalid_arg "Circuit.validate: bad depol2 probability"
 
 let validate t =
   let check_q q = if q < 0 || q >= t.nqubits then invalid_arg "Circuit.validate: qubit out of range" in
@@ -127,11 +136,10 @@ let validate t =
       | CX (a, b) | CZ (a, b) | SWAP (a, b) -> check2 a b
       | Noise1 { q; px; py; pz } ->
           check_q q;
-          if px < 0. || py < 0. || pz < 0. || px +. py +. pz > 1. then
-            invalid_arg "Circuit.validate: bad noise probabilities"
+          check_noise1 ~px ~py ~pz
       | Depol2 { a; b; p } ->
           check2 a b;
-          if p < 0. || p > 1. then invalid_arg "Circuit.validate: bad depol2 probability")
+          check_depol2 p)
     t.ops;
   if !meas_seen <> t.nmeas then invalid_arg "Circuit.validate: measurement count mismatch";
   let check_meas_idx m =

@@ -56,6 +56,9 @@ val idle_noise : builder -> t1:float -> t2:float -> dt:float -> int -> unit
     px = py = (1 - exp(-dt/t1))/4 and pz chosen so the total phase-flip
     probability matches exp(-dt/t2) coherence decay. *)
 
+val idle_probs : t1:float -> t2:float -> dt:float -> float * float
+(** [(p1, pz)] of the {!idle_noise} channel: px = py = p1. *)
+
 val count_gates : t -> int
 (** Number of non-noise, non-measurement unitary gates. *)
 
@@ -63,5 +66,13 @@ val depth_events : t -> int
 (** Total op count, a proxy for simulation cost. *)
 
 val validate : t -> unit
-(** Check all qubit and measurement indices are in range; raises
+(** Check all qubit and measurement indices are in range and every noise
+    probability is valid ({!check_noise1}, {!check_depol2}); raises
     [Invalid_argument] otherwise. *)
+
+val check_noise1 : px:float -> py:float -> pz:float -> unit
+(** Raises [Invalid_argument] unless a [Noise1] with these probabilities is
+    valid: none negative, sum at most 1. *)
+
+val check_depol2 : float -> unit
+(** Raises [Invalid_argument] unless [p] is a valid [Depol2] probability. *)

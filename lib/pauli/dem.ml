@@ -128,39 +128,67 @@ let op_code nq (g : Circuit.gate) =
       code nq 10 (pos px lor (pos py lsl 1) lor (pos pz lsl 2)) q 0
   | Circuit.Depol2 { p; a; b } -> code nq 11 (pos (p /. 15.)) a b
 
-type structure = {
+(* What [weigh] checks a circuit against: everything the structure pass
+   reads. *)
+type shape = {
   nqubits : int;
   nmeas : int;
   det_lists : int array array;
   obs_lists : int array array;
-  shape : int array;  (* op_code per op *)
-  mech_detectors : int array array;  (* by mechanism id, canonical order *)
-  mech_obs : int array;
-  counts : Bytes.t;  (* contributions per op, at most 15 *)
-  contributions : (int32, Bigarray.int32_elt, Bigarray.c_layout) Bigarray.Array1.t;
-      (* backward-pass order, (mechanism id lsl 3) lor (first lsl 2) lor
-         comp: [first] marks the mechanism's first contribution; comp 0 =
-         px, 1 = pz, 2 = py of a Noise1; Depol2 components are all p/15
-         and code 3.  Off the OCaml heap and half a word each: this is most
-         of what the reuse slot keeps alive.  One trimmed int array packing
-         the op index instead (no [counts]) measured 3 MB more perfbench
-         surface-sweep peak RSS (36.8 vs 33.8 MB, 2-vCPU machine). *)
+  codes : int array;  (* op_code per op *)
 }
+
+let shape_of (c : Circuit.t) =
+  { nqubits = c.Circuit.nqubits;
+    nmeas = c.Circuit.nmeas;
+    det_lists = Array.map Array.copy c.Circuit.detectors;
+    obs_lists = Array.map Array.copy c.Circuit.observables;
+    codes = Array.map (op_code c.Circuit.nqubits) c.Circuit.ops }
 
 let same_shape s (c : Circuit.t) =
   s.nqubits = c.Circuit.nqubits
   && s.nmeas = c.Circuit.nmeas
-  && Array.length s.shape = Array.length c.Circuit.ops
+  && Array.length s.codes = Array.length c.Circuit.ops
   && begin
        let ops = c.Circuit.ops in
        let i = ref 0 and n = Array.length ops in
-       while !i < n && op_code s.nqubits ops.(!i) = s.shape.(!i) do
+       while !i < n && op_code s.nqubits ops.(!i) = s.codes.(!i) do
          incr i
        done;
        !i = n
      end
   && s.det_lists = c.Circuit.detectors
   && s.obs_lists = c.Circuit.observables
+
+type int32s = (int32, Bigarray.int32_elt, Bigarray.c_layout) Bigarray.Array1.t
+
+type structure = {
+  ndet : int;
+  nobs : int;
+  shape : shape option;  (* the circuit form's, for [weigh]'s check *)
+  mech_detectors : int array array;  (* by mechanism id, canonical order *)
+  mech_obs : int array;
+  counts : Bytes.t;  (* contributions per op, at most 15 *)
+  bases : int32s;
+      (* the table offset of each op with a contribution, in backward-pass
+         order *)
+  contributions : int32s;
+      (* backward-pass order, (mechanism id lsl 3) lor (first lsl 2) lor
+         comp: [first] marks the mechanism's first contribution; comp 0 =
+         px, 1 = pz, 2 = py of a Noise1, read at its base + 0, + 2, + 1;
+         Depol2 components are all p/15 and code 3, read at its base.  Off
+         the OCaml heap and half a word each: this is most of what a kept
+         structure holds.  One trimmed int array packing the op index
+         instead (no [counts]) measured 3 MB more perfbench surface-sweep
+         peak RSS (36.8 vs 33.8 MB, 2-vCPU machine). *)
+  table_length : int;  (* 1 + the largest offset read *)
+}
+
+let ndet s = s.ndet
+let nobs s = s.nobs
+
+(* The table offset of comp [c]: 0, 2, 1, 0 for c = 0..3. *)
+let[@inline] comp_offset c = (0x18 lsr (2 * c)) land 3
 
 (* ------------------------------------------------------ structure pass --- *)
 
@@ -183,8 +211,9 @@ let measurement_signatures (c : Circuit.t) ~ndet =
   in
   Array.map (fun l -> Array.of_list (cancel (List.sort compare l))) rows
 
-let structure (c : Circuit.t) =
+let walk ?index ~keep_shape (c : Circuit.t) =
   Obs.Counter.incr structures_total;
+  let base i = match index with None -> 3 * i | Some idx -> idx.(i) in
   let ops = c.Circuit.ops in
   let nops = Array.length ops in
   let ndet = Array.length c.Circuit.detectors in
@@ -304,15 +333,36 @@ let structure (c : Circuit.t) =
     Bigarray.Array1.unsafe_set contributions k
       (Int32.of_int ((id lsl 3) lor first lor (x land 3)))
   done;
-  { nqubits = c.Circuit.nqubits;
-    nmeas = c.Circuit.nmeas;
-    det_lists = Array.map Array.copy c.Circuit.detectors;
-    obs_lists = Array.map Array.copy c.Circuit.observables;
-    shape = Array.map (op_code c.Circuit.nqubits) ops;
+  (* Each contributing op's table offset, and the table length they need. *)
+  let nbases = ref 0 in
+  Bytes.iter (fun n -> if n <> '\000' then incr nbases) counts;
+  let bases = Bigarray.(Array1.create int32 c_layout !nbases) in
+  let j = ref 0 and k = ref 0 and table_length = ref 0 in
+  for i = nops - 1 downto 0 do
+    let n = Char.code (Bytes.get counts i) in
+    if n > 0 then begin
+      let b = base i in
+      if b < 0 || b > 0x3fff_fffd then invalid_arg "Dem.structure: bad table index";
+      Bigarray.Array1.unsafe_set bases !j (Int32.of_int b);
+      incr j;
+      for _ = 1 to n do
+        let x = Int32.to_int (Bigarray.Array1.unsafe_get contributions !k) in
+        incr k;
+        table_length := max !table_length (b + comp_offset (x land 3) + 1)
+      done
+    end
+  done;
+  { ndet;
+    nobs;
+    shape = (if keep_shape then Some (shape_of c) else None);
     mech_detectors = Array.map (fun id -> mechs.(id).detectors) order;
     mech_obs = Array.map (fun id -> mechs.(id).obs_mask) order;
     counts;
-    contributions }
+    bases;
+    contributions;
+    table_length = !table_length }
+
+let structure ?index c = walk ?index ~keep_shape:(index = None) c
 
 let contributions s =
   let out = ref [] and k = ref 0 in
@@ -330,60 +380,53 @@ let contributions s =
 (* A mechanism's first contribution sets its [p], and every later one
    combines into it in backward-pass order, the order the single-pass
    merge used — bit-identical probabilities. *)
-let weigh_unchecked s (c : Circuit.t) =
-  let ops = c.Circuit.ops in
+let weigh_table s table =
+  if Array.length table < s.table_length then invalid_arg "Dem.weigh_table: table too short";
   let nmech = Array.length s.mech_obs in
   let ps = Array.make nmech 0. in
-  let k = ref 0 in
-  for i = Array.length ops - 1 downto 0 do
-    for _ = 1 to Char.code (Bytes.unsafe_get s.counts i) do
-      let x = Int32.to_int (Bigarray.Array1.unsafe_get s.contributions !k) in
-      incr k;
-      let m = x lsr 3 in
-      let p =
-        match ops.(i) with
-        | Circuit.Noise1 { px; py; pz; _ } -> (
-            match x land 3 with 0 -> px | 1 -> pz | _ -> py)
-        | Circuit.Depol2 { p; _ } -> p /. 15.
-        | _ -> assert false
-      in
-      if x land 4 <> 0 then ps.(m) <- p else ps.(m) <- combine ps.(m) p
-    done
+  let j = ref 0 and k = ref 0 in
+  for i = Bytes.length s.counts - 1 downto 0 do
+    let n = Char.code (Bytes.unsafe_get s.counts i) in
+    if n > 0 then begin
+      let b = Int32.to_int (Bigarray.Array1.unsafe_get s.bases !j) in
+      incr j;
+      for _ = 1 to n do
+        let x = Int32.to_int (Bigarray.Array1.unsafe_get s.contributions !k) in
+        incr k;
+        let m = x lsr 3 in
+        let p = Array.unsafe_get table (b + comp_offset (x land 3)) in
+        if x land 4 <> 0 then Array.unsafe_set ps m p
+        else Array.unsafe_set ps m (combine (Array.unsafe_get ps m) p)
+      done
+    end
   done;
-  List.init nmech (fun m ->
+  Array.init nmech (fun m ->
       { p = ps.(m); detectors = s.mech_detectors.(m); obs_mask = s.mech_obs.(m) })
 
+(* The circuit's own table: op i's recorded probabilities at 3i, 3i + 1,
+   3i + 2 — (px, py, pz) of a Noise1, p/15 of a Depol2 at 3i. *)
+let circuit_table (c : Circuit.t) =
+  let ops = c.Circuit.ops in
+  let t = Array.make (3 * Array.length ops) 0. in
+  Array.iteri
+    (fun i g ->
+      match g with
+      | Circuit.Noise1 { px; py; pz; _ } ->
+          t.(3 * i) <- px;
+          t.((3 * i) + 1) <- py;
+          t.((3 * i) + 2) <- pz
+      | Circuit.Depol2 { p; _ } -> t.(3 * i) <- p /. 15.
+      | _ -> ())
+    ops;
+  t
+
 let weigh s c =
-  if not (same_shape s c) then invalid_arg "Dem.weigh: circuit shape differs";
-  weigh_unchecked s c
+  match s.shape with
+  | Some shape when same_shape shape c -> Array.to_list (weigh_table s (circuit_table c))
+  | Some _ -> invalid_arg "Dem.weigh: circuit shape differs"
+  | None -> invalid_arg "Dem.weigh: the structure reads a noise table"
 
-(* ------------------------------------------------------- one-slot reuse --- *)
-
-let last : structure option Atomic.t = Atomic.make None
-
-(* A miss is single-flight: domains compiling same-shape circuits at once
-   would each run the structure pass (slower under contention, and two
-   structures live); instead the second waits for the first's and reuses
-   it. *)
-let structure_lock = Mutex.create ()
-
-let reusable c =
-  match Atomic.get last with Some s when same_shape s c -> Some s | _ -> None
-
-let of_circuit (c : Circuit.t) =
-  let s =
-    match reusable c with
-    | Some s -> s
-    | None ->
-        Mutex.protect structure_lock (fun () ->
-            match reusable c with
-            | Some s -> s
-            | None ->
-                let s = structure c in
-                if c.Circuit.nqubits lsr qubit_bits = 0 then Atomic.set last (Some s);
-                s)
-  in
-  weigh_unchecked s c
+let of_circuit c = Array.to_list (weigh_table (walk ~keep_shape:false c) (circuit_table c))
 
 let check_graphlike mechanisms =
   List.for_all (fun m -> Array.length m.detectors <= 2) mechanisms

@@ -19,11 +19,13 @@
     are canonical: once the walk ends they are renumbered in
     {!compare_mechanism} order, the order {!Dem_sampler} samples in.
 
-    The {e weight} pass then reads each
-    contribution's probability from a circuit of that shape and folds it
-    into its mechanism — a linear scan with no signature work.  A sweep over
-    noise points on one circuit layout (fig 6's coherence scaling) pays the
-    walk once and only reweights afterwards.
+    The {e weight} pass then reads each contribution's probability from a
+    noise table — a float array the structure indexes — and folds it into
+    its mechanism: a linear scan with no signature work.  A circuit is its
+    own table ({!weigh}); a generator that lays out one circuit shape for
+    many noise points ([Surface_circuit]) indexes a small per-point table
+    instead ({!structure}'s [?index]), so a sweep pays the walk once and
+    only reweights afterwards.
 
     The result is the exact error hypergraph a decoder should operate on. *)
 
@@ -39,34 +41,47 @@ val compare_mechanism : mechanism -> mechanism -> int
     [obs_mask], then [p]. *)
 
 type structure
-(** The probability-free part of a circuit's DEM: its shape (gate kinds,
-    qubits, which recorded noise probabilities are positive — [p /. 15.]
-    for a [Depol2] — measurement count,
-    detector and observable lists), the merged signatures, and the ordered
-    contribution list.  Immutable; it does not retain the circuit. *)
+(** The probability-free part of a circuit's DEM: the merged signatures and
+    the ordered contribution list, each contribution with the offset in the
+    noise table it reads.  Only the sign of the recorded probabilities
+    shapes it ([p /. 15.] for a [Depol2]).  Immutable; it does not retain
+    the circuit. *)
 
-val structure : Circuit.t -> structure
-(** Run the backward sensitivity walk.  Increments {!structures_total}. *)
+val structure : ?index:int array -> Circuit.t -> structure
+(** Run the backward sensitivity walk.  Increments {!structures_total}.
+    Noise op [i]'s contributions read the table at [index.(i)] (a [Noise1]'s
+    [px], [py], [pz] at [+0], [+1], [+2]; a [Depol2]'s [p /. 15.] at [+0]).
+    Without [index] the table is the circuit's own ({!weigh}), at [3 i], and
+    the structure keeps the circuit's shape for {!weigh} to check. *)
 
-val weigh : structure -> Circuit.t -> mechanism list
-(** Probabilities of the structure's mechanisms under the circuit's noise,
-    in mechanism-id order, which is {!compare_mechanism} order (no two
-    share [detectors] and [obs_mask]).  Each mechanism's [p] is its first
+val ndet : structure -> int
+val nobs : structure -> int
+
+val weigh_table : structure -> float array -> mechanism array
+(** Probabilities of the structure's mechanisms under a noise table, in
+    mechanism-id order, which is {!compare_mechanism} order (no two share
+    [detectors] and [obs_mask]).  Each mechanism's [p] is its first
     contribution, then [p <- p1 (1-p2) + p2 (1-p1)] for every later one in
     backward-pass order, so the result is bit-identical to merging during
-    the walk.  Raises [Invalid_argument] when the circuit's shape differs
-    from the structure's.  The [detectors] arrays are shared between calls
-    on one structure. *)
+    the walk.  Raises [Invalid_argument] when the table is shorter than the
+    structure's offsets need.  The [detectors] arrays are shared between
+    calls on one structure. *)
+
+val circuit_table : Circuit.t -> float array
+(** The circuit's own noise table: op [i]'s recorded probabilities at
+    [3 i] ([px], [py], [pz] of a [Noise1]; [p /. 15.] of a [Depol2]). *)
+
+val weigh : structure -> Circuit.t -> mechanism list
+(** {!weigh_table} of the circuit's own table, for a structure built
+    without [?index].  Raises [Invalid_argument] when the circuit's shape
+    (gate kinds, qubits, which recorded probabilities are positive,
+    measurement count, detector and observable lists) differs from the
+    structure's, or the structure was built with [?index]. *)
 
 val of_circuit : Circuit.t -> mechanism list
-(** [weigh (structure c) c], reusing the last structure when the circuit has
-    the same shape.  One structure is kept, in an atomic slot, so concurrent
-    compiles from several domains stay correct; reuse happens only after a
-    full shape comparison (no hash is trusted).  Structure passes are
-    single-flight: a domain that misses while another runs one waits for it
-    and reuses its result when the shape matches.  Mechanisms flipping nothing
-    are dropped.  The list is in {!compare_mechanism} order (see
-    {!weigh}), the order {!Dem_sampler.of_mechanisms} sorts into, so
+(** [weigh (structure c) c], without the shape check.  Mechanisms flipping
+    nothing are dropped.  The list is in {!compare_mechanism} order (see
+    {!weigh_table}), the order {!Dem_sampler.of_mechanisms} sorts into, so
     {!Dem_sampler.compile} takes it as it is. *)
 
 val contributions : structure -> (int * int * int) array
@@ -77,7 +92,7 @@ val contributions : structure -> (int * int * int) array
 
 val structures_total : Obs.Counter.t
 (** [pauli.dem_structures_total]: structure passes run, so a same-shape
-    sweep of n points shows 1 here and n compiles. *)
+    surface sweep of n points shows 1 here and n compiles. *)
 
 val check_graphlike : mechanism list -> bool
 (** True when every mechanism flips at most two detectors (the matching-graph

@@ -11,7 +11,7 @@ let sample_seconds = Obs.Histogram.create "pauli.dem_sample_seconds"
 
 (* Mechanisms are kept in [Dem.compare_mechanism] order.  It pins the RNG
    consumption order of [sample] (seed determinism) and the serialized
-   byte stream (store round-trips).  [Dem.of_circuit] already lists its
+   byte stream (store round-trips).  [Dem]'s weight pass already lists its
    mechanisms in this order; input from anywhere else (a decoded store
    record) is sorted. *)
 let make ~ndet ~nobs mechanisms =
@@ -42,6 +42,12 @@ let compile (c : Circuit.t) =
         ~ndet:(Array.length c.Circuit.detectors)
         ~nobs:(Array.length c.Circuit.observables)
         (Array.of_list (Dem.of_circuit c)))
+
+let weigh structure table =
+  Obs.Counter.incr compiles_total;
+  Obs.Trace.with_span "pauli.dem_compile" (fun () ->
+      make ~ndet:(Dem.ndet structure) ~nobs:(Dem.nobs structure)
+        (Dem.weigh_table structure table))
 
 let ndet t = t.ndet
 let nobs t = t.nobs

@@ -24,6 +24,11 @@ val compile : Circuit.t -> t
     {!of_mechanisms} sorts into, so the sampling stream for a given seed is
     stable across save/load. *)
 
+val weigh : Dem.structure -> float array -> t
+(** {!compile} from a structure and a noise table
+    ({!Dem.weigh_table}): the mechanisms come out in canonical order
+    already.  Counted and traced as a compile. *)
+
 val of_mechanisms : ndet:int -> nobs:int -> Dem.mechanism list -> t
 (** Package pre-extracted mechanisms (sorted here by
     {!Dem.compare_mechanism}) with the

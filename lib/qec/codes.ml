@@ -126,26 +126,38 @@ let surface d =
     logical_z = [| Array.init d (fun c -> q 0 c) |];
     planar = true }
 
-let by_name name =
+(* The name grammar of [by_name]: a fixed name, or a family prefix and an
+   integer, as [int_of_string_opt] reads it. *)
+let parse_name name =
   match name with
-  | "RM" -> reed_muller_15
-  | "17QCC" -> color_17
-  | "ST" -> steane
-  | "SHOR" -> shor
+  | "RM" -> Some (`Fixed reed_muller_15)
+  | "17QCC" -> Some (`Fixed color_17)
+  | "ST" -> Some (`Fixed steane)
+  | "SHOR" -> Some (`Fixed shor)
   | _ ->
-      let parse prefix f =
+      let family prefix kind =
         let pl = String.length prefix in
         if String.length name > pl && String.sub name 0 pl = prefix then
-          match int_of_string_opt (String.sub name pl (String.length name - pl)) with
-          | Some d -> Some (f d)
-          | None -> None
+          Option.map kind (int_of_string_opt (String.sub name pl (String.length name - pl)))
         else None
       in
-      (match parse "SC" surface with
-      | Some c -> c
-      | None -> (
-          match parse "REP" repetition with
-          | Some c -> c
-          | None -> raise Not_found))
+      (match family "SC" (fun d -> `Surface d) with
+      | Some _ as c -> c
+      | None -> family "REP" (fun d -> `Repetition d))
+
+let by_name name =
+  match parse_name name with
+  | Some (`Fixed c) -> c
+  | Some (`Surface d) -> surface d
+  | Some (`Repetition d) -> repetition d
+  | None -> raise Not_found
+
+(* d * d overflows long before a distance this large could be built. *)
+let qubits_of_name name =
+  match parse_name name with
+  | Some (`Fixed c) -> Some c.Code.n
+  | Some (`Surface d) when d >= 2 -> Some (if d > 1 lsl 20 then max_int else d * d)
+  | Some (`Repetition d) when d >= 2 -> Some d
+  | Some (`Surface _ | `Repetition _) | None -> None
 
 let paper_codes = [ reed_muller_15; color_17; steane; surface 3; surface 4 ]

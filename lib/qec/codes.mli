@@ -37,6 +37,11 @@ val by_name : string -> Code.t
     plus "SCd" for other distances, "REPd", and "SHOR".  Raises [Not_found]
     on unknown names. *)
 
+val qubits_of_name : string -> int option
+(** [Some n] when {!by_name} builds a code of [n] qubits from the name,
+    [None] when it raises (an unknown name, or a distance below 2).  The
+    name is only parsed: no code is built. *)
+
 val paper_codes : Code.t list
 (** The five codes of Table 3, in the paper's order: RM, 17QCC, ST, SC3,
     SC4. *)

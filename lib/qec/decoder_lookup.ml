@@ -54,8 +54,10 @@ let build_table ~n ~checks =
 
 let support_mask s = Array.fold_left (fun acc q -> acc lor (1 lsl q)) 0 s
 
+let max_qubits = 30
+
 let create (code : Code.t) =
-  if code.Code.n > 30 then invalid_arg "Decoder_lookup.create: code too large";
+  if code.Code.n > max_qubits then invalid_arg "Decoder_lookup.create: code too large";
   { code;
     x_table = build_table ~n:code.Code.n ~checks:code.Code.z_stabs;
     z_table = build_table ~n:code.Code.n ~checks:code.Code.x_stabs;

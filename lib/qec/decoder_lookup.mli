@@ -8,9 +8,14 @@
 
 type t
 
+val max_qubits : int
+(** The largest code {!create} takes: 30 qubits, so an error pattern fits
+    one int mask. *)
+
 val create : Code.t -> t
 (** Build both tables (X-error and Z-error decoding).  Cost grows with the
-    syndrome space (2^checks); fine for the paper's codes. *)
+    syndrome space (2^checks); fine for the paper's codes.  Raises
+    [Invalid_argument] on a code of more than {!max_qubits} qubits. *)
 
 val decode_x : t -> int array -> int list
 (** [decode_x t syndrome] maps a Z-stabilizer syndrome (bit per Z check, as

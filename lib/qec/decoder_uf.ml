@@ -1,5 +1,3 @@
-type edge = { u : int; v : int; weight : int; logical : bool }
-
 (* Incidence is stored in CSR form: vertex [w]'s incident edge slots are
    [off.(w) .. off.(w + 1) - 1], in construction order.  A cluster's border
    is the linked list of its vertices, so the growth order of a cluster's
@@ -110,52 +108,87 @@ let arenas_total = Obs.Counter.create "qec.uf_arenas_total"
 let decode_shots_total = Obs.Counter.create "qec.uf_decode_shots_total"
 let batch_seconds = Obs.Histogram.create "qec.uf_decode_batch_seconds"
 
-let weighted_graph ~nodes ~edges =
+(* The probability-free half of a graph: endpoints, CSR incidence, twins
+   and the walk-order key width.  Many graphs share one: a reweight fills
+   only the weights, flags, the target half of [sl], [srt] and [mask]. *)
+type incidence = {
+  i_n : int;
+  i_u : int array;
+  i_v : int array;  (* the boundary already moved to vertex [i_n] *)
+  i_off : int array;
+  i_sl : int array;  (* [sl] with every target 0 *)
+  i_twin : int array;
+  i_kbits : int;
+}
+
+let check_endpoints ~nodes u v =
+  if u < 0 || u >= nodes then invalid_arg "Decoder_uf.graph: bad endpoint";
+  if v < 0 || v > nodes then invalid_arg "Decoder_uf.graph: bad endpoint";
+  if u = v then invalid_arg "Decoder_uf.graph: self-loop"
+
+let check_weight weight =
+  if weight < 1 then invalid_arg "Decoder_uf.graph: weight must be >= 1";
+  if weight >= 1 lsl 30 then invalid_arg "Decoder_uf.graph: weight too large"
+
+let incidence ~nodes ~edges =
   if nodes <= 0 then invalid_arg "Decoder_uf.graph: need nodes";
-  let edges =
-    Array.of_list
-      (List.map
-         (fun (u, v, weight, logical) ->
-           let v = if v = boundary then nodes else v in
-           if u < 0 || u >= nodes then invalid_arg "Decoder_uf.graph: bad endpoint";
-           if v < 0 || v > nodes then invalid_arg "Decoder_uf.graph: bad endpoint";
-           if u = v then invalid_arg "Decoder_uf.graph: self-loop";
-           if weight < 1 then invalid_arg "Decoder_uf.graph: weight must be >= 1";
-           if weight >= 1 lsl 30 then invalid_arg "Decoder_uf.graph: weight too large";
-           { u; v; weight; logical })
-         edges)
-  in
+  let ne = Array.length edges in
+  let e_u = Array.make ne 0 and e_v = Array.make ne 0 in
+  Array.iteri
+    (fun i (u, v) ->
+      let v = if v = boundary then nodes else v in
+      check_endpoints ~nodes u v;
+      e_u.(i) <- u;
+      e_v.(i) <- v)
+    edges;
   (* Every endpoint is in [0, nodes] (checked above), so every [off] entry
      is in [0, 2 * ne] and every slot names an edge id in [0, ne) and
      vertices in [0, nodes] — the invariant the unchecked reads of the
      decode loops rely on. *)
-  let nv = nodes + 1 and ne = Array.length edges in
+  let nv = nodes + 1 in
   let off = Array.make (nv + 1) 0 in
-  Array.iter
-    (fun e ->
-      off.(e.u + 1) <- off.(e.u + 1) + 1;
-      off.(e.v + 1) <- off.(e.v + 1) + 1)
-    edges;
+  for i = 0 to ne - 1 do
+    off.(e_u.(i) + 1) <- off.(e_u.(i) + 1) + 1;
+    off.(e_v.(i) + 1) <- off.(e_v.(i) + 1) + 1
+  done;
   for w = 1 to nv do
     off.(w) <- off.(w) + off.(w - 1)
   done;
   let sl = Array.make (4 * ne) 0 and twin = Array.make (2 * ne) 0 in
   let fill = Array.sub off 0 nv in
-  Array.iteri
-    (fun i e ->
-      let ku = fill.(e.u) and kv = fill.(e.v) in
-      fill.(e.u) <- ku + 1;
-      fill.(e.v) <- kv + 1;
-      sl.(2 * ku) <- (e.v lsl 32) lor (2 * e.weight);
-      sl.((2 * ku) + 1) <- (e.u lsl 32) lor i;
-      sl.(2 * kv) <- (e.u lsl 32) lor (2 * e.weight);
-      sl.((2 * kv) + 1) <- (e.v lsl 32) lor i;
-      twin.(ku) <- kv;
-      twin.(kv) <- ku)
-    edges;
+  for i = 0 to ne - 1 do
+    let u = e_u.(i) and v = e_v.(i) in
+    let ku = fill.(u) and kv = fill.(v) in
+    fill.(u) <- ku + 1;
+    fill.(v) <- kv + 1;
+    sl.(2 * ku) <- v lsl 32;
+    sl.((2 * ku) + 1) <- (u lsl 32) lor i;
+    sl.(2 * kv) <- u lsl 32;
+    sl.((2 * kv) + 1) <- (v lsl 32) lor i;
+    twin.(ku) <- kv;
+    twin.(kv) <- ku
+  done;
+  (* a walk-order key is ((smallest defect * nv) + position) lsl kbits + slot *)
+  let kbits = ref 0 in
+  while 1 lsl !kbits < 2 * ne do incr kbits done;
+  if nv > (max_int lsr !kbits) / nv || ne >= 1 lsl 30 then
+    invalid_arg "Decoder_uf.graph: too large";
+  { i_n = nodes; i_u = e_u; i_v = e_v; i_off = off; i_sl = sl; i_twin = twin; i_kbits = !kbits }
+
+let reweight inc ~weights ~logical =
+  let ne = Array.length inc.i_u in
+  if Array.length weights <> ne || Array.length logical <> ne then
+    invalid_arg "Decoder_uf.reweight: one weight and one flag per edge";
+  Array.iter check_weight weights;
+  let sl = Array.copy inc.i_sl in
+  for k = 0 to (2 * ne) - 1 do
+    let w = weights.(sl.((2 * k) + 1) land 0xFFFF_FFFF) in
+    sl.(2 * k) <- sl.(2 * k) lor (2 * w)
+  done;
   (* each vertex's slots by target, then slot: an insertion sort per range *)
+  let off = inc.i_off in
   let srt = Array.init (2 * ne) Fun.id in
-  for w = 0 to nodes do
+  for w = 0 to inc.i_n do
     for j = off.(w) + 1 to off.(w + 1) - 1 do
       let k = srt.(j) in
       let i = ref (j - 1) in
@@ -166,26 +199,40 @@ let weighted_graph ~nodes ~edges =
       srt.(!i + 1) <- k
     done
   done;
-  (* a walk-order key is ((smallest defect * nv) + position) lsl kbits + slot *)
-  let kbits = ref 0 in
-  while 1 lsl !kbits < 2 * ne do incr kbits done;
-  if nv > (max_int lsr !kbits) / nv || ne >= 1 lsl 30 then
-    invalid_arg "Decoder_uf.graph: too large";
   let span = ref 1 in
-  Array.iter (fun e -> while !span <= 2 * e.weight do span := 2 * !span done) edges;
-  { n = nodes;
-    e_u = Array.map (fun e -> e.u) edges;
-    e_v = Array.map (fun e -> e.v) edges;
-    e_w = Array.map (fun e -> e.weight) edges;
-    e_logical = Array.map (fun e -> e.logical) edges;
-    off; sl; twin; srt; kbits = !kbits; mask = !span - 1;
+  Array.iter (fun w -> while !span <= 2 * w do span := 2 * !span done) weights;
+  { n = inc.i_n;
+    e_u = inc.i_u;
+    e_v = inc.i_v;
+    e_w = weights;
+    e_logical = logical;
+    off; sl; twin = inc.i_twin; srt; kbits = inc.i_kbits; mask = !span - 1;
     pool = [||]; npool = 0; pool_lock = Mutex.create () }
+
+let weighted_graph ~nodes ~edges =
+  if nodes <= 0 then invalid_arg "Decoder_uf.graph: need nodes";
+  let edges = Array.of_list edges in
+  (* every check, edge by edge in the order given, before any is built *)
+  Array.iter
+    (fun (u, v, weight, _) ->
+      check_endpoints ~nodes u (if v = boundary then nodes else v);
+      check_weight weight)
+    edges;
+  reweight
+    (incidence ~nodes ~edges:(Array.map (fun (u, v, _, _) -> (u, v)) edges))
+    ~weights:(Array.map (fun (_, _, w, _) -> w) edges)
+    ~logical:(Array.map (fun (_, _, _, l) -> l) edges)
 
 let graph ~nodes ~edges =
   weighted_graph ~nodes ~edges:(List.map (fun (u, v, l) -> (u, v, 1, l)) edges)
 
 let num_nodes g = g.n
 let num_edges g = Array.length g.e_u
+
+let arrays g =
+  [ ("e_u", g.e_u); ("e_v", g.e_v); ("e_w", g.e_w);
+    ("e_logical", Array.map Bool.to_int g.e_logical); ("off", g.off); ("sl", g.sl);
+    ("twin", g.twin); ("srt", g.srt); ("n kbits mask", [| g.n; g.kbits; g.mask |]) ]
 
 let edge_list g =
   Array.init (num_edges g) (fun i ->

@@ -51,7 +51,23 @@ val weighted_graph : nodes:int -> edges:(int * int * int * bool) list -> graph
     from each side before the edge closes, so low-probability mechanisms
     (high weight) are matched across only when nothing cheaper exists.
     Weights must be in [1, 2^30); the event ring has a slot per round up
-    to twice the largest weight. *)
+    to twice the largest weight.  It is {!reweight} of an {!incidence}. *)
+
+type incidence
+(** The probability-free half of a weighted graph: the endpoints, the CSR
+    incidence and each slot's twin, in construction order.  Immutable;
+    every graph {!reweight} makes from it shares those arrays. *)
+
+val incidence : nodes:int -> edges:(int * int) array -> incidence
+(** [(u, v)] per edge, [v] possibly {!boundary}, with the endpoint,
+    self-loop and size checks of {!weighted_graph}. *)
+
+val reweight : incidence -> weights:int array -> logical:bool array -> graph
+(** The graph of the incidence's edges with these weights and flags (one
+    each per edge, kept by the graph): exactly
+    [weighted_graph ~nodes ~edges] of the same edges, with its weight
+    checks, but only the weight half of the slots, the by-target slot order
+    and the event-ring size are computed. *)
 
 val num_nodes : graph -> int
 val num_edges : graph -> int
@@ -61,6 +77,11 @@ val edge_list : graph -> (int * int * int * bool) array
     virtual boundary endpoint mapped back to {!boundary} — the
     serialization-stable description: feeding it back through
     {!weighted_graph} rebuilds a graph with identical decode behavior. *)
+
+val arrays : graph -> (string * int array) list
+(** Every array the decoder reads, by field name, flags as 0/1, and the
+    node count, slot-index width and event-ring mask in one; exposed for
+    tests that compare construction paths field for field. *)
 
 val decode : graph -> Bitvec.t -> bool
 (** [decode g syndrome] returns the predicted logical flip for the defect

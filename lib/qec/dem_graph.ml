@@ -5,21 +5,19 @@ let plans_total = Obs.Counter.create "qec.dem_graph_plans_total"
 
 (* ---------------------------------------------------------------- plan --- *)
 
-(* Everything about the graph that does not depend on probabilities, in
-   flat arrays.  Edge [e] joins [edges.(e) lsr 32] and [(edges.(e) land
-   0xFFFF_FFFF) - 1], with the boundary already moved to the second
-   endpoint, and edges are numbered in the order the final edge list takes
-   them.  [links] holds every mechanism's links in turn, (k + 1) / 2 for a
+(* Everything about the graph that does not depend on probabilities.
+   Edges are numbered in the order the final edge list takes them, and
+   [incidence] is the decoder's CSR of them, which every reweight shares.
+   [links] holds every mechanism's links in turn, (k + 1) / 2 for a
    mechanism of k detectors, each [(edge lsl 2) lor (first lsl 1) lor
    logical]: [first] marks the edge's first link in mechanism order,
    [logical] the link that carries a flipped observable (a mechanism's
-   first link only).  The mechanisms' [detectors] arrays and masks are kept
-   to check a reuse. *)
+   first link only). *)
 type plan = {
-  edges : int array;
   links : int array;
-  dets : int array array;
-  obs : int array;
+  nmech : int;
+  nedges : int;
+  incidence : Decoder_uf.incidence;
 }
 
 (* Each mechanism's endpoint pairs in link order, with the flag rule:
@@ -47,14 +45,18 @@ let iter_links (m : Dem.mechanism) f =
    table once, with each key's first-link index, and walks it in fold
    order ([iter] visits as [fold] does; a fold consing the edge list puts
    the first key visited last). *)
-let plan mechanisms =
+let plan ~nodes mechanisms =
   Obs.Counter.incr plans_total;
-  let dets = Array.of_list (List.map (fun (m : Dem.mechanism) -> m.Dem.detectors) mechanisms) in
-  let obs = Array.of_list (List.map (fun (m : Dem.mechanism) -> m.Dem.obs_mask) mechanisms) in
-  let links = Array.make (Array.fold_left (fun n d -> n + ((Array.length d + 1) / 2)) 0 dets) 0 in
+  let links =
+    Array.make
+      (Array.fold_left
+         (fun n (m : Dem.mechanism) -> n + ((Array.length m.Dem.detectors + 1) / 2))
+         0 mechanisms)
+      0
+  in
   let table : (int * int, int) Hashtbl.t = Hashtbl.create 256 in
   let l = ref 0 in
-  List.iter
+  Array.iter
     (fun m ->
       iter_links m (fun u v logical ->
           let key = if u <= v then (u, v) else (v, u) in
@@ -70,98 +72,59 @@ let plan mechanisms =
           incr l))
     mechanisms;
   let ne = Hashtbl.length table in
-  let pos = Array.make ne 0 and edges = Array.make ne 0 in
+  let pos = Array.make ne 0 and edges = Array.make ne (0, 0) in
   let k = ref ne in
   Hashtbl.iter
     (fun (u, v) id ->
       decr k;
       pos.(id) <- !k;
-      let u, v = if u = Decoder_uf.boundary then (v, u) else (u, v) in
-      edges.(!k) <- (u lsl 32) lor (v + 1))
+      edges.(!k) <- (if u = Decoder_uf.boundary then (v, u) else (u, v)))
     table;
   Array.iteri (fun i x -> links.(i) <- (pos.(x lsr 2) lsl 2) lor (x land 3)) links;
-  { edges; links; dets; obs }
-
-(* A plan fits mechanisms whose [detectors] arrays are the very arrays it
-   was built from (immutable, so the same contents) with the same masks:
-   a full O(n) check, no hash trusted.  [Dem.weigh] shares its arrays
-   across the reweights of one structure, so every noise point of a sweep
-   passes, and mechanisms from any other structure fail. *)
-let fits plan mechanisms =
-  let n = Array.length plan.dets in
-  let rec go i = function
-    | [] -> i = n
-    | (m : Dem.mechanism) :: rest ->
-        i < n && m.Dem.detectors == plan.dets.(i) && m.Dem.obs_mask = plan.obs.(i)
-        && go (i + 1) rest
-  in
-  go 0 mechanisms
-
-(* One plan is kept, like [Dem]'s one structure, and a miss is
-   single-flight: the domains of a sweep reach their first graph together
-   (they queue on the same structure pass), and a second plan built at the
-   same time would only raise the peak heap. *)
-let last : plan option Atomic.t = Atomic.make None
-let plan_lock = Mutex.create ()
-
-let reusable mechanisms =
-  match Atomic.get last with Some p when fits p mechanisms -> Some p | _ -> None
-
-let plan_for mechanisms =
-  match reusable mechanisms with
-  | Some p -> p
-  | None ->
-      Mutex.protect plan_lock (fun () ->
-          match reusable mechanisms with
-          | Some p -> p
-          | None ->
-              let p = plan mechanisms in
-              Atomic.set last (Some p);
-              p)
+  { links; nmech = Array.length mechanisms; nedges = ne; incidence = Decoder_uf.incidence ~nodes ~edges }
 
 (* ---------------------------------------------------------------- fold --- *)
 
-let build ?(scale = 2.0) ?(max_weight = 40) ~nodes mechanisms =
-  let plan = plan_for mechanisms in
+let weigh ?(scale = 2.0) ?(max_weight = 40) plan mechanisms =
+  if Array.length mechanisms <> plan.nmech then
+    invalid_arg "Dem_graph.weigh: not the plan's mechanisms";
   (* Per edge: combined probability and the flag of the single likeliest
      contributing mechanism. *)
-  let ne = Array.length plan.edges in
+  let ne = plan.nedges in
   let total = Array.make ne 0. and best = Array.make ne 0. in
-  let flag = Bytes.make ne '\000' in
+  let logical = Array.make ne false in
   let l = ref 0 in
-  List.iter
+  Array.iter
     (fun (m : Dem.mechanism) ->
       let p = m.Dem.p in
       for _ = 1 to (Array.length m.Dem.detectors + 1) / 2 do
         let x = plan.links.(!l) in
         incr l;
-        let e = x lsr 2 and logical = x land 1 <> 0 in
+        let e = x lsr 2 and flag = x land 1 <> 0 in
         if x land 2 <> 0 then begin
           total.(e) <- p;
           best.(e) <- p;
-          Bytes.set flag e (if logical then '\001' else '\000')
+          logical.(e) <- flag
         end
         else begin
           let t = total.(e) in
           total.(e) <- (t *. (1. -. p)) +. (p *. (1. -. t));
           if p > best.(e) then begin
             best.(e) <- p;
-            Bytes.set flag e (if logical then '\001' else '\000')
+            logical.(e) <- flag
           end
         end
       done)
     mechanisms;
+  if !l <> Array.length plan.links then
+    invalid_arg "Dem_graph.weigh: not the plan's mechanisms";
   let weight_of p =
     if p <= 0. then max_weight
     else if p >= 0.5 then 1
     else max 1 (min max_weight (int_of_float (Float.round (scale *. log ((1. -. p) /. p)))))
   in
-  let edges =
-    List.init ne (fun e ->
-        let uv = plan.edges.(e) in
-        ( uv lsr 32,
-          (uv land 0xFFFF_FFFF) - 1,
-          weight_of total.(e),
-          Bytes.get flag e <> '\000' ))
-  in
-  Decoder_uf.weighted_graph ~nodes ~edges
+  Decoder_uf.reweight plan.incidence ~weights:(Array.map weight_of total) ~logical
+
+let build ?scale ?max_weight ~nodes mechanisms =
+  let mechanisms = Array.of_list mechanisms in
+  weigh ?scale ?max_weight (plan ~nodes mechanisms) mechanisms

@@ -11,12 +11,12 @@ let format_version = 2
 let hits_total = Obs.Counter.create "qec.dem_store_hits_total"
 let misses_total = Obs.Counter.create "qec.dem_store_misses_total"
 
-(* ---------------------------------------------------------- circuit key --- *)
+(* ------------------------------------------------------------- keys --- *)
 
 (* The encoding is written through a fixed scratch that is handed to
-   [flush] each time it fills and once at the end: [encode_circuit] appends
-   the pieces to a string, [circuit_key] hashes them as they come, so a key
-   never holds the encoding (about 1.4 MB at d=13).  Float bits go in with
+   [flush] each time it fills and once at the end: [encode_skeleton]
+   appends the pieces to a string, [skeleton_hash] hashes them as they
+   come, so a hash never holds the encoding (about 270 kB at d=13).  Float bits go in with
    [Bytes.set_int64_le], so no writer call allocates. *)
 type writer = { buf : Bytes.t; mutable pos : int; flush : Bytes.t -> int -> unit }
 
@@ -64,14 +64,13 @@ let add_index_lists w groups =
     done
   done
 
-(* Canonical binary encoding of a circuit: qubit count, op count, every
-   gate as a tag byte and its qubit indices, every noise parameter as raw
-   IEEE-754 bits (so 1e-4 and the nearest neighboring double never
-   collide), measurement count, and the detector and observable lists, each
-   list prefixed by its length.  Every variable-length part carries its
-   length, so distinct circuits never share an encoding; anything that can
-   change the compiled DEM is in here, and the key is its content hash. *)
-let write_circuit flush (c : Circuit.t) =
+(* Canonical binary encoding of a circuit skeleton: qubit count, op count,
+   every gate as a tag byte and its qubit indices, every noise op's offset
+   in the noise table its probabilities come from, measurement count, and
+   the detector and observable lists, each list prefixed by its length.
+   Every variable-length part carries its length, so distinct skeletons
+   never share an encoding. *)
+let write_skeleton flush (c : Circuit.t) ~index =
   let w = { buf = Bytes.create scratch_bytes; pos = 0; flush } in
   add_varint w c.Circuit.nqubits;
   let ops = c.Circuit.ops in
@@ -88,61 +87,100 @@ let write_circuit flush (c : Circuit.t) =
     | Circuit.SWAP (a, t) -> add_gate2 w 'W' a t
     | Circuit.M q -> add_gate w 'M' q
     | Circuit.R q -> add_gate w 'R' q
-    | Circuit.Noise1 { px; py; pz; q } ->
+    | Circuit.Noise1 { q; _ } ->
         add_gate w 'N' q;
-        add_float w px;
-        add_float w py;
-        add_float w pz
-    | Circuit.Depol2 { p; a; b = t } ->
+        add_varint w index.(i)
+    | Circuit.Depol2 { a; b = t; _ } ->
         add_gate2 w 'D' a t;
-        add_float w p
+        add_varint w index.(i)
   done;
   add_varint w c.Circuit.nmeas;
   add_index_lists w c.Circuit.detectors;
   add_index_lists w c.Circuit.observables;
   flush w.buf w.pos
 
-let encode_circuit c =
+let encode_skeleton c ~index =
   let b = Buffer.create scratch_bytes in
-  write_circuit (fun buf len -> Buffer.add_subbytes b buf 0 len) c;
+  write_skeleton (fun buf len -> Buffer.add_subbytes b buf 0 len) c ~index;
   Buffer.contents b
 
-let circuit_key c =
+let skeleton_hash c ~index =
   let st = Content_hash.init () in
-  write_circuit (fun buf len -> Content_hash.feed st buf 0 len) c;
+  write_skeleton (fun buf len -> Content_hash.feed st buf 0 len) c ~index;
+  Content_hash.hex64 (Content_hash.digest st)
+
+(* The table's length, then every entry's IEEE-754 bits. *)
+let noise_hash table =
+  let st = Content_hash.init () in
+  let flush buf len = Content_hash.feed st buf 0 len in
+  let w = { buf = Bytes.create 4096; pos = 0; flush } in
+  add_varint w (Array.length table);
+  Array.iter (add_float w) table;
+  flush w.buf w.pos;
+  Content_hash.hex64 (Content_hash.digest st)
+
+(* A circuit is a function of its skeleton and its noise table, so two
+   circuits that differ differ in one of the two fields. *)
+let key ~shape ~noise =
   Store.key ~kind
-    ~fields:
-      [ ("circuit", Content_hash.hex64 (Content_hash.digest st));
-        ("format", string_of_int format_version) ]
+    ~fields:[ ("shape", shape); ("noise", noise); ("format", string_of_int format_version) ]
 
 (* -------------------------------------------------------------- payload --- *)
 
+(* Written into one string of the exact size: a sweep writes one record
+   per point, about 240 kB at d=13, and a growing buffer would copy it
+   twice more. *)
 let encode sampler graph =
-  let b = Buffer.create 4096 in
-  Buffer.add_string b magic;
-  Buffer.add_uint16_le b format_version;
-  Buffer.add_int32_le b (Int32.of_int (Dem_sampler.ndet sampler));
-  Buffer.add_int32_le b (Int32.of_int (Dem_sampler.nobs sampler));
   let mechs = Dem_sampler.mechanisms sampler in
-  Buffer.add_int32_le b (Int32.of_int (Array.length mechs));
+  let edges = Decoder_uf.edge_list graph in
+  let size =
+    Array.fold_left
+      (fun n (m : Dem.mechanism) -> n + 18 + (4 * Array.length m.Dem.detectors))
+      (String.length magic + 2 + 12 + 8 + (13 * Array.length edges))
+      mechs
+  in
+  let b = Bytes.create size in
+  let pos = ref 0 in
+  let u8 v =
+    Bytes.set_uint8 b !pos v;
+    pos := !pos + 1
+  in
+  let u16 v =
+    Bytes.set_uint16_le b !pos v;
+    pos := !pos + 2
+  in
+  let i32 v =
+    Bytes.set_int32_le b !pos (Int32.of_int v);
+    pos := !pos + 4
+  in
+  let i64 v =
+    Bytes.set_int64_le b !pos v;
+    pos := !pos + 8
+  in
+  Bytes.blit_string magic 0 b 0 (String.length magic);
+  pos := String.length magic;
+  u16 format_version;
+  i32 (Dem_sampler.ndet sampler);
+  i32 (Dem_sampler.nobs sampler);
+  i32 (Array.length mechs);
   Array.iter
     (fun (m : Dem.mechanism) ->
-      Buffer.add_int64_le b (Int64.bits_of_float m.Dem.p);
-      Buffer.add_uint16_le b (Array.length m.Dem.detectors);
-      Array.iter (fun d -> Buffer.add_int32_le b (Int32.of_int d)) m.Dem.detectors;
-      Buffer.add_int64_le b (Int64.of_int m.Dem.obs_mask))
+      i64 (Int64.bits_of_float m.Dem.p);
+      u16 (Array.length m.Dem.detectors);
+      Array.iter i32 m.Dem.detectors;
+      i64 (Int64.of_int m.Dem.obs_mask))
     mechs;
-  let edges = Decoder_uf.edge_list graph in
-  Buffer.add_int32_le b (Int32.of_int (Decoder_uf.num_nodes graph));
-  Buffer.add_int32_le b (Int32.of_int (Array.length edges));
+  i32 (Decoder_uf.num_nodes graph);
+  i32 (Array.length edges);
   Array.iter
     (fun (u, v, weight, logical) ->
-      Buffer.add_int32_le b (Int32.of_int u);
-      Buffer.add_int32_le b (Int32.of_int v);
-      Buffer.add_int32_le b (Int32.of_int weight);
-      Buffer.add_uint8 b (if logical then 1 else 0))
+      i32 u;
+      i32 v;
+      i32 weight;
+      u8 (if logical then 1 else 0))
     edges;
-  Buffer.contents b
+  assert (!pos = size);
+  Bytes.unsafe_to_string b
 
 exception Malformed
 
@@ -220,13 +258,12 @@ let find store key =
 
 let put store key sampler graph = Store.put store key (encode sampler graph)
 
-(* The key is computed once and serves both the lookup and the write-back. *)
-let compile_cached circuit build =
+(* One key serves both the lookup and the write-back. *)
+let compile_cached key build =
   match Char_store.store () with
   | None -> build ()
   | Some store ->
       Obs.Trace.with_span "qec.dem_store" (fun () ->
-          let key = circuit_key circuit in
           match find store key with
           | Some pair -> pair
           | None ->

@@ -6,7 +6,22 @@
     paper: two-qubit depolarizing error on every CX, coherence-limited idling
     on every qubit in every schedule slot (data and ancilla can have
     different T1 = T2 coherence times, the paper's Tcd / Tca), 1 us
-    error-free readout during which data qubits idle. *)
+    error-free readout during which data qubits idle.
+
+    A build splits the circuit in two.  The {e shape} — distance, rounds,
+    and which of [t_1q], [t_2q], [t_meas] and [p2] are positive — fixes
+    every gate, qubit, measurement, detector and observable, and which
+    entry of a noise table each noise op reads.  The {e noise table} of a
+    point holds the [(px, py, pz)] of every (qubit, slot duration) and
+    [p2], computed in O(qubits) from the parameters.  One memo slot keeps
+    the last shape: its skeleton's content hash (half the point's store
+    key, {!Dem_store.key}), and, once a point compiles, the DEM structure
+    ({!Dem.structure}) and matching-graph plan ({!Dem_graph.plan}) for the
+    table's positivity pattern.  Every further point of the shape costs
+    only its noise: a weight pass, a graph reweight, and a hash of its
+    table.  A slot miss is single-flight across domains, and a point whose
+    positivity pattern differs from the slot's (a subnormal [p2], an
+    infinite coherence) gets a new structure. *)
 
 type params = {
   distance : int;
@@ -35,20 +50,28 @@ type experiment = {
     it. *)
 
 val circuit : ?variability:float * Rng.t -> params -> Circuit.t
-(** The noisy memory-Z circuit {!build} compiles.  With
+(** The noisy memory-Z circuit {!build} compiles: the shape's skeleton
+    with the point's noise table filled in.  With
     [~variability:(sigma, rng)], every qubit's coherence is drawn as in
     {!build_varied}, so the same [rng] state gives the circuit
-    {!build_varied} compiles. *)
+    {!build_varied} compiles.  Builds never lay it out per point. *)
 
 val build : params -> experiment
 (** Construct the memory-Z experiment.  Detector i of the circuit is node i
     of the matching graph; the single observable is logical Z. *)
 
+val store_key : params -> string
+(** The {!Dem_store.key} a {!build} of the point resolves through: its
+    shape's skeleton hash and its noise table's hash.  Lays out the shape
+    into the memo slot when it is not there. *)
+
 val build_varied : sigma:float -> Rng.t -> params -> experiment
 (** Like {!build}, but every qubit's coherence time is drawn log-normally
     around its nominal value with log-std [sigma] — fabrication variability
-    (§5: device variability as p-cells).  The decoding graph is rebuilt from
-    the varied circuit's DEM, so the decoder knows the per-qubit rates. *)
+    (§5: device variability as p-cells): [sigma] and one Gaussian per
+    qubit, in qubit order, go into the noise table.  The decoding graph is
+    reweighted from the varied circuit's DEM, so the decoder knows the
+    per-qubit rates. *)
 
 val logical_error_count : ?jobs:int -> experiment -> Rng.t -> shots:int -> int
 (** Monte-Carlo logical error count over [shots] experiments on the fused

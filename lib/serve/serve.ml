@@ -121,9 +121,14 @@ let parse_threshold members =
 
 let parse_uec members =
   let code = string_field members "code" ~default:"SC3" in
-  (match Codes.by_name code with
-  | (_ : Code.t) -> ()
-  | exception Not_found -> bad 400 "code: unknown code name %S" code);
+  (* Parsed, not built: a name's code can be large, and a distance below 2
+     or a code too large for the lookup decoder would only fail later. *)
+  (match Codes.qubits_of_name code with
+  | None -> bad 400 "code: no code named %S (RM, 17QCC, ST, SHOR, SCd, REPd; d >= 2)" code
+  | Some n when n > Decoder_lookup.max_qubits ->
+      bad 400 "code: %S has more than the %d qubits the lookup decoder takes" code
+        Decoder_lookup.max_qubits
+  | Some _ -> ());
   let rounds = int_field members "rounds" ~default:3 ~lo:1 ~hi:1000 in
   let arch = enum_field members "arch" ~default:"het" ~values:[ "het"; "hom" ] in
   let ts = float_field members "ts" ~default:50e-3 ~lo:1e-9 ~hi:1e3 in
@@ -278,7 +283,7 @@ let stats_body () =
 
 (* ------------------------------------------------------------------ *)
 (* Line table: raw request line -> parsed query.  [parse_line] is a pure
-   function of the line and static tables (Codes.by_name,
+   function of the line and static tables (Codes.qubits_of_name,
    Surface_circuit.default), so a stored result is exactly what a fresh
    parse would return.  Only successful queries are stored, so a flood of
    bad lines cannot churn the table.  Owned by the daemon loop, like

@@ -367,85 +367,229 @@ let test_reweight_matches_oracle () =
     (Invalid_argument "Dem.weigh: circuit shape differs") (fun () ->
       ignore (Dem.weigh s (surface ~distance:3 ~sigma:0. 0)))
 
-let rebuild (c : Circuit.t) ~ops ~detectors =
-  let b = Circuit.builder c.Circuit.nqubits in
-  Array.iter (Circuit.add b) ops;
-  Array.iter (fun ms -> Circuit.add_detector b (Array.to_list ms)) detectors;
-  Array.iter (fun ms -> Circuit.add_observable b (Array.to_list ms)) c.Circuit.observables;
-  Circuit.finish b
+(* ----------------------------------------- surface shapes and tables --- *)
+
+let same_bits x y = Int64.equal (Int64.bits_of_float x) (Int64.bits_of_float y)
+
+let same_gate (g : Circuit.gate) (h : Circuit.gate) =
+  match (g, h) with
+  | Circuit.Noise1 a, Circuit.Noise1 b ->
+      a.q = b.q && same_bits a.px b.px && same_bits a.py b.py && same_bits a.pz b.pz
+  | Circuit.Depol2 a, Circuit.Depol2 b -> a.a = b.a && a.b = b.b && same_bits a.p b.p
+  | _ -> g = h
+
+(* Op for op, probabilities by IEEE bits. *)
+let same_circuit (a : Circuit.t) (b : Circuit.t) =
+  a.Circuit.nqubits = b.Circuit.nqubits
+  && a.Circuit.nmeas = b.Circuit.nmeas
+  && Array.length a.Circuit.ops = Array.length b.Circuit.ops
+  && Array.for_all2 same_gate a.Circuit.ops b.Circuit.ops
+  && a.Circuit.detectors = b.Circuit.detectors
+  && a.Circuit.observables = b.Circuit.observables
+
+let same_mechanisms (a : Dem.mechanism array) (b : Dem.mechanism array) =
+  Array.length a = Array.length b
+  && Array.for_all2
+       (fun (x : Dem.mechanism) (y : Dem.mechanism) ->
+         same_bits x.Dem.p y.Dem.p && x.Dem.detectors = y.Dem.detectors
+         && x.Dem.obs_mask = y.Dem.obs_mask)
+       a b
+
+(* The points the shape and table path must reproduce: every distance the
+   figures use, fabrication variability, and each way a point can change
+   the circuit's ops (p2 = 0, t_1q = 0) or only which of its noise is
+   positive (a subnormal p2, whose p2/15 rounds to 0; an infinite data
+   coherence, whose idles are all 0). *)
+let surface_points =
+  let d = Surface_circuit.default in
+  [ ("d=3", d ~distance:3, None);
+    ("d=5", d ~distance:5, None);
+    ("d=7", d ~distance:7, None);
+    ("d=13", d ~distance:13, None);
+    ("d=5 sigma=0.4", d ~distance:5, Some (0.4, 11));
+    ("d=7 sigma=1.0", d ~distance:7, Some (1.0, 12));
+    ("d=5 p2=0", { (d ~distance:5) with p2 = 0. }, None);
+    ("d=5 p2 subnormal", { (d ~distance:5) with p2 = 1e-323 }, None);
+    ("d=5 t_1q=0", { (d ~distance:5) with t_1q = 0. }, None);
+    ("d=5 t_data=inf", { (d ~distance:5) with t_data = infinity }, None);
+    ("d=3 Tca x5", { (d ~distance:3) with t_anc = 5e-4 }, None) ]
+
+let variability = Option.map (fun (sigma, seed) -> (sigma, Rng.create seed))
+
+let build_point p v =
+  match v with
+  | None -> Surface_circuit.build p
+  | Some (sigma, seed) -> Surface_circuit.build_varied ~sigma (Rng.create seed) p
+
+let test_circuit_matches_oracle () =
+  List.iter
+    (fun (name, p, v) ->
+      Alcotest.(check bool)
+        (name ^ ": circuit = oracle, op for op")
+        true
+        (same_circuit
+           (Surface_circuit.circuit ?variability:(variability v) p)
+           (Surface_oracle.circuit ?variability:(variability v) p)))
+    surface_points
+
+(* The graph [weighted_graph] built before it was split into an incidence
+   and a reweight, kept as the field-for-field oracle of every graph. *)
+let csr_oracle ~nodes edges =
+  let edges = Array.of_list edges in
+  let nv = nodes + 1 and ne = Array.length edges in
+  let e_u = Array.map (fun (u, _, _, _) -> u) edges in
+  let e_v = Array.map (fun (_, v, _, _) -> if v = Decoder_uf.boundary then nodes else v) edges in
+  let e_w = Array.map (fun (_, _, w, _) -> w) edges in
+  let off = Array.make (nv + 1) 0 in
+  Array.iteri
+    (fun i u ->
+      off.(u + 1) <- off.(u + 1) + 1;
+      off.(e_v.(i) + 1) <- off.(e_v.(i) + 1) + 1)
+    e_u;
+  for w = 1 to nv do
+    off.(w) <- off.(w) + off.(w - 1)
+  done;
+  let sl = Array.make (4 * ne) 0 and twin = Array.make (2 * ne) 0 in
+  let fill = Array.sub off 0 nv in
+  for i = 0 to ne - 1 do
+    let u = e_u.(i) and v = e_v.(i) and w = e_w.(i) in
+    let ku = fill.(u) and kv = fill.(v) in
+    fill.(u) <- ku + 1;
+    fill.(v) <- kv + 1;
+    sl.(2 * ku) <- (v lsl 32) lor (2 * w);
+    sl.((2 * ku) + 1) <- (u lsl 32) lor i;
+    sl.(2 * kv) <- (u lsl 32) lor (2 * w);
+    sl.((2 * kv) + 1) <- (v lsl 32) lor i;
+    twin.(ku) <- kv;
+    twin.(kv) <- ku
+  done;
+  let srt = Array.init (2 * ne) Fun.id in
+  for w = 0 to nodes do
+    for j = off.(w) + 1 to off.(w + 1) - 1 do
+      let k = srt.(j) in
+      let i = ref (j - 1) in
+      while !i >= off.(w) && sl.(2 * srt.(!i)) land 0xFFFF_FFFF > sl.(2 * k) land 0xFFFF_FFFF do
+        srt.(!i + 1) <- srt.(!i);
+        decr i
+      done;
+      srt.(!i + 1) <- k
+    done
+  done;
+  let kbits = ref 0 in
+  while 1 lsl !kbits < 2 * ne do incr kbits done;
+  let span = ref 1 in
+  Array.iter (fun w -> while !span <= 2 * w do span := 2 * !span done) e_w;
+  [ ("e_u", e_u); ("e_v", e_v); ("e_w", e_w);
+    ("e_logical", Array.map (fun (_, _, _, l) -> Bool.to_int l) edges); ("off", off); ("sl", sl);
+    ("twin", twin); ("srt", srt); ("n kbits mask", [| nodes; !kbits; !span - 1 |]) ]
+
+let fields = Alcotest.(list (pair string (array int)))
+
+let check_fields msg ~nodes g =
+  Alcotest.check fields (msg ^ ": graph = weighted_graph oracle, field for field")
+    (csr_oracle ~nodes (Array.to_list (Decoder_uf.edge_list g)))
+    (Decoder_uf.arrays g)
+
+(* A build reproduces the oracle circuit's compile: the same mechanisms
+   (bits of p included), the same matching-graph edges, and a graph equal
+   field for field to the one weighted_graph built. *)
+let test_build_matches_oracle () =
+  List.iter
+    (fun (name, p, v) ->
+      let exp = build_point p v in
+      let c = Surface_oracle.circuit ?variability:(variability v) p in
+      let want = Dem_sampler.mechanisms (Dem_sampler.compile c) in
+      Alcotest.(check bool)
+        (name ^ ": mechanisms = oracle compile")
+        true
+        (same_mechanisms want (Dem_sampler.mechanisms exp.Surface_circuit.sampler));
+      let nodes = Array.length c.Circuit.detectors in
+      Alcotest.(check bool)
+        (name ^ ": edge list = oracle graph")
+        true
+        (Decoder_uf.edge_list (Dem_graph.build ~nodes (Array.to_list want))
+        = Decoder_uf.edge_list exp.Surface_circuit.graph);
+      check_fields name ~nodes exp.Surface_circuit.graph)
+    surface_points
+
+let counted f =
+  let s0 = Obs.Counter.value Dem.structures_total
+  and p0 = Obs.Counter.value Dem_graph.plans_total in
+  let x = f () in
+  (x, Obs.Counter.value Dem.structures_total - s0, Obs.Counter.value Dem_graph.plans_total - p0)
 
 let test_shape_changes_recompile () =
-  (* Each variant differs from the base in one part of its shape.  After a
-     d=3 compile evicts the slot, the variant compiles first and the base
-     then meets the variant's structure, which it must not reuse.  This
-     order matters for the zeroed component: reusing the base's structure
-     for the variant would only combine a 0 (exact), but reusing the
-     variant's for the base loses a contribution. *)
-  let c = surface ~distance:5 ~sigma:0.3 1 in
-  let ops = Array.copy c.Circuit.ops in
-  let k = ref (-1) in
-  Array.iteri
-    (fun i g -> match g with Circuit.Noise1 _ when !k < 0 -> k := i | _ -> ())
-    ops;
-  (match ops.(!k) with
-  | Circuit.Noise1 n -> ops.(!k) <- Circuit.Noise1 { n with px = 0. }
-  | _ -> assert false);
-  (* A subnormal Depol2 p is positive, but its p/15 components round to 0
-     and record nothing. *)
-  let tiny = Array.copy c.Circuit.ops in
-  let j = ref (-1) in
-  Array.iteri
-    (fun i g -> match g with Circuit.Depol2 _ when !j < 0 -> j := i | _ -> ())
-    tiny;
-  (match tiny.(!j) with
-  | Circuit.Depol2 d -> tiny.(!j) <- Circuit.Depol2 { d with p = 1e-323 }
-  | _ -> assert false);
-  let detectors = Array.copy c.Circuit.detectors in
-  detectors.(0) <- c.Circuit.detectors.(1);
-  detectors.(1) <- c.Circuit.detectors.(0);
+  (* Points of one d=5 shape in turn through the memo slot.  A subnormal p2
+     or an infinite data coherence keeps the shape (the same ops) but
+     zeroes what some ops record, so it needs a structure of its own, and
+     the base after it needs the base's again; t_1q = 0 drops ops, a new
+     shape.  Each point's compile equals the oracle's. *)
+  let base = Surface_circuit.default ~distance:5 in
+  ignore (Surface_circuit.build (Surface_circuit.default ~distance:3));
   List.iter
-    (fun (msg, variant) ->
-      ignore (Dem.of_circuit (surface ~distance:3 ~sigma:0. 0));
-      check_oracle msg variant;
-      check_oracle ("base after " ^ msg) c;
-      check_oracle msg variant)
-    [ ("first px zeroed", rebuild c ~ops ~detectors:c.Circuit.detectors);
-      ("first depol2 p subnormal", rebuild c ~ops:tiny ~detectors:c.Circuit.detectors);
-      ("two detectors swapped", rebuild c ~ops:c.Circuit.ops ~detectors) ]
+    (fun (msg, p, structures) ->
+      let exp, s, pl = counted (fun () -> Surface_circuit.build p) in
+      let want = Dem_sampler.mechanisms (Dem_sampler.compile (Surface_oracle.circuit p)) in
+      Alcotest.(check bool) (msg ^ ": mechanisms = oracle") true
+        (same_mechanisms want (Dem_sampler.mechanisms exp.Surface_circuit.sampler));
+      Alcotest.(check (pair int int)) (msg ^ ": structures and plans built") (structures, structures)
+        (s, pl))
+    [ ("base", base, 1);
+      ("base again", base, 0);
+      ("p2 subnormal", { base with p2 = 1e-323 }, 1);
+      ("base after subnormal p2", base, 1);
+      ("t_data = inf", { base with t_data = infinity }, 1);
+      ("base after t_data = inf", base, 1);
+      ("Tcd x3, same pattern", { base with t_data = 3e-4 }, 0);
+      ("t_1q = 0", { base with t_1q = 0. }, 1);
+      ("base after t_1q = 0", base, 1) ]
 
 let test_two_domains () =
-  (* Two shapes compiled at once from two domains share the one slot. *)
-  let c3 = surface ~distance:3 ~sigma:0.4 5 and c5 = surface ~distance:5 ~sigma:0.4 6 in
-  let want3 = canonical (oracle_of_circuit c3) and want5 = canonical (oracle_of_circuit c5) in
-  let worker c want () =
-    List.for_all (fun _ -> canonical (Dem.of_circuit c) = want) (List.init 8 Fun.id)
+  (* Two shapes built at once from two domains share the one slot: each
+     evicts the other's shape, and every build still equals the oracle. *)
+  let point d seed = (Surface_circuit.default ~distance:d, (0.4, seed)) in
+  let want (p, (sigma, seed)) =
+    Dem_sampler.mechanisms
+      (Dem_sampler.compile (Surface_oracle.circuit ~variability:(sigma, Rng.create seed) p))
   in
-  let d3 = Domain.spawn (worker c3 want3) and d5 = Domain.spawn (worker c5 want5) in
+  let worker pt () =
+    let w = want pt in
+    let p, (sigma, seed) = pt in
+    List.for_all
+      (fun _ ->
+        same_mechanisms w
+          (Dem_sampler.mechanisms
+             (Surface_circuit.build_varied ~sigma (Rng.create seed) p).Surface_circuit.sampler))
+      (List.init 8 Fun.id)
+  in
+  let d3 = Domain.spawn (worker (point 3 5)) and d5 = Domain.spawn (worker (point 5 6)) in
   Alcotest.(check bool) "d=3 from its domain" true (Domain.join d3);
   Alcotest.(check bool) "d=5 from its domain" true (Domain.join d5)
 
-(* Minor words one reweight may allocate per mechanism: the result list
-   cell, the mechanism record and its boxed [p] (3 + 4 + 2 words), plus a
-   constant for the result closure.  The shape check and the weight scan
-   allocate nothing of their own; the probability array is major-heap
-   sized.  Measured: 7952 words for the 883 mechanisms below. *)
-let reweight_words_per_mechanism = 9
+(* Minor words a weight pass may allocate per mechanism: the record and
+   its boxed [p] (4 + 2 words), plus a constant; the probability and
+   result arrays are major-heap sized.  Measured: 5303 words for the 883
+   mechanisms of d=7. *)
+let reweight_words_per_mechanism = 6
 let reweight_words_constant = 64
 
 let test_one_structure_per_shape () =
-  ignore (Dem.of_circuit (surface ~distance:3 ~sigma:0. 0));
-  let before = Obs.Counter.value Dem.structures_total in
-  List.iter
-    (fun seed -> ignore (Dem.of_circuit (surface ~distance:7 ~sigma:0.3 seed)))
-    [ 1; 2; 3; 4; 5 ];
-  Alcotest.(check int) "five same-shape d=7 compiles, one structure pass" 1
-    (Obs.Counter.value Dem.structures_total - before);
-  let c = surface ~distance:7 ~sigma:0.5 6 in
-  let n = List.length (Dem.of_circuit c) in
-  let words = Alloc.words (fun () -> ignore (Dem.of_circuit c)) in
-  Alcotest.(check int) "reweights only" 1 (Obs.Counter.value Dem.structures_total - before);
+  ignore (Surface_circuit.build (Surface_circuit.default ~distance:3));
+  let p = Surface_circuit.default ~distance:7 in
+  let (), structures, plans =
+    counted (fun () ->
+        List.iter
+          (fun seed -> ignore (Surface_circuit.build_varied ~sigma:0.3 (Rng.create seed) p))
+          [ 1; 2; 3; 4; 5 ])
+  in
+  Alcotest.(check (pair int int)) "five same-shape d=7 builds: one structure, one plan" (1, 1)
+    (structures, plans);
+  let c = Surface_circuit.circuit p in
+  let s = Dem.structure c and table = Dem.circuit_table c in
+  let n = Array.length (Dem.weigh_table s table) in
+  let words = Alloc.words (fun () -> ignore (Dem.weigh_table s table)) in
   Alcotest.(check bool)
-    (Printf.sprintf "reweight: %d words over %d mechanisms <= %d per mechanism + %d" words n
+    (Printf.sprintf "weight pass: %d words over %d mechanisms <= %d per mechanism + %d" words n
        reweight_words_per_mechanism reweight_words_constant)
     true
     (words <= (reweight_words_per_mechanism * n) + reweight_words_constant)
@@ -549,75 +693,100 @@ let table_graph ?(scale = 2.0) ?(max_weight = 40) ~nodes mechanisms =
 let edge = Alcotest.(array (pair (pair int int) (pair int bool)))
 let view edges = Array.map (fun (u, v, w, l) -> ((u, v), (w, l))) edges
 
-(* Builds [mechanisms] through [Dem_graph.build], checks its edge list
-   (order, weights, flags) against the table oracle and returns how many
-   plans the build made. *)
-let check_graph msg ~nodes mechanisms =
-  let before = Obs.Counter.value Dem_graph.plans_total in
-  let got = Decoder_uf.edge_list (Dem_graph.build ~nodes mechanisms) in
+(* Checks a graph's edge list (order, weights, flags) against the table
+   oracle, and its arrays against the weighted_graph oracle. *)
+let check_graph msg ~nodes mechanisms g =
   Alcotest.check edge (msg ^ ": edge list = table oracle") (view (table_graph ~nodes mechanisms))
-    (view got);
-  Obs.Counter.value Dem_graph.plans_total - before
+    (view (Decoder_uf.edge_list g));
+  check_fields msg ~nodes g
 
 let test_plan_reuse_across_reweights () =
+  (* One plan of a structure's mechanisms serves every reweight of it. *)
   let c0 = surface ~distance:5 ~sigma:0.3 1 in
   let nodes = Array.length c0.Circuit.detectors in
   let s = Dem.structure c0 in
-  let plans =
-    List.map
-      (fun (sigma, seed) ->
-        check_graph (Printf.sprintf "d=5 sigma=%g seed=%d" sigma seed) ~nodes
-          (Dem.weigh s (surface ~distance:5 ~sigma seed)))
-      [ (0.3, 1); (0., 0); (0.6, 2); (1.0, 3); (0.3, 4) ]
-  in
-  Alcotest.(check (list int)) "one plan, then four reuses" [ 1; 0; 0; 0; 0 ] plans
+  let plan, _, plans = counted (fun () -> Dem_graph.plan ~nodes (Array.of_list (Dem.weigh s c0))) in
+  Alcotest.(check int) "one plan" 1 plans;
+  List.iter
+    (fun (sigma, seed) ->
+      let dem = Dem.weigh s (surface ~distance:5 ~sigma seed) in
+      let g, _, plans = counted (fun () -> Dem_graph.weigh plan (Array.of_list dem)) in
+      check_graph (Printf.sprintf "d=5 sigma=%g seed=%d" sigma seed) ~nodes dem g;
+      Alcotest.(check int) "a reweight plans nothing" 0 plans)
+    [ (0.3, 1); (0., 0); (0.6, 2); (1.0, 3); (0.3, 4) ]
 
 let test_plan_flag_flips () =
   (* Two mechanisms on the edge (0, 1): whichever is likelier sets its
-     logical flag, so swapping their probabilities on one plan flips it. *)
+     logical flag, so swapping their probabilities on one plan flips it,
+     and the reweighted graph still equals the oracle field for field. *)
   let d01 = [| 0; 1 |] and d1 = [| 1 |] in
   let dem p_plain p_logical =
     [ { Dem.p = 0.05; detectors = d1; obs_mask = 0 };
       { Dem.p = p_plain; detectors = d01; obs_mask = 0 };
       { Dem.p = p_logical; detectors = d01; obs_mask = 1 } ]
   in
-  let flag dem =
+  let plan = Dem_graph.plan ~nodes:2 (Array.of_list (dem 0.2 0.01)) in
+  let flag msg dem =
+    let g = Dem_graph.weigh plan (Array.of_list dem) in
+    check_graph msg ~nodes:2 dem g;
     let _, _, _, l =
-      List.find (fun (u, v, _, _) -> (u, v) = (0, 1))
-        (Array.to_list (Decoder_uf.edge_list (Dem_graph.build ~nodes:2 dem)))
+      List.find (fun (u, v, _, _) -> (u, v) = (0, 1)) (Array.to_list (Decoder_uf.edge_list g))
     in
     l
   in
-  Alcotest.(check int) "first point plans" 1 (check_graph "plain likelier" ~nodes:2 (dem 0.2 0.01));
-  Alcotest.(check bool) "plain likelier: flag clear" false (flag (dem 0.2 0.01));
-  Alcotest.(check int) "reweight reuses" 0 (check_graph "logical likelier" ~nodes:2 (dem 0.01 0.2));
-  Alcotest.(check bool) "logical likelier: flag set" true (flag (dem 0.01 0.2));
+  Alcotest.(check bool) "plain likelier: flag clear" false (flag "plain likelier" (dem 0.2 0.01));
+  Alcotest.(check bool) "logical likelier: flag set" true (flag "logical likelier" (dem 0.01 0.2));
   (* A tie keeps the earlier mechanism's flag. *)
-  Alcotest.(check int) "tie reuses" 0 (check_graph "tie" ~nodes:2 (dem 0.1 0.1));
-  Alcotest.(check bool) "tie: flag clear" false (flag (dem 0.1 0.1));
-  (* The same arrays with another mask are another DEM. *)
+  Alcotest.(check bool) "tie: flag clear" false (flag "tie" (dem 0.1 0.1));
+  (* The same arrays with another mask are another DEM, with a plan of its
+     own. *)
   let unflagged = List.map (fun m -> { m with Dem.obs_mask = 0 }) (dem 0.01 0.2) in
-  Alcotest.(check int) "mask change replans" 1 (check_graph "masks cleared" ~nodes:2 unflagged);
-  Alcotest.(check bool) "masks cleared: flag clear" false (flag unflagged)
+  let g = Dem_graph.build ~nodes:2 unflagged in
+  check_graph "masks cleared" ~nodes:2 unflagged g;
+  Alcotest.(check bool) "masks cleared: flag clear" false
+    (Array.exists (fun (_, _, _, l) -> l) (Decoder_uf.edge_list g))
 
 let test_plan_not_reused_across_structures () =
+  (* Nothing is reused implicitly: every build plans its own graph, and a
+     plan refuses mechanisms that are not its structure's. *)
   let c = surface ~distance:5 ~sigma:0.3 1 in
   let nodes = Array.length c.Circuit.detectors in
   let a = Dem.structure c and b = Dem.structure c in
-  let copied =
-    List.map (fun m -> { m with Dem.detectors = Array.copy m.Dem.detectors }) (Dem.weigh a c)
-  in
   let c3 = surface ~distance:3 ~sigma:0.3 1 in
   List.iter
-    (fun (msg, nodes, dem, want) ->
-      Alcotest.(check int) (msg ^ ": plans built") want (check_graph msg ~nodes dem))
-    [ ("structure a", nodes, Dem.weigh a c, 1);
-      ("structure a again", nodes, Dem.weigh a c, 0);
-      ("structure b, same shape", nodes, Dem.weigh b c, 1);
-      ("structure a after b", nodes, Dem.weigh a c, 1);
-      ("a's mechanisms, copied arrays", nodes, copied, 1);
-      ("a's mechanisms less the last", nodes, List.rev (List.tl (List.rev (Dem.weigh a c))), 1);
-      ("d=3", Array.length c3.Circuit.detectors, Dem.of_circuit c3, 1) ]
+    (fun (msg, nodes, dem) ->
+      let g, _, plans = counted (fun () -> Dem_graph.build ~nodes dem) in
+      check_graph msg ~nodes dem g;
+      Alcotest.(check int) (msg ^ ": plans built") 1 plans)
+    [ ("structure a", nodes, Dem.weigh a c);
+      ("structure a again", nodes, Dem.weigh a c);
+      ("structure b, same shape", nodes, Dem.weigh b c);
+      ("a's mechanisms less the last", nodes, List.rev (List.tl (List.rev (Dem.weigh a c))));
+      ("d=3", Array.length c3.Circuit.detectors, Dem.of_circuit c3) ];
+  let plan = Dem_graph.plan ~nodes (Array.of_list (Dem.weigh a c)) in
+  Alcotest.check_raises "a plan rejects another structure's mechanisms"
+    (Invalid_argument "Dem_graph.weigh: not the plan's mechanisms") (fun () ->
+      ignore (Dem_graph.weigh plan (Array.of_list (Dem.of_circuit c3))))
+
+let test_reweight_checks () =
+  (* A reweight keeps weighted_graph's weight checks. *)
+  let inc = Decoder_uf.incidence ~nodes:2 ~edges:[| (0, 1); (1, Decoder_uf.boundary) |] in
+  let logical = [| false; true |] in
+  List.iter
+    (fun (msg, weights, err) ->
+      Alcotest.check_raises msg (Invalid_argument err) (fun () ->
+          ignore (Decoder_uf.reweight inc ~weights ~logical)))
+    [ ("weight 0", [| 0; 1 |], "Decoder_uf.graph: weight must be >= 1");
+      ("weight 2^30", [| 1; 1 lsl 30 |], "Decoder_uf.graph: weight too large");
+      ("one weight short", [| 1 |], "Decoder_uf.reweight: one weight and one flag per edge") ];
+  Alcotest.check_raises "self-loop" (Invalid_argument "Decoder_uf.graph: self-loop") (fun () ->
+      ignore (Decoder_uf.incidence ~nodes:2 ~edges:[| (1, 1) |]));
+  let g = Decoder_uf.reweight inc ~weights:[| 3; 7 |] ~logical in
+  Alcotest.check fields "reweight = weighted_graph"
+    (Decoder_uf.arrays
+       (Decoder_uf.weighted_graph ~nodes:2
+          ~edges:[ (0, 1, 3, false); (1, Decoder_uf.boundary, 7, true) ]))
+    (Decoder_uf.arrays g)
 
 let () =
   Alcotest.run "dem"
@@ -646,4 +815,8 @@ let () =
         [ Alcotest.test_case "reuse across reweights" `Quick test_plan_reuse_across_reweights;
           Alcotest.test_case "flag flips" `Quick test_plan_flag_flips;
           Alcotest.test_case "no reuse across structures" `Quick
-            test_plan_not_reused_across_structures ] ) ]
+            test_plan_not_reused_across_structures;
+          Alcotest.test_case "reweight checks" `Quick test_reweight_checks ] );
+      ( "surface shape",
+        [ Alcotest.test_case "circuit = oracle" `Quick test_circuit_matches_oracle;
+          Alcotest.test_case "build = oracle compile" `Quick test_build_matches_oracle ] ) ]

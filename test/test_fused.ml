@@ -331,31 +331,26 @@ let small_params = Surface_circuit.default ~distance:3
 let small_exp = lazy (Surface_circuit.build small_params)
 
 let test_pinned_circuit_key () =
-  (* The store key of the default d=3 circuit, pinned: any unintended change
-     to the canonical circuit encoding (or the key discipline) silently
-     orphans every existing store entry — this fails loudly instead. *)
-  let key = Dem_store.circuit_key (Surface_circuit.circuit small_params) in
-  Alcotest.(check string) "pinned d=3 circuit key" "67bab1e2e2db236e" key;
+  (* The store key of the default d=3 point, pinned: any unintended change
+     to the skeleton encoding, the noise table or the key discipline
+     silently orphans every existing store entry — this fails loudly
+     instead. *)
+  let key = Surface_circuit.store_key small_params in
+  Alcotest.(check string) "pinned d=3 circuit key" "59de6a9bfec3253f" key;
   (* Any noise-parameter change must move the key. *)
   let varied =
-    Surface_circuit.circuit
+    Surface_circuit.store_key
       { (Surface_circuit.default ~distance:3) with t_data = 1.0000001e-4 }
   in
-  Alcotest.(check bool) "key sensitive to noise params" false
-    (Dem_store.circuit_key varied = key)
+  Alcotest.(check bool) "key sensitive to noise params" false (varied = key)
 
-(* The key is hashed as the encoding is written, through a fixed scratch:
-   the same value as hashing the whole encoding, and a constant number of
-   minor words whatever the circuit's size (d=13 has about 51k ops and a
-   1.4 MB encoding; measured 255 words at d=3 and 294 at d=13, the
-   difference being one boxed hash state per 64 KiB flush). *)
-let test_streamed_circuit_key () =
-  let oracle c =
-    Store.key ~kind:"qec.dem"
-      ~fields:
-        [ ("circuit", Content_hash.hash_hex (Dem_store.encode_circuit c));
-          ("format", string_of_int Dem_store.format_version) ]
-  in
+(* The skeleton is hashed as its encoding is written, through a fixed
+   scratch: the same value as hashing the whole encoding, and a constant
+   number of minor words whatever the circuit's size (d=13 has about 51k
+   ops), the difference being one boxed hash state per 64 KiB flush.  Any
+   index works; here each noise op's offset is 3 i. *)
+let test_streamed_skeleton_hash () =
+  let index (c : Circuit.t) = Array.init (Array.length c.Circuit.ops) (fun i -> 3 * i) in
   let d3 = Surface_circuit.circuit small_params in
   let d13 = Surface_circuit.circuit (Surface_circuit.default ~distance:13) in
   let varied =
@@ -364,12 +359,16 @@ let test_streamed_circuit_key () =
   in
   List.iter
     (fun (name, c) ->
-      Alcotest.(check string) (name ^ " key = oracle") (oracle c) (Dem_store.circuit_key c))
+      let index = index c in
+      Alcotest.(check string) (name ^ " hash = oracle")
+        (Content_hash.hash_hex (Dem_store.encode_skeleton c ~index))
+        (Dem_store.skeleton_hash c ~index))
     [ ("d=3", d3); ("d=13", d13); ("varied d=7", varied) ];
-  let w3 = Alloc.words (fun () -> ignore (Dem_store.circuit_key d3)) in
-  let w13 = Alloc.words (fun () -> ignore (Dem_store.circuit_key d13)) in
+  let i3 = index d3 and i13 = index d13 in
+  let w3 = Alloc.words (fun () -> ignore (Dem_store.skeleton_hash d3 ~index:i3)) in
+  let w13 = Alloc.words (fun () -> ignore (Dem_store.skeleton_hash d13 ~index:i13)) in
   Alcotest.(check bool)
-    (Printf.sprintf "d=13 key %d minor words <= 512, d=3 %d" w13 w3)
+    (Printf.sprintf "d=13 hash %d minor words <= 512, d=3 %d" w13 w3)
     true
     (w13 <= 512 && w13 - w3 <= 64)
 
@@ -448,7 +447,7 @@ let test_store_malformed_payloads () =
 let test_store_corruption_heals () =
   with_store_dir (fun dir ->
       let exp = Lazy.force small_exp in
-      let key = Dem_store.circuit_key (Surface_circuit.circuit small_params) in
+      let key = Surface_circuit.store_key small_params in
       let store = Store.open_dir dir in
       Alcotest.(check bool) "fresh store misses" true
         (Dem_store.find store key = None);
@@ -471,6 +470,72 @@ let test_store_corruption_heals () =
         exp.Surface_circuit.graph;
       Alcotest.(check bool) "re-put heals" true
         (Dem_store.find store key <> None))
+
+(* The crash harness at the byte level: the d=3 record, cut at every
+   length and with every byte flipped in turn, is a miss through
+   [Dem_store.find] and never an exception; the payload alone, cut at every
+   length, never decodes, and flipped anywhere never raises. *)
+let test_store_record_bytes () =
+  with_store_dir (fun dir ->
+      let exp = Lazy.force small_exp in
+      let key = Surface_circuit.store_key small_params in
+      let store = Store.open_dir dir in
+      Dem_store.put store key exp.Surface_circuit.sampler exp.Surface_circuit.graph;
+      let path = Store.entry_path store key in
+      let record = In_channel.with_open_bin path In_channel.input_all in
+      let find_with bytes =
+        Out_channel.with_open_bin path (fun oc -> Out_channel.output_string oc bytes);
+        match Dem_store.find store key with
+        | None -> true
+        | Some _ -> false
+        | exception e -> Alcotest.failf "find raised %s" (Printexc.to_string e)
+      in
+      let flip s i =
+        let b = Bytes.of_string s in
+        Bytes.set b i (Char.chr (Char.code s.[i] lxor 0xff));
+        Bytes.to_string b
+      in
+      let n = String.length record in
+      for len = 0 to n - 1 do
+        if not (find_with (String.sub record 0 len)) then
+          Alcotest.failf "record cut to %d of %d bytes was a hit" len n
+      done;
+      for i = 0 to n - 1 do
+        if not (find_with (flip record i)) then
+          Alcotest.failf "record with byte %d of %d flipped was a hit" i n
+      done;
+      Alcotest.(check bool) "the intact record hits" false (find_with record);
+      let payload = Dem_store.encode exp.Surface_circuit.sampler exp.Surface_circuit.graph in
+      let decodes s =
+        match Dem_store.decode s with
+        | Some _ -> true
+        | None -> false
+        | exception e -> Alcotest.failf "decode raised %s" (Printexc.to_string e)
+      in
+      for len = 0 to String.length payload - 1 do
+        if decodes (String.sub payload 0 len) then Alcotest.failf "payload cut to %d decoded" len
+      done;
+      String.iteri (fun i _ -> ignore (decodes (flip payload i))) payload)
+
+(* A store written under the key layout before the shape and noise
+   hashes: the default d=3 record under its old key (one hash of the whole
+   circuit, in a "circuit" field).  A build never looks that key up, so it
+   misses, and the record it writes under its own key has the same bytes. *)
+let test_old_key_misses () =
+  with_store_dir (fun dir ->
+      let exp = Lazy.force small_exp in
+      let store = Store.open_dir dir in
+      let payload = Dem_store.encode exp.Surface_circuit.sampler exp.Surface_circuit.graph in
+      Store.put store "67bab1e2e2db236e" payload;
+      Char_store.with_store store (fun () ->
+          let hits = Obs.Counter.value Dem_store.hits_total
+          and misses = Obs.Counter.value Dem_store.misses_total in
+          ignore (Surface_circuit.build small_params);
+          Alcotest.(check (pair int int)) "one miss, no hit" (0, 1)
+            ( Obs.Counter.value Dem_store.hits_total - hits,
+              Obs.Counter.value Dem_store.misses_total - misses ));
+      Alcotest.(check (option string)) "recomputed record = planted record" (Some payload)
+        (Store.find store (Surface_circuit.store_key small_params)))
 
 let test_compile_cached_warm_identical () =
   with_store_dir (fun dir ->
@@ -536,14 +601,16 @@ let () =
       ( "dem store",
         [ Alcotest.test_case "pinned circuit key" `Quick
             test_pinned_circuit_key;
-          Alcotest.test_case "streamed circuit key" `Quick test_streamed_circuit_key;
+          Alcotest.test_case "streamed skeleton hash" `Quick test_streamed_skeleton_hash;
           Alcotest.test_case "round trip" `Quick test_store_roundtrip;
           Alcotest.test_case "malformed payloads" `Quick
             test_store_malformed_payloads;
           Alcotest.test_case "corruption heals" `Quick
             test_store_corruption_heals;
           Alcotest.test_case "warm start identical" `Quick
-            test_compile_cached_warm_identical ] );
+            test_compile_cached_warm_identical;
+          Alcotest.test_case "record bytes" `Quick test_store_record_bytes;
+          Alcotest.test_case "old key misses" `Quick test_old_key_misses ] );
       ( "threshold",
         [ Alcotest.test_case "pseudothreshold jobs=1 vs 4" `Slow
             test_pseudothreshold_jobs_determinism ] ) ]

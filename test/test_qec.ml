@@ -73,6 +73,19 @@ let test_by_name () =
       ("REP5", 5) ];
   Alcotest.check_raises "unknown" Not_found (fun () -> ignore (Codes.by_name "XYZ"))
 
+(* The parsed size agrees with the built code wherever by_name builds one,
+   and is None exactly where it raises. *)
+let test_qubits_of_name () =
+  List.iter
+    (fun name ->
+      let built = match Codes.by_name name with c -> Some c.Code.n | exception _ -> None in
+      Alcotest.(check (option int)) name built (Codes.qubits_of_name name))
+    [ "RM"; "17QCC"; "ST"; "SHOR"; "SC2"; "SC3"; "SC7"; "REP2"; "REP9"; "SC0"; "SC1"; "SC-3";
+      "REP1"; "REP0"; "SC"; "REP"; "NOPE"; "sc3"; "SC3x" ];
+  Alcotest.(check (option int)) "SC400" (Some 160_000) (Codes.qubits_of_name "SC400");
+  Alcotest.(check bool) "a huge distance does not overflow" true
+    (Codes.qubits_of_name "SC99999999999" = Some max_int)
+
 let test_syndromes () =
   let c = Codes.steane in
   let s = Code.syndrome_of_x_error c [ 0 ] in
@@ -389,11 +402,13 @@ let test_match_decoder_on_surface_code () =
   Alcotest.(check bool) (Printf.sprintf "decodes better than chance (%.3f)" rate)
     true (rate < 0.25)
 
-(* The d=13 circuit build's minor words, pinned under a ceiling: idle noise
-   shares one channel per slot and coherence, and ops go into a doubling
-   array rather than a list.  Measured 269_661 words (748_868 before both
-   changes); allocation counts are deterministic. *)
-let d13_circuit_words_ceiling = 300_000
+(* The d=13 circuit build's minor words, pinned under a ceiling: every op
+   that idles a qubit through one slot kind shares one gate, built from the
+   noise table, and ops go into a doubling array rather than a list.
+   Measured 149_386 words (269_661 when idles shared one channel per slot
+   and coherence, 748_868 before that); allocation counts are
+   deterministic. *)
+let d13_circuit_words_ceiling = 200_000
 
 let test_circuit_build_words () =
   let p = Surface_circuit.default ~distance:13 in
@@ -441,6 +456,32 @@ let test_per_cycle_rates () =
             3
             (Obs.Counter.value compiles - before))
         [ 1; 2; 3 ])
+
+(* Fig 6's claim (paper §4.2.1): at d=13, a longer data-qubit coherence
+   (Tcd = 5 x 100 us) buys more than the same longer ancilla coherence
+   (Tca = 5 x 100 us), and Tcd x5 beats the homogeneous point.  At seed 2023
+   and 2000 shots the per-cycle rates are 0.00727 (Tcd x5) and 0.01359
+   (Tca x5).  The per-shot failure counts must be apart by more than their
+   Wilson intervals at z = 4.  All three points share one shape. *)
+let test_fig6_claim () =
+  let shots = 2000 and base = 1e-4 in
+  let failures ~t_data ~t_anc =
+    let p = { (Surface_circuit.default ~distance:13) with t_data; t_anc } in
+    Surface_circuit.logical_error_count ~jobs:1 (Surface_circuit.build p) (Rng.create 2023)
+      ~shots
+  in
+  let tcd5 = failures ~t_data:(5. *. base) ~t_anc:base
+  and tca5 = failures ~t_data:base ~t_anc:(5. *. base)
+  and hom = failures ~t_data:base ~t_anc:base in
+  let apart name a b =
+    let _, a_hi = Stats.wilson_interval ~successes:a ~trials:shots ~z:4. in
+    let b_lo, _ = Stats.wilson_interval ~successes:b ~trials:shots ~z:4. in
+    Alcotest.(check bool)
+      (Printf.sprintf "%s: %d failures, interval below %d's" name a b)
+      true (a_hi < b_lo)
+  in
+  apart "Tcd x5 vs Tca x5" tcd5 tca5;
+  apart "Tcd x5 vs homogeneous" tcd5 hom
 
 let test_build_varied () =
   let p = Surface_circuit.default ~distance:3 in
@@ -497,6 +538,7 @@ let () =
           Alcotest.test_case "17QCC weights" `Quick test_color17_weights;
           Alcotest.test_case "planar flags" `Quick test_surface_planar_flags;
           Alcotest.test_case "by_name" `Quick test_by_name;
+          Alcotest.test_case "qubits_of_name" `Quick test_qubits_of_name;
           Alcotest.test_case "syndromes" `Quick test_syndromes;
           Alcotest.test_case "shor" `Quick test_shor_structure;
           Alcotest.test_case "stabilize codewords" `Quick test_stabilizers_stabilize_codewords ] );
@@ -522,6 +564,7 @@ let () =
           Alcotest.test_case "point fan-out" `Quick test_per_cycle_rates;
           Alcotest.test_case "distance scaling" `Slow test_surface_distance_scaling_below_threshold;
           Alcotest.test_case "varied coherence" `Quick test_build_varied;
+          Alcotest.test_case "fig6 claim" `Quick test_fig6_claim;
           Alcotest.test_case "per-cycle conversion" `Quick test_per_cycle_rate ] );
       ( "serialized memory",
         [ Alcotest.test_case "noiseless deterministic" `Quick
