@@ -160,4 +160,14 @@ let qubits_of_name name =
   | Some (`Repetition d) when d >= 2 -> Some d
   | Some (`Surface _ | `Repetition _) | None -> None
 
+(* A rotated surface code has d * d / 2 checks of its larger type (both
+   types for odd d, the Z checks for even d); a repetition code d - 1 Z
+   checks. *)
+let syndrome_bits_of_name name =
+  match parse_name name with
+  | Some (`Fixed c) -> Some (max (Array.length c.Code.x_stabs) (Array.length c.Code.z_stabs))
+  | Some (`Surface d) when d >= 2 -> Some (if d > 1 lsl 20 then max_int else d * d / 2)
+  | Some (`Repetition d) when d >= 2 -> Some (d - 1)
+  | Some (`Surface _ | `Repetition _) | None -> None
+
 let paper_codes = [ reed_muller_15; color_17; steane; surface 3; surface 4 ]

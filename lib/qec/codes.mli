@@ -42,6 +42,11 @@ val qubits_of_name : string -> int option
     [None] when it raises (an unknown name, or a distance below 2).  The
     name is only parsed: no code is built. *)
 
+val syndrome_bits_of_name : string -> int option
+(** [Some b] when {!by_name} builds a code whose larger check type has [b]
+    checks (its larger lookup table has 2^b entries), [None] where
+    {!qubits_of_name} is [None].  Parsed only, like {!qubits_of_name}. *)
+
 val paper_codes : Code.t list
 (** The five codes of Table 3, in the paper's order: RM, 17QCC, ST, SC3,
     SC4. *)

@@ -55,9 +55,15 @@ let build_table ~n ~checks =
 let support_mask s = Array.fold_left (fun acc q -> acc lor (1 lsl q)) 0 s
 
 let max_qubits = 30
+let max_syndrome_bits = 16
+
+let syndrome_bits (code : Code.t) =
+  max (Array.length code.Code.x_stabs) (Array.length code.Code.z_stabs)
 
 let create (code : Code.t) =
   if code.Code.n > max_qubits then invalid_arg "Decoder_lookup.create: code too large";
+  if syndrome_bits code > max_syndrome_bits then
+    invalid_arg "Decoder_lookup.create: syndrome table too large";
   { code;
     x_table = build_table ~n:code.Code.n ~checks:code.Code.z_stabs;
     z_table = build_table ~n:code.Code.n ~checks:code.Code.x_stabs;

@@ -12,10 +12,22 @@ val max_qubits : int
 (** The largest code {!create} takes: 30 qubits, so an error pattern fits
     one int mask. *)
 
+val max_syndrome_bits : int
+(** The most checks of one type {!create} takes: 16, so a table holds at
+    most 2^16 syndromes.  A table costs at least its size: REP20's
+    2^19-entry table took 153 ms, REP22's 668 ms, about 4x per two more
+    checks, while REP17 (16) takes about 15 ms and SC5 (12, but 25 qubits
+    to enumerate) about 95 ms. *)
+
+val syndrome_bits : Code.t -> int
+(** The larger of the code's X- and Z-check counts: its larger table has
+    2^(syndrome_bits code) entries. *)
+
 val create : Code.t -> t
 (** Build both tables (X-error and Z-error decoding).  Cost grows with the
     syndrome space (2^checks); fine for the paper's codes.  Raises
-    [Invalid_argument] on a code of more than {!max_qubits} qubits. *)
+    [Invalid_argument] on a code of more than {!max_qubits} qubits or of
+    more than {!max_syndrome_bits} checks of one type. *)
 
 val decode_x : t -> int array -> int list
 (** [decode_x t syndrome] maps a Z-stabilizer syndrome (bit per Z check, as

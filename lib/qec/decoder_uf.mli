@@ -12,29 +12,36 @@
     union-find achieves near-matching accuracy at near-linear cost.
 
     Decoding runs on a reusable arena, and growth is event-driven.  The
-    graph holds its incidence in CSR form (each vertex's incident edges, in
-    construction order), and a cluster's border is the linked list of its
-    vertices.  No growth is stored per edge: each cluster keeps a clock of
-    the rounds it has been active (odd parity, no boundary) and each vertex
-    an offset from its cluster's clock, so an edge's growth is the sum of
-    its two ends' sides, capped at its target, and a cluster that goes
-    inactive or touches the boundary costs O(1).  An event ring, indexed by
-    round modulo a power of two above the largest half-step target, holds
-    the rounds at which edges full: an edge with an active end is queued
-    at its remaining half-steps divided by its rate, and a vertex's edges
-    to never-activated ends share one cursor in target order.  Events made
-    stale by a cluster going inactive are re-timed or dropped when they
-    pop; when an inactive cluster is absorbed into an active one, only its
-    vertices are scheduled.  The edges that full in one round are merged
-    in the walk order of the unit-round decoder this replaced (clusters by
-    smallest defect, each border in list order, each vertex's edges in
-    order), so merges, the peel and every prediction are identical to it.
-    Every vertex the shot mutates goes on a dirty log and the ring is
-    cleared through its own entries: zero allocation per shot and reset
-    cost proportional to the work the shot did.  Arenas are pooled per
-    graph behind a mutex, so {!decode} and {!decode_batch} are safe to call
-    concurrently from worker domains; an arena whose decode raised is
-    dropped, never pooled. *)
+    graph holds its incidence in CSR form, each vertex's incident edges
+    sorted by growth target, and a cluster's border is the linked list of
+    its vertices.  No growth is stored per edge: each cluster keeps a clock
+    of the rounds it has been active (odd parity, no boundary) and each
+    vertex an offset from its cluster's clock, so an edge's growth is the
+    sum of its two ends' sides, capped at its target, and a cluster that
+    goes inactive or touches the boundary costs O(1).  Event rings, indexed
+    by round modulo a power of two above the largest half-step target,
+    hold the rounds at which edges full: an edge with an active end is
+    queued at its remaining half-steps divided by its rate, and a vertex's
+    edges to never-activated ends share one cursor in target order.  A
+    cursor is unlinked when its cluster goes inactive, so every cursor that
+    pops is live; edge entries made stale by a cluster going inactive are
+    re-timed or dropped when they pop.  When an inactive cluster is
+    absorbed into an active one, only its vertices are scheduled.  The
+    edges that full in one round are merged in the walk order of the
+    unit-round decoder this replaced (clusters by smallest defect, each
+    border in list order, each vertex's edges in order), so merges, the
+    peel and every prediction are identical to it.
+
+    Per shot, a batch block is transposed straight into ascending defect
+    lists, one per shot; a vertex's state is one record; every vertex the
+    shot mutates is in a cluster the peel visits, so the reset walks the
+    peel order.  Zero allocation per shot and reset cost proportional to
+    the work the shot did.  The work is counted: activations, slots
+    scanned by activations, queue entries, dead pops (entries that pop and
+    do nothing) and merges, in the [qec.uf_*_total] counters, added once
+    per call.  Arenas are pooled per graph behind a mutex, so {!decode}
+    and {!decode_batch} are safe to call concurrently from worker domains;
+    an arena whose decode raised is dropped, never pooled. *)
 
 type graph
 
@@ -54,9 +61,9 @@ val weighted_graph : nodes:int -> edges:(int * int * int * bool) list -> graph
     to twice the largest weight.  It is {!reweight} of an {!incidence}. *)
 
 type incidence
-(** The probability-free half of a weighted graph: the endpoints, the CSR
-    incidence and each slot's twin, in construction order.  Immutable;
-    every graph {!reweight} makes from it shares those arrays. *)
+(** The probability-free half of a weighted graph: the endpoints and the
+    CSR incidence, each vertex's edges in construction order.  Immutable;
+    every graph {!reweight} makes from it shares its slot ranges. *)
 
 val incidence : nodes:int -> edges:(int * int) array -> incidence
 (** [(u, v)] per edge, [v] possibly {!boundary}, with the endpoint,
@@ -66,8 +73,8 @@ val reweight : incidence -> weights:int array -> logical:bool array -> graph
 (** The graph of the incidence's edges with these weights and flags (one
     each per edge, kept by the graph): exactly
     [weighted_graph ~nodes ~edges] of the same edges, with its weight
-    checks, but only the weight half of the slots, the by-target slot order
-    and the event-ring size are computed. *)
+    checks, but only the targets and flags, the by-target slot order with
+    its far ends and the event-ring size are computed. *)
 
 val num_nodes : graph -> int
 val num_edges : graph -> int
@@ -79,9 +86,9 @@ val edge_list : graph -> (int * int * int * bool) array
     {!weighted_graph} rebuilds a graph with identical decode behavior. *)
 
 val arrays : graph -> (string * int array) list
-(** Every array the decoder reads, by field name, flags as 0/1, and the
-    node count, slot-index width and event-ring mask in one; exposed for
-    tests that compare construction paths field for field. *)
+(** Every array the decoder reads, by field name, and the node count,
+    edge-id width and event-ring mask in one; exposed for tests that
+    compare construction paths field for field. *)
 
 val decode : graph -> Bitvec.t -> bool
 (** [decode g syndrome] returns the predicted logical flip for the defect
@@ -102,9 +109,8 @@ val decode_batch : graph -> detectors:Bitvec.t array -> nshots:int -> Bitvec.t
     {!Frame_batch.t} / {!Dem_sampler.sample} layout, each row exactly
     [nshots] bits), and the result row has bit [s] set when shot [s] is
     predicted to flip the logical observable.  Rows are transposed into
-    per-shot syndromes one 63-shot word block at a time; quiet shots are
-    skipped without materializing a syndrome.  Identical predictions to
-    per-shot {!decode}. *)
+    per-shot defect lists one 63-shot word block at a time; quiet shots
+    are skipped.  Identical predictions to per-shot {!decode}. *)
 
 val decode_batch_into :
   graph -> detectors:Bitvec.t array -> nshots:int -> out:Bitvec.t -> unit

@@ -122,13 +122,19 @@ let parse_threshold members =
 let parse_uec members =
   let code = string_field members "code" ~default:"SC3" in
   (* Parsed, not built: a name's code can be large, and a distance below 2
-     or a code too large for the lookup decoder would only fail later. *)
+     or a code too large for the lookup decoder would only fail later.  Its
+     check counts bound what its lookup tables cost. *)
   (match Codes.qubits_of_name code with
   | None -> bad 400 "code: no code named %S (RM, 17QCC, ST, SHOR, SCd, REPd; d >= 2)" code
   | Some n when n > Decoder_lookup.max_qubits ->
       bad 400 "code: %S has more than the %d qubits the lookup decoder takes" code
         Decoder_lookup.max_qubits
-  | Some _ -> ());
+  | Some _ -> (
+      match Codes.syndrome_bits_of_name code with
+      | Some b when b > Decoder_lookup.max_syndrome_bits ->
+          bad 400 "code: %S has more than the %d checks of one type the lookup decoder takes"
+            code Decoder_lookup.max_syndrome_bits
+      | _ -> ()));
   let rounds = int_field members "rounds" ~default:3 ~lo:1 ~hi:1000 in
   let arch = enum_field members "arch" ~default:"het" ~values:[ "het"; "hom" ] in
   let ts = float_field members "ts" ~default:50e-3 ~lo:1e-9 ~hi:1e3 in

@@ -17,20 +17,22 @@ let set t i b =
   let w = i / wordsize and m = 1 lsl (i mod wordsize) in
   if b then t.bits.(w) <- t.bits.(w) lor m else t.bits.(w) <- t.bits.(w) land lnot m
 
-(* Index of the lowest set bit of a nonzero word: six branch-and-shift steps
-   instead of a linear scan, for the hot transposition loops that peel words
-   bit by bit with [w land (-w)]. *)
+(* Index of the lowest set bit of a nonzero word, branch-free, for the hot
+   transposition loops that peel words bit by bit: the lowest bit [2^i]
+   times a de Bruijn constant (mod 2^63) has a distinct top six bits for
+   each i in [0, 62], which index a table of i. *)
+let debruijn = 0x03f79d71b4ca8b09
+
+let ctz_table =
+  let t = Bytes.make 64 '\000' in
+  for i = 0 to 62 do
+    Bytes.set t (((1 lsl i) * debruijn) lsr 57) (Char.chr i)
+  done;
+  t
+
 let ctz w =
   if w = 0 then invalid_arg "Bitvec.ctz: zero word";
-  let x = ref (w land (-w)) in
-  let n = ref 0 in
-  if !x land 0xFFFFFFFF = 0 then begin n := !n + 32; x := !x lsr 32 end;
-  if !x land 0xFFFF = 0 then begin n := !n + 16; x := !x lsr 16 end;
-  if !x land 0xFF = 0 then begin n := !n + 8; x := !x lsr 8 end;
-  if !x land 0xF = 0 then begin n := !n + 4; x := !x lsr 4 end;
-  if !x land 0x3 = 0 then begin n := !n + 2; x := !x lsr 2 end;
-  if !x land 0x1 = 0 then incr n;
-  !n
+  Char.code (Bytes.unsafe_get ctz_table (((w land (-w)) * debruijn) lsr 57))
 
 let flip t i =
   check t i;

@@ -165,6 +165,37 @@ let test_mwpm_path () =
   Alcotest.(check (option int)) "unpairable" None
     (Mwpm.weight ~nodes:4 edges [| false; false; false; true |])
 
+(* Union-find against exact matching on the same weighted graph, at the
+   paper's noise (Surface_circuit.default: Tcd = Tca = 100 us, 1% CX):
+   over the shots with at most 14 defects (the matcher's limit), UF may
+   fail at most 15% more of them.  Returns the shots counted and both
+   failure counts. *)
+let uf_vs_exact ~distance ~nshots =
+  let exp = Surface_circuit.build (Surface_circuit.default ~distance) in
+  let g = exp.Surface_circuit.graph in
+  let nodes = Decoder_uf.num_nodes g and edges = Array.to_list (Decoder_uf.edge_list g) in
+  let b = Dem_sampler.sample exp.Surface_circuit.sampler (Rng.create 2023) ~nshots in
+  let uf = Decoder_uf.decode_batch g ~detectors:b.Frame_batch.detectors ~nshots in
+  let counted = ref 0 and uf_fails = ref 0 and exact_fails = ref 0 in
+  for s = 0 to nshots - 1 do
+    let dets, obs = Frame_batch.shot b s in
+    if Bitvec.popcount dets <= 14 then begin
+      incr counted;
+      let actual = Bitvec.get obs 0 in
+      if Bitvec.get uf s <> actual then incr uf_fails;
+      match Mwpm.decode ~nodes edges (Array.init nodes (Bitvec.get dets)) with
+      | Some (_, flip) -> if flip <> actual then incr exact_fails
+      | None -> Alcotest.failf "d=%d shot %d: exact matching found no pairing" distance s
+    end
+  done;
+  (!counted, !uf_fails, !exact_fails)
+
+let test_accuracy_vs_exact distance nshots () =
+  let counted, uf, exact = uf_vs_exact ~distance ~nshots in
+  let msg = Printf.sprintf "d=%d: %d shots counted, UF fails %d, exact %d" distance counted uf exact in
+  Alcotest.(check bool) (msg ^ ": enough failures to compare") true (exact >= 50);
+  Alcotest.(check bool) (msg ^ ": UF within 15% of exact") true (100 * uf <= 115 * exact)
+
 (* ----------------------------------------------------- surface batches --- *)
 
 let check_surface_batch msg p ~nshots =
@@ -196,6 +227,34 @@ let test_fig6_point_matches_oracle () =
   check_surface_batch "fig6 d=13"
     { (Surface_circuit.default ~distance:13) with t_data = 1e-4; t_anc = 1e-4 }
     ~nshots:256
+
+(* The decoder's work counters at the Fig 6 alpha = 1 point, 512 shots of
+   [Rng.create 2023], pinned exactly: they are deterministic, so a change
+   that moves one shows here without timing noise.  The counts of the
+   decoder this one replaced, by the same definitions, were 120440
+   activations, 1316294 slot scans, 297067 queue entries, 127026 + 8756
+   dead pops (the second count: cursor pops at a round their restart had
+   moved) and 80413 merges. *)
+let test_fig6_work_counts () =
+  let exp =
+    Surface_circuit.build
+      { (Surface_circuit.default ~distance:13) with t_data = 1e-4; t_anc = 1e-4 }
+  in
+  let nshots = 512 in
+  let b = Dem_sampler.sample exp.Surface_circuit.sampler (Rng.create 2023) ~nshots in
+  let names =
+    [ "decode_shots"; "activations"; "slot_scans"; "queue_entries"; "dead_pops"; "merges" ]
+  in
+  let values () =
+    List.map (fun n -> Obs.Counter.value (Obs.Counter.create ("qec.uf_" ^ n ^ "_total"))) names
+  in
+  let before = values () in
+  Decoder_uf.decode_batch_into exp.Surface_circuit.graph ~detectors:b.Frame_batch.detectors
+    ~nshots ~out:(Bitvec.create nshots);
+  Alcotest.(check (list (pair string int)))
+    "work counts"
+    (List.combine names [ 512; 120440; 946911; 284058; 36270; 80413 ])
+    (List.combine names (List.map2 ( - ) (values ()) before))
 
 (* --------------------------------------------------- non-convergence --- *)
 
@@ -249,11 +308,14 @@ let () =
           Alcotest.test_case "d=5 surface batch" `Quick (test_surface_matches_oracle 5);
           Alcotest.test_case "d=7 surface batch" `Quick (test_surface_matches_oracle 7);
           Alcotest.test_case "d=9 surface batch" `Quick (test_surface_matches_oracle 9);
-          Alcotest.test_case "fig6 d=13 point" `Quick test_fig6_point_matches_oracle ] );
+          Alcotest.test_case "fig6 d=13 point" `Quick test_fig6_point_matches_oracle;
+          Alcotest.test_case "fig6 d=13 work counts" `Quick test_fig6_work_counts ] );
       ( "validity",
         [ QCheck_alcotest.to_alcotest prop_correction_valid;
           Alcotest.test_case "degree-0 defect fails" `Quick test_degree0_defect_fails;
           Alcotest.test_case "mis-sized syndrome" `Quick test_missized_syndrome ] );
       ( "mwpm",
         [ Alcotest.test_case "path oracle" `Quick test_mwpm_path;
-          QCheck_alcotest.to_alcotest prop_weight_vs_mwpm ] ) ]
+          QCheck_alcotest.to_alcotest prop_weight_vs_mwpm;
+          Alcotest.test_case "d=3 accuracy vs exact" `Quick (test_accuracy_vs_exact 3 20000);
+          Alcotest.test_case "d=5 accuracy vs exact" `Quick (test_accuracy_vs_exact 5 6000) ] ) ]

@@ -432,56 +432,58 @@ let test_circuit_matches_oracle () =
            (Surface_oracle.circuit ?variability:(variability v) p)))
     surface_points
 
-(* The graph [weighted_graph] built before it was split into an incidence
-   and a reweight, kept as the field-for-field oracle of every graph. *)
+(* Every array of a [weighted_graph], built directly from the edge list in
+   one pass, kept as the field-for-field oracle of every graph: per edge its
+   ends and its packed target and flag; per vertex its slot range; per slot,
+   ordered by target then edge id, the far end and the packed edge id and
+   target. *)
 let csr_oracle ~nodes edges =
   let edges = Array.of_list edges in
   let nv = nodes + 1 and ne = Array.length edges in
-  let e_u = Array.map (fun (u, _, _, _) -> u) edges in
-  let e_v = Array.map (fun (_, v, _, _) -> if v = Decoder_uf.boundary then nodes else v) edges in
-  let e_w = Array.map (fun (_, _, w, _) -> w) edges in
+  let ends i = let u, v, _, _ = edges.(i) in (u, if v = Decoder_uf.boundary then nodes else v) in
+  let ed =
+    Array.concat
+      (Array.to_list
+         (Array.mapi
+            (fun i (_, _, w, l) ->
+              let u, v = ends i in
+              [| (u lsl 32) lor v; (4 * w) lor Bool.to_int l |])
+            edges))
+  in
+  let at x = List.filter (fun i -> let u, v = ends i in u = x || v = x) (List.init ne Fun.id) in
+  let by_target x =
+    List.sort
+      (fun i k ->
+        let _, _, wi, _ = edges.(i) and _, _, wk, _ = edges.(k) in
+        compare (wi, i) (wk, k))
+      (at x)
+  in
+  let slots = List.concat_map (fun x -> List.map (fun i -> (x, i)) (by_target x)) (List.init nv Fun.id) in
   let off = Array.make (nv + 1) 0 in
-  Array.iteri
-    (fun i u ->
-      off.(u + 1) <- off.(u + 1) + 1;
-      off.(e_v.(i) + 1) <- off.(e_v.(i) + 1) + 1)
-    e_u;
+  List.iter (fun (x, _) -> off.(x + 1) <- off.(x + 1) + 1) slots;
   for w = 1 to nv do
     off.(w) <- off.(w) + off.(w - 1)
   done;
-  let sl = Array.make (4 * ne) 0 and twin = Array.make (2 * ne) 0 in
-  let fill = Array.sub off 0 nv in
-  for i = 0 to ne - 1 do
-    let u = e_u.(i) and v = e_v.(i) and w = e_w.(i) in
-    let ku = fill.(u) and kv = fill.(v) in
-    fill.(u) <- ku + 1;
-    fill.(v) <- kv + 1;
-    sl.(2 * ku) <- (v lsl 32) lor (2 * w);
-    sl.((2 * ku) + 1) <- (u lsl 32) lor i;
-    sl.(2 * kv) <- (u lsl 32) lor (2 * w);
-    sl.((2 * kv) + 1) <- (v lsl 32) lor i;
-    twin.(ku) <- kv;
-    twin.(kv) <- ku
+  let sy = Array.of_list (List.map (fun (x, i) -> let u, v = ends i in if u = x then v else u) slots) in
+  let sfe = Array.of_list (List.map (fun (_, i) -> let _, _, w, _ = edges.(i) in (i lsl 32) lor (2 * w)) slots) in
+  (* a real vertex's slots to lower vertices, kept apart in slot order *)
+  let at_slot = Array.of_list (List.map fst slots) in
+  let low =
+    List.filter (fun j -> sy.(j) < at_slot.(j) && at_slot.(j) < nodes) (List.init (Array.length sy) Fun.id)
+  in
+  let loff = Array.make (nv + 1) 0 in
+  List.iter (fun j -> loff.(at_slot.(j) + 1) <- loff.(at_slot.(j) + 1) + 1) low;
+  for w = 1 to nv do
+    loff.(w) <- loff.(w) + loff.(w - 1)
   done;
-  let srt = Array.init (2 * ne) Fun.id in
-  for w = 0 to nodes do
-    for j = off.(w) + 1 to off.(w + 1) - 1 do
-      let k = srt.(j) in
-      let i = ref (j - 1) in
-      while !i >= off.(w) && sl.(2 * srt.(!i)) land 0xFFFF_FFFF > sl.(2 * k) land 0xFFFF_FFFF do
-        srt.(!i + 1) <- srt.(!i);
-        decr i
-      done;
-      srt.(!i + 1) <- k
-    done
-  done;
-  let kbits = ref 0 in
-  while 1 lsl !kbits < 2 * ne do incr kbits done;
+  let ly = Array.of_list (List.map (fun j -> sy.(j)) low) in
+  let lfe = Array.of_list (List.map (fun j -> sfe.(j)) low) in
+  let ebits = ref 0 in
+  while 1 lsl !ebits < ne do incr ebits done;
   let span = ref 1 in
-  Array.iter (fun w -> while !span <= 2 * w do span := 2 * !span done) e_w;
-  [ ("e_u", e_u); ("e_v", e_v); ("e_w", e_w);
-    ("e_logical", Array.map (fun (_, _, _, l) -> Bool.to_int l) edges); ("off", off); ("sl", sl);
-    ("twin", twin); ("srt", srt); ("n kbits mask", [| nodes; !kbits; !span - 1 |]) ]
+  Array.iter (fun (_, _, w, _) -> while !span <= 2 * w do span := 2 * !span done) edges;
+  [ ("ed", ed); ("off", off); ("sy", sy); ("sfe", sfe); ("loff", loff); ("ly", ly); ("lfe", lfe);
+    ("n ebits mask", [| nodes; !ebits; !span - 1 |]) ]
 
 let fields = Alcotest.(list (pair string (array int)))
 

@@ -73,15 +73,17 @@ let test_by_name () =
       ("REP5", 5) ];
   Alcotest.check_raises "unknown" Not_found (fun () -> ignore (Codes.by_name "XYZ"))
 
-(* The parsed size agrees with the built code wherever by_name builds one,
-   and is None exactly where it raises. *)
+(* The parsed size and syndrome bits agree with the built code wherever
+   by_name builds one, and are None exactly where it raises. *)
 let test_qubits_of_name () =
   List.iter
     (fun name ->
-      let built = match Codes.by_name name with c -> Some c.Code.n | exception _ -> None in
-      Alcotest.(check (option int)) name built (Codes.qubits_of_name name))
-    [ "RM"; "17QCC"; "ST"; "SHOR"; "SC2"; "SC3"; "SC7"; "REP2"; "REP9"; "SC0"; "SC1"; "SC-3";
-      "REP1"; "REP0"; "SC"; "REP"; "NOPE"; "sc3"; "SC3x" ];
+      let built f = match Codes.by_name name with c -> Some (f c) | exception _ -> None in
+      Alcotest.(check (option int)) name (built (fun c -> c.Code.n)) (Codes.qubits_of_name name);
+      Alcotest.(check (option int)) (name ^ " syndrome bits")
+        (built Decoder_lookup.syndrome_bits) (Codes.syndrome_bits_of_name name))
+    [ "RM"; "17QCC"; "ST"; "SHOR"; "SC2"; "SC3"; "SC4"; "SC5"; "SC6"; "SC7"; "REP2"; "REP9";
+      "SC0"; "SC1"; "SC-3"; "REP1"; "REP0"; "SC"; "REP"; "NOPE"; "sc3"; "SC3x" ];
   Alcotest.(check (option int)) "SC400" (Some 160_000) (Codes.qubits_of_name "SC400");
   Alcotest.(check bool) "a huge distance does not overflow" true
     (Codes.qubits_of_name "SC99999999999" = Some max_int)
@@ -180,6 +182,20 @@ let test_lookup_trivial_syndrome () =
   let dec = Decoder_lookup.create Codes.steane in
   Alcotest.(check (list int)) "no error" []
     (Decoder_lookup.decode_x dec [| 0; 0; 0 |])
+
+(* A table of more than 2^max_syndrome_bits entries is refused before it
+   is filled; the bound admits every paper code and REP17, not REP18. *)
+let test_lookup_table_bound () =
+  Alcotest.(check int) "bound" 16 Decoder_lookup.max_syndrome_bits;
+  List.iter
+    (fun c -> ignore (Decoder_lookup.create c))
+    (Codes.repetition 17 :: Codes.paper_codes);
+  List.iter
+    (fun d ->
+      Alcotest.check_raises (Printf.sprintf "REP%d" d)
+        (Invalid_argument "Decoder_lookup.create: syndrome table too large") (fun () ->
+          ignore (Decoder_lookup.create (Codes.repetition d))))
+    [ 18; 30 ]
 
 let test_uf_single_defect_pair () =
   (* Line graph: 0-1-2 with boundary at both ends; logical on edge 0-b. *)
@@ -546,6 +562,7 @@ let () =
         [ Alcotest.test_case "lookup single errors" `Quick test_lookup_corrects_single_errors;
           Alcotest.test_case "lookup double errors d5" `Slow test_lookup_corrects_double_errors_d5;
           Alcotest.test_case "lookup trivial" `Quick test_lookup_trivial_syndrome;
+          Alcotest.test_case "lookup table bound" `Quick test_lookup_table_bound;
           Alcotest.test_case "uf pair match" `Quick test_uf_single_defect_pair;
           Alcotest.test_case "uf boundary match" `Quick test_uf_boundary_match_flips;
           Alcotest.test_case "uf empty" `Quick test_uf_empty_syndrome;

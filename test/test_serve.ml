@@ -33,20 +33,28 @@ let test_codec_errors () =
     (code "{\"kind\":\"threshold\",\"distance\":99}");
   Alcotest.(check int) "unknown code name" 400
     (code "{\"kind\":\"uec\",\"code\":\"NOPE\"}");
-  (* Names the code tables would reject: a distance below 2, or more qubits
-     than the lookup decoder takes (SC6 has 36).  Each is a 400 from the
-     parser, never an exception out of it. *)
+  (* Names the code tables would reject: a distance below 2, more qubits
+     than the lookup decoder takes (SC6 has 36), or more checks of one type
+     than its tables hold (REP18 has 17, REP30 29; a REP30 table would
+     take minutes and gigabytes).  Each is a 400 from the parser, never an
+     exception out of it. *)
   List.iter
     (fun name ->
       match Serve.parse_request (Printf.sprintf {|{"kind":"uec","code":"%s"}|} name) with
       | Error e -> Alcotest.(check int) (name ^ " rejected") 400 e.Serve.code
       | Ok _ -> Alcotest.failf "%s accepted" name
       | exception e -> Alcotest.failf "%s raised %s" name (Printexc.to_string e))
-    [ "SC0"; "SC1"; "REP1"; "SC-3"; "SC6"; "REP31"; "SC99999999999" ];
+    [ "SC0"; "SC1"; "REP1"; "SC-3"; "SC6"; "REP18"; "REP30"; "REP31"; "SC99999999999" ];
   List.iter
     (fun name ->
       ignore (parse_query (Printf.sprintf {|{"kind":"uec","code":"%s","shots":1}|} name)))
-    [ "SC2"; "SC5"; "REP2"; "RM"; "17QCC"; "ST"; "SHOR" ];
+    [ "SC2"; "SC5"; "REP2"; "REP17"; "RM"; "17QCC"; "ST"; "SHOR" ];
+  List.iter
+    (fun c ->
+      Alcotest.(check bool) (c.Code.name ^ " admitted") true
+        (Serve.parse_request (Printf.sprintf {|{"kind":"uec","code":"%s"}|} c.Code.name)
+         |> Result.is_ok))
+    Codes.paper_codes;
   Alcotest.(check int) "control kind with stray field" 400
     (code "{\"kind\":\"ping\",\"x\":1}");
   let oversized =

@@ -315,6 +315,25 @@ let test_bitvec_bounds () =
   Alcotest.check_raises "oob get" (Invalid_argument "Bitvec: index out of bounds")
     (fun () -> ignore (Bitvec.get b 10))
 
+(* [ctz] against a bit-by-bit scan: every single bit, and words with more
+   bits above the lowest; zero is refused. *)
+let test_bitvec_ctz () =
+  let naive w =
+    let i = ref 0 in
+    while (w lsr !i) land 1 = 0 do incr i done;
+    !i
+  in
+  let rng = Rng.create 11 in
+  for i = 0 to Bitvec.word_size - 1 do
+    Alcotest.(check int) (Printf.sprintf "bit %d" i) i (Bitvec.ctz (1 lsl i));
+    for _ = 1 to 20 do
+      let w = (1 lsl i) lor ((Rng.bits53 rng lsl 10) lsl i) in
+      Alcotest.(check int) (Printf.sprintf "word %x" w) (naive w) (Bitvec.ctz w)
+    done
+  done;
+  Alcotest.check_raises "zero" (Invalid_argument "Bitvec.ctz: zero word") (fun () ->
+      ignore (Bitvec.ctz 0))
+
 let test_bitvec_word_kernels () =
   let n = 130 in
   let a = Bitvec.create n and b = Bitvec.create n and dst = Bitvec.create n in
@@ -656,6 +675,7 @@ let () =
           Alcotest.test_case "flip/clear" `Quick test_bitvec_flip_clear;
           Alcotest.test_case "bounds" `Quick test_bitvec_bounds;
           Alcotest.test_case "word kernels" `Quick test_bitvec_word_kernels;
+          Alcotest.test_case "ctz" `Quick test_bitvec_ctz;
           Alcotest.test_case "set_all" `Quick test_bitvec_set_all;
           Alcotest.test_case "random_into stats" `Quick test_bitvec_random_into_stats;
           Alcotest.test_case "random_into invariant" `Quick
