@@ -332,29 +332,8 @@ let run_charsweep n () =
 
 let run_ablations shots seed () =
   print_newline ();
-  (* 1. Decoder: weighted union-find vs greedy matching on d=5 circuits. *)
-  print_endline "1. Decoder choice (d=5 surface code, paper noise):";
-  let p5 = Surface_circuit.default ~distance:5 in
-  let exp = Surface_circuit.build p5 in
-  let circuit = Surface_circuit.circuit p5 in
-  let dem = Dem.of_circuit circuit in
-  let matcher =
-    Decoder_match.of_dem ~nodes:(Array.length circuit.Circuit.detectors) dem
-  in
-  let uf_rate =
-    Surface_circuit.logical_error_rate exp (Rng.create seed) ~shots
-  in
-  let match_rate =
-    Frame.logical_error_rate circuit (Rng.create seed) ~shots
-      ~decode:(fun dets ->
-        let out = Bitvec.create 1 in
-        Bitvec.set out 0 (Decoder_match.decode matcher dets);
-        out)
-  in
-  Printf.printf "   weighted union-find: %.4f/shot   greedy matching: %.4f/shot\n\n"
-    uf_rate match_rate;
-  (* 2. USC register count: swap pipelining from the 2-register layout. *)
-  print_endline "2. USC register count (serialized round time):";
+  (* 1. USC register count: swap pipelining from the 2-register layout. *)
+  print_endline "1. USC register count (serialized round time):";
   List.iter
     (fun code ->
       let t1 = Uec.round_time_with_registers code ~registers:1 in
@@ -364,8 +343,8 @@ let run_ablations shots seed () =
         (100. *. (t1 -. t2) /. t1))
     Codes.paper_codes;
   print_newline ();
-  (* 3. Fabrication variability (paper §5: p-cells). *)
-  print_endline "3. Coherence variability on the d=5 surface code (log-normal sigma):";
+  (* 2. Fabrication variability (paper §5: p-cells). *)
+  print_endline "2. Coherence variability on the d=5 surface code (log-normal sigma):";
   List.iter
     (fun sigma ->
       let exp =
@@ -376,9 +355,9 @@ let run_ablations shots seed () =
       Printf.printf "   sigma = %.1f -> %.4f/shot\n" sigma r)
     [ 0.0; 0.3; 0.6; 1.0 ];
   print_newline ();
-  (* 4. Noise bias (tailored codes): the Shor code's dense bit-flip checks
+  (* 3. Noise bias (tailored codes): the Shor code's dense bit-flip checks
      pay off exactly when X errors dominate. *)
-  print_endline "4. Noise bias eta = pz/px on the heterogeneous UEC (Ts = 50 ms):";
+  print_endline "3. Noise bias eta = pz/px on the heterogeneous UEC (Ts = 50 ms):";
   List.iter
     (fun eta ->
       Printf.printf "   eta = %4.1f:" eta;
@@ -392,8 +371,8 @@ let run_ablations shots seed () =
       print_newline ())
     [ 0.1; 1.0; 10.0 ];
   print_newline ();
-  (* 5. CAT generation: closed-form model vs circuit-level Monte Carlo. *)
-  print_endline "5. CAT generator model (n = 24, 1% CX, Tc = 0.5 ms):";
+  (* 4. CAT generation: closed-form model vs circuit-level Monte Carlo. *)
+  print_endline "4. CAT generator model (n = 24, 1% CX, Tc = 0.5 ms):";
   let mc = Cat_sim.run ~n:24 ~p2:1e-2 ~t_coh:0.5e-3 ~shots (Rng.create seed) in
   Printf.printf
     "   monte carlo: accept %.3f, undetected error %.4f  (closed-form e_cat uses all-error upper bound)\n"
@@ -482,11 +461,11 @@ let run_decode_check shots seed dmax () =
       in
       let batch =
         Decoder_uf.decode_batch exp.Surface_circuit.graph
-          ~detectors:b.Frame_batch.detectors ~nshots
+          ~detectors:b.Dem_sampler.detectors ~nshots
       in
       let mismatches = ref 0 in
       for s = 0 to nshots - 1 do
-        let detectors, _ = Frame_batch.shot b s in
+        let detectors, _ = Dem_sampler.shot b s in
         if Decoder_uf.decode exp.Surface_circuit.graph detectors
            <> Bitvec.get batch s
         then incr mismatches
@@ -511,12 +490,12 @@ let run_decode_check shots seed dmax () =
          are asserted by test_fused. *)
       let graph = exp.Surface_circuit.graph in
       let out = Bitvec.create nshots in
-      Decoder_uf.decode_batch_into graph ~detectors:b.Frame_batch.detectors
+      Decoder_uf.decode_batch_into graph ~detectors:b.Dem_sampler.detectors
         ~nshots ~out;
       let decode_words =
         alloc_words (fun () ->
             Decoder_uf.decode_batch_into graph
-              ~detectors:b.Frame_batch.detectors ~nshots ~out)
+              ~detectors:b.Dem_sampler.detectors ~nshots ~out)
       in
       let fused_words =
         alloc_words (fun () ->
@@ -525,7 +504,7 @@ let run_decode_check shots seed dmax () =
                 ~nshots
             in
             Decoder_uf.decode_batch_into graph
-              ~detectors:b2.Frame_batch.detectors ~nshots ~out)
+              ~detectors:b2.Dem_sampler.detectors ~nshots ~out)
       in
       let fused_per_shot = (fused_words + nshots - 1) / nshots in
       Printf.printf

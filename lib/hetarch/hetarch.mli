@@ -11,8 +11,9 @@
     - {!Characterize}: density-matrix cell characterization (channels).
     - {!Code} / {!Codes} / {!Decoder_lookup} / {!Decoder_uf} / {!Threshold}:
       QEC codes and decoders.
-    - {!Surface_circuit} / {!Frame} / {!Tableau} / {!Dem}: circuit-level
-      simulation (the Stim role).
+    - {!Circuit} / {!Dem} / {!Dem_sampler} / {!Surface_circuit}:
+      circuit-level simulation (the Stim role): one DEM-direct sampler,
+      decoded by {!Decoder_uf}.
     - {!Distill_module} / {!Bell_pair} / {!Ep_source}: §4.1.
     - {!Uec}: §4.2.2.  {!Teleport}: §4.3.
     - {!Sweep} / {!Cache} / {!Burden}: design-space exploration.

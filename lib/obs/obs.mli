@@ -15,7 +15,7 @@
       fleet merges).
 
     Metric names follow the [subsystem.noun_unit] convention
-    (e.g. [des.events_total], [pauli.decode_seconds.uf]).  Nothing here
+    (e.g. [des.events_total], [pauli.dem_sample_seconds]).  Nothing here
     writes to stdout; exporters only run when explicitly invoked, so
     instrumented programs produce byte-identical output unless asked. *)
 

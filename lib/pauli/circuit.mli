@@ -1,7 +1,6 @@
 (** Clifford circuits with Pauli noise, measurements, detectors, and logical
-    observables — the input language of both the stabilizer tableau simulator
-    and the Pauli-frame Monte-Carlo sampler (the role Stim plays in the
-    paper).
+    observables — the input language of the detector-error-model compiler
+    ({!Dem}) and its sampler (the role Stim plays in the paper).
 
     A [detector] is a set of measurement indices whose parity is deterministic
     in the noiseless circuit; an [observable] is a set of measurement indices

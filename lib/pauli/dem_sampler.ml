@@ -1,3 +1,20 @@
+type batch = {
+  nshots : int;
+  detectors : Bitvec.t array;  (* row per detector, bit s = shot s *)
+  observables : Bitvec.t array;  (* row per observable *)
+}
+
+let shot b s =
+  if s < 0 || s >= b.nshots then invalid_arg "Dem_sampler.shot: index out of range";
+  let extract rows =
+    let out = Bitvec.create (max 1 (Array.length rows)) in
+    Array.iteri (fun i row -> if Bitvec.get row s then Bitvec.set out i true) rows;
+    out
+  in
+  (extract b.detectors, extract b.observables)
+
+let flip_counts b = Array.map Bitvec.popcount b.observables
+
 type t = {
   ndet : int;
   nobs : int;
@@ -108,7 +125,7 @@ let sample t rng ~nshots =
     t.mechanisms;
   Obs.Histogram.observe sample_seconds
     (Int64.to_float (Int64.sub (Obs.now_ns ()) start) *. 1e-9);
-  { Frame_batch.nshots; detectors; observables }
+  { nshots; detectors; observables }
 
 let sample_flip_counts ?jobs t rng ~shots =
   if shots <= 0 then
@@ -117,4 +134,4 @@ let sample_flip_counts ?jobs t rng ~shots =
     ~merge:(fun acc part ->
       Array.iteri (fun i v -> acc.(i) <- acc.(i) + v) part;
       acc)
-    (fun rng nshots -> Frame_batch.flip_counts (sample t rng ~nshots))
+    (fun rng nshots -> flip_counts (sample t rng ~nshots))

@@ -1,182 +1,9 @@
-(* Bit-parallel batched Pauli-frame sampler (the Stim trick).
+(* The sampled-batch record under its former name.  Code in lib/, bin/ and
+   test/ names it [Dem_sampler.batch]; perfbench/replay, which is pinned
+   against earlier revisions, still reads the fields through this path. *)
 
-   Where [Frame.sample_shot] tracks one shot with per-qubit byte flags, this
-   sampler transposes the layout: per qubit, one [Bitvec] row for the X
-   component and one for the Z component, with BIT s = SHOT s.  Every
-   Clifford gate then acts on all shots of the batch at once as a handful of
-   whole-word XOR/AND operations:
-
-     H q        swap the x and z rows of q        (O(1): swap row refs)
-     S q        z_q ^= x_q
-     CX a b     x_b ^= x_a;  z_a ^= z_b
-     CZ a b     z_a ^= x_b;  z_b ^= x_a
-     M q        record x_q; scramble z_q with fair coins
-     R q        clear both rows
-
-   Noise is injected as batched Bernoulli masks ([Bitvec.random_into]):
-   geometric gap sampling makes a rare-error mask cost O(p * shots + 1) RNG
-   draws instead of one draw per shot, which is where the bulk of the
-   speedup over the scalar sampler comes from — surface-code circuits are
-   dominated by low-probability idle-noise channels.
-
-   Detector and observable parities are XOR-folds of measurement rows,
-   again word-parallel across the batch. *)
-
-type t = {
+type t = Dem_sampler.batch = {
   nshots : int;
-  detectors : Bitvec.t array;  (* row per detector, bit s = shot s *)
-  observables : Bitvec.t array;  (* row per observable *)
+  detectors : Bitvec.t array;
+  observables : Bitvec.t array;
 }
-
-let batches_total = Obs.Counter.create "pauli.batches_total"
-let shots_total = Obs.Counter.create "pauli.shots_total"
-
-(* A single-qubit Pauli channel (px, py, pz) across the batch: three
-   DISJOINT masks built by conditional thinning —
-     m1 ~ B(px)                           X-only shots
-     m2 ~ B(py / (1-px))      masked ~m1  Y shots
-     m3 ~ B(pz / (1-px-py))   masked ~m1 & ~m2  Z-only shots
-   Per bit the law is exactly the categorical (px, py, pz, rest): the
-   thinning factor restores the unconditioned probability.  X flips on
-   m1|m2, Z flips on m2|m3. *)
-let apply_noise1 rng ~m1 ~m2 ~m3 ~fx ~fz ~px ~py ~pz =
-  Bitvec.random_into rng m1 ~p:px;
-  let rem1 = 1. -. px in
-  Bitvec.random_into rng m2 ~p:(if rem1 <= 0. then 0. else min 1. (py /. rem1));
-  Bitvec.andnot_into ~dst:m2 m1;
-  let rem2 = 1. -. px -. py in
-  Bitvec.random_into rng m3 ~p:(if rem2 <= 0. then 0. else min 1. (pz /. rem2));
-  Bitvec.andnot_into ~dst:m3 m1;
-  Bitvec.andnot_into ~dst:m3 m2;
-  Bitvec.xor_into ~dst:fx m1;
-  Bitvec.xor_into ~dst:fx m2;
-  Bitvec.xor_into ~dst:fz m2;
-  Bitvec.xor_into ~dst:fz m3
-
-let sample (c : Circuit.t) rng ~nshots =
-  if nshots < 1 then invalid_arg "Frame_batch.sample: nshots must be >= 1";
-  Obs.Counter.incr batches_total;
-  Obs.Counter.add shots_total nshots;
-  let n = c.Circuit.nqubits in
-  let fx = Array.init n (fun _ -> Bitvec.create nshots) in
-  let fz = Array.init n (fun _ -> Bitvec.create nshots) in
-  let m1 = Bitvec.create nshots in
-  let m2 = Bitvec.create nshots in
-  let m3 = Bitvec.create nshots in
-  let meas = Array.make (max 1 c.Circuit.nmeas) m1 (* placeholder, overwritten *) in
-  let mi = ref 0 in
-  Array.iter
-    (fun (gate : Circuit.gate) ->
-      match gate with
-      | Circuit.H q ->
-          let t = fx.(q) in
-          fx.(q) <- fz.(q);
-          fz.(q) <- t
-      | Circuit.S q -> Bitvec.xor_into ~dst:fz.(q) fx.(q)
-      | Circuit.X _ | Circuit.Y _ | Circuit.Z _ -> ()
-      | Circuit.CX (a, b) ->
-          Bitvec.xor_into ~dst:fx.(b) fx.(a);
-          Bitvec.xor_into ~dst:fz.(a) fz.(b)
-      | Circuit.CZ (a, b) ->
-          Bitvec.xor_into ~dst:fz.(a) fx.(b);
-          Bitvec.xor_into ~dst:fz.(b) fx.(a)
-      | Circuit.SWAP (a, b) ->
-          let tx = fx.(a) and tz = fz.(a) in
-          fx.(a) <- fx.(b);
-          fz.(a) <- fz.(b);
-          fx.(b) <- tx;
-          fz.(b) <- tz
-      | Circuit.M q ->
-          meas.(!mi) <- Bitvec.copy fx.(q);
-          incr mi;
-          (* Reference measurement dephases the qubit; scramble the Z frame
-             with one fair coin per shot, as the scalar sampler does. *)
-          Bitvec.random_into rng fz.(q) ~p:0.5
-      | Circuit.R q ->
-          Bitvec.clear fx.(q);
-          Bitvec.clear fz.(q)
-      | Circuit.Noise1 { px; py; pz; q } ->
-          if px > 0. || py > 0. || pz > 0. then
-            apply_noise1 rng ~m1 ~m2 ~m3 ~fx:fx.(q) ~fz:fz.(q) ~px ~py ~pz
-      | Circuit.Depol2 { p; a; b } ->
-          if p > 0. then begin
-            (* Shots drawing a depolarising event are rare; enumerate them
-               from a sparse mask and pick one of the 15 non-identity
-               two-qubit Paulis per event, as the scalar sampler does. *)
-            Bitvec.random_into rng m1 ~p;
-            Bitvec.iter_set m1 (fun s ->
-                let which = 1 + Rng.int rng 15 in
-                let pa = which lsr 2 and pb = which land 3 in
-                if pa land 1 <> 0 then Bitvec.flip fx.(a) s;
-                if pa land 2 <> 0 then Bitvec.flip fz.(a) s;
-                if pb land 1 <> 0 then Bitvec.flip fx.(b) s;
-                if pb land 2 <> 0 then Bitvec.flip fz.(b) s)
-          end)
-    c.Circuit.ops;
-  let parity_rows idxs =
-    let row = Bitvec.create nshots in
-    Array.iter (fun m -> Bitvec.xor_into ~dst:row meas.(m)) idxs;
-    row
-  in
-  { nshots;
-    detectors = Array.map parity_rows c.Circuit.detectors;
-    observables = Array.map parity_rows c.Circuit.observables }
-
-(* Transpose one shot out of the batch into the scalar [Frame.shot] layout
-   (padded to length >= 1, matching [Frame.sample_shot]). *)
-let shot b s =
-  if s < 0 || s >= b.nshots then invalid_arg "Frame_batch.shot: index out of range";
-  let extract rows =
-    let out = Bitvec.create (max 1 (Array.length rows)) in
-    Array.iteri (fun i row -> if Bitvec.get row s then Bitvec.set out i true) rows;
-    out
-  in
-  (extract b.detectors, extract b.observables)
-
-let flip_counts b = Array.map Bitvec.popcount b.observables
-
-(* ------------------------------------------------- chunked entry points *)
-
-(* One Monte-Carlo chunk = one batch = one RNG split; [Parallel.monte_carlo]
-   fixes the chunk layout and merge order, so counts are bit-identical for a
-   given seed at any job count. *)
-
-let sample_flip_counts ?jobs (c : Circuit.t) rng ~shots =
-  if shots <= 0 then invalid_arg "Frame_batch.sample_flip_counts: shots must be positive";
-  let nobs = Array.length c.Circuit.observables in
-  Parallel.monte_carlo ?jobs ~rng ~shots ~init:(Array.make nobs 0)
-    ~merge:(fun acc part ->
-      Array.iteri (fun i v -> acc.(i) <- acc.(i) + v) part;
-      acc)
-    (fun rng nshots -> flip_counts (sample c rng ~nshots))
-
-(* Per-backend decode-latency histograms, interned once: repeated
-   [logical_error_count] calls must not redo registry lookups (and worker
-   domains must not race to register them mid-run). *)
-let decode_hists : (string, Obs.Histogram.t) Hashtbl.t = Hashtbl.create 4
-let decode_hists_lock = Mutex.create ()
-
-let decode_hist backend =
-  Mutex.protect decode_hists_lock (fun () ->
-      match Hashtbl.find_opt decode_hists backend with
-      | Some h -> h
-      | None ->
-          let h = Obs.Histogram.create ("pauli.decode_seconds." ^ backend) in
-          Hashtbl.add decode_hists backend h;
-          h)
-
-let logical_error_count ?jobs ?(backend = "custom") (c : Circuit.t) rng ~shots ~decode =
-  if shots <= 0 then invalid_arg "Frame_batch.logical_error_count: shots must be positive";
-  let decode_seconds = decode_hist backend in
-  Parallel.monte_carlo_count ?jobs ~rng ~shots (fun rng nshots ->
-      let b = sample c rng ~nshots in
-      let errors = ref 0 in
-      for s = 0 to nshots - 1 do
-        let detectors, observables = shot b s in
-        let start = Obs.now_ns () in
-        let predicted = decode detectors in
-        Obs.Histogram.observe decode_seconds
-          (Int64.to_float (Int64.sub (Obs.now_ns ()) start) *. 1e-9);
-        if not (Bitvec.equal predicted observables) then incr errors
-      done;
-      !errors)

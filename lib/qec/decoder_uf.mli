@@ -106,7 +106,7 @@ val decode_correction : graph -> Bitvec.t -> int list
 val decode_batch : graph -> detectors:Bitvec.t array -> nshots:int -> Bitvec.t
 (** [decode_batch g ~detectors ~nshots] decodes a whole batch: [detectors]
     is one row per graph node with bit [s] = shot [s] (the
-    {!Frame_batch.t} / {!Dem_sampler.sample} layout, each row exactly
+    {!Dem_sampler.batch} layout, each row exactly
     [nshots] bits), and the result row has bit [s] set when shot [s] is
     predicted to flip the logical observable.  Rows are transposed into
     per-shot defect lists one 63-shot word block at a time; quiet shots

@@ -424,8 +424,8 @@ let logical_error_count ?jobs exp rng ~shots =
           in
           Obs.Trace.with_span "qec.decode" (fun () ->
               Decoder_uf.decode_batch_count exp.graph
-                ~detectors:b.Frame_batch.detectors
-                ~observable:b.Frame_batch.observables.(0) ~nshots)))
+                ~detectors:b.Dem_sampler.detectors
+                ~observable:b.Dem_sampler.observables.(0) ~nshots)))
 
 let logical_error_rate ?jobs exp rng ~shots =
   float_of_int (logical_error_count ?jobs exp rng ~shots) /. float_of_int shots

@@ -9,7 +9,7 @@ let logical_errors ?jobs (code : Code.t) decoder ~p ~shots rng =
   (* Bit-plane error generation: per qubit one X row and one Z row with
      bit s = shot s.  The categorical (p/3, p/3, p/3) depolarizing channel
      is drawn as three DISJOINT sparse Bernoulli masks by conditional
-     thinning (the Frame_batch trick) — X flips on m1|m2, Z on m2|m3 — so
+     thinning — X flips on m1|m2, Z on m2|m3 — so
      the RNG cost is O(p * shots) geometric-gap draws instead of one draw
      per (shot, qubit).  Rows are then transposed one 63-shot word block at
      a time into per-shot int masks for the decoder's mask-based fast

@@ -43,19 +43,33 @@ let circuit ~n ~p2 ~t_coh ~t_2q ~t_readout ~verify_checks =
   Circuit.validate c;
   c
 
+(* Each Monte-Carlo chunk draws one DEM batch.  A shot is accepted when no
+   verification detector fires, and is bad when it is accepted and some
+   pairwise-parity observable flipped:
+     accepted = nshots - |any detector|
+     bad      = |any observable| - |any observable & any detector|. *)
 let run ~n ~p2 ~t_coh ?(t_2q = 100e-9) ?(t_readout = 1e-6) ?(verify_checks = 2)
     ~shots rng =
   if shots < 1 then invalid_arg "Cat_sim.run: shots >= 1";
-  let c = circuit ~n ~p2 ~t_coh ~t_2q ~t_readout ~verify_checks in
-  let accepted = ref 0 and bad = ref 0 in
-  for _ = 1 to shots do
-    let s = Frame.sample_shot c rng in
-    if Bitvec.is_zero s.Frame.detectors then begin
-      incr accepted;
-      if not (Bitvec.is_zero s.Frame.observables) then incr bad
-    end
-  done;
-  { accept_rate = float_of_int !accepted /. float_of_int shots;
+  let sampler =
+    Dem_sampler.compile (circuit ~n ~p2 ~t_coh ~t_2q ~t_readout ~verify_checks)
+  in
+  let any rows nshots =
+    let acc = Bitvec.create nshots in
+    Array.iter (fun row -> Bitvec.or_into ~dst:acc row) rows;
+    acc
+  in
+  let accepted, bad =
+    Parallel.monte_carlo ~rng ~shots ~init:(0, 0)
+      ~merge:(fun (a, b) (a', b') -> (a + a', b + b'))
+      (fun rng nshots ->
+        let b = Dem_sampler.sample sampler rng ~nshots in
+        let det = any b.Dem_sampler.detectors nshots in
+        let obs = any b.Dem_sampler.observables nshots in
+        ( nshots - Bitvec.popcount det,
+          Bitvec.popcount obs - Bitvec.and_popcount obs det ))
+  in
+  { accept_rate = float_of_int accepted /. float_of_int shots;
     error_given_accept =
-      (if !accepted = 0 then 1. else float_of_int !bad /. float_of_int !accepted);
+      (if accepted = 0 then 1. else float_of_int bad /. float_of_int accepted);
     shots }

@@ -3,9 +3,10 @@
 
     The GHZ state is grown by a chain of CNOTs in a SeqOp cell, then verified
     by ancilla parity checks; generation is accepted when every check reads
-    even.  Sampling is by Pauli frames, so acceptance rate and the residual
-    error of accepted states come from the same exact mechanism statistics as
-    the QEC experiments. *)
+    even.  The circuit compiles to its detector error model and is sampled
+    by {!Dem_sampler} in chunks through {!Parallel.monte_carlo}, as the QEC
+    experiments are, so the acceptance rate and the residual error of
+    accepted states are seed-deterministic at any job count. *)
 
 type result = {
   accept_rate : float;  (** probability the verification accepts *)

@@ -1,7 +1,7 @@
 (** Packed bit vectors over 63-bit words.
 
-    The stabilizer tableau and Pauli-frame simulators store Pauli supports as
-    bit vectors; xor-accumulation over whole words is the hot loop. *)
+    The DEM sampler and the batch decoder store one row per detector with
+    bit [s] = shot [s]; xor-accumulation over whole words is the hot loop. *)
 
 type t
 
@@ -39,8 +39,7 @@ val random_into : Rng.t -> t -> p:float -> unit
 (** [random_into rng t ~p] overwrites [t] with independent Bernoulli(p) bits.
     Sparse probabilities use geometric gap sampling (expected [p*n + 1] RNG
     draws), [p = 0.5] consumes one raw word per 63 bits, dense [p] samples
-    the complement — the batched noise-mask kernel of the bit-parallel
-    Pauli-frame sampler. *)
+    the complement — the batched noise-mask kernel of the DEM sampler. *)
 
 val and_popcount : t -> t -> int
 (** Number of positions set in both vectors. *)

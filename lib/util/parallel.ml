@@ -167,26 +167,28 @@ let split_rngs rng n =
 
 let default_chunk = 256
 
-let chunk_count ?(chunk = default_chunk) shots = (shots + chunk - 1) / chunk
+let chunk_count shots = (shots + default_chunk - 1) / default_chunk
 
 (* Deterministic Monte-Carlo fan-out: [f chunk_rng chunk_shots] produces a
-   partial result; partials merge left-to-right in chunk order.  [chunk] is
-   part of the determinism contract — changing it changes the RNG streams —
-   so callers that need seed-stable output must pin it. *)
-let monte_carlo ?jobs ?(chunk = default_chunk) ~rng ~shots ~init ~merge f =
-  if chunk < 1 then invalid_arg "Parallel.monte_carlo: chunk must be >= 1";
+   partial result; partials merge left-to-right in chunk order.  The chunk
+   size is part of the determinism contract — changing it changes the RNG
+   streams — so it is one fixed constant. *)
+let monte_carlo ?jobs ~rng ~shots ~init ~merge f =
   if shots < 0 then invalid_arg "Parallel.monte_carlo: shots must be >= 0";
   if shots = 0 then init
   else begin
-    let nchunks = chunk_count ~chunk shots in
+    let nchunks = chunk_count shots in
     let rngs = split_rngs rng nchunks in
     let tasks =
       Array.init nchunks (fun i ->
-          let size = if i = nchunks - 1 then shots - ((nchunks - 1) * chunk) else chunk in
+          let size =
+            if i = nchunks - 1 then shots - ((nchunks - 1) * default_chunk)
+            else default_chunk
+          in
           fun () -> f rngs.(i) size)
     in
     Array.fold_left merge init (run ?jobs tasks)
   end
 
-let monte_carlo_count ?jobs ?chunk ~rng ~shots f =
-  monte_carlo ?jobs ?chunk ~rng ~shots ~init:0 ~merge:( + ) f
+let monte_carlo_count ?jobs ~rng ~shots f =
+  monte_carlo ?jobs ~rng ~shots ~init:0 ~merge:( + ) f

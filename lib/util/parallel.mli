@@ -35,7 +35,7 @@ val default_chunk : int
 (** Shots per Monte-Carlo chunk (256): one chunk = one RNG split = one unit
     of scheduling. *)
 
-val chunk_count : ?chunk:int -> int -> int
+val chunk_count : int -> int
 (** [chunk_count shots] is the number of chunks {!monte_carlo} cuts [shots]
     into, and so the number of [Rng.split] draws it takes from its master
     generator.  A caller that fans out work sharing one master stream uses
@@ -43,21 +43,19 @@ val chunk_count : ?chunk:int -> int -> int
 
 val monte_carlo :
   ?jobs:int ->
-  ?chunk:int ->
   rng:Rng.t ->
   shots:int ->
   init:'a ->
   merge:('a -> 'a -> 'a) ->
   (Rng.t -> int -> 'a) ->
   'a
-(** [monte_carlo ~rng ~shots ~init ~merge f] splits [shots] into fixed-size
-    chunks, runs [f chunk_rng chunk_shots] per chunk (possibly across
-    domains), and folds the partial results with [merge] in chunk order.
-    [chunk] participates in the determinism contract: changing it changes
-    the per-chunk RNG streams. *)
+(** [monte_carlo ~rng ~shots ~init ~merge f] splits [shots] into
+    {!default_chunk}-shot chunks, runs [f chunk_rng chunk_shots] per chunk
+    (possibly across domains), and folds the partial results with [merge]
+    in chunk order. *)
 
 val monte_carlo_count :
-  ?jobs:int -> ?chunk:int -> rng:Rng.t -> shots:int -> (Rng.t -> int -> int) -> int
+  ?jobs:int -> rng:Rng.t -> shots:int -> (Rng.t -> int -> int) -> int
 (** [monte_carlo] specialised to summed integer counts. *)
 
 val stats : unit -> int * int

@@ -1,3 +1,16 @@
+(* Circuit-level memory experiments for CSS codes on the serialized USC
+   architecture — the detailed end of the paper's simulation hierarchy,
+   kept as the oracle that validates the phenomenological module model of
+   [Uec].
+
+   One readout ancilla serially extracts every stabilizer each round (Z
+   checks as CX(data->anc), X checks Hadamard-conjugated), data qubits idle
+   at the storage coherence between their turns and at the compute
+   coherence while swapped out, and each CX carries the configured
+   depolarizing error.  Detectors compare consecutive ancilla readings; the
+   experiment is memory-Z (prepared |0...0>, final transversal Z
+   measurement, logical Z observable). *)
+
 type params = {
   ts : float;
   tc : float;
@@ -7,6 +20,7 @@ type params = {
   t_readout : float;
 }
 
+(* Paper §4.2 settings with the given storage coherence. *)
 let default ~ts =
   { ts; tc = 0.5e-3; p2 = 1e-2; t_2q = 100e-9; t_swap = 100e-9; t_readout = 1e-6 }
 
@@ -99,6 +113,10 @@ let build p (code : Code.t) ~rounds =
 
 let memory_z ?params:(p = default ~ts:10e-3) code ~rounds = fst (build p code ~rounds)
 
+(* Logical-Z error per shot: frame-sample the circuit, fold the telescoping
+   detector parities into the final-residual syndrome (ancilla measurement
+   errors cancel), decode with the code's lookup table, and compare against
+   the logical-Z observable. *)
 let logical_z_error_rate ?params:(p = default ~ts:10e-3) code ~rounds ~shots rng =
   if shots < 1 then invalid_arg "Stab_circuit.logical_z_error_rate: shots >= 1";
   let circuit, z_dets = build p code ~rounds in
@@ -128,6 +146,7 @@ let logical_z_error_rate ?params:(p = default ~ts:10e-3) code ~rounds ~shots rng
   done;
   float_of_int !failures /. float_of_int shots
 
+(* 1 - (1 - P)^(1/rounds). *)
 let per_round ~shot_rate ~rounds =
   if shot_rate >= 1. then 1.
   else 1. -. ((1. -. shot_rate) ** (1. /. float_of_int rounds))

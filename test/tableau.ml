@@ -1,4 +1,9 @@
-(* Aaronson–Gottesman CHP tableau: rows 0..n-1 are destabilizers, rows
+(* Aaronson–Gottesman CHP stabilizer tableau: exact simulation of Clifford
+   circuits with measurement.  A test oracle: it verifies code
+   constructions (stabilizer commutation, deterministic detectors) and
+   cross-checks the Pauli-frame samplers of [Frame].
+
+   Rows 0..n-1 are destabilizers, rows
    n..2n-1 stabilizers, row 2n is scratch.  Each row is a Hermitian Pauli
    (site with x=z=1 denotes Y) with sign (-1)^r. *)
 
@@ -27,8 +32,6 @@ let create n =
     Bitvec.set t.zs.(n + i) i true (* stabilizer i = Z_i *)
   done;
   t
-
-let nqubits t = t.n
 
 let copy t =
   { n = t.n;

@@ -175,10 +175,10 @@ let uf_vs_exact ~distance ~nshots =
   let g = exp.Surface_circuit.graph in
   let nodes = Decoder_uf.num_nodes g and edges = Array.to_list (Decoder_uf.edge_list g) in
   let b = Dem_sampler.sample exp.Surface_circuit.sampler (Rng.create 2023) ~nshots in
-  let uf = Decoder_uf.decode_batch g ~detectors:b.Frame_batch.detectors ~nshots in
+  let uf = Decoder_uf.decode_batch g ~detectors:b.Dem_sampler.detectors ~nshots in
   let counted = ref 0 and uf_fails = ref 0 and exact_fails = ref 0 in
   for s = 0 to nshots - 1 do
-    let dets, obs = Frame_batch.shot b s in
+    let dets, obs = Dem_sampler.shot b s in
     if Bitvec.popcount dets <= 14 then begin
       incr counted;
       let actual = Bitvec.get obs 0 in
@@ -203,10 +203,10 @@ let check_surface_batch msg p ~nshots =
   let g = exp.Surface_circuit.graph in
   let o = Uf_rounds.create ~nodes:(Decoder_uf.num_nodes g) (Decoder_uf.edge_list g) in
   let b = Dem_sampler.sample exp.Surface_circuit.sampler (Rng.create 2023) ~nshots in
-  let batch = Decoder_uf.decode_batch g ~detectors:b.Frame_batch.detectors ~nshots in
+  let batch = Decoder_uf.decode_batch g ~detectors:b.Dem_sampler.detectors ~nshots in
   let mismatches = ref 0 in
   for s = 0 to nshots - 1 do
-    let dets, _ = Frame_batch.shot b s in
+    let dets, _ = Dem_sampler.shot b s in
     let flip, corr = Uf_rounds.decode_correction o dets in
     if Bitvec.get batch s <> flip then incr mismatches;
     if s < 64 then
@@ -249,7 +249,7 @@ let test_fig6_work_counts () =
     List.map (fun n -> Obs.Counter.value (Obs.Counter.create ("qec.uf_" ^ n ^ "_total"))) names
   in
   let before = values () in
-  Decoder_uf.decode_batch_into exp.Surface_circuit.graph ~detectors:b.Frame_batch.detectors
+  Decoder_uf.decode_batch_into exp.Surface_circuit.graph ~detectors:b.Dem_sampler.detectors
     ~nshots ~out:(Bitvec.create nshots);
   Alcotest.(check (list (pair string int)))
     "work counts"

@@ -1,11 +1,12 @@
-(* Cross-validation of the bit-parallel batch sampler (Frame_batch) against
-   the scalar reference sampler (Frame.sample_shot), plus the Parallel
-   determinism contract end to end on real surface-code circuits.
+(* Cross-validation of the two circuit-level frame oracles in test/frame.ml:
+   the bit-parallel batch sampler ([Frame.sample]) against the scalar one
+   ([Frame.sample_shot]), plus the Parallel determinism contract end to end
+   on real surface-code circuits.
 
    The two samplers consume different random streams, so shot-for-shot
    comparison is only possible on noiseless circuits (where both must
    produce all-zero frames); on noisy circuits we compare estimated flip
-   RATES at fixed seeds within Monte-Carlo tolerance. *)
+   RATES at fixed seeds with [Rate_check]. *)
 
 let scalar_flip_counts c rng ~shots =
   let nobs = Array.length c.Circuit.observables in
@@ -37,15 +38,15 @@ let test_noiseless_exact () =
   Circuit.add_observable b [ 1 ];
   let c = Circuit.finish b in
   let rng = Rng.create 5 in
-  let batch = Frame_batch.sample c rng ~nshots:200 in
+  let batch = Frame.sample c rng ~nshots:200 in
   Array.iteri
     (fun i row ->
       Alcotest.(check int) (Printf.sprintf "detector %d clean" i) 0 (Bitvec.popcount row))
-    batch.Frame_batch.detectors;
+    batch.Dem_sampler.detectors;
   Array.iteri
     (fun i row ->
       Alcotest.(check int) (Printf.sprintf "observable %d clean" i) 0 (Bitvec.popcount row))
-    batch.Frame_batch.observables;
+    batch.Dem_sampler.observables;
   let srng = Rng.create 5 in
   for _ = 1 to 50 do
     let shot = Frame.sample_shot c srng in
@@ -66,26 +67,22 @@ let test_shot_extraction_matches_rows () =
   Circuit.add_detector b [ 1 ];
   Circuit.add_observable b [ 0; 1 ];
   let c = Circuit.finish b in
-  let batch = Frame_batch.sample c (Rng.create 11) ~nshots:100 in
+  let batch = Frame.sample c (Rng.create 11) ~nshots:100 in
   for s = 0 to 99 do
-    let dets, obs = Frame_batch.shot batch s in
+    let dets, obs = Dem_sampler.shot batch s in
     for i = 0 to 1 do
       Alcotest.(check bool)
         (Printf.sprintf "detector %d shot %d" i s)
-        (Bitvec.get batch.Frame_batch.detectors.(i) s)
+        (Bitvec.get batch.Dem_sampler.detectors.(i) s)
         (Bitvec.get dets i)
     done;
     Alcotest.(check bool)
       (Printf.sprintf "observable shot %d" s)
-      (Bitvec.get batch.Frame_batch.observables.(0) s)
+      (Bitvec.get batch.Dem_sampler.observables.(0) s)
       (Bitvec.get obs 0)
   done
 
 (* --------------------------------------------------- noise distribution *)
-
-let binomial_tolerance ~p ~n =
-  (* 5 sigma of a Bernoulli(p) sample mean, floored for tiny p. *)
-  max 0.01 (5. *. sqrt (p *. (1. -. p) /. float_of_int n))
 
 let test_noise1_marginals () =
   (* A Z-basis measurement flips when the frame has an X component: the
@@ -98,13 +95,10 @@ let test_noise1_marginals () =
       Circuit.add_observable b [ 0 ];
       let c = Circuit.finish b in
       let shots = 40_000 in
-      let counts = Frame_batch.sample_flip_counts ~jobs:1 c (Rng.create 17) ~shots in
-      let rate = float_of_int counts.(0) /. float_of_int shots in
-      let expect = px +. py in
-      Alcotest.(check bool)
-        (Printf.sprintf "noise1 (%g,%g,%g): flip rate %g ~ %g" px py pz rate expect)
-        true
-        (Float.abs (rate -. expect) < binomial_tolerance ~p:expect ~n:shots))
+      let counts = Frame.sample_flip_counts ~jobs:1 c (Rng.create 17) ~shots in
+      Rate_check.check_contains
+        (Printf.sprintf "noise1 (%g,%g,%g) flip rate" px py pz)
+        ~k:counts.(0) ~n:shots (px +. py))
     [ (0.05, 0., 0.); (0., 0.05, 0.); (0., 0., 0.3); (0.02, 0.03, 0.1);
       (0.3, 0.3, 0.3); (0.5, 0.25, 0.25) ]
 
@@ -120,15 +114,12 @@ let test_depol2_marginal () =
   Circuit.add_observable b [ 1 ];
   let c = Circuit.finish b in
   let shots = 40_000 in
-  let counts = Frame_batch.sample_flip_counts ~jobs:1 c (Rng.create 23) ~shots in
-  let expect = p *. 8. /. 15. in
+  let counts = Frame.sample_flip_counts ~jobs:1 c (Rng.create 23) ~shots in
   Array.iteri
     (fun i count ->
-      let rate = float_of_int count /. float_of_int shots in
-      Alcotest.(check bool)
-        (Printf.sprintf "depol2 qubit %d flip rate %g ~ %g" i rate expect)
-        true
-        (Float.abs (rate -. expect) < binomial_tolerance ~p:expect ~n:shots))
+      Rate_check.check_contains
+        (Printf.sprintf "depol2 qubit %d flip rate" i)
+        ~k:count ~n:shots (p *. 8. /. 15.))
     counts
 
 (* ------------------------------------------- surface-code cross checks *)
@@ -137,66 +128,47 @@ let test_surface_flip_rates_agree distance () =
   let c = Surface_circuit.circuit (Surface_circuit.default ~distance) in
   let shots = 3000 in
   let scalar = scalar_flip_counts c (Rng.create 31) ~shots in
-  let batch = Frame_batch.sample_flip_counts ~jobs:1 c (Rng.create 31) ~shots in
+  let batch = Frame.sample_flip_counts ~jobs:1 c (Rng.create 31) ~shots in
   Array.iteri
     (fun i s ->
-      let ps = float_of_int s /. float_of_int shots in
-      let pb = float_of_int batch.(i) /. float_of_int shots in
-      let tol = 2. *. binomial_tolerance ~p:(max ps pb) ~n:shots in
-      Alcotest.(check bool)
-        (Printf.sprintf "d=%d observable %d: scalar %g vs batch %g" distance i ps pb)
-        true
-        (Float.abs (ps -. pb) < tol))
+      Rate_check.check_overlap
+        (Printf.sprintf "d=%d observable %d scalar vs batch" distance i)
+        ~k1:s ~n1:shots ~k2:batch.(i) ~n2:shots)
     scalar
 
 let test_surface_logical_rate_agrees () =
-  (* End to end with decoding: the batch path of Frame.logical_error_rate
+  (* End to end with decoding: union-find failures on batch-sampled shots
      must land near a scalar-sampled estimate on the d=3 circuit. *)
   let p = Surface_circuit.default ~distance:3 in
-  let exp = Surface_circuit.build p in
+  let graph = (Surface_circuit.build p).Surface_circuit.graph in
   let c = Surface_circuit.circuit p in
-  let decode dets =
-    let out = Bitvec.create 1 in
-    Bitvec.set out 0 (Decoder_uf.decode exp.Surface_circuit.graph dets);
-    out
-  in
   let shots = 2000 in
   let scalar_errors = ref 0 in
   let srng = Rng.create 37 in
   for _ = 1 to shots do
     let shot = Frame.sample_shot c srng in
-    if not (Bitvec.equal (decode shot.Frame.detectors) shot.Frame.observables) then
-      incr scalar_errors
+    if Decoder_uf.decode graph shot.Frame.detectors
+       <> Bitvec.get shot.Frame.observables 0
+    then incr scalar_errors
   done;
-  let ps = float_of_int !scalar_errors /. float_of_int shots in
-  let pb = Frame.logical_error_rate ~jobs:1 c (Rng.create 37) ~shots ~decode in
-  let tol = 2. *. binomial_tolerance ~p:(max ps pb) ~n:shots in
-  Alcotest.(check bool)
-    (Printf.sprintf "logical rate scalar %g vs batch %g" ps pb)
-    true
-    (Float.abs (ps -. pb) < tol)
+  let batch_errors =
+    Parallel.monte_carlo_count ~jobs:1 ~rng:(Rng.create 37) ~shots (fun rng nshots ->
+        let b = Frame.sample c rng ~nshots in
+        Decoder_uf.decode_batch_count graph ~detectors:b.Dem_sampler.detectors
+          ~observable:b.Dem_sampler.observables.(0) ~nshots)
+  in
+  Rate_check.check_overlap "d=3 logical failures scalar vs batch"
+    ~k1:!scalar_errors ~n1:shots ~k2:batch_errors ~n2:shots
 
 (* ----------------------------------------------------------- determinism *)
 
 let test_jobs_determinism () =
   (* Same seed, different job counts: identical counts, bit for bit. *)
-  let p = Surface_circuit.default ~distance:3 in
-  let exp = Surface_circuit.build p in
-  let c = Surface_circuit.circuit p in
-  let counts jobs = Frame_batch.sample_flip_counts ~jobs c (Rng.create 41) ~shots:1500 in
+  let c = Surface_circuit.circuit (Surface_circuit.default ~distance:3) in
+  let counts jobs = Frame.sample_flip_counts ~jobs c (Rng.create 41) ~shots:1500 in
   let c1 = counts 1 in
   Alcotest.(check (array int)) "flip counts jobs=1 vs jobs=4" c1 (counts 4);
-  let decode dets =
-    let out = Bitvec.create 1 in
-    Bitvec.set out 0 (Decoder_uf.decode exp.Surface_circuit.graph dets);
-    out
-  in
-  let errors jobs =
-    Frame.logical_error_count ~jobs c (Rng.create 41) ~shots:1500 ~decode
-  in
-  let e1 = errors 1 in
-  Alcotest.(check int) "error count jobs=1 vs jobs=4" e1 (errors 4);
-  Alcotest.(check int) "repeat run identical" e1 (errors 1)
+  Alcotest.(check (array int)) "repeat run identical" c1 (counts 1)
 
 let test_uec_jobs_determinism () =
   let code = Codes.steane in

@@ -36,31 +36,26 @@ let test_noiseless_exact () =
       Alcotest.(check int)
         (Printf.sprintf "detector %d clean" i)
         0 (Bitvec.popcount row))
-    batch.Frame_batch.detectors;
+    batch.Dem_sampler.detectors;
   Array.iteri
     (fun i row ->
       Alcotest.(check int)
         (Printf.sprintf "observable %d clean" i)
         0 (Bitvec.popcount row))
-    batch.Frame_batch.observables;
-  let circuit_batch = Frame_batch.sample c (Rng.create 5) ~nshots:200 in
+    batch.Dem_sampler.observables;
+  let circuit_batch = Frame.sample c (Rng.create 5) ~nshots:200 in
   Array.iteri
     (fun i row ->
       Alcotest.(check int)
         (Printf.sprintf "circuit detector %d clean" i)
         0 (Bitvec.popcount row))
-    circuit_batch.Frame_batch.detectors
+    circuit_batch.Dem_sampler.detectors
 
 (* ------------------------------------------- noisy cross-validation ----- *)
 
-(* Wilson 95%-interval overlap (z inflated to 4 sigma: the samplers draw
-   different streams AND slightly different distributions, so this is a
-   coarse agreement check, not an identity). *)
-let intervals_overlap ~n1 ~k1 ~n2 ~k2 =
-  let lo1, hi1 = Stats.wilson_interval ~successes:k1 ~trials:n1 ~z:4.0 in
-  let lo2, hi2 = Stats.wilson_interval ~successes:k2 ~trials:n2 ~z:4.0 in
-  lo1 <= hi2 && lo2 <= hi1
-
+(* The samplers draw different streams AND slightly different
+   distributions, so this is a coarse agreement check ([Rate_check]), not
+   an identity. *)
 let test_surface_flip_rates_agree distance jobs () =
   let p = { (Surface_circuit.default ~distance) with t_data = 5e-4 } in
   let exp = Surface_circuit.build p in
@@ -71,13 +66,11 @@ let test_surface_flip_rates_agree distance jobs () =
        (Rng.create 31) ~shots).(0)
   in
   let circuit =
-    (Frame_batch.sample_flip_counts ~jobs c (Rng.create 31) ~shots).(0)
+    (Frame.sample_flip_counts ~jobs c (Rng.create 31) ~shots).(0)
   in
-  Alcotest.(check bool)
-    (Printf.sprintf "d=%d jobs=%d: DEM %d/%d vs circuit %d/%d overlap" distance
-       jobs dem shots circuit shots)
-    true
-    (intervals_overlap ~n1:shots ~k1:dem ~n2:shots ~k2:circuit)
+  Rate_check.check_overlap
+    (Printf.sprintf "d=%d jobs=%d: DEM vs circuit" distance jobs)
+    ~k1:dem ~n1:shots ~k2:circuit ~n2:shots
 
 let test_dem_jobs_determinism () =
   let exp = Surface_circuit.build (Surface_circuit.default ~distance:3) in
@@ -101,11 +94,11 @@ let test_decode_batch_matches_scalar distance () =
   in
   let batch =
     Decoder_uf.decode_batch exp.Surface_circuit.graph
-      ~detectors:b.Frame_batch.detectors ~nshots
+      ~detectors:b.Dem_sampler.detectors ~nshots
   in
   let mismatches = ref 0 in
   for s = 0 to nshots - 1 do
-    let detectors, _ = Frame_batch.shot b s in
+    let detectors, _ = Dem_sampler.shot b s in
     if Decoder_uf.decode exp.Surface_circuit.graph detectors
        <> Bitvec.get batch s
     then incr mismatches
@@ -114,14 +107,14 @@ let test_decode_batch_matches_scalar distance () =
     (Printf.sprintf "d=%d batch vs scalar decode" distance)
     0 !mismatches;
   (* decode_batch_count is exactly popcount(prediction xor observable). *)
-  let obs = b.Frame_batch.observables.(0) in
+  let obs = b.Dem_sampler.observables.(0) in
   let expected = ref 0 in
   for s = 0 to nshots - 1 do
     if Bitvec.get batch s <> Bitvec.get obs s then incr expected
   done;
   Alcotest.(check int) "decode_batch_count" !expected
     (Decoder_uf.decode_batch_count exp.Surface_circuit.graph
-       ~detectors:b.Frame_batch.detectors ~observable:obs ~nshots)
+       ~detectors:b.Dem_sampler.detectors ~observable:obs ~nshots)
 
 (* ------------------------------------------- zero-alloc steady decode --- *)
 
@@ -144,7 +137,7 @@ let check_surface_zero_alloc name p =
   let nshots = 256 in
   let b = Dem_sampler.sample exp.Surface_circuit.sampler (Rng.create 9) ~nshots in
   check_steady_zero_alloc name exp.Surface_circuit.graph
-    ~detectors:b.Frame_batch.detectors ~nshots
+    ~detectors:b.Dem_sampler.detectors ~nshots
 
 (* The CI gate in miniature, at d=3..9, at the fig 6 d=13 point
    (t_data = t_anc = 100 us), and on a path with weight-40 edges, the
@@ -206,8 +199,8 @@ let fig6_exp = lazy (Surface_circuit.build fig6_point)
 let fused_count exp rng ~nshots =
   let b = Dem_sampler.sample exp.Surface_circuit.sampler rng ~nshots in
   Decoder_uf.decode_batch_count exp.Surface_circuit.graph
-    ~detectors:b.Frame_batch.detectors
-    ~observable:b.Frame_batch.observables.(0) ~nshots
+    ~detectors:b.Dem_sampler.detectors
+    ~observable:b.Dem_sampler.observables.(0) ~nshots
 
 (* Fused sample+decode stays within 64 minor words per shot: at the fig 6
    point, and at d=3..9 with the batch decoded into a warm output row, the
@@ -239,7 +232,7 @@ let test_fused_alloc_budget () =
                 ~nshots
             in
             Decoder_uf.decode_batch_into exp.Surface_circuit.graph
-              ~detectors:b.Frame_batch.detectors ~nshots ~out)
+              ~detectors:b.Dem_sampler.detectors ~nshots ~out)
       in
       let per_shot = (words + nshots - 1) / nshots in
       Alcotest.(check bool)
@@ -255,10 +248,10 @@ let test_fused_speedup () =
   let exp = Lazy.force fig6_exp in
   let circuit = Surface_circuit.circuit fig6_point in
   let per_shot () =
-    let b = Frame_batch.sample circuit (Rng.create 2023) ~nshots:fig6_shots in
+    let b = Frame.sample circuit (Rng.create 2023) ~nshots:fig6_shots in
     let errors = ref 0 in
     for s = 0 to fig6_shots - 1 do
-      let detectors, observables = Frame_batch.shot b s in
+      let detectors, observables = Dem_sampler.shot b s in
       if Decoder_uf.decode exp.Surface_circuit.graph detectors
          <> Bitvec.get observables 0
       then incr errors
@@ -403,17 +396,17 @@ let test_store_roundtrip () =
           Alcotest.(check bool)
             (Printf.sprintf "detector row %d identical" i)
             true
-            (Bitvec.equal row b2.Frame_batch.detectors.(i)))
-        b1.Frame_batch.detectors;
+            (Bitvec.equal row b2.Dem_sampler.detectors.(i)))
+        b1.Dem_sampler.detectors;
       Alcotest.(check bool) "observable row identical" true
-        (Bitvec.equal b1.Frame_batch.observables.(0)
-           b2.Frame_batch.observables.(0));
+        (Bitvec.equal b1.Dem_sampler.observables.(0)
+           b2.Dem_sampler.observables.(0));
       Alcotest.(check bool) "decode identical on warm graph" true
         (Bitvec.equal
            (Decoder_uf.decode_batch exp.Surface_circuit.graph
-              ~detectors:b1.Frame_batch.detectors ~nshots:300)
+              ~detectors:b1.Dem_sampler.detectors ~nshots:300)
            (Decoder_uf.decode_batch graph
-              ~detectors:b2.Frame_batch.detectors ~nshots:300))
+              ~detectors:b2.Dem_sampler.detectors ~nshots:300))
 
 let test_store_malformed_payloads () =
   let exp = Lazy.force small_exp in

@@ -375,49 +375,6 @@ let test_shor_structure () =
   Alcotest.(check int) "six Z checks" 6 (Array.length c.Code.z_stabs);
   Alcotest.(check string) "by name" "SHOR" (Codes.by_name "SHOR").Code.name
 
-let test_match_decoder_basics () =
-  let edges =
-    [ (0, Decoder_uf.boundary, 1, true);
-      (0, 1, 1, false);
-      (1, 2, 1, false);
-      (2, Decoder_uf.boundary, 1, false) ]
-  in
-  let m = Decoder_match.create ~nodes:3 ~edges in
-  let s = Bitvec.create 3 in
-  Alcotest.(check bool) "empty quiet" false (Decoder_match.decode m s);
-  Bitvec.set s 0 true;
-  Alcotest.(check bool) "single defect to near boundary" true (Decoder_match.decode m s);
-  Bitvec.set s 1 true;
-  Alcotest.(check bool) "pair matches internally" false (Decoder_match.decode m s)
-
-let test_match_decoder_weighted_preference () =
-  (* Heavy direct edge vs cheap two-hop detour to boundary on both sides. *)
-  let edges =
-    [ (0, 1, 10, true);
-      (0, Decoder_uf.boundary, 1, false);
-      (1, Decoder_uf.boundary, 1, false) ]
-  in
-  let m = Decoder_match.create ~nodes:2 ~edges in
-  let s = Bitvec.create 2 in
-  Bitvec.set s 0 true;
-  Bitvec.set s 1 true;
-  (* boundary matches (cost 1 each) beat the weight-10 logical edge *)
-  Alcotest.(check bool) "avoids heavy logical edge" false (Decoder_match.decode m s)
-
-let test_match_decoder_on_surface_code () =
-  let c = Surface_circuit.circuit { (Surface_circuit.default ~distance:3) with p2 = 2e-3 } in
-  let dem = Dem.of_circuit c in
-  let m = Decoder_match.of_dem ~nodes:(Array.length c.Circuit.detectors) dem in
-  let rate =
-    Frame.logical_error_rate c (Rng.create 41) ~shots:400
-      ~decode:(fun dets ->
-        let out = Bitvec.create 1 in
-        Bitvec.set out 0 (Decoder_match.decode m dets);
-        out)
-  in
-  Alcotest.(check bool) (Printf.sprintf "decodes better than chance (%.3f)" rate)
-    true (rate < 0.25)
-
 (* The d=13 circuit build's minor words, pinned under a ceiling: every op
    that idles a qubit through one slot kind shares one gate, built from the
    noise table, and ops go into a doubling array rather than a list.
@@ -490,8 +447,8 @@ let test_fig6_claim () =
   and tca5 = failures ~t_data:base ~t_anc:(5. *. base)
   and hom = failures ~t_data:base ~t_anc:base in
   let apart name a b =
-    let _, a_hi = Stats.wilson_interval ~successes:a ~trials:shots ~z:4. in
-    let b_lo, _ = Stats.wilson_interval ~successes:b ~trials:shots ~z:4. in
+    let _, a_hi = Rate_check.interval ~k:a ~n:shots in
+    let b_lo, _ = Rate_check.interval ~k:b ~n:shots in
     Alcotest.(check bool)
       (Printf.sprintf "%s: %d failures, interval below %d's" name a b)
       true (a_hi < b_lo)
@@ -567,10 +524,7 @@ let () =
           Alcotest.test_case "uf boundary match" `Quick test_uf_boundary_match_flips;
           Alcotest.test_case "uf empty" `Quick test_uf_empty_syndrome;
           Alcotest.test_case "uf nearest boundary" `Quick test_uf_far_defect_matches_near_boundary;
-          Alcotest.test_case "uf bad graph" `Quick test_uf_rejects_bad_graph;
-          Alcotest.test_case "match basics" `Quick test_match_decoder_basics;
-          Alcotest.test_case "match weighted" `Quick test_match_decoder_weighted_preference;
-          Alcotest.test_case "match on surface" `Slow test_match_decoder_on_surface_code ] );
+          Alcotest.test_case "uf bad graph" `Quick test_uf_rejects_bad_graph ] );
       ( "surface circuit",
         [ Alcotest.test_case "shapes" `Quick test_surface_circuit_shapes;
           Alcotest.test_case "deterministic detectors" `Quick

@@ -147,6 +147,40 @@ let test_cat_sim_size_scaling () =
   Alcotest.(check bool) "bigger CAT errs more" true
     (large.Cat_sim.error_given_accept > small.Cat_sim.error_given_accept)
 
+(* [Cat_sim.run] samples the circuit's DEM, whose mechanisms fire as
+   independent coins; the oracle samples the circuit itself shot by shot
+   with [Frame.sample_shot].  Acceptance and error given acceptance must
+   agree at the ablation point (n = 24, 2 checks) and at the unverified
+   and 3-check n = 12 points. *)
+let test_cat_sim_matches_frame_oracle () =
+  let shots = 20_000 and p2 = 1e-2 and t_coh = 0.5e-3 in
+  List.iter
+    (fun (n, verify_checks) ->
+      let r = Cat_sim.run ~n ~p2 ~t_coh ~verify_checks ~shots (Rng.create 2023) in
+      let dem_accepted = Float.to_int (Float.round (r.Cat_sim.accept_rate *. float_of_int shots)) in
+      let dem_bad =
+        Float.to_int
+          (Float.round (r.Cat_sim.error_given_accept *. float_of_int dem_accepted))
+      in
+      let c =
+        Cat_sim.circuit ~n ~p2 ~t_coh ~t_2q:100e-9 ~t_readout:1e-6 ~verify_checks
+      in
+      let rng = Rng.create 2024 in
+      let accepted = ref 0 and bad = ref 0 in
+      for _ = 1 to shots do
+        let s = Frame.sample_shot c rng in
+        if Bitvec.is_zero s.Frame.detectors then begin
+          incr accepted;
+          if not (Bitvec.is_zero s.Frame.observables) then incr bad
+        end
+      done;
+      let point = Printf.sprintf "n=%d checks=%d" n verify_checks in
+      Rate_check.check_overlap (point ^ " accepted") ~k1:dem_accepted ~n1:shots
+        ~k2:!accepted ~n2:shots;
+      Rate_check.check_overlap (point ^ " bad given accepted") ~k1:dem_bad
+        ~n1:dem_accepted ~k2:!bad ~n2:!accepted)
+    [ (24, 2); (12, 0); (12, 3) ]
+
 (* ------------------------------------------------------------- protocol *)
 
 let test_protocol_characterize () =
@@ -214,7 +248,8 @@ let () =
         [ Alcotest.test_case "noiseless" `Quick test_cat_sim_noiseless;
           Alcotest.test_case "noise reduces acceptance" `Quick test_cat_sim_noise_reduces_acceptance;
           Alcotest.test_case "verification helps" `Slow test_cat_sim_verification_helps;
-          Alcotest.test_case "size scaling" `Slow test_cat_sim_size_scaling ] );
+          Alcotest.test_case "size scaling" `Slow test_cat_sim_size_scaling;
+          Alcotest.test_case "matches frame oracle" `Quick test_cat_sim_matches_frame_oracle ] );
       ( "protocol",
         [ Alcotest.test_case "characterize" `Quick test_protocol_characterize;
           Alcotest.test_case "produces" `Quick test_protocol_produces;
