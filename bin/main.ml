@@ -725,19 +725,13 @@ let utc_stamp unix =
     tm.Unix.tm_sec
 
 (* The documents the analysis commands render: a snapshot (--metrics, the
-   run registry) or a fleet view (obs merge).  Every stream decodes through
-   its codec in Obs; only a document's schema tag is read here. *)
+   run registry) or a fleet view (obs merge), which is an array of
+   snapshots.  Both decode through the snapshot codec in Obs. *)
 let load_state file =
   guard file (fun () ->
-      let doc = Obs.Json.parse (In_channel.with_open_bin file In_channel.input_all) in
-      match Obs.Json.member "schema" doc with
-      | Some (Obs.Json.String s) when s = Obs.Snapshot.schema -> `Snap (Obs.Snapshot.of_json doc)
-      | Some (Obs.Json.String s) when s = Obs.Merge.schema -> `Fleet (Obs.Merge.of_json doc)
-      | s ->
-          failwith
-            (Printf.sprintf "unsupported schema %s (want %s or %s)"
-               (match s with Some (Obs.Json.String s) -> s | _ -> "?")
-               Obs.Snapshot.schema Obs.Merge.schema))
+      match Obs.Json.parse (In_channel.with_open_bin file In_channel.input_all) with
+      | Obs.Json.List _ as doc -> `Fleet (Obs.Merge.of_json doc)
+      | doc -> `Snap (Obs.Snapshot.of_json doc))
 
 let print_section title header rows =
   if rows <> [] then begin
@@ -897,18 +891,16 @@ let run_obs_report ref_ () = render_state (resolve_ref ref_)
 
 let run_obs_merge refs out () =
   let merged =
-    List.fold_left
-      (fun acc arg ->
-        Obs.Merge.union acc
-          (match resolve_ref arg with
-          | `Snap s -> Obs.Merge.of_snapshots [ s ]
-          | `Fleet m -> m))
-      (Obs.Merge.of_snapshots []) refs
-  in
-  let text =
     guard "merge" (fun () ->
-        Obs.Json.to_string (Obs.Merge.to_json merged) ^ "\n")
+        List.fold_left
+          (fun acc arg ->
+            Obs.Merge.union acc
+              (match resolve_ref arg with
+              | `Snap s -> Obs.Merge.of_snapshots [ s ]
+              | `Fleet m -> m))
+          (Obs.Merge.of_snapshots []) refs)
   in
+  let text = Obs.Json.to_string (Obs.Merge.to_json merged) ^ "\n" in
   match out with
   | None -> print_string text
   | Some path ->
@@ -951,10 +943,11 @@ let render_monitor_rows rows =
           "done"; "words/s"; "queue"; "busy"; "age(s)" ]
       (List.map
          (fun (r : Obs.Monitor.row) ->
-           let l = r.last in
-           let campaign f default = Option.fold ~none:default ~some:f l.campaign in
-           [ l.run.run_id;
-             (if l.run.shard = "" then "-" else l.run.shard);
+           let s = r.last.snap in
+           let campaign f default = Option.fold ~none:default ~some:f s.campaign in
+           let int_gauge name = Printf.sprintf "%.0f" (Obs.Snapshot.gauge s name) in
+           [ s.run.run_id;
+             (if s.run.shard = "" then "-" else s.run.shard);
              (let s = Obs.Monitor.status_string r.status in
               if r.status = Stalled then String.uppercase_ascii s else s);
              string_of_int (campaign (fun c -> c.c_shots) 0);
@@ -965,9 +958,9 @@ let render_monitor_rows rows =
              | Some e -> Printf.sprintf "%.1f" (Float.max 0. e)
              | None -> "-");
              campaign (fun c -> Printf.sprintf "%d/%d" c.c_done c.c_total) "0/0";
-             Printf.sprintf "%.0f" r.alloc_w_per_s;
-             string_of_int l.queue_depth;
-             string_of_int l.busy_domains;
+             Printf.sprintf "%.0f" r.last.minor_words_per_s;
+             int_gauge "parallel.queue_depth";
+             int_gauge "parallel.busy_domains";
              Printf.sprintf "%.1f" r.age_s ])
          rows);
     let count st =
@@ -977,65 +970,61 @@ let render_monitor_rows rows =
       (List.length rows) (count Live) (count Stalled) (count Done)
   end
 
-(* One stream: its rate-over-time table and last record, then the same
+(* One stream: its rate-over-time table and last line, then the same
    monitor row the registry view prints — status from the file's mtime
    against the stream's own heartbeat interval, not the embedded rate. *)
-let render_stream row newest_first =
+let render_stream row ticks =
   let dash f = function Some v -> f v | None -> "-" in
   Tableio.print
     ~header:[ "seq"; "t(s)"; "dt(s)"; "gc minor"; "words/s"; "shots"; "shots/s"; "done"; "eta(s)" ]
     (List.map
-       (fun (r : Obs.Telemetry.record) ->
-         let c = r.campaign in
-         [ string_of_int r.seq;
-           Printf.sprintf "%.2f" r.elapsed_s;
-           Printf.sprintf "%.2f" r.dt_s;
-           string_of_int r.gc_minor_delta;
-           Printf.sprintf "%.0f"
-             (Option.value ~default:0. (List.assoc_opt "gc.minor_words_per_s" r.rates));
-           dash (fun c -> string_of_int c.Obs.Telemetry.c_shots) c;
-           dash (fun c -> Printf.sprintf "%.0f" (Float.max 0. c.Obs.Telemetry.c_rate)) c;
-           dash (fun c -> Printf.sprintf "%d/%d" c.Obs.Telemetry.c_done c.c_total) c;
+       (fun (t : Obs.Monitor.tick) ->
+         let c = t.snap.campaign in
+         [ string_of_int t.seq;
+           Printf.sprintf "%.2f" t.elapsed_s;
+           Printf.sprintf "%.2f" t.dt_s;
+           string_of_int t.gc_minor_delta;
+           Printf.sprintf "%.0f" t.minor_words_per_s;
+           dash (fun c -> string_of_int c.Obs.Snapshot.c_shots) c;
+           dash (fun c -> Printf.sprintf "%.0f" (Float.max 0. c.Obs.Snapshot.c_rate)) c;
+           dash (fun c -> Printf.sprintf "%d/%d" c.Obs.Snapshot.c_done c.c_total) c;
            dash
              (fun e -> Printf.sprintf "%.1f" (Float.max 0. e))
              (Option.bind c (fun c -> c.c_eta_s)) ])
-       (List.rev newest_first));
+       ticks);
   let last = row.Obs.Monitor.last in
   Printf.printf "\nlast record (seq %d, t=%.2fs):\n" last.seq last.elapsed_s;
   List.iter
     (fun (name, d) -> if d > 0 then Printf.printf "  %s +%d\n" name d)
     last.deltas;
   Option.iter
-    (fun (c : Obs.Telemetry.campaign) ->
+    (fun (c : Obs.Snapshot.campaign) ->
       List.iter
-        (fun (t : Obs.Telemetry.task_progress) ->
+        (fun (t : Obs.Snapshot.task_progress) ->
           Printf.printf "  task %s %s: %d shots, %d errors%s%s\n" t.tp_id t.tp_kind
             t.tp_shots t.tp_errors
             (if Float.is_nan t.tp_rel_halfwidth then ""
              else Printf.sprintf ", ci %.3f" t.tp_rel_halfwidth)
             (if t.tp_done then " [done]" else ""))
         c.c_tasks)
-    last.campaign;
+    last.snap.campaign;
   print_newline ();
   render_monitor_rows [ row ]
 
-let run_obs_monitor file once interval stall_factor () =
+let run_obs_monitor file once interval () =
   match (file, Obs.Registry.dir ()) with
   | Some file, _ -> (
-      match
-        guard file (fun () ->
-            Obs.fold_jsonl file (fun acc j -> Obs.Telemetry.of_json j :: acc) [])
-      with
+      match guard file (fun () -> Obs.Monitor.read file) with
       | [] -> if not once then print_endline "telemetry stream is empty"
-      | last :: _ as newest_first ->
-          let row = Obs.Monitor.row_of_stream ~stall_factor file last in
+      | ticks ->
+          let row = Obs.Monitor.row_of_stream file (List.nth ticks (List.length ticks - 1)) in
           if once then print_endline (Obs.Json.to_string (Obs.Monitor.row_json row))
-          else render_stream row newest_first)
+          else render_stream row ticks)
   | None, None ->
       obs_fail
         "no run registry configured (set HETARCH_OBS_DIR or pass --obs-dir)"
   | None, Some d ->
-      let scan () = Obs.Monitor.scan ~stall_factor ~dir:d () in
+      let scan () = Obs.Monitor.scan ~dir:d () in
       if once then
         (* Machine-readable: one hetarch.monitor/1 JSON object per line. *)
         List.iter
@@ -1253,11 +1242,12 @@ let telemetry_arg =
     & opt (some string) None
     & info [ "telemetry" ] ~docv:"FILE"
         ~doc:
-          "Stream live JSONL telemetry records (schema hetarch.telemetry/4) \
-           to $(docv) while the command runs; inspect with $(b,hetarch obs \
-           monitor) $(docv).  With a run registry configured, recorded \
-           runs stream to <obs-dir>/telemetry/<run_id>.jsonl \
-           automatically; this flag overrides that path")
+          "Stream live JSONL telemetry to $(docv) while the command runs, \
+           one run snapshot (schema hetarch.snapshot/3) per line; inspect \
+           with $(b,hetarch obs monitor) $(docv).  With a run registry \
+           configured, recorded runs stream to \
+           <obs-dir>/telemetry/<run_id>.jsonl automatically; this flag \
+           overrides that path")
 
 let obs_dir_arg =
   Arg.(
@@ -1284,7 +1274,7 @@ let telemetry_interval_arg =
     value & opt (float_at_least 0.) 1.0
     & info [ "telemetry-interval" ] ~docv:"SEC"
         ~doc:
-          "Minimum seconds between telemetry records (0 records every \
+          "Minimum seconds between telemetry lines (0 writes one every \
            heartbeat); only meaningful with $(b,--telemetry)")
 
 (* Every subcommand runs under a root span; the exporters only fire when the
@@ -1642,14 +1632,7 @@ let obs_cmd =
           $ Arg.(
               value & opt (float_at_least ~strict:true 0.) 2.0
               & info [ "interval" ] ~docv:"SEC"
-                  ~doc:"Refresh period of the live view (default 2)")
-          $ Arg.(
-              value
-              & opt (float_at_least ~strict:true 0.) Obs.Monitor.default_stall_factor
-              & info [ "stall-factor" ] ~docv:"K"
-                  ~doc:
-                    "Flag a stream as stalled after K x its own telemetry \
-                     interval without a heartbeat (default 5)"));
+                  ~doc:"Refresh period of the live view (default 2)"));
       cmd "merge"
         "Merge run snapshots into one fleet view (order-insensitive, \
          byte-deterministic)"

@@ -226,20 +226,21 @@ module Progress = struct
     else if f >= 1e3 then Printf.sprintf "%.1fk" (f /. 1e3)
     else string_of_int n
 
-  (* Totals, rate and ETA all come from [Obs.Telemetry.campaign_snapshot] —
-     the same code path that fills the telemetry JSONL records — so what
-     the status line shows is exactly what `hetarch obs monitor` reads back. *)
+  (* Totals, rate and ETA all come from [Obs.Snapshot.campaign] — the
+     same code path that fills the campaign section of every snapshot, and
+     so of every telemetry line — so what the status line shows is exactly
+     what `hetarch obs monitor` reads back. *)
   let tick t ~cur_kind ~cur_shots ~cur_errors =
     if t.enabled then begin
       let now = Obs.now_ns () in
       (* ~5 updates/second: cheap enough to call per batch. *)
       if Int64.sub now t.last_ns >= 200_000_000L then begin
         t.last_ns <- now;
-        match Obs.Telemetry.campaign_snapshot () with
+        match Obs.Snapshot.campaign () with
         | None -> ()
         | Some c ->
             let eta =
-              match c.Obs.Telemetry.c_eta_s with
+              match c.Obs.Snapshot.c_eta_s with
               | Some e -> Printf.sprintf "eta<=%.0fs" e
               | None -> "eta ?"
             in
@@ -257,9 +258,9 @@ module Progress = struct
             in
             Printf.eprintf
               "\r\x1b[Kcollect %d/%d tasks  %s shots  %s/s  %s  %s rate %s"
-              c.Obs.Telemetry.c_done c.Obs.Telemetry.c_total
-              (si c.Obs.Telemetry.c_shots)
-              (si (int_of_float c.Obs.Telemetry.c_rate))
+              c.Obs.Snapshot.c_done c.Obs.Snapshot.c_total
+              (si c.Obs.Snapshot.c_shots)
+              (si (int_of_float c.Obs.Snapshot.c_rate))
               eta cur_kind ci;
             flush stderr;
             t.dirty <- true
@@ -352,16 +353,16 @@ let run ?ledger ?(resume = false) ?(progress = false) ?(stop = default_stop)
       let tasks_done () =
         Array.fold_left (fun acc r -> if r <> None then acc + 1 else acc) 0 reason
       in
-      (* Per-task progress for telemetry records and the --progress line.
-         Called from telemetry ticks, possibly in worker domains mid-batch:
-         int array reads are atomic per element, and a slightly stale shot
-         count only understates a heartbeat. *)
-      Obs.Telemetry.set_campaign
+      (* Per-task progress for snapshots (and so telemetry lines) and the
+         --progress line.  Called from telemetry ticks, possibly in worker
+         domains mid-batch: int array reads are atomic per element, and a
+         slightly stale shot count only understates a heartbeat. *)
+      Obs.Snapshot.set_campaign
         (Some
            (fun () ->
              List.init n (fun i ->
                  let done_ = reason.(i) <> None in
-                 { Obs.Telemetry.tp_id = ids.(i);
+                 { Obs.Snapshot.tp_id = ids.(i);
                    tp_kind = tasks.(i).Task.kind;
                    tp_shots = shots.(i);
                    tp_errors = errors.(i);

@@ -175,12 +175,12 @@ val run :
     set the job count globally ([Parallel.set_jobs] / [--jobs]) — results
     are bit-identical at any setting.
 
-    The campaign registers an [Obs.Telemetry] progress provider (per-task
+    The campaign registers an [Obs.Snapshot] progress provider (per-task
     shots/errors/Wilson half-width and a rate-based ETA) and offers the
-    heartbeat a tick after every batch; the provider stays registered after
-    the run so a final forced telemetry record reports the completed
-    campaign.  The [--progress] line renders the same
-    [Obs.Telemetry.campaign_snapshot] the JSONL records carry. *)
+    telemetry heartbeat a tick after every batch; the provider stays
+    registered after the run so the final telemetry line (and the run's
+    snapshot) reports the completed campaign.  The [--progress] line
+    renders the same [Obs.Snapshot.campaign] the snapshots carry. *)
 
 val csv_header : string
 

@@ -84,20 +84,7 @@ let apply_to c t =
 
 let decay t ~t1 ~t2 ~dt = if dt <= 0. then t else apply_to (decay_channel ~t1 ~t2 ~dt) t
 
-let decay_one_sided t ~t1 ~t2 ~dt =
-  if dt <= 0. then t
-  else begin
-    let px, py, pz = twirl_probs ~t1 ~t2 ~dt in
-    apply_pauli_half t ~px ~py ~pz
-  end
-
 let depolarize t ~p = apply_to (depolarizing ~p) t
-
-(* (bit, phase) coordinates: phi+=(0,0), psi+=(1,0), phi-=(0,1), psi-=(1,1). *)
-let to_bp t = [| [| t.phi_p; t.phi_m |]; [| t.psi_p; t.psi_m |] |]
-
-let of_bp q =
-  { phi_p = q.(0).(0); phi_m = q.(0).(1); psi_p = q.(1).(0); psi_m = q.(1).(1) }
 
 (* The DEJMPS local rotations Rx(pi/2) (x) Rx(-pi/2) fix phi+ and psi+ and
    exchange phi- with psi-, so in the rotated frame the (bit, phase)
@@ -149,20 +136,3 @@ let dejmps_predicted_fidelity a b =
   let p = dejmps_p_succ a b in
   if p <= 0. then 1.
   else (0. +. (a.phi_p *. b.phi_p /. p)) +. (a.psi_m *. b.psi_m /. p)
-
-(* Entanglement swapping: in (bit, phase) coordinates the output error is
-   the XOR of the two links' errors. *)
-let swap a b =
-  let qa = to_bp a and qb = to_bp b in
-  let out = Array.make_matrix 2 2 0. in
-  for b1 = 0 to 1 do
-    for p1 = 0 to 1 do
-      for b2 = 0 to 1 do
-        for p2 = 0 to 1 do
-          out.(b1 lxor b2).(p1 lxor p2) <-
-            out.(b1 lxor b2).(p1 lxor p2) +. (qa.(b1).(p1) *. qb.(b2).(p2))
-        done
-      done
-    done
-  done;
-  of_bp out

@@ -36,9 +36,6 @@ val decay : t -> t1:float -> t2:float -> dt:float -> t
 (** Both halves idle for [dt] on devices with the given coherence times:
     [apply_pauli_half] twice with the [twirl_probs] channel. *)
 
-val decay_one_sided : t -> t1:float -> t2:float -> dt:float -> t
-(** Only one half decays (e.g. the remote half is already consumed). *)
-
 val depolarize : t -> p:float -> t
 (** Two-sided local depolarizing with total strength [p] per half — the gate
     error model for the local operations of a distillation round. *)
@@ -81,13 +78,6 @@ val dejmps : t -> t -> float * t
 
 val dejmps_predicted_fidelity : t -> t -> float
 (** Fidelity of the success branch (scheduler's improvement test). *)
-
-val swap : t -> t -> t
-(** Entanglement swapping: a Bell measurement on the middle node of two
-    chained pairs teleports the correlations, XOR-ing the error coordinates
-    of the two inputs (deterministic up to the Pauli correction, which is
-    tracked classically).  Verified against the exact BSM circuit in the
-    test suite. *)
 
 val to_probs : t -> float array
 (** [phi_p; psi_p; psi_m; phi_m] as an array: the flat storage order. *)

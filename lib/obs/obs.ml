@@ -387,8 +387,8 @@ end
    trace_id, records the parent's span_id as parent_span_id, and mints only
    its own span_id — so every process of a fleet shares one trace_id and
    the per-process span ids form a tree.
-   The context is stamped into every observability artifact (telemetry
-   records, Chrome-trace metadata, snapshots), which is what
+   The context is stamped into every observability artifact (snapshots,
+   and so telemetry lines, and Chrome-trace metadata), which is what
    lets `obs trace-merge` and `obs monitor` correlate a coordinator with
    the shard children it forked. *)
 
@@ -448,8 +448,6 @@ module Context = struct
       ("trace_id", Json.String s.ctx.trace_id);
       ("span_id", Json.String s.ctx.span_id);
       ("parent_span_id", Json.String s.ctx.parent_span_id) ]
-
-  let stamp_to_json s = Json.Obj (stamp_fields s)
 
   let stamp_of_json j =
     { run_id = Field.str "id" j;
@@ -574,8 +572,7 @@ module Histogram = struct
      cumulative counts to the bucket holding rank q*total, then interpolate
      linearly inside it.  Bucket edges are clamped to the observed min/max,
      so estimates never leave the sampled range; the overflow bucket spans
-     (last bound, max].  Pure, so a live histogram and a captured snapshot
-     of it answer identically. *)
+     (last bound, max].  Readers call it on a captured [Snapshot.hist]. *)
   let bucket_quantile ~bounds ~counts ~overflow ~lo ~hi q =
     if not (q >= 0. && q <= 1.) then invalid_arg "Obs.Histogram.quantile";
     let total = Array.fold_left ( + ) overflow counts in
@@ -605,18 +602,6 @@ module Histogram = struct
       Float.min hi (Float.max lo (find 0 0.))
     end
 
-  let quantile t q =
-    Mutex.protect t.lock (fun () ->
-        bucket_quantile ~bounds:t.bounds ~counts:t.counts ~overflow:t.over
-          ~lo:t.lo ~hi:t.hi q)
-
-  let count t = Stats.running_count t.welford
-  let mean t = Stats.running_mean t.welford
-  let variance t = Stats.running_variance t.welford
-  let min_value t = t.lo
-  let max_value t = t.hi
-  let bucket_counts t = Array.mapi (fun i b -> (b, t.counts.(i))) t.bounds
-  let overflow t = t.over
   let name t = t.name
 end
 
@@ -1166,6 +1151,28 @@ module Snapshot = struct
     p_top_heap_words : int;
   }
 
+  type task_progress = {
+    tp_id : string;
+    tp_kind : string;
+    tp_shots : int;
+    tp_errors : int;
+    tp_resumed : int;  (* shots replayed from a ledger, not sampled now *)
+    tp_rel_halfwidth : float;  (* nan when undefined (no errors yet) *)
+    tp_remaining : int;  (* shots to the task's ceiling; 0 once stopped *)
+    tp_done : bool;
+  }
+
+  type campaign = {
+    c_done : int;
+    c_total : int;
+    c_shots : int;  (* merged, incl. resumed *)
+    c_new_shots : int;  (* sampled by this run *)
+    c_rate : float;  (* new shots per second *)
+    c_remaining : int;
+    c_eta_s : float option;  (* None until the rate is measurable *)
+    c_tasks : task_progress list;
+  }
+
   type t = {
     run : Context.stamp;
     argv : string list;
@@ -1180,11 +1187,40 @@ module Snapshot = struct
     (* profile trie, keyed by path; same aggregate shape *)
     paths : (string * int * int64 * int * int * int) list;
     process : process;
+    campaign : campaign option;  (* only while a provider is set *)
   }
 
   let quantile h q =
     Histogram.bucket_quantile ~bounds:h.h_bounds ~counts:h.h_counts
       ~overflow:h.h_overflow ~lo:h.h_min ~hi:h.h_max q
+
+  let gauge t name = Option.value ~default:0. (List.assoc_opt name t.gauges)
+
+  (* The campaign progress provider and the instant it was set, the zero
+     of the campaign's rate. *)
+  let provider : ((unit -> task_progress list) * int64) option Atomic.t = Atomic.make None
+
+  let set_campaign p = Atomic.set provider (Option.map (fun f -> (f, now_ns ())) p)
+
+  let campaign () =
+    match Atomic.get provider with
+    | None -> None
+    | Some (f, t0) ->
+        let tasks = f () in
+        let elapsed = Int64.to_float (Int64.sub (now_ns ()) t0) /. 1e9 in
+        let sum g = List.fold_left (fun a t -> a + g t) 0 tasks in
+        let new_shots = sum (fun t -> t.tp_shots - t.tp_resumed) in
+        let remaining = sum (fun t -> t.tp_remaining) in
+        let rate = if elapsed > 0. then float_of_int new_shots /. elapsed else 0. in
+        Some
+          { c_done = List.length (List.filter (fun t -> t.tp_done) tasks);
+            c_total = List.length tasks;
+            c_shots = sum (fun t -> t.tp_shots);
+            c_new_shots = new_shots;
+            c_rate = rate;
+            c_remaining = remaining;
+            c_eta_s = (if rate > 0. then Some (float_of_int remaining /. rate) else None);
+            c_tasks = tasks }
 
   let sorted_fold registry f =
     Hashtbl.fold (fun name v acc -> (name, f v) :: acc) registry []
@@ -1245,7 +1281,8 @@ module Snapshot = struct
       histograms;
       spans = Trace.summaries ();
       paths = Trace.by_path ();
-      process }
+      process;
+      campaign = campaign () }
 
   let hist_json h =
     Json.Obj
@@ -1278,27 +1315,48 @@ module Snapshot = struct
         ("heap_words", Json.Int p.p_heap_words);
         ("top_heap_words", Json.Int p.p_top_heap_words) ]
 
-  (* The state sections, shared with the fleet document. *)
-  let sections t =
-    [ ("counters", Json.Obj (List.map (fun (n, v) -> (n, Json.Int v)) t.counters));
+  (* [tp_resumed] is not on the wire: a decoded task carries 0. *)
+  let campaign_json c =
+    let task t =
+      Json.Obj
+        [ ("id", Json.String t.tp_id);
+          ("kind", Json.String t.tp_kind);
+          ("shots", Json.Int t.tp_shots);
+          ("errors", Json.Int t.tp_errors);
+          ("rel_halfwidth", Json.Float t.tp_rel_halfwidth);
+          ("remaining", Json.Int t.tp_remaining);
+          ("done", Json.Bool t.tp_done) ]
+    in
+    Json.Obj
+      [ ("tasks_done", Json.Int c.c_done);
+        ("tasks", Json.Int c.c_total);
+        ("shots", Json.Int c.c_shots);
+        ("new_shots", Json.Int c.c_new_shots);
+        ("shots_per_s", Json.Float c.c_rate);
+        ("remaining_shots", Json.Int c.c_remaining);
+        ("eta_s", Json.Float (Option.value ~default:nan c.c_eta_s));
+        ("task_progress", Json.List (List.map task c.c_tasks)) ]
+
+  (* Every field except the content hash itself; the hash is computed over
+     this serialization, so any bit of state change changes the hash.  The
+     campaign section is written only when there is one, so snapshots of
+     runs without a campaign keep their bytes. *)
+  let body t =
+    [ ("schema", Json.String schema);
+      ( "run",
+        Json.Obj
+          (Context.stamp_fields t.run
+          @ [ ("argv", Json.List (List.map (fun a -> Json.String a) t.argv));
+              ("started_unix", Json.Float t.started_unix);
+              ("wall_seconds", Json.Float t.wall_seconds);
+              ("jobs", Json.Int t.jobs) ]) );
+      ("counters", Json.Obj (List.map (fun (n, v) -> (n, Json.Int v)) t.counters));
       ("gauges", Json.Obj (List.map (fun (n, v) -> (n, Json.Float v)) t.gauges));
       ("histograms", Json.Obj (List.map (fun (n, h) -> (n, hist_json h)) t.histograms));
       ("spans", Json.Obj (List.map agg_json t.spans));
       ("paths", Json.Obj (List.map agg_json t.paths));
       ("process", process_json t.process) ]
-
-  (* Every field except the content hash itself; the hash is computed over
-     this serialization, so any bit of state change changes the hash. *)
-  let body t =
-    ("schema", Json.String schema)
-    :: ( "run",
-         Json.Obj
-           (Context.stamp_fields t.run
-           @ [ ("argv", Json.List (List.map (fun a -> Json.String a) t.argv));
-               ("started_unix", Json.Float t.started_unix);
-               ("wall_seconds", Json.Float t.wall_seconds);
-               ("jobs", Json.Int t.jobs) ]) )
-    :: sections t
+    @ List.map (fun c -> ("campaign", campaign_json c)) (Option.to_list t.campaign)
 
   let content_hash t =
     Content_hash.of_components [ schema; Json.to_string (Json.Obj (body t)) ]
@@ -1348,6 +1406,26 @@ module Snapshot = struct
             Field.int "promoted_w" j,
             Field.int "major_w" j )
         in
+        let task t =
+          { tp_id = Field.str "id" t;
+            tp_kind = Field.str "kind" t;
+            tp_shots = Field.int "shots" t;
+            tp_errors = Field.int "errors" t;
+            tp_resumed = 0;
+            tp_rel_halfwidth = Option.value ~default:nan (Field.float_opt "rel_halfwidth" t);
+            tp_remaining = Field.int "remaining" t;
+            tp_done = Field.bool "done" t }
+        in
+        let campaign c =
+          { c_done = Field.int "tasks_done" c;
+            c_total = Field.int "tasks" c;
+            c_shots = Field.int "shots" c;
+            c_new_shots = Field.int "new_shots" c;
+            c_rate = Field.float "shots_per_s" c;
+            c_remaining = Field.int "remaining_shots" c;
+            c_eta_s = Field.float_opt "eta_s" c;
+            c_tasks = List.map task (Field.list "task_progress" c) }
+        in
         let p = Json.Obj (section "process") in
         { run = Context.stamp_of_json run;
           argv =
@@ -1370,7 +1448,8 @@ module Snapshot = struct
               p_promoted_words = Field.float "promoted_words" p;
               p_major_words = Field.float "major_words" p;
               p_heap_words = Field.int "heap_words" p;
-              p_top_heap_words = Field.int "top_heap_words" p } })
+              p_top_heap_words = Field.int "top_heap_words" p };
+          campaign = Option.map campaign (Json.member "campaign" doc) })
 
   let write ~path t = write_lines_atomic path [ to_json t ]
   let load path = of_json (Json.parse (In_channel.with_open_bin path In_channel.input_all))
@@ -1378,269 +1457,38 @@ end
 
 (* ------------------------------------------------------------- telemetry *)
 
-(* Append-only JSONL heartbeat, one [record] per line, each the delta of
-   two snapshot captures (so this block sits below [Snapshot]).  Ticks are driven
-   synchronously from Parallel chunk boundaries and Collect batch
-   completions — never from a background thread — so enabling telemetry
-   cannot change any result.  The collect --progress line reads the same
-   [campaign_snapshot] code path. *)
+(* Append-only JSONL heartbeat, one snapshot per line: the stream carries
+   captured state only, and readers ([Monitor]) derive deltas and rates
+   from consecutive lines.  Ticks are driven synchronously from Parallel
+   chunk boundaries and Collect batch completions — never from a
+   background thread — so enabling telemetry cannot change any result. *)
 
 module Telemetry = struct
-  type task_progress = {
-    tp_id : string;
-    tp_kind : string;
-    tp_shots : int;
-    tp_errors : int;
-    tp_resumed : int;  (* shots replayed from a ledger, not sampled now *)
-    tp_rel_halfwidth : float;  (* nan when undefined (no errors yet) *)
-    tp_remaining : int;  (* shots to the task's ceiling; 0 once stopped *)
-    tp_done : bool;
-  }
-
-  type campaign = {
-    c_done : int;
-    c_total : int;
-    c_shots : int;  (* merged, incl. resumed *)
-    c_new_shots : int;  (* sampled by this run *)
-    c_rate : float;  (* new shots per second *)
-    c_remaining : int;
-    c_eta_s : float option;  (* None until the rate is measurable *)
-    c_tasks : task_progress list;
-  }
-
-  (* One line of the stream.  [to_json] is what [emit] writes; [of_json]
-     is the one reader, and it requires every section [emit] always
-     writes.  [tp_resumed] is not on the wire: a decoded task carries 0. *)
-  type record = {
-    run : Context.stamp;
-    seq : int;
-    elapsed_s : float;
-    dt_s : float;
-    interval_s : float;
-    counters : (string * int) list;
-    deltas : (string * int) list;
-    rates : (string * float) list;
-    gc_minor_delta : int;
-    gc_major_delta : int;
-    gc_minor_words_delta : int;
-    gc_heap_words : int;
-    gc_top_heap_words : int;
-    queue_depth : int;
-    busy_domains : int;
-    campaign : campaign option;
-    final : bool;
-  }
-
-  let schema = "hetarch.telemetry/4"
-
-  let task_json t =
-    Json.Obj
-      [ ("id", Json.String t.tp_id);
-        ("kind", Json.String t.tp_kind);
-        ("shots", Json.Int t.tp_shots);
-        ("errors", Json.Int t.tp_errors);
-        ("rel_halfwidth", Json.Float t.tp_rel_halfwidth);
-        ("remaining", Json.Int t.tp_remaining);
-        ("done", Json.Bool t.tp_done) ]
-
-  let to_json r =
-    let ints kvs = Json.Obj (List.map (fun (n, v) -> (n, Json.Int v)) kvs) in
-    let campaign c =
-      Json.Obj
-        [ ("tasks_done", Json.Int c.c_done);
-          ("tasks", Json.Int c.c_total);
-          ("shots", Json.Int c.c_shots);
-          ("new_shots", Json.Int c.c_new_shots);
-          ("shots_per_s", Json.Float c.c_rate);
-          ("remaining_shots", Json.Int c.c_remaining);
-          ("eta_s", Json.Float (Option.value ~default:nan c.c_eta_s));
-          ("task_progress", Json.List (List.map task_json c.c_tasks)) ]
-    in
-    Json.Obj
-      ([ ("schema", Json.String schema);
-         ("run", Context.stamp_to_json r.run);
-         ("seq", Json.Int r.seq);
-         ("elapsed_s", Json.Float r.elapsed_s);
-         ("dt_s", Json.Float r.dt_s);
-         (* The throttle interval travels with every record so readers
-            (obs monitor) can judge staleness without out-of-band
-            configuration. *)
-         ("interval_s", Json.Float r.interval_s);
-         ("counters", ints r.counters);
-         ("deltas", ints r.deltas);
-         ("rates", Json.Obj (List.map (fun (n, v) -> (n, Json.Float v)) r.rates));
-         ( "gc",
-           Json.Obj
-             [ ("minor_delta", Json.Int r.gc_minor_delta);
-               ("major_delta", Json.Int r.gc_major_delta);
-               ("minor_words_delta", Json.Int r.gc_minor_words_delta);
-               ("heap_words", Json.Int r.gc_heap_words);
-               ("top_heap_words", Json.Int r.gc_top_heap_words) ] );
-         ( "parallel",
-           Json.Obj
-             [ ("queue_depth", Json.Int r.queue_depth);
-               ("busy_domains", Json.Int r.busy_domains) ] ) ]
-      @ List.map (fun c -> ("campaign", campaign c)) (Option.to_list r.campaign)
-      @ if r.final then [ ("final", Json.Bool true) ] else [])
-
-  let of_json =
-    Field.decoding "Obs.Telemetry.of_json" (fun j ->
-        Field.schema schema j;
-        let section name = Json.Obj (Field.obj name j) in
-        let task t =
-          { tp_id = Field.str "id" t;
-            tp_kind = Field.str "kind" t;
-            tp_shots = Field.int "shots" t;
-            tp_errors = Field.int "errors" t;
-            tp_resumed = 0;
-            tp_rel_halfwidth = Option.value ~default:nan (Field.float_opt "rel_halfwidth" t);
-            tp_remaining = Field.int "remaining" t;
-            tp_done = Field.bool "done" t }
-        in
-        let campaign c =
-          { c_done = Field.int "tasks_done" c;
-            c_total = Field.int "tasks" c;
-            c_shots = Field.int "shots" c;
-            c_new_shots = Field.int "new_shots" c;
-            c_rate = Field.float "shots_per_s" c;
-            c_remaining = Field.int "remaining_shots" c;
-            c_eta_s = Field.float_opt "eta_s" c;
-            c_tasks = List.map task (Field.list "task_progress" c) }
-        in
-        let gc = section "gc" and par = section "parallel" in
-        { run = Context.stamp_of_json (section "run");
-          seq = Field.int "seq" j;
-          elapsed_s = Field.float "elapsed_s" j;
-          dt_s = Field.float "dt_s" j;
-          interval_s = Field.float "interval_s" j;
-          counters = Field.ints "counters" j;
-          deltas = Field.ints "deltas" j;
-          rates = Field.floats "rates" j;
-          gc_minor_delta = Field.int "minor_delta" gc;
-          gc_major_delta = Field.int "major_delta" gc;
-          gc_minor_words_delta = Field.int "minor_words_delta" gc;
-          gc_heap_words = Field.int "heap_words" gc;
-          gc_top_heap_words = Field.int "top_heap_words" gc;
-          queue_depth = Field.int "queue_depth" par;
-          busy_domains = Field.int "busy_domains" par;
-          campaign = Option.map (fun _ -> campaign (section "campaign")) (Json.member "campaign" j);
-          final = Option.is_some (Json.member "final" j) && Field.bool "final" j })
-
   let enabled_flag = Atomic.make false
   let lock = Mutex.create ()
   let sink : out_channel option ref = ref None
   let interval_ns = ref 1_000_000_000L
-  let t_enable = ref 0L
   let last_ns = ref 0L
-  let seq = ref 0
 
-  (* The delta baseline: the previous record's capture.  [None] before seq
-     0, whose deltas then measure counters from zero and GC from the
-     record's own capture. *)
-  let prev : Snapshot.t option ref = ref None
-  let provider : (unit -> task_progress list) option ref = ref None
-  let provider_t0 = ref 0L
-
-  (* Set by [disable] around its last emit so the closing record carries
-     ("final", true) — the monitor's clean "stream complete" signal, as
-     opposed to a stream that merely went quiet (stalled). *)
-  let finalizing = ref false
+  (* The writer's throttle interval and its closing mark travel as gauges,
+     so a reader judges staleness and completion from the stream alone.
+     They are registered only while the writer runs: a --metrics or
+     registry snapshot carries neither. *)
+  let gauge_names = [ "telemetry.interval_s"; "telemetry.final" ]
 
   let enabled () = Atomic.get enabled_flag
 
-  let set_campaign p =
-    Mutex.protect lock (fun () ->
-        provider := p;
-        provider_t0 := now_ns ())
-
-  let campaign_snapshot () =
-    match !provider with
-    | None -> None
-    | Some f ->
-        let tasks = f () in
-        let elapsed =
-          Int64.to_float (Int64.sub (now_ns ()) !provider_t0) /. 1e9
-        in
-        let sum g = List.fold_left (fun a t -> a + g t) 0 tasks in
-        let shots = sum (fun t -> t.tp_shots) in
-        let new_shots = sum (fun t -> t.tp_shots - t.tp_resumed) in
-        let remaining = sum (fun t -> t.tp_remaining) in
-        let rate = if elapsed > 0. then float_of_int new_shots /. elapsed else 0. in
-        Some
-          { c_done = List.length (List.filter (fun t -> t.tp_done) tasks);
-            c_total = List.length tasks;
-            c_shots = shots;
-            c_new_shots = new_shots;
-            c_rate = rate;
-            c_remaining = remaining;
-            c_eta_s = (if rate > 0. then Some (float_of_int remaining /. rate) else None);
-            c_tasks = tasks }
-
-  (* Forget the delta baseline (called by [Obs.reset]): the next record's
-     counter deltas measure from zero instead of going negative against
-     counters that were just zeroed, and its GC deltas from now. *)
-  let reset_baseline () =
-    Mutex.protect lock (fun () ->
-        if !sink <> None then prev := Some { (Snapshot.capture ()) with counters = [] })
-
   (* Must be called with [lock] held; the capture then takes the histogram
-     and trace locks, so [lock] always comes first.  Counter, GC and
-     executor numbers come from this capture and the previous one only. *)
-  let emit oc now =
-    let cur = Snapshot.capture () in
-    let base = Option.value !prev ~default:{ cur with counters = [] } in
-    let elapsed_s = Int64.to_float (Int64.sub now !t_enable) /. 1e9 in
-    let dt_s =
-      if !seq = 0 then 0.
-      else Int64.to_float (Int64.sub now !last_ns) /. 1e9
-    in
-    (* Deltas are clamped: a counter reset between ticks must not produce
-       negative deltas (reset_baseline handles Obs.reset; the clamp covers
-       any other external zeroing). *)
-    let deltas =
-      List.map
-        (fun (name, v) ->
-          (name, max 0 (v - Option.value ~default:0 (List.assoc_opt name base.counters))))
-        cur.counters
-    in
-    let p = cur.process and p0 = base.process in
-    let minor_words_delta = max 0 (int_of_float (p.p_minor_words -. p0.p_minor_words)) in
-    let rates =
-      if dt_s > 0. then
-        List.filter_map
-          (fun (name, d) -> if d > 0 then Some (name, float_of_int d /. dt_s) else None)
-          (("gc.minor_words_per_s", minor_words_delta) :: deltas)
-      else []
-    in
-    let gauge name =
-      int_of_float (Option.value ~default:0. (List.assoc_opt name cur.gauges))
-    in
-    let doc =
-      to_json
-        { run = cur.run;
-          seq = !seq;
-          elapsed_s;
-          dt_s;
-          interval_s = Int64.to_float !interval_ns /. 1e9;
-          counters = cur.counters;
-          deltas;
-          rates;
-          gc_minor_delta = max 0 (p.p_minor_collections - p0.p_minor_collections);
-          gc_major_delta = max 0 (p.p_major_collections - p0.p_major_collections);
-          gc_minor_words_delta = minor_words_delta;
-          gc_heap_words = p.p_heap_words;
-          gc_top_heap_words = p.p_top_heap_words;
-          queue_depth = gauge "parallel.queue_depth";
-          busy_domains = gauge "parallel.busy_domains";
-          campaign = campaign_snapshot ();
-          final = !finalizing }
-    in
-    output_string oc (Json.to_string doc);
+     and trace locks, so [lock] always comes first. *)
+  let emit ?(final = false) oc now =
+    List.iter2
+      (fun name v -> Gauge.set (Gauge.create name) v)
+      gauge_names
+      [ Int64.to_float !interval_ns /. 1e9; (if final then 1. else 0.) ];
+    output_string oc (Json.to_string (Snapshot.to_json (Snapshot.capture ())));
     output_char oc '\n';
     flush oc;
-    incr seq;
-    last_ns := now;
-    prev := Some cur
+    last_ns := now
 
   let tick ?(force = false) () =
     if Atomic.get enabled_flag then begin
@@ -1657,20 +1505,19 @@ module Telemetry = struct
     Mutex.protect lock (fun () ->
         (match !sink with
         | Some oc ->
-            (* Final record so the file always ends with the run's last
-               state, marked ("final", true), then close. *)
-            finalizing := true;
-            Fun.protect
-              ~finally:(fun () -> finalizing := false)
-              (fun () -> emit oc (now_ns ()));
-            close_out oc
+            (* Final line so the file always ends with the run's last
+               state, marked telemetry.final = 1, then close. *)
+            emit ~final:true oc (now_ns ());
+            close_out oc;
+            Mutex.protect Gauge.registry_lock (fun () ->
+                List.iter (Hashtbl.remove Gauge.registry) gauge_names)
         | None -> ());
         sink := None;
         Atomic.set enabled_flag false)
 
   (* Registered once, lazily: a run killed between ticks (or leaving via
      [exit] from deep inside a command) still flushes one final forced
-     record, so the stream always ends with the run's last state. *)
+     line, so the stream always ends with the run's last state. *)
   let exit_flush_registered = ref false
 
   let enable ~path ~interval_s =
@@ -1684,49 +1531,38 @@ module Telemetry = struct
         let oc = open_out path in
         sink := Some oc;
         interval_ns := Int64.of_float (interval_s *. 1e9);
-        t_enable := now_ns ();
-        last_ns := 0L;
-        seq := 0;
-        prev := None;
-        (* Baseline record at enable time: seq 0, dt 0. *)
+        (* Baseline line at enable time. *)
         emit oc (now_ns ());
         Atomic.set enabled_flag true)
 end
 
 (* ----------------------------------------------------------------- merge *)
 
+(* The canonical source order of both merges: sources with a content hash
+   seen before are dropped, the rest sorted by run id, then hash.  [key]
+   gives a source's (run id, content hash).  Any input order, grouping or
+   repetition then yields the same sources in the same order. *)
+let canonical_sources key xs =
+  let seen = Hashtbl.create 8 in
+  List.filter
+    (fun x ->
+      let h = snd (key x) in
+      (not (Hashtbl.mem seen h)) && (Hashtbl.add seen h (); true))
+    xs
+  |> List.sort (fun a b -> compare (key a) (key b))
+
 (* Order-insensitive union of snapshots into one fleet view.  The sources
-   fold into one [Snapshot.t] in a canonical order (run-id, then content
-   hash, duplicates removed) — so merging A∪B and B∪A, or (A∪B)∪C and
-   A∪(B∪C), produces byte-identical output even though float addition
-   itself is not associative.  Histograms bucket-merge and combine their
-   Welford states with Chan's parallel update; everything else sums, except
-   the peak heap, which takes the max. *)
+   fold into one [Snapshot.t] in canonical order — so merging A∪B and B∪A,
+   or (A∪B)∪C and A∪(B∪C), gives byte-identical output even though float
+   addition itself is not associative.  Histograms bucket-merge and combine
+   their Welford states with Chan's parallel update; everything else sums,
+   except the peak heap, which takes the max. *)
 
 module Merge = struct
-  let schema = "hetarch.fleet/4"
-
   type t = { keyed : (string * Snapshot.t) list }  (* (content_hash, snapshot) *)
 
-  let canonicalize keyed =
-    let seen = Hashtbl.create 8 in
-    List.filter
-      (fun (h, _) ->
-        if Hashtbl.mem seen h then false
-        else begin
-          Hashtbl.add seen h ();
-          true
-        end)
-      keyed
-    |> List.sort (fun (ha, a) (hb, b) ->
-           match compare a.Snapshot.run.run_id b.Snapshot.run.run_id with
-           | 0 -> compare ha hb
-           | c -> c)
+  let canonicalize = canonical_sources (fun (h, s) -> (s.Snapshot.run.run_id, h))
 
-  let of_snapshots snaps =
-    { keyed = canonicalize (List.map (fun s -> (Snapshot.content_hash s, s)) snaps) }
-
-  let union a b = { keyed = canonicalize (a.keyed @ b.keyed) }
   let sources t = List.map snd t.keyed
 
   let names proj ss = List.sort_uniq compare (List.concat_map proj ss)
@@ -1781,6 +1617,15 @@ module Merge = struct
         | first :: rest -> (k, List.fold_left (merge_hist k) first rest))
       (names (fun (s : Snapshot.t) -> List.map fst s.histograms) ss)
 
+  (* A fleet is refused when it is built, not when it is read: sources
+     whose histograms cannot bucket-merge raise [Failure] here. *)
+  let of_keyed keyed =
+    ignore (merged_histograms (List.map snd keyed));
+    { keyed = canonicalize keyed }
+
+  let of_snapshots snaps = of_keyed (List.map (fun s -> (Snapshot.content_hash s, s)) snaps)
+  let union a b = of_keyed (a.keyed @ b.keyed)
+
   (* Spans and paths share the (name, count, total_ns, minor_w, promoted_w,
      major_w) aggregate shape; merging path aggregates is exactly grafting
      profile tries by path. *)
@@ -1827,63 +1672,18 @@ module Merge = struct
       histograms = merged_histograms ss;
       spans = merged_aggs (fun (s : Snapshot.t) -> s.spans) ss;
       paths = merged_aggs (fun (s : Snapshot.t) -> s.paths) ss;
-      process = merged_process ss }
+      process = merged_process ss;
+      campaign = None }
 
-  let to_json t =
-    let ss = sources t in
-    let m = merged t in
-    let window =
-      if ss = [] then Json.Obj []
-      else
-        Json.Obj
-          [ ("started_unix", Json.Float m.started_unix);
-            ("ended_unix", Json.Float (m.started_unix +. m.wall_seconds));
-            ("wall_span_seconds", Json.Float m.wall_seconds);
-            ( "total_wall_seconds",
-              Json.Float
-                (List.fold_left (fun acc (s : Snapshot.t) -> acc +. s.wall_seconds) 0. ss) ) ]
-    in
-    let attribution =
-      Json.List
-        (List.map
-           (fun (h, (s : Snapshot.t)) ->
-             Json.Obj
-               [ ("run", Json.String s.run.run_id);
-                 ("shard", Json.String s.run.shard);
-                 ("trace_id", Json.String s.run.ctx.trace_id);
-                 ("content_hash", Json.String h);
-                 ("started_unix", Json.Float s.started_unix);
-                 ("wall_seconds", Json.Float s.wall_seconds);
-                 ("jobs", Json.Int s.jobs) ])
-           t.keyed)
-    in
-    let body =
-      [ ("schema", Json.String schema);
-        ("runs", Json.Int (List.length ss));
-        ("window", window);
-        ("attribution", attribution) ]
-      @ Snapshot.sections m
-      @ [ ("sources", Json.List (List.map Snapshot.to_json ss)) ]
-    in
-    Json.Obj
-      (body
-      @ [ ( "content_hash",
-            Json.String (Content_hash.of_components [ schema; Json.to_string (Json.Obj body) ]) )
-        ])
+  (* The fleet view on disk is its canonical sources, nothing derived:
+     readers recompute the merged state through [merged]. *)
+  let to_json t = Json.List (List.map Snapshot.to_json (sources t))
 
-  (* Accepts a single snapshot or a fleet document; a fleet input is
-     flattened back to its sources, so merging merged documents is exact. *)
-  let of_json doc =
-    match Json.member "schema" doc with
-    | Some (Json.String s) when s = schema -> (
-        match Json.member "sources" doc with
-        | Some (Json.List ss) -> of_snapshots (List.map Snapshot.of_json ss)
-        | _ -> failwith "Obs.Merge.of_json: fleet document without sources")
-    | Some (Json.String s) when s = Snapshot.schema -> of_snapshots [ Snapshot.of_json doc ]
-    | _ ->
-        failwith
-          (Printf.sprintf "Obs.Merge.of_json: unrecognized schema (want %s or %s)"
-             Snapshot.schema schema)
+  (* Accepts a single snapshot or a fleet view; a fleet input is flattened
+     back to its sources, so merging merged documents is exact. *)
+  let of_json = function
+    | Json.List ss -> of_snapshots (List.map Snapshot.of_json ss)
+    | doc -> of_snapshots [ Snapshot.of_json doc ]
 end
 
 (* -------------------------------------------------------------- registry *)
@@ -2142,38 +1942,92 @@ end
 (* --------------------------------------------------------- fleet monitor *)
 
 (* Live fleet view over the registry's telemetry directory: one row per
-   <run_id>.jsonl stream, from the stream's last record (a stream being
-   appended to mid-record yields its previous record). *)
+   <run_id>.jsonl stream of snapshots, from the stream's last complete line
+   (a stream being appended to mid-line yields its previous line).
+   Everything a heartbeat reports beyond captured state — its sequence
+   number, timing, counter and GC deltas, allocation rate — is derived here
+   from consecutive lines. *)
 
 module Monitor = struct
+  type tick = {
+    snap : Snapshot.t;
+    seq : int;
+    elapsed_s : float;
+    dt_s : float;
+    deltas : (string * int) list;
+    gc_minor_delta : int;
+    minor_words_per_s : float;
+  }
+
+  (* The tick of [cur], line [seq] of a stream whose first line is [first],
+     against the line before it ([None] on the first line: counters then
+     count from zero and the GC deltas are 0).  Counters only grow between
+     resets, so one that fell was zeroed ([Obs.reset]) in between and its
+     delta counts from zero: never negative. *)
+  let tick_of ~first prev seq (cur : Snapshot.t) =
+    let base = Option.value prev ~default:{ cur with counters = [] } in
+    let dt_s = cur.wall_seconds -. base.wall_seconds in
+    let p = cur.process and p0 = base.process in
+    let words = max 0 (int_of_float (p.p_minor_words -. p0.p_minor_words)) in
+    { snap = cur;
+      seq;
+      elapsed_s = cur.wall_seconds -. first.Snapshot.wall_seconds;
+      dt_s;
+      deltas =
+        List.map
+          (fun (name, v) ->
+            let prev = Option.value ~default:0 (List.assoc_opt name base.counters) in
+            (name, if v < prev then v else v - prev))
+          cur.counters;
+      gc_minor_delta = max 0 (p.p_minor_collections - p0.p_minor_collections);
+      minor_words_per_s =
+        (if dt_s > 0. && words > 0 then float_of_int words /. dt_s else 0.) }
+
+  let fold_ticks path f init =
+    let _, _, acc =
+      fold_jsonl path
+        (fun (first, prev, acc) j ->
+          let cur = Snapshot.of_json j in
+          let first = Option.value first ~default:cur in
+          let seq = match prev with None -> 0 | Some (t : tick) -> t.seq + 1 in
+          let t = tick_of ~first (Option.map (fun t -> t.snap) prev) seq cur in
+          (Some first, Some t, f acc t))
+        (None, None, init)
+    in
+    acc
+
+  let read path = List.rev (fold_ticks path (fun acc t -> t :: acc) [])
+  let last path = fold_ticks path (fun _ t -> Some t) None
+
   type status = Live | Stalled | Done
 
   type row = {
     file : string;  (* telemetry stream path *)
-    last : Telemetry.record;  (* the stream's last complete record *)
+    last : tick;  (* the stream's last complete line *)
     age_s : float;  (* now - file mtime *)
     registered : bool;  (* run id present in index.jsonl *)
     rel_halfwidth : float;  (* worst unfinished task; nan when none *)
-    alloc_w_per_s : float;  (* the last record's gc.minor_words_per_s rate *)
     status : status;
   }
 
-  let default_stall_factor = 5.
+  let stall_factor = 5.
 
   let status_string = function
     | Live -> "live"
     | Stalled -> "stalled"
     | Done -> "done"
 
-  let row_of_stream ?(registered = false) ?(stall_factor = default_stall_factor)
-      ?now_unix file (last : Telemetry.record) =
+  let final t = Snapshot.gauge t.snap "telemetry.final" = 1.
+  let interval_s t = Snapshot.gauge t.snap "telemetry.interval_s"
+
+  let row_of_stream ?(registered = false) ?now_unix file last =
     let now_unix = match now_unix with Some t -> t | None -> Unix.gettimeofday () in
     let age_s = Float.max 0. (now_unix -. (Unix.stat file).Unix.st_mtime) in
     (* Worst (largest) relative half-width over unfinished tasks — the
        fleet's convergence laggard. *)
-    let worst (c : Telemetry.campaign) =
+    let worst (c : Snapshot.campaign) =
       List.fold_left
-        (fun acc (t : Telemetry.task_progress) ->
+        (fun acc (t : Snapshot.task_progress) ->
           let h = t.tp_rel_halfwidth in
           if t.tp_done || Float.is_nan h then acc
           else if Float.is_nan acc then h
@@ -2184,24 +2038,23 @@ module Monitor = struct
       last;
       age_s;
       registered;
-      rel_halfwidth = Option.fold ~none:nan ~some:worst last.campaign;
-      alloc_w_per_s = Option.value ~default:0. (List.assoc_opt "gc.minor_words_per_s" last.rates);
+      rel_halfwidth = Option.fold ~none:nan ~some:worst last.snap.campaign;
       status =
-        (if last.final || registered then Done
+        (if final last || registered then Done
          (* Sub-second throttle intervals would make any scheduling hiccup
             read as a stall; the staleness window is at least one second. *)
-         else if age_s > stall_factor *. Float.max last.interval_s 1.0 then Stalled
+         else if age_s > stall_factor *. Float.max (interval_s last) 1.0 then Stalled
          else Live) }
 
   (* Campaign fields of a row, with [default] when the stream has no
      campaign section. *)
-  let campaign r f default = Option.fold ~none:default ~some:f r.last.campaign
+  let campaign r f default = Option.fold ~none:default ~some:f r.last.snap.campaign
 
   (* One row per stream under <dir>/telemetry, sorted (shard, run_id) so
      coordinator/shard families group together.  Streams with no complete
-     record yet are skipped — they will appear on the next scan — and so
-     are files whose last record is not telemetry. *)
-  let scan ?(stall_factor = default_stall_factor) ?now_unix ~dir () =
+     line yet are skipped — they will appear on the next scan — and so are
+     files holding a line that is not a snapshot. *)
+  let scan ?now_unix ~dir () =
     let now_unix = match now_unix with Some t -> t | None -> Unix.gettimeofday () in
     let td = Registry.telemetry_dir dir in
     if not (Sys.file_exists td && Sys.is_directory td) then []
@@ -2211,50 +2064,50 @@ module Monitor = struct
           (fun acc (e : Registry.entry) -> e.Registry.e_run_id :: acc)
           [] (Registry.entries ~dir ())
       in
+      let run r = (r.last.snap.run.shard, r.last.snap.run.run_id) in
       Sys.readdir td |> Array.to_list |> List.sort compare
       |> List.filter_map (fun f ->
              if not (Filename.check_suffix f ".jsonl") then None
              else begin
                let path = Filename.concat td f in
-               match Option.map Telemetry.of_json (fold_jsonl path (fun _ j -> Some j) None) with
-               | Some r ->
+               match last path with
+               | Some t ->
                    let run_id = Filename.chop_suffix f ".jsonl" in
                    Some
-                     (row_of_stream
-                        ~registered:(List.mem run_id registered)
-                        ~stall_factor ~now_unix path r)
+                     (row_of_stream ~registered:(List.mem run_id registered) ~now_unix path t)
                | None -> None
                | exception (Sys_error _ | Failure _) -> None
              end)
-      |> List.sort (fun a b ->
-             compare (a.last.run.shard, a.last.run.run_id) (b.last.run.shard, b.last.run.run_id))
+      |> List.sort (fun a b -> compare (run a) (run b))
     end
 
   let row_json r =
     let l = r.last in
+    let s = l.snap in
+    let int_gauge name = Json.Int (int_of_float (Snapshot.gauge s name)) in
     Json.Obj
       [ ("schema", Json.String "hetarch.monitor/1");
-        ("run", Json.String l.run.run_id);
-        ("shard", Json.String l.run.shard);
-        ("trace_id", Json.String l.run.ctx.trace_id);
-        ("parent_span_id", Json.String l.run.ctx.parent_span_id);
+        ("run", Json.String s.run.run_id);
+        ("shard", Json.String s.run.shard);
+        ("trace_id", Json.String s.run.ctx.trace_id);
+        ("parent_span_id", Json.String s.run.ctx.parent_span_id);
         ("status", Json.String (status_string r.status));
         ("stalled", Json.Bool (r.status = Stalled));
-        ("final", Json.Bool l.final);
+        ("final", Json.Bool (final l));
         ("registered", Json.Bool r.registered);
         ("seq", Json.Int l.seq);
         ("elapsed_s", Json.Float l.elapsed_s);
         ("age_s", Json.Float r.age_s);
-        ("interval_s", Json.Float l.interval_s);
+        ("interval_s", Json.Float (interval_s l));
         ("shots", Json.Int (campaign r (fun c -> c.c_shots) 0));
         ("shots_per_s", Json.Float (campaign r (fun c -> c.c_rate) 0.));
         ("rel_halfwidth", Json.Float r.rel_halfwidth);
         ("eta_s", Json.Float (campaign r (fun c -> Option.value ~default:nan c.c_eta_s) nan));
         ("tasks_done", Json.Int (campaign r (fun c -> c.c_done) 0));
         ("tasks", Json.Int (campaign r (fun c -> c.c_total) 0));
-        ("minor_words_per_s", Json.Float r.alloc_w_per_s);
-        ("queue_depth", Json.Int l.queue_depth);
-        ("busy_domains", Json.Int l.busy_domains);
+        ("minor_words_per_s", Json.Float l.minor_words_per_s);
+        ("queue_depth", int_gauge "parallel.queue_depth");
+        ("busy_domains", int_gauge "parallel.busy_domains");
         ("file", Json.String r.file) ]
 end
 
@@ -2303,22 +2156,8 @@ module Trace_merge = struct
   let ctx s = s.s_meta.Trace.run.Context.ctx
 
   let merge texts =
-    let srcs = List.map parse_source texts in
-    (* Canonical source order, duplicates (by raw content) removed. *)
-    let seen = Hashtbl.create 8 in
     let srcs =
-      List.filter
-        (fun s ->
-          if Hashtbl.mem seen s.s_hash then false
-          else begin
-            Hashtbl.add seen s.s_hash ();
-            true
-          end)
-        srcs
-      |> List.sort (fun a b ->
-             match compare (run_id a) (run_id b) with
-             | 0 -> compare a.s_hash b.s_hash
-             | c -> c)
+      canonical_sources (fun s -> (run_id s, s.s_hash)) (List.map parse_source texts)
     in
     let zero =
       List.fold_left (fun acc s -> Float.min acc s.s_meta.Trace.ts0_unix) infinity srcs
@@ -2377,8 +2216,7 @@ let reset () =
           h.Histogram.hi <- neg_infinity;
           Stats.running_reset h.Histogram.welford))
     Histogram.registry;
-  Trace.reset ();
-  Telemetry.reset_baseline ()
+  Trace.reset ()
 
 (* Hook the deterministic executor (which sits below this library in the
    dependency order and therefore cannot call it directly):

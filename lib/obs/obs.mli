@@ -12,7 +12,7 @@
     - {b run snapshots} — {!Snapshot.capture} records the whole registry,
       the span aggregates and a GC sample as one mergeable document per
       run: the only serialized run state ([--metrics], the run registry,
-      fleet merges).
+      each telemetry line, fleet merges).
 
     Metric names follow the [subsystem.noun_unit] convention
     (e.g. [des.events_total], [pauli.dem_sample_seconds]).  Nothing here
@@ -66,7 +66,7 @@ val fold_jsonl : string -> ('a -> Json.t -> 'a) -> 'a -> 'a
     too.  Raises [Sys_error] if the file cannot be opened. *)
 
 (** Process-level run identity, stamped into every observability artifact
-    (snapshots, telemetry records, Chrome-trace exports) so
+    (snapshots, telemetry lines, Chrome-trace exports) so
     fleet tooling can correlate the artifacts of one run after the fact. *)
 module Run : sig
   val id : unit -> string
@@ -94,8 +94,8 @@ end
     of a fleet therefore shares one [trace_id] and the per-process span
     ids form a tree, which is what lets [obs trace-merge] and
     [obs monitor] correlate a coordinator with the shard children it
-    forked.  The context is stamped into telemetry records, Chrome-trace
-    metadata events, and snapshots. *)
+    forked.  The context is stamped into snapshots (and so into telemetry
+    lines) and Chrome-trace metadata events. *)
 module Context : sig
   type t = {
     trace_id : string;  (** 16 hex digits, shared fleet-wide *)
@@ -126,14 +126,11 @@ module Context : sig
       parent string warns on stderr and falls back to minting. *)
 
   type stamp = { run_id : string; shard : string; ctx : t }
-  (** The run identity plus trace context that snapshots, telemetry
-      records and trace metadata embed. *)
+  (** The run identity plus trace context that snapshots and trace
+      metadata embed. *)
 
   val stamp : unit -> stamp
   (** This process's stamp. *)
-
-  val stamp_to_json : stamp -> Json.t
-  (** [{"id", "shard", "trace_id", "span_id", "parent_span_id"}]. *)
 end
 
 (** Monotonically increasing integer metric. *)
@@ -177,27 +174,9 @@ module Histogram : sig
       is ignored when the name already exists. *)
 
   val observe : t -> float -> unit
-  val count : t -> int
-  val mean : t -> float
-  val variance : t -> float
+  (** The one write path; a histogram is read through a
+      {!Snapshot.capture}. *)
 
-  val quantile : t -> float -> float
-  (** [quantile t q] for [q] in [0, 1]: bucket-interpolated estimate (linear
-      within the bucket holding rank [q * count], edges clamped to the
-      observed min/max).  With a single sample — or when every sample was
-      the same value — returns that exact value.  [nan] when empty; raises
-      [Invalid_argument] on [q] outside [0, 1]. *)
-
-  val min_value : t -> float
-  (** [infinity] when empty. *)
-
-  val max_value : t -> float
-  (** [neg_infinity] when empty. *)
-
-  val bucket_counts : t -> (float * int) array
-  (** [(upper_bound, count)] pairs, in bound order, excluding overflow. *)
-
-  val overflow : t -> int
   val name : t -> string
 end
 
@@ -342,79 +321,26 @@ module Profile : sig
       path); [limit] defaults to 20, [sort] to self time. *)
 end
 
-(** Append-only JSONL telemetry heartbeat, schema [hetarch.telemetry/4]:
-    one {!record} per tick, the last one marked [final] so readers can tell
-    a completed stream from a stalled one.  A record is the delta of two
-    {!Snapshot.capture}s, its own and the previous record's: counters and
-    their deltas from [counters], GC deltas and heap from [process], queue
-    depth and busy domains from the [parallel.*] gauges.  Seq 0 and the
-    first record after [Obs.reset] take counter deltas from zero and GC
-    deltas from the moment of the enable or reset.
+(** Append-only JSONL telemetry heartbeat: one {!Snapshot} document per
+    line, the first written at {!enable} and the last by {!disable}.  Before
+    each capture the writer sets two gauges: [telemetry.interval_s], its
+    throttle interval, and [telemetry.final], 1 on the closing line and 0
+    otherwise, so readers can tell a completed stream from a stalled one.
+    {!disable} unregisters both after the closing line.  Everything else a heartbeat reports (deltas, rates) {!Monitor} derives
+    from consecutive lines.
 
     Ticks are driven {e synchronously} from [Parallel] chunk boundaries and
     [Collect] batch completions; there is no background thread, so enabling
     telemetry cannot change any computed result.  A disabled tick costs one
     atomic load; an enabled one is throttled to the configured interval. *)
 module Telemetry : sig
-  type task_progress = {
-    tp_id : string;
-    tp_kind : string;
-    tp_shots : int;
-    tp_errors : int;
-    tp_resumed : int;  (** shots replayed from a ledger *)
-    tp_rel_halfwidth : float;  (** [nan] when undefined (zero errors) *)
-    tp_remaining : int;  (** shots to the task's ceiling; 0 once stopped *)
-    tp_done : bool;
-  }
-
-  type campaign = {
-    c_done : int;
-    c_total : int;
-    c_shots : int;  (** merged, including resumed *)
-    c_new_shots : int;  (** sampled by this run *)
-    c_rate : float;  (** new shots per second *)
-    c_remaining : int;
-    c_eta_s : float option;
-    c_tasks : task_progress list;
-  }
-
-  type record = {
-    run : Context.stamp;
-    seq : int;
-    elapsed_s : float;
-    dt_s : float;  (** since the previous record; [0.] for seq 0 *)
-    interval_s : float;  (** the writer's declared throttle interval *)
-    counters : (string * int) list;
-    deltas : (string * int) list;  (** since the previous record, >= 0 *)
-    rates : (string * float) list;  (** per second, positive deltas only *)
-    gc_minor_delta : int;
-    gc_major_delta : int;
-    gc_minor_words_delta : int;
-    gc_heap_words : int;
-    gc_top_heap_words : int;
-    queue_depth : int;
-    busy_domains : int;
-    campaign : campaign option;
-    final : bool;  (** the stream's closing record *)
-  }
-  (** One line of the stream.  [tp_resumed] is not serialized: a decoded
-      task carries [0]. *)
-
-  val to_json : record -> Json.t
-  (** The line {!tick} and {!disable} write. *)
-
-  val of_json : Json.t -> record
-  (** Inverse of {!to_json} (byte-equal on re-encoding).  Strict: raises
-      [Failure] unless the schema is [hetarch.telemetry/4] and every
-      section the writer always emits is present and well typed. *)
-
   val enable : path:string -> interval_s:float -> unit
-  (** Open (truncating) [path], write a baseline record (seq 0), and start
-      accepting ticks at most every [interval_s] seconds ([0.] = every
-      tick).  Re-enabling closes the previous sink first. *)
+  (** Open (truncating) [path], write a baseline line, and start accepting
+      ticks at most every [interval_s] seconds ([0.] = every tick).
+      Re-enabling closes the previous sink first. *)
 
   val disable : unit -> unit
-  (** Write one final forced record and close the sink.  No-op when
+  (** Write one final forced line and close the sink.  No-op when
       telemetry was never enabled.  Also installed as an [at_exit] hook by
       {!enable}, so a run that exits between ticks (including via [exit]
       deep inside a command) still leaves a complete final heartbeat. *)
@@ -422,32 +348,23 @@ module Telemetry : sig
   val enabled : unit -> bool
 
   val tick : ?force:bool -> unit -> unit
-  (** Append a record if enabled and the interval has elapsed ([force]
+  (** Append a line if enabled and the interval has elapsed ([force]
       bypasses the throttle).  Domain-safe. *)
-
-  val set_campaign : (unit -> task_progress list) option -> unit
-  (** Register (or clear) the campaign progress provider and restart the
-      campaign clock.  The provider is called at each tick and by
-      {!campaign_snapshot}; it must be cheap and domain-safe. *)
-
-  val campaign_snapshot : unit -> campaign option
-  (** Aggregate the provider's current task list into campaign totals, rate
-      and ETA — the single code path behind both the telemetry records and
-      the collect [--progress] line.  [None] when no provider is set. *)
 end
 
 (** Complete, content-hashed serialization of one process's obs state
     (schema [hetarch.snapshot/3]) — the only captured run state: what
-    [--metrics] writes, what the {!Registry} stores, and the unit {!Merge}
-    folds.
+    [--metrics] writes, what the {!Registry} stores, each line of a
+    {!Telemetry} stream, and the unit {!Merge} folds.
 
     A snapshot carries the {e raw mergeable state}: integer bucket counts,
     Welford [(count, mean, m2)] triples, per-span-name and per-caller-path
     aggregates including raw allocation words (the path aggregates
     reconstruct the profile trie — time and allocation — exactly via
     {!Profile.of_totals}), the GC/process section, and run metadata (run
-    id, shard label, trace context, argv, wall span, jobs).  Derived
-    quantities (quantiles, variance) are left to readers.
+    id, shard label, trace context, argv, wall span, jobs), plus the
+    campaign progress section while a provider is set ({!set_campaign}).
+    Derived quantities (quantiles, variance, rates) are left to readers.
 
     Serialization is canonical — sections sorted by name, floats emitted in
     round-tripping form — so [of_json] ∘ [to_json] is the identity and the
@@ -477,6 +394,28 @@ module Snapshot : sig
     p_top_heap_words : int;
   }
 
+  type task_progress = {
+    tp_id : string;
+    tp_kind : string;
+    tp_shots : int;
+    tp_errors : int;
+    tp_resumed : int;  (** shots replayed from a ledger; not serialized *)
+    tp_rel_halfwidth : float;  (** [nan] when undefined (zero errors) *)
+    tp_remaining : int;  (** shots to the task's ceiling; 0 once stopped *)
+    tp_done : bool;
+  }
+
+  type campaign = {
+    c_done : int;
+    c_total : int;
+    c_shots : int;  (** merged, including resumed *)
+    c_new_shots : int;  (** sampled by this run *)
+    c_rate : float;  (** new shots per second *)
+    c_remaining : int;
+    c_eta_s : float option;
+    c_tasks : task_progress list;
+  }
+
   type t = {
     run : Context.stamp;
     argv : string list;
@@ -491,19 +430,37 @@ module Snapshot : sig
     paths : (string * int * int64 * int * int * int) list;
         (** profile trie, keyed by path; same aggregate shape *)
     process : process;
+    campaign : campaign option;
+        (** written only when present; a decoded task's [tp_resumed] is 0 *)
   }
 
   val schema : string
 
   val capture : unit -> t
-  (** Snapshot the whole registry plus trace aggregates, process stats and
-      run metadata.  The GC/process section is sampled first, so the
-      capture's own allocation stays out of it.  Histograms are read under
-      their locks; domain-safe. *)
+  (** Snapshot the whole registry plus trace aggregates, process stats,
+      run metadata and the campaign provider's progress.  The GC/process
+      section is sampled first, so the capture's own allocation stays out
+      of it.  Histograms are read under their locks; domain-safe. *)
 
   val quantile : hist -> float -> float
-  (** Bucket-interpolated quantile, the same estimate {!Histogram.quantile}
-      gives for the live histogram. *)
+  (** [quantile h q] for [q] in [0, 1]: bucket-interpolated estimate (linear
+      within the bucket holding rank [q * count], edges clamped to the
+      observed min/max).  With a single sample — or when every sample was
+      the same value — returns that exact value.  [nan] when empty; raises
+      [Invalid_argument] on [q] outside [0, 1]. *)
+
+  val gauge : t -> string -> float
+  (** A gauge's captured value; [0.] when absent. *)
+
+  val set_campaign : (unit -> task_progress list) option -> unit
+  (** Register (or clear) the campaign progress provider and restart the
+      campaign clock.  {!capture} and {!campaign} call the provider; it
+      must be cheap and domain-safe. *)
+
+  val campaign : unit -> campaign option
+  (** Aggregate the provider's current task list into campaign totals, rate
+      and ETA — the single code path behind both the captured section and
+      the collect [--progress] line.  [None] when no provider is set. *)
 
   val to_json : t -> Json.t
   val of_json : Json.t -> t
@@ -522,8 +479,7 @@ module Snapshot : sig
   val load : string -> t
 end
 
-(** Deterministic, order-insensitive union of snapshots into one fleet view
-    (schema [hetarch.fleet/4]).
+(** Deterministic, order-insensitive union of snapshots into one fleet view.
 
     The sources fold into one {!Snapshot.t} in a canonical order (run id,
     then content hash, duplicates removed) — so the output is
@@ -535,17 +491,16 @@ end
     Welford states exactly (Chan's parallel update), raising [Failure] on
     mismatched bucket bounds.
 
-    The fleet document is the merged snapshot's state sections plus
-    [runs], [window], [attribution] (run, shard, trace id, content hash,
-    start, wall, jobs per source) and the embedded [sources]. *)
+    The fleet view on disk is a JSON array of the canonical sources'
+    snapshot documents; readers recompute the merged state with {!merged}. *)
 module Merge : sig
   type t
 
-  val schema : string
   val of_snapshots : Snapshot.t list -> t
   val union : t -> t -> t
   (** Commutative, associative and idempotent up to byte equality of
-      [to_json]. *)
+      [to_json].  Both raise [Failure] when two sources give one histogram
+      different bucket bounds, so every [t] can be {!merged}. *)
 
   val sources : t -> Snapshot.t list
   (** Deduplicated sources in canonical order. *)
@@ -553,13 +508,14 @@ module Merge : sig
   val merged : t -> Snapshot.t
   (** The sources folded into one snapshot.  Its run fields are empty
       except [started_unix] and [wall_seconds], which span the sources'
-      window. *)
+      window; it has no campaign section. *)
 
   val to_json : t -> Json.t
 
   val of_json : Json.t -> t
-  (** Accepts a snapshot document or a fleet document (flattened back to
-      its sources, so merging merged documents is exact). *)
+  (** Accepts a snapshot document or a fleet view (flattened back to its
+      sources, so merging merged documents is exact).  Raises [Failure] on
+      anything else, or on sources that {!union} refuses. *)
 end
 
 (** Append-only run registry under [HETARCH_OBS_DIR].
@@ -621,40 +577,62 @@ module Registry : sig
       [(kept, dropped)]; [(0, 0)] without a configured directory. *)
 end
 
-(** Live fleet view over [<dir>/telemetry]: one row per heartbeat
-    stream, from its last complete record.  [Done] when that record is
-    [final] or the run has reached [index.jsonl]; [Stalled] when the file
-    has gone untouched for [stall_factor × max(interval_s, 1 s)] — judged
-    against the stream's {e own} declared throttle interval; [Live]
-    otherwise.  [obs monitor FILE] prints the same row for one stream. *)
+(** Reader of {!Telemetry} streams, and the live fleet view over
+    [<dir>/telemetry]: one row per stream, from its last complete line.
+    [Done] when that line has [telemetry.final] = 1 or the run has reached
+    [index.jsonl]; [Stalled] when the file has gone untouched for
+    [stall_factor × max(telemetry.interval_s, 1 s)] — judged against the
+    stream's {e own} declared throttle interval; [Live] otherwise.
+    [obs monitor FILE] prints the same row for one stream. *)
 module Monitor : sig
+  type tick = {
+    snap : Snapshot.t;  (** the line itself *)
+    seq : int;  (** 0-based index among the stream's complete lines *)
+    elapsed_s : float;  (** [wall_seconds] since the first line *)
+    dt_s : float;  (** since the previous line; [0.] on the first *)
+    deltas : (string * int) list;
+        (** counters since the previous line (from zero on the first).  A
+            counter that fell was zeroed by {!Obs.reset} in between, and
+            counts from zero; one that had already passed its old value by
+            the next line reads as growth from it. *)
+    gc_minor_delta : int;  (** minor collections since the previous line *)
+    minor_words_per_s : float;
+        (** minor words allocated since the previous line per second; [0.]
+            when [dt_s] is 0 *)
+  }
+  (** One line of a stream with what consecutive lines imply. *)
+
+  val read : string -> tick list
+  (** Every complete line of a stream, in order.  Blank and torn
+      (unparsable) lines are skipped; a line that is not a snapshot raises
+      [Failure]. *)
+
+  val last : string -> tick option
+  (** The stream's last complete line, as {!read} would give it, decoding
+      every line but keeping none; [None] for a stream without one. *)
+
   type status = Live | Stalled | Done
 
   type row = {
     file : string;  (** telemetry stream path *)
-    last : Telemetry.record;  (** the stream's last complete record *)
+    last : tick;  (** the stream's last complete line *)
     age_s : float;  (** now − file mtime *)
     registered : bool;  (** run id present in [index.jsonl] *)
     rel_halfwidth : float;  (** worst unfinished task; [nan] when none *)
-    alloc_w_per_s : float;
-        (** the last record's [gc.minor_words_per_s] rate; [0.] when absent *)
     status : status;
   }
 
-  val default_stall_factor : float
+  val stall_factor : float
   (** 5.0 — five missed heartbeats flag a stall. *)
 
-  val row_of_stream :
-    ?registered:bool -> ?stall_factor:float -> ?now_unix:float -> string ->
-    Telemetry.record -> row
-  (** The row for the stream at [path] whose last record is given;
+  val row_of_stream : ?registered:bool -> ?now_unix:float -> string -> tick -> row
+  (** The row for the stream at [path] whose last line is given;
       [registered] (default false) marks the run done. *)
 
-  val scan :
-    ?stall_factor:float -> ?now_unix:float -> dir:string -> unit -> row list
-  (** One row per stream whose last complete record decodes as telemetry,
-      sorted [(shard, run_id)] so coordinator/shard families group
-      together.  [now_unix] pins the staleness clock (tests). *)
+  val scan : ?now_unix:float -> dir:string -> unit -> row list
+  (** One row per stream whose lines all decode as snapshots, sorted
+      [(shard, run_id)] so coordinator/shard families group together.
+      [now_unix] pins the staleness clock (tests). *)
 
   val status_string : status -> string
   (** ["live"] / ["stalled"] / ["done"]. *)

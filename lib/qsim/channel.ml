@@ -80,10 +80,6 @@ let compose a b =
     kraus =
       List.concat_map (fun ka -> List.map (fun kb -> Cmat.mul kb ka) b.kraus) a.kraus }
 
-let of_unitary name u =
-  if not (Gate.is_unitary u) then invalid_arg "Channel.of_unitary: not unitary";
-  { name; kraus = [ u ] }
-
 let is_cptp ?(tol = 1e-9) t =
   match t.kraus with
   | [] -> false

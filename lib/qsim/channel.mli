@@ -43,8 +43,6 @@ val idle : t1:float -> t2:float -> dt:float -> t
 val compose : t -> t -> t
 (** [compose a b] applies [b] after [a] (Kraus products [Kb * Ka]). *)
 
-val of_unitary : string -> Cmat.t -> t
-
 val is_cptp : ?tol:float -> t -> bool
 (** Checks the trace-preservation condition [sum K†K = I]. *)
 

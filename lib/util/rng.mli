@@ -65,6 +65,3 @@ val categorical : t -> float array -> int
 
 val shuffle : t -> 'a array -> unit
 (** In-place Fisher–Yates shuffle. *)
-
-val choose : t -> 'a array -> 'a
-(** Uniform element of a non-empty array. *)

@@ -79,13 +79,13 @@ let test_env_inheritance () =
     (is_hex_id c.Obs.Context.span_id
     && c.Obs.Context.span_id <> "8899aabbccddeeff");
   (* every observability stamp carries all three fields *)
-  match Obs.Context.(stamp_to_json (stamp ())) with
-  | Obs.Json.Obj kvs ->
+  match Obs.Json.member "run" (Obs.Snapshot.to_json (Obs.Snapshot.capture ())) with
+  | Some (Obs.Json.Obj kvs) ->
       List.iter
         (fun k ->
           Alcotest.(check bool) (k ^ " stamped") true (List.mem_assoc k kvs))
         [ "id"; "shard"; "trace_id"; "span_id"; "parent_span_id" ]
-  | _ -> Alcotest.fail "stamp is not an object"
+  | _ -> Alcotest.fail "snapshot has no run object"
 
 (* ------------------------------------------------- child command lines *)
 

@@ -1,8 +1,7 @@
 (* Tests for the distillation stack: Bell-diagonal algebra cross-validated
    against the exact density-matrix simulator, the DEJMPS recurrence
-   cross-validated against the full 4-qubit protocol circuit, entanglement
-   swapping against the exact Bell-measurement circuit, the EP source, and
-   the module-level discrete-event simulation. *)
+   cross-validated against the full 4-qubit protocol circuit, the EP source,
+   and the module-level discrete-event simulation. *)
 
 let bell_vec which =
   let a = 1. /. sqrt 2. in
@@ -252,65 +251,6 @@ let prop_pool_refresh_bit_exact =
       check_at (now +. d3);
       !ok)
 
-(* ------------------------------------------------ swap vs circuit *)
-
-(* Exact entanglement swapping: pairs (a,b1) and (b2,c); Bell-measure
-   (b1,b2); accumulate the corrected (a,c) state over all four outcomes. *)
-let swap_circuit pa pb =
-  (* qubits: a=0, b1=1, b2=2, c=3 *)
-  let rho = ref (Cmat.kron (rho_of_pair pa) (rho_of_pair pb)) in
-  let apply u targets = rho := Cmat.sandwich (Cmat.embed_unitary ~nqubits:4 ~targets u) !rho in
-  apply Gate.cx [ 1; 2 ];
-  apply Gate.h [ 1 ];
-  (* Outcome (m1, m2): correction on c: Z^m1 X^m2. *)
-  let acc = ref (Cmat.create 4 4) in
-  for m1 = 0 to 1 do
-    for m2 = 0 to 1 do
-      let proj =
-        Cmat.init 16 16 (fun i j ->
-            let b1 = (i lsr 2) land 1 and b2 = (i lsr 1) land 1 in
-            if i = j && b1 = m1 && b2 = m2 then Complex.one else Complex.zero)
-      in
-      let branch = Cmat.mul (Cmat.mul proj !rho) proj in
-      let p_branch = (Cmat.trace branch).Complex.re in
-      if p_branch > 1e-12 then begin
-        let red = Cmat.ptrace ~keep:[ 0; 3 ] ~nqubits:4 branch in
-        let fix u = Cmat.sandwich (Cmat.embed_unitary ~nqubits:2 ~targets:[ 1 ] u) in
-        let red = if m2 = 1 then fix Gate.x red else red in
-        let red = if m1 = 1 then fix Gate.z red else red in
-        acc := Cmat.add !acc red
-      end
-    done
-  done;
-  !acc
-
-let test_swap_matches_circuit () =
-  List.iter
-    (fun (pa, pb) ->
-      let predicted = Bell_pair.to_probs (Bell_pair.swap pa pb) in
-      let rho = swap_circuit pa pb in
-      List.iteri
-        (fun i which ->
-          Alcotest.(check (float 1e-9))
-            (Printf.sprintf "component %d" i)
-            predicted.(i) (component rho which))
-        [ 0; 1; 2; 3 ])
-    [ (Bell_pair.werner 0.95, Bell_pair.werner 0.9);
-      ( { Bell_pair.phi_p = 0.85; psi_p = 0.05; psi_m = 0.02; phi_m = 0.08 },
-        Bell_pair.werner 0.97 ) ]
-
-let test_swap_perfect_inputs () =
-  let out = Bell_pair.swap Bell_pair.perfect Bell_pair.perfect in
-  Alcotest.(check (float 1e-12)) "perfect swap" 1. (Bell_pair.fidelity out)
-
-let test_swap_infidelity_accumulates () =
-  let p = Bell_pair.werner 0.98 in
-  let once = Bell_pair.swap p p in
-  Alcotest.(check bool) "worse than either input" true
-    (Bell_pair.fidelity once < 0.98);
-  Alcotest.(check bool) "roughly additive" true
-    (Bell_pair.infidelity once < 2.2 *. Bell_pair.infidelity p)
-
 (* -------------------------------------------------------------- source *)
 
 let test_source_rate () =
@@ -459,10 +399,6 @@ let () =
           Alcotest.test_case "improves above 1/2" `Quick test_dejmps_improves_above_half;
           Alcotest.test_case "prediction at p_succ = 0" `Quick
             test_dejmps_prediction_zero_success ] );
-      ( "swap algebra",
-        [ Alcotest.test_case "matches exact circuit" `Quick test_swap_matches_circuit;
-          Alcotest.test_case "perfect inputs" `Quick test_swap_perfect_inputs;
-          Alcotest.test_case "infidelity accumulates" `Quick test_swap_infidelity_accumulates ] );
       ( "source",
         [ Alcotest.test_case "rate" `Quick test_source_rate;
           Alcotest.test_case "infidelity range" `Quick test_source_infidelity_range;

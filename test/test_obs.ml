@@ -30,53 +30,55 @@ let test_gauge () =
 
 (* ------------------------------------------------------------ histograms *)
 
+(* A histogram is read through a capture, the one read path. *)
+let captured name =
+  List.assoc name (Obs.Snapshot.capture ()).Obs.Snapshot.histograms
+
+let quantile name q = Obs.Snapshot.quantile (captured name) q
+
 let test_histogram () =
   Obs.reset ();
   let h = Obs.Histogram.create ~buckets:[| 1.; 10.; 100. |] "test.hist" in
   List.iter (Obs.Histogram.observe h) [ 0.5; 1.0; 5.; 50.; 500. ];
-  Alcotest.(check int) "count" 5 (Obs.Histogram.count h);
-  let buckets = Obs.Histogram.bucket_counts h in
-  Alcotest.(check (list (pair (float 1e-9) int)))
-    "bucket placement (le semantics, clamped below)"
-    [ (1., 2); (10., 1); (100., 1) ]
-    (Array.to_list buckets);
-  Alcotest.(check int) "overflow" 1 (Obs.Histogram.overflow h);
+  let c = captured "test.hist" in
+  Alcotest.(check int) "count" 5 c.h_count;
+  Alcotest.(check (array int))
+    "bucket placement (le semantics, clamped below)" [| 2; 1; 1 |] c.h_counts;
+  Alcotest.(check int) "overflow" 1 c.h_overflow;
   Alcotest.(check bool) "mean matches Welford" true
-    (feq ~eps:1e-9 (Obs.Histogram.mean h) ((0.5 +. 1. +. 5. +. 50. +. 500.) /. 5.));
-  Alcotest.(check bool) "min/max" true
-    (feq (Obs.Histogram.min_value h) 0.5 && feq (Obs.Histogram.max_value h) 500.);
-  (* variance against the two-pass Stats implementation *)
+    (feq ~eps:1e-9 c.h_mean ((0.5 +. 1. +. 5. +. 50. +. 500.) /. 5.));
+  Alcotest.(check bool) "min/max" true (feq c.h_min 0.5 && feq c.h_max 500.);
+  (* variance (M2 / (n - 1)) against the two-pass Stats implementation *)
   let xs = [| 0.5; 1.0; 5.; 50.; 500. |] in
   Alcotest.(check bool) "variance matches Stats.variance" true
-    (feq ~eps:1e-6 (Obs.Histogram.variance h) (Stats.variance xs))
+    (feq ~eps:1e-6 (c.h_m2 /. 4.) (Stats.variance xs))
 
 let test_histogram_quantile () =
   Obs.reset ();
   let h = Obs.Histogram.create ~buckets:[| 10.; 20.; 30. |] "test.quant" in
-  Alcotest.(check bool) "empty -> nan" true
-    (Float.is_nan (Obs.Histogram.quantile h 0.5));
+  Alcotest.(check bool) "empty -> nan" true (Float.is_nan (quantile "test.quant" 0.5));
   (* 100 samples uniform over (0, 30]: bucket counts 33/33/34. *)
   for i = 1 to 100 do
     Obs.Histogram.observe h (float_of_int i *. 0.3)
   done;
+  let q = quantile "test.quant" in
   (* Interpolated median must land in the middle bucket, near 15. *)
-  let p50 = Obs.Histogram.quantile h 0.5 in
+  let p50 = q 0.5 in
   Alcotest.(check bool) "median in middle bucket" true (p50 > 10. && p50 <= 20.);
   Alcotest.(check bool) "median near 15" true (Float.abs (p50 -. 15.) < 2.);
   (* Extremes clamp to the observed range, not the bucket edges. *)
-  Alcotest.(check bool) "q=0 is min" true (feq (Obs.Histogram.quantile h 0.) 0.3);
-  Alcotest.(check bool) "q=1 is max" true (feq (Obs.Histogram.quantile h 1.) 30.);
-  Alcotest.(check bool) "monotone" true
-    (Obs.Histogram.quantile h 0.9 >= Obs.Histogram.quantile h 0.5);
+  Alcotest.(check bool) "q=0 is min" true (feq (q 0.) 0.3);
+  Alcotest.(check bool) "q=1 is max" true (feq (q 1.) 30.);
+  Alcotest.(check bool) "monotone" true (q 0.9 >= q 0.5);
   Alcotest.(check bool) "rejects q out of range" true
     (try
-       ignore (Obs.Histogram.quantile h 1.5);
+       ignore (q 1.5);
        false
      with Invalid_argument _ -> true);
   (* Overflow-bucket quantiles interpolate toward the observed max. *)
   let o = Obs.Histogram.create ~buckets:[| 1. |] "test.quant_overflow" in
   List.iter (Obs.Histogram.observe o) [ 5.; 6.; 7.; 8. ];
-  let q = Obs.Histogram.quantile o 0.5 in
+  let q = quantile "test.quant_overflow" 0.5 in
   Alcotest.(check bool) "overflow quantile within observed range" true
     (q > 1. && q <= 8.)
 
@@ -91,15 +93,14 @@ let test_histogram_quantile_exact_when_degenerate () =
       Alcotest.(check bool)
         (Printf.sprintf "single sample exact at q=%g" q)
         true
-        (feq (Obs.Histogram.quantile h q) 12.5))
+        (feq (quantile "test.quant_single" q) 12.5))
     [ 0.; 0.25; 0.5; 0.9; 1. ];
   (* Many identical samples (min = max) collapse the same way. *)
   let d = Obs.Histogram.create ~buckets:[| 10.; 20. |] "test.quant_flat" in
   for _ = 1 to 7 do
     Obs.Histogram.observe d 15.
   done;
-  Alcotest.(check bool) "min = max exact" true
-    (feq (Obs.Histogram.quantile d 0.5) 15.)
+  Alcotest.(check bool) "min = max exact" true (feq (quantile "test.quant_flat" 0.5) 15.)
 
 let test_histogram_rejects_bad_buckets () =
   Obs.reset ();
@@ -255,8 +256,8 @@ let test_report_process_section () =
   Alcotest.(check bool) "collections nonnegative" true
     (f "minor_collections" >= 0. && f "major_collections" >= 0.)
 
-(* Quantiles are derived by readers from the snapshot's buckets, through the
-   same estimate the live histogram gives. *)
+(* Quantiles are derived by readers from the snapshot's buckets: a
+   re-read document answers exactly as the capture it was written from. *)
 let test_report_quantiles () =
   Obs.reset ();
   let h = Obs.Histogram.create ~buckets:[| 1.; 10. |] "rq.hist" in
@@ -268,8 +269,8 @@ let test_report_quantiles () =
       let x = Obs.Snapshot.quantile hist q in
       Alcotest.(check bool) (Printf.sprintf "q%g within range" q) true
         (x >= 0.5 && x <= 20.);
-      Alcotest.(check bool) (Printf.sprintf "q%g matches live histogram" q) true
-        (x = Obs.Histogram.quantile h q))
+      Alcotest.(check bool) (Printf.sprintf "q%g matches the capture" q) true
+        (x = quantile "rq.hist" q))
     [ 0.5; 0.9; 0.99 ]
 
 let test_report_roundtrip () =

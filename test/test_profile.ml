@@ -1,8 +1,8 @@
 (* Tests for the call-tree profiler, the telemetry heartbeat, and the
    snapshot diff gate: tree structure and the self-time telescoping
    identity, path integrity on exception exits, folded-stack determinism
-   across --jobs, delta arithmetic across Obs.reset, and regression
-   detection on crafted documents. *)
+   across --jobs, the telemetry stream and the deltas its reader derives
+   across Obs.reset, and regression detection on crafted documents. *)
 
 let spin () = ignore (Sys.opaque_identity (Array.init 2000 (fun i -> i * i)))
 
@@ -197,16 +197,6 @@ let test_self_alloc_deterministic_sequential () =
 
 (* ------------------------------------------------------------ telemetry *)
 
-let read_records path =
-  In_channel.with_open_text path In_channel.input_lines
-  |> List.filter (fun l -> String.trim l <> "")
-  |> List.map Obs.Json.parse
-
-let delta_of name record =
-  match Option.bind (Obs.Json.member "deltas" record) (Obs.Json.member name) with
-  | Some (Obs.Json.Int d) -> d
-  | _ -> Alcotest.failf "record missing delta for %s" name
-
 let test_telemetry_deltas_across_reset () =
   Obs.reset ();
   let c = Obs.Counter.create "telemetry_test.events_total" in
@@ -218,41 +208,42 @@ let test_telemetry_deltas_across_reset () =
       Alcotest.(check bool) "enabled" true (Obs.Telemetry.enabled ());
       Obs.Counter.add c 10;
       Obs.Telemetry.tick ~force:true ();
-      (* Zeroing every metric must also forget the delta baseline: the next
-         record reports +3, not 3 - 10 = -7 (or a clamped 0). *)
+      (* Zeroing every metric drops the counter to 3: the reader takes the
+         fall for a reset and counts from zero, +3 rather than 3 - 10 = -7. *)
       Obs.reset ();
       Obs.Counter.add c 3;
       Obs.Telemetry.tick ~force:true ();
+      Obs.Counter.add c 4;
       Obs.Telemetry.disable ();
       Alcotest.(check bool) "disabled" false (Obs.Telemetry.enabled ());
-      match read_records path with
-      | [ baseline; first; after_reset; final ] ->
+      Alcotest.(check bool) "writer gauges leave with the writer" true
+        (List.for_all
+           (fun (n, _) -> not (String.starts_with ~prefix:"telemetry." n))
+           (Obs.Snapshot.capture ()).gauges);
+      let delta_of (t : Obs.Monitor.tick) =
+        List.assoc "telemetry_test.events_total" t.deltas
+      in
+      match Obs.Monitor.read path with
+      | [ baseline; first; after_reset; final ] as ticks ->
           List.iteri
-            (fun i r ->
+            (fun i (t : Obs.Monitor.tick) ->
+              Alcotest.(check int) (Printf.sprintf "line %d seq" i) i t.seq;
               Alcotest.(check bool)
-                (Printf.sprintf "record %d schema" i)
+                (Printf.sprintf "line %d run stamp" i)
                 true
-                (Obs.Json.member "schema" r
-                = Some (Obs.Json.String "hetarch.telemetry/4"));
+                (t.snap.run = (List.hd ticks).snap.run);
               Alcotest.(check bool)
-                (Printf.sprintf "record %d run stamp" i)
+                (Printf.sprintf "line %d elapsed" i)
                 true
-                (Option.bind (Obs.Json.member "run" r) (Obs.Json.member "id")
-                <> None);
-              Alcotest.(check bool)
-                (Printf.sprintf "record %d seq" i)
-                true
-                (Obs.Json.member "seq" r = Some (Obs.Json.Int i)))
-            [ baseline; first; after_reset; final ];
-          Alcotest.(check int) "baseline delta zero" 0
-            (delta_of "telemetry_test.events_total" baseline);
-          Alcotest.(check int) "first tick sees +10" 10
-            (delta_of "telemetry_test.events_total" first);
+                (t.elapsed_s = t.snap.wall_seconds -. baseline.snap.wall_seconds
+                && t.dt_s >= 0.))
+            ticks;
+          Alcotest.(check int) "baseline delta zero" 0 (delta_of baseline);
+          Alcotest.(check int) "first tick sees +10" 10 (delta_of first);
           Alcotest.(check int) "post-reset tick sees +3, not -7" 3
-            (delta_of "telemetry_test.events_total" after_reset);
-          Alcotest.(check int) "final record delta zero" 0
-            (delta_of "telemetry_test.events_total" final)
-      | records -> Alcotest.failf "expected 4 records, got %d" (List.length records))
+            (delta_of after_reset);
+          Alcotest.(check int) "final line sees +4" 4 (delta_of final)
+      | ticks -> Alcotest.failf "expected 4 lines, got %d" (List.length ticks))
 
 let test_telemetry_tick_noop_when_disabled () =
   Obs.reset ();
@@ -273,48 +264,107 @@ let hetarch_bin =
 
 let raises_failure f = match f () with _ -> false | exception Failure _ -> true
 
-(* Every line a real campaign writes decodes, and re-encodes to the same
-   bytes; dropping any section the writer always emits is rejected. *)
-let test_telemetry_codec_roundtrip () =
+(* A real campaign's telemetry stream, written with the given extra flags
+   into a temporary file that [f] reads. *)
+let with_collect_stream flags f =
   let path = Filename.temp_file "hetarch_collect" ".telemetry.jsonl" in
+  let ledger = Filename.temp_file "hetarch_collect" ".ledger.jsonl" in
   Fun.protect
-    ~finally:(fun () -> Sys.remove path)
+    ~finally:(fun () -> Sys.remove path; Sys.remove ledger)
     (fun () ->
       let cmd =
         Filename.quote_command hetarch_bin ~stdout:"/dev/null"
-          [ "collect"; "threshold"; "--seed"; "7"; "--max-shots"; "512";
-            "--batch"; "256"; "--telemetry"; path; "--telemetry-interval"; "0" ]
+          ([ "collect"; "threshold"; "--seed"; "7"; "--batch"; "256"; "--ledger"; ledger;
+             "--telemetry"; path; "--telemetry-interval"; "0" ]
+          @ flags)
       in
       Alcotest.(check int) "collect exits 0" 0 (Sys.command cmd);
+      f path)
+
+(* Every line a real campaign writes is a snapshot that re-encodes to the
+   same bytes; only the last is marked final, and it carries the campaign.
+   Dropping any section the writer always emits is rejected. *)
+let test_telemetry_codec_roundtrip () =
+  with_collect_stream [ "--max-shots"; "512" ] (fun path ->
       let lines = In_channel.with_open_text path In_channel.input_lines in
-      Alcotest.(check bool) "several records" true (List.length lines > 2);
-      let records =
+      Alcotest.(check bool) "several lines" true (List.length lines > 2);
+      let snaps =
         List.mapi
           (fun i line ->
-            let r = Obs.Telemetry.of_json (Obs.Json.parse line) in
+            let s = Obs.Snapshot.of_json (Obs.Json.parse line) in
             Alcotest.(check string)
-              (Printf.sprintf "record %d re-encodes byte-equal" i)
+              (Printf.sprintf "line %d re-encodes byte-equal" i)
               line
-              (Obs.Json.to_string (Obs.Telemetry.to_json r));
-            r)
+              (Obs.Json.to_string (Obs.Snapshot.to_json s));
+            s)
           lines
       in
-      let last = List.nth records (List.length records - 1) in
-      Alcotest.(check bool) "only the last record is final" true
-        (last.Obs.Telemetry.final
-        && List.for_all (fun (r : Obs.Telemetry.record) -> r == last || not r.final) records);
-      Alcotest.(check bool) "campaign section decoded" true (last.campaign <> None);
+      let final s = Obs.Snapshot.gauge s "telemetry.final" in
+      Alcotest.(check (list (float 0.))) "only the last line is final"
+        (List.mapi (fun i _ -> if i = List.length snaps - 1 then 1. else 0.) snaps)
+        (List.map final snaps);
+      let last = List.nth snaps (List.length snaps - 1) in
+      Alcotest.(check bool) "last line carries the campaign" true (last.campaign <> None);
+      Alcotest.(check (float 0.)) "interval gauge" 0.
+        (Obs.Snapshot.gauge last "telemetry.interval_s");
       match Obs.Json.parse (List.nth lines (List.length lines - 1)) with
       | Obs.Json.Obj kvs ->
           List.iter
             (fun key ->
               Alcotest.(check bool) ("without " ^ key ^ " rejected") true
                 (raises_failure (fun () ->
-                     Obs.Telemetry.of_json
-                       (Obs.Json.Obj (List.remove_assoc key kvs)))))
-            [ "schema"; "run"; "seq"; "elapsed_s"; "dt_s"; "interval_s";
-              "counters"; "deltas"; "rates"; "gc"; "parallel" ]
-      | _ -> Alcotest.fail "record is not an object")
+                     Obs.Snapshot.of_json (Obs.Json.Obj (List.remove_assoc key kvs)))))
+            [ "schema"; "run"; "counters"; "gauges"; "histograms"; "spans"; "paths";
+              "process" ]
+      | _ -> Alcotest.fail "line is not an object")
+
+(* A stream cut at any byte reads as its longest prefix of complete lines —
+   a line is complete once its last byte is in, with or without its
+   newline — and as the empty stream before the first one.  The reader
+   never raises and never reports a row the complete lines do not give. *)
+let test_telemetry_cut_every_byte () =
+  (* Halted after its first ledger append, the campaign still writes a
+     complete stream — baseline, heartbeats, final line — of four lines. *)
+  with_collect_stream [ "--max-shots"; "256"; "--jobs"; "1"; "--halt-after"; "1" ] (fun path ->
+      let text = In_channel.with_open_bin path In_channel.input_all in
+      let ends =
+        List.filter_map
+          (fun i -> if text.[i] = '\n' then Some i else None)
+          (List.init (String.length text) Fun.id)
+      in
+      Alcotest.(check bool) "at least three lines" true (List.length ends >= 3);
+      let cut = Filename.temp_file "hetarch_cut" ".jsonl" in
+      Fun.protect
+        ~finally:(fun () -> Sys.remove cut)
+        (fun () ->
+          (* Every file read here gets one mtime, so rows differ only by
+             what the stream holds. *)
+          let row_of bytes =
+            Out_channel.with_open_bin cut (fun oc -> Out_channel.output_string oc bytes);
+            Unix.utimes cut 1e9 1e9;
+            Option.map
+              (fun t ->
+                Obs.Json.to_string
+                  (Obs.Monitor.row_json (Obs.Monitor.row_of_stream ~now_unix:(1e9 +. 1.) cut t)))
+              (Obs.Monitor.last cut)
+          in
+          (* [expected.(k)]: the row of the first k lines. *)
+          let expected =
+            Array.of_list (None :: List.map (fun e -> row_of (String.sub text 0 (e + 1))) ends)
+          in
+          Alcotest.(check bool) "every prefix of complete lines has a row" true
+            (Array.for_all Option.is_some (Array.sub expected 1 (Array.length expected - 1)));
+          for n = 0 to String.length text do
+            let complete = List.length (List.filter (fun e -> e <= n) ends) in
+            match row_of (String.sub text 0 n) with
+            | row ->
+                if row <> expected.(complete) then
+                  Alcotest.failf "cut at %d/%d: row differs from the first %d lines'" n
+                    (String.length text) complete
+            | exception e ->
+                Alcotest.failf "cut at %d/%d raised %s" n (String.length text)
+                  (Printexc.to_string e)
+          done))
 
 (* The exported trace re-reads event for event, to the same bytes; a
    telemetry record is not a trace event. *)
@@ -335,10 +385,10 @@ let test_trace_codec_roundtrip () =
           Alcotest.(check string) "event re-encodes byte-equal" line
             (Obs.Json.to_string (Obs.Trace.event_to_json ev)))
         lines events;
-      Alcotest.(check bool) "telemetry line rejected" true
+      Alcotest.(check bool) "snapshot line rejected" true
         (raises_failure (fun () ->
              Obs.Trace.event_of_json
-               (Obs.Json.parse {|{"schema":"hetarch.telemetry/4","seq":0}|}))))
+               (Obs.Json.parse {|{"schema":"hetarch.snapshot/3","run":{}}|}))))
 
 (* ----------------------------------------------------------------- diff *)
 
@@ -360,7 +410,8 @@ let snapshot spans =
     process =
       { p_minor_collections = 0; p_major_collections = 0; p_compactions = 0;
         p_minor_words = 0.; p_promoted_words = 0.; p_major_words = 0.;
-        p_heap_words = 0; p_top_heap_words = 0 } }
+        p_heap_words = 0; p_top_heap_words = 0 };
+    campaign = None }
 
 (* [b] judged against the explicit baseline [a]: a one-point history that
    may flag. *)
@@ -446,6 +497,8 @@ let () =
       ( "codec",
         [ Alcotest.test_case "telemetry round trip" `Quick
             test_telemetry_codec_roundtrip;
+          Alcotest.test_case "telemetry cut at every byte" `Quick
+            test_telemetry_cut_every_byte;
           Alcotest.test_case "trace round trip" `Quick test_trace_codec_roundtrip ] );
       ( "diff",
         [ Alcotest.test_case "regression detection" `Quick test_diff_detects_regression;

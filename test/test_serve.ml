@@ -449,12 +449,10 @@ let test_split_reads_and_pipelining () =
             (String.length pong > 0)))
 
 let count_final_records path =
-  Obs.fold_jsonl path
-    (fun acc j ->
-      match Obs.Json.member "final" j with
-      | Some (Obs.Json.Bool true) -> acc + 1
-      | _ -> acc)
-    0
+  List.length
+    (List.filter
+       (fun (t : Obs.Monitor.tick) -> Obs.Snapshot.gauge t.snap "telemetry.final" = 1.)
+       (Obs.Monitor.read path))
 
 let test_sigterm_finalizes_once () =
   with_tmp_dir (fun dir ->

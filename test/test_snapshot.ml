@@ -60,7 +60,8 @@ let snap ?(run_id = "00000000000000aa") ?(shard = "") ?(counters = [])
       List.map
         (fun (n, c, t, mw, pw, jw) -> ("root;" ^ n, c, t, mw, pw, jw))
         spans;
-    process = proc0 }
+    process = proc0;
+    campaign = None }
 
 let fixed =
   snap
@@ -78,7 +79,25 @@ let test_roundtrip_bit_equal () =
   Alcotest.(check string) "re-serialize is bit-equal" bytes (to_string reread);
   Alcotest.(check string) "content hash survives round trip"
     (Obs.Snapshot.content_hash fixed)
-    (Obs.Snapshot.content_hash reread)
+    (Obs.Snapshot.content_hash reread);
+  (* The campaign section, with an undefined half-width and ETA (null). *)
+  let task i done_ =
+    { Obs.Snapshot.tp_id = Printf.sprintf "%016x" i; tp_kind = "qec.surface";
+      tp_shots = 256 * i; tp_errors = i - 1; tp_resumed = 0;
+      tp_rel_halfwidth = (if i = 1 then nan else 0.5); tp_remaining = 0; tp_done = done_ }
+  in
+  let with_campaign =
+    { fixed with
+      campaign =
+        Some
+          { c_done = 1; c_total = 2; c_shots = 768; c_new_shots = 512; c_rate = 0.;
+            c_remaining = 0; c_eta_s = None; c_tasks = [ task 1 true; task 2 false ] } }
+  in
+  let bytes = to_string with_campaign in
+  Alcotest.(check string) "campaign section re-serializes bit-equal" bytes
+    (to_string (Obs.Snapshot.of_json (Obs.Json.parse bytes)));
+  Alcotest.(check bool) "campaign section is hashed" true
+    (Obs.Snapshot.content_hash with_campaign <> Obs.Snapshot.content_hash fixed)
 
 let test_capture_roundtrip () =
   Obs.reset ();
@@ -139,9 +158,10 @@ let test_pinned_content_hash () =
   let empty = snap ~run_id:"00000000000000bb" () in
   Alcotest.(check string) "pinned empty-snapshot hash" "c916c79e831f0b30"
     (Obs.Snapshot.content_hash empty);
-  let fleet = Obs.Merge.to_json (Obs.Merge.of_snapshots [ fixed; empty ]) in
-  Alcotest.(check bool) "pinned fleet hash" true
-    (Obs.Json.member "content_hash" fleet = Some (Obs.Json.String "b19f640784972860"))
+  (* A fleet view is its canonical sources' documents and nothing else. *)
+  Alcotest.(check string) "fleet view is the sources array"
+    ("[" ^ to_string fixed ^ "," ^ to_string empty ^ "]")
+    (fleet_string (Obs.Merge.of_snapshots [ empty; fixed ]))
 
 (* One format: a document under any other schema string is rejected, not
    read with defaults. *)
@@ -206,43 +226,32 @@ let test_merge_sums_and_attribution () =
       ~spans:[ ("s", 2, 250L, 60, 7, 9) ]
       ()
   in
-  let doc =
-    Obs.Json.parse (fleet_string (Obs.Merge.of_snapshots [ s1; s2 ]))
-  in
-  let mem path =
-    List.fold_left
-      (fun acc name -> Option.bind acc (Obs.Json.member name))
-      (Some doc) path
-  in
-  Alcotest.(check bool) "counters sum" true
-    (mem [ "counters"; "x.total" ] = Some (Obs.Json.Int 5)
-    && mem [ "counters"; "y.total" ] = Some (Obs.Json.Int 5));
-  Alcotest.(check bool) "span counts and totals sum" true
-    (mem [ "spans"; "s"; "count" ] = Some (Obs.Json.Int 3)
-    && mem [ "spans"; "s"; "total_ns" ] = Some (Obs.Json.Int 350));
-  (* allocation aggregates re-fold under the same sum rule *)
-  Alcotest.(check bool) "span alloc words sum" true
-    (mem [ "spans"; "s"; "minor_w" ] = Some (Obs.Json.Int 100)
-    && mem [ "spans"; "s"; "promoted_w" ] = Some (Obs.Json.Int 10)
-    && mem [ "spans"; "s"; "major_w" ] = Some (Obs.Json.Int 10));
-  Alcotest.(check bool) "path alloc words sum" true
-    (mem [ "paths"; "root;s"; "minor_w" ] = Some (Obs.Json.Int 100));
-  (* gauges sum like counters; the per-source readings stay in the
-     embedded sources *)
-  Alcotest.(check bool) "gauges sum" true
-    (mem [ "gauges"; "g" ] = Some (Obs.Json.Float 4.));
-  Alcotest.(check int) "sources embedded" 2
-    (match mem [ "sources" ] with Some (Obs.Json.List l) -> List.length l | _ -> -1);
+  let fleet = Obs.Merge.of_snapshots [ s2; s1 ] in
+  let m = Obs.Merge.merged fleet in
+  Alcotest.(check (list (pair string int))) "counters sum"
+    [ ("x.total", 5); ("y.total", 5) ] m.counters;
+  (* span counts, totals and allocation words re-fold under one sum rule *)
+  Alcotest.(check bool) "span aggregates sum" true
+    (m.spans = [ ("s", 3, 350L, 100, 10, 10) ]);
+  Alcotest.(check bool) "path aggregates sum" true
+    (m.paths = [ ("root;s", 3, 350L, 100, 10, 10) ]);
+  (* gauges sum like counters; the per-source readings stay in the sources *)
+  Alcotest.(check (list (pair string (float 0.)))) "gauges sum" [ ("g", 4.) ] m.gauges;
   (* histogram buckets add; count/mean/M2 follow Chan's pairwise Welford:
      [2;4] + [6] -> count 3, mean 4, M2 8 *)
-  let hf name = Option.map Obs.Json.to_float (mem [ "histograms"; "h"; name ]) in
+  let h = List.assoc "h" m.histograms in
   Alcotest.(check bool) "histogram bucket-merge" true
-    (hf "count" = Some 3. && hf "mean" = Some 4. && hf "m2" = Some 8.
-    && hf "min" = Some 2. && hf "max" = Some 6.);
-  Alcotest.(check int) "two attributed runs" 2
-    (match Obs.Json.member "attribution" doc with
-    | Some (Obs.Json.List l) -> List.length l
-    | _ -> -1)
+    (h.h_count = 3 && h.h_mean = 4. && h.h_m2 = 8. && h.h_min = 2. && h.h_max = 6.
+    && h.h_counts = [| 0; 3 |]);
+  Alcotest.(check bool) "window spans the sources" true
+    (m.started_unix = 1723100000. && m.wall_seconds = 1.5);
+  (* attribution: each source, in canonical (run id) order, is on disk *)
+  Alcotest.(check (list string)) "two attributed runs, canonical order"
+    [ "0000000000000001"; "0000000000000002" ]
+    (List.map (fun (s : Obs.Snapshot.t) -> s.run.run_id) (Obs.Merge.sources fleet));
+  Alcotest.(check string) "sources are the document"
+    ("[" ^ to_string s1 ^ "," ^ to_string s2 ^ "]")
+    (fleet_string fleet)
 
 let test_merge_bounds_mismatch_rejected () =
   let s1 = snap ~run_id:"0000000000000001" ~histograms:[ ("h", hist_a) ] () in
@@ -252,9 +261,16 @@ let test_merge_bounds_mismatch_rejected () =
         [ ("h", { hist_b with Obs.Snapshot.h_bounds = [| 5. |]; h_counts = [| 1 |] }) ]
       ()
   in
-  Alcotest.check_raises "incompatible bucket bounds"
-    (Failure "Obs.Merge: histogram h bucket bounds differ across snapshots")
-    (fun () -> ignore (fleet_string (Obs.Merge.of_snapshots [ s1; s2 ])));
+  let mismatch = Failure "Obs.Merge: histogram h bucket bounds differ across snapshots" in
+  Alcotest.check_raises "incompatible bucket bounds" mismatch (fun () ->
+      ignore (fleet_string (Obs.Merge.of_snapshots [ s1; s2 ])));
+  Alcotest.check_raises "union refuses them too" mismatch (fun () ->
+      ignore (Obs.Merge.(union (of_snapshots [ s1 ]) (of_snapshots [ s2 ]))));
+  (* A fleet document holding such sources is refused when it is read. *)
+  Alcotest.check_raises "fleet view with incompatible sources" mismatch (fun () ->
+      ignore
+        (Obs.Merge.of_json
+           (Obs.Json.List [ Obs.Snapshot.to_json s1; Obs.Snapshot.to_json s2 ])));
   (* Malformed bucket state is rejected when a document is read, before a
      merge could index past the end of a short counts array. *)
   let doc h = Obs.Json.parse (to_string (snap ~histograms:[ ("h", h) ] ())) in
