@@ -793,7 +793,7 @@ let render_snapshot ?(sources = []) (s : Obs.Snapshot.t) =
            (if count = 0 then "-"
             else Printf.sprintf "%.1f" (total_ns /. 1e3 /. float_of_int count));
            string_of_int minor_w ])
-       s.spans)
+       (Obs.Snapshot.span_totals s))
 
 let render_fleet m =
   let sources = Obs.Merge.sources m and s = Obs.Merge.merged m in
@@ -829,7 +829,7 @@ let resolve_ref arg =
   if Sys.file_exists arg then load_state arg
   else
     match (try Obs.Registry.find arg with Failure msg -> obs_fail "%s" msg) with
-    | Some e -> `Snap (guard arg (fun () -> Obs.Registry.load e))
+    | Some file -> load_state file
     | None -> (
         match Obs.Registry.dir () with
         | None ->
@@ -839,53 +839,39 @@ let resolve_ref arg =
               arg
         | Some d -> obs_fail "%s: no such file or run-id prefix in %s" arg d)
 
-let run_obs_runs limit prune () =
+(* The registry's runs, oldest first; snapshot files that do not decode
+   are skipped with one line on stderr. *)
+let registry_runs () =
+  let runs, skipped = Obs.Registry.runs () in
+  if skipped > 0 then
+    Printf.eprintf "hetarch obs: skipped %d registry snapshot file(s) that do not decode\n%!"
+      skipped;
+  runs
+
+let run_obs_runs limit () =
   match Obs.Registry.dir () with
   | None ->
       obs_fail
         "no run registry configured (set HETARCH_OBS_DIR or pass --obs-dir)"
   | Some d ->
-      if prune then begin
-        let kept, dropped = Obs.Registry.prune () in
-        Printf.printf "pruned %d dangling entr%s (%d kept)\n" dropped
-          (if dropped = 1 then "y" else "ies")
-          kept
-      end;
-      let all = Obs.Registry.entries () in
-      let shown =
-        if List.length all > limit then
-          (* keep the most recent [limit] entries, preserving index order *)
-          List.filteri (fun i _ -> i >= List.length all - limit) all
-        else all
-      in
-      Printf.printf "registry %s: %d run(s)%s\n" d (List.length all)
-        (if List.length shown < List.length all then
+      let all = registry_runs () in
+      let n = List.length all in
+      let shown = List.filteri (fun i _ -> i >= n - limit) all in
+      Printf.printf "registry %s: %d run(s)%s\n" d n
+        (if List.length shown < n then
            Printf.sprintf " (last %d shown)" (List.length shown)
          else "");
-      (* Mark-and-skip rather than error: a hand-deleted snapshot leaves a
-         dangling index line behind, and listing must keep working. *)
-      let missing = ref 0 in
       if shown <> [] then
         Tableio.print ~align:Tableio.Left
-          ~header:[ "run"; "started (UTC)"; "cmd"; "shard"; "hash"; "snapshot" ]
+          ~header:[ "run"; "started (UTC)"; "cmd"; "shard"; "hash" ]
           (List.map
-             (fun (e : Obs.Registry.entry) ->
-               let ok = Obs.Registry.snapshot_exists e in
-               if not ok then incr missing;
-               [ e.Obs.Registry.e_run_id;
-                 utc_stamp e.Obs.Registry.e_unix;
-                 e.Obs.Registry.e_cmd;
-                 (if e.Obs.Registry.e_shard = "" then "-"
-                  else e.Obs.Registry.e_shard);
-                 String.sub e.Obs.Registry.e_hash 0 12;
-                 (if ok then "ok" else "MISSING") ])
-             shown);
-      if !missing > 0 then
-        Printf.printf
-          "%d entr%s point at deleted snapshot files; run `hetarch obs runs \
-           --prune` to compact the index\n"
-          !missing
-          (if !missing = 1 then "y" else "ies")
+             (fun (s : Obs.Snapshot.t) ->
+               [ s.run.run_id;
+                 utc_stamp s.started_unix;
+                 Obs.Registry.cmd_of_argv s.argv;
+                 (if s.run.shard = "" then "-" else s.run.shard);
+                 String.sub (Obs.Snapshot.content_hash s) 0 12 ])
+             shown)
 
 let run_obs_report ref_ () = render_state (resolve_ref ref_)
 
@@ -1064,7 +1050,7 @@ let registry_history current_ref last =
   if Obs.Registry.dir () = None then
     obs_fail
       "no run registry configured (set HETARCH_OBS_DIR or pass --obs-dir)";
-  let entries = Obs.Registry.entries () in
+  let runs = registry_runs () in
   let current =
     match current_ref with
     | Some arg -> (
@@ -1072,30 +1058,26 @@ let registry_history current_ref last =
         | `Snap s -> s
         | `Fleet _ -> obs_fail "%s: not a run snapshot" arg)
     | None -> (
-        match List.rev entries with
+        match List.rev runs with
         | [] ->
             obs_fail
               "registry is empty; record runs first (any hetarch command \
                with --obs-dir or HETARCH_OBS_DIR set)"
-        | e :: _ ->
-            guard e.Obs.Registry.e_file (fun () -> Obs.Registry.load e))
+        | latest :: _ -> latest)
   in
   let cur_hash = Obs.Snapshot.content_hash current in
   let cur_cmd = Obs.Registry.cmd_of_argv current.Obs.Snapshot.argv in
   let cur_shard = current.Obs.Snapshot.run.shard in
   let same =
     List.filter
-      (fun (e : Obs.Registry.entry) ->
-        e.e_cmd = cur_cmd && e.e_shard = cur_shard && e.e_hash <> cur_hash)
-      entries
+      (fun (s : Obs.Snapshot.t) ->
+        Obs.Registry.cmd_of_argv s.argv = cur_cmd
+        && s.run.shard = cur_shard
+        && Obs.Snapshot.content_hash s <> cur_hash)
+      runs
   in
   let n = List.length same in
-  let history =
-    List.filteri (fun i _ -> i >= n - last) same
-    |> List.filter_map (fun e ->
-           try Some (Obs.Trend.metrics_of (Obs.Registry.load e))
-           with Failure _ | Sys_error _ -> None)
-  in
+  let history = List.filteri (fun i _ -> i >= n - last) same |> List.map Obs.Trend.metrics_of in
   ( Printf.sprintf "trend: run %s (%s%s) vs median of last %d same-command run(s)"
       current.run.run_id cur_cmd
       (if cur_shard = "" then "" else Printf.sprintf ", shard %s" cur_shard)
@@ -1226,7 +1208,7 @@ let metrics_arg =
     & opt (some string) None
     & info [ "metrics" ] ~docv:"FILE"
         ~doc:
-          "Write the run's obs snapshot (schema hetarch.snapshot/3) to \
+          "Write the run's obs snapshot (schema hetarch.snapshot/4) to \
            $(docv) on exit; summarize it with $(b,hetarch obs report)")
 
 let trace_arg =
@@ -1243,7 +1225,7 @@ let telemetry_arg =
     & info [ "telemetry" ] ~docv:"FILE"
         ~doc:
           "Stream live JSONL telemetry to $(docv) while the command runs, \
-           one run snapshot (schema hetarch.snapshot/3) per line; inspect \
+           one run snapshot (schema hetarch.snapshot/4) per line; inspect \
            with $(b,hetarch obs monitor) $(docv).  With a run registry \
            configured, recorded runs stream to \
            <obs-dir>/telemetry/<run_id>.jsonl automatically; this flag \
@@ -1256,9 +1238,9 @@ let obs_dir_arg =
     & info [ "obs-dir" ] ~docv:"DIR"
         ~doc:
           "Run registry directory (defaults to $(b,HETARCH_OBS_DIR)): on \
-           exit the run's obs snapshot is written under $(docv)/snapshots \
-           and indexed in $(docv)/index.jsonl; inspect with $(b,hetarch obs \
-           runs/report/merge/diff)")
+           exit the run's obs snapshot is written to \
+           $(docv)/snapshots/<run_id>.json, and those files are the \
+           registry; inspect with $(b,hetarch obs runs/report/merge/diff)")
 
 let shard_label_arg =
   Arg.(
@@ -1585,15 +1567,7 @@ let obs_cmd =
                     "Exit 1 on trend regressions (CI hard gate); the trend \
                      default is warn-only for local runs"));
       cmd "runs" "List the run registry (--obs-dir / HETARCH_OBS_DIR)"
-        Term.(
-          const run_obs_runs $ limit_arg
-          $ Arg.(
-              value & flag
-              & info [ "prune" ]
-                  ~doc:
-                    "First compact index.jsonl down to entries whose \
-                     snapshot file still exists (hand-deleted snapshots \
-                     leave dangling lines); the rewrite is atomic"));
+        Term.(const run_obs_runs $ limit_arg);
       cmd "trace-merge"
         "Union per-process Chrome-trace JSONL files into one clock-aligned \
          timeline (order-independent, idempotent)"

@@ -38,14 +38,8 @@ let c_misses = Obs.Counter.create "dse.store_misses_total"
 let c_corrupt = Obs.Counter.create "dse.store_corrupt_total"
 let c_writes = Obs.Counter.create "dse.store_writes_total"
 
-let rec mkdir_p dir =
-  if dir <> "" && dir <> "/" && dir <> "." && not (Sys.file_exists dir) then begin
-    mkdir_p (Filename.dirname dir);
-    try Unix.mkdir dir 0o755 with Unix.Unix_error (Unix.EEXIST, _, _) -> ()
-  end
-
 let open_dir dir =
-  mkdir_p dir;
+  Fs.mkdir_p dir;
   if not (Sys.is_directory dir) then
     invalid_arg (Printf.sprintf "Store.open_dir: %s is not a directory" dir);
   { dir; lock = Mutex.create (); stats = zero_stats }
@@ -130,26 +124,14 @@ let find t k =
           Obs.Counter.incr c_misses;
           None)
 
-let tmp_counter = Atomic.make 0
-
 let put t k payload =
   let path = entry_path t k in
-  mkdir_p (Filename.dirname path);
-  (* Unique temp name per (process, domain, put) in the same directory, so
-     the rename is atomic and concurrent writers never collide. *)
-  let tmp =
-    Printf.sprintf "%s.tmp.%d.%d.%d" path (Unix.getpid ())
-      ((Domain.self () :> int))
-      (Atomic.fetch_and_add tmp_counter 1)
-  in
+  Fs.mkdir_p (Filename.dirname path);
   let ok =
     try
-      Out_channel.with_open_bin tmp (fun oc -> output_record oc payload);
-      Sys.rename tmp path;
+      Fs.write_atomic path (fun oc -> output_record oc payload);
       true
-    with Sys_error _ ->
-      (try Sys.remove tmp with Sys_error _ -> ());
-      false
+    with Sys_error _ -> false
   in
   if ok then begin
     bump t (fun s -> { s with writes = s.writes + 1 });

@@ -326,8 +326,8 @@ end
 
 (* Torn-tail-tolerant JSONL fold: blank and unparsable lines — the
    truncated final record a killed writer leaves behind — are skipped.
-   The one such reader: the fleet monitor, the offline `obs` readers, the
-   run registry and the collect ledger all replay through it. *)
+   The one such reader: the fleet monitor, the offline `obs` readers and
+   the collect ledger all replay through it. *)
 let fold_jsonl path f init =
   let ic = open_in path in
   Fun.protect
@@ -516,8 +516,7 @@ end
 module Histogram = struct
   type t = {
     name : string;
-    bounds : float array;  (* strictly increasing upper bounds *)
-    counts : int array;  (* same length as bounds *)
+    counts : int array;  (* one per bound of [layout] *)
     mutable over : int;
     welford : Stats.running;
     mutable lo : float;
@@ -525,26 +524,19 @@ module Histogram = struct
     lock : Mutex.t;  (* guards every mutable field above *)
   }
 
-  (* 1 ns .. 100 s in thirds of a decade: fine enough to rank hot paths,
-     coarse enough to stay 34 ints. *)
-  let default_buckets =
-    Array.init 34 (fun i -> 1e-9 *. (10. ** (float_of_int i /. 3.)))
+  (* The one bucket layout, 1 ns .. 100 s in thirds of a decade: fine
+     enough to rank hot paths, coarse enough to stay 34 ints.  Every
+     histogram uses it, so a snapshot stores the counts alone. *)
+  let layout = Array.init 34 (fun i -> 1e-9 *. (10. ** (float_of_int i /. 3.)))
+  let bounds () = Array.copy layout
 
   let registry : (string, t) Hashtbl.t = Hashtbl.create 32
   let registry_lock = Mutex.create ()
 
-  let create ?(buckets = default_buckets) name =
+  let create name =
     registered registry_lock registry name (fun () ->
-        if Array.length buckets = 0 then
-          invalid_arg "Obs.Histogram.create: empty buckets";
-        Array.iteri
-          (fun i b ->
-            if i > 0 && buckets.(i - 1) >= b then
-              invalid_arg "Obs.Histogram.create: buckets must increase")
-          buckets;
         { name;
-          bounds = Array.copy buckets;
-          counts = Array.make (Array.length buckets) 0;
+          counts = Array.make (Array.length layout) 0;
           over = 0;
           welford = Stats.running_create ();
           lo = infinity;
@@ -557,13 +549,13 @@ module Histogram = struct
         if x < t.lo then t.lo <- x;
         if x > t.hi then t.hi <- x;
         (* Binary search for the first bound >= x. *)
-        let nb = Array.length t.bounds in
-        if x > t.bounds.(nb - 1) then t.over <- t.over + 1
+        let nb = Array.length layout in
+        if x > layout.(nb - 1) then t.over <- t.over + 1
         else begin
           let lo = ref 0 and hi = ref (nb - 1) in
           while !lo < !hi do
             let mid = (!lo + !hi) / 2 in
-            if x <= t.bounds.(mid) then hi := mid else lo := mid + 1
+            if x <= layout.(mid) then hi := mid else lo := mid + 1
           done;
           t.counts.(!lo) <- t.counts.(!lo) + 1
         end)
@@ -573,7 +565,7 @@ module Histogram = struct
      linearly inside it.  Bucket edges are clamped to the observed min/max,
      so estimates never leave the sampled range; the overflow bucket spans
      (last bound, max].  Readers call it on a captured [Snapshot.hist]. *)
-  let bucket_quantile ~bounds ~counts ~overflow ~lo ~hi q =
+  let bucket_quantile ~counts ~overflow ~lo ~hi q =
     if not (q >= 0. && q <= 1.) then invalid_arg "Obs.Histogram.quantile";
     let total = Array.fold_left ( + ) overflow counts in
     if total = 0 then Float.nan
@@ -584,15 +576,15 @@ module Histogram = struct
       lo
     else begin
       let target = q *. float_of_int total in
-      let nb = Array.length bounds in
+      let nb = Array.length layout in
       let rec find i cum =
         if i > nb then hi
         else begin
           let c = if i = nb then overflow else counts.(i) in
           let cum' = cum +. float_of_int c in
           if c > 0 && cum' >= target then begin
-            let lo_edge = if i = 0 then lo else Float.max lo bounds.(i - 1) in
-            let hi_edge = if i = nb then hi else Float.min hi bounds.(i) in
+            let lo_edge = if i = 0 then lo else Float.max lo layout.(i - 1) in
+            let hi_edge = if i = nb then hi else Float.min hi layout.(i) in
             let frac = Float.max 0. ((target -. cum) /. float_of_int c) in
             lo_edge +. (frac *. (hi_edge -. lo_edge))
           end
@@ -636,8 +628,8 @@ module Trace = struct
 
   (* Caller-path-keyed aggregates (count, total_ns, minor_w, promoted_w,
      major_w): the profiler's input, and grouped by last segment the
-     per-name summaries.  Unlike the ring, these never evict, so self-time
-     trees stay exact over arbitrarily long runs. *)
+     per-name totals ([Snapshot.span_totals]).  Unlike the ring, these never
+     evict, so self-time trees stay exact over arbitrarily long runs. *)
   let path_totals : (string, int * int64 * int * int * int) Hashtbl.t =
     Hashtbl.create 64
 
@@ -739,19 +731,6 @@ module Trace = struct
   let recorded () = Mutex.protect lock (fun () -> !next)
 
   let by_path () = Mutex.protect lock (fun () -> rows path_totals)
-
-  let summaries () =
-    let by_name = Hashtbl.create 32 in
-    List.iter
-      (fun (path, c, t, mw, pw, jw) ->
-        let name =
-          match String.rindex_opt path ';' with
-          | Some i -> String.sub path (i + 1) (String.length path - i - 1)
-          | None -> path
-        in
-        add by_name name (c, t, mw, pw, jw))
-      (by_path ());
-    rows by_name
 
   (* The trace file format, one JSON object per line, written by [export]
      and [Trace_merge] and read back by [read]: a "hetarch.run" metadata
@@ -1097,41 +1076,22 @@ end
 
 (* ------------------------------------------------------------- snapshots *)
 
-(* Atomic write of JSON lines: temp file in the destination directory, then
-   rename — a concurrent reader (or a kill mid-write) never sees a torn
-   file. *)
-let write_lines_atomic path docs =
-  let tmp = Printf.sprintf "%s.tmp.%d" path (Unix.getpid ()) in
-  let oc = open_out tmp in
-  (try
-     List.iter
-       (fun j ->
-         output_string oc (Json.to_string j);
-         output_char oc '\n')
-       docs;
-     close_out oc
-   with e ->
-     close_out_noerr oc;
-     (try Sys.remove tmp with Sys_error _ -> ());
-     raise e);
-  Sys.rename tmp path
-
 (* The one captured form of a process's obs state: what --metrics writes,
    what the run registry stores, and what fleet merges fold.  It carries
-   the raw mergeable state — integer bucket counts, Welford (n, mean, m2)
-   triples, per-span-name and per-caller-path aggregates (from which the
-   profile trie is rebuilt exactly) — and leaves every derived quantity
-   (quantiles, variance, self time) to readers.  Serialization is canonical
-   — sections sorted by name, floats via the round-tripping emitter — so
-   parse ∘ serialize is the identity on bytes and the content hash is
-   well-defined. *)
+   the raw mergeable state, each fact once — integer bucket counts in the
+   one [Histogram] layout, Welford (n, mean, m2) triples, per-caller-path
+   aggregates (from which the profile trie and the per-name totals are
+   rebuilt exactly) — and leaves every derived quantity (quantiles,
+   variance, self time, per-name totals) to readers.  Serialization is
+   canonical — sections sorted by name, floats via the round-tripping
+   emitter — so parse ∘ serialize is the identity on bytes and the content
+   hash is well-defined. *)
 
 module Snapshot = struct
-  let schema = "hetarch.snapshot/3"
+  let schema = "hetarch.snapshot/4"
 
   type hist = {
-    h_bounds : float array;
-    h_counts : int array;
+    h_counts : int array;  (* one per bound of [Histogram.layout] *)
     h_overflow : int;
     h_count : int;
     h_mean : float;
@@ -1182,17 +1142,30 @@ module Snapshot = struct
     counters : (string * int) list;  (* sorted by name *)
     gauges : (string * float) list;
     histograms : (string * hist) list;
-    (* (name, count, total_ns, minor_w, promoted_w, major_w) *)
-    spans : (string * int * int64 * int * int * int) list;
-    (* profile trie, keyed by path; same aggregate shape *)
+    (* profile trie: (path, count, total_ns, minor_w, promoted_w, major_w) *)
     paths : (string * int * int64 * int * int * int) list;
     process : process;
     campaign : campaign option;  (* only while a provider is set *)
   }
 
   let quantile h q =
-    Histogram.bucket_quantile ~bounds:h.h_bounds ~counts:h.h_counts
-      ~overflow:h.h_overflow ~lo:h.h_min ~hi:h.h_max q
+    Histogram.bucket_quantile ~counts:h.h_counts ~overflow:h.h_overflow ~lo:h.h_min
+      ~hi:h.h_max q
+
+  (* Per span name: the path aggregates grouped by leaf segment, the span's
+     own name. *)
+  let span_totals t =
+    let by_name = Hashtbl.create 32 in
+    List.iter
+      (fun (path, c, ns, mw, pw, jw) ->
+        let name =
+          match String.rindex_opt path ';' with
+          | Some i -> String.sub path (i + 1) (String.length path - i - 1)
+          | None -> path
+        in
+        Trace.add by_name name (c, ns, mw, pw, jw))
+      t.paths;
+    Trace.rows by_name
 
   let gauge t name = Option.value ~default:0. (List.assoc_opt name t.gauges)
 
@@ -1262,8 +1235,7 @@ module Snapshot = struct
     let histograms =
       sorted_fold Histogram.registry (fun h ->
           Mutex.protect h.Histogram.lock (fun () ->
-              { h_bounds = Array.copy h.Histogram.bounds;
-                h_counts = Array.copy h.Histogram.counts;
+              { h_counts = Array.copy h.Histogram.counts;
                 h_overflow = h.Histogram.over;
                 h_count = Stats.running_count h.Histogram.welford;
                 h_mean = Stats.running_mean h.Histogram.welford;
@@ -1279,15 +1251,13 @@ module Snapshot = struct
       counters = sorted_fold Counter.registry Counter.value;
       gauges = sorted_fold Gauge.registry Gauge.value;
       histograms;
-      spans = Trace.summaries ();
       paths = Trace.by_path ();
       process;
       campaign = campaign () }
 
   let hist_json h =
     Json.Obj
-      [ ("bounds", Json.List (Array.to_list (Array.map (fun b -> Json.Float b) h.h_bounds)));
-        ("counts", Json.List (Array.to_list (Array.map (fun c -> Json.Int c) h.h_counts)));
+      [ ("counts", Json.List (Array.to_list (Array.map (fun c -> Json.Int c) h.h_counts)));
         ("overflow", Json.Int h.h_overflow);
         ("count", Json.Int h.h_count);
         ("mean", Json.Float h.h_mean);
@@ -1353,7 +1323,6 @@ module Snapshot = struct
       ("counters", Json.Obj (List.map (fun (n, v) -> (n, Json.Int v)) t.counters));
       ("gauges", Json.Obj (List.map (fun (n, v) -> (n, Json.Float v)) t.gauges));
       ("histograms", Json.Obj (List.map (fun (n, h) -> (n, hist_json h)) t.histograms));
-      ("spans", Json.Obj (List.map agg_json t.spans));
       ("paths", Json.Obj (List.map agg_json t.paths));
       ("process", process_json t.process) ]
     @ List.map (fun c -> ("campaign", campaign_json c)) (Option.to_list t.campaign)
@@ -1372,25 +1341,18 @@ module Snapshot = struct
         (* Bucket state is validated here, once, so merging and quantiles can
            index it without checks of their own. *)
         let hist_of (name, j) =
-          let arr field f = Array.of_list (List.map f (Field.list field j)) in
-          let bounds = arr "bounds" Json.to_float in
-          let counts =
-            arr "counts" (function
-              | Json.Int i when i >= 0 -> i
-              | _ -> Field.fail "histogram %s: bucket count is not a non-negative integer" name)
+          let count = function
+            | Json.Int i when i >= 0 -> i
+            | _ -> Field.fail "histogram %s: bucket count is not a non-negative integer" name
           in
-          let nb = Array.length bounds in
-          if nb = 0 || Array.length counts <> nb then
-            Field.fail "histogram %s: %d counts for %d bounds" name (Array.length counts) nb;
-          for i = 1 to nb - 1 do
-            if not (bounds.(i - 1) < bounds.(i)) then
-              Field.fail "histogram %s: bounds not strictly increasing" name
-          done;
+          let counts = Array.of_list (List.map count (Field.list "counts" j)) in
+          let nb = Array.length Histogram.layout in
+          if Array.length counts <> nb then
+            Field.fail "histogram %s: %d counts for %d buckets" name (Array.length counts) nb;
           let overflow = Field.int "overflow" j in
           if overflow < 0 then Field.fail "histogram %s: negative overflow" name;
           ( name,
-            { h_bounds = bounds;
-              h_counts = counts;
+            { h_counts = counts;
               h_overflow = overflow;
               h_count = Field.int "count" j;
               h_mean = Field.float "mean" j;
@@ -1438,7 +1400,6 @@ module Snapshot = struct
           counters = List.sort compare (Field.ints "counters" doc);
           gauges = List.sort compare (Field.floats "gauges" doc);
           histograms = List.sort compare (List.map hist_of (section "histograms"));
-          spans = List.sort compare (List.map agg_of (section "spans"));
           paths = List.sort compare (List.map agg_of (section "paths"));
           process =
             { p_minor_collections = Field.int "minor_collections" p;
@@ -1451,7 +1412,11 @@ module Snapshot = struct
               p_top_heap_words = Field.int "top_heap_words" p };
           campaign = Option.map campaign (Json.member "campaign" doc) })
 
-  let write ~path t = write_lines_atomic path [ to_json t ]
+  let write ~path t =
+    Fs.write_atomic path (fun oc ->
+        output_string oc (Json.to_string (to_json t));
+        output_char oc '\n')
+
   let load path = of_json (Json.parse (In_channel.with_open_bin path In_channel.input_all))
 end
 
@@ -1578,10 +1543,9 @@ module Merge = struct
             zero tables ))
       (names (List.map fst) tables)
 
-  let merge_hist name (a : Snapshot.hist) (b : Snapshot.hist) =
-    if a.h_bounds <> b.h_bounds then
-      failwith
-        (Printf.sprintf "Obs.Merge: histogram %s bucket bounds differ across snapshots" name);
+  (* Every histogram has the one bucket layout, so counts add index by
+     index. *)
+  let merge_hist (a : Snapshot.hist) (b : Snapshot.hist) =
     let n = a.h_count + b.h_count in
     let mean, m2 =
       if a.h_count = 0 then (b.h_mean, b.h_m2)
@@ -1597,8 +1561,7 @@ module Merge = struct
           a.h_m2 +. b.h_m2 +. (delta *. delta *. fa *. fb /. fn) )
       end
     in
-    { Snapshot.h_bounds = a.h_bounds;
-      h_counts = Array.mapi (fun i c -> c + b.h_counts.(i)) a.h_counts;
+    { Snapshot.h_counts = Array.mapi (fun i c -> c + b.h_counts.(i)) a.h_counts;
       h_overflow = a.h_overflow + b.h_overflow;
       h_count = n;
       h_mean = mean;
@@ -1614,24 +1577,19 @@ module Merge = struct
         in
         match hs with
         | [] -> assert false
-        | first :: rest -> (k, List.fold_left (merge_hist k) first rest))
+        | first :: rest -> (k, List.fold_left merge_hist first rest))
       (names (fun (s : Snapshot.t) -> List.map fst s.histograms) ss)
 
-  (* A fleet is refused when it is built, not when it is read: sources
-     whose histograms cannot bucket-merge raise [Failure] here. *)
-  let of_keyed keyed =
-    ignore (merged_histograms (List.map snd keyed));
-    { keyed = canonicalize keyed }
+  let of_snapshots snaps =
+    { keyed = canonicalize (List.map (fun s -> (Snapshot.content_hash s, s)) snaps) }
 
-  let of_snapshots snaps = of_keyed (List.map (fun s -> (Snapshot.content_hash s, s)) snaps)
-  let union a b = of_keyed (a.keyed @ b.keyed)
+  let union a b = { keyed = canonicalize (a.keyed @ b.keyed) }
 
-  (* Spans and paths share the (name, count, total_ns, minor_w, promoted_w,
-     major_w) aggregate shape; merging path aggregates is exactly grafting
-     profile tries by path. *)
-  let merged_aggs proj ss =
+  (* Merging path aggregates is exactly grafting profile tries by path. *)
+  let merged_paths ss =
     summed
-      (fun s -> List.map (fun (n, c, t, mw, pw, jw) -> (n, (c, t, mw, pw, jw))) (proj s))
+      (fun (s : Snapshot.t) ->
+        List.map (fun (n, c, t, mw, pw, jw) -> (n, (c, t, mw, pw, jw))) s.paths)
       (0, 0L, 0, 0, 0)
       (fun (c, t, mw, pw, jw) (c', t', mw', pw', jw') ->
         (c + c', Int64.add t t', mw + mw', pw + pw', jw + jw'))
@@ -1670,8 +1628,7 @@ module Merge = struct
       counters = summed (fun (s : Snapshot.t) -> s.counters) 0 ( + ) ss;
       gauges = summed (fun (s : Snapshot.t) -> s.gauges) 0. ( +. ) ss;
       histograms = merged_histograms ss;
-      spans = merged_aggs (fun (s : Snapshot.t) -> s.spans) ss;
-      paths = merged_aggs (fun (s : Snapshot.t) -> s.paths) ss;
+      paths = merged_paths ss;
       process = merged_process ss;
       campaign = None }
 
@@ -1688,23 +1645,13 @@ end
 
 (* -------------------------------------------------------------- registry *)
 
-(* Append-only run registry: HETARCH_OBS_DIR (or an explicit [set_dir])
-   names a directory holding one snapshot file per run plus an index.jsonl
-   with one line per recorded run.  Appends are single flushed lines, so
-   concurrent shard processes interleave whole records; replay skips a torn
-   tail exactly like the collect ledger does. *)
+(* The run registry: HETARCH_OBS_DIR (or an explicit [set_dir]) names a
+   directory whose snapshots/ holds one <run_id>.json per recorded run,
+   written atomically.  Those files are the registry: listing, prefix
+   lookup and history read the directory, so there is no index to drift
+   from them. *)
 
 module Registry = struct
-  type entry = {
-    e_run_id : string;
-    e_shard : string;
-    e_trace : string;  (* trace_id *)
-    e_cmd : string;  (* leading non-flag argv words, e.g. "collect uec" *)
-    e_file : string;  (* snapshot file name, relative to <dir>/snapshots *)
-    e_hash : string;  (* snapshot content hash *)
-    e_unix : float;  (* run start, unix seconds *)
-  }
-
   let override : string option ref = ref None
   let set_dir d = override := d
 
@@ -1713,15 +1660,8 @@ module Registry = struct
 
   let resolve = function Some d -> Some d | None -> dir ()
 
-  let rec mkdir_p path =
-    if path = "" || path = "." || path = "/" || Sys.file_exists path then ()
-    else begin
-      mkdir_p (Filename.dirname path);
-      try Unix.mkdir path 0o755 with Unix.Unix_error (Unix.EEXIST, _, _) -> ()
-    end
-
   let snapshots_dir d = Filename.concat d "snapshots"
-  let index_path d = Filename.concat d "index.jsonl"
+  let snapshot_path d run_id = Filename.concat (snapshots_dir d) (run_id ^ ".json")
 
   let cmd_of_argv = function
     | [] -> "?"
@@ -1734,95 +1674,60 @@ module Registry = struct
         | [] -> Filename.basename exe
         | words -> String.concat " " words)
 
-  let entry_to_json e =
-    Json.Obj
-      [ ("run_id", Json.String e.e_run_id);
-        ("shard", Json.String e.e_shard);
-        ("trace_id", Json.String e.e_trace);
-        ("cmd", Json.String e.e_cmd);
-        ("file", Json.String e.e_file);
-        ("hash", Json.String e.e_hash);
-        ("unix", Json.Float e.e_unix) ]
-
-  let entry_of_json j =
-    match
-      { e_run_id = Field.str "run_id" j;
-        e_shard = Field.str "shard" j;
-        e_trace = Field.str "trace_id" j;
-        e_cmd = Field.str "cmd" j;
-        e_file = Field.str "file" j;
-        e_hash = Field.str "hash" j;
-        e_unix = Field.float "unix" j }
-    with
-    | e when Context.is_id e.e_run_id && Context.is_id e.e_hash -> Some e
-    | _ | (exception Failure _) -> None
-
   let record ?dir snap =
+    Option.map
+      (fun d ->
+        Fs.mkdir_p (snapshots_dir d);
+        let path = snapshot_path d snap.Snapshot.run.run_id in
+        Snapshot.write ~path snap;
+        path)
+      (resolve dir)
+
+  (* The run ids the directory holds: the names of its .json files.
+     Writer temp files, <id>.json.tmp.<pid>..., and anything else are not
+     runs. *)
+  let ids d =
+    match Sys.readdir (snapshots_dir d) with
+    | exception Sys_error _ -> []
+    | files ->
+        Array.to_list files
+        |> List.filter_map (fun f ->
+               if Filename.check_suffix f ".json" then Some (Filename.chop_suffix f ".json")
+               else None)
+        |> List.sort compare
+
+  let runs ?dir () =
+    match resolve dir with
+    | None -> ([], 0)
+    | Some d ->
+        let good, bad =
+          List.fold_left
+            (fun (good, bad) id ->
+              match Snapshot.load (snapshot_path d id) with
+              | s -> (s :: good, bad)
+              | exception (Failure _ | Sys_error _) -> (good, bad + 1))
+            ([], 0) (ids d)
+        in
+        let key (s : Snapshot.t) = (s.started_unix, s.run.run_id) in
+        (List.sort (fun a b -> compare (key a) (key b)) good, bad)
+
+  (* Ambiguous prefixes (matching several run ids) raise rather than
+     guessing. *)
+  let find ?dir prefix =
     match resolve dir with
     | None -> None
-    | Some d ->
-        mkdir_p (snapshots_dir d);
-        let file = snap.Snapshot.run.run_id ^ ".json" in
-        Snapshot.write ~path:(Filename.concat (snapshots_dir d) file) snap;
-        let e =
-          { e_run_id = snap.Snapshot.run.run_id;
-            e_shard = snap.run.shard;
-            e_trace = snap.run.ctx.trace_id;
-            e_cmd = cmd_of_argv snap.Snapshot.argv;
-            e_file = file;
-            e_hash = Snapshot.content_hash snap;
-            e_unix = snap.Snapshot.started_unix }
-        in
-        let oc = open_out_gen [ Open_append; Open_creat ] 0o644 (index_path d) in
-        Fun.protect
-          ~finally:(fun () -> close_out oc)
-          (fun () ->
-            output_string oc (Json.to_string (entry_to_json e));
-            output_char oc '\n');
-        Some e
-
-  (* Index order = append order; blank, unparsable and malformed lines
-     (torn tail of a killed process, an id or hash that is not 16 hex
-     digits) are skipped, mirroring Collect.Ledger.fold. *)
-  let entries ?dir () =
-    match resolve dir with
-    | None -> []
-    | Some d ->
-        let path = index_path d in
-        if not (Sys.file_exists path) then []
-        else
-          List.rev
-            (fold_jsonl path
-               (fun acc j -> match entry_of_json j with Some e -> e :: acc | None -> acc)
-               [])
-
-  let load ?dir e =
-    match resolve dir with
-    | None -> failwith "Obs.Registry.load: no registry directory (set HETARCH_OBS_DIR)"
-    | Some d -> Snapshot.load (Filename.concat (snapshots_dir d) e.e_file)
-
-  (* Latest entry whose run id starts with [prefix]; ambiguous prefixes
-     (matching several distinct run ids) raise rather than guessing. *)
-  let find ?dir prefix =
-    let matches =
-      List.filter
-        (fun e ->
-          String.length e.e_run_id >= String.length prefix
-          && String.sub e.e_run_id 0 (String.length prefix) = prefix)
-        (entries ?dir ())
-    in
-    let ids = List.sort_uniq compare (List.map (fun e -> e.e_run_id) matches) in
-    match (ids, List.rev matches) with
-    | [], _ | _, [] -> None
-    | [ _ ], latest :: _ -> Some latest
-    | _ :: _ :: _, _ ->
-        failwith
-          (Printf.sprintf "Obs.Registry.find: run id prefix %s is ambiguous (%s)" prefix
-             (String.concat ", " ids))
+    | Some d -> (
+        match List.filter (String.starts_with ~prefix) (ids d) with
+        | [] -> None
+        | [ id ] -> Some (snapshot_path d id)
+        | ids ->
+            failwith
+              (Printf.sprintf "Obs.Registry.find: run id prefix %s is ambiguous (%s)" prefix
+                 (String.concat ", " ids)))
 
   (* Live telemetry streams live next to the snapshots: one
      <run_id>.jsonl per process under <dir>/telemetry.  The monitor scans
-     this directory; a run whose id has reached index.jsonl is finished. *)
+     this directory; a run whose snapshot file exists is finished. *)
   let telemetry_dir d = Filename.concat d "telemetry"
 
   let telemetry_sink ?dir run_id =
@@ -1830,29 +1735,8 @@ module Registry = struct
     | None -> None
     | Some d ->
         let td = telemetry_dir d in
-        mkdir_p td;
+        Fs.mkdir_p td;
         Some (Filename.concat td (run_id ^ ".jsonl"))
-
-  let snapshot_exists ?dir e =
-    match resolve dir with
-    | None -> false
-    | Some d -> Sys.file_exists (Filename.concat (snapshots_dir d) e.e_file)
-
-  (* Compact the index down to entries whose snapshot file still exists
-     (hand-deleted snapshots leave dangling lines behind).  The rewrite is
-     atomic — temp file then rename — so a concurrent reader never sees a
-     half-written index.  Returns (kept, dropped). *)
-  let prune ?dir () =
-    match resolve dir with
-    | None -> (0, 0)
-    | Some d ->
-        let all = entries ~dir:d () in
-        let kept, dropped =
-          List.partition (fun e -> snapshot_exists ~dir:d e) all
-        in
-        if dropped <> [] then
-          write_lines_atomic (index_path d) (List.map entry_to_json kept);
-        (List.length kept, List.length dropped)
 end
 
 (* ----------------------------------------------------------------- trend *)
@@ -1894,8 +1778,9 @@ module Trend = struct
      span minor words (exact counts, so allocation regressions gate like
      time ones) and histogram means. *)
   let metrics_of (s : Snapshot.t) =
-    List.map (fun (n, _, t, _, _, _) -> ("span:" ^ n, Int64.to_float t)) s.spans
-    @ List.map (fun (n, _, _, w, _, _) -> ("alloc:" ^ n, float_of_int w)) s.spans
+    let spans = Snapshot.span_totals s in
+    List.map (fun (n, _, t, _, _, _) -> ("span:" ^ n, Int64.to_float t)) spans
+    @ List.map (fun (n, _, _, w, _, _) -> ("alloc:" ^ n, float_of_int w)) spans
     @ List.filter_map
         (fun (n, (h : Snapshot.hist)) ->
           if Float.is_finite h.h_mean then Some ("hist:" ^ n ^ ".mean", h.h_mean)
@@ -2005,7 +1890,7 @@ module Monitor = struct
     file : string;  (* telemetry stream path *)
     last : tick;  (* the stream's last complete line *)
     age_s : float;  (* now - file mtime *)
-    registered : bool;  (* run id present in index.jsonl *)
+    registered : bool;  (* the run's registry snapshot file exists *)
     rel_halfwidth : float;  (* worst unfinished task; nan when none *)
     status : status;
   }
@@ -2059,11 +1944,6 @@ module Monitor = struct
     let td = Registry.telemetry_dir dir in
     if not (Sys.file_exists td && Sys.is_directory td) then []
     else begin
-      let registered =
-        List.fold_left
-          (fun acc (e : Registry.entry) -> e.Registry.e_run_id :: acc)
-          [] (Registry.entries ~dir ())
-      in
       let run r = (r.last.snap.run.shard, r.last.snap.run.run_id) in
       Sys.readdir td |> Array.to_list |> List.sort compare
       |> List.filter_map (fun f ->
@@ -2073,8 +1953,8 @@ module Monitor = struct
                match last path with
                | Some t ->
                    let run_id = Filename.chop_suffix f ".jsonl" in
-                   Some
-                     (row_of_stream ~registered:(List.mem run_id registered) ~now_unix path t)
+                   let registered = Sys.file_exists (Registry.snapshot_path dir run_id) in
+                   Some (row_of_stream ~registered ~now_unix path t)
                | None -> None
                | exception (Sys_error _ | Failure _) -> None
              end)

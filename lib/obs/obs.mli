@@ -164,14 +164,14 @@ end
 module Histogram : sig
   type t
 
-  val default_buckets : float array
-  (** Log-spaced upper bounds from 1 ns to 100 s — suited to durations in
-      seconds, the common case here. *)
+  val bounds : unit -> float array
+  (** A fresh copy of the one bucket layout every histogram uses: 34
+      log-spaced upper bounds, thirds of a decade from 1 ns to 100 s,
+      suited to durations in seconds.  Samples above the last bound land in
+      an overflow bucket. *)
 
-  val create : ?buckets:float array -> string -> t
-  (** [buckets] are strictly increasing upper bounds; samples above the
-      last bound land in an overflow bucket.  Interned by name; [buckets]
-      is ignored when the name already exists. *)
+  val create : string -> t
+  (** Registers (or retrieves — names are interned) the histogram. *)
 
   val observe : t -> float -> unit
   (** The one write path; a histogram is read through a
@@ -219,11 +219,6 @@ module Trace : sig
 
   val recorded : unit -> int
   (** Total spans ever recorded, including those evicted from the ring. *)
-
-  val summaries : unit -> (string * int * int64 * int * int * int) list
-  (** Per-name [(name, count, total_ns, minor_w, promoted_w, major_w)]
-      aggregates over {e all} spans, sorted by name: {!by_path} grouped by
-      each path's last segment, the span's own name. *)
 
   val by_path : unit -> (string * int * int64 * int * int * int) list
   (** Per-caller-path [(path, count, total_ns, minor_w, promoted_w,
@@ -353,18 +348,20 @@ module Telemetry : sig
 end
 
 (** Complete, content-hashed serialization of one process's obs state
-    (schema [hetarch.snapshot/3]) — the only captured run state: what
+    (schema [hetarch.snapshot/4]) — the only captured run state: what
     [--metrics] writes, what the {!Registry} stores, each line of a
     {!Telemetry} stream, and the unit {!Merge} folds.
 
-    A snapshot carries the {e raw mergeable state}: integer bucket counts,
-    Welford [(count, mean, m2)] triples, per-span-name and per-caller-path
-    aggregates including raw allocation words (the path aggregates
-    reconstruct the profile trie — time and allocation — exactly via
-    {!Profile.of_totals}), the GC/process section, and run metadata (run
-    id, shard label, trace context, argv, wall span, jobs), plus the
-    campaign progress section while a provider is set ({!set_campaign}).
-    Derived quantities (quantiles, variance, rates) are left to readers.
+    A snapshot carries the {e raw mergeable state}, each fact once: integer
+    bucket counts in the one {!Histogram} layout, Welford
+    [(count, mean, m2)] triples, per-caller-path aggregates including raw
+    allocation words (they reconstruct the profile trie — time and
+    allocation — exactly via {!Profile.of_totals}, and the per-name totals
+    via {!span_totals}), the GC/process section, and run metadata (run id,
+    shard label, trace context, argv, wall span, jobs), plus the campaign
+    progress section while a provider is set ({!set_campaign}).  Derived
+    quantities (quantiles, variance, rates, per-name totals) are left to
+    readers.
 
     Serialization is canonical — sections sorted by name, floats emitted in
     round-tripping form — so [of_json] ∘ [to_json] is the identity and the
@@ -373,8 +370,7 @@ end
     build synthetic snapshots. *)
 module Snapshot : sig
   type hist = {
-    h_bounds : float array;  (** bucket upper bounds, as configured *)
-    h_counts : int array;  (** raw per-bucket counts *)
+    h_counts : int array;  (** raw counts, one per bound of {!Histogram.bounds} *)
     h_overflow : int;
     h_count : int;
     h_mean : float;
@@ -425,10 +421,9 @@ module Snapshot : sig
     counters : (string * int) list;  (** sorted by name *)
     gauges : (string * float) list;
     histograms : (string * hist) list;
-    spans : (string * int * int64 * int * int * int) list;
-        (** (name, count, total_ns, minor_w, promoted_w, major_w) *)
     paths : (string * int * int64 * int * int * int) list;
-        (** profile trie, keyed by path; same aggregate shape *)
+        (** profile trie: (path, count, total_ns, minor_w, promoted_w,
+            major_w), sorted by path *)
     process : process;
     campaign : campaign option;
         (** written only when present; a decoded task's [tp_resumed] is 0 *)
@@ -452,6 +447,12 @@ module Snapshot : sig
   val gauge : t -> string -> float
   (** A gauge's captured value; [0.] when absent. *)
 
+  val span_totals : t -> (string * int * int64 * int * int * int) list
+  (** Per-name [(name, count, total_ns, minor_w, promoted_w, major_w)]
+      totals, sorted by name: [paths] grouped by each path's last segment,
+      the span's own name.  Taken from a capture, they cover {e all} spans,
+      unaffected by ring eviction. *)
+
   val set_campaign : (unit -> task_progress list) option -> unit
   (** Register (or clear) the campaign progress provider and restart the
       campaign clock.  {!capture} and {!campaign} call the provider; it
@@ -465,8 +466,8 @@ module Snapshot : sig
   val to_json : t -> Json.t
   val of_json : Json.t -> t
   (** Raises [Failure] on another schema or a malformed document — including
-      a histogram whose [counts] and [bounds] differ in length, whose
-      bounds do not strictly increase, or with a negative count. *)
+      a histogram whose [counts] do not match the bucket layout in length,
+      or with a negative count or overflow. *)
 
   val content_hash : t -> string
   (** 16-hex-digit hash of the canonical serialization (excluding the
@@ -485,11 +486,11 @@ end
     then content hash, duplicates removed) — so the output is
     {e byte-identical} regardless of merge order, merge grouping, or the
     [--jobs] setting of the source processes, even though float addition
-    itself is not associative.  Counters, gauges, span/path aggregates
-    (times and allocation words alike) and the process section sum, except
-    the peak heap, which takes the max; histograms bucket-merge and combine
-    Welford states exactly (Chan's parallel update), raising [Failure] on
-    mismatched bucket bounds.
+    itself is not associative.  Counters, gauges, path aggregates (times
+    and allocation words alike) and the process section sum, except the
+    peak heap, which takes the max; histograms, all in the one bucket
+    layout, bucket-merge and combine Welford states exactly (Chan's
+    parallel update).
 
     The fleet view on disk is a JSON array of the canonical sources'
     snapshot documents; readers recompute the merged state with {!merged}. *)
@@ -499,8 +500,7 @@ module Merge : sig
   val of_snapshots : Snapshot.t list -> t
   val union : t -> t -> t
   (** Commutative, associative and idempotent up to byte equality of
-      [to_json].  Both raise [Failure] when two sources give one histogram
-      different bucket bounds, so every [t] can be {!merged}. *)
+      [to_json]. *)
 
   val sources : t -> Snapshot.t list
   (** Deduplicated sources in canonical order. *)
@@ -515,30 +515,19 @@ module Merge : sig
   val of_json : Json.t -> t
   (** Accepts a snapshot document or a fleet view (flattened back to its
       sources, so merging merged documents is exact).  Raises [Failure] on
-      anything else, or on sources that {!union} refuses. *)
+      anything else, including a source {!Snapshot.of_json} refuses. *)
 end
 
-(** Append-only run registry under [HETARCH_OBS_DIR].
-
-    Layout: [<dir>/snapshots/<run_id>.json] (atomic writes) plus
-    [<dir>/index.jsonl] with one line per recorded run.  Appends are
-    single flushed lines, so concurrent shard processes interleave whole
-    records; replay skips blank and torn lines like the collect ledger. *)
+(** The run registry under [HETARCH_OBS_DIR]: one snapshot file
+    [<dir>/snapshots/<run_id>.json] per recorded run, written atomically.
+    The files are the registry — there is no index — so a hand-deleted
+    snapshot is simply a run no longer listed, and a run recorded twice
+    under one pinned run id is one run. *)
 module Registry : sig
-  type entry = {
-    e_run_id : string;
-    e_shard : string;
-    e_trace : string;  (** trace_id *)
-    e_cmd : string;  (** leading non-flag argv words, e.g. ["collect uec"] *)
-    e_file : string;  (** snapshot file name relative to [<dir>/snapshots] *)
-    e_hash : string;  (** snapshot content hash *)
-    e_unix : float;  (** run start, unix seconds *)
-  }
-
   val cmd_of_argv : string list -> string
-  (** The command key index entries group runs under: the leading non-flag
-      argv words after the executable (e.g. ["collect uec"]), falling back
-      to the executable basename. *)
+  (** The command key runs are grouped under: the leading non-flag argv
+      words after the executable (e.g. ["collect uec"]), falling back to
+      the executable basename. *)
 
   val set_dir : string option -> unit
   (** Override the registry directory ([Some dir]), or fall back to the
@@ -547,40 +536,33 @@ module Registry : sig
   val dir : unit -> string option
   (** Effective registry directory; [None] disables the registry. *)
 
-  val record : ?dir:string -> Snapshot.t -> entry option
-  (** Write the snapshot into the registry and append an index entry.
-      [None] when no directory is configured. *)
+  val record : ?dir:string -> Snapshot.t -> string option
+  (** Write the snapshot to [<dir>/snapshots/<run_id>.json] (atomically,
+      replacing a run of the same id) and return that path; [None] when no
+      directory is configured. *)
 
-  val entries : ?dir:string -> unit -> entry list
-  (** Index entries in append order; [] without a configured directory.
-      Torn lines and entries whose run id or hash is not 16 hex digits are
-      skipped. *)
+  val runs : ?dir:string -> unit -> Snapshot.t list * int
+  (** Every [*.json] file under [<dir>/snapshots] that decodes, sorted by
+      [started_unix], then run id, and the number of [*.json] files that
+      do not decode (another schema, a hand-edited or torn file).  Other
+      files, such as writer temp files, are ignored.  [([], 0)] without a
+      configured directory. *)
 
-  val load : ?dir:string -> entry -> Snapshot.t
-
-  val find : ?dir:string -> string -> entry option
-  (** Latest entry whose run id starts with the given prefix; [None] on no
-      match; raises [Failure] when the prefix matches several run ids. *)
+  val find : ?dir:string -> string -> string option
+  (** The snapshot file of the run whose id starts with the given prefix;
+      [None] on no match; raises [Failure] when the prefix matches several
+      run ids. *)
 
   val telemetry_sink : ?dir:string -> string -> string option
   (** [telemetry_sink run_id] creates the telemetry directory and returns
       the stream path for [run_id]; [None] when no registry directory is
       configured. *)
-
-  val snapshot_exists : ?dir:string -> entry -> bool
-  (** Whether the entry's snapshot file is still on disk (hand-deleted
-      snapshots leave dangling index lines behind). *)
-
-  val prune : ?dir:string -> unit -> int * int
-  (** Compact [index.jsonl] down to entries whose snapshot file exists.
-      The rewrite is atomic (temp file + rename).  Returns
-      [(kept, dropped)]; [(0, 0)] without a configured directory. *)
 end
 
 (** Reader of {!Telemetry} streams, and the live fleet view over
     [<dir>/telemetry]: one row per stream, from its last complete line.
-    [Done] when that line has [telemetry.final] = 1 or the run has reached
-    [index.jsonl]; [Stalled] when the file has gone untouched for
+    [Done] when that line has [telemetry.final] = 1 or the run's registry
+    snapshot file exists; [Stalled] when the file has gone untouched for
     [stall_factor × max(telemetry.interval_s, 1 s)] — judged against the
     stream's {e own} declared throttle interval; [Live] otherwise.
     [obs monitor FILE] prints the same row for one stream. *)
@@ -617,7 +599,7 @@ module Monitor : sig
     file : string;  (** telemetry stream path *)
     last : tick;  (** the stream's last complete line *)
     age_s : float;  (** now − file mtime *)
-    registered : bool;  (** run id present in [index.jsonl] *)
+    registered : bool;  (** the run's registry snapshot file exists *)
     rel_halfwidth : float;  (** worst unfinished task; [nan] when none *)
     status : status;
   }
@@ -704,8 +686,9 @@ module Trend : sig
   (** 20%, the threshold against one explicit baseline. *)
 
   val metrics_of : Snapshot.t -> (string * float) list
-  (** The worse-when-higher metrics of one run: span [total_ns] (as
-      [span:<name>]), span minor-word totals ([alloc:<name>]) and finite
+  (** The worse-when-higher metrics of one run, from
+      {!Snapshot.span_totals}: span [total_ns] (as [span:<name>]), span
+      minor-word totals ([alloc:<name>]) and finite
       histogram means ([hist:<name>.mean]).  For a fleet view pass
       {!Merge.merged}. *)
 

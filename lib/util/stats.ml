@@ -24,7 +24,11 @@ let wilson_interval ~successes ~trials ~z =
     let half =
       z /. denom *. sqrt ((p *. (1. -. p) /. n) +. (z2 /. (4. *. n *. n)))
     in
-    (max 0. (center -. half), min 1. (center +. half))
+    (* At k = 0 and k = n the formula's end is exactly 0 or 1, but the
+       float difference leaves a rounding residue (about 3e-20 at 0/40000,
+       z = 4), which would exclude an exact rate of 0 or 1. *)
+    ( (if successes = 0 then 0. else max 0. (center -. half)),
+      if successes = trials then 1. else min 1. (center +. half) )
   end
 
 let wilson_rel_halfwidth ~successes ~trials ~z =

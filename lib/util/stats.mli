@@ -10,7 +10,8 @@ val stddev : float array -> float
 
 val wilson_interval : successes:int -> trials:int -> z:float -> float * float
 (** Wilson score confidence interval for a binomial proportion.  [z] is the
-    normal quantile (1.96 for 95%). *)
+    normal quantile (1.96 for 95%).  The ends are exactly 0 at zero
+    successes and exactly 1 when every trial succeeds. *)
 
 val wilson_rel_halfwidth : successes:int -> trials:int -> z:float -> float
 (** Half-width of the Wilson interval divided by the point estimate — the

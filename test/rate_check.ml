@@ -14,12 +14,7 @@
 
 let z = 4.0
 
-(* The Wilson interval, with its exact ends at k = 0 and k = n: there the
-   float formula leaves a rounding residue (a lower end of about 3e-20 at
-   k = 0), which would reject an exact rate of 0. *)
-let interval ~k ~n =
-  let lo, hi = Stats.wilson_interval ~successes:k ~trials:n ~z in
-  ((if k = 0 then 0. else lo), if k = n then 1. else hi)
+let interval ~k ~n = Stats.wilson_interval ~successes:k ~trials:n ~z
 
 let overlap ~k1 ~n1 ~k2 ~n2 =
   let lo1, hi1 = interval ~k:k1 ~n:n1 and lo2, hi2 = interval ~k:k2 ~n:n2 in

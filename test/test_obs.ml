@@ -36,35 +36,47 @@ let captured name =
 
 let quantile name q = Obs.Snapshot.quantile (captured name) q
 
+(* The one bucket layout: 34 upper bounds from 1 ns to 100 s. *)
+let bounds = Obs.Histogram.bounds ()
+let nb = Array.length bounds
+
 let test_histogram () =
   Obs.reset ();
-  let h = Obs.Histogram.create ~buckets:[| 1.; 10.; 100. |] "test.hist" in
-  List.iter (Obs.Histogram.observe h) [ 0.5; 1.0; 5.; 50.; 500. ];
+  Alcotest.(check int) "34 buckets" 34 nb;
+  Alcotest.(check bool) "1 ns to 100 s" true
+    (feq ~eps:1e-20 bounds.(0) 1e-9 && feq ~eps:1e-12 bounds.(nb - 1) 100.);
+  let h = Obs.Histogram.create "test.hist" in
+  (* Each bound is the inclusive top of its bucket; below the first bound
+     is the first bucket; past the last is overflow. *)
+  let xs = [| 0.; bounds.(3); bounds.(3) *. 1.001; bounds.(27); 500. |] in
+  Array.iter (Obs.Histogram.observe h) xs;
   let c = captured "test.hist" in
   Alcotest.(check int) "count" 5 c.h_count;
-  Alcotest.(check (array int))
-    "bucket placement (le semantics, clamped below)" [| 2; 1; 1 |] c.h_counts;
+  Alcotest.(check (list (pair int int)))
+    "bucket placement (le semantics, clamped below)"
+    [ (0, 1); (3, 1); (4, 1); (27, 1) ]
+    (List.filter (fun (_, n) -> n > 0) (List.mapi (fun i n -> (i, n)) (Array.to_list c.h_counts)));
   Alcotest.(check int) "overflow" 1 c.h_overflow;
   Alcotest.(check bool) "mean matches Welford" true
-    (feq ~eps:1e-9 c.h_mean ((0.5 +. 1. +. 5. +. 50. +. 500.) /. 5.));
-  Alcotest.(check bool) "min/max" true (feq c.h_min 0.5 && feq c.h_max 500.);
+    (feq ~eps:1e-9 c.h_mean (Array.fold_left ( +. ) 0. xs /. 5.));
+  Alcotest.(check bool) "min/max" true (feq c.h_min 0. && feq c.h_max 500.);
   (* variance (M2 / (n - 1)) against the two-pass Stats implementation *)
-  let xs = [| 0.5; 1.0; 5.; 50.; 500. |] in
   Alcotest.(check bool) "variance matches Stats.variance" true
     (feq ~eps:1e-6 (c.h_m2 /. 4.) (Stats.variance xs))
 
 let test_histogram_quantile () =
   Obs.reset ();
-  let h = Obs.Histogram.create ~buckets:[| 10.; 20.; 30. |] "test.quant" in
+  let h = Obs.Histogram.create "test.quant" in
   Alcotest.(check bool) "empty -> nan" true (Float.is_nan (quantile "test.quant" 0.5));
-  (* 100 samples uniform over (0, 30]: bucket counts 33/33/34. *)
+  (* 100 samples uniform over (0, 30]: the 50th, 15.0, lies in the bucket
+     (10, 21.5], which holds the 34th to the 71st. *)
   for i = 1 to 100 do
     Obs.Histogram.observe h (float_of_int i *. 0.3)
   done;
   let q = quantile "test.quant" in
-  (* Interpolated median must land in the middle bucket, near 15. *)
+  (* Interpolated median must land in the bucket holding its rank, near 15. *)
   let p50 = q 0.5 in
-  Alcotest.(check bool) "median in middle bucket" true (p50 > 10. && p50 <= 20.);
+  Alcotest.(check bool) "median in its bucket" true (p50 > bounds.(30) && p50 <= bounds.(31));
   Alcotest.(check bool) "median near 15" true (Float.abs (p50 -. 15.) < 2.);
   (* Extremes clamp to the observed range, not the bucket edges. *)
   Alcotest.(check bool) "q=0 is min" true (feq (q 0.) 0.3);
@@ -76,17 +88,17 @@ let test_histogram_quantile () =
        false
      with Invalid_argument _ -> true);
   (* Overflow-bucket quantiles interpolate toward the observed max. *)
-  let o = Obs.Histogram.create ~buckets:[| 1. |] "test.quant_overflow" in
-  List.iter (Obs.Histogram.observe o) [ 5.; 6.; 7.; 8. ];
+  let o = Obs.Histogram.create "test.quant_overflow" in
+  List.iter (Obs.Histogram.observe o) [ 500.; 600.; 700.; 800. ];
   let q = quantile "test.quant_overflow" 0.5 in
   Alcotest.(check bool) "overflow quantile within observed range" true
-    (q > 1. && q <= 8.)
+    (q > bounds.(nb - 1) && q >= 500. && q <= 800.)
 
 let test_histogram_quantile_exact_when_degenerate () =
   Obs.reset ();
   (* One sample: every quantile is that exact value, not a bucket-edge
      interpolation. *)
-  let h = Obs.Histogram.create ~buckets:[| 10.; 20. |] "test.quant_single" in
+  let h = Obs.Histogram.create "test.quant_single" in
   Obs.Histogram.observe h 12.5;
   List.iter
     (fun q ->
@@ -96,19 +108,35 @@ let test_histogram_quantile_exact_when_degenerate () =
         (feq (quantile "test.quant_single" q) 12.5))
     [ 0.; 0.25; 0.5; 0.9; 1. ];
   (* Many identical samples (min = max) collapse the same way. *)
-  let d = Obs.Histogram.create ~buckets:[| 10.; 20. |] "test.quant_flat" in
+  let d = Obs.Histogram.create "test.quant_flat" in
   for _ = 1 to 7 do
     Obs.Histogram.observe d 15.
   done;
   Alcotest.(check bool) "min = max exact" true (feq (quantile "test.quant_flat" 0.5) 15.)
 
-let test_histogram_rejects_bad_buckets () =
+(* Every histogram has the one layout, so a document whose counts do not
+   match it in length is refused, not read. *)
+let test_histogram_rejects_bad_counts () =
   Obs.reset ();
-  Alcotest.(check bool) "non-increasing rejected" true
-    (try
-       ignore (Obs.Histogram.create ~buckets:[| 1.; 1. |] "test.bad_hist");
-       false
-     with Invalid_argument _ -> true)
+  Obs.Histogram.observe (Obs.Histogram.create "test.bad_counts") 1e-3;
+  let s = Obs.Snapshot.capture () in
+  let with_counts n =
+    { s with
+      histograms =
+        List.map
+          (fun (k, (h : Obs.Snapshot.hist)) -> (k, { h with h_counts = Array.make n 0 }))
+          s.histograms }
+  in
+  let decodes n =
+    match Obs.Snapshot.of_json (Obs.Snapshot.to_json (with_counts n)) with
+    | _ -> true
+    | exception Failure _ -> false
+  in
+  Alcotest.(check bool) "layout length accepted" true (decodes nb);
+  List.iter
+    (fun n ->
+      Alcotest.(check bool) (Printf.sprintf "%d counts refused" n) false (decodes n))
+    [ 0; 2; nb - 1; nb + 1 ]
 
 (* ----------------------------------------------------------------- spans *)
 
@@ -159,8 +187,8 @@ let test_span_ring_eviction () =
   Alcotest.(check int) "all recorded" 10 (Obs.Trace.recorded ());
   let retained = List.map (fun s -> s.Obs.Trace.name) (Obs.Trace.spans ()) in
   Alcotest.(check (list string)) "ring keeps newest" [ "s7"; "s8"; "s9"; "s10" ] retained;
-  let summaries = Obs.Trace.summaries () in
-  Alcotest.(check int) "summaries survive eviction" 10 (List.length summaries);
+  let totals = Obs.Snapshot.span_totals (Obs.Snapshot.capture ()) in
+  Alcotest.(check int) "span totals survive eviction" 10 (List.length totals);
   Obs.Trace.set_capacity 65536
 
 (* ------------------------------------------------------------ round-trip *)
@@ -260,7 +288,7 @@ let test_report_process_section () =
    re-read document answers exactly as the capture it was written from. *)
 let test_report_quantiles () =
   Obs.reset ();
-  let h = Obs.Histogram.create ~buckets:[| 1.; 10. |] "rq.hist" in
+  let h = Obs.Histogram.create "rq.hist" in
   List.iter (Obs.Histogram.observe h) [ 0.5; 2.; 3.; 4.; 20. ];
   let snap = Obs.Snapshot.of_json (metrics_doc ()) in
   let hist = List.assoc "rq.hist" snap.Obs.Snapshot.histograms in
@@ -279,7 +307,7 @@ let test_report_roundtrip () =
   Obs.Counter.add c 7;
   let g = Obs.Gauge.create "rt.gauge" in
   Obs.Gauge.set g 1.5;
-  let h = Obs.Histogram.create ~buckets:[| 1.; 2. |] "rt.hist" in
+  let h = Obs.Histogram.create "rt.hist" in
   Obs.Histogram.observe h 0.5;
   Obs.Trace.with_span "rt.span" (fun () -> ());
   let doc = metrics_doc () in
@@ -293,8 +321,8 @@ let test_report_roundtrip () =
   let hist = Option.get (Obs.Json.member "rt.hist" hists) in
   Alcotest.(check bool) "hist count" true
     (Obs.Json.member "count" hist = Some (Obs.Json.Int 1));
-  let spans = Option.get (Obs.Json.member "spans" doc) in
-  let span = Option.get (Obs.Json.member "rt.span" spans) in
+  let paths = Option.get (Obs.Json.member "paths" doc) in
+  let span = Option.get (Obs.Json.member "rt.span" paths) in
   Alcotest.(check bool) "span count" true
     (Obs.Json.member "count" span = Some (Obs.Json.Int 1))
 
@@ -417,8 +445,8 @@ let () =
           Alcotest.test_case "histogram quantile" `Quick test_histogram_quantile;
           Alcotest.test_case "histogram degenerate quantile" `Quick
             test_histogram_quantile_exact_when_degenerate;
-          Alcotest.test_case "histogram bad buckets" `Quick
-            test_histogram_rejects_bad_buckets ] );
+          Alcotest.test_case "histogram bad counts" `Quick
+            test_histogram_rejects_bad_counts ] );
       ( "trace",
         [ Alcotest.test_case "nesting and timing" `Quick test_span_nesting_and_timing;
           Alcotest.test_case "exception safety" `Quick test_span_exception_still_recorded;

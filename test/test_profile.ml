@@ -314,8 +314,7 @@ let test_telemetry_codec_roundtrip () =
               Alcotest.(check bool) ("without " ^ key ^ " rejected") true
                 (raises_failure (fun () ->
                      Obs.Snapshot.of_json (Obs.Json.Obj (List.remove_assoc key kvs)))))
-            [ "schema"; "run"; "counters"; "gauges"; "histograms"; "spans"; "paths";
-              "process" ]
+            [ "schema"; "run"; "counters"; "gauges"; "histograms"; "paths"; "process" ]
       | _ -> Alcotest.fail "line is not an object")
 
 (* A stream cut at any byte reads as its longest prefix of complete lines —
@@ -388,7 +387,7 @@ let test_trace_codec_roundtrip () =
       Alcotest.(check bool) "snapshot line rejected" true
         (raises_failure (fun () ->
              Obs.Trace.event_of_json
-               (Obs.Json.parse {|{"schema":"hetarch.snapshot/3","run":{}}|}))))
+               (Obs.Json.parse {|{"schema":"hetarch.snapshot/4","run":{}}|}))))
 
 (* ----------------------------------------------------------------- diff *)
 
@@ -405,7 +404,6 @@ let snapshot spans =
     counters = [];
     gauges = [];
     histograms = [];
-    spans;
     paths = List.map (fun (n, c, t, mw, pw, jw) -> ("root;" ^ n, c, t, mw, pw, jw)) spans;
     process =
       { p_minor_collections = 0; p_major_collections = 0; p_compactions = 0;
@@ -457,7 +455,7 @@ let test_diff_detects_regression () =
 
 let test_diff_manifest_metrics () =
   Obs.reset ();
-  let h = Obs.Histogram.create ~buckets:[| 1.; 10. |] "diff_test.hist" in
+  let h = Obs.Histogram.create "diff_test.hist" in
   Obs.Histogram.observe h 4.;
   Obs.Trace.with_span "diff_test.span" (fun () -> ());
   let snap = Obs.Snapshot.capture () in

@@ -21,10 +21,14 @@ let proc0 =
     p_heap_words = 4096;
     p_top_heap_words = 8192 }
 
-(* values [2.; 4.]: count 2, mean 3, M2 2 *)
+(* Bucket counts in the one layout, from (bucket index, count) pairs. *)
+let nb = Array.length (Obs.Histogram.bounds ())
+let counts placed = Array.init nb (fun i -> Option.value ~default:0 (List.assoc_opt i placed))
+
+(* values [2.; 4.], in the buckets (1, 2.15] and (2.15, 4.64]: count 2,
+   mean 3, M2 2 *)
 let hist_a =
-  { Obs.Snapshot.h_bounds = [| 1.; 10. |];
-    h_counts = [| 0; 2 |];
+  { Obs.Snapshot.h_counts = counts [ (28, 1); (29, 1) ];
     h_overflow = 0;
     h_count = 2;
     h_mean = 3.;
@@ -32,10 +36,9 @@ let hist_a =
     h_min = 2.;
     h_max = 4. }
 
-(* values [6.]: count 1, mean 6, M2 0 *)
+(* values [6.], in the bucket (4.64, 10]: count 1, mean 6, M2 0 *)
 let hist_b =
-  { Obs.Snapshot.h_bounds = [| 1.; 10. |];
-    h_counts = [| 0; 1 |];
+  { Obs.Snapshot.h_counts = counts [ (30, 1) ];
     h_overflow = 0;
     h_count = 1;
     h_mean = 6.;
@@ -55,7 +58,6 @@ let snap ?(run_id = "00000000000000aa") ?(shard = "") ?(counters = [])
     counters;
     gauges;
     histograms;
-    spans;
     paths =
       List.map
         (fun (n, c, t, mw, pw, jw) -> ("root;" ^ n, c, t, mw, pw, jw))
@@ -103,7 +105,7 @@ let test_capture_roundtrip () =
   Obs.reset ();
   Obs.Counter.add (Obs.Counter.create "snapcap.events_total") 5;
   Obs.Gauge.set (Obs.Gauge.create "snapcap.gauge") 2.25;
-  let h = Obs.Histogram.create ~buckets:[| 1.; 2. |] "snapcap.hist" in
+  let h = Obs.Histogram.create "snapcap.hist" in
   List.iter (Obs.Histogram.observe h) [ 0.5; 1.5; 3. ];
   Obs.Trace.with_span "snapcap.span" (fun () -> ());
   (* One span name under two callers and nested in itself: a;x, b;x, x;x. *)
@@ -132,13 +134,14 @@ let test_capture_roundtrip () =
     |> List.map (fun (n, (c, t, mw, pw, jw)) -> (n, c, t, mw, pw, jw))
     |> List.sort compare
   in
-  Alcotest.(check bool) "spans = paths grouped by last segment" true (s.spans = grouped);
+  let totals = Obs.Snapshot.span_totals s in
+  Alcotest.(check bool) "span totals = paths grouped by last segment" true (totals = grouped);
   Alcotest.(check (list string)) "x's three paths" [ "a;x"; "b;x"; "x"; "x;x" ]
     (List.filter_map
        (fun (p, _, _, _, _, _) -> if last_segment p = "x" then Some p else None)
        s.paths);
   Alcotest.(check bool) "x counted four times" true
-    (List.exists (fun (n, c, _, _, _, _) -> n = "x" && c = 4) s.spans)
+    (List.exists (fun (n, c, _, _, _, _) -> n = "x" && c = 4) totals)
 
 let test_write_load () =
   let path = Filename.temp_file "hetarch_snap" ".json" in
@@ -153,27 +156,26 @@ let test_write_load () =
 (* Pinned vectors: a serialization or hash change must be a deliberate
    schema bump, not an accident — these fail loudly on drift. *)
 let test_pinned_content_hash () =
-  Alcotest.(check string) "pinned content hash" "ba6040ca0402385d"
+  Alcotest.(check string) "pinned content hash" "c1167fbc5c687721"
     (Obs.Snapshot.content_hash fixed);
   let empty = snap ~run_id:"00000000000000bb" () in
-  Alcotest.(check string) "pinned empty-snapshot hash" "c916c79e831f0b30"
+  Alcotest.(check string) "pinned empty-snapshot hash" "712789ce47106c7f"
     (Obs.Snapshot.content_hash empty);
   (* A fleet view is its canonical sources' documents and nothing else. *)
   Alcotest.(check string) "fleet view is the sources array"
     ("[" ^ to_string fixed ^ "," ^ to_string empty ^ "]")
     (fleet_string (Obs.Merge.of_snapshots [ empty; fixed ]))
 
+(* A snapshot document under another schema string. *)
+let with_schema name = function
+  | Obs.Json.Obj kvs ->
+      Obs.Json.Obj
+        (List.map (fun (k, v) -> if k = "schema" then (k, Obs.Json.String name) else (k, v)) kvs)
+  | j -> j
+
 (* One format: a document under any other schema string is rejected, not
    read with defaults. *)
 let test_other_schemas_rejected () =
-  let with_schema name = function
-    | Obs.Json.Obj kvs ->
-        Obs.Json.Obj
-          (List.map
-             (fun (k, v) -> if k = "schema" then (k, Obs.Json.String name) else (k, v))
-             kvs)
-    | j -> j
-  in
   List.iter
     (fun old ->
       let doc = with_schema old (Obs.Snapshot.to_json fixed) in
@@ -181,7 +183,7 @@ let test_other_schemas_rejected () =
         (match Obs.Snapshot.of_json doc with
         | exception Failure _ -> true
         | _ -> false))
-    [ "hetarch.snapshot/2"; "hetarch.snapshot/1"; "hetarch.obs/5" ]
+    [ "hetarch.snapshot/3"; "hetarch.snapshot/2"; "hetarch.snapshot/1"; "hetarch.obs/5" ]
 
 (* A torn snapshot or fleet document — cut at any byte — is a Failure and
    nothing else; only the complete document parses. *)
@@ -231,8 +233,8 @@ let test_merge_sums_and_attribution () =
   Alcotest.(check (list (pair string int))) "counters sum"
     [ ("x.total", 5); ("y.total", 5) ] m.counters;
   (* span counts, totals and allocation words re-fold under one sum rule *)
-  Alcotest.(check bool) "span aggregates sum" true
-    (m.spans = [ ("s", 3, 350L, 100, 10, 10) ]);
+  Alcotest.(check bool) "span totals sum" true
+    (Obs.Snapshot.span_totals m = [ ("s", 3, 350L, 100, 10, 10) ]);
   Alcotest.(check bool) "path aggregates sum" true
     (m.paths = [ ("root;s", 3, 350L, 100, 10, 10) ]);
   (* gauges sum like counters; the per-source readings stay in the sources *)
@@ -242,7 +244,7 @@ let test_merge_sums_and_attribution () =
   let h = List.assoc "h" m.histograms in
   Alcotest.(check bool) "histogram bucket-merge" true
     (h.h_count = 3 && h.h_mean = 4. && h.h_m2 = 8. && h.h_min = 2. && h.h_max = 6.
-    && h.h_counts = [| 0; 3 |]);
+    && h.h_counts = counts [ (28, 1); (29, 1); (30, 1) ]);
   Alcotest.(check bool) "window spans the sources" true
     (m.started_unix = 1723100000. && m.wall_seconds = 1.5);
   (* attribution: each source, in canonical (run id) order, is on disk *)
@@ -253,37 +255,22 @@ let test_merge_sums_and_attribution () =
     ("[" ^ to_string s1 ^ "," ^ to_string s2 ^ "]")
     (fleet_string fleet)
 
-let test_merge_bounds_mismatch_rejected () =
-  let s1 = snap ~run_id:"0000000000000001" ~histograms:[ ("h", hist_a) ] () in
-  let s2 =
-    snap ~run_id:"0000000000000002"
-      ~histograms:
-        [ ("h", { hist_b with Obs.Snapshot.h_bounds = [| 5. |]; h_counts = [| 1 |] }) ]
-      ()
-  in
-  let mismatch = Failure "Obs.Merge: histogram h bucket bounds differ across snapshots" in
-  Alcotest.check_raises "incompatible bucket bounds" mismatch (fun () ->
-      ignore (fleet_string (Obs.Merge.of_snapshots [ s1; s2 ])));
-  Alcotest.check_raises "union refuses them too" mismatch (fun () ->
-      ignore (Obs.Merge.(union (of_snapshots [ s1 ]) (of_snapshots [ s2 ]))));
-  (* A fleet document holding such sources is refused when it is read. *)
-  Alcotest.check_raises "fleet view with incompatible sources" mismatch (fun () ->
-      ignore
-        (Obs.Merge.of_json
-           (Obs.Json.List [ Obs.Snapshot.to_json s1; Obs.Snapshot.to_json s2 ])));
-  (* Malformed bucket state is rejected when a document is read, before a
-     merge could index past the end of a short counts array. *)
+(* Malformed bucket state is rejected when a document is read — before a
+   merge could index past the end of a short counts array — whether it
+   comes alone or inside a fleet view. *)
+let test_merge_bad_bucket_state () =
   let doc h = Obs.Json.parse (to_string (snap ~histograms:[ ("h", h) ] ())) in
+  let refused j = match Obs.Merge.of_json j with exception Failure _ -> true | _ -> false in
   List.iter
     (fun (what, h) ->
-      Alcotest.(check bool) what true
-        (match Obs.Merge.of_json (doc h) with
-        | exception Failure _ -> true
-        | _ -> false))
-    [ ("counts shorter than bounds", { hist_a with Obs.Snapshot.h_counts = [| 2 |] });
-      ("bounds not increasing", { hist_a with Obs.Snapshot.h_bounds = [| 10.; 1. |] });
-      ("negative bucket count", { hist_a with Obs.Snapshot.h_counts = [| -1; 3 |] });
-      ("negative overflow", { hist_a with Obs.Snapshot.h_overflow = -1 }) ]
+      Alcotest.(check bool) what true (refused (doc h));
+      Alcotest.(check bool) (what ^ ", in a fleet view") true
+        (refused (Obs.Json.List [ Obs.Snapshot.to_json fixed; doc h ])))
+    [ ("counts shorter than the layout", { hist_a with Obs.Snapshot.h_counts = [| 2 |] });
+      ("counts longer than the layout", { hist_a with h_counts = Array.make (nb + 1) 0 });
+      ("negative bucket count", { hist_a with h_counts = counts [ (0, -1); (29, 3) ] });
+      ("negative overflow", { hist_a with h_overflow = -1 }) ];
+  Alcotest.(check bool) "the layout's length is read" false (refused (doc hist_a))
 
 let test_merge_of_json_flattens_fleet () =
   let s1 = snap ~run_id:"0000000000000001" ~counters:[ ("c", 1) ] () in
@@ -300,8 +287,7 @@ let test_merge_of_json_flattens_fleet () =
     (fleet_string (Obs.Merge.of_snapshots [ s1; s2; s3 ]))
     (fleet_string via_doc)
 
-(* qcheck: serialized-bytes merge laws on random snapshot triples.  Bucket
-   bounds are fixed per histogram name so random snapshots are mergeable. *)
+(* qcheck: serialized-bytes merge laws on random snapshot triples. *)
 let gen_snapshot =
   let open QCheck.Gen in
   let name pool = oneofl pool in
@@ -313,16 +299,14 @@ let gen_snapshot =
     list_size (0 -- 2)
       (pair (name [ "g.a"; "g.b" ]) (float_bound_inclusive 100.))
   in
-  let hist bounds =
-    let n = Array.length bounds in
-    let* counts = array_size (return n) (0 -- 50) in
+  let hist =
+    let* counts = array_size (return nb) (0 -- 50) in
     let* overflow = 0 -- 10 in
     let total = Array.fold_left ( + ) overflow counts in
     let* mean = float_bound_inclusive 50. in
     let* m2 = float_bound_inclusive 10. in
     return
-      { Obs.Snapshot.h_bounds = bounds;
-        h_counts = counts;
+      { Obs.Snapshot.h_counts = counts;
         h_overflow = overflow;
         h_count = total;
         h_mean = (if total = 0 then 0. else mean);
@@ -331,7 +315,7 @@ let gen_snapshot =
         h_max = (if total = 0 then neg_infinity else mean +. 1.) }
   in
   let histograms =
-    let* ha = hist [| 1.; 10. |] and* hb = hist [| 5. |] in
+    let* ha = hist and* hb = hist in
     oneofl [ []; [ ("h.a", ha) ]; [ ("h.a", ha); ("h.b", hb) ] ]
   in
   let spans =
@@ -399,53 +383,80 @@ let with_tmp_dir f =
   in
   Fun.protect ~finally:(fun () -> try rm dir with Sys_error _ -> ()) (fun () -> f dir)
 
+let snapshots dir = Filename.concat dir "snapshots"
+
 let test_registry_record_find_load () =
   with_tmp_dir (fun dir ->
-      let s1 = snap ~run_id:"00000000000000aa" ~counters:[ ("c", 1) ] () in
+      let s1 =
+        { (snap ~run_id:"00000000000000aa" ~counters:[ ("c", 1) ] ()) with started_unix = 2e9 }
+      in
       let s2 = snap ~run_id:"00000000000000ab" ~counters:[ ("c", 2) ] () in
-      (match Obs.Registry.record ~dir s1 with
-      | Some e ->
-          Alcotest.(check string) "entry id" "00000000000000aa"
-            e.Obs.Registry.e_run_id;
-          Alcotest.(check string) "entry cmd" "collect threshold"
-            e.Obs.Registry.e_cmd
-      | None -> Alcotest.fail "record returned None with a directory");
+      Alcotest.(check (option string)) "record writes <run_id>.json"
+        (Some (Filename.concat (snapshots dir) "00000000000000aa.json"))
+        (Obs.Registry.record ~dir s1);
       ignore (Obs.Registry.record ~dir s2);
-      let entries = Obs.Registry.entries ~dir () in
-      Alcotest.(check int) "two entries, append order" 2 (List.length entries);
+      let ids () =
+        let runs, skipped = Obs.Registry.runs ~dir () in
+        Alcotest.(check int) "nothing skipped" 0 skipped;
+        List.map (fun (s : Obs.Snapshot.t) -> s.run.run_id) runs
+      in
+      Alcotest.(check (list string)) "runs in start order"
+        [ "00000000000000ab"; "00000000000000aa" ] (ids ());
+      Alcotest.(check string) "cmd key" "collect threshold"
+        (Obs.Registry.cmd_of_argv s1.argv);
       (* unambiguous prefix resolves, ambiguous raises, unknown is None *)
       (match Obs.Registry.find ~dir "00000000000000ab" with
-      | Some e ->
-          let reread = Obs.Registry.load ~dir e in
+      | Some path ->
           Alcotest.(check string) "load round trip" (to_string s2)
-            (to_string reread)
+            (to_string (Obs.Snapshot.load path))
       | None -> Alcotest.fail "exact id not found");
       Alcotest.(check bool) "unknown prefix is None" true
         (Obs.Registry.find ~dir "ffff" = None);
       Alcotest.(check bool) "ambiguous prefix raises" true
         (match Obs.Registry.find ~dir "000000000000" with
         | exception Failure _ -> true
-        | _ -> false))
+        | _ -> false);
+      (* A run recorded twice under one id is one run, its last state. *)
+      let s1' = { s1 with counters = [ ("c", 3) ] } in
+      ignore (Obs.Registry.record ~dir s1');
+      Alcotest.(check (list string)) "re-recorded id is one run"
+        [ "00000000000000ab"; "00000000000000aa" ] (ids ());
+      Alcotest.(check string) "the later record wins" (to_string s1')
+        (to_string (Obs.Snapshot.load (Option.get (Obs.Registry.find ~dir "00000000000000aa"))));
+      (* A hand-deleted snapshot is a run no longer listed. *)
+      Sys.remove (Filename.concat (snapshots dir) "00000000000000ab.json");
+      Alcotest.(check (list string)) "deleted run drops out" [ "00000000000000aa" ] (ids ());
+      Alcotest.(check bool) "and is not found" true
+        (Obs.Registry.find ~dir "00000000000000ab" = None))
 
-let test_registry_torn_index_tail () =
+(* A writer's temp file is not a run; a *.json that does not decode — torn,
+   or a snapshot of another schema — is counted as skipped, and the good
+   runs still list and resolve. *)
+let test_registry_skips_bad_files () =
   with_tmp_dir (fun dir ->
-      let s1 = snap ~run_id:"00000000000000aa" () in
-      ignore (Obs.Registry.record ~dir s1);
-      (* a writer killed mid-append leaves a truncated final line *)
-      let oc =
-        open_out_gen [ Open_append ]
-          0o644
-          (Filename.concat dir "index.jsonl")
+      Alcotest.(check bool) "no snapshots directory: no runs" true
+        (Obs.Registry.runs ~dir () = ([], 0));
+      let good = snap ~run_id:"00000000000000aa" () in
+      ignore (Obs.Registry.record ~dir good);
+      let write name text =
+        Out_channel.with_open_bin (Filename.concat (snapshots dir) name) (fun oc ->
+            Out_channel.output_string oc text)
       in
-      (* a complete line whose hash is not 16 hex digits *)
-      output_string oc
-        "{\"run_id\":\"00000000000000ac\",\"shard\":\"\",\"trace_id\":\"\",\
-         \"cmd\":\"fig3\",\"file\":\"00000000000000ac.json\",\"hash\":\"abc\",\
-         \"unix\":1.0}\n";
-      output_string oc "{\"run_id\":\"00000000000000ab\",\"sha";
-      close_out oc;
-      Alcotest.(check int) "torn tail and bad hash skipped" 1
-        (List.length (Obs.Registry.entries ~dir ())))
+      let bytes = to_string (snap ~run_id:"00000000000000cc" ()) in
+      write "00000000000000bb.json.tmp.123.0.0" bytes;
+      write "00000000000000cc.json" (String.sub bytes 0 (String.length bytes / 2));
+      write "00000000000000dd.json"
+        (Obs.Json.to_string
+           (with_schema "hetarch.snapshot/3"
+              (Obs.Snapshot.to_json (snap ~run_id:"00000000000000dd" ()))));
+      let runs, skipped = Obs.Registry.runs ~dir () in
+      Alcotest.(check (list string)) "the good run listed" [ "00000000000000aa" ]
+        (List.map (fun (s : Obs.Snapshot.t) -> s.run.run_id) runs);
+      Alcotest.(check int) "torn and /3 files skipped, temp file ignored" 2 skipped;
+      Alcotest.(check bool) "good prefix resolves" true
+        (Obs.Registry.find ~dir "00000000000000a" <> None);
+      Alcotest.(check bool) "a temp file has no run id" true
+        (Obs.Registry.find ~dir "00000000000000b" = None))
 
 (* ------------------------------------------------------ trend watchdog *)
 
@@ -500,8 +511,7 @@ let () =
       ( "merge",
         [ Alcotest.test_case "sums and attribution" `Quick
             test_merge_sums_and_attribution;
-          Alcotest.test_case "bounds mismatch" `Quick
-            test_merge_bounds_mismatch_rejected;
+          Alcotest.test_case "bad bucket state" `Quick test_merge_bad_bucket_state;
           Alcotest.test_case "fleet docs flatten" `Quick
             test_merge_of_json_flattens_fleet;
           QCheck_alcotest.to_alcotest qcheck_merge_commutative;
@@ -510,8 +520,7 @@ let () =
       ( "registry",
         [ Alcotest.test_case "record/find/load" `Quick
             test_registry_record_find_load;
-          Alcotest.test_case "torn index tail" `Quick
-            test_registry_torn_index_tail ] );
+          Alcotest.test_case "skips bad files" `Quick test_registry_skips_bad_files ] );
       ( "trend",
         [ Alcotest.test_case "median + MAD judgement" `Quick test_trend_judge;
           Alcotest.test_case "min-pct floor" `Quick test_trend_min_pct_floor;

@@ -180,7 +180,16 @@ let test_stats_wilson () =
   Alcotest.(check bool) "reasonable width" true (hi -. lo > 0.1 && hi -. lo < 0.3);
   let lo0, hi0 = Stats.wilson_interval ~successes:0 ~trials:100 ~z:1.96 in
   Alcotest.(check bool) "zero successes lower bound" true (float_eq lo0 0.);
-  Alcotest.(check bool) "zero successes upper bound positive" true (hi0 > 0.)
+  Alcotest.(check bool) "zero successes upper bound positive" true (hi0 > 0.);
+  (* The ends are exact, not a rounding residue of center -/+ half. *)
+  let lo0, _ = Stats.wilson_interval ~successes:0 ~trials:40000 ~z:4. in
+  Alcotest.(check (float 0.)) "0/40000 lower end is exactly 0" 0. lo0;
+  List.iter
+    (fun n ->
+      let lo, hi = Stats.wilson_interval ~successes:n ~trials:n ~z:4. in
+      Alcotest.(check (float 0.)) (Printf.sprintf "%d/%d upper end is exactly 1" n n) 1. hi;
+      Alcotest.(check bool) (Printf.sprintf "%d/%d lower end below 1" n n) true (lo < 1.))
+    [ 1; 7; 40000 ]
 
 let test_stats_percentile () =
   let xs = [| 5.; 1.; 3.; 2.; 4. |] in
