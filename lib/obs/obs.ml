@@ -12,21 +12,28 @@ module Json = struct
     | List of t list
     | Obj of (string * t) list
 
+  let needs_escape c = c = '"' || c = '\\' || Char.code c < 0x20
+
+  (* Most keys and strings need no escaping: return those as they are, and
+     build a copy only for the rest. *)
   let escape s =
-    let b = Buffer.create (String.length s + 2) in
-    String.iter
-      (fun c ->
-        match c with
-        | '"' -> Buffer.add_string b "\\\""
-        | '\\' -> Buffer.add_string b "\\\\"
-        | '\n' -> Buffer.add_string b "\\n"
-        | '\r' -> Buffer.add_string b "\\r"
-        | '\t' -> Buffer.add_string b "\\t"
-        | c when Char.code c < 0x20 ->
-            Buffer.add_string b (Printf.sprintf "\\u%04x" (Char.code c))
-        | c -> Buffer.add_char b c)
-      s;
-    Buffer.contents b
+    if not (String.exists needs_escape s) then s
+    else begin
+      let b = Buffer.create (String.length s + 2) in
+      String.iter
+        (fun c ->
+          match c with
+          | '"' -> Buffer.add_string b "\\\""
+          | '\\' -> Buffer.add_string b "\\\\"
+          | '\n' -> Buffer.add_string b "\\n"
+          | '\r' -> Buffer.add_string b "\\r"
+          | '\t' -> Buffer.add_string b "\\t"
+          | c when Char.code c < 0x20 ->
+              Buffer.add_string b (Printf.sprintf "\\u%04x" (Char.code c))
+          | c -> Buffer.add_char b c)
+        s;
+      Buffer.contents b
+    end
 
   let fmt_float x =
     if Float.is_integer x && Float.abs x < 1e15 then Printf.sprintf "%.1f" x

@@ -174,18 +174,11 @@ let brute_force_distance t ~max_weight =
   let z_red = gf2_reduce t.z_stabs ~n:t.n in
   let z_checks = rows_to_bits t.z_stabs ~n:t.n in
   let x_checks = rows_to_bits t.x_stabs ~n:t.n in
-  let popcount v =
-    let c = ref 0 and x = ref v in
-    while !x <> 0 do
-      x := !x land (!x - 1);
-      incr c
-    done;
-    !c
-  in
   (* An X-type logical: commutes with all Z stabilizers, not in the span of
      X stabilizers (and dually). *)
   let is_logical v ~checks ~own_red =
-    Array.for_all (fun c -> popcount (v land c) mod 2 = 0) checks && not (in_span own_red v)
+    Array.for_all (fun c -> Bitvec.popcount_word (v land c) mod 2 = 0) checks
+    && not (in_span own_red v)
   in
   let found = ref None in
   (try

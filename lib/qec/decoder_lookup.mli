@@ -14,10 +14,9 @@ val max_qubits : int
 
 val max_syndrome_bits : int
 (** The most checks of one type {!create} takes: 16, so a table holds at
-    most 2^16 syndromes.  A table costs at least its size: REP20's
-    2^19-entry table took 153 ms, REP22's 668 ms, about 4x per two more
-    checks, while REP17 (16) takes about 15 ms and SC5 (12, but 25 qubits
-    to enumerate) about 95 ms. *)
+    most 2^16 syndromes.  A table costs at least its size and grows about
+    4x per two more checks; REP17 (16) takes about 2 ms and SC5 (12, but
+    25 qubits to enumerate) about 8 ms. *)
 
 val syndrome_bits : Code.t -> int
 (** The larger of the code's X- and Z-check counts: its larger table has

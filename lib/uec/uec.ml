@@ -32,15 +32,6 @@ type profile = {
 
 let all_stabs (code : Code.t) = Array.append code.Code.z_stabs code.Code.x_stabs
 
-(* Kernighan popcount: the masks here are sparse words of <= 30 bits. *)
-let popcount mask =
-  let c = ref 0 and x = ref mask in
-  while !x <> 0 do
-    x := !x land (!x - 1);
-    incr c
-  done;
-  !c
-
 (* Serialized check duration for one stabilizer of weight [w] whose largest
    same-register group has [majority] qubits: first swap-out and last
    swap-in are exposed, swaps pipeline behind the ancilla CXs when
@@ -91,11 +82,11 @@ let search_two_registers p n stabs =
   in
   let best_mask = ref (-1) and best_t = ref 0. in
   for mask = 0 to (1 lsl max 0 (n - 1)) - 1 do
-    let ones = popcount mask in
+    let ones = Bitvec.popcount_word mask in
     if ones <= cap && n - ones <= cap then begin
       let t = ref 0. in
       for i = 0 to nstabs - 1 do
-        t := !t +. times.(i).(popcount (mask land supp_mask.(i)))
+        t := !t +. times.(i).(Bitvec.popcount_word (mask land supp_mask.(i)))
       done;
       if !best_mask < 0 || not (!best_t <= !t) then begin
         best_mask := mask;
@@ -270,9 +261,10 @@ let effective_channels ?(params = default_params) prof =
       !acc)
 
 let uec_shots_total = Obs.Counter.create "uec.shots_total"
+let uec_draws_total = Obs.Counter.create "uec.draws_total"
 
-(* Lookup decoders, one per code: a build takes 80k (17QCC) to 823k (SC4)
-   minor words, and a module sweep estimates each code dozens of times.  A
+(* Lookup decoders, one per code: a build takes 0.04 ms (17QCC) to 8 ms
+   (SC5), and a module sweep estimates each code dozens of times.  A
    decoder is read-only once built, so every domain shares it.  Keyed by
    name like the assignment memo, with the code itself checked on a hit. *)
 let decoder_memo : (string, Code.t * Decoder_lookup.t) Hashtbl.t = Hashtbl.create 8
@@ -292,121 +284,193 @@ let lookup_decoder (code : Code.t) =
           Hashtbl.replace decoder_memo code.Code.name (code, d));
       d
 
-(* The shot loop's draws.  [Rng.uniform] would box its float result across
-   the module boundary; forming it here from the immediate [Rng.bits53]
-   keeps it unboxed, and the stream is the same. *)
-let[@inline] uniform rng = float_of_int (Rng.bits53 rng) *. 0x1.0p-53
+type channels = {
+  interval : float array array;
+  touch : float array;
+  per_qubit : float array array;
+  flips : float array;
+}
 
-(* One draw from the Pauli channel [c] (I, X, Z, Y) on qubit [q], applied to
-   the shot's error masks: [err.(0)] holds X errors, [err.(1)] Z errors. *)
-let inject rng (c : float array) (err : int array) q =
-  let u = uniform rng in
-  let bit = 1 lsl q in
-  if u < c.(1) then err.(0) <- err.(0) lxor bit
-  else if u < c.(1) +. c.(2) then err.(1) <- err.(1) lxor bit
-  else if u < c.(1) +. c.(2) +. c.(3) then begin
-    err.(0) <- err.(0) lxor bit;
-    err.(1) <- err.(1) lxor bit
+(* Checks are extracted at distinct times within a round (fully serialized
+   on the USC; a single parallel step on the lattice), so noise is injected
+   per extraction step — mid-round errors leave the serial syndrome
+   internally inconsistent, which is the real cost of serialization. *)
+let channels ?(params = default_params) prof =
+  let stabs = all_stabs prof.code in
+  { interval =
+      (match prof.arch with
+      | Het { ts } ->
+          Array.map
+            (fun supp ->
+              idle_probs ~eta:params.eta ~t:ts
+                ~dt:(stab_time params prof.assignment supp) ())
+            stabs
+      | Hom -> [||]);
+    (* Per-check extras for the touched qubits: compute-idle during the
+       swaps and CX, plus the CX depolarizing marginal. *)
+    touch =
+      compose_pauli
+        (idle_probs ~eta:params.eta ~t:params.tc
+           ~dt:((2. *. params.t_swap) +. params.t_2q) ())
+        (gate_probs ~eta:params.eta params.p2);
+    per_qubit =
+      (match prof.arch with Hom -> effective_channels ~params prof | Het _ -> [||]);
+    flips = Array.append prof.meas_flip.(0) prof.meas_flip.(1) }
+
+(* The loop compares integer draws with integer thresholds.  A draw
+   [b = Rng.bits53] stands for the uniform [u = b * 2^-53] exactly, and
+   scaling by 2^53 is exact, so for an integer [b], [u < c] holds iff
+   [b < ceil (c * 2^53)].  Clamped to [0, 2^53]: [c >= 1] always fires,
+   [c <= 0] (or nan) never. *)
+let threshold c =
+  if not (c > 0.) then 0
+  else if c >= 1. then 1 lsl 53
+  else int_of_float (Float.ceil (c *. 0x1p53))
+
+(* A Pauli channel (I, X, Z, Y) as three thresholds on one draw, at [3 i]
+   in the output: X below [t1 = threshold c1], else Z below
+   [t2 = threshold (c1 + c2)], else Y below [t3 = threshold (c1 + c2 + c3)],
+   on the float sums a uniform was compared with.  Stored as running maxima,
+   which picks the same Pauli for every draw and makes [t3] the bound below
+   which a draw acts at all. *)
+let pauli_thresholds (chans : float array array) =
+  let out = Array.make (3 * Array.length chans) 0 in
+  Array.iteri
+    (fun i (c : float array) ->
+      let t1 = threshold c.(1) in
+      let t2 = max t1 (threshold (c.(1) +. c.(2))) in
+      let t3 = max t2 (threshold (c.(1) +. c.(2) +. c.(3))) in
+      out.(3 * i) <- t1;
+      out.((3 * i) + 1) <- t2;
+      out.((3 * i) + 2) <- t3)
+    chans;
+  out
+
+(* 1 when [b < t], else 0, without a branch: both lie in [0, 2^53], so the
+   difference is negative exactly when [b < t], and bit 62 is its sign.  A
+   draw below [t3] carries X when below [t1] or from [t2] on, and Z from
+   [t1] on: the bits are [1 + below b t1 - below b t2] and
+   [1 - below b t1]. *)
+let[@inline] below b t = (b - t) lsr 62
+
+(* Each domain keeps one draw buffer, grown on demand, so a chunk takes no
+   allocation for it after the first. *)
+let draw_buffer_key = Domain.DLS.new_key (fun () -> [||])
+
+let draw_buffer k =
+  let buf = Domain.DLS.get draw_buffer_key in
+  if Array.length buf >= k then buf
+  else begin
+    let buf = Array.make k 0 in
+    Domain.DLS.set draw_buffer_key buf;
+    buf
   end
-
-(* Noisy read of check [k] (Z checks first, then X checks, as in
-   [all_stabs]): its parity on the errors it detects, flipped with
-   probability [flips.(k)] by one bernoulli draw, as bit [k] of the
-   round's syndrome word. *)
-let read_check rng (err : int array) ~nz (masks : int array) (flips : float array) k =
-  let e = if k < nz then err.(0) else err.(1) in
-  let p = popcount (e land masks.(k)) land 1 in
-  let bit = if uniform rng < flips.(k) then 1 - p else p in
-  bit lsl k
 
 let logical_failures_impl ?jobs ?(params = default_params) prof ~rounds ~shots rng =
   if rounds < 1 || shots < 1 then invalid_arg "Uec.logical_error_rate";
   let code = prof.code in
   let n = code.Code.n in
   let decoder = lookup_decoder code in
-  (* Checks are extracted at distinct times within a round (fully serialized
-     on the USC; a single parallel step on the lattice), so noise is injected
-     per extraction step — mid-round errors leave the serial syndrome
-     internally inconsistent, which is the real cost of serialization. *)
   let stabs = all_stabs code in
   let nz = Array.length code.Code.z_stabs in
   let nchecks = Array.length stabs in
-  let interval_probs =
-    match prof.arch with
-    | Het { ts } ->
-        Array.map
-          (fun supp ->
-            idle_probs ~eta:params.eta ~t:ts
-              ~dt:(stab_time params prof.assignment supp) ())
-          stabs
-    | Hom -> [||]
-  in
-  (* Per-check extras for the touched qubits: compute-idle during the swaps
-     and CX, plus the CX depolarizing marginal. *)
-  let touch_probs =
-    compose_pauli
-      (idle_probs ~eta:params.eta ~t:params.tc
-         ~dt:((2. *. params.t_swap) +. params.t_2q) ())
-      (gate_probs ~eta:params.eta params.p2)
-  in
-  let hom_channels =
-    match prof.arch with Hom -> effective_channels ~params prof | Het _ -> [||]
-  in
+  let het = match prof.arch with Het _ -> true | Hom -> false in
+  let ch = channels ~params prof in
+  (* Het: one idle channel per check interval; hom: one channel per qubit. *)
+  let idle = pauli_thresholds (if het then ch.interval else ch.per_qubit) in
+  let touch = pauli_thresholds [| ch.touch |] in
+  let flip = Array.map threshold ch.flips in
   let masks =
     Array.map (fun supp -> Array.fold_left (fun acc q -> acc lor (1 lsl q)) 0 supp) stabs
   in
-  let flips = Array.append prof.meas_flip.(0) prof.meas_flip.(1) in
+  (* A round's draws, in the order the loop consumes them: het, per check,
+     [n] idle draws, one read flip and one draw per support qubit; hom, [n]
+     channel draws, then one read flip per check. *)
+  let per_round =
+    if het then Array.fold_left (fun acc s -> acc + n + 1 + Array.length s) 0 stabs
+    else n + nchecks
+  in
   let z_keys = (1 lsl nz) - 1 in
-  (* Shot chunks fan across domains; everything above (the channels, masks,
-     flip probabilities and the decoder) is read-only and shared.  Error
-     state lives in two int bitmasks (bit q = qubit q; n <= 30 is enforced
-     by [Decoder_lookup.create]) and a round's syndrome in one int word (Z
-     checks in the low [nz] bits), and the draws and updates are calls to
-     closed functions with no float arguments, so a shot allocates nothing.
-     RNG consumption order is that of the bool-array version — one uniform
-     per inject, one bernoulli per check read — and the packed-key
-     agreement test and mask corrections are exact rewrites, so failure
-     counts are bit-identical to it. *)
+  (* Shot chunks fan across domains; everything above (the thresholds,
+     masks and the decoder) is read-only and shared.  Error state lives in
+     two int bitmasks held in local refs (bit q = qubit q; n <= 30 is
+     enforced by [Decoder_lookup.create]) and a round's syndrome in one int
+     word (Z checks in the low [nz] bits).  Each round fills its draws with
+     one [Rng.fill_bits53] into the domain's buffer, so a shot allocates
+     nothing.  The stream and its order are those of one uniform per
+     channel draw and one bernoulli per check read, and every comparison is
+     exact (see [threshold]), so failure counts are bit-identical to that
+     per-draw loop, kept as the oracle in test/uec_oracle.ml. *)
   let run_chunk rng nshots =
+    Obs.Counter.add uec_draws_total (nshots * rounds * per_round);
+    let buf = draw_buffer per_round in
+    let u1 = touch.(0) and u2 = touch.(1) and u3 = touch.(2) in
     let failures = ref 0 in
-    let err = [| 0; 0 |] in
     for _ = 1 to nshots do
-      err.(0) <- 0;
-      err.(1) <- 0;
+      let ex = ref 0 and ez = ref 0 in
       let prev_sz = ref (-1) and prev_sx = ref (-1) in
       for _ = 1 to rounds do
+        Rng.fill_bits53 rng buf per_round;
         let syndrome = ref 0 in
-        (match prof.arch with
-        | Het _ ->
-            (* Serial: idle interval, read the check, then its gate noise. *)
-            for k = 0 to nchecks - 1 do
-              let c = interval_probs.(k) in
-              for q = 0 to n - 1 do
-                inject rng c err q
-              done;
-              syndrome := !syndrome lor read_check rng err ~nz masks flips k;
-              let supp = stabs.(k) in
-              for i = 0 to Array.length supp - 1 do
-                inject rng touch_probs err supp.(i)
-              done
-            done
-        | Hom ->
-            (* Parallel: all of the round's noise (idle plus every routed 2q
-               gate) lands, then every check reads the same error state. *)
+        if het then begin
+          (* Serial: idle interval, read the check, then its gate noise. *)
+          let pos = ref 0 in
+          for k = 0 to nchecks - 1 do
+            let t1 = idle.(3 * k) and t2 = idle.((3 * k) + 1) in
+            let t3 = idle.((3 * k) + 2) in
             for q = 0 to n - 1 do
-              inject rng hom_channels.(q) err q
+              let b = buf.(!pos + q) in
+              if b < t3 then begin
+                let b1 = below b t1 in
+                ex := !ex lxor ((1 + b1 - below b t2) lsl q);
+                ez := !ez lxor ((1 - b1) lsl q)
+              end
             done;
-            for k = 0 to nchecks - 1 do
-              syndrome := !syndrome lor read_check rng err ~nz masks flips k
-            done);
+            pos := !pos + n;
+            let e = if k < nz then !ex else !ez in
+            let bit = Bitvec.popcount_word (e land masks.(k)) land 1 in
+            let bit = if buf.(!pos) < flip.(k) then 1 - bit else bit in
+            syndrome := !syndrome lor (bit lsl k);
+            incr pos;
+            let supp = stabs.(k) in
+            let w = Array.length supp in
+            for i = 0 to w - 1 do
+              let b = buf.(!pos + i) in
+              if b < u3 then begin
+                let b1 = below b u1 and q = supp.(i) in
+                ex := !ex lxor ((1 + b1 - below b u2) lsl q);
+                ez := !ez lxor ((1 - b1) lsl q)
+              end
+            done;
+            pos := !pos + w
+          done
+        end
+        else begin
+          (* Parallel: all of the round's noise (idle plus every routed 2q
+             gate) lands, then every check reads the same error state. *)
+          for q = 0 to n - 1 do
+            let b = buf.(q) in
+            if b < idle.((3 * q) + 2) then begin
+              let b1 = below b idle.(3 * q) in
+              ex := !ex lxor ((1 + b1 - below b idle.((3 * q) + 1)) lsl q);
+              ez := !ez lxor ((1 - b1) lsl q)
+            end
+          done;
+          for k = 0 to nchecks - 1 do
+            let e = if k < nz then !ex else !ez in
+            let bit = Bitvec.popcount_word (e land masks.(k)) land 1 in
+            let bit = if buf.(n + k) < flip.(k) then 1 - bit else bit in
+            syndrome := !syndrome lor (bit lsl k)
+          done
+        end;
         let sz = !syndrome land z_keys and sx = !syndrome lsr nz in
         (* Repeat-until-agree: apply a correction only when two consecutive
            extractions agree, suppressing syndrome noise to second order. *)
         if !prev_sz >= 0 && !prev_sz = sz then
-          err.(0) <- err.(0) lxor Decoder_lookup.x_correction_mask decoder ~key:sz;
+          ex := !ex lxor Decoder_lookup.x_correction_mask decoder ~key:sz;
         prev_sz := sz;
         if !prev_sx >= 0 && !prev_sx = sx then
-          err.(1) <- err.(1) lxor Decoder_lookup.z_correction_mask decoder ~key:sx;
+          ez := !ez lxor Decoder_lookup.z_correction_mask decoder ~key:sx;
         prev_sx := sx
       done;
       (* End-of-experiment evaluation with a final ideal recovery (noiseless
@@ -414,8 +478,8 @@ let logical_failures_impl ?jobs ?(params = default_params) prof ~rounds ~shots r
          semantics; judging the transient state every round would count
          correctable weight-2 patterns as failures.  [logical_x_flip_mask]
          is exactly ideal-residual-then-logical-parity on masks. *)
-      let x_fail = Decoder_lookup.logical_x_flip_mask decoder ~actual:err.(0) in
-      let z_fail = Decoder_lookup.logical_z_flip_mask decoder ~actual:err.(1) in
+      let x_fail = Decoder_lookup.logical_x_flip_mask decoder ~actual:!ex in
+      let z_fail = Decoder_lookup.logical_z_flip_mask decoder ~actual:!ez in
       if x_fail || z_fail then incr failures
     done;
     !failures

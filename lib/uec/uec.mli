@@ -65,6 +65,24 @@ val compute_assignment : params -> Code.t -> int array
     bitmask (bit q = register of qubit q) wins.
     Raises [Invalid_argument] when [register_capacity < 1]. *)
 
+type channels = {
+  interval : float array array;
+      (** [Het]: per check (Z checks first), the Pauli channel (I, X, Z, Y)
+          every data qubit idles through before that check is read; [[||]]
+          for [Hom] *)
+  touch : float array;
+      (** [Het]: the channel on each support qubit after its check is read
+          (compute idle during the swaps and CX, plus the CX depolarizing
+          marginal) *)
+  per_qubit : float array array;
+      (** [Hom]: per data qubit, the whole round's channel; [[||]] for
+          [Het] *)
+  flips : float array;  (** per check (Z checks first), the read-flip probability *)
+}
+(** The noise {!logical_failures} samples, per round. *)
+
+val channels : ?params:params -> profile -> channels
+
 val logical_failures :
   ?jobs:int -> ?params:params -> profile -> rounds:int -> shots:int -> Rng.t -> int
 (** Monte-Carlo logical failure {e count}: [shots] independent experiments of

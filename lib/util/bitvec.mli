@@ -45,6 +45,12 @@ val and_popcount : t -> t -> int
 (** Number of positions set in both vectors. *)
 
 val popcount : t -> int
+
+val popcount_word : int -> int
+(** Set bits of one int word, all 63 bits (a negative word counts its sign
+    bit).  Branch-free, for the int bit-mask loops outside this module
+    too. *)
+
 val is_zero : t -> bool
 val equal : t -> t -> bool
 

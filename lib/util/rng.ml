@@ -68,6 +68,32 @@ let int t n =
 (* The 53-bit mantissa source of [uniform], from the top bits. *)
 let[@inline] bits53 t = Int64.to_int (Int64.shift_right_logical (bits64 t) 11)
 
+(* [k] steps of [bits64] over the state held in local refs: each [get] and
+   [set] of the state bytes is bounds-checked, so a batch pays one load and
+   one store of the four words instead of one per draw.  The refs do not
+   escape and stay unboxed. *)
+let fill_bits53 t buf k =
+  if k < 0 || k > Array.length buf then invalid_arg "Rng.fill_bits53";
+  let open Int64 in
+  let s0 = ref (get t 0) and s1 = ref (get t 8) in
+  let s2 = ref (get t 16) and s3 = ref (get t 24) in
+  for i = 0 to k - 1 do
+    let a0 = !s0 and a1 = !s1 in
+    let result = mul (rotl (mul a1 5L) 7) 9L in
+    Array.unsafe_set buf i (to_int (shift_right_logical result 11));
+    let tmp = shift_left a1 17 in
+    let a2 = logxor !s2 a0 in
+    let a3 = logxor !s3 a1 in
+    s1 := logxor a1 a2;
+    s0 := logxor a0 a3;
+    s2 := logxor a2 tmp;
+    s3 := rotl a3 45
+  done;
+  set t 0 !s0;
+  set t 8 !s1;
+  set t 16 !s2;
+  set t 24 !s3
+
 let[@inline] uniform t = float_of_int (bits53 t) *. 0x1.0p-53
 
 (* One geometric gap draw for sparse Bernoulli fills: consumes exactly one

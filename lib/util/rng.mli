@@ -37,6 +37,15 @@ val bits53 : t -> int
     single draw.  The result is an immediate int, so a hot loop in another
     module can form its uniform locally and keep it unboxed. *)
 
+val fill_bits53 : t -> int array -> int -> unit
+(** [fill_bits53 t buf k] writes the next [k] values of {!bits53} into
+    [buf.(0)] .. [buf.(k-1)] and leaves [t] in the state [k] calls to
+    {!bits53} would: the same stream, drawn in one batch.  A hot loop
+    whose draw count is known in advance forms each uniform as
+    [float_of_int buf.(i) *. 0x1.0p-53], or compares [buf.(i)] with an
+    integer threshold.  Raises [Invalid_argument] unless
+    [0 <= k <= Array.length buf]. *)
+
 val geometric : t -> log1mp:float -> int
 (** [geometric t ~log1mp] is one sparse-Bernoulli gap draw:
     [int_of_float (log1p (-.(uniform t)) /. log1mp)] where

@@ -253,6 +253,48 @@ let test_json_string_fuzz_roundtrip =
       parse (to_string (String s)) = String s
       && parse (to_string (Obj [ (s, Int 1) ])) = Obj [ (s, Int 1) ])
 
+(* String rendering against the escape that always built a copy: the fast
+   path that returns a string needing no escape as it is must render the
+   same bytes.  Strings mix quotes, backslashes, control bytes, DEL,
+   printable ASCII and bytes >= 0x80; one case in four has no byte that
+   needs escaping. *)
+let test_json_escape_matches_copying =
+  let copying_escape s =
+    let b = Buffer.create (String.length s + 2) in
+    String.iter
+      (fun c ->
+        match c with
+        | '"' -> Buffer.add_string b "\\\""
+        | '\\' -> Buffer.add_string b "\\\\"
+        | '\n' -> Buffer.add_string b "\\n"
+        | '\r' -> Buffer.add_string b "\\r"
+        | '\t' -> Buffer.add_string b "\\t"
+        | c when Char.code c < 0x20 ->
+            Buffer.add_string b (Printf.sprintf "\\u%04x" (Char.code c))
+        | c -> Buffer.add_char b c)
+      s;
+    Buffer.contents b
+  in
+  let open QCheck.Gen in
+  let any =
+    frequency
+      [ (1, oneofl [ '"'; '\\' ]);
+        (1, map Char.chr (0 -- 0x1f));
+        (4, printable);
+        (1, return '\x7f');
+        (2, map Char.chr (0x80 -- 0xff)) ]
+  in
+  let plain = frequency [ (4, printable); (1, map Char.chr (0x7f -- 0xff)) ] in
+  let plain = map (fun c -> if c = '"' || c = '\\' then 'x' else c) plain in
+  let gen = frequency [ (3, string_size ~gen:any (0 -- 40)); (1, string_size ~gen:plain (0 -- 40)) ] in
+  QCheck.Test.make ~count:2000 ~name:"json escape = copying escape"
+    (QCheck.make ~print:String.escaped gen)
+    (fun s ->
+      let open Obs.Json in
+      let want = "\"" ^ copying_escape s ^ "\"" in
+      to_string (String s) = want
+      && to_string (Obj [ (s, Int 1) ]) = "{" ^ want ^ ":1}")
+
 (* The document --metrics writes: a captured snapshot, re-read from its
    serialization. *)
 let metrics_doc () =
@@ -455,6 +497,7 @@ let () =
         [ Alcotest.test_case "json" `Quick test_json_roundtrip;
           Alcotest.test_case "json unicode escapes" `Quick test_json_unicode_escapes;
           QCheck_alcotest.to_alcotest test_json_string_fuzz_roundtrip;
+          QCheck_alcotest.to_alcotest test_json_escape_matches_copying;
           Alcotest.test_case "report" `Quick test_report_roundtrip;
           Alcotest.test_case "report process section" `Quick
             test_report_process_section;

@@ -197,6 +197,47 @@ let test_lookup_table_bound () =
           ignore (Decoder_lookup.create (Codes.repetition d))))
     [ 18; 30 ]
 
+(* The tables keyed through 5-bit chunk syndrome-column tables are the tables
+   the bit-by-bit enumeration built (test/lookup_oracle.ml), entry for
+   entry, and the logical-flip fast paths agree with the oracle's keys on
+   random error masks. *)
+let test_lookup_tables_match_oracle () =
+  let support_mask s = Array.fold_left (fun acc q -> acc lor (1 lsl q)) 0 s in
+  let parity m = Bitvec.popcount_word m land 1 = 1 in
+  let rng = Rng.create 17 in
+  List.iter
+    (fun (code : Code.t) ->
+      let n = code.Code.n in
+      let dec = Decoder_lookup.create code in
+      let side name checks correction flip logical =
+        let want = Lookup_oracle.build_table ~n ~checks in
+        Array.iteri
+          (fun key c ->
+            Alcotest.(check int)
+              (Printf.sprintf "%s %s key %d" code.Code.name name key)
+              c (correction dec ~key))
+          want;
+        for _ = 1 to 500 do
+          let err = Rng.int rng (1 lsl n) in
+          let corr = want.(Lookup_oracle.syndrome_key checks err) in
+          Alcotest.(check bool)
+            (Printf.sprintf "%s %s flip %#x" code.Code.name name err)
+            (parity ((err lxor corr) land logical))
+            (flip dec ~actual:err)
+        done
+      in
+      side "x" code.Code.z_stabs
+        (fun d ~key -> Decoder_lookup.x_correction_mask d ~key)
+        (fun d ~actual -> Decoder_lookup.logical_x_flip_mask d ~actual)
+        (support_mask code.Code.logical_z.(0));
+      side "z" code.Code.x_stabs
+        (fun d ~key -> Decoder_lookup.z_correction_mask d ~key)
+        (fun d ~actual -> Decoder_lookup.logical_z_flip_mask d ~actual)
+        (support_mask code.Code.logical_x.(0)))
+    (Codes.paper_codes
+    @ [ Codes.shor; Codes.surface 5 ]
+    @ List.init 15 (fun i -> Codes.repetition (i + 3)))
+
 let test_uf_single_defect_pair () =
   (* Line graph: 0-1-2 with boundary at both ends; logical on edge 0-b. *)
   let g =
@@ -520,6 +561,7 @@ let () =
           Alcotest.test_case "lookup double errors d5" `Slow test_lookup_corrects_double_errors_d5;
           Alcotest.test_case "lookup trivial" `Quick test_lookup_trivial_syndrome;
           Alcotest.test_case "lookup table bound" `Quick test_lookup_table_bound;
+          Alcotest.test_case "lookup tables = oracle" `Quick test_lookup_tables_match_oracle;
           Alcotest.test_case "uf pair match" `Quick test_uf_single_defect_pair;
           Alcotest.test_case "uf boundary match" `Quick test_uf_boundary_match_flips;
           Alcotest.test_case "uf empty" `Quick test_uf_empty_syndrome;

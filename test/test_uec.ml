@@ -340,7 +340,8 @@ let test_assignment_alloc_floor () =
 (* Allocation floor of the shot loop, 17QCC het and hom.  A shot allocates
    nothing: 768 and 513 shots are both three chunks and cost the same
    words.  1000 and 500 shots differ by two chunks, and each chunk's stream
-   split and task closure cost 48 words. *)
+   split and task closure cost 45 words (the draw buffer is the
+   domain's). *)
 let test_shot_loop_alloc_floor () =
   let code = Codes.color_17 in
   List.iter
@@ -352,9 +353,57 @@ let test_shot_loop_alloc_floor () =
       in
       ignore (words 10);
       Alcotest.(check int) (name ^ ": words(768) - words(513)") 0 (words 768 - words 513);
-      Alcotest.(check int) (name ^ ": words(1000) - words(500)") 96
+      Alcotest.(check int) (name ^ ": words(1000) - words(500)") 90
         (words 1000 - words 500))
     [ ("het", Uec.Het { ts = 50e-3 }); ("hom", Uec.Hom) ]
+
+(* The batched, integer-threshold shot loop against the per-draw float loop
+   it replaced (test/uec_oracle.ml): equal failure counts for every paper
+   code, both architectures, 1-3 rounds, three seeds and shot counts around
+   the 256-shot chunk edge, at one and two jobs. *)
+let test_shot_loop_matches_oracle () =
+  List.iter
+    (fun (code : Code.t) ->
+      List.iter
+        (fun (name, arch) ->
+          let prof = Uec.profile arch code in
+          for rounds = 1 to 3 do
+            List.iter
+              (fun seed ->
+                List.iter
+                  (fun shots ->
+                    let want =
+                      Uec_oracle.logical_failures ~jobs:1 prof ~rounds ~shots
+                        (Rng.create seed)
+                    in
+                    List.iter
+                      (fun jobs ->
+                        Alcotest.(check int)
+                          (Printf.sprintf "%s %s rounds=%d seed=%d shots=%d jobs=%d"
+                             code.Code.name name rounds seed shots jobs)
+                          want
+                          (Uec.logical_failures ~jobs prof ~rounds ~shots
+                             (Rng.create seed)))
+                      [ 1; 2 ])
+                  [ 1; 255; 256; 257; 700 ])
+              [ 1; 2023; 7919 ]
+          done)
+        [ ("het", Uec.Het { ts = 5e-3 }); ("hom", Uec.Hom) ])
+    Codes.paper_codes
+
+(* [uec.draws_total] counts every draw: per round, het takes n idle draws,
+   one read flip and one draw per support qubit for each check; hom takes n
+   channel draws and one read flip per check. *)
+let test_draws_total () =
+  let code = Codes.color_17 in
+  let counter = Obs.Counter.create "uec.draws_total" in
+  List.iter
+    (fun (name, arch, expected) ->
+      let prof = Uec.profile arch code in
+      let before = Obs.Counter.value counter in
+      ignore (Uec.logical_failures prof ~rounds:3 ~shots:500 (Rng.create 5));
+      Alcotest.(check int) name expected (Obs.Counter.value counter - before))
+    [ ("het", Uec.Het { ts = 50e-3 }, 576_000); ("hom", Uec.Hom, 49_500) ]
 
 let () =
   Alcotest.run "uec"
@@ -380,7 +429,9 @@ let () =
           Alcotest.test_case "usc-ext three registers" `Slow test_usc_ext_three_registers;
           Alcotest.test_case "bias favors shor" `Slow test_bias_favors_shor;
           Alcotest.test_case "bias split" `Quick test_bias_split_conserves;
-          Alcotest.test_case "shot allocation floor" `Quick test_shot_loop_alloc_floor ] );
+          Alcotest.test_case "shot allocation floor" `Quick test_shot_loop_alloc_floor;
+          Alcotest.test_case "shot loop = oracle" `Quick test_shot_loop_matches_oracle;
+          Alcotest.test_case "draws total" `Quick test_draws_total ] );
       ( "schedule",
         [ Alcotest.test_case "validates + tracks analytic" `Quick
             test_schedule_validates_and_tracks_analytic;

@@ -116,6 +116,33 @@ let test_rng_pinned_stream () =
       (Rng.geometric c ~log1mp)
   done
 
+(* One batch of [k] draws is the same stream as [k] single draws, and
+   leaves the generator where they would: the next uniform agrees too.  The
+   buffer is one longer than [k], and its last slot is left alone. *)
+let test_rng_fill_bits53 () =
+  List.iter
+    (fun k ->
+      let a = Rng.create 2023 in
+      ignore (Rng.uniform a);
+      let b = Rng.copy a in
+      let buf = Array.make (k + 1) (-1) in
+      Rng.fill_bits53 a buf k;
+      for i = 0 to k - 1 do
+        Alcotest.(check int) (Printf.sprintf "k=%d draw %d" k i) (Rng.bits53 b) buf.(i)
+      done;
+      Alcotest.(check int) (Printf.sprintf "k=%d slot k untouched" k) (-1) buf.(k);
+      Alcotest.(check (float 0.)) (Printf.sprintf "k=%d next uniform" k)
+        (Rng.uniform b) (Rng.uniform a))
+    [ 0; 1; 7; 1000 ];
+  let raises k =
+    try
+      Rng.fill_bits53 (Rng.create 1) (Array.make 3 0) k;
+      false
+    with Invalid_argument _ -> true
+  in
+  Alcotest.(check bool) "k > length" true (raises 4);
+  Alcotest.(check bool) "k < 0" true (raises (-1))
+
 let test_rng_bernoulli () =
   let r = Rng.create 29 in
   let hits = ref 0 in
@@ -295,6 +322,30 @@ let test_bitvec_xor () =
   Alcotest.(check bool) "30 appears" true (Bitvec.get a 30);
   Alcotest.(check bool) "65 stays" true (Bitvec.get a 65);
   Alcotest.(check int) "popcount 2" 2 (Bitvec.popcount a)
+
+(* The SWAR word popcount against a bit loop, over all 63 bits: the sign
+   bit, all ones, single bits and random words of every density. *)
+let test_bitvec_popcount_word () =
+  let slow w =
+    let c = ref 0 in
+    for i = 0 to Sys.int_size - 1 do
+      c := !c + ((w lsr i) land 1)
+    done;
+    !c
+  in
+  let check w = Alcotest.(check int) (Printf.sprintf "%#x" w) (slow w) (Bitvec.popcount_word w) in
+  List.iter check [ 0; 1; -1; max_int; min_int; 0x1555555555555555; 0x2aaaaaaaaaaaaaaa ];
+  for i = 0 to Sys.int_size - 1 do
+    check (1 lsl i);
+    check (lnot (1 lsl i))
+  done;
+  let r = Rng.create 11 in
+  for _ = 1 to 2000 do
+    let a = Int64.to_int (Rng.bits64 r) and b = Int64.to_int (Rng.bits64 r) in
+    check a;
+    check (a land b);
+    check (a lor b)
+  done
 
 let test_bitvec_and_popcount () =
   let a = Bitvec.create 128 and b = Bitvec.create 128 in
@@ -657,6 +708,7 @@ let () =
           Alcotest.test_case "poisson mean" `Quick test_rng_poisson_mean;
           Alcotest.test_case "poisson large lambda" `Quick test_rng_poisson_large_lambda;
           Alcotest.test_case "pinned stream" `Quick test_rng_pinned_stream;
+          Alcotest.test_case "fill_bits53 stream" `Quick test_rng_fill_bits53;
           Alcotest.test_case "bernoulli" `Quick test_rng_bernoulli;
           Alcotest.test_case "categorical" `Quick test_rng_categorical;
           Alcotest.test_case "shuffle permutation" `Quick test_rng_shuffle_permutation;
@@ -680,6 +732,7 @@ let () =
         [ Alcotest.test_case "set/get" `Quick test_bitvec_set_get;
           Alcotest.test_case "xor" `Quick test_bitvec_xor;
           Alcotest.test_case "and popcount" `Quick test_bitvec_and_popcount;
+          Alcotest.test_case "popcount word" `Quick test_bitvec_popcount_word;
           Alcotest.test_case "iter_set" `Quick test_bitvec_iter_set;
           Alcotest.test_case "flip/clear" `Quick test_bitvec_flip_clear;
           Alcotest.test_case "bounds" `Quick test_bitvec_bounds;
