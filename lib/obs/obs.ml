@@ -629,8 +629,17 @@ module Trace = struct
      alignment is deterministic and independent of merge order. *)
   let t0_unix = Unix.gettimeofday ()
 
+  (* The ring holds span [k] at slot [k mod capacity].  It is allocated
+     on demand: empty until the first span, then [first_slots] slots,
+     doubled while every span recorded so far still fits, up to
+     [capacity].  Until it is full span [k] sits at slot [k], so growing
+     copies the slots in place.  The ring grows while spans are open, so it
+     must stay out of their minor-word windows: 512 slots is past the
+     runtime's largest minor-heap block (256 words), so each array goes
+     straight to the major heap. *)
+  let first_slots = 512
   let capacity = ref 65536
-  let ring : span option array ref = ref (Array.make !capacity None)
+  let ring : span option array ref = ref [||]
   let next = ref 0 (* total spans ever recorded *)
 
   (* Caller-path-keyed aggregates (count, total_ns, minor_w, promoted_w,
@@ -660,7 +669,7 @@ module Trace = struct
     if c <= 0 then invalid_arg "Obs.Trace.set_capacity";
     Mutex.protect lock (fun () ->
         capacity := c;
-        ring := Array.make c None;
+        ring := [||];
         next := 0)
 
   let add tbl key (c, t, mw, pw, jw) =
@@ -675,6 +684,12 @@ module Trace = struct
 
   let record s =
     Mutex.protect lock (fun () ->
+        let len = Array.length !ring in
+        if !next = len && len < !capacity then begin
+          let grown = Array.make (min !capacity (max first_slots (2 * len))) None in
+          Array.blit !ring 0 grown 0 len;
+          ring := grown
+        end;
         !ring.(!next mod !capacity) <- Some s;
         incr next;
         add path_totals s.path (1, s.dur_ns, s.minor_w, s.promoted_w, s.major_w))
@@ -894,7 +909,7 @@ module Trace = struct
 
   let reset () =
     Mutex.protect lock (fun () ->
-        Array.fill !ring 0 !capacity None;
+        ring := [||];
         next := 0;
         Hashtbl.reset path_totals);
     Domain.DLS.get stack_key := []

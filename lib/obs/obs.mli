@@ -8,7 +8,8 @@
       for streaming mean/variance alongside the bucket counts.
     - {b span tracing} — [Trace.with_span] times a scoped computation on
       the monotonic clock and records it into a bounded in-memory ring
-      buffer, exportable as Chrome-trace-compatible JSONL.
+      buffer, exportable as Chrome-trace-compatible JSONL.  The ring is
+      allocated as spans arrive, so an untraced process keeps none of it.
     - {b run snapshots} — {!Snapshot.capture} records the whole registry,
       the span aggregates and a GC sample as one mergeable document per
       run: the only serialized run state ([--metrics], the run registry,
@@ -180,7 +181,7 @@ module Histogram : sig
   val name : t -> string
 end
 
-(** Timed, nested spans in a bounded ring buffer. *)
+(** Timed, nested spans in a bounded ring buffer that grows on demand. *)
 module Trace : sig
   type span = {
     name : string;
@@ -201,7 +202,11 @@ module Trace : sig
             mutator-maintained.  Includes the constant cost of the entry
             sample's own stat record. *)
     promoted_w : int;  (** words promoted minor→major inside the window *)
-    major_w : int;  (** words allocated directly on the major heap *)
+    major_w : int;
+        (** words allocated directly on the major heap, as the runtime
+            counts them at collections: a window with a collection inside
+            can hold direct allocations made before it opened, the span
+            ring's growth among them (see {!set_capacity}) *)
     attrs : (string * string) list;
   }
 
@@ -215,7 +220,8 @@ module Trace : sig
       opened, which no span attributes. *)
 
   val spans : unit -> span list
-  (** Retained spans, in completion order. *)
+  (** Retained spans, in completion order: all of them until the ring's
+      capacity is reached, then the newest [capacity]. *)
 
   val recorded : unit -> int
   (** Total spans ever recorded, including those evicted from the ring. *)
@@ -226,10 +232,16 @@ module Trace : sig
       by ring eviction.  The profiler's input. *)
 
   val set_capacity : int -> unit
-  (** Resize the ring (clears retained spans); default 65536. *)
+  (** Set the ring's bound (clears retained spans); default 65536.  It
+      allocates nothing: the ring starts empty, takes 512 slots (or the
+      bound, if smaller) at the first span and doubles as spans arrive, up
+      to the bound, then wraps.  A process that records no span keeps no
+      ring.  From 512 slots up each array goes straight to the major heap,
+      so growth never shows in a span's [minor_w]. *)
 
   val export : path:string -> unit
-  (** Write retained spans as JSONL, one Chrome-trace complete event per
+  (** Write retained spans ({!spans}: at most the ring's capacity, the
+      newest ones) as JSONL, one Chrome-trace complete event per
       line: [{"name":…,"ph":"X","ts":µs,"dur":µs,"pid":0,"tid":domain,
       "args":{"trace_id":…,"depth":…,"path":…,…}}].  [tid] is the
       recording domain, so Perfetto renders one track per domain; nesting

@@ -191,6 +191,74 @@ let test_span_ring_eviction () =
   Alcotest.(check int) "span totals survive eviction" 10 (List.length totals);
   Obs.Trace.set_capacity 65536
 
+(* The ring is allocated on demand: [set_capacity] only sets the bound, so
+   even the default 65536 slots cost nothing until spans arrive. *)
+let test_span_ring_on_demand () =
+  Obs.reset ();
+  let major () = (Gc.quick_stat ()).Gc.major_words in
+  let before = major () in
+  Obs.Trace.set_capacity 65536;
+  let words = int_of_float (major () -. before) in
+  Alcotest.(check bool)
+    (Printf.sprintf "set_capacity 65536 allocates %d < 1024 major words" words)
+    true (words < 1024)
+
+(* Record order holds through every doubling of the ring (512, 1024, 2048
+   slots), through growth that stops short of a doubling at a bound that is
+   not a power of two (600), and through the wrap at a bound under the first
+   size (48). *)
+let test_span_ring_growth_order () =
+  List.iter
+    (fun cap ->
+      Obs.reset ();
+      Obs.Trace.set_capacity cap;
+      let newest_first = ref [] in
+      for i = 1 to 2100 do
+        let name = Printf.sprintf "s%d" i in
+        Obs.Trace.with_span name (fun () -> ());
+        newest_first := name :: !newest_first;
+        let want = List.rev (List.filteri (fun k _ -> k < cap) !newest_first) in
+        Alcotest.(check (list string))
+          (Printf.sprintf "capacity %d after %d spans" cap i)
+          want
+          (List.map (fun s -> s.Obs.Trace.name) (Obs.Trace.spans ()))
+      done)
+    [ 65536; 600; 48 ];
+  Obs.Trace.set_capacity 65536
+
+(* The ring grows while spans are open, yet no span's minor words hold it:
+   a parent whose children take the ring from empty through 512 to 1024
+   slots allocates exactly what the same parent does on a ring already at
+   its bound. *)
+let test_span_ring_growth_not_in_minor_w () =
+  let parent () =
+    Obs.Trace.with_span "parent" (fun () ->
+        for _ = 1 to 600 do
+          Obs.Trace.with_span "child" (fun () -> ())
+        done);
+    let last = List.nth (Obs.Trace.spans ()) (List.length (Obs.Trace.spans ()) - 1) in
+    Alcotest.(check string) "parent is the newest span" "parent" last.Obs.Trace.name;
+    last.Obs.Trace.minor_w
+  in
+  Obs.reset ();
+  ignore (parent ());
+  Obs.Trace.set_capacity 65536;
+  let growing = parent () in
+  Obs.Trace.set_capacity 1024;
+  ignore (parent ());
+  let at_bound = parent () in
+  Alcotest.(check int) "parent minor_w: growing ring = ring at its bound" at_bound growing;
+  Obs.Trace.set_capacity 65536
+
+let test_reset_clears_spans () =
+  Obs.reset ();
+  for _ = 1 to 20 do
+    Obs.Trace.with_span "s" (fun () -> ())
+  done;
+  Obs.reset ();
+  Alcotest.(check int) "no spans retained" 0 (List.length (Obs.Trace.spans ()));
+  Alcotest.(check int) "none recorded" 0 (Obs.Trace.recorded ())
+
 (* ------------------------------------------------------------ round-trip *)
 
 let test_json_roundtrip () =
@@ -492,7 +560,12 @@ let () =
       ( "trace",
         [ Alcotest.test_case "nesting and timing" `Quick test_span_nesting_and_timing;
           Alcotest.test_case "exception safety" `Quick test_span_exception_still_recorded;
-          Alcotest.test_case "ring eviction" `Quick test_span_ring_eviction ] );
+          Alcotest.test_case "ring eviction" `Quick test_span_ring_eviction;
+          Alcotest.test_case "ring on demand" `Quick test_span_ring_on_demand;
+          Alcotest.test_case "ring growth order" `Quick test_span_ring_growth_order;
+          Alcotest.test_case "ring growth not in minor_w" `Quick
+            test_span_ring_growth_not_in_minor_w;
+          Alcotest.test_case "reset clears spans" `Quick test_reset_clears_spans ] );
       ( "roundtrip",
         [ Alcotest.test_case "json" `Quick test_json_roundtrip;
           Alcotest.test_case "json unicode escapes" `Quick test_json_unicode_escapes;
