@@ -312,7 +312,7 @@ let run_charsweep n () =
     [ g alpha; g load.Characterize.error; g ret.Characterize.error;
       g seq.Characterize.error; g stab.Characterize.error ]
   in
-  let rows = List.map snd (Sweep.sweep ?store:(Char_store.store ()) alphas ~f:point) in
+  let rows = List.map snd (Sweep.sweep alphas ~f:point) in
   Tableio.print
     ~header:
       [ "alpha"; "load err"; "retention err (10us)"; "seqop err (5 CX)";
@@ -365,7 +365,7 @@ let run_ablations shots seed () =
         (fun code ->
           let params = { Uec.default_params with eta } in
           let prof = Uec.profile ~params (Uec.Het { ts = 50e-3 }) code in
-          let r = Uec.logical_error_rate ~params prof ~rounds:3 ~shots (Rng.create seed) in
+          let r = Uec.logical_error_rate prof ~rounds:3 ~shots (Rng.create seed) in
           Printf.printf "  %s %.4f" code.Code.name r)
         [ Codes.shor; Codes.steane; Codes.surface 3 ];
       print_newline ())
@@ -574,18 +574,18 @@ let rec campaign_tasks = function
       exit 2
 
 (* Coordinator mode: `collect --shards N` with no explicit --shard forks N
-   child processes of this same executable, one per shard, each inheriting
-   the coordinator's trace context via HETARCH_TRACE_PARENT — so the whole
-   fleet shares one trace_id and `obs trace-merge` / `obs monitor` see the
-   shard runs parented under this process.  Per-path output flags
-   (--ledger/--csv/--trace/...) are suffixed ".shard<i>" per child. *)
+   child processes of this same executable, one per shard, each handed
+   this run's id as its parent via HETARCH_PARENT_RUN — so `obs
+   trace-merge` / `obs monitor` see the shard runs parented under this
+   process.  Per-path output flags (--ledger/--csv/--trace/...) are
+   suffixed ".shard<i>" per child. *)
 let run_collect_coordinator campaign shards =
   let all_tasks = campaign_tasks campaign in
   if Obs.Run.shard () = "" then
     Obs.Run.set_shard (Printf.sprintf "coord/%d" shards);
-  let ctx = Obs.Context.current () in
-  Printf.printf "campaign %s: coordinating %d shard process(es), trace %s\n"
-    campaign shards ctx.Obs.Context.trace_id;
+  let run_id = Obs.Run.id () in
+  Printf.printf "campaign %s: coordinating %d shard process(es), run %s\n"
+    campaign shards run_id;
   List.iter
     (fun shard ->
       Printf.printf "  shard %d/%d: %d task(s)\n" shard shards
@@ -593,8 +593,7 @@ let run_collect_coordinator campaign shards =
     (List.init shards Fun.id);
   let codes =
     Obs.Trace.with_span "collect.coordinate" (fun () ->
-        Collect.Fleet.spawn_shards ~shards
-          ~trace_parent:(Obs.Context.to_string ctx) Sys.argv)
+        Collect.Fleet.spawn_shards ~shards ~parent:run_id Sys.argv)
   in
   List.iteri
     (fun shard code ->
@@ -907,7 +906,7 @@ let run_obs_trace_merge files out check () =
   in
   if stats.Obs.Trace_merge.orphans <> [] then
     Printf.eprintf
-      "hetarch obs trace-merge: warning: %d parent span id(s) missing from \
+      "hetarch obs trace-merge: warning: %d parent run id(s) missing from \
        the merge (shard traces without their coordinator?): %s\n"
       (List.length stats.Obs.Trace_merge.orphans)
       (String.concat ", " stats.Obs.Trace_merge.orphans);
@@ -1012,7 +1011,7 @@ let run_obs_monitor file once interval () =
   | None, Some d ->
       let scan () = Obs.Monitor.scan ~dir:d () in
       if once then
-        (* Machine-readable: one hetarch.monitor/1 JSON object per line. *)
+        (* Machine-readable: one hetarch.monitor/2 JSON object per line. *)
         List.iter
           (fun r -> print_endline (Obs.Json.to_string (Obs.Monitor.row_json r)))
           (scan ())
@@ -1208,7 +1207,7 @@ let metrics_arg =
     & opt (some string) None
     & info [ "metrics" ] ~docv:"FILE"
         ~doc:
-          "Write the run's obs snapshot (schema hetarch.snapshot/4) to \
+          "Write the run's obs snapshot (schema hetarch.snapshot/5) to \
            $(docv) on exit; summarize it with $(b,hetarch obs report)")
 
 let trace_arg =
@@ -1225,7 +1224,7 @@ let telemetry_arg =
     & info [ "telemetry" ] ~docv:"FILE"
         ~doc:
           "Stream live JSONL telemetry to $(docv) while the command runs, \
-           one run snapshot (schema hetarch.snapshot/4) per line; inspect \
+           one run snapshot (schema hetarch.snapshot/5) per line; inspect \
            with $(b,hetarch obs monitor) $(docv).  With a run registry \
            configured, recorded runs stream to \
            <obs-dir>/telemetry/<run_id>.jsonl automatically; this flag \
@@ -1344,9 +1343,9 @@ let collect_term =
              task content hash.  Without $(b,--shard) this process becomes \
              the fleet coordinator: it forks $(docv) children of itself \
              (one per shard, per-path output flags suffixed .shardI), hands \
-             each its trace context, and waits; the fleet is merged with \
-             $(b,hetarch obs merge) / $(b,obs trace-merge) and watched live \
-             with $(b,obs monitor)")
+             each its own run id as the parent run, and waits; the fleet is \
+             merged with $(b,hetarch obs merge) / $(b,obs trace-merge) and \
+             watched live with $(b,obs monitor)")
   in
   let shard =
     Arg.(
@@ -1602,7 +1601,7 @@ let obs_cmd =
               & info [ "once" ]
                   ~doc:
                     "Render one scan as machine-readable JSON (one \
-                     hetarch.monitor/1 object per stream and line) and exit")
+                     hetarch.monitor/2 object per stream and line) and exit")
           $ Arg.(
               value & opt (float_at_least ~strict:true 0.) 2.0
               & info [ "interval" ] ~docv:"SEC"

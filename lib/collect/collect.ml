@@ -482,9 +482,8 @@ let write_csv ~path stats =
 (* -------------------------------------------------------------- fleet -- *)
 
 (* Coordinator-side shard forking: re-exec this executable once per shard
-   with a rewritten argv, handing each child the coordinator's trace
-   context so the fleet shares one trace_id and shard spans parent under
-   the coordinator's span.  Re-exec — not in-process fork — because the
+   with a rewritten argv, handing each child the coordinator's run id as
+   its parent.  Re-exec — not in-process fork — because the
    observability layer holds process-global state (at_exit finalizers,
    open telemetry sinks, the memoized run id) that a forked image would
    double-fire or double-write. *)
@@ -511,29 +510,26 @@ module Fleet = struct
     rewrite (Array.to_list argv) @ [ "--shard"; string_of_int shard ]
 
   (* The child's environment: drop the coordinator's own run-id pin and
-     trace parent (a child inheriting HETARCH_RUN_ID would collide with
-     its siblings), then install the coordinator's context as the parent. *)
-  let child_env ~trace_parent env =
-    let keep e =
-      not
-        (String.length e >= 15 && String.sub e 0 15 = "HETARCH_RUN_ID="
-        || String.length e >= 21 && String.sub e 0 21 = "HETARCH_TRACE_PARENT=")
-    in
+     parent (a child inheriting HETARCH_RUN_ID would collide with its
+     siblings), then name the coordinator as the parent. *)
+  let child_env ~parent env =
+    let binds var e = String.starts_with ~prefix:(var ^ "=") e in
+    let keep e = not (binds "HETARCH_RUN_ID" e || binds Obs.Run.parent_env e) in
     Array.append
       (Array.of_list (List.filter keep (Array.to_list env)))
-      [| "HETARCH_TRACE_PARENT=" ^ trace_parent |]
+      [| Obs.Run.parent_env ^ "=" ^ parent |]
 
   (* Fork every shard, then wait in shard order.  Child stdout goes to
      /dev/null — shards re-run the coordinator's command line, and two
      processes interleaving result tables on one terminal helps nobody;
      stderr (progress, warnings) passes through.  Returns per-shard exit
      codes (128+signal for a signalled child). *)
-  let spawn_shards ~shards ~trace_parent argv =
+  let spawn_shards ~shards ~parent argv =
     let devnull = Unix.openfile "/dev/null" [ Unix.O_WRONLY ] 0o644 in
     Fun.protect
       ~finally:(fun () -> Unix.close devnull)
       (fun () ->
-        let env = child_env ~trace_parent (Unix.environment ()) in
+        let env = child_env ~parent (Unix.environment ()) in
         let pids =
           List.init shards (fun shard ->
               let args = Array.of_list (shard_argv ~shard argv) in

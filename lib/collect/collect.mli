@@ -194,9 +194,8 @@ val write_csv : path:string -> stat list -> unit
 
 (** Coordinator-side shard forking for [collect --shards N]: re-exec this
     executable once per shard with a rewritten argv, handing each child
-    the coordinator's trace context ([HETARCH_TRACE_PARENT]) so the fleet
-    shares one trace_id and shard spans parent under the coordinator's
-    span.  Re-exec rather than in-process fork: the observability layer
+    the coordinator's run id as its parent ({!Obs.Run.parent_env}).
+    Re-exec rather than in-process fork: the observability layer
     holds process-global state ([at_exit] finalizers, open telemetry
     sinks, the memoized run id) a forked image would double-fire. *)
 module Fleet : sig
@@ -209,13 +208,13 @@ module Fleet : sig
       ["--flag value"] and ["--flag=value"] spellings) suffixed, plus
       ["--shard <i>"] appended. *)
 
-  val child_env : trace_parent:string -> string array -> string array
-  (** The child environment: the parent's minus any [HETARCH_RUN_ID] and
-      [HETARCH_TRACE_PARENT] bindings (a child inheriting the
+  val child_env : parent:string -> string array -> string array
+  (** The child environment: the coordinator's minus any [HETARCH_RUN_ID]
+      and [HETARCH_PARENT_RUN] bindings (a child inheriting the
       coordinator's run-id pin would collide with its siblings), plus
-      [HETARCH_TRACE_PARENT=trace_parent]. *)
+      [HETARCH_PARENT_RUN=parent]. *)
 
-  val spawn_shards : shards:int -> trace_parent:string -> string array -> int list
+  val spawn_shards : shards:int -> parent:string -> string array -> int list
   (** Fork all [shards] children, wait for each, and return exit codes in
       shard order (128+signal for a signalled child).  Child stdout goes
       to [/dev/null] — shards re-run the coordinator's command line and

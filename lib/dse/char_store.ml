@@ -1,7 +1,7 @@
 (* Wiring between Characterize's memo hook and the two-tier Cache/Store:
    this is where the paper's "characterize once, reuse everywhere" claim
    becomes a cross-process artifact.  The ambient store is installed either
-   by --cache-dir (bin) or Sweep's ~store parameter; with no store the memo
+   by --cache-dir (bin) or [with_store]; with no store the memo
    still deduplicates within the process through the shared memory cache. *)
 
 (* Value codec: duration and error as raw IEEE-754 bits, then the channel's

@@ -21,13 +21,6 @@ let point_span ~index f x =
 
 let indexed points = List.mapi (fun i x -> (i, x)) points
 
-(* [~store] installs a persistent characterization store for the duration
-   of the sweep (restoring the previous one after), so any
-   Characterize.characterize_op the points perform — on any worker domain —
-   warm-starts from disk instead of re-running density-matrix simulation. *)
-let with_store_opt store f =
-  match store with None -> f () | Some s -> Char_store.with_store s f
-
 (* Sweep points are independent, so they fan across domains.  Results come
    back in point order regardless of which domain evaluated what; [f] itself
    must be deterministic per point (e.g. take a fresh seed per point, as the
@@ -35,17 +28,13 @@ let with_store_opt store f =
    The characterization store never breaks this: its values are bit-exact
    round trips of deterministic computations, so results are byte-identical
    with the store cold, warm, or absent. *)
-let sweep ?jobs ?store points ~f =
-  with_store_opt store (fun () ->
-      Parallel.map_list ?jobs
-        (fun (i, x) -> (x, point_span ~index:i f x))
-        (indexed points))
+let sweep ?jobs points ~f =
+  Parallel.map_list ?jobs (fun (i, x) -> (x, point_span ~index:i f x)) (indexed points)
 
-let grid ?jobs ?store xs ys ~f =
-  with_store_opt store (fun () ->
-      Parallel.map_list ?jobs
-        (fun (i, (x, y)) -> (x, y, point_span ~index:i (f x) y))
-        (indexed (List.concat_map (fun x -> List.map (fun y -> (x, y)) ys) xs)))
+let grid ?jobs xs ys ~f =
+  Parallel.map_list ?jobs
+    (fun (i, (x, y)) -> (x, y, point_span ~index:i (f x) y))
+    (indexed (List.concat_map (fun x -> List.map (fun y -> (x, y)) ys) xs))
 
 let argmin = function
   | [] -> invalid_arg "Sweep.argmin: empty"

@@ -359,7 +359,11 @@ let fold_jsonl path f init =
    after the fact.  The id hashes argv, pid, wall-clock and monotonic start
    time; HETARCH_RUN_ID (16 hex digits) overrides it for reproducible
    fixtures.  The shard label is free-form attribution ("shard0/3", a host
-   name, ...) set once at startup and stamped into the same artifacts. *)
+   name, ...) set once at startup and stamped into the same artifacts.
+   A child process handed its parent's run id in HETARCH_PARENT_RUN
+   records it as its parent, which is the whole fleet linkage:
+   `obs trace-merge` and `obs monitor` join a coordinator's shards to it
+   by that one id. *)
 
 module Run = struct
   let started_unix = Unix.gettimeofday ()
@@ -368,12 +372,13 @@ module Run = struct
   let set_shard s = shard_label := s
   let shard () = !shard_label
 
-  let is_hex = function '0' .. '9' | 'a' .. 'f' -> true | _ -> false
+  let is_id s =
+    String.length s = 16 && String.for_all (function '0' .. '9' | 'a' .. 'f' -> true | _ -> false) s
 
   let computed_id =
     lazy
       (match Sys.getenv_opt "HETARCH_RUN_ID" with
-      | Some s when String.length s = 16 && String.for_all is_hex s -> s
+      | Some s when is_id s -> s
       | _ ->
           Content_hash.of_components
             ("hetarch-run/1"
@@ -383,86 +388,34 @@ module Run = struct
             :: Array.to_list Sys.argv))
 
   let id () = Lazy.force computed_id
-end
 
-(* --------------------------------------------------------- trace context *)
+  let parent_env = "HETARCH_PARENT_RUN"
 
-(* Distributed trace identity, W3C-traceparent style: a 128-bit
-   (trace_id, span_id) pair of 16-hex-digit halves.  A root process mints
-   both from its run id; a child process handed "<trace_id>-<span_id>" in
-   the HETARCH_TRACE_PARENT environment variable keeps the parent's
-   trace_id, records the parent's span_id as parent_span_id, and mints only
-   its own span_id — so every process of a fleet shares one trace_id and
-   the per-process span ids form a tree.
-   The context is stamped into every observability artifact (snapshots,
-   and so telemetry lines, and Chrome-trace metadata), which is what
-   lets `obs trace-merge` and `obs monitor` correlate a coordinator with
-   the shard children it forked. *)
-
-module Context = struct
-  type t = { trace_id : string; span_id : string; parent_span_id : string }
-
-  let env_var = "HETARCH_TRACE_PARENT"
-
-  let is_id s = String.length s = 16 && String.for_all Run.is_hex s
-
-  let mint ~run_id =
-    { trace_id = Content_hash.of_components [ "hetarch-trace/1"; run_id ];
-      span_id = Content_hash.of_components [ "hetarch-span/1"; run_id ];
-      parent_span_id = "" }
-
-  let child parent ~run_id =
-    { trace_id = parent.trace_id;
-      span_id = Content_hash.of_components [ "hetarch-span/1"; run_id ];
-      parent_span_id = parent.span_id }
-
-  let to_string c = c.trace_id ^ "-" ^ c.span_id
-
-  let of_string s =
-    if String.length s = 33 && s.[16] = '-' then begin
-      let t = String.sub s 0 16 and sp = String.sub s 17 16 in
-      if is_id t && is_id sp then
-        Some { trace_id = t; span_id = sp; parent_span_id = "" }
-      else None
-    end
-    else None
-
-  let computed =
+  let computed_parent =
     lazy
-      (match Sys.getenv_opt env_var with
-       | None -> mint ~run_id:(Run.id ())
-       | Some s -> (
-           match of_string (String.trim s) with
-           | Some p -> child p ~run_id:(Run.id ())
-           | None ->
-               Printf.eprintf
-                 "hetarch: ignoring malformed trace parent %S (want <16 \
-                  hex>-<16 hex>)\n"
-                 s;
-               mint ~run_id:(Run.id ())))
+      (match Sys.getenv_opt parent_env with
+      | None -> ""
+      | Some s when is_id (String.trim s) -> String.trim s
+      | Some s ->
+          Printf.eprintf "hetarch: ignoring malformed %s %S (want 16 hex digits)\n"
+            parent_env s;
+          "")
 
-  let current () = Lazy.force computed
+  let parent () = Lazy.force computed_parent
 
-  (* The run identity plus trace context — the stamp every observability
-     document embeds under "run" (trace metadata: in its args). *)
-  type stamp = { run_id : string; shard : string; ctx : t }
+  (* The run identity every observability document embeds under "run"
+     (trace metadata: in its args). *)
+  type stamp = { run_id : string; shard : string; parent : string }
 
-  let stamp () = { run_id = Run.id (); shard = Run.shard (); ctx = current () }
+  let stamp () = { run_id = id (); shard = shard (); parent = parent () }
 
   let stamp_fields s =
     [ ("id", Json.String s.run_id);
       ("shard", Json.String s.shard);
-      ("trace_id", Json.String s.ctx.trace_id);
-      ("span_id", Json.String s.ctx.span_id);
-      ("parent_span_id", Json.String s.ctx.parent_span_id) ]
+      ("parent", Json.String s.parent) ]
 
   let stamp_of_json j =
-    { run_id = Field.str "id" j;
-      shard = Field.str "shard" j;
-      ctx =
-        { trace_id = Field.str "trace_id" j;
-          span_id = Field.str "span_id" j;
-          parent_span_id = Field.str "parent_span_id" j } }
+    { run_id = Field.str "id" j; shard = Field.str "shard" j; parent = Field.str "parent" j }
 end
 
 (* --------------------------------------------------------------- metrics *)
@@ -762,7 +715,7 @@ module Trace = struct
      lays each domain's spans on its own track; nesting depth, the caller
      path and the allocation words travel in [args]. *)
   type meta = {
-    run : Context.stamp;
+    run : Run.stamp;
     ts0_unix : float;
     clock_offset_us : float option;  (* set by trace-merge *)
   }
@@ -773,7 +726,6 @@ module Trace = struct
     ev_dur_us : float;
     ev_pid : int;
     ev_tid : int;
-    ev_trace_id : string;
     ev_depth : int;
     ev_path : string;
     ev_minor_w : int;
@@ -800,7 +752,7 @@ module Trace = struct
   let event_to_json = function
     | Run { pid; meta } ->
         metadata_json ~pid "hetarch.run"
-          (Context.stamp_fields meta.run
+          (Run.stamp_fields meta.run
           @ ("ts0_unix", Json.Float meta.ts0_unix)
             :: List.map
                  (fun o -> ("clock_offset_us", Json.Float o))
@@ -820,15 +772,14 @@ module Trace = struct
             ("tid", Json.Int e.ev_tid);
             ( "args",
               Json.Obj
-                (("trace_id", Json.String e.ev_trace_id)
-                :: ("depth", Json.Int e.ev_depth)
+                (("depth", Json.Int e.ev_depth)
                 :: ("path", Json.String e.ev_path)
                 :: ("minor_w", Json.Int e.ev_minor_w)
                 :: ("promoted_w", Json.Int e.ev_promoted_w)
                 :: ("major_w", Json.Int e.ev_major_w)
                 :: List.map (fun (k, v) -> (k, Json.String v)) e.ev_attrs) ) ]
 
-  let span_args = [ "trace_id"; "depth"; "path"; "minor_w"; "promoted_w"; "major_w" ]
+  let span_args = [ "depth"; "path"; "minor_w"; "promoted_w"; "major_w" ]
 
   let event_of_json =
     Field.decoding "Obs.Trace.event_of_json" (fun j ->
@@ -843,7 +794,7 @@ module Trace = struct
             Run
               { pid = Field.int "pid" j;
                 meta =
-                  { run = Context.stamp_of_json args;
+                  { run = Run.stamp_of_json args;
                     ts0_unix = Field.float "ts0_unix" args;
                     clock_offset_us =
                       Option.map
@@ -862,7 +813,6 @@ module Trace = struct
                 ev_dur_us = Field.float "dur" j;
                 ev_pid = Field.int "pid" j;
                 ev_tid = Field.int "tid" j;
-                ev_trace_id = Field.str "trace_id" args;
                 ev_depth = Field.int "depth" args;
                 ev_path = Field.str "path" args;
                 ev_minor_w = Field.int "minor_w" args;
@@ -876,7 +826,6 @@ module Trace = struct
         | ph, name -> Field.fail "unsupported event %s (ph %s)" name ph)
 
   let export ~path =
-    let trace_id = (Context.current ()).Context.trace_id in
     let span_event s =
       Span
         { ev_name = s.name;
@@ -884,7 +833,6 @@ module Trace = struct
           ev_dur_us = Int64.to_float s.dur_ns /. 1e3;
           ev_pid = 0;
           ev_tid = s.domain;
-          ev_trace_id = trace_id;
           ev_depth = s.depth;
           ev_path = s.path;
           ev_minor_w = s.minor_w;
@@ -893,7 +841,7 @@ module Trace = struct
           ev_attrs = s.attrs }
     in
     let meta =
-      Run { pid = 0; meta = { run = Context.stamp (); ts0_unix = t0_unix; clock_offset_us = None } }
+      Run { pid = 0; meta = { run = Run.stamp (); ts0_unix = t0_unix; clock_offset_us = None } }
     in
     let oc = open_out path in
     Fun.protect
@@ -1110,7 +1058,7 @@ end
    hash is well-defined. *)
 
 module Snapshot = struct
-  let schema = "hetarch.snapshot/4"
+  let schema = "hetarch.snapshot/5"
 
   type hist = {
     h_counts : int array;  (* one per bound of [Histogram.layout] *)
@@ -1156,7 +1104,7 @@ module Snapshot = struct
   }
 
   type t = {
-    run : Context.stamp;
+    run : Run.stamp;
     argv : string list;
     started_unix : float;
     wall_seconds : float;
@@ -1265,7 +1213,7 @@ module Snapshot = struct
                 h_min = h.Histogram.lo;
                 h_max = h.Histogram.hi }))
     in
-    { run = Context.stamp ();
+    { run = Run.stamp ();
       argv = Array.to_list Sys.argv;
       started_unix = Run.started_unix;
       wall_seconds;
@@ -1337,7 +1285,7 @@ module Snapshot = struct
     [ ("schema", Json.String schema);
       ( "run",
         Json.Obj
-          (Context.stamp_fields t.run
+          (Run.stamp_fields t.run
           @ [ ("argv", Json.List (List.map (fun a -> Json.String a) t.argv));
               ("started_unix", Json.Float t.started_unix);
               ("wall_seconds", Json.Float t.wall_seconds);
@@ -1411,7 +1359,7 @@ module Snapshot = struct
             c_tasks = List.map task (Field.list "task_progress" c) }
         in
         let p = Json.Obj (section "process") in
-        { run = Context.stamp_of_json run;
+        { run = Run.stamp_of_json run;
           argv =
             List.map
               (function Json.String s -> s | _ -> Field.fail "non-string argv entry")
@@ -1641,8 +1589,7 @@ module Merge = struct
   let merged t =
     let ss = sources t in
     let started, ended = if ss = [] then (0., 0.) else time_span ss in
-    { Snapshot.run =
-        { run_id = ""; shard = ""; ctx = { trace_id = ""; span_id = ""; parent_span_id = "" } };
+    { Snapshot.run = { run_id = ""; shard = ""; parent = "" };
       argv = [];
       started_unix = started;
       wall_seconds = ended -. started;
@@ -1988,11 +1935,10 @@ module Monitor = struct
     let s = l.snap in
     let int_gauge name = Json.Int (int_of_float (Snapshot.gauge s name)) in
     Json.Obj
-      [ ("schema", Json.String "hetarch.monitor/1");
+      [ ("schema", Json.String "hetarch.monitor/2");
         ("run", Json.String s.run.run_id);
         ("shard", Json.String s.run.shard);
-        ("trace_id", Json.String s.run.ctx.trace_id);
-        ("parent_span_id", Json.String s.run.ctx.parent_span_id);
+        ("parent", Json.String s.run.parent);
         ("status", Json.String (status_string r.status));
         ("stalled", Json.Bool (r.status = Stalled));
         ("final", Json.Bool (final l));
@@ -2035,7 +1981,7 @@ module Trace_merge = struct
   type stats = {
     sources : int;
     events : int;
-    orphans : string list;  (* parent span ids with no source in the merge *)
+    orphans : string list;  (* parent run ids with no source in the merge *)
   }
 
   let parse_source text =
@@ -2054,22 +2000,21 @@ module Trace_merge = struct
     let meta, events = split [] events in
     { s_meta = meta; s_events = events; s_hash = Content_hash.hash_hex text }
 
-  let run_id s = s.s_meta.Trace.run.Context.run_id
-  let ctx s = s.s_meta.Trace.run.Context.ctx
+  let run s = s.s_meta.Trace.run
 
   let merge texts =
     let srcs =
-      canonical_sources (fun s -> (run_id s, s.s_hash)) (List.map parse_source texts)
+      canonical_sources (fun s -> ((run s).run_id, s.s_hash)) (List.map parse_source texts)
     in
     let zero =
       List.fold_left (fun acc s -> Float.min acc s.s_meta.Trace.ts0_unix) infinity srcs
     in
-    let span_ids = List.map (fun s -> (ctx s).Context.span_id) srcs in
+    let run_ids = List.map (fun s -> (run s).run_id) srcs in
     let orphans =
       List.filter_map
         (fun s ->
-          let parent = (ctx s).Context.parent_span_id in
-          if parent <> "" && not (List.mem parent span_ids) then Some parent else None)
+          let parent = (run s).parent in
+          if parent <> "" && not (List.mem parent run_ids) then Some parent else None)
         srcs
       |> List.sort_uniq compare
     in
@@ -2136,10 +2081,12 @@ let reset () =
 let () =
   Parallel.task_context :=
     (fun () ->
-      (* Force the trace context in the submitting domain before any fan
-         out: [Context.computed] is a lazy, and concurrent first forces
-         from worker domains racing each other would be unsafe. *)
-      ignore (Context.current ());
+      (* Force the run identity in the submitting domain before any fan
+         out: the id and the parent are lazies, and a telemetry tick on a
+         worker domain may capture a snapshot — concurrent first forces
+         racing each other would be unsafe. *)
+      ignore (Run.id ());
+      ignore (Run.parent ());
       let inherited = !(Domain.DLS.get Trace.stack_key) in
       fun () -> Domain.DLS.get Trace.stack_key := inherited);
   Parallel.on_task_done := (fun () -> Telemetry.tick ())

@@ -68,7 +68,10 @@ val fold_jsonl : string -> ('a -> Json.t -> 'a) -> 'a -> 'a
 
 (** Process-level run identity, stamped into every observability artifact
     (snapshots, telemetry lines, Chrome-trace exports) so
-    fleet tooling can correlate the artifacts of one run after the fact. *)
+    fleet tooling can correlate the artifacts of one run after the fact.
+    A process names itself by its run id alone; a child forked by a
+    fleet coordinator records the coordinator's run id as its parent, which
+    is what lets [obs trace-merge] and [obs monitor] join the fleet. *)
 module Run : sig
   val id : unit -> string
   (** Stable 64-bit run id as 16 hex digits: a content hash of argv, pid
@@ -84,51 +87,18 @@ module Run : sig
       by every artifact; empty by default.  Set once at startup. *)
 
   val shard : unit -> string
-end
 
-(** Distributed trace context, W3C-traceparent style: a 128-bit
-    [(trace_id, span_id)] pair of 16-hex-digit halves, minted from the run
-    id at first use — or inherited from the [HETARCH_TRACE_PARENT]
-    environment variable, in which case this process keeps the parent's
-    [trace_id], records the parent's [span_id] as [parent_span_id], and
-    mints only its own [span_id].  Every process
-    of a fleet therefore shares one [trace_id] and the per-process span
-    ids form a tree, which is what lets [obs trace-merge] and
-    [obs monitor] correlate a coordinator with the shard children it
-    forked.  The context is stamped into snapshots (and so into telemetry
-    lines) and Chrome-trace metadata events. *)
-module Context : sig
-  type t = {
-    trace_id : string;  (** 16 hex digits, shared fleet-wide *)
-    span_id : string;  (** 16 hex digits, unique per process *)
-    parent_span_id : string;  (** [""] for a root (unparented) process *)
-  }
+  val parent_env : string
+  (** ["HETARCH_PARENT_RUN"]: the environment variable a coordinator sets
+      to its own run id in each child's environment. *)
 
-  val env_var : string
-  (** ["HETARCH_TRACE_PARENT"]. *)
+  val parent : unit -> string
+  (** The parent's run id, read once from {!parent_env}; [""] for a root
+      process.  A value that is not 16 lowercase hex digits warns once on
+      stderr and leaves the process a root. *)
 
-  val mint : run_id:string -> t
-  (** Root context: both halves are content hashes of the run id, so a
-      pinned [HETARCH_RUN_ID] yields a reproducible context. *)
-
-  val child : t -> run_id:string -> t
-  (** Inherit [trace_id], record the parent's [span_id] as
-      [parent_span_id], mint a fresh [span_id] from [run_id]. *)
-
-  val to_string : t -> string
-  (** ["<trace_id>-<span_id>"] — the wire form handed to children. *)
-
-  val of_string : string -> t option
-  (** Parse the wire form; [None] unless exactly [<16 hex>-<16 hex>]. *)
-
-  val current : unit -> t
-  (** This process's context, computed once on first use: inherited from
-      [HETARCH_TRACE_PARENT], else a freshly minted root.  A malformed
-      parent string warns on stderr and falls back to minting. *)
-
-  type stamp = { run_id : string; shard : string; ctx : t }
-  (** The run identity plus trace context that snapshots and trace
-      metadata embed. *)
+  type stamp = { run_id : string; shard : string; parent : string }
+  (** The run identity that snapshots and trace metadata embed. *)
 
   val stamp : unit -> stamp
   (** This process's stamp. *)
@@ -243,10 +213,10 @@ module Trace : sig
   (** Write retained spans ({!spans}: at most the ring's capacity, the
       newest ones) as JSONL, one Chrome-trace complete event per
       line: [{"name":…,"ph":"X","ts":µs,"dur":µs,"pid":0,"tid":domain,
-      "args":{"trace_id":…,"depth":…,"path":…,…}}].  [tid] is the
+      "args":{"depth":…,"path":…,…}}].  [tid] is the
       recording domain, so Perfetto renders one track per domain; nesting
       depth and the caller path travel in [args].  The first line is a
-      [ph:"M"] ["hetarch.run"] metadata event carrying {!Context.stamp}
+      [ph:"M"] ["hetarch.run"] metadata event carrying {!Run.stamp}
       plus [ts0_unix] — the wall-clock instant of this process's monotonic
       zero, the clock handshake {!Trace_merge} aligns timelines with. *)
 
@@ -360,7 +330,7 @@ module Telemetry : sig
 end
 
 (** Complete, content-hashed serialization of one process's obs state
-    (schema [hetarch.snapshot/4]) — the only captured run state: what
+    (schema [hetarch.snapshot/5]) — the only captured run state: what
     [--metrics] writes, what the {!Registry} stores, each line of a
     {!Telemetry} stream, and the unit {!Merge} folds.
 
@@ -370,7 +340,7 @@ end
     allocation words (they reconstruct the profile trie — time and
     allocation — exactly via {!Profile.of_totals}, and the per-name totals
     via {!span_totals}), the GC/process section, and run metadata (run id,
-    shard label, trace context, argv, wall span, jobs), plus the campaign
+    shard label, parent run id, argv, wall span, jobs), plus the campaign
     progress section while a provider is set ({!set_campaign}).  Derived
     quantities (quantiles, variance, rates, per-name totals) are left to
     readers.
@@ -425,7 +395,7 @@ module Snapshot : sig
   }
 
   type t = {
-    run : Context.stamp;
+    run : Run.stamp;
     argv : string list;
     started_unix : float;
     wall_seconds : float;
@@ -632,7 +602,7 @@ module Monitor : sig
   (** ["live"] / ["stalled"] / ["done"]. *)
 
   val row_json : row -> Json.t
-  (** Machine-readable row, schema [hetarch.monitor/1] — the
+  (** Machine-readable row, schema [hetarch.monitor/2] — the
       [obs monitor --once] output format. *)
 end
 
@@ -655,9 +625,8 @@ module Trace_merge : sig
     sources : int;  (** after deduplication *)
     events : int;  (** non-metadata events emitted *)
     orphans : string list;
-        (** parent span ids referenced by some source but not present among
-            the merged sources' span ids — a shard merged without its
-            coordinator *)
+        (** parent run ids named by some source but not among the merged
+            sources' run ids — a shard merged without its coordinator *)
   }
 
   val merge : string list -> string * stats

@@ -551,15 +551,11 @@ let rec newline_in buf i len =
 let stop = ref false
 
 let compute_traced q =
-  (* Child context keyed by the request hash: per-request spans nest under
-     the daemon's root span and carry an identity fleet tooling can join
-     against response bodies and store entries. *)
-  let ctx = Obs.Context.child (Obs.Context.current ()) ~run_id:q.hash in
+  (* Per-request spans nest under the daemon's root span; the request hash
+     names the request, so fleet tooling can join a span against response
+     bodies and store entries. *)
   Obs.Trace.with_span
-    ~attrs:
-      [ ("kind", q.kind);
-        ("request", q.hash);
-        ("ctx", Obs.Context.to_string ctx) ]
+    ~attrs:[ ("kind", q.kind); ("request", q.hash) ]
     "serve.request"
     (fun () -> compute_answer q)
 

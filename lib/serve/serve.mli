@@ -127,8 +127,8 @@ val run : ?max_queue:int -> endpoint -> unit
     loop (fanning shots across the {!Parallel} pool), so requests arriving
     while a computation is in flight coalesce onto the pending entry or
     queue behind it, up to [max_queue] (default 64) pending uniques.  Each
-    computed request runs under a [serve.request] span with a child
-    {!Obs.Context} keyed by the request hash.
+    computed request runs under a [serve.request] span whose [request]
+    attribute is the request hash.
 
     Returns normally on shutdown — the CLI's finalizers (telemetry flush,
     snapshot, registry record) run exactly once on the way out, SIGTERM

@@ -67,7 +67,7 @@ let cat_error p ~n_cat ~rest_t ~e_ep ~routed_extra =
    rounds of the code on the given architecture. *)
 let plus_prep_error ?(params = Uec.default_params) arch code ~shots rng =
   let prof = Uec.profile ~params arch code in
-  Uec.logical_error_rate ~params prof ~rounds:2 ~shots rng
+  Uec.logical_error_rate prof ~rounds:2 ~shots rng
 
 (* Routing overhead of the homogeneous transversal stage.  The lattice is as
    large as needed and placement is free, so take the cheaper of the two
@@ -111,7 +111,7 @@ let heterogeneous ?(params = default_params) ~code_a ~code_b ~ts ~shots rng =
   in
   let e_meas =
     let prof = Uec.profile ~params:params.uec (Uec.Het { ts }) code_a in
-    Uec.logical_error_rate ~params:params.uec prof ~rounds:1 ~shots rng
+    Uec.logical_error_rate prof ~rounds:1 ~shots rng
   in
   let total = combine [ e_cat; e_plus_a; e_plus_b; e_meas ] in
   { e_ep; e_cat; e_plus_a; e_plus_b; e_meas; total }
@@ -126,7 +126,7 @@ let homogeneous ?(params = default_params) ~code_a ~code_b ~shots rng =
   let e_plus_b = plus_prep_error ~params:params.uec Uec.Hom code_b ~shots rng in
   let e_meas =
     let prof = Uec.profile ~params:params.uec Uec.Hom code_a in
-    Uec.logical_error_rate ~params:params.uec prof ~rounds:1 ~shots rng
+    Uec.logical_error_rate prof ~rounds:1 ~shots rng
   in
   let total = combine [ e_cat; e_plus_a; e_plus_b; e_meas ] in
   { e_ep; e_cat; e_plus_a; e_plus_b; e_meas; total }

@@ -28,6 +28,7 @@ type profile = {
   gates_2q : int array;
   meas_flip : float array array;
   assignment : int array;
+  params : params;
 }
 
 let all_stabs (code : Code.t) = Array.append code.Code.z_stabs code.Code.x_stabs
@@ -168,7 +169,8 @@ let het_profile p ts (code : Code.t) =
     meas_flip =
       [| Array.map (meas_flip_of p) code.Code.z_stabs;
          Array.map (meas_flip_of p) code.Code.x_stabs |];
-    assignment }
+    assignment;
+    params = p }
 
 let hom_profile p (code : Code.t) =
   let n = code.Code.n in
@@ -214,7 +216,8 @@ let hom_profile p (code : Code.t) =
     meas_flip =
       [| Array.map (meas_flip_of p) code.Code.z_stabs;
          Array.map (meas_flip_of p) code.Code.x_stabs |];
-    assignment = Array.make n 0 }
+    assignment = Array.make n 0;
+    params = p }
 
 let profile ?(params = default_params) arch code =
   match arch with
@@ -247,7 +250,8 @@ let idle_probs ?(eta = 1.) ~t ~dt () =
 let gate_probs ?(eta = 1.) p2 = biased_split ~eta (0.8 *. p2)
 
 (* Per-qubit per-round effective Pauli channel. *)
-let effective_channels ?(params = default_params) prof =
+let effective_channels prof =
+  let params = prof.params in
   let ts = match prof.arch with Het { ts } -> ts | Hom -> params.tc in
   Array.init prof.code.Code.n (fun q ->
       let acc = ref (idle_probs ~eta:params.eta ~t:ts ~dt:prof.storage_time.(q) ()) in
@@ -295,7 +299,8 @@ type channels = {
    on the USC; a single parallel step on the lattice), so noise is injected
    per extraction step — mid-round errors leave the serial syndrome
    internally inconsistent, which is the real cost of serialization. *)
-let channels ?(params = default_params) prof =
+let channels prof =
+  let params = prof.params in
   let stabs = all_stabs prof.code in
   { interval =
       (match prof.arch with
@@ -314,7 +319,7 @@ let channels ?(params = default_params) prof =
            ~dt:((2. *. params.t_swap) +. params.t_2q) ())
         (gate_probs ~eta:params.eta params.p2);
     per_qubit =
-      (match prof.arch with Hom -> effective_channels ~params prof | Het _ -> [||]);
+      (match prof.arch with Hom -> effective_channels prof | Het _ -> [||]);
     flips = Array.append prof.meas_flip.(0) prof.meas_flip.(1) }
 
 (* The loop compares integer draws with integer thresholds.  A draw
@@ -366,7 +371,7 @@ let draw_buffer k =
     buf
   end
 
-let logical_failures_impl ?jobs ?(params = default_params) prof ~rounds ~shots rng =
+let logical_failures_impl ?jobs prof ~rounds ~shots rng =
   if rounds < 1 || shots < 1 then invalid_arg "Uec.logical_error_rate";
   let code = prof.code in
   let n = code.Code.n in
@@ -375,7 +380,7 @@ let logical_failures_impl ?jobs ?(params = default_params) prof ~rounds ~shots r
   let nz = Array.length code.Code.z_stabs in
   let nchecks = Array.length stabs in
   let het = match prof.arch with Het _ -> true | Hom -> false in
-  let ch = channels ~params prof in
+  let ch = channels prof in
   (* Het: one idle channel per check interval; hom: one channel per qubit. *)
   let idle = pauli_thresholds (if het then ch.interval else ch.per_qubit) in
   let touch = pauli_thresholds [| ch.touch |] in
@@ -492,17 +497,17 @@ let per_round_rate ~failures ~rounds ~shots =
   if per_shot >= 1. then 1.
   else 1. -. ((1. -. per_shot) ** (1. /. float_of_int rounds))
 
-let logical_failures ?jobs ?params prof ~rounds ~shots rng =
+let logical_failures ?jobs prof ~rounds ~shots rng =
   Obs.Counter.add uec_shots_total shots;
   Obs.Trace.with_span "uec.logical_error_rate"
     ~attrs:
       [ ("code", prof.code.Code.name);
         ("rounds", string_of_int rounds);
         ("shots", string_of_int shots) ]
-    (fun () -> logical_failures_impl ?jobs ?params prof ~rounds ~shots rng)
+    (fun () -> logical_failures_impl ?jobs prof ~rounds ~shots rng)
 
-let logical_error_rate ?jobs ?params prof ~rounds ~shots rng =
-  let failures = logical_failures ?jobs ?params prof ~rounds ~shots rng in
+let logical_error_rate ?jobs prof ~rounds ~shots rng =
+  let failures = logical_failures ?jobs prof ~rounds ~shots rng in
   per_round_rate ~failures ~rounds ~shots
 
 (* Campaign integration: a UEC experiment as a Collect task.  Identity spans
@@ -535,7 +540,7 @@ let collect_task ?(params = default_params) arch (code : Code.t) ~rounds =
           ("t_readout", Printf.sprintf "%.17g" params.t_readout);
           ("register_capacity", string_of_int params.register_capacity) ])
     ~sample:(fun rng shots ->
-      logical_failures ~params (Lazy.force prof) ~rounds ~shots rng)
+      logical_failures (Lazy.force prof) ~rounds ~shots rng)
 
 (* Ablation helper: serialized round time when all data shares one register
    (no swap pipelining) versus the optimized two-register assignment. *)
@@ -551,12 +556,12 @@ let fig9_point ?(params = default_params) ~code ~ts ~shots rng =
   (* 3 rounds keeps the per-shot failure probability out of saturation even
      for the noisiest configurations while still exercising the
      repeat-until-agree syndrome handling. *)
-  logical_error_rate ~params prof ~rounds:3 ~shots rng
+  logical_error_rate prof ~rounds:3 ~shots rng
 
 let table3_row ?(params = default_params) ~code ~ts ~shots rng =
   let het = profile ~params (Het { ts }) code in
   let hom = profile ~params Hom code in
-  let het_rate = logical_error_rate ~params het ~rounds:3 ~shots rng in
-  let hom_rate = logical_error_rate ~params hom ~rounds:3 ~shots rng in
+  let het_rate = logical_error_rate het ~rounds:3 ~shots rng in
+  let hom_rate = logical_error_rate hom ~rounds:3 ~shots rng in
   let reduction = if het_rate > 0. then hom_rate /. het_rate else infinity in
   (het_rate, hom_rate, reduction)

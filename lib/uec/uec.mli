@@ -45,10 +45,13 @@ type profile = {
   meas_flip : float array array;
       (** [0]: per-Z-stab syndrome-bit flip probability; [1]: per-X-stab *)
   assignment : int array;  (** register index per data qubit (Het only) *)
+  params : params;  (** the noise parameters the profile was built with *)
 }
 
 val profile : ?params:params -> arch -> Code.t -> profile
-(** Build the execution profile.  For [Het], the data-to-register assignment
+(** Build the execution profile under [params] (default
+    {!default_params}), which it carries for {!channels} and the
+    samplers.  For [Het], the data-to-register assignment
     minimizes the serialized round time (§4.2.2's brute-force search): an
     exhaustive search over balanced two-register splits when the code needs
     at most two registers and n <= 20, greedy alternation across registers
@@ -81,10 +84,9 @@ type channels = {
 }
 (** The noise {!logical_failures} samples, per round. *)
 
-val channels : ?params:params -> profile -> channels
+val channels : profile -> channels
 
-val logical_failures :
-  ?jobs:int -> ?params:params -> profile -> rounds:int -> shots:int -> Rng.t -> int
+val logical_failures : ?jobs:int -> profile -> rounds:int -> shots:int -> Rng.t -> int
 (** Monte-Carlo logical failure {e count}: [shots] independent experiments of
     [rounds] rounds each; every round injects the profile's idle and gate
     noise, measures all stabilizers (with syndrome-bit flips), decodes X and
@@ -97,8 +99,7 @@ val per_round_rate : failures:int -> rounds:int -> shots:int -> float
 (** Convert a failure count over [shots] experiments of [rounds] rounds each
     into the per-round rate the paper plots: 1 - (1 - f/shots)^(1/rounds). *)
 
-val logical_error_rate :
-  ?jobs:int -> ?params:params -> profile -> rounds:int -> shots:int -> Rng.t -> float
+val logical_error_rate : ?jobs:int -> profile -> rounds:int -> shots:int -> Rng.t -> float
 (** [logical_failures] converted through {!per_round_rate}. *)
 
 val collect_task : ?params:params -> arch -> Code.t -> rounds:int -> Collect.Task.t

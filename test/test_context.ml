@@ -1,90 +1,30 @@
-(* Distributed trace-context propagation: pinned mint vectors, wire-form
-   parsing, parent/child linkage — in-process and across a real forked
-   `collect --shards 2` coordinator — and the canonical trace-merge
-   algebra (order-invariance, dedup idempotence, orphan detection).
+(* Fleet linkage by run id: a child names its parent's run id, handed down
+   in HETARCH_PARENT_RUN — in-process, through a malformed value, and across
+   a real forked `collect --shards 2` coordinator — and the canonical
+   trace-merge algebra (order-invariance, dedup idempotence, orphan
+   detection).
 
    The merge law is checked on the serialized bytes: `obs trace-merge`
    from any input order must produce byte-identical timelines, which is
    the property test/monitor_smoke.t relies on. *)
 
-(* Install an inherited parent before anything forces the lazy context:
+(* Install an inherited parent before anything forces the lazy parent:
    this test process itself plays the child half of the env-var
    inheritance round trip. *)
-let wire_parent = "00112233445566aa-8899aabbccddeeff"
-let () = Unix.putenv Obs.Context.env_var wire_parent
-
-let is_hex_id s =
-  String.length s = 16
-  && String.for_all (function '0' .. '9' | 'a' .. 'f' -> true | _ -> false) s
-
-(* ------------------------------------------------------- mint and wire *)
-
-(* Pinned vectors: the context is derived by content hash from the run id,
-   so a changed derivation breaks every recorded parent/child linkage —
-   these fail loudly on drift. *)
-let test_pinned_mint () =
-  let c = Obs.Context.mint ~run_id:"00000000000000aa" in
-  Alcotest.(check string) "pinned trace id" "212a48ba9008d48e"
-    c.Obs.Context.trace_id;
-  Alcotest.(check string) "pinned span id" "d8250e735ea5bacc"
-    c.Obs.Context.span_id;
-  Alcotest.(check string) "root has no parent" "" c.Obs.Context.parent_span_id
-
-let test_wire_roundtrip () =
-  let c = Obs.Context.mint ~run_id:"00000000000000ab" in
-  match Obs.Context.of_string (Obs.Context.to_string c) with
-  | Some p ->
-      Alcotest.(check string) "trace id survives" c.Obs.Context.trace_id
-        p.Obs.Context.trace_id;
-      Alcotest.(check string) "span id survives" c.Obs.Context.span_id
-        p.Obs.Context.span_id;
-      Alcotest.(check string) "wire form carries no parent" ""
-        p.Obs.Context.parent_span_id
-  | None -> Alcotest.fail "minted context does not re-parse"
-
-let test_wire_malformed () =
-  List.iter
-    (fun s ->
-      Alcotest.(check bool)
-        (Printf.sprintf "%S rejected" s)
-        true
-        (Obs.Context.of_string s = None))
-    [ "";
-      "zz";
-      "00112233445566aa";
-      "00112233445566aa+8899aabbccddeeff";
-      "00112233445566AA-8899aabbccddeeff";
-      "00112233445566aa-8899aabbccddeef";
-      "00112233445566aa-8899aabbccddeeffe";
-      "0011223344556-6aa8899aabbccddeeff" ]
-
-let test_child_linkage () =
-  let parent = Obs.Context.mint ~run_id:"00000000000000aa" in
-  let child = Obs.Context.child parent ~run_id:"00000000000000ab" in
-  Alcotest.(check string) "trace id inherited" parent.Obs.Context.trace_id
-    child.Obs.Context.trace_id;
-  Alcotest.(check string) "parent span recorded" parent.Obs.Context.span_id
-    child.Obs.Context.parent_span_id;
-  Alcotest.(check bool) "own span is fresh" true
-    (child.Obs.Context.span_id <> parent.Obs.Context.span_id
-    && is_hex_id child.Obs.Context.span_id)
+let parent_run = "00112233445566aa"
+let () = Unix.putenv Obs.Run.parent_env parent_run
 
 let test_env_inheritance () =
-  let c = Obs.Context.current () in
-  Alcotest.(check string) "trace id from HETARCH_TRACE_PARENT"
-    "00112233445566aa" c.Obs.Context.trace_id;
-  Alcotest.(check string) "parent span from HETARCH_TRACE_PARENT"
-    "8899aabbccddeeff" c.Obs.Context.parent_span_id;
-  Alcotest.(check bool) "own span minted fresh" true
-    (is_hex_id c.Obs.Context.span_id
-    && c.Obs.Context.span_id <> "8899aabbccddeeff");
-  (* every observability stamp carries all three fields *)
+  Alcotest.(check string) "parent from HETARCH_PARENT_RUN" parent_run (Obs.Run.parent ());
+  Alcotest.(check bool) "own run id differs" true (Obs.Run.id () <> parent_run);
+  (* the snapshot names the run once: id, shard and parent *)
   match Obs.Json.member "run" (Obs.Snapshot.to_json (Obs.Snapshot.capture ())) with
   | Some (Obs.Json.Obj kvs) ->
-      List.iter
-        (fun k ->
-          Alcotest.(check bool) (k ^ " stamped") true (List.mem_assoc k kvs))
-        [ "id"; "shard"; "trace_id"; "span_id"; "parent_span_id" ]
+      Alcotest.(check (list string)) "run object keys"
+        [ "id"; "shard"; "parent"; "argv"; "started_unix"; "wall_seconds"; "jobs" ]
+        (List.map fst kvs);
+      Alcotest.(check bool) "parent stamped" true
+        (List.assoc "parent" kvs = Obs.Json.String parent_run)
   | _ -> Alcotest.fail "snapshot has no run object"
 
 (* ------------------------------------------------- child command lines *)
@@ -102,12 +42,12 @@ let test_shard_argv_rewrite () =
 let test_child_env () =
   let env =
     [| "PATH=/usr/bin"; "HETARCH_RUN_ID=00000000000000aa";
-       "HETARCH_TRACE_PARENT=old-parent"; "HOME=/root" |]
+       "HETARCH_PARENT_RUN=00000000000000ff"; "HOME=/root" |]
   in
   Alcotest.(check (list string))
     "run-id pin and stale parent dropped, new parent appended"
-    [ "PATH=/usr/bin"; "HOME=/root"; "HETARCH_TRACE_PARENT=" ^ wire_parent ]
-    (Array.to_list (Collect.Fleet.child_env ~trace_parent:wire_parent env))
+    [ "PATH=/usr/bin"; "HOME=/root"; "HETARCH_PARENT_RUN=" ^ parent_run ]
+    (Array.to_list (Collect.Fleet.child_env ~parent:parent_run env))
 
 (* ------------------------------- forked coordinator, end to end *)
 
@@ -132,20 +72,15 @@ let hetarch_bin =
     (Filename.dirname (Filename.dirname Sys.executable_name))
     (Filename.concat "bin" "main.exe")
 
-(* Spawn the real coordinator with a clean context (the putenv above must
-   not leak in, or the coordinator itself would parent under our synthetic
-   wire_parent and the orphan assertions below would shift). *)
-let run_coordinator ~trace =
-  let argv =
-    [| hetarch_bin; "collect"; "threshold"; "--seed"; "7"; "--max-shots";
-       "256"; "--batch"; "128"; "--shards"; "2"; "--trace"; trace |]
-  in
+(* Run the CLI with [parent] as its HETARCH_PARENT_RUN binding, or none
+   (the putenv above must not leak into the coordinator, or it would
+   parent under our synthetic parent_run and the orphan assertions below
+   would shift).  Stdout goes to /dev/null, stderr to [stderr]. *)
+let run_hetarch ?parent ?(stderr = Unix.stderr) args =
   let env =
     Unix.environment () |> Array.to_list
-    |> List.filter (fun b ->
-           not
-             (String.length b >= 21
-             && String.sub b 0 21 = "HETARCH_TRACE_PARENT="))
+    |> List.filter (fun b -> not (String.starts_with ~prefix:(Obs.Run.parent_env ^ "=") b))
+    |> List.append (Option.to_list (Option.map (( ^ ) (Obs.Run.parent_env ^ "=")) parent))
     |> Array.of_list
   in
   let devnull = Unix.openfile "/dev/null" [ Unix.O_WRONLY ] 0o644 in
@@ -153,12 +88,13 @@ let run_coordinator ~trace =
     Fun.protect
       ~finally:(fun () -> Unix.close devnull)
       (fun () ->
-        Unix.create_process_env hetarch_bin argv env Unix.stdin devnull
-          Unix.stderr)
+        Unix.create_process_env hetarch_bin
+          (Array.of_list (hetarch_bin :: args))
+          env Unix.stdin devnull stderr)
   in
   match Unix.waitpid [] pid with
   | _, Unix.WEXITED 0 -> ()
-  | _ -> Alcotest.fail "collect --shards 2 coordinator failed"
+  | _ -> Alcotest.fail ("hetarch " ^ String.concat " " args ^ " failed")
 
 let run_meta path =
   let meta =
@@ -183,31 +119,75 @@ let meta_field name args =
   | Some (Obs.Json.String s) -> s
   | _ -> ""
 
+(* The "run" object of a --metrics snapshot. *)
+let snapshot_run path = (Obs.Snapshot.load path).Obs.Snapshot.run
+
 let read_file path = In_channel.with_open_bin path In_channel.input_all
+
+(* A malformed parent warns once on stderr and leaves the process a root. *)
+let test_malformed_parent () =
+  with_tmp_dir (fun dir ->
+      List.iteri
+        (fun i bad ->
+          let metrics = Filename.concat dir (Printf.sprintf "m%d.json" i) in
+          let err = Filename.concat dir (Printf.sprintf "err%d" i) in
+          let fd = Unix.openfile err [ Unix.O_WRONLY; Unix.O_CREAT; Unix.O_TRUNC ] 0o644 in
+          Fun.protect
+            ~finally:(fun () -> Unix.close fd)
+            (fun () -> run_hetarch ~parent:bad ~stderr:fd [ "devices"; "--metrics"; metrics ]);
+          Alcotest.(check string)
+            (Printf.sprintf "%S warned once" bad)
+            (Printf.sprintf
+               "hetarch: ignoring malformed HETARCH_PARENT_RUN %S (want 16 hex digits)\n" bad)
+            (read_file err);
+          Alcotest.(check string) (Printf.sprintf "%S leaves a root" bad) ""
+            (snapshot_run metrics).parent)
+        [ "";
+          "zz";
+          "00112233445566AA";
+          "00112233445566a";
+          "00112233445566aa0";
+          "00112233445566aa-8899aabbccddeeff" ])
 
 let test_forked_shards_and_merge () =
   with_tmp_dir (fun dir ->
       let trace = Filename.concat dir "trace.jsonl" in
-      run_coordinator ~trace;
+      let metrics = Filename.concat dir "m.json" in
+      run_hetarch
+        [ "collect"; "threshold"; "--seed"; "7"; "--max-shots"; "256"; "--batch"; "128";
+          "--shards"; "2"; "--trace"; trace; "--metrics"; metrics ];
       let coord = run_meta trace in
-      let s0 = run_meta (trace ^ ".shard0") in
-      let s1 = run_meta (trace ^ ".shard1") in
-      let coord_span = meta_field "span_id" coord in
-      (* one trace id fleet-wide, shard spans parent under the coordinator *)
-      Alcotest.(check string) "coordinator is a root" ""
-        (meta_field "parent_span_id" coord);
-      List.iteri
-        (fun i s ->
-          let lbl n = Printf.sprintf "shard%d %s" i n in
-          Alcotest.(check string) (lbl "trace id")
-            (meta_field "trace_id" coord)
-            (meta_field "trace_id" s);
-          Alcotest.(check string) (lbl "parent span") coord_span
-            (meta_field "parent_span_id" s))
-        [ s0; s1 ];
-      Alcotest.(check bool) "shard spans distinct" true
-        (meta_field "span_id" s0 <> meta_field "span_id" s1
-        && meta_field "span_id" s0 <> coord_span);
+      let coord_id = meta_field "id" coord in
+      (* shards name the coordinator's run id as their parent, in the trace
+         metadata and in the snapshot alike *)
+      Alcotest.(check string) "coordinator is a root" "" (meta_field "parent" coord);
+      Alcotest.(check string) "coordinator snapshot names its run" coord_id
+        (snapshot_run metrics).run_id;
+      Alcotest.(check string) "coordinator snapshot is a root" ""
+        (snapshot_run metrics).parent;
+      let shard_ids =
+        List.map
+          (fun i ->
+            let sfx = Printf.sprintf ".shard%d" i in
+            let meta = run_meta (trace ^ sfx) and snap = snapshot_run (metrics ^ sfx) in
+            let lbl n = Printf.sprintf "shard%d %s" i n in
+            Alcotest.(check string) (lbl "trace parent") coord_id (meta_field "parent" meta);
+            Alcotest.(check string) (lbl "snapshot parent") coord_id snap.parent;
+            Alcotest.(check string) (lbl "one run id") (meta_field "id" meta) snap.run_id;
+            snap.run_id)
+          [ 0; 1 ]
+      in
+      Alcotest.(check int) "run ids distinct" 3
+        (List.length (List.sort_uniq compare (coord_id :: shard_ids)));
+      (* no per-span copy of the identity *)
+      Obs.fold_jsonl trace
+        (fun () j ->
+          if Obs.Json.member "ph" j = Some (Obs.Json.String "X") then
+            Alcotest.(check bool) "span args carry no run identity" true
+              (List.for_all
+                 (fun k -> Obs.Json.member k (Option.get (Obs.Json.member "args" j)) = None)
+                 [ "id"; "parent" ]))
+        ();
       (* canonical merge: any input order, and re-merging duplicates,
          produces the same bytes *)
       let texts =
@@ -221,23 +201,18 @@ let test_forked_shards_and_merge () =
       Alcotest.(check int) "three sources" 3 stats.Obs.Trace_merge.sources;
       Alcotest.(check (list string)) "full fleet has no orphans" []
         stats.Obs.Trace_merge.orphans;
-      (* shards merged without their coordinator orphan its span id *)
+      (* shards merged without their coordinator orphan its run id *)
       let _, partial = Obs.Trace_merge.merge (List.tl texts) in
       Alcotest.(check (list string)) "missing coordinator is an orphan"
-        [ coord_span ] partial.Obs.Trace_merge.orphans)
+        [ coord_id ] partial.Obs.Trace_merge.orphans)
 
 let () =
   Alcotest.run "context"
     [ ( "context",
-        [ Alcotest.test_case "pinned mint vectors" `Quick test_pinned_mint;
-          Alcotest.test_case "wire round trip" `Quick test_wire_roundtrip;
-          Alcotest.test_case "malformed wire forms" `Quick test_wire_malformed;
-          Alcotest.test_case "child linkage" `Quick test_child_linkage;
-          Alcotest.test_case "env-var inheritance" `Quick test_env_inheritance
-        ] );
+        [ Alcotest.test_case "malformed wire forms" `Quick test_malformed_parent;
+          Alcotest.test_case "env-var inheritance" `Quick test_env_inheritance ] );
       ( "fleet",
-        [ Alcotest.test_case "shard argv rewrite" `Quick
-            test_shard_argv_rewrite;
+        [ Alcotest.test_case "shard argv rewrite" `Quick test_shard_argv_rewrite;
           Alcotest.test_case "child env" `Quick test_child_env;
           Alcotest.test_case "forked shards + trace merge" `Quick
             test_forked_shards_and_merge ] ) ]

@@ -196,20 +196,21 @@ let test_cache_disk_tier () =
    semantic change. *)
 let char_sweep ~jobs store =
   let memo = Char_store.memo () in
-  Sweep.sweep ~jobs ?store
-    [ 1.; 2.; 3. ]
-    ~f:(fun alpha ->
-      let base = Device.multimode_resonator_3d in
-      let storage =
-        Device.with_coherence base ~t1:(alpha *. base.Device.t1)
-          ~t2:(alpha *. base.Device.t2)
-      in
-      let c =
-        Characterize.characterize_op ~memo (Cell.register ~storage ())
-          (Characterize.Retention { dt = 10e-6 })
-      in
-      (c.Characterize.perf.Characterize.duration,
-       c.Characterize.perf.Characterize.error))
+  let sweep () =
+    Sweep.sweep ~jobs [ 1.; 2.; 3. ] ~f:(fun alpha ->
+        let base = Device.multimode_resonator_3d in
+        let storage =
+          Device.with_coherence base ~t1:(alpha *. base.Device.t1)
+            ~t2:(alpha *. base.Device.t2)
+        in
+        let c =
+          Characterize.characterize_op ~memo (Cell.register ~storage ())
+            (Characterize.Retention { dt = 10e-6 })
+        in
+        (c.Characterize.perf.Characterize.duration,
+         c.Characterize.perf.Characterize.error))
+  in
+  match store with None -> sweep () | Some s -> Char_store.with_store s sweep
 
 let test_cold_warm_determinism () =
   with_store_dir (fun dir ->

@@ -387,16 +387,14 @@ let test_trace_codec_roundtrip () =
       Alcotest.(check bool) "snapshot line rejected" true
         (raises_failure (fun () ->
              Obs.Trace.event_of_json
-               (Obs.Json.parse {|{"schema":"hetarch.snapshot/4","run":{}}|}))))
+               (Obs.Json.parse {|{"schema":"hetarch.snapshot/5","run":{}}|}))))
 
 (* ----------------------------------------------------------------- diff *)
 
 (* A snapshot whose spans are [(name, total_ns, minor_words)]. *)
 let snapshot spans =
   let spans = List.map (fun (n, ns, w) -> (n, 1, Int64.of_int ns, w, 0, 0)) spans in
-  { Obs.Snapshot.run =
-      { run_id = "00000000000000aa"; shard = "";
-        ctx = { trace_id = "0123456789abcdef"; span_id = "fedcba9876543210"; parent_span_id = "" } };
+  { Obs.Snapshot.run = { run_id = "00000000000000aa"; shard = ""; parent = "" };
     argv = [ "hetarch"; "fig6" ];
     started_unix = 1723100000.;
     wall_seconds = 1.;

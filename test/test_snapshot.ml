@@ -46,11 +46,9 @@ let hist_b =
     h_min = 6.;
     h_max = 6. }
 
-let snap ?(run_id = "00000000000000aa") ?(shard = "") ?(counters = [])
+let snap ?(run_id = "00000000000000aa") ?(shard = "") ?(parent = "") ?(counters = [])
     ?(gauges = []) ?(histograms = []) ?(spans = []) () =
-  { Obs.Snapshot.run =
-      { run_id; shard;
-        ctx = { trace_id = "0123456789abcdef"; span_id = "fedcba9876543210"; parent_span_id = "" } };
+  { Obs.Snapshot.run = { run_id; shard; parent };
     argv = [ "hetarch"; "collect"; "threshold"; "--seed"; "7" ];
     started_unix = 1723100000.;
     wall_seconds = 1.5;
@@ -66,7 +64,7 @@ let snap ?(run_id = "00000000000000aa") ?(shard = "") ?(counters = [])
     campaign = None }
 
 let fixed =
-  snap
+  snap ~parent:"00000000000000a0"
     ~counters:[ ("a.total", 2); ("b.total", 7) ]
     ~gauges:[ ("g.x", 1.5) ]
     ~histograms:[ ("h.lat", hist_a) ]
@@ -156,10 +154,10 @@ let test_write_load () =
 (* Pinned vectors: a serialization or hash change must be a deliberate
    schema bump, not an accident — these fail loudly on drift. *)
 let test_pinned_content_hash () =
-  Alcotest.(check string) "pinned content hash" "c1167fbc5c687721"
+  Alcotest.(check string) "pinned content hash" "e9ed42dc2e9d3c2b"
     (Obs.Snapshot.content_hash fixed);
   let empty = snap ~run_id:"00000000000000bb" () in
-  Alcotest.(check string) "pinned empty-snapshot hash" "712789ce47106c7f"
+  Alcotest.(check string) "pinned empty-snapshot hash" "ee00e85a5c4bede0"
     (Obs.Snapshot.content_hash empty);
   (* A fleet view is its canonical sources' documents and nothing else. *)
   Alcotest.(check string) "fleet view is the sources array"
@@ -183,7 +181,8 @@ let test_other_schemas_rejected () =
         (match Obs.Snapshot.of_json doc with
         | exception Failure _ -> true
         | _ -> false))
-    [ "hetarch.snapshot/3"; "hetarch.snapshot/2"; "hetarch.snapshot/1"; "hetarch.obs/5" ]
+    [ "hetarch.snapshot/4"; "hetarch.snapshot/3"; "hetarch.snapshot/2"; "hetarch.snapshot/1";
+      "hetarch.obs/5" ]
 
 (* A torn snapshot or fleet document — cut at any byte — is a Failure and
    nothing else; only the complete document parses. *)

@@ -57,14 +57,14 @@ let test_logical_rate_zero_noise () =
     { Uec.default_params with p2 = 0.; tc = 1e6 }
   in
   let prof = Uec.profile ~params (Uec.Het { ts = 1e6 }) Codes.steane in
-  let rate = Uec.logical_error_rate ~params prof ~rounds:5 ~shots:200 (Rng.create 1) in
+  let rate = Uec.logical_error_rate prof ~rounds:5 ~shots:200 (Rng.create 1) in
   Alcotest.(check (float 1e-9)) "no noise, no failures" 0. rate
 
 let test_logical_rate_monotone_in_p2 () =
   let rate p2 =
     let params = { Uec.default_params with p2 } in
     let prof = Uec.profile ~params (Uec.Het { ts = 50e-3 }) Codes.steane in
-    Uec.logical_error_rate ~params prof ~rounds:3 ~shots:2000 (Rng.create 2)
+    Uec.logical_error_rate prof ~rounds:3 ~shots:2000 (Rng.create 2)
   in
   let r1 = rate 2e-3 and r2 = rate 2e-2 in
   Alcotest.(check bool) (Printf.sprintf "monotone (%.4f < %.4f)" r1 r2) true (r1 < r2)
@@ -123,7 +123,7 @@ let test_bias_favors_shor () =
   let rate code eta =
     let params = { Uec.default_params with eta } in
     let prof = Uec.profile ~params (Uec.Het { ts = 50e-3 }) code in
-    Uec.logical_error_rate ~params prof ~rounds:3 ~shots:4000 (Rng.create 31)
+    Uec.logical_error_rate prof ~rounds:3 ~shots:4000 (Rng.create 31)
   in
   let shor_x = rate Codes.shor 0.1 and steane_x = rate Codes.steane 0.1 in
   Alcotest.(check bool)

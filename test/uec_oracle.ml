@@ -37,7 +37,7 @@ let read_check rng (err : int array) ~nz (masks : int array) (flips : float arra
   let bit = if uniform rng < flips.(k) then 1 - p else p in
   bit lsl k
 
-let logical_failures ?jobs ?params (prof : Uec.profile) ~rounds ~shots rng =
+let logical_failures ?jobs (prof : Uec.profile) ~rounds ~shots rng =
   let code = prof.Uec.code in
   let n = code.Code.n in
   let zs = code.Code.z_stabs and xs = code.Code.x_stabs in
@@ -51,7 +51,7 @@ let logical_failures ?jobs ?params (prof : Uec.profile) ~rounds ~shots rng =
   in
   let stabs = Array.append zs xs in
   let nz = Array.length zs and nchecks = Array.length stabs in
-  let ch = Uec.channels ?params prof in
+  let ch = Uec.channels prof in
   let masks = Array.map support_mask stabs in
   let z_keys = (1 lsl nz) - 1 in
   let run_chunk rng nshots =
