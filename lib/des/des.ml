@@ -15,7 +15,8 @@ let create () = { queue = Heap.create (); clock = 0.; processed = 0; high_water 
 let now t = t.clock
 
 let schedule_at t ~time handler =
-  if time < t.clock -. 1e-15 then invalid_arg "Des.schedule_at: time in the past";
+  if not (time >= t.clock -. 1e-15) then
+    invalid_arg "Des.schedule_at: time in the past or NaN";
   Heap.push t.queue time handler;
   let size = Heap.size t.queue in
   if size > t.high_water then begin
@@ -24,7 +25,7 @@ let schedule_at t ~time handler =
   end
 
 let schedule t ~delay handler =
-  if delay < 0. then invalid_arg "Des.schedule: negative delay";
+  if not (delay >= 0.) then invalid_arg "Des.schedule: negative or NaN delay";
   schedule_at t ~time:(t.clock +. delay) handler
 
 (* Process the earliest event, due at [time]. *)

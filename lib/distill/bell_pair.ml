@@ -36,27 +36,44 @@ let apply_pauli_half t ~px ~py ~pz =
 
 (* A Pauli channel on each half of a pair with px = py: the twirled idle
    channel of [twirl_probs] and the depolarizing channel both have that
-   form.  [pi] is computed once, as [apply_pauli_half] computes it. *)
-type channel = { px : float; pz : float; pi : float }
+   form.  [pi] is computed once, as [apply_pauli_half] computes it.  An
+   all-float record is stored flat, so [decay_into] rewrites one in place
+   without allocating. *)
+type channel = { mutable px : float; mutable pz : float; mutable pi : float }
 
-let[@inline] channel ~px ~pz =
+let[@inline] set c ~px ~pz =
   let pi = 1. -. px -. px -. pz in
   if pi < -1e-12 then invalid_arg "Bell_pair.apply_pauli_half: probabilities exceed 1";
-  { px; pz; pi }
+  c.px <- px;
+  c.pz <- pz;
+  c.pi <- pi
 
-(* Pauli-twirled thermal idling for [dt] on one half. *)
+(* Pauli-twirled thermal idling for [dt] on one half.  When [t1] and [t2]
+   have the same bits the two exponentials are the same number, so one is
+   computed; equal floats are not enough ([0.] and [-0.] divide [dt] into
+   infinities of opposite signs). *)
+let decay_into c ~t1 ~t2 ~dt =
+  let e1 = exp (-.dt /. t1) in
+  let e2 =
+    if Int64.bits_of_float t1 = Int64.bits_of_float t2 then e1 else exp (-.dt /. t2)
+  in
+  let p1 = (1. -. e1) /. 4. in
+  let z = ((1. -. e2) /. 2.) -. p1 in
+  set c ~px:p1 ~pz:(if 0. >= z then 0. else z)
+
 let decay_channel ~t1 ~t2 ~dt =
-  let p1 = (1. -. exp (-.dt /. t1)) /. 4. in
-  let z = ((1. -. exp (-.dt /. t2)) /. 2.) -. p1 in
-  channel ~px:p1 ~pz:(if 0. >= z then 0. else z)
+  let c = { px = 0.; pz = 0.; pi = 1. } in
+  decay_into c ~t1 ~t2 ~dt;
+  c
 
 let twirl_probs ~t1 ~t2 ~dt =
   let c = decay_channel ~t1 ~t2 ~dt in
   (c.px, c.px, c.pz)
 
 let depolarizing ~p =
-  let comp = p /. 3. in
-  channel ~px:comp ~pz:comp
+  let comp = p /. 3. and c = { px = 0.; pz = 0.; pi = 1. } in
+  set c ~px:comp ~pz:comp;
+  c
 
 (* [apply_pauli_half] twice, the same float operations in the same order,
    on four weights in [to_probs] order at [w.(o) .. w.(o + 3)], in place:

@@ -51,6 +51,10 @@ type channel
 val decay_channel : t1:float -> t2:float -> dt:float -> channel
 (** The channel of {!decay}: {!twirl_probs} on each half. *)
 
+val decay_into : channel -> t1:float -> t2:float -> dt:float -> unit
+(** [decay_into c ~t1 ~t2 ~dt] makes [c] the {!decay_channel} of those
+    arguments, in place and without allocating. *)
+
 val depolarizing : p:float -> channel
 (** The channel of {!depolarize}. *)
 

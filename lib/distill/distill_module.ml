@@ -49,16 +49,27 @@ module Pool = struct
      [Bell_pair.to_probs] order, [since.(k)] is when they were last decayed
      and [rounds.(k)] how many distillation rounds produced the pair.  The
      scheduler's ties (first best pairing, first worst pair) are broken in
-     slot order.  Fixed capacity, so arrivals, evictions and refreshes
-     allocate nothing beyond the decay channels. *)
-  type t = { w : float array; since : float array; rounds : int array; mutable len : int }
+     slot order.  Fixed capacity and one decay channel rewritten in place,
+     so arrivals, evictions and refreshes allocate no storage. *)
+  type t = {
+    w : float array;
+    since : float array;
+    rounds : int array;
+    mutable len : int;
+    chan : Bell_pair.channel;
+  }
 
   (* The scheduler never holds more than [max 1 capacity] pairs: it only
      adds to a memory below capacity, or after evicting from a non-empty
      one. *)
   let create capacity =
     let n = max 1 capacity in
-    { w = Array.make (4 * n) 0.; since = Array.make n 0.; rounds = Array.make n 0; len = 0 }
+    { w = Array.make (4 * n) 0.;
+      since = Array.make n 0.;
+      rounds = Array.make n 0;
+      len = 0;
+      (* Rewritten by [refresh] before its first use. *)
+      chan = Bell_pair.decay_channel ~t1:1. ~t2:1. ~dt:0. }
 
   let length pool = pool.len
   let get pool k = Bell_pair.of_probs pool.w (4 * k)
@@ -89,6 +100,16 @@ module Pool = struct
     pool.w.(2) <- pair.psi_m;
     pool.w.(3) <- pair.phi_m
 
+  (* A fresh Werner pair of fidelity [f]: the weights of
+     [Bell_pair.werner f], written in place. *)
+  let[@inline] push_werner pool f ~since =
+    open_front pool ~since ~rounds:0;
+    let rest = (1. -. f) /. 3. in
+    pool.w.(0) <- f;
+    pool.w.(1) <- rest;
+    pool.w.(2) <- rest;
+    pool.w.(3) <- rest
+
   let push_weights pool src o ~since ~rounds =
     open_front pool ~since ~rounds;
     Array.blit src o pool.w 0 4
@@ -99,23 +120,20 @@ module Pool = struct
     done;
     pool.len <- pool.len - 1
 
-  (* Never applied: [refresh] builds a channel before its first use. *)
-  let no_channel = Bell_pair.decay_channel ~t1:1. ~t2:1. ~dt:0.
-
   (* Decay every pair to [now] on storage of coherence [ts] (T1 = T2).  The
      channel depends only on dt, and after a refresh every pair shares one
-     [since] (only pairs stored later differ), so it is built once per
+     [since] (only pairs stored later differ), so it is rebuilt once per
      distinct dt: the same bits as building it per pair. *)
   let refresh pool ~ts ~now =
-    let last_dt = ref 0. and chan = ref no_channel in
+    let last_dt = ref 0. in
     for k = 0 to pool.len - 1 do
       let dt = now -. pool.since.(k) in
       if dt > 0. then begin
         if not (dt = !last_dt) then begin
-          chan := Bell_pair.decay_channel ~t1:ts ~t2:ts ~dt;
+          Bell_pair.decay_into pool.chan ~t1:ts ~t2:ts ~dt;
           last_dt := dt
         end;
-        Bell_pair.apply !chan pool.w (4 * k);
+        Bell_pair.apply pool.chan pool.w (4 * k);
         pool.since.(k) <- now
       end
     done
@@ -144,15 +162,72 @@ module Pool = struct
     !w
 end
 
+(* The EP source's draws, formed here from [Rng.bits53] so that no float
+   crosses a module boundary: the same bits as [Rng.float] and
+   [Rng.exponential]. *)
+let[@inline] uniform rng = float_of_int (Rng.bits53 rng) *. 0x1.0p-53
+
+let[@inline] draw_infidelity (src : Ep_source.t) rng =
+  src.infidelity_lo +. (uniform rng *. (src.infidelity_hi -. src.infidelity_lo))
+
+let[@inline] draw_gap (src : Ep_source.t) rng = -.log (1. -. uniform rng) /. src.rate_hz
+
 (* [Bell_pair.decay] and [Bell_pair.depolarize] steps of fixed strength, as
    channels built once per run; [None] where those skip the pair. *)
 let fixed_decay ~t ~dt = if dt <= 0. then None else Some (Bell_pair.decay_channel ~t1:t ~t2:t ~dt)
 let fixed_depolarizing p = if p > 0. then Some (Bell_pair.depolarizing ~p) else None
 let apply_opt c w o = match c with Some c -> Bell_pair.apply c w o | None -> ()
 
+(* The pending events of a run: due times and kinds in a binary min-heap
+   with [Heap]'s sift rule (a strict [<], the left child first), so events
+   pop in the order a [Heap] pops them, ties included.  A run has at most
+   three pending events, so the heap is a root and two leaves: a push sifts
+   up at most once and a pop sifts down at most once, and the times stay
+   unboxed. *)
+module Events = struct
+  type t = { time : float array; kind : int array; mutable len : int }
+
+  let create () = { time = Array.make 3 0.; kind = Array.make 3 0; len = 0 }
+  let length q = q.len
+  let[@inline] min_time q = q.time.(0)
+
+  let swap q i j =
+    let time = q.time.(i) and kind = q.kind.(i) in
+    q.time.(i) <- q.time.(j);
+    q.kind.(i) <- q.kind.(j);
+    q.time.(j) <- time;
+    q.kind.(j) <- kind
+
+  let[@inline] push q time kind =
+    let i = q.len in
+    q.time.(i) <- time;
+    q.kind.(i) <- kind;
+    q.len <- i + 1;
+    if i > 0 && q.time.(i) < q.time.(0) then swap q i 0
+
+  (* Remove the earliest event and return its kind. *)
+  let[@inline] pop q =
+    let kind = q.kind.(0) and len = q.len - 1 in
+    q.len <- len;
+    if len > 0 then begin
+      q.time.(0) <- q.time.(len);
+      q.kind.(0) <- q.kind.(len);
+      let least = if 1 < len && q.time.(1) < q.time.(0) then 1 else 0 in
+      let least = if 2 < len && q.time.(2) < q.time.(least) then 2 else least in
+      if least > 0 then swap q 0 least
+    end;
+    kind
+end
+
+(* A run's three event kinds; at most one of each is pending. *)
+let arrival = 0
+let finish = 1
+let sample = 2
+
 type sim = {
   cfg : config;
   rng : Rng.t;
+  trace_dt : float;
   input : Pool.t;
   output : Pool.t;
   op_duration : float;
@@ -172,12 +247,19 @@ type sim = {
   trace_time : float array;
   trace_best : float array;
   mutable trace_len : int;
+  queue : Events.t;
 }
 
 (* Swap the two local halves out of storage, rotate, bilateral CNOT, read one
    pair out, move the survivor onward. *)
 let op_duration cfg =
   (2. *. cfg.swap_time) +. cfg.gate_time_1q +. cfg.gate_time_2q +. cfg.readout_time
+
+(* The gate phase of one pair of [sim.pending], at offset [o]. *)
+let prepare sim o =
+  apply_opt sim.gate_decay sim.pending o;
+  apply_opt sim.swap_depol sim.pending o;
+  apply_opt sim.gate_depol sim.pending o
 
 (* Noisy DEJMPS on [sim.pending]: the pairs sit on compute qubits through
    the gate phase (swap in + rotation + CNOT), taking coherence-limited
@@ -187,23 +269,17 @@ let op_duration cfg =
    keep/discard is applied retroactively).  Returns the success
    probability. *)
 let noisy_dejmps sim =
-  let w = sim.pending in
-  let prep o =
-    apply_opt sim.gate_decay w o;
-    apply_opt sim.swap_depol w o;
-    apply_opt sim.gate_depol w o
-  in
-  prep 0;
-  prep 4;
-  let p_succ = Bell_pair.dejmps_in_place w 0 4 in
-  apply_opt sim.swap_decay w 0;
-  apply_opt sim.swap_depol w 0;
+  prepare sim 0;
+  prepare sim 4;
+  let p_succ = Bell_pair.dejmps_in_place sim.pending 0 4 in
+  apply_opt sim.swap_decay sim.pending 0;
+  apply_opt sim.swap_depol sim.pending 0;
   p_succ
 
-let try_start_distill sim des ~finish =
+let try_start_distill sim now =
   if not sim.parcheck_busy then begin
     let input = sim.input in
-    Pool.refresh input ~ts:sim.cfg.ts ~now:(Des.now des);
+    Pool.refresh input ~ts:sim.cfg.ts ~now;
     (* Priorities 1 and 3: pair only same-round pairs (entanglement
        pumping): re-distilling two distilled pairs catches the phase errors
        their previous round left unchecked, whereas pairing a distilled pair
@@ -234,16 +310,15 @@ let try_start_distill sim des ~finish =
         Pool.remove_at input i;
         sim.parcheck_busy <- true;
         sim.attempts <- sim.attempts + 1;
-        Des.schedule des ~delay:sim.op_duration finish
+        Events.push sim.queue (now +. sim.op_duration) finish
       end
     end
   end
 
-let finish_distill sim des =
+let finish_distill sim now =
   sim.parcheck_busy <- false;
-  let now = Des.now des in
   let p_succ = noisy_dejmps sim in
-  if Rng.bernoulli sim.rng p_succ then begin
+  if uniform sim.rng < p_succ then begin
     sim.successes <- sim.successes + 1;
     let rounds = sim.pending_rounds in
     if sim.pending.(0) >= sim.cfg.target_fidelity then begin
@@ -274,34 +349,69 @@ let finish_distill sim des =
     end
   end
 
-let store_arrival sim des (pair : Bell_pair.t) =
-  let now = Des.now des in
+(* An EP arrives with a drawn infidelity; the next arrival is drawn after
+   the scheduler has reacted. *)
+let on_arrival sim now =
+  let src = sim.cfg.source in
+  let f = 1. -. draw_infidelity src sim.rng in
+  if f < 0. || f > 1. then invalid_arg "Distill_module.run: EP fidelity outside [0, 1]";
   let input = sim.input in
   (* Priority 4: store the incoming pair, evicting the worst stored pair if
      the memory is full and the newcomer is better. *)
   Pool.refresh input ~ts:sim.cfg.ts ~now;
-  if input.len < sim.cfg.input_capacity then Pool.push input pair ~since:now ~rounds:0
+  if input.len < sim.cfg.input_capacity then Pool.push_werner input f ~since:now
   else begin
     (* Evict the globally worst pair when the newcomer beats it: decayed
        intermediates are worth no more than their current fidelity, and
        holding them can deadlock the same-round pairing rule. *)
     let w = Pool.worst input ~rounds:(-1) in
-    if w >= 0 && Pool.fidelity input w < pair.phi_p then begin
+    if w >= 0 && Pool.fidelity input w < f then begin
       Pool.remove_at input w;
-      Pool.push input pair ~since:now ~rounds:0
+      Pool.push_werner input f ~since:now
     end
-  end
+  end;
+  try_start_distill sim now;
+  Events.push sim.queue (now +. draw_gap src sim.rng) arrival
+
+let on_finish sim now =
+  finish_distill sim now;
+  try_start_distill sim now
+
+(* A trace sample: the best output infidelity, decayed to [now]. *)
+let on_sample sim now =
+  let output = sim.output in
+  Pool.refresh output ~ts:sim.cfg.ts ~now;
+  let i = sim.trace_len in
+  sim.trace_time.(i) <- now;
+  if output.len > 0 then begin
+    let acc = ref 1. in
+    for k = 0 to output.len - 1 do
+      let v = 1. -. Pool.fidelity output k in
+      if not (!acc <= v) then acc := v
+    done;
+    sim.trace_best.(i) <- !acc
+  end;
+  sim.trace_len <- i + 1;
+  Events.push sim.queue (now +. sim.trace_dt) sample
 
 let attempts_total = Obs.Counter.create "distill.attempts_total"
 let successes_total = Obs.Counter.create "distill.successes_total"
 let delivered_total = Obs.Counter.create "distill.delivered_total"
 
+(* The counter [Des] adds its events to: it counts this loop's too. *)
+let events_total = Obs.Counter.create "des.events_total"
+
 let run_impl ?(trace_dt = 1e-6) cfg rng ~horizon =
-  if horizon <= 0. then invalid_arg "Distill_module.run: horizon must be positive";
-  let des = Des.create () in
-  (* The observer fires at 0 and then every [trace_dt], each time at the
-     clock plus [trace_dt], while within the horizon.  Counting those times
-     the same way sizes the trace exactly, once. *)
+  if not (horizon > 0.) then invalid_arg "Distill_module.run: horizon must be positive";
+  if not (trace_dt > 0.) then invalid_arg "Distill_module.run: trace_dt must be positive";
+  if not (cfg.source.rate_hz > 0.) then
+    invalid_arg "Distill_module.run: EP rate must be positive";
+  let op_duration = op_duration cfg in
+  if not (op_duration >= 0.) then
+    invalid_arg "Distill_module.run: operation time must not be negative";
+  (* A sample is taken at 0 and then every [trace_dt], each time at the
+     last sample's time plus [trace_dt], while within the horizon.
+     Counting those times the same way sizes the trace exactly, once. *)
   let samples =
     let n = ref 0 and t = ref 0. in
     while !t <= horizon do
@@ -313,9 +423,10 @@ let run_impl ?(trace_dt = 1e-6) cfg rng ~horizon =
   let sim =
     { cfg;
       rng;
+      trace_dt;
       input = Pool.create cfg.input_capacity;
       output = Pool.create cfg.output_capacity;
-      op_duration = op_duration cfg;
+      op_duration;
       gate_decay =
         fixed_decay ~t:cfg.tc ~dt:(cfg.swap_time +. cfg.gate_time_1q +. cfg.gate_time_2q);
       swap_decay = fixed_decay ~t:cfg.tc ~dt:cfg.swap_time;
@@ -329,42 +440,21 @@ let run_impl ?(trace_dt = 1e-6) cfg rng ~horizon =
       successes = 0;
       trace_time = Array.make samples 0.;
       trace_best = Array.make samples nan;
-      trace_len = 0 }
+      trace_len = 0;
+      queue = Events.create () }
   in
-  (* One completion handler per run: it reads the pending pair from [sim]. *)
-  let rec finish des =
-    finish_distill sim des;
-    try_start_distill sim des ~finish
-  in
-  let rec arrival des =
-    if Des.now des <= horizon then begin
-      store_arrival sim des (Ep_source.sample_pair cfg.source sim.rng);
-      try_start_distill sim des ~finish;
-      Des.schedule des ~delay:(Ep_source.next_gap cfg.source sim.rng) arrival
-    end
-  in
-  let rec observe des =
-    let now = Des.now des in
-    if now <= horizon then begin
-      let output = sim.output in
-      Pool.refresh output ~ts:cfg.ts ~now;
-      let i = sim.trace_len in
-      sim.trace_time.(i) <- now;
-      if output.len > 0 then begin
-        let acc = ref 1. in
-        for k = 0 to output.len - 1 do
-          let v = 1. -. Pool.fidelity output k in
-          if not (!acc <= v) then acc := v
-        done;
-        sim.trace_best.(i) <- !acc
-      end;
-      sim.trace_len <- i + 1;
-      Des.schedule des ~delay:trace_dt observe
-    end
-  in
-  Des.schedule des ~delay:(Ep_source.next_gap cfg.source sim.rng) arrival;
-  Des.schedule des ~delay:0. observe;
-  Des.run_until des horizon;
+  let queue = sim.queue and events = ref 0 in
+  Events.push queue (draw_gap cfg.source rng) arrival;
+  Events.push queue 0. sample;
+  while Events.length queue > 0 && Events.min_time queue <= horizon do
+    let now = Events.min_time queue in
+    let kind = Events.pop queue in
+    incr events;
+    if kind = arrival then on_arrival sim now
+    else if kind = finish then on_finish sim now
+    else on_sample sim now
+  done;
+  Obs.Counter.add events_total !events;
   Obs.Counter.add attempts_total sim.attempts;
   Obs.Counter.add successes_total sim.successes;
   Obs.Counter.add delivered_total sim.delivered;
@@ -400,7 +490,7 @@ let failure_count ?jobs cfg ~horizon ~min_delivered ~shots rng =
       !failures)
 
 let collect_task cfg ~horizon ~min_delivered =
-  if horizon <= 0. then
+  if not (horizon > 0.) then
     invalid_arg "Distill_module.collect_task: horizon must be positive";
   if min_delivered < 1 then
     invalid_arg "Distill_module.collect_task: min_delivered must be >= 1";

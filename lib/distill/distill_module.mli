@@ -29,13 +29,15 @@ type config = {
 }
 
 val heterogeneous : ?ts:float -> rate_hz:float -> unit -> config
-(** Paper defaults: Ts = 12.5 ms, Tc = 0.5 ms, multimode-resonator swaps
-    (400 ns, 1e-2), compute gates (100 ns, 1e-3), 1 us readout, target
-    fidelity 0.995, capacities 6 / 3. *)
+(** Paper defaults: Ts = 12.5 ms, Tc = 0.5 ms, capacities 6 / 3, target
+    fidelity 0.995, and coherence-limited operations: SWAPs and two-qubit
+    gates 100 ns, single-qubit gates 40 ns, 1 us readout, with
+    [swap_error = gate_error_2q = 0] (their only error is the decay over
+    their duration). *)
 
 val homogeneous : rate_hz:float -> unit -> config
-(** Same module on a sea of compute qubits: Ts = Tc = 0.5 ms and
-    compute-grade moves instead of storage swaps. *)
+(** Same module on a sea of compute qubits: {!heterogeneous} with
+    Ts = Tc = 0.5 ms; every other field is unchanged. *)
 
 type result = {
   delivered : int;  (** pairs that entered output memory at target fidelity *)
@@ -73,9 +75,42 @@ module Pool : sig
       {!Bell_pair.dejmps_predicted_fidelity}. *)
 end
 
+(** The event queue of {!run}: float due times and int kinds in a binary
+    min-heap of at most three entries, popping in the order [Heap] pops
+    the same pushes, ties included.  Exposed for the tie-order test. *)
+module Events : sig
+  type t
+
+  val create : unit -> t
+  val length : t -> int
+
+  val min_time : t -> float
+  (** The earliest due time; the queue must not be empty. *)
+
+  val push : t -> float -> int -> unit
+  (** [push q time kind]; at most three entries may be pending. *)
+
+  val pop : t -> int
+  (** Remove the earliest entry and return its kind; the queue must not be
+      empty. *)
+end
+
 val run : ?trace_dt:float -> config -> Rng.t -> horizon:float -> result
 (** Simulate for [horizon] seconds.  [trace_dt] (default 1 us) sets the
-    sampling period of the Fig-3 trace. *)
+    sampling period of the Fig-3 trace.  The run is a discrete-event
+    simulation on its own queue of three event kinds (EP arrival,
+    parity-check finish, trace sample); its events are added to
+    [des.events_total].  Raises [Invalid_argument] unless [horizon > 0] and
+    [trace_dt > 0] (NaN included), the EP rate is positive and the
+    operation time not negative. *)
+
+val draw_infidelity : Ep_source.t -> Rng.t -> float
+(** One arrival's raw infidelity, uniform in the source's range: the draw
+    {!run} makes, with the bits of [lo +. Rng.float rng (hi -. lo)]. *)
+
+val draw_gap : Ep_source.t -> Rng.t -> float
+(** One exponential inter-arrival time, seconds: the draw {!run} makes,
+    with the bits of [Rng.exponential rng rate_hz]. *)
 
 val delivered_rate_per_ms : result -> float
 (** Fig-4 y-axis: distilled pairs at target fidelity per millisecond. *)

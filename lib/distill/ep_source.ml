@@ -5,11 +5,3 @@ let create ?(infidelity_lo = 0.01) ?(infidelity_hi = 0.05) ~rate_hz () =
   if infidelity_lo < 0. || infidelity_hi > 1. || infidelity_lo > infidelity_hi then
     invalid_arg "Ep_source.create: bad infidelity range";
   { rate_hz; infidelity_lo; infidelity_hi }
-
-let next_gap t rng = Rng.exponential rng t.rate_hz
-
-let sample_pair t rng =
-  let infid =
-    t.infidelity_lo +. Rng.float rng (t.infidelity_hi -. t.infidelity_lo)
-  in
-  Bell_pair.werner (1. -. infid)

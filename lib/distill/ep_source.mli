@@ -3,7 +3,9 @@
     Models the paper's §4.1 setting — EP generation comparable to microwave-
     to-optical conversion: Poisson arrivals with mean period 1-100 us and raw
     infidelities of order 0.01-0.1 (10-1000x slower and 10-100x noisier than
-    compute operations). *)
+    compute operations).  The draws themselves are made inside the
+    distillation loop: {!Distill_module.draw_gap} and
+    {!Distill_module.draw_infidelity}. *)
 
 type t = {
   rate_hz : float;  (** mean generation rate *)
@@ -13,9 +15,3 @@ type t = {
 
 val create : ?infidelity_lo:float -> ?infidelity_hi:float -> rate_hz:float -> unit -> t
 (** Defaults: infidelity uniform in [0.01, 0.05]. *)
-
-val next_gap : t -> Rng.t -> float
-(** Exponential inter-arrival time, seconds. *)
-
-val sample_pair : t -> Rng.t -> Bell_pair.t
-(** A fresh Werner pair with sampled infidelity. *)

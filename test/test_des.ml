@@ -67,6 +67,23 @@ let test_rejects_negative_delay () =
        false
      with Invalid_argument _ -> true)
 
+(* A NaN time compares false with everything, so a NaN that reached the
+   heap would break its order for every later event. *)
+let test_rejects_nan () =
+  let rejects name f =
+    Alcotest.(check bool) name true
+      (try
+         f ();
+         false
+       with Invalid_argument _ -> true)
+  in
+  let des = Des.create () in
+  rejects "NaN delay" (fun () -> Des.schedule des ~delay:nan (fun _ -> ()));
+  rejects "NaN time" (fun () -> Des.schedule_at des ~time:nan (fun _ -> ()));
+  Alcotest.(check int) "nothing queued" 0 (Des.pending des);
+  Des.schedule des ~delay:infinity (fun _ -> ());
+  Alcotest.(check int) "an infinite delay is a time" 1 (Des.pending des)
+
 let test_simultaneous_events_all_fire () =
   let des = Des.create () in
   let count = ref 0 in
@@ -123,6 +140,7 @@ let () =
           Alcotest.test_case "schedule_at" `Quick test_schedule_at;
           Alcotest.test_case "rejects past" `Quick test_rejects_past;
           Alcotest.test_case "rejects negative" `Quick test_rejects_negative_delay;
+          Alcotest.test_case "rejects NaN" `Quick test_rejects_nan;
           Alcotest.test_case "simultaneous" `Quick test_simultaneous_events_all_fire ] );
       ( "instruments",
         [ Alcotest.test_case "events_total exact" `Quick test_events_total_exact;

@@ -1,7 +1,8 @@
 (* Tests for the distillation stack: Bell-diagonal algebra cross-validated
    against the exact density-matrix simulator, the DEJMPS recurrence
    cross-validated against the full 4-qubit protocol circuit, the EP source,
-   and the module-level discrete-event simulation. *)
+   and the module-level discrete-event simulation, checked against the
+   closure-on-[Des] loop kept as [Distill_oracle]. *)
 
 let bell_vec which =
   let a = 1. /. sqrt 2. in
@@ -253,13 +254,14 @@ let prop_pool_refresh_bit_exact =
 
 (* -------------------------------------------------------------- source *)
 
+(* The source's draws are the ones [Distill_module.run] makes. *)
 let test_source_rate () =
   let src = Ep_source.create ~rate_hz:1e6 () in
   let rng = Rng.create 3 in
   let n = 20_000 in
   let acc = ref 0. in
   for _ = 1 to n do
-    acc := !acc +. Ep_source.next_gap src rng
+    acc := !acc +. Distill_module.draw_gap src rng
   done;
   let mean = !acc /. float_of_int n in
   Alcotest.(check bool) "mean gap ~ 1us" true (Float.abs (mean -. 1e-6) < 5e-8)
@@ -268,8 +270,7 @@ let test_source_infidelity_range () =
   let src = Ep_source.create ~infidelity_lo:0.02 ~infidelity_hi:0.08 ~rate_hz:1e6 () in
   let rng = Rng.create 4 in
   for _ = 1 to 500 do
-    let p = Ep_source.sample_pair src rng in
-    let infid = Bell_pair.infidelity p in
+    let infid = Distill_module.draw_infidelity src rng in
     Alcotest.(check bool) "in range" true (infid >= 0.0199 && infid <= 0.0801)
   done
 
@@ -363,12 +364,13 @@ let test_module_error_branches_pinned () =
     (Digest.to_hex (Digest.string (Buffer.contents bits)))
 
 (* Allocation floor of the event loop: a fixed-seed heterogeneous run at
-   1 MHz, in minor words per processed DES event (the trace included).  The
-   flat pools, their in-place refresh, the pairing search, the parity-check
-   completion and the flat trace allocate nothing per event but one decay
-   channel per refresh; what remains is the arriving pair and the floats
-   boxed across module calls (RNG draws, event times).  Measured at 18.05. *)
-let words_per_event_ceiling = 20
+   1 MHz, in minor words per processed event (the trace included).  Event
+   times stay unboxed in the run's own queue, the EP draws are formed from
+   raw bits in the module, and each pool rewrites one decay channel in
+   place; what remains is the time boxed once per event for its handler,
+   the dt of each rebuilt decay channel and the success probability
+   returned by [Bell_pair.dejmps_in_place].  Measured at 5.16. *)
+let words_per_event_ceiling = 6
 
 let test_module_words_per_event () =
   let cfg = Distill_module.heterogeneous ~rate_hz:1e6 () in
@@ -385,6 +387,151 @@ let test_module_words_per_event () =
     true
     (words <= words_per_event_ceiling * n)
 
+(* ------------------------------------------------- event loop oracle *)
+
+(* Rates from 1e4 to 1e8 Hz, storage and compute coherence from 10 us to
+   50 ms, capacities 1-6, the depolarizing branches on or off, three
+   target fidelities, horizons of 3 to 5000 mean arrival gaps (at most
+   20 ms), and trace periods from 0.1 us (or a 5000th of the horizon) to
+   twice the horizon, a quarter of them exactly the parity-check
+   duration. *)
+let log_uniform lo hi = QCheck.Gen.map (fun u -> lo *. ((hi /. lo) ** u)) (QCheck.Gen.float_range 0. 1.)
+
+let gen_run =
+  let open QCheck.Gen in
+  let* rate_hz = log_uniform 1e4 1e8 in
+  let* ts = log_uniform 1e-5 5e-2 in
+  let* tc = log_uniform 1e-5 5e-2 in
+  let* input_capacity = int_range 1 6 in
+  let* output_capacity = int_range 1 6 in
+  let* swap_error = oneofl [ 0.; 1e-3 ] in
+  let* gate_error_2q = oneofl [ 0.; 1e-3 ] in
+  let* arrivals = log_uniform 3. 5000. in
+  let horizon = Float.min 2e-2 (arrivals /. rate_hz) in
+  let* aligned = int_bound 3 in
+  let* trace_dt = log_uniform (Float.max 1e-7 (horizon /. 5000.)) (2. *. horizon) in
+  let* target_fidelity = oneofl [ 0.97; 0.99; 0.995 ] in
+  let* seed = int_bound 1_000_000 in
+  let cfg =
+    { (Distill_module.heterogeneous ~ts ~rate_hz ()) with
+      Distill_module.tc;
+      input_capacity;
+      output_capacity;
+      swap_error;
+      gate_error_2q;
+      target_fidelity }
+  in
+  let op_duration =
+    (2. *. cfg.swap_time) +. cfg.gate_time_1q +. cfg.gate_time_2q +. cfg.readout_time
+  in
+  let trace_dt = if aligned = 0 then op_duration else trace_dt in
+  return (cfg, horizon, trace_dt, seed)
+
+let print_run ((cfg : Distill_module.config), horizon, trace_dt, seed) =
+  Printf.sprintf
+    "rate=%h ts=%h tc=%h caps=%d/%d swap_error=%g gate_error=%g target=%g horizon=%h \
+     trace_dt=%h seed=%d"
+    cfg.source.rate_hz cfg.ts cfg.tc cfg.input_capacity cfg.output_capacity cfg.swap_error
+    cfg.gate_error_2q cfg.target_fidelity horizon trace_dt seed
+
+let same_float_array a b =
+  Array.length a = Array.length b && Array.for_all2 same_bits a b
+
+let prop_loop_matches_oracle =
+  let events = Obs.Counter.create "des.events_total" in
+  QCheck.Test.make ~name:"event loop = Des closure oracle, bit for bit" ~count:500
+    (QCheck.make ~print:print_run gen_run)
+    (fun (cfg, horizon, trace_dt, seed) ->
+      let e0 = Obs.Counter.value events in
+      let r = Distill_module.run ~trace_dt cfg (Rng.create seed) ~horizon in
+      let e1 = Obs.Counter.value events in
+      let o = Distill_oracle.run ~trace_dt cfg (Rng.create seed) ~horizon in
+      let e2 = Obs.Counter.value events in
+      r.delivered = o.delivered
+      && r.distill_attempts = o.distill_attempts
+      && r.distill_successes = o.distill_successes
+      && e1 - e0 = e2 - e1
+      && same_float_array r.trace_time o.trace_time
+      && same_float_array r.trace_best o.trace_best)
+
+(* The run's queue against [Heap] on the same pushes and pops, with due
+   times drawn from three values so that ties are common: the same kinds
+   pop in the same order. *)
+let prop_events_pop_like_heap =
+  QCheck.Test.make ~name:"event queue pops like Heap, ties included" ~count:500
+    QCheck.(list_of_size Gen.(0 -- 40) (pair bool (pair (int_range 0 2) (int_range 0 2))))
+    (fun ops ->
+      let module Events = Distill_module.Events in
+      let q = Events.create () and h = Heap.create () in
+      List.for_all
+        (fun (push, (t, kind)) ->
+          if push && Events.length q < 3 then begin
+            Events.push q (float_of_int t) kind;
+            Heap.push h (float_of_int t) kind;
+            true
+          end
+          else if Events.length q > 0 then
+            same_bits (Events.min_time q) (Heap.min_prio h) && Events.pop q = Heap.pop_min h
+          else Heap.is_empty h)
+        ops)
+
+(* Bad arguments raise instead of hanging or returning a silent zero. *)
+let test_module_rejects_bad_arguments () =
+  let cfg = Distill_module.heterogeneous ~rate_hz:1e6 () in
+  let rejects name f =
+    Alcotest.(check bool) name true
+      (try
+         ignore (f ());
+         false
+       with Invalid_argument _ -> true)
+  in
+  let run ?trace_dt horizon () = Distill_module.run ?trace_dt cfg (Rng.create 1) ~horizon in
+  rejects "trace_dt = 0" (run ~trace_dt:0. 1e-4);
+  rejects "trace_dt < 0" (run ~trace_dt:(-1e-6) 1e-4);
+  rejects "trace_dt NaN" (run ~trace_dt:nan 1e-4);
+  rejects "horizon = 0" (run 0.);
+  rejects "horizon < 0" (run (-1e-4));
+  rejects "horizon NaN" (run nan);
+  rejects "collect_task horizon NaN" (fun () ->
+      Distill_module.collect_task cfg ~horizon:nan ~min_delivered:1);
+  let source = { cfg.source with Ep_source.rate_hz = nan } in
+  rejects "EP rate NaN" (fun () ->
+      Distill_module.run { cfg with source } (Rng.create 1) ~horizon:1e-4)
+
+(* [decay_channel] computes one exponential when [t1] and [t2] have the
+   same bits, which must give the two-exponential values; [0.] and [-0.]
+   are equal floats but not the same bits, and give other values. *)
+let twirl_two_exp ~t1 ~t2 ~dt =
+  let p1 = (1. -. exp (-.dt /. t1)) /. 4. in
+  let z = ((1. -. exp (-.dt /. t2)) /. 2.) -. p1 in
+  (p1, p1, if 0. >= z then 0. else z)
+
+let same_triple (a, b, c) (x, y, z) = same_bits a x && same_bits b y && same_bits c z
+
+let test_decay_channel_one_exp () =
+  List.iter
+    (fun (t1, t2, dt) ->
+      Alcotest.(check bool)
+        (Printf.sprintf "t1=%h t2=%h dt=%h" t1 t2 dt)
+        true
+        (same_triple (Bell_pair.twirl_probs ~t1 ~t2 ~dt) (twirl_two_exp ~t1 ~t2 ~dt)))
+    [ (0.5e-3, 0.5e-3, 1e-6);
+      (12.5e-3, 12.5e-3, 3.7e-5);
+      (1e-3, 2e-3, 1e-6);
+      (0., -0., 1e-6);
+      (-0., 0., 1e-6);
+      (0., 0., 1e-6);
+      (nan, nan, 1e-6) ];
+  Alcotest.(check bool) "0. and -0. differ from one exponential" false
+    (same_triple (Bell_pair.twirl_probs ~t1:0. ~t2:(-0.) ~dt:1e-6)
+       (twirl_two_exp ~t1:0. ~t2:0. ~dt:1e-6))
+
+let prop_decay_channel_one_exp =
+  QCheck.Test.make ~name:"decay channel at t1 = t2 = two-exponential formula" ~count:500
+    QCheck.(pair (float_range 1e-6 1e-1) (float_range 0. 1e-2))
+    (fun (t, dt) ->
+      same_triple (Bell_pair.twirl_probs ~t1:t ~t2:t ~dt) (twirl_two_exp ~t1:t ~t2:t ~dt))
+
 let () =
   let qc = List.map QCheck_alcotest.to_alcotest in
   Alcotest.run "distill"
@@ -392,7 +539,8 @@ let () =
         [ Alcotest.test_case "werner" `Quick test_werner_components;
           Alcotest.test_case "pauli half vs dm" `Quick test_pauli_half_against_dm;
           Alcotest.test_case "decay vs dm" `Quick test_decay_against_dm;
-          Alcotest.test_case "depolarize" `Quick test_depolarize_reduces_fidelity ] );
+          Alcotest.test_case "depolarize" `Quick test_depolarize_reduces_fidelity;
+          Alcotest.test_case "decay channel one exp" `Quick test_decay_channel_one_exp ] );
       ( "dejmps",
         [ Alcotest.test_case "matches exact circuit" `Quick test_dejmps_matches_circuit;
           Alcotest.test_case "iteration converges" `Quick test_dejmps_iteration_converges;
@@ -411,9 +559,14 @@ let () =
           Alcotest.test_case "rate conversion" `Quick test_module_output_fidelity_at_target;
           Alcotest.test_case "error branches pinned" `Quick
             test_module_error_branches_pinned;
-          Alcotest.test_case "words per event" `Quick test_module_words_per_event ] );
+          Alcotest.test_case "words per event" `Quick test_module_words_per_event;
+          Alcotest.test_case "rejects bad arguments" `Quick
+            test_module_rejects_bad_arguments ] );
       ("properties", qc
           [ prop_dejmps_output_normalized;
             prop_dejmps_prediction_exact;
             prop_pool_refresh_bit_exact;
-            prop_decay_keeps_valid ]) ]
+            prop_decay_keeps_valid;
+            prop_decay_channel_one_exp;
+            prop_events_pop_like_heap;
+            prop_loop_matches_oracle ]) ]
