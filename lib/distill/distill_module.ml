@@ -179,11 +179,11 @@ let fixed_depolarizing p = if p > 0. then Some (Bell_pair.depolarizing ~p) else 
 let apply_opt c w o = match c with Some c -> Bell_pair.apply c w o | None -> ()
 
 (* The pending events of a run: due times and kinds in a binary min-heap
-   with [Heap]'s sift rule (a strict [<], the left child first), so events
-   pop in the order a [Heap] pops them, ties included.  A run has at most
-   three pending events, so the heap is a root and two leaves: a push sifts
-   up at most once and a pop sifts down at most once, and the times stay
-   unboxed. *)
+   with the sift rule of the heap kept as a test oracle (a strict [<], the
+   left child first), so events pop in the order that heap pops them, ties
+   included.  A run has at most three pending events, so the heap is a
+   root and two leaves: a push sifts up at most once and a pop sifts down
+   at most once, and the times stay unboxed. *)
 module Events = struct
   type t = { time : float array; kind : int array; mutable len : int }
 
@@ -398,20 +398,26 @@ let attempts_total = Obs.Counter.create "distill.attempts_total"
 let successes_total = Obs.Counter.create "distill.successes_total"
 let delivered_total = Obs.Counter.create "distill.delivered_total"
 
-(* The counter [Des] adds its events to: it counts this loop's too. *)
+(* Named for the event engine the loop replaced; perfbench reads it. *)
 let events_total = Obs.Counter.create "des.events_total"
 
 let run_impl ?(trace_dt = 1e-6) cfg rng ~horizon =
-  if not (horizon > 0.) then invalid_arg "Distill_module.run: horizon must be positive";
+  if not (horizon > 0. && horizon < infinity) then
+    invalid_arg "Distill_module.run: horizon must be positive and finite";
   if not (trace_dt > 0.) then invalid_arg "Distill_module.run: trace_dt must be positive";
-  if not (cfg.source.rate_hz > 0.) then
-    invalid_arg "Distill_module.run: EP rate must be positive";
+  if not (cfg.source.rate_hz > 0. && cfg.source.rate_hz < infinity) then
+    invalid_arg "Distill_module.run: EP rate must be positive and finite";
   let op_duration = op_duration cfg in
   if not (op_duration >= 0.) then
     invalid_arg "Distill_module.run: operation time must not be negative";
   (* A sample is taken at 0 and then every [trace_dt], each time at the
      last sample's time plus [trace_dt], while within the horizon.
-     Counting those times the same way sizes the trace exactly, once. *)
+     Counting those times the same way sizes the trace exactly, once.  With
+     fewer than 2^52 periods in the horizon, [trace_dt] exceeds an ulp of
+     any time up to the horizon, so every step advances and both the count
+     and the sampling end. *)
+  if not (horizon /. trace_dt < 0x1p52) then
+    invalid_arg "Distill_module.run: trace_dt too small for the horizon";
   let samples =
     let n = ref 0 and t = ref 0. in
     while !t <= horizon do
@@ -473,7 +479,7 @@ let run ?trace_dt cfg rng ~horizon =
 let delivered_rate_per_ms (r : result) =
   float_of_int r.delivered /. (r.horizon *. 1e3)
 
-(* Monte-Carlo delivery failures: a shot is one full DES run of [horizon]
+(* Monte-Carlo delivery failures: a shot is one full run of [horizon]
    seconds, failing when it delivers fewer than [min_delivered] pairs at
    target fidelity.  Each shot gets its own split RNG stream so the count is
    deterministic at any [jobs] setting (the trace is suppressed — a huge

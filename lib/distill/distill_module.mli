@@ -76,8 +76,9 @@ module Pool : sig
 end
 
 (** The event queue of {!run}: float due times and int kinds in a binary
-    min-heap of at most three entries, popping in the order [Heap] pops
-    the same pushes, ties included.  Exposed for the tie-order test. *)
+    min-heap of at most three entries, popping in the order the general
+    binary heap kept as a test oracle pops the same pushes, ties included.
+    Exposed for the tie-order test. *)
 module Events : sig
   type t
 
@@ -100,9 +101,11 @@ val run : ?trace_dt:float -> config -> Rng.t -> horizon:float -> result
     sampling period of the Fig-3 trace.  The run is a discrete-event
     simulation on its own queue of three event kinds (EP arrival,
     parity-check finish, trace sample); its events are added to
-    [des.events_total].  Raises [Invalid_argument] unless [horizon > 0] and
-    [trace_dt > 0] (NaN included), the EP rate is positive and the
-    operation time not negative. *)
+    [des.events_total], which counts this loop's events only.  Raises
+    [Invalid_argument] unless [horizon] is positive and finite, [trace_dt]
+    is positive (NaN included) and fewer than 2^52 of it span the horizon,
+    the EP rate is positive and finite and the operation time not
+    negative. *)
 
 val draw_infidelity : Ep_source.t -> Rng.t -> float
 (** One arrival's raw infidelity, uniform in the source's range: the draw

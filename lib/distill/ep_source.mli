@@ -14,4 +14,6 @@ type t = {
 }
 
 val create : ?infidelity_lo:float -> ?infidelity_hi:float -> rate_hz:float -> unit -> t
-(** Defaults: infidelity uniform in [0.01, 0.05]. *)
+(** Defaults: infidelity uniform in [0.01, 0.05].  Raises
+    [Invalid_argument] unless [rate_hz] is positive and finite and
+    [0 <= infidelity_lo <= infidelity_hi <= 1] (NaN included). *)

@@ -49,73 +49,53 @@ type result = {
   horizon : float;
 }
 
-(* Pipeline state per in-flight preparation. *)
-type prep = {
-  started : float;
-  mutable eps : int;
-  mutable cat_done : bool;
-  mutable plus_a_done : bool;
-  mutable plus_b_done : bool;
-}
-
+(* Only EP collection draws from the generator, and it is serial: each
+   preparation collects its EPs one exponential gap after another, then one
+   more gap passes before the next preparation starts collecting.  The
+   stages after collection take fixed times, so a preparation whose
+   collection ends at [c] completes at the latest of its CAT and two |+>
+   stages plus the transversal and measurement time, and completions come
+   in the order the preparations started. *)
 let run st rng ~horizon =
-  if horizon <= 0. then invalid_arg "Ct_protocol.run: horizon must be positive";
-  if st.ep_period = infinity then
-    { produced = 0; mean_latency = 0.; max_latency = 0.; horizon }
-  else begin
-    let des = Des.create () in
-    let produced = ref 0 in
-    let latency_sum = ref 0. and latency_max = ref 0. in
-    (* Module-set resources gate the pipeline: one CAT generator pair, one
-       UEC pair, one transversal/measurement path. *)
-    let rec start_prep des =
-      if Des.now des <= horizon then begin
-        let p =
-          { started = Des.now des; eps = 0; cat_done = false; plus_a_done = false;
-            plus_b_done = false }
+  if not (horizon > 0. && horizon < infinity) then
+    invalid_arg "Ct_protocol.run: horizon must be positive and finite";
+  if not (st.ep_period > 0.) then invalid_arg "Ct_protocol.run: ep_period must be positive";
+  List.iter
+    (fun t -> if not (t >= 0.) then invalid_arg "Ct_protocol.run: negative or NaN stage time")
+    [ st.cat_time; st.plus_time_a; st.plus_time_b; st.transversal_time; st.meas_time ];
+  let produced = ref 0 and latency_sum = ref 0. and latency_max = ref 0. in
+  if st.ep_period < infinity then begin
+    let gap () = Rng.exponential rng (1. /. st.ep_period) in
+    let finish_time = st.transversal_time +. st.meas_time in
+    let started = ref 0. in
+    while !started <= horizon do
+      (* Step 1: collect the EPs; at least one gap even when none is needed. *)
+      let collected = ref (!started +. gap ()) and eps = ref 1 in
+      while !eps < st.eps_needed && !collected <= horizon do
+        collected := !collected +. gap ();
+        incr eps
+      done;
+      let c = !collected in
+      if c <= horizon then begin
+        (* Steps 2-3 in parallel, then steps 4-6 once all three are done. *)
+        let join =
+          Float.max (c +. st.cat_time) (Float.max (c +. st.plus_time_a) (c +. st.plus_time_b))
         in
-        (* Step 1: collect EPs (serial on the distillation module). *)
-        let rec collect des =
-          p.eps <- p.eps + 1;
-          if p.eps < st.eps_needed then
-            Des.schedule des ~delay:(Rng.exponential rng (1. /. st.ep_period)) collect
-          else begin
-            (* Steps 2-3 proceed in parallel: CAT growth (consuming the EPs
-               via remote gates) and the two logical |+> preparations. *)
-            Des.schedule des ~delay:st.cat_time (fun des ->
-                p.cat_done <- true;
-                join des);
-            Des.schedule des ~delay:st.plus_time_a (fun des ->
-                p.plus_a_done <- true;
-                join des);
-            Des.schedule des ~delay:st.plus_time_b (fun des ->
-                p.plus_b_done <- true;
-                join des);
-            (* the distillation module is free again: pipeline the next
-               preparation's EP collection *)
-            Des.schedule des ~delay:(Rng.exponential rng (1. /. st.ep_period)) (fun des ->
-                start_prep des)
-          end
-        and join des =
-          (* Steps 4-6 once CAT and both |+> states exist. *)
-          if p.cat_done && p.plus_a_done && p.plus_b_done then
-            Des.schedule des ~delay:(st.transversal_time +. st.meas_time) (fun des ->
-                let latency = Des.now des -. p.started in
-                if Des.now des <= horizon then begin
-                  incr produced;
-                  latency_sum := !latency_sum +. latency;
-                  if latency > !latency_max then latency_max := latency
-                end)
-        in
-        Des.schedule des ~delay:(Rng.exponential rng (1. /. st.ep_period)) collect
+        let completed = join +. finish_time in
+        if completed <= horizon then begin
+          let latency = completed -. !started in
+          incr produced;
+          latency_sum := !latency_sum +. latency;
+          if latency > !latency_max then latency_max := latency
+        end;
+        started := c +. gap ()
       end
-    in
-    start_prep des;
-    Des.run_until des horizon;
-    { produced = !produced;
-      mean_latency = (if !produced = 0 then 0. else !latency_sum /. float_of_int !produced);
-      max_latency = !latency_max;
-      horizon }
-  end
+      else started := infinity
+    done
+  end;
+  { produced = !produced;
+    mean_latency = (if !produced = 0 then 0. else !latency_sum /. float_of_int !produced);
+    max_latency = !latency_max;
+    horizon }
 
 let throughput_per_ms r = float_of_int r.produced /. (r.horizon *. 1e3)

@@ -1,7 +1,7 @@
 (** Mutable binary min-heap keyed by float priority.
 
-    Used as the event queue of the discrete-event engine and as the frontier
-    of shortest-path routing. *)
+    The event queue of the {!Des} oracle engine, and the reference that
+    [Distill_module.Events] must pop like. *)
 
 type 'a t
 

@@ -1,4 +1,4 @@
-(* Tests for the discrete-event simulation engine. *)
+(* Tests for the discrete-event engine kept in test/ as an oracle. *)
 
 let test_event_order () =
   let des = Des.create () in
@@ -94,14 +94,8 @@ let test_simultaneous_events_all_fire () =
   Alcotest.(check int) "all five" 5 !count
 
 let test_events_total_exact () =
-  (* Handler timing is sampled; the event counter is not.  [handler t] runs
-     for events 1, 65, 129, ... of each queue. *)
   let events = Obs.Counter.create "des.events_total" in
-  ignore (Obs.Histogram.create "des.handler_seconds");
-  let timed () =
-    (List.assoc "des.handler_seconds" (Obs.Snapshot.capture ()).histograms).h_count
-  in
-  let events0 = Obs.Counter.value events and timed0 = timed () in
+  let events0 = Obs.Counter.value events in
   let des = Des.create () in
   let n = 1000 in
   let count = ref 0 in
@@ -113,22 +107,7 @@ let test_events_total_exact () =
   Des.run des;
   Alcotest.(check int) "processed" n (Des.events_processed des);
   Alcotest.(check int) "des.events_total delta" (Des.events_processed des)
-    (Obs.Counter.value events - events0);
-  Alcotest.(check int) "handlers timed" ((n + 63) / 64)
-    (timed () - timed0)
-
-let test_queue_high_water () =
-  let gauge = Obs.Gauge.create "des.queue_high_water" in
-  let des = Des.create () in
-  let depth = int_of_float (Obs.Gauge.value gauge) + 5 in
-  for i = 1 to depth do
-    Des.schedule des ~delay:(float_of_int i) (fun _ -> ())
-  done;
-  Des.run des;
-  Des.schedule des ~delay:1. (fun _ -> ());
-  Des.run des;
-  Alcotest.(check (float 0.)) "gauge holds the deepest queue"
-    (float_of_int depth) (Obs.Gauge.value gauge)
+    (Obs.Counter.value events - events0)
 
 let () =
   Alcotest.run "des"
@@ -143,5 +122,4 @@ let () =
           Alcotest.test_case "rejects NaN" `Quick test_rejects_nan;
           Alcotest.test_case "simultaneous" `Quick test_simultaneous_events_all_fire ] );
       ( "instruments",
-        [ Alcotest.test_case "events_total exact" `Quick test_events_total_exact;
-          Alcotest.test_case "queue high-water" `Quick test_queue_high_water ] ) ]
+        [ Alcotest.test_case "events_total exact" `Quick test_events_total_exact ] ) ]

@@ -275,11 +275,22 @@ let test_source_infidelity_range () =
   done
 
 let test_source_rejects_bad () =
-  Alcotest.(check bool) "negative rate" true
-    (try
-       ignore (Ep_source.create ~rate_hz:(-1.) ());
-       false
-     with Invalid_argument _ -> true)
+  let rejects name ?infidelity_lo ?infidelity_hi rate_hz =
+    Alcotest.(check bool) name true
+      (try
+         ignore (Ep_source.create ?infidelity_lo ?infidelity_hi ~rate_hz ());
+         false
+       with Invalid_argument _ -> true)
+  in
+  rejects "negative rate" (-1.);
+  rejects "zero rate" 0.;
+  rejects "NaN rate" nan;
+  rejects "infinite rate" infinity;
+  rejects "negative lo" ~infidelity_lo:(-0.01) 1e6;
+  rejects "hi above 1" ~infidelity_hi:1.5 1e6;
+  rejects "lo above hi" ~infidelity_lo:0.2 ~infidelity_hi:0.1 1e6;
+  rejects "NaN lo" ~infidelity_lo:nan 1e6;
+  rejects "NaN hi" ~infidelity_hi:nan 1e6
 
 (* -------------------------------------------------------------- module *)
 
@@ -494,9 +505,14 @@ let test_module_rejects_bad_arguments () =
   rejects "horizon NaN" (run nan);
   rejects "collect_task horizon NaN" (fun () ->
       Distill_module.collect_task cfg ~horizon:nan ~min_delivered:1);
-  let source = { cfg.source with Ep_source.rate_hz = nan } in
-  rejects "EP rate NaN" (fun () ->
-      Distill_module.run { cfg with source } (Rng.create 1) ~horizon:1e-4)
+  rejects "trace_dt below an ulp of the horizon" (run ~trace_dt:1e-30 1e-4);
+  rejects "horizon infinite" (run infinity);
+  List.iter
+    (fun rate_hz ->
+      let source = { cfg.source with Ep_source.rate_hz } in
+      rejects (Printf.sprintf "EP rate %g" rate_hz) (fun () ->
+          Distill_module.run { cfg with source } (Rng.create 1) ~horizon:1e-4))
+    [ nan; infinity ]
 
 (* [decay_channel] computes one exponential when [t1] and [t2] have the
    same bits, which must give the two-exponential values; [0.] and [-0.]

@@ -232,6 +232,104 @@ let test_protocol_dead_ep_source () =
   let r = Ct_protocol.run st (Rng.create 16) ~horizon:1e-3 in
   Alcotest.(check int) "nothing produced" 0 r.Ct_protocol.produced
 
+(* Bad arguments raise instead of hanging or returning a silent zero. *)
+let test_protocol_rejects_bad_arguments () =
+  let st =
+    { Ct_protocol.ep_period = 1e-6; eps_needed = 2; cat_time = 1e-6;
+      plus_time_a = 1e-6; plus_time_b = 1e-6; transversal_time = 1e-6;
+      meas_time = 1e-6 }
+  in
+  let rejects name st horizon =
+    Alcotest.(check bool) name true
+      (try
+         ignore (Ct_protocol.run st (Rng.create 1) ~horizon);
+         false
+       with Invalid_argument _ -> true)
+  in
+  rejects "horizon = 0" st 0.;
+  rejects "horizon < 0" st (-1e-3);
+  rejects "horizon NaN" st nan;
+  rejects "horizon infinite" st infinity;
+  rejects "ep_period = 0" { st with ep_period = 0. } 1e-3;
+  rejects "ep_period < 0" { st with ep_period = -1e-6 } 1e-3;
+  rejects "ep_period NaN" { st with ep_period = nan } 1e-3;
+  List.iter
+    (fun (stage, st) ->
+      rejects (stage ^ " < 0") (st (-1e-6)) 1e-3;
+      rejects (stage ^ " NaN") (st nan) 1e-3)
+    [ ("cat_time", fun t -> { st with cat_time = t });
+      ("plus_time_a", fun t -> { st with plus_time_a = t });
+      ("plus_time_b", fun t -> { st with plus_time_b = t });
+      ("transversal_time", fun t -> { st with transversal_time = t });
+      ("meas_time", fun t -> { st with meas_time = t }) ]
+
+(* A state completing exactly at the horizon counts; one ulp later it
+   does not.  The first state's completion time is replayed from the same
+   generator: one EP gap, then the longest stage and the finish. *)
+let test_protocol_horizon_inclusive () =
+  let st =
+    { Ct_protocol.ep_period = 1e-5; eps_needed = 1; cat_time = 3e-6;
+      plus_time_a = 7e-6; plus_time_b = 5e-6; transversal_time = 2e-6;
+      meas_time = 1e-6 }
+  in
+  let c = Rng.exponential (Rng.create 21) (1. /. st.ep_period) in
+  let completed = (c +. st.plus_time_a) +. (st.transversal_time +. st.meas_time) in
+  List.iter
+    (fun (name, horizon, expected) ->
+      let r = Ct_protocol.run st (Rng.create 21) ~horizon in
+      let o = Ct_oracle.run st (Rng.create 21) ~horizon in
+      Alcotest.(check int) name expected r.produced;
+      Alcotest.(check int) (name ^ ", oracle") expected o.produced)
+    [ ("at the horizon", completed, 1); ("one ulp past it", Float.pred completed, 0) ]
+
+(* EP periods from 0.1 to 100 us, 0 to 4 EPs per state, horizons from
+   1 us to 5 ms, and each stage time 0, one of two values shared across
+   the stages (so that the join often ties), or a value of its own, from
+   10 ns to 100 us. *)
+let log_uniform lo hi =
+  QCheck.Gen.map (fun u -> lo *. ((hi /. lo) ** u)) (QCheck.Gen.float_range 0. 1.)
+
+let gen_protocol =
+  let open QCheck.Gen in
+  let* ep_period = log_uniform 1e-7 1e-4 in
+  let* eps_needed = int_range 0 4 in
+  let* shared_a = log_uniform 1e-8 1e-4 in
+  let* shared_b = log_uniform 1e-8 1e-4 in
+  let stage = oneof [ return 0.; return shared_a; return shared_b; log_uniform 1e-8 1e-4 ] in
+  let* cat_time = stage in
+  let* plus_time_a = stage in
+  let* plus_time_b = stage in
+  let* transversal_time = stage in
+  let* meas_time = stage in
+  let* horizon = log_uniform 1e-6 5e-3 in
+  let* seed = int_bound 1_000_000 in
+  return
+    ( { Ct_protocol.ep_period; eps_needed; cat_time; plus_time_a; plus_time_b;
+        transversal_time; meas_time },
+      horizon,
+      seed )
+
+let print_protocol ((st : Ct_protocol.stage_times), horizon, seed) =
+  Printf.sprintf
+    "ep_period=%h eps_needed=%d cat=%h plus_a=%h plus_b=%h transversal=%h meas=%h \
+     horizon=%h seed=%d"
+    st.ep_period st.eps_needed st.cat_time st.plus_time_a st.plus_time_b
+    st.transversal_time st.meas_time horizon seed
+
+let same_bits x y = Int64.equal (Int64.bits_of_float x) (Int64.bits_of_float y)
+
+let prop_protocol_matches_oracle =
+  QCheck.Test.make ~name:"loop = Des closure oracle, bit for bit" ~count:1000
+    (QCheck.make ~print:print_protocol gen_protocol)
+    (fun (st, horizon, seed) ->
+      let rng = Rng.create seed and oracle_rng = Rng.create seed in
+      let r = Ct_protocol.run st rng ~horizon in
+      let o = Ct_oracle.run st oracle_rng ~horizon in
+      r.produced = o.produced
+      && same_bits r.mean_latency o.mean_latency
+      && same_bits r.max_latency o.max_latency
+      && Rng.bits53 rng = Rng.bits53 oracle_rng)
+
 let () =
   Alcotest.run "teleport"
     [ ( "module",
@@ -254,4 +352,8 @@ let () =
         [ Alcotest.test_case "characterize" `Quick test_protocol_characterize;
           Alcotest.test_case "produces" `Quick test_protocol_produces;
           Alcotest.test_case "latency bound" `Quick test_protocol_latency_exceeds_stage_sum;
-          Alcotest.test_case "dead source" `Quick test_protocol_dead_ep_source ] ) ]
+          Alcotest.test_case "dead source" `Quick test_protocol_dead_ep_source;
+          Alcotest.test_case "rejects bad arguments" `Quick
+            test_protocol_rejects_bad_arguments;
+          Alcotest.test_case "horizon inclusive" `Quick test_protocol_horizon_inclusive;
+          QCheck_alcotest.to_alcotest prop_protocol_matches_oracle ] ) ]
