@@ -573,59 +573,30 @@ let rec campaign_tasks = function
         other;
       exit 2
 
-(* Coordinator mode: `collect --shards N` with no explicit --shard forks N
-   child processes of this same executable, one per shard, each handed
-   this run's id as its parent via HETARCH_PARENT_RUN — so `obs
-   trace-merge` / `obs monitor` see the shard runs parented under this
-   process.  Per-path output flags (--ledger/--csv/--trace/...) are
-   suffixed ".shard<i>" per child. *)
-let run_collect_coordinator campaign shards =
-  let all_tasks = campaign_tasks campaign in
-  if Obs.Run.shard () = "" then
-    Obs.Run.set_shard (Printf.sprintf "coord/%d" shards);
-  let run_id = Obs.Run.id () in
-  Printf.printf "campaign %s: coordinating %d shard process(es), run %s\n"
-    campaign shards run_id;
-  List.iter
-    (fun shard ->
-      Printf.printf "  shard %d/%d: %d task(s)\n" shard shards
-        (List.length (Collect.shard_filter ~shards ~shard all_tasks)))
-    (List.init shards Fun.id);
-  let codes =
-    Obs.Trace.with_span "collect.coordinate" (fun () ->
-        Collect.Fleet.spawn_shards ~shards ~parent:run_id Sys.argv)
-  in
-  List.iteri
-    (fun shard code ->
-      Printf.printf "  shard %d/%d: %s\n" shard shards
-        (if code = 0 then "ok" else Printf.sprintf "exit %d" code))
-    codes;
-  if List.exists (fun c -> c <> 0) codes then begin
-    Printf.eprintf "hetarch collect: %d shard(s) failed\n"
-      (List.length (List.filter (fun c -> c <> 0) codes));
-    exit 1
-  end
-
+(* `--shards N --shard I` runs the tasks [Collect.shard_filter] assigns to
+   shard I: content-hash partitioning, so every process given the same
+   campaign computes the same split from the task descriptions alone. *)
 let run_collect campaign seed shards shard_opt ledger resume progress max_shots
     max_errors rel_ci min_shots batch halt_after csv_path () =
-  if shards > 1 && shard_opt = None then run_collect_coordinator campaign shards
-  else begin
-  let shard = Option.value ~default:0 shard_opt in
+  let usage msg =
+    Printf.eprintf "hetarch collect: %s\n" msg;
+    exit 2
+  in
   let all_tasks = campaign_tasks campaign in
+  let shard =
+    match shard_opt with
+    | Some i -> i
+    | None when shards > 1 -> usage (Printf.sprintf "--shards %d needs --shard I" shards)
+    | None -> 0
+  in
   let tasks =
     if shards = 1 && shard = 0 then all_tasks
-    else begin
-      (* Content-hash partitioning: every process of the fleet computes the
-         same split from the task descriptions alone, no coordination. *)
-      (match Collect.shard_filter ~shards ~shard all_tasks with
+    else
+      match Collect.shard_filter ~shards ~shard all_tasks with
       | filtered ->
-          if Obs.Run.shard () = "" then
-            Obs.Run.set_shard (Printf.sprintf "shard%d/%d" shard shards);
+          Obs.Run.set_shard (Printf.sprintf "shard%d/%d" shard shards);
           filtered
-      | exception Invalid_argument msg ->
-          Printf.eprintf "hetarch collect: %s\n" msg;
-          exit 2)
-    end
+      | exception Invalid_argument msg -> usage msg
   in
   let stop =
     { Collect.max_shots; max_errors; rel_ci; min_shots; batch }
@@ -681,13 +652,11 @@ let run_collect campaign seed shards shard_opt ledger resume progress max_shots
       Collect.write_csv ~path outcome.Collect.stats;
       Printf.printf "csv: %s\n" path)
     csv_path
-  end
 
 (* ----------------------------------------------------------------- obs *)
 
-(* Offline analysis of the observability artifacts the other subcommands
-   emit: run snapshots (--metrics, the registry) and fleet views,
-   Chrome-trace spans (--trace) and telemetry streams (--telemetry).  Pure
+(* Offline analysis of the two artifacts the other subcommands emit: the
+   run snapshot (--metrics) and the Chrome-trace spans (--trace).  Pure
    readers — no simulation. *)
 
 let obs_fail fmt =
@@ -702,8 +671,8 @@ let obs_fail fmt =
 let guard file f =
   try f () with Failure msg | Sys_error msg -> obs_fail "%s: %s" file msg
 
-(* A trace file's call tree, merged traces included; a line that is not a
-   trace event is an error, not a zero. *)
+(* A trace file's call tree; a line that is not a trace event is an error,
+   not a zero. *)
 let trace_profile file =
   guard file (fun () -> Obs.Profile.of_events (Obs.Trace.read file))
 
@@ -723,14 +692,7 @@ let utc_stamp unix =
     (tm.Unix.tm_mon + 1) tm.Unix.tm_mday tm.Unix.tm_hour tm.Unix.tm_min
     tm.Unix.tm_sec
 
-(* The documents the analysis commands render: a snapshot (--metrics, the
-   run registry) or a fleet view (obs merge), which is an array of
-   snapshots.  Both decode through the snapshot codec in Obs. *)
-let load_state file =
-  guard file (fun () ->
-      match Obs.Json.parse (In_channel.with_open_bin file In_channel.input_all) with
-      | Obs.Json.List _ as doc -> `Fleet (Obs.Merge.of_json doc)
-      | doc -> `Snap (Obs.Snapshot.of_json doc))
+let load_snapshot file = guard file (fun () -> Obs.Snapshot.load file)
 
 let print_section title header rows =
   if rows <> [] then begin
@@ -738,16 +700,13 @@ let print_section title header rows =
     Tableio.print ~align:Tableio.Left ~header rows
   end
 
-(* The one renderer over captured run state.  [sources] is non-empty for a
-   fleet view, whose gauges are sums: each then also shows its spread over
-   the sources. *)
-let render_snapshot ?(sources = []) (s : Obs.Snapshot.t) =
-  if s.run.run_id <> "" then
-    Printf.printf "run %s%s: %s\n  started %s, jobs %d, content hash %s\n"
-      s.run.run_id
-      (if s.run.shard = "" then "" else Printf.sprintf " [%s]" s.run.shard)
-      (String.concat " " s.argv) (utc_stamp s.started_unix) s.jobs
-      (Obs.Snapshot.content_hash s);
+let run_obs_report file () =
+  let s = load_snapshot file in
+  Printf.printf "run %s%s: %s\n  started %s, jobs %d, content hash %s\n"
+    s.run.run_id
+    (if s.run.shard = "" then "" else Printf.sprintf " [%s]" s.run.shard)
+    (String.concat " " s.argv) (utc_stamp s.started_unix) s.jobs
+    (Obs.Snapshot.content_hash s);
   let p = s.process in
   Printf.printf
     "process: wall %.3fs, GC minor/major/compact %d/%d/%d, minor words %.0f, \
@@ -756,22 +715,8 @@ let render_snapshot ?(sources = []) (s : Obs.Snapshot.t) =
     p.p_minor_words p.p_top_heap_words;
   print_section "counters" [ "counter"; "value" ]
     (List.map (fun (k, v) -> [ k; string_of_int v ]) s.counters);
-  if sources = [] then
-    print_section "gauges" [ "gauge"; "value" ]
-      (List.map (fun (k, v) -> [ k; g v ]) s.gauges)
-  else
-    print_section "gauges" [ "gauge"; "sum"; "n"; "min"; "max" ]
-      (List.map
-         (fun (k, sum) ->
-           let vs =
-             List.filter_map
-               (fun (src : Obs.Snapshot.t) -> List.assoc_opt k src.gauges)
-               sources
-           in
-           [ k; g sum; string_of_int (List.length vs);
-             g (List.fold_left Float.min infinity vs);
-             g (List.fold_left Float.max neg_infinity vs) ])
-         s.gauges);
+  print_section "gauges" [ "gauge"; "value" ]
+    (List.map (fun (k, v) -> [ k; g v ]) s.gauges);
   let quantile h q =
     let x = Obs.Snapshot.quantile h q in
     if Float.is_nan x then "-" else g x
@@ -794,352 +739,38 @@ let render_snapshot ?(sources = []) (s : Obs.Snapshot.t) =
            string_of_int minor_w ])
        (Obs.Snapshot.span_totals s))
 
-let render_fleet m =
-  let sources = Obs.Merge.sources m and s = Obs.Merge.merged m in
-  Printf.printf "fleet view: %d run(s)\n" (List.length sources);
-  if sources <> [] then
-    Printf.printf "window: started %s, wall span %.3fs, total wall %.3fs\n"
-      (utc_stamp s.started_unix) s.wall_seconds
-      (List.fold_left
-         (fun acc (src : Obs.Snapshot.t) -> acc +. src.wall_seconds)
-         0. sources);
-  print_section "attribution"
-    [ "run"; "shard"; "started (UTC)"; "wall s"; "jobs" ]
-    (List.map
-       (fun (src : Obs.Snapshot.t) ->
-         [ src.run.run_id;
-           (if src.run.shard = "" then "-" else src.run.shard);
-           utc_stamp src.started_unix;
-           Printf.sprintf "%.3f" src.wall_seconds;
-           string_of_int src.jobs ])
-       sources);
-  print_newline ();
-  render_snapshot ~sources s
-
-let render_state = function
-  | `Snap s -> render_snapshot s
-  | `Fleet m -> render_fleet m
-
-(* ------------------------------------------------- obs fleet commands *)
-
-(* A run reference on the command line is either a file path or a run-id
-   prefix resolved through the registry. *)
-let resolve_ref arg =
-  if Sys.file_exists arg then load_state arg
-  else
-    match (try Obs.Registry.find arg with Failure msg -> obs_fail "%s" msg) with
-    | Some file -> load_state file
-    | None -> (
-        match Obs.Registry.dir () with
-        | None ->
-            obs_fail
-              "%s: no such file, and no run registry is configured (set \
-               HETARCH_OBS_DIR or pass --obs-dir)"
-              arg
-        | Some d -> obs_fail "%s: no such file or run-id prefix in %s" arg d)
-
-(* The registry's runs, oldest first; snapshot files that do not decode
-   are skipped with one line on stderr. *)
-let registry_runs () =
-  let runs, skipped = Obs.Registry.runs () in
-  if skipped > 0 then
-    Printf.eprintf "hetarch obs: skipped %d registry snapshot file(s) that do not decode\n%!"
-      skipped;
-  runs
-
-let run_obs_runs limit () =
-  match Obs.Registry.dir () with
-  | None ->
-      obs_fail
-        "no run registry configured (set HETARCH_OBS_DIR or pass --obs-dir)"
-  | Some d ->
-      let all = registry_runs () in
-      let n = List.length all in
-      let shown = List.filteri (fun i _ -> i >= n - limit) all in
-      Printf.printf "registry %s: %d run(s)%s\n" d n
-        (if List.length shown < n then
-           Printf.sprintf " (last %d shown)" (List.length shown)
-         else "");
-      if shown <> [] then
-        Tableio.print ~align:Tableio.Left
-          ~header:[ "run"; "started (UTC)"; "cmd"; "shard"; "hash" ]
-          (List.map
-             (fun (s : Obs.Snapshot.t) ->
-               [ s.run.run_id;
-                 utc_stamp s.started_unix;
-                 Obs.Registry.cmd_of_argv s.argv;
-                 (if s.run.shard = "" then "-" else s.run.shard);
-                 String.sub (Obs.Snapshot.content_hash s) 0 12 ])
-             shown)
-
-let run_obs_report ref_ () = render_state (resolve_ref ref_)
-
-let run_obs_merge refs out () =
-  let merged =
-    guard "merge" (fun () ->
-        List.fold_left
-          (fun acc arg ->
-            Obs.Merge.union acc
-              (match resolve_ref arg with
-              | `Snap s -> Obs.Merge.of_snapshots [ s ]
-              | `Fleet m -> m))
-          (Obs.Merge.of_snapshots []) refs)
-  in
-  let text = Obs.Json.to_string (Obs.Merge.to_json merged) ^ "\n" in
-  match out with
-  | None -> print_string text
-  | Some path ->
-      Out_channel.with_open_bin path (fun oc ->
-          Out_channel.output_string oc text);
-      Printf.printf "fleet view: %d run(s) -> %s\n"
-        (List.length (Obs.Merge.sources merged))
-        path
-
-let run_obs_trace_merge files out check () =
-  let texts =
-    List.map
-      (fun f -> guard f (fun () -> In_channel.with_open_bin f In_channel.input_all))
-      files
-  in
-  let merged, stats =
-    try Obs.Trace_merge.merge texts with Failure msg -> obs_fail "%s" msg
-  in
-  if stats.Obs.Trace_merge.orphans <> [] then
-    Printf.eprintf
-      "hetarch obs trace-merge: warning: %d parent run id(s) missing from \
-       the merge (shard traces without their coordinator?): %s\n"
-      (List.length stats.Obs.Trace_merge.orphans)
-      (String.concat ", " stats.Obs.Trace_merge.orphans);
-  (match out with
-  | None -> print_string merged
-  | Some path ->
-      Out_channel.with_open_bin path (fun oc ->
-          Out_channel.output_string oc merged);
-      Printf.printf "trace merge: %d source(s), %d event(s) -> %s\n"
-        stats.Obs.Trace_merge.sources stats.Obs.Trace_merge.events path);
-  if check && stats.Obs.Trace_merge.orphans <> [] then exit 1
-
-let render_monitor_rows rows =
-  if rows = [] then print_endline "no telemetry streams"
-  else begin
-    Tableio.print ~align:Tableio.Left
-      ~header:
-        [ "run"; "shard"; "status"; "shots"; "shots/s"; "ci"; "eta(s)";
-          "done"; "words/s"; "queue"; "busy"; "age(s)" ]
-      (List.map
-         (fun (r : Obs.Monitor.row) ->
-           let s = r.last.snap in
-           let campaign f default = Option.fold ~none:default ~some:f s.campaign in
-           let int_gauge name = Printf.sprintf "%.0f" (Obs.Snapshot.gauge s name) in
-           [ s.run.run_id;
-             (if s.run.shard = "" then "-" else s.run.shard);
-             (let s = Obs.Monitor.status_string r.status in
-              if r.status = Stalled then String.uppercase_ascii s else s);
-             string_of_int (campaign (fun c -> c.c_shots) 0);
-             Printf.sprintf "%.0f" (campaign (fun c -> c.c_rate) 0.);
-             (if Float.is_nan r.rel_halfwidth then "-"
-              else Printf.sprintf "%.3f" r.rel_halfwidth);
-             (match campaign (fun c -> c.c_eta_s) None with
-             | Some e -> Printf.sprintf "%.1f" (Float.max 0. e)
-             | None -> "-");
-             campaign (fun c -> Printf.sprintf "%d/%d" c.c_done c.c_total) "0/0";
-             Printf.sprintf "%.0f" r.last.minor_words_per_s;
-             int_gauge "parallel.queue_depth";
-             int_gauge "parallel.busy_domains";
-             Printf.sprintf "%.1f" r.age_s ])
-         rows);
-    let count st =
-      List.length (List.filter (fun (r : Obs.Monitor.row) -> r.status = st) rows)
-    in
-    Printf.printf "%d stream(s): %d live, %d stalled, %d done\n"
-      (List.length rows) (count Live) (count Stalled) (count Done)
-  end
-
-(* One stream: its rate-over-time table and last line, then the same
-   monitor row the registry view prints — status from the file's mtime
-   against the stream's own heartbeat interval, not the embedded rate. *)
-let render_stream row ticks =
-  let dash f = function Some v -> f v | None -> "-" in
-  Tableio.print
-    ~header:[ "seq"; "t(s)"; "dt(s)"; "gc minor"; "words/s"; "shots"; "shots/s"; "done"; "eta(s)" ]
-    (List.map
-       (fun (t : Obs.Monitor.tick) ->
-         let c = t.snap.campaign in
-         [ string_of_int t.seq;
-           Printf.sprintf "%.2f" t.elapsed_s;
-           Printf.sprintf "%.2f" t.dt_s;
-           string_of_int t.gc_minor_delta;
-           Printf.sprintf "%.0f" t.minor_words_per_s;
-           dash (fun c -> string_of_int c.Obs.Snapshot.c_shots) c;
-           dash (fun c -> Printf.sprintf "%.0f" (Float.max 0. c.Obs.Snapshot.c_rate)) c;
-           dash (fun c -> Printf.sprintf "%d/%d" c.Obs.Snapshot.c_done c.c_total) c;
-           dash
-             (fun e -> Printf.sprintf "%.1f" (Float.max 0. e))
-             (Option.bind c (fun c -> c.c_eta_s)) ])
-       ticks);
-  let last = row.Obs.Monitor.last in
-  Printf.printf "\nlast record (seq %d, t=%.2fs):\n" last.seq last.elapsed_s;
-  List.iter
-    (fun (name, d) -> if d > 0 then Printf.printf "  %s +%d\n" name d)
-    last.deltas;
-  Option.iter
-    (fun (c : Obs.Snapshot.campaign) ->
-      List.iter
-        (fun (t : Obs.Snapshot.task_progress) ->
-          Printf.printf "  task %s %s: %d shots, %d errors%s%s\n" t.tp_id t.tp_kind
-            t.tp_shots t.tp_errors
-            (if Float.is_nan t.tp_rel_halfwidth then ""
-             else Printf.sprintf ", ci %.3f" t.tp_rel_halfwidth)
-            (if t.tp_done then " [done]" else ""))
-        c.c_tasks)
-    last.snap.campaign;
-  print_newline ();
-  render_monitor_rows [ row ]
-
-let run_obs_monitor file once interval () =
-  match (file, Obs.Registry.dir ()) with
-  | Some file, _ -> (
-      match guard file (fun () -> Obs.Monitor.read file) with
-      | [] -> if not once then print_endline "telemetry stream is empty"
-      | ticks ->
-          let row = Obs.Monitor.row_of_stream file (List.nth ticks (List.length ticks - 1)) in
-          if once then print_endline (Obs.Json.to_string (Obs.Monitor.row_json row))
-          else render_stream row ticks)
-  | None, None ->
-      obs_fail
-        "no run registry configured (set HETARCH_OBS_DIR or pass --obs-dir)"
-  | None, Some d ->
-      let scan () = Obs.Monitor.scan ~dir:d () in
-      if once then
-        (* Machine-readable: one hetarch.monitor/2 JSON object per line. *)
-        List.iter
-          (fun r -> print_endline (Obs.Json.to_string (Obs.Monitor.row_json r)))
-          (scan ())
-      else if not (Unix.isatty Unix.stdout) then render_monitor_rows (scan ())
-      else begin
-        (* Throttled live view: clear, redraw, sleep; leave once every
-           stream is done so scripted invocations terminate. *)
-        let rec loop () =
-          let rows = scan () in
-          print_string "\027[H\027[2J";
-          Printf.printf "fleet monitor %s (refresh %.1fs, ctrl-c to quit)\n\n"
-            d interval;
-          render_monitor_rows rows;
-          flush stdout;
-          if
-            rows = []
-            || List.exists
-                 (fun (r : Obs.Monitor.row) -> r.status <> Done)
-                 rows
-          then begin
-            Unix.sleepf interval;
-            loop ()
-          end
-        in
-        loop ()
-      end
-
-let metrics_of_state = function
-  | `Snap s -> Obs.Trend.metrics_of s
-  | `Fleet m -> Obs.Trend.metrics_of (Obs.Merge.merged m)
-
-(* The current run against the median + MAD of the last [last] other runs
-   of its command and shard in the registry: (title, history, current). *)
-let registry_history current_ref last =
-  if Obs.Registry.dir () = None then
-    obs_fail
-      "no run registry configured (set HETARCH_OBS_DIR or pass --obs-dir)";
-  let runs = registry_runs () in
-  let current =
-    match current_ref with
-    | Some arg -> (
-        match resolve_ref arg with
-        | `Snap s -> s
-        | `Fleet _ -> obs_fail "%s: not a run snapshot" arg)
-    | None -> (
-        match List.rev runs with
-        | [] ->
-            obs_fail
-              "registry is empty; record runs first (any hetarch command \
-               with --obs-dir or HETARCH_OBS_DIR set)"
-        | latest :: _ -> latest)
-  in
-  let cur_hash = Obs.Snapshot.content_hash current in
-  let cur_cmd = Obs.Registry.cmd_of_argv current.Obs.Snapshot.argv in
-  let cur_shard = current.Obs.Snapshot.run.shard in
-  let same =
-    List.filter
-      (fun (s : Obs.Snapshot.t) ->
-        Obs.Registry.cmd_of_argv s.argv = cur_cmd
-        && s.run.shard = cur_shard
-        && Obs.Snapshot.content_hash s <> cur_hash)
-      runs
-  in
-  let n = List.length same in
-  let history = List.filteri (fun i _ -> i >= n - last) same |> List.map Obs.Trend.metrics_of in
-  ( Printf.sprintf "trend: run %s (%s%s) vs median of last %d same-command run(s)"
-      current.run.run_id cur_cmd
-      (if cur_shard = "" then "" else Printf.sprintf ", shard %s" cur_shard)
-      (List.length history),
-    history,
-    Obs.Trend.metrics_of current )
-
-(* One judge, two histories: BASELINE RUN is a one-point history that may
-   flag and always gates; zero or one argument judges against the registry
-   trend, which needs two points to flag and gates only with --gate. *)
-let run_obs_diff baseline run last nmad threshold noise_floor gate () =
-  let title, history, current, min_pct, min_samples, gate =
-    match (baseline, run) with
-    | Some base, Some run ->
-        let thr = Option.value ~default:Obs.Trend.default_baseline_pct threshold in
-        ( Printf.sprintf "diff %s -> %s (threshold %g%%%s)" base run thr
-            (match noise_floor with
-            | Some f -> Printf.sprintf ", noise floor %g ns" f
-            | None -> ""),
-          [ metrics_of_state (resolve_ref base) ],
-          metrics_of_state (resolve_ref run),
-          thr, 1, true )
-    | run, _ ->
-        let title, history, current = registry_history run last in
-        ( title, history, current,
-          Option.value ~default:Obs.Trend.default_min_pct threshold, 2, gate )
-  in
-  (* A metric no history point carries is listed as only in the current run. *)
+(* RUN against BASELINE: exit 1 on a regression. *)
+let run_obs_diff base run threshold noise_floor () =
+  let baseline = Obs.Trend.metrics_of (load_snapshot base)
+  and current = Obs.Trend.metrics_of (load_snapshot run) in
   let verdicts =
-    Obs.Trend.judge ?nmad ~min_pct ?noise_floor_ns:noise_floor ~min_samples
-      ~history current
-    |> List.filter (fun (v : Obs.Trend.verdict) -> v.v_samples > 0)
+    Obs.Trend.judge ~threshold_pct:threshold ?noise_floor_ns:noise_floor ~baseline current
   in
-  print_endline title;
+  Printf.printf "diff %s -> %s (threshold %g%%%s)\n" base run threshold
+    (match noise_floor with
+    | Some f -> Printf.sprintf ", noise floor %g ns" f
+    | None -> "");
   Tableio.print ~align:Tableio.Left
-    ~header:
-      [ "metric"; (if min_samples = 1 then "baseline" else "median"); "current";
-        "delta"; "limit"; "status" ]
+    ~header:[ "metric"; "baseline"; "current"; "delta"; "limit"; "status" ]
     (List.map
        (fun (v : Obs.Trend.verdict) ->
-         [ v.v_metric; g v.v_median; g v.v_current;
+         [ v.v_metric; g v.v_baseline; g v.v_current;
            Printf.sprintf "%+.1f%%" (Obs.Trend.delta_pct v);
-           (if v.v_limit = infinity then "-" else g v.v_limit);
-           (if v.v_regression then "REGRESSION"
-            else if v.v_samples < min_samples then
-              Printf.sprintf "thin history (%d)" v.v_samples
-            else "ok") ])
+           g v.v_limit;
+           (if v.v_regression then "REGRESSION" else "ok") ])
        verdicts);
-  let only_base, only_cur = Obs.Trend.only_in ~history current in
+  let only_base, only_cur = Obs.Trend.only_in ~baseline current in
   if only_base <> [] then
     Printf.printf "only in baseline: %s\n" (String.concat ", " only_base);
   if only_cur <> [] then
     Printf.printf "only in current: %s\n" (String.concat ", " only_cur);
   match Obs.Trend.regressions verdicts with
-  | [] ->
-      Printf.printf "no regressions (%d metrics, history depth %d)\n"
-        (List.length verdicts) (List.length history)
+  | [] -> Printf.printf "no regressions (%d metrics)\n" (List.length verdicts)
   | worst :: _ as regs ->
-      Printf.printf "%d regression(s), worst %s (%+.1f%%, %s > limit %s)%s\n"
+      Printf.printf "%d regression(s), worst %s (%+.1f%%, %s > limit %s)\n"
         (List.length regs) worst.v_metric (Obs.Trend.delta_pct worst)
-        (g worst.v_current) (g worst.v_limit)
-        (if gate then "" else "; warn-only, pass --gate to fail");
-      if gate then exit 1
+        (g worst.v_current) (g worst.v_limit);
+      exit 1
 
 (* ----------------------------------------------------------------- CLI *)
 
@@ -1155,18 +786,13 @@ let int_at_least min =
         | _ -> Error (`Msg (Printf.sprintf "expected an integer >= %d, got %S" min s))),
       Format.pp_print_int )
 
-(* The same for a float flag; [~strict] excludes [min] itself, and nan is
-   never in range. *)
-let float_at_least ?(strict = false) min =
+(* The same for a float flag; nan is never in range. *)
+let float_at_least min =
   Arg.conv
     ( (fun s ->
         match float_of_string_opt s with
-        | Some x when x > min || ((not strict) && x = min) -> Ok x
-        | _ ->
-            Error
-              (`Msg
-                (Printf.sprintf "expected a number %s %g, got %S"
-                   (if strict then ">" else ">=") min s))),
+        | Some x when x >= min -> Ok x
+        | _ -> Error (`Msg (Printf.sprintf "expected a number >= %g, got %S" min s))),
       Format.pp_print_float )
 
 let shots_arg =
@@ -1207,7 +833,7 @@ let metrics_arg =
     & opt (some string) None
     & info [ "metrics" ] ~docv:"FILE"
         ~doc:
-          "Write the run's obs snapshot (schema hetarch.snapshot/5) to \
+          "Write the run's obs snapshot (schema hetarch.snapshot/6) to \
            $(docv) on exit; summarize it with $(b,hetarch obs report)")
 
 let trace_arg =
@@ -1217,95 +843,28 @@ let trace_arg =
     & info [ "trace" ] ~docv:"FILE"
         ~doc:"Write Chrome-trace-compatible JSONL spans to $(docv) on exit")
 
-let telemetry_arg =
-  Arg.(
-    value
-    & opt (some string) None
-    & info [ "telemetry" ] ~docv:"FILE"
-        ~doc:
-          "Stream live JSONL telemetry to $(docv) while the command runs, \
-           one run snapshot (schema hetarch.snapshot/5) per line; inspect \
-           with $(b,hetarch obs monitor) $(docv).  With a run registry \
-           configured, recorded runs stream to \
-           <obs-dir>/telemetry/<run_id>.jsonl automatically; this flag \
-           overrides that path")
-
-let obs_dir_arg =
-  Arg.(
-    value
-    & opt (some string) None
-    & info [ "obs-dir" ] ~docv:"DIR"
-        ~doc:
-          "Run registry directory (defaults to $(b,HETARCH_OBS_DIR)): on \
-           exit the run's obs snapshot is written to \
-           $(docv)/snapshots/<run_id>.json, and those files are the \
-           registry; inspect with $(b,hetarch obs runs/report/merge/diff)")
-
-let shard_label_arg =
-  Arg.(
-    value & opt string ""
-    & info [ "shard-label" ] ~docv:"LABEL"
-        ~doc:
-          "Shard label stamped into every observability artifact of this \
-           run (snapshot, telemetry, trace metadata) for \
-           fleet-merge attribution")
-
-let telemetry_interval_arg =
-  Arg.(
-    value & opt (float_at_least 0.) 1.0
-    & info [ "telemetry-interval" ] ~docv:"SEC"
-        ~doc:
-          "Minimum seconds between telemetry lines (0 writes one every \
-           heartbeat); only meaningful with $(b,--telemetry)")
-
 (* Every subcommand runs under a root span; the exporters only fire when the
    flags are given, so the stdout of an uninstrumented invocation is
-   untouched.  Telemetry streams while the command runs (ticks come from
-   Parallel chunk boundaries and Collect batches — no background thread);
-   the final forced record is written on the way out.
+   untouched.
 
-   Finalization (telemetry flush, one snapshot capture for --metrics and
-   the registry, trace export) runs exactly once, both on the normal path — where a
-   write failure exits 1 — and via [at_exit], so early [exit] paths (obs
-   diff gates, collect validation) and killed-early runs still
-   leave complete artifacts.  [record=false] keeps the pure-reader obs
-   analysis subcommands from polluting the run registry. *)
-let cmd ?(record = true) name doc term =
-  let wrap jobs cache_dir obs_dir shard metrics trace telemetry interval f =
+   Finalization (one snapshot capture for --metrics, the trace export)
+   runs exactly once, both on the normal path — where a write failure
+   exits 1 — and via [at_exit], so early [exit] paths (obs diff gates,
+   collect validation) and killed-early runs still leave complete
+   artifacts. *)
+let cmd name doc term =
+  let wrap jobs cache_dir metrics trace f =
     Parallel.set_jobs jobs;
     (try Char_store.set_dir cache_dir
      with Invalid_argument msg | Sys_error msg ->
        Printf.eprintf "hetarch: cannot open --cache-dir: %s\n" msg;
        exit 1);
-    Option.iter (fun d -> Obs.Registry.set_dir (Some d)) obs_dir;
-    if shard <> "" then Obs.Run.set_shard shard;
-    (* With a registry configured, recorded runs stream a live heartbeat
-       into <obs-dir>/telemetry/<run_id>.jsonl even without an explicit
-       --telemetry — that directory is what `hetarch obs monitor`
-       watches.  Explicit --telemetry takes precedence. *)
-    let telemetry =
-      match telemetry with
-      | Some _ as t -> t
-      | None when record -> Obs.Registry.telemetry_sink (Obs.Run.id ())
-      | None -> None
-    in
-    (try
-       Option.iter
-         (fun path -> Obs.Telemetry.enable ~path ~interval_s:interval)
-         telemetry
-     with Sys_error msg ->
-       Printf.eprintf "hetarch: cannot open telemetry sink: %s\n" msg;
-       exit 1);
     let finalized = ref false in
     let finalize () =
       if not !finalized then begin
         finalized := true;
-        Obs.Telemetry.disable ();
-        let snap = lazy (Obs.Snapshot.capture ()) in
-        Option.iter (fun path -> Obs.Snapshot.write ~path (Lazy.force snap)) metrics;
-        Option.iter (fun path -> Obs.Trace.export ~path) trace;
-        if record && Obs.Registry.dir () <> None then
-          ignore (Obs.Registry.record (Lazy.force snap))
+        Option.iter (fun path -> Obs.Snapshot.write ~path (Obs.Snapshot.capture ())) metrics;
+        Option.iter (fun path -> Obs.Trace.export ~path) trace
       end
     in
     at_exit (fun () ->
@@ -1321,9 +880,7 @@ let cmd ?(record = true) name doc term =
       exit 1
   in
   Cmd.v (Cmd.info name ~doc)
-    Term.(
-      const wrap $ jobs_arg $ cache_dir_arg $ obs_dir_arg $ shard_label_arg
-      $ metrics_arg $ trace_arg $ telemetry_arg $ telemetry_interval_arg $ term)
+    Term.(const wrap $ jobs_arg $ cache_dir_arg $ metrics_arg $ trace_arg $ term)
 
 let collect_term =
   let campaign =
@@ -1339,13 +896,9 @@ let collect_term =
       & opt (int_at_least 1) 1
       & info [ "shards" ] ~docv:"N"
           ~doc:
-            "Partition the campaign across $(docv) cooperating processes by \
-             task content hash.  Without $(b,--shard) this process becomes \
-             the fleet coordinator: it forks $(docv) children of itself \
-             (one per shard, per-path output flags suffixed .shardI), hands \
-             each its own run id as the parent run, and waits; the fleet is \
-             merged with $(b,hetarch obs merge) / $(b,obs trace-merge) and \
-             watched live with $(b,obs monitor)")
+            "Partition the campaign into $(docv) shards by task content \
+             hash; with $(docv) > 1, $(b,--shard) picks the one this \
+             process runs")
   in
   let shard =
     Arg.(
@@ -1353,9 +906,8 @@ let collect_term =
       & opt (some int) None
       & info [ "shard" ] ~docv:"I"
           ~doc:
-            "Run only this shard index in [0, shards) in-process (no \
-             coordinator fork).  Also sets the run's shard label (shardI/N) \
-             unless $(b,--shard-label) is given.")
+            "Run only the tasks of this shard index in [0, shards).  Also \
+             sets the run's shard label (shardI/N).")
   in
   let ledger =
     Arg.(
@@ -1436,57 +988,30 @@ let collect_term =
 
 (* Offline analysis command group over observability artifacts.  The leaves
    go through the same [cmd] wrapper as the experiments so that every
-   subcommand accepts --jobs/--metrics/--trace/--telemetry uniformly. *)
+   subcommand accepts --jobs/--metrics/--trace uniformly. *)
 let obs_cmd =
-  let trace_pos =
-    Arg.(
-      required
-      & pos 0 (some file) None
-      & info [] ~docv:"TRACE" ~doc:"Trace JSONL file written by --trace")
+  let snapshot_pos i docv doc =
+    Arg.(required & pos i (some file) None & info [] ~docv ~doc)
   in
-  let limit_arg =
-    Arg.(
-      value & opt (int_at_least 1) 20
-      & info [ "n"; "limit" ] ~docv:"N" ~doc:"Rows to show")
-  in
-  let run_ref_pos =
-    Arg.(
-      required
-      & pos 0 (some string) None
-      & info [] ~docv:"RUN"
-          ~doc:
-            "Snapshot/fleet JSON file, or a run-id prefix resolved through \
-             the registry")
-  in
-  let merge_refs_pos =
-    Arg.(
-      non_empty
-      & pos_all string []
-      & info [] ~docv:"RUN"
-          ~doc:"Snapshot/fleet JSON files or registry run-id prefixes")
-  in
-  let out_arg =
-    Arg.(
-      value
-      & opt (some string) None
-      & info [ "o"; "output" ] ~docv:"FILE"
-          ~doc:"Write the fleet view to $(docv) instead of stdout")
-  in
-  (* Analysis leaves are pure readers — [~record:false] keeps them out of
-     the run registry they inspect. *)
-  let cmd = cmd ~record:false in
   Cmd.group
     (Cmd.info "obs"
-       ~doc:
-         "Analyze observability artifacts: run snapshots, fleet views, \
-          traces, telemetry")
-    [ cmd "report" "Summarize a run snapshot or fleet view"
-        Term.(const run_obs_report $ run_ref_pos);
+       ~doc:"Analyze observability artifacts: run snapshots and traces")
+    [ cmd "report" "Summarize a run snapshot"
+        Term.(
+          const run_obs_report
+          $ snapshot_pos 0 "RUN" "Snapshot JSON file written by --metrics");
       cmd "top"
         "Rank call paths by self time, cumulative time, count, or \
          allocation; or print them as folded stacks"
         Term.(
-          const run_obs_top $ trace_pos $ limit_arg
+          const run_obs_top
+          $ Arg.(
+              required
+              & pos 0 (some file) None
+              & info [] ~docv:"TRACE" ~doc:"Trace JSONL file written by --trace")
+          $ Arg.(
+              value & opt (int_at_least 1) 20
+              & info [ "n"; "limit" ] ~docv:"N" ~doc:"Rows to show")
           $ Arg.(
               value
               & opt
@@ -1509,48 +1034,16 @@ let obs_cmd =
                      and alloc weights are byte-identical across --jobs \
                      settings for a deterministic workload.  $(b,--limit) \
                      does not apply, and $(b,--sort cum) is an error"));
-      cmd "diff"
-        "Judge a run for perf regressions: against BASELINE (exit 1 on a \
-         regression), or with at most one argument against the registry \
-         trend (median + MAD of the last K runs; warn-only unless --gate)"
+      cmd "diff" "Judge RUN against BASELINE for perf regressions (exit 1 on one)"
         Term.(
           const run_obs_diff
+          $ snapshot_pos 0 "BASELINE" "Baseline snapshot JSON file"
+          $ snapshot_pos 1 "RUN" "Snapshot JSON file to judge"
           $ Arg.(
               value
-              & pos 0 (some string) None
-              & info [] ~docv:"BASELINE"
-                  ~doc:
-                    "Baseline snapshot/fleet file or run-id prefix; given \
-                     alone, it is the $(i,RUN) judged against the trend")
-          $ Arg.(
-              value
-              & pos 1 (some string) None
-              & info [] ~docv:"RUN"
-                  ~doc:
-                    "Snapshot/fleet file or run-id prefix to judge (default: \
-                     the latest registry run)")
-          $ Arg.(
-              value & opt (int_at_least 1) 10
-              & info [ "last" ] ~docv:"K"
-                  ~doc:
-                    "Trend history depth: the most recent $(docv) \
-                     same-command runs")
-          $ Arg.(
-              value
-              & opt (some (float_at_least 0.)) None
-              & info [ "nmad" ] ~docv:"N"
-                  ~doc:
-                    (Printf.sprintf
-                       "MAD multiplier of the trend noise band (default %g)"
-                       Obs.Trend.default_nmad))
-          $ Arg.(
-              value
-              & opt (some (float_at_least 0.)) None
+              & opt (float_at_least 0.) Obs.Trend.default_threshold_pct
               & info [ "threshold" ] ~docv:"PCT"
-                  ~doc:
-                    (Printf.sprintf
-                       "Percent: default %g against BASELINE, %g as trend floor"
-                       Obs.Trend.default_baseline_pct Obs.Trend.default_min_pct))
+                  ~doc:"Percent over the baseline that counts as a regression")
           $ Arg.(
               value
               & opt (some (float_at_least 0.)) None
@@ -1558,59 +1051,7 @@ let obs_cmd =
                   ~doc:
                     "Never flag metrics whose baseline and current values \
                      are both below $(docv) nanoseconds — relative \
-                     thresholds are meaningless under scheduling noise")
-          $ Arg.(
-              value & flag
-              & info [ "gate" ]
-                  ~doc:
-                    "Exit 1 on trend regressions (CI hard gate); the trend \
-                     default is warn-only for local runs"));
-      cmd "runs" "List the run registry (--obs-dir / HETARCH_OBS_DIR)"
-        Term.(const run_obs_runs $ limit_arg);
-      cmd "trace-merge"
-        "Union per-process Chrome-trace JSONL files into one clock-aligned \
-         timeline (order-independent, idempotent)"
-        Term.(
-          const run_obs_trace_merge
-          $ Arg.(
-              non_empty & pos_all file []
-              & info [] ~docv:"TRACE"
-                  ~doc:"Trace JSONL files written by --trace")
-          $ out_arg
-          $ Arg.(
-              value & flag
-              & info [ "check" ]
-                  ~doc:
-                    "Exit 1 when any merged trace references a parent span \
-                     that is not among the merged sources (an incomplete \
-                     fleet)"));
-      cmd "monitor"
-        "Telemetry view with rate/ETA/stall detection: one stream's rate \
-         table and status, or one row per stream under the registry"
-        Term.(
-          const run_obs_monitor
-          $ Arg.(
-              value
-              & pos 0 (some file) None
-              & info [] ~docv:"FILE"
-                  ~doc:
-                    "Telemetry JSONL stream written by --telemetry (default: \
-                     every stream under the registry)")
-          $ Arg.(
-              value & flag
-              & info [ "once" ]
-                  ~doc:
-                    "Render one scan as machine-readable JSON (one \
-                     hetarch.monitor/2 object per stream and line) and exit")
-          $ Arg.(
-              value & opt (float_at_least ~strict:true 0.) 2.0
-              & info [ "interval" ] ~docv:"SEC"
-                  ~doc:"Refresh period of the live view (default 2)"));
-      cmd "merge"
-        "Merge run snapshots into one fleet view (order-insensitive, \
-         byte-deterministic)"
-        Term.(
-          const run_obs_merge $ merge_refs_pos $ out_arg) ]
+                     thresholds are meaningless under scheduling noise")) ]
 
 (* --------------------------------------------------------------- serve *)
 
@@ -1771,7 +1212,7 @@ let commands =
         "Long-running estimation daemon: newline-delimited JSON queries over \
          a Unix/TCP socket, warm-store answers, single-flight dedup"
         serve_term;
-      cmd ~record:false "query"
+      cmd "query"
         "Send one request line to a running hetarch serve daemon and print \
          the response"
         query_term;

@@ -70,9 +70,8 @@ end
 (* ----------------------------------------------------------- sharding -- *)
 
 (* Deterministic task partitioning for multi-process campaigns: a task's
-   shard is a pure function of its content hash, so every process of a
-   fleet — given the same campaign definition — agrees on the split without
-   coordination, and the same property will key per-shard ledger files.
+   shard is a pure function of its content hash, so every process given
+   the same campaign definition agrees on the split without coordination.
    Shard identity survives task reordering and campaign growth (adding a
    task never moves existing ones), unlike position-based striping. *)
 
@@ -227,9 +226,9 @@ module Progress = struct
     else string_of_int n
 
   (* Totals, rate and ETA all come from [Obs.Snapshot.campaign] — the
-     same code path that fills the campaign section of every snapshot, and
-     so of every telemetry line — so what the status line shows is exactly
-     what `hetarch obs monitor` reads back. *)
+     same code path that fills the campaign section of the run's snapshot —
+     so what the status line shows is exactly what `hetarch obs report`
+     reads back. *)
   let tick t ~cur_kind ~cur_shots ~cur_errors =
     if t.enabled then begin
       let now = Obs.now_ns () in
@@ -353,10 +352,8 @@ let run ?ledger ?(resume = false) ?(progress = false) ?(stop = default_stop)
       let tasks_done () =
         Array.fold_left (fun acc r -> if r <> None then acc + 1 else acc) 0 reason
       in
-      (* Per-task progress for snapshots (and so telemetry lines) and the
-         --progress line.  Called from telemetry ticks, possibly in worker
-         domains mid-batch: int array reads are atomic per element, and a
-         slightly stale shot count only understates a heartbeat. *)
+      (* Per-task progress for the snapshot and the --progress line.  Both
+         read it between batches, on the domain that runs the campaign. *)
       Obs.Snapshot.set_campaign
         (Some
            (fun () ->
@@ -420,9 +417,6 @@ let run ?ledger ?(resume = false) ?(progress = false) ?(stop = default_stop)
                 incr appends;
                 reason.(i) <- decide stop ~shots:shots.(i) ~errors:errors.(i);
                 Obs.Gauge.set g_tasks_done (float_of_int (tasks_done ()));
-                (* Batch completion is a telemetry tick point (throttled
-                   internally to the configured interval). *)
-                Obs.Telemetry.tick ();
                 Progress.tick prog ~cur_kind:tasks.(i).Task.kind
                   ~cur_shots:shots.(i) ~cur_errors:errors.(i);
                 match halt_after with
@@ -478,69 +472,3 @@ let csv stats =
 let write_csv ~path stats =
   let oc = open_out path in
   Fun.protect ~finally:(fun () -> close_out oc) (fun () -> output_string oc (csv stats))
-
-(* -------------------------------------------------------------- fleet -- *)
-
-(* Coordinator-side shard forking: re-exec this executable once per shard
-   with a rewritten argv, handing each child the coordinator's run id as
-   its parent.  Re-exec — not in-process fork — because the
-   observability layer holds process-global state (at_exit finalizers,
-   open telemetry sinks, the memoized run id) that a forked image would
-   double-fire or double-write. *)
-
-module Fleet = struct
-  (* Flags whose value names an output file: each shard writes its own,
-     suffixed ".shard<i>", so children never contend for one path. *)
-  let path_flags =
-    [ "--ledger"; "--csv"; "--trace"; "--telemetry"; "--metrics" ]
-
-  let shard_argv ~shard argv =
-    let suffix = Printf.sprintf ".shard%d" shard in
-    let rec rewrite = function
-      | [] -> []
-      | flag :: value :: rest when List.mem flag path_flags ->
-          flag :: (value ^ suffix) :: rewrite rest
-      | arg :: rest -> (
-          (* "--flag=value" spelling of the same path flags. *)
-          match String.index_opt arg '=' with
-          | Some i when List.mem (String.sub arg 0 i) path_flags ->
-              (arg ^ suffix) :: rewrite rest
-          | _ -> arg :: rewrite rest)
-    in
-    rewrite (Array.to_list argv) @ [ "--shard"; string_of_int shard ]
-
-  (* The child's environment: drop the coordinator's own run-id pin and
-     parent (a child inheriting HETARCH_RUN_ID would collide with its
-     siblings), then name the coordinator as the parent. *)
-  let child_env ~parent env =
-    let binds var e = String.starts_with ~prefix:(var ^ "=") e in
-    let keep e = not (binds "HETARCH_RUN_ID" e || binds Obs.Run.parent_env e) in
-    Array.append
-      (Array.of_list (List.filter keep (Array.to_list env)))
-      [| Obs.Run.parent_env ^ "=" ^ parent |]
-
-  (* Fork every shard, then wait in shard order.  Child stdout goes to
-     /dev/null — shards re-run the coordinator's command line, and two
-     processes interleaving result tables on one terminal helps nobody;
-     stderr (progress, warnings) passes through.  Returns per-shard exit
-     codes (128+signal for a signalled child). *)
-  let spawn_shards ~shards ~parent argv =
-    let devnull = Unix.openfile "/dev/null" [ Unix.O_WRONLY ] 0o644 in
-    Fun.protect
-      ~finally:(fun () -> Unix.close devnull)
-      (fun () ->
-        let env = child_env ~parent (Unix.environment ()) in
-        let pids =
-          List.init shards (fun shard ->
-              let args = Array.of_list (shard_argv ~shard argv) in
-              Unix.create_process_env Sys.executable_name args env Unix.stdin
-                devnull Unix.stderr)
-        in
-        List.map
-          (fun pid ->
-            let _, status = Unix.waitpid [] pid in
-            match status with
-            | Unix.WEXITED c -> c
-            | Unix.WSIGNALED s | Unix.WSTOPPED s -> 128 + s)
-          pids)
-end

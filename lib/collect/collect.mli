@@ -66,7 +66,7 @@ val batch_rng : seed:int -> id:string -> index:int -> Rng.t
 val shard_of : shards:int -> Task.t -> int
 (** Deterministic shard assignment for multi-process campaigns: the task's
     content hash modulo [shards].  A pure function of the task description,
-    so every process of a fleet agrees on the split without coordination,
+    so every process agrees on the split without coordination,
     and adding tasks never moves existing ones.  Raises [Invalid_argument]
     when [shards < 1]. *)
 
@@ -176,11 +176,10 @@ val run :
     are bit-identical at any setting.
 
     The campaign registers an [Obs.Snapshot] progress provider (per-task
-    shots/errors/Wilson half-width and a rate-based ETA) and offers the
-    telemetry heartbeat a tick after every batch; the provider stays
-    registered after the run so the final telemetry line (and the run's
-    snapshot) reports the completed campaign.  The [--progress] line
-    renders the same [Obs.Snapshot.campaign] the snapshots carry. *)
+    shots/errors/Wilson half-width and a rate-based ETA); the provider
+    stays registered after the run so the run's snapshot reports the
+    completed campaign.  The [--progress] line renders the same
+    [Obs.Snapshot.campaign] the snapshot carries. *)
 
 val csv_header : string
 
@@ -191,32 +190,3 @@ val csv : stat list -> string
     resumed and uninterrupted campaigns render identically. *)
 
 val write_csv : path:string -> stat list -> unit
-
-(** Coordinator-side shard forking for [collect --shards N]: re-exec this
-    executable once per shard with a rewritten argv, handing each child
-    the coordinator's run id as its parent ({!Obs.Run.parent_env}).
-    Re-exec rather than in-process fork: the observability layer
-    holds process-global state ([at_exit] finalizers, open telemetry
-    sinks, the memoized run id) a forked image would double-fire. *)
-module Fleet : sig
-  val path_flags : string list
-  (** Flags whose value names an output file; each shard's copy is
-      suffixed [".shard<i>"] so children never contend for one path. *)
-
-  val shard_argv : shard:int -> string array -> string list
-  (** The child command line: [argv] with every {!path_flags} value (both
-      ["--flag value"] and ["--flag=value"] spellings) suffixed, plus
-      ["--shard <i>"] appended. *)
-
-  val child_env : parent:string -> string array -> string array
-  (** The child environment: the coordinator's minus any [HETARCH_RUN_ID]
-      and [HETARCH_PARENT_RUN] bindings (a child inheriting the
-      coordinator's run-id pin would collide with its siblings), plus
-      [HETARCH_PARENT_RUN=parent]. *)
-
-  val spawn_shards : shards:int -> parent:string -> string array -> int list
-  (** Fork all [shards] children, wait for each, and return exit codes in
-      shard order (128+signal for a signalled child).  Child stdout goes
-      to [/dev/null] — shards re-run the coordinator's command line and
-      interleaved result tables help nobody; stderr passes through. *)
-end

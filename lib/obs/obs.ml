@@ -333,8 +333,7 @@ end
 
 (* Torn-tail-tolerant JSONL fold: blank and unparsable lines — the
    truncated final record a killed writer leaves behind — are skipped.
-   The one such reader: the fleet monitor, the offline `obs` readers and
-   the collect ledger all replay through it. *)
+   The trace reader and the collect ledger both replay through it. *)
 let fold_jsonl path f init =
   let ic = open_in path in
   Fun.protect
@@ -353,17 +352,12 @@ let fold_jsonl path f init =
 
 (* ------------------------------------------------------------------- run *)
 
-(* Process-level run identity.  Every observability artifact a process
-   writes — snapshot, telemetry stream, Chrome-trace export —
-   carries the same 64-bit run-id, so fleet tooling can correlate them
-   after the fact.  The id hashes argv, pid, wall-clock and monotonic start
-   time; HETARCH_RUN_ID (16 hex digits) overrides it for reproducible
-   fixtures.  The shard label is free-form attribution ("shard0/3", a host
-   name, ...) set once at startup and stamped into the same artifacts.
-   A child process handed its parent's run id in HETARCH_PARENT_RUN
-   records it as its parent, which is the whole fleet linkage:
-   `obs trace-merge` and `obs monitor` join a coordinator's shards to it
-   by that one id. *)
+(* Process-level run identity.  The snapshot and the Chrome-trace export a
+   process writes carry the same 64-bit run id.  The id hashes argv, pid,
+   wall-clock and monotonic start time; HETARCH_RUN_ID (16 hex digits)
+   overrides it for reproducible fixtures.  The shard label ("shard0/3")
+   is set once at startup by `collect --shard` and stamped into the same
+   artifacts. *)
 
 module Run = struct
   let started_unix = Unix.gettimeofday ()
@@ -389,33 +383,13 @@ module Run = struct
 
   let id () = Lazy.force computed_id
 
-  let parent_env = "HETARCH_PARENT_RUN"
-
-  let computed_parent =
-    lazy
-      (match Sys.getenv_opt parent_env with
-      | None -> ""
-      | Some s when is_id (String.trim s) -> String.trim s
-      | Some s ->
-          Printf.eprintf "hetarch: ignoring malformed %s %S (want 16 hex digits)\n"
-            parent_env s;
-          "")
-
-  let parent () = Lazy.force computed_parent
-
   (* The run identity every observability document embeds under "run"
      (trace metadata: in its args). *)
-  type stamp = { run_id : string; shard : string; parent : string }
+  type stamp = { run_id : string; shard : string }
 
-  let stamp () = { run_id = id (); shard = shard (); parent = parent () }
-
-  let stamp_fields s =
-    [ ("id", Json.String s.run_id);
-      ("shard", Json.String s.shard);
-      ("parent", Json.String s.parent) ]
-
-  let stamp_of_json j =
-    { run_id = Field.str "id" j; shard = Field.str "shard" j; parent = Field.str "parent" j }
+  let stamp () = { run_id = id (); shard = shard () }
+  let stamp_fields s = [ ("id", Json.String s.run_id); ("shard", Json.String s.shard) ]
+  let stamp_of_json j = { run_id = Field.str "id" j; shard = Field.str "shard" j }
 end
 
 (* --------------------------------------------------------------- metrics *)
@@ -575,13 +549,6 @@ module Trace = struct
 
   let t0 = now_ns ()
 
-  (* Wall-clock time at monotonic zero — the clock handshake `obs
-     trace-merge` uses to align per-process timelines.  Each process records
-     the Unix time corresponding to its trace's ts = 0; the merge shifts
-     every process onto the earliest one's axis by the recorded offsets, so
-     alignment is deterministic and independent of merge order. *)
-  let t0_unix = Unix.gettimeofday ()
-
   (* The ring holds span [k] at slot [k mod capacity].  It is allocated
      on demand: empty until the first span, then [first_slots] slots,
      doubled while every span recorded so far still fits, up to
@@ -708,18 +675,11 @@ module Trace = struct
   let by_path () = Mutex.protect lock (fun () -> rows path_totals)
 
   (* The trace file format, one JSON object per line, written by [export]
-     and [Trace_merge] and read back by [read]: a "hetarch.run" metadata
-     event (ph "M") carrying the run stamp and clock handshake, a merged
-     trace's "hetarch.trace_merge" header, and one Chrome-trace complete
-     event (ph "X") per span.  [tid] is the recording domain, so Perfetto
-     lays each domain's spans on its own track; nesting depth, the caller
-     path and the allocation words travel in [args]. *)
-  type meta = {
-    run : Run.stamp;
-    ts0_unix : float;
-    clock_offset_us : float option;  (* set by trace-merge *)
-  }
-
+     and read back by [read]: a "hetarch.run" metadata event (ph "M")
+     carrying the run stamp, then one Chrome-trace complete event (ph "X")
+     per span.  [tid] is the recording domain, so Perfetto lays each
+     domain's spans on its own track; nesting depth, the caller path and
+     the allocation words travel in [args]. *)
   type span_event = {
     ev_name : string;
     ev_ts_us : float;
@@ -734,34 +694,16 @@ module Trace = struct
     ev_attrs : (string * string) list;
   }
 
-  type event =
-    | Run of { pid : int; meta : meta }
-    | Merged of { pid : int; sources : int; ts0_unix : float }
-    | Span of span_event
-
-  let merge_schema = "hetarch.tracemerge/1"
-
-  let metadata_json ~pid name args =
-    Json.Obj
-      [ ("name", Json.String name);
-        ("ph", Json.String "M");
-        ("pid", Json.Int pid);
-        ("tid", Json.Int 0);
-        ("args", Json.Obj args) ]
+  type event = Run of { pid : int; run : Run.stamp } | Span of span_event
 
   let event_to_json = function
-    | Run { pid; meta } ->
-        metadata_json ~pid "hetarch.run"
-          (Run.stamp_fields meta.run
-          @ ("ts0_unix", Json.Float meta.ts0_unix)
-            :: List.map
-                 (fun o -> ("clock_offset_us", Json.Float o))
-                 (Option.to_list meta.clock_offset_us))
-    | Merged { pid; sources; ts0_unix } ->
-        metadata_json ~pid "hetarch.trace_merge"
-          [ ("schema", Json.String merge_schema);
-            ("sources", Json.Int sources);
-            ("ts0_unix", Json.Float ts0_unix) ]
+    | Run { pid; run } ->
+        Json.Obj
+          [ ("name", Json.String "hetarch.run");
+            ("ph", Json.String "M");
+            ("pid", Json.Int pid);
+            ("tid", Json.Int 0);
+            ("args", Json.Obj (Run.stamp_fields run)) ]
     | Span e ->
         Json.Obj
           [ ("name", Json.String e.ev_name);
@@ -790,22 +732,7 @@ module Trace = struct
         in
         let name = Field.str "name" j and args = Json.Obj (Field.obj "args" j) in
         match (ph, name) with
-        | "M", "hetarch.run" ->
-            Run
-              { pid = Field.int "pid" j;
-                meta =
-                  { run = Run.stamp_of_json args;
-                    ts0_unix = Field.float "ts0_unix" args;
-                    clock_offset_us =
-                      Option.map
-                        (fun _ -> Field.float "clock_offset_us" args)
-                        (Json.member "clock_offset_us" args) } }
-        | "M", "hetarch.trace_merge" ->
-            Field.schema merge_schema args;
-            Merged
-              { pid = Field.int "pid" j;
-                sources = Field.int "sources" args;
-                ts0_unix = Field.float "ts0_unix" args }
+        | "M", "hetarch.run" -> Run { pid = Field.int "pid" j; run = Run.stamp_of_json args }
         | "X", name ->
             Span
               { ev_name = name;
@@ -840,9 +767,7 @@ module Trace = struct
           ev_major_w = s.major_w;
           ev_attrs = s.attrs }
     in
-    let meta =
-      Run { pid = 0; meta = { run = Run.stamp (); ts0_unix = t0_unix; clock_offset_us = None } }
-    in
+    let meta = Run { pid = 0; run = Run.stamp () } in
     let oc = open_out path in
     Fun.protect
       ~finally:(fun () -> close_out oc)
@@ -971,7 +896,7 @@ module Profile = struct
                Some
                  ( e.Trace.ev_path, 1, Int64.of_float (e.Trace.ev_dur_us *. 1e3),
                    e.Trace.ev_minor_w, e.Trace.ev_promoted_w, e.Trace.ev_major_w )
-           | Trace.Run _ | Trace.Merged _ -> None)
+           | Trace.Run _ -> None)
          events)
 
   let rec fold_nodes f acc nodes =
@@ -1046,9 +971,8 @@ end
 
 (* ------------------------------------------------------------- snapshots *)
 
-(* The one captured form of a process's obs state: what --metrics writes,
-   what the run registry stores, and what fleet merges fold.  It carries
-   the raw mergeable state, each fact once — integer bucket counts in the
+(* The one captured form of a process's obs state: what --metrics writes.
+   It carries the raw state, each fact once — integer bucket counts in the
    one [Histogram] layout, Welford (n, mean, m2) triples, per-caller-path
    aggregates (from which the profile trie and the per-name totals are
    rebuilt exactly) — and leaves every derived quantity (quantiles,
@@ -1058,7 +982,7 @@ end
    hash is well-defined. *)
 
 module Snapshot = struct
-  let schema = "hetarch.snapshot/5"
+  let schema = "hetarch.snapshot/6"
 
   type hist = {
     h_counts : int array;  (* one per bound of [Histogram.layout] *)
@@ -1137,8 +1061,6 @@ module Snapshot = struct
       t.paths;
     Trace.rows by_name
 
-  let gauge t name = Option.value ~default:0. (List.assoc_opt name t.gauges)
-
   (* The campaign progress provider and the instant it was set, the zero
      of the campaign's rate. *)
   let provider : ((unit -> task_progress list) * int64) option Atomic.t = Atomic.make None
@@ -1173,8 +1095,6 @@ module Snapshot = struct
      plain atomics; copy them into gauges whenever a snapshot is cut. *)
   let g_parallel_tasks = Gauge.create "parallel.tasks_total"
   let g_parallel_domains = Gauge.create "parallel.domains_spawned_total"
-  let g_parallel_queue = Gauge.create "parallel.queue_depth"
-  let g_parallel_busy = Gauge.create "parallel.busy_domains"
 
   let capture () =
     (* The GC/process sample comes first, before any (allocation-heavy)
@@ -1199,9 +1119,6 @@ module Snapshot = struct
     let tasks, domains = Parallel.stats () in
     Gauge.set g_parallel_tasks (float_of_int tasks);
     Gauge.set g_parallel_domains (float_of_int domains);
-    let queue, busy = Parallel.queue_stats () in
-    Gauge.set g_parallel_queue (float_of_int queue);
-    Gauge.set g_parallel_busy (float_of_int busy);
     let histograms =
       sorted_fold Histogram.registry (fun h ->
           Mutex.protect h.Histogram.lock (fun () ->
@@ -1305,10 +1222,13 @@ module Snapshot = struct
 
   let of_json =
     Field.decoding "Obs.Snapshot.of_json" (fun doc ->
+        (match doc with
+        | Json.Obj _ -> ()
+        | _ -> Field.fail "not a snapshot (want a %s object)" schema);
         Field.schema schema doc;
         let section name = Field.obj name doc in
         let run = Json.Obj (section "run") in
-        (* Bucket state is validated here, once, so merging and quantiles can
+        (* Bucket state is validated here, once, so quantiles and readers can
            index it without checks of their own. *)
         let hist_of (name, j) =
           let count = function
@@ -1390,358 +1310,24 @@ module Snapshot = struct
   let load path = of_json (Json.parse (In_channel.with_open_bin path In_channel.input_all))
 end
 
-(* ------------------------------------------------------------- telemetry *)
-
-(* Append-only JSONL heartbeat, one snapshot per line: the stream carries
-   captured state only, and readers ([Monitor]) derive deltas and rates
-   from consecutive lines.  Ticks are driven synchronously from Parallel
-   chunk boundaries and Collect batch completions — never from a
-   background thread — so enabling telemetry cannot change any result. *)
-
-module Telemetry = struct
-  let enabled_flag = Atomic.make false
-  let lock = Mutex.create ()
-  let sink : out_channel option ref = ref None
-  let interval_ns = ref 1_000_000_000L
-  let last_ns = ref 0L
-
-  (* The writer's throttle interval and its closing mark travel as gauges,
-     so a reader judges staleness and completion from the stream alone.
-     They are registered only while the writer runs: a --metrics or
-     registry snapshot carries neither. *)
-  let gauge_names = [ "telemetry.interval_s"; "telemetry.final" ]
-
-  let enabled () = Atomic.get enabled_flag
-
-  (* Must be called with [lock] held; the capture then takes the histogram
-     and trace locks, so [lock] always comes first. *)
-  let emit ?(final = false) oc now =
-    List.iter2
-      (fun name v -> Gauge.set (Gauge.create name) v)
-      gauge_names
-      [ Int64.to_float !interval_ns /. 1e9; (if final then 1. else 0.) ];
-    output_string oc (Json.to_string (Snapshot.to_json (Snapshot.capture ())));
-    output_char oc '\n';
-    flush oc;
-    last_ns := now
-
-  let tick ?(force = false) () =
-    if Atomic.get enabled_flag then begin
-      let now = now_ns () in
-      (* Throttle check before taking the lock: the Parallel chunk hook
-         costs one atomic load plus one clock read when idle. *)
-      if force || Int64.sub now !last_ns >= !interval_ns then
-        Mutex.protect lock (fun () ->
-            if force || Int64.sub now !last_ns >= !interval_ns then
-              match !sink with None -> () | Some oc -> emit oc now)
-    end
-
-  let disable () =
-    Mutex.protect lock (fun () ->
-        (match !sink with
-        | Some oc ->
-            (* Final line so the file always ends with the run's last
-               state, marked telemetry.final = 1, then close. *)
-            emit ~final:true oc (now_ns ());
-            close_out oc;
-            Mutex.protect Gauge.registry_lock (fun () ->
-                List.iter (Hashtbl.remove Gauge.registry) gauge_names)
-        | None -> ());
-        sink := None;
-        Atomic.set enabled_flag false)
-
-  (* Registered once, lazily: a run killed between ticks (or leaving via
-     [exit] from deep inside a command) still flushes one final forced
-     line, so the stream always ends with the run's last state. *)
-  let exit_flush_registered = ref false
-
-  let enable ~path ~interval_s =
-    if not (interval_s >= 0.) then invalid_arg "Obs.Telemetry.enable: interval";
-    (match !sink with Some _ -> disable () | None -> ());
-    if not !exit_flush_registered then begin
-      exit_flush_registered := true;
-      at_exit (fun () -> if Atomic.get enabled_flag then disable ())
-    end;
-    Mutex.protect lock (fun () ->
-        let oc = open_out path in
-        sink := Some oc;
-        interval_ns := Int64.of_float (interval_s *. 1e9);
-        (* Baseline line at enable time. *)
-        emit oc (now_ns ());
-        Atomic.set enabled_flag true)
-end
-
-(* ----------------------------------------------------------------- merge *)
-
-(* The canonical source order of both merges: sources with a content hash
-   seen before are dropped, the rest sorted by run id, then hash.  [key]
-   gives a source's (run id, content hash).  Any input order, grouping or
-   repetition then yields the same sources in the same order. *)
-let canonical_sources key xs =
-  let seen = Hashtbl.create 8 in
-  List.filter
-    (fun x ->
-      let h = snd (key x) in
-      (not (Hashtbl.mem seen h)) && (Hashtbl.add seen h (); true))
-    xs
-  |> List.sort (fun a b -> compare (key a) (key b))
-
-(* Order-insensitive union of snapshots into one fleet view.  The sources
-   fold into one [Snapshot.t] in canonical order — so merging A∪B and B∪A,
-   or (A∪B)∪C and A∪(B∪C), gives byte-identical output even though float
-   addition itself is not associative.  Histograms bucket-merge and combine
-   their Welford states with Chan's parallel update; everything else sums,
-   except the peak heap, which takes the max. *)
-
-module Merge = struct
-  type t = { keyed : (string * Snapshot.t) list }  (* (content_hash, snapshot) *)
-
-  let canonicalize = canonical_sources (fun (h, s) -> (s.Snapshot.run.run_id, h))
-
-  let sources t = List.map snd t.keyed
-
-  let names proj ss = List.sort_uniq compare (List.concat_map proj ss)
-
-  (* Sum a keyed section across sources, in canonical source order. *)
-  let summed proj zero add ss =
-    let tables = List.map proj ss in
-    List.map
-      (fun k ->
-        ( k,
-          List.fold_left
-            (fun acc tbl -> match List.assoc_opt k tbl with Some v -> add acc v | None -> acc)
-            zero tables ))
-      (names (List.map fst) tables)
-
-  (* Every histogram has the one bucket layout, so counts add index by
-     index. *)
-  let merge_hist (a : Snapshot.hist) (b : Snapshot.hist) =
-    let n = a.h_count + b.h_count in
-    let mean, m2 =
-      if a.h_count = 0 then (b.h_mean, b.h_m2)
-      else if b.h_count = 0 then (a.h_mean, a.h_m2)
-      else begin
-        (* Chan's pairwise Welford merge: exact combination of two
-           (n, mean, m2) accumulators without revisiting samples. *)
-        let fa = float_of_int a.h_count
-        and fb = float_of_int b.h_count
-        and fn = float_of_int n in
-        let delta = b.h_mean -. a.h_mean in
-        ( a.h_mean +. (delta *. fb /. fn),
-          a.h_m2 +. b.h_m2 +. (delta *. delta *. fa *. fb /. fn) )
-      end
-    in
-    { Snapshot.h_counts = Array.mapi (fun i c -> c + b.h_counts.(i)) a.h_counts;
-      h_overflow = a.h_overflow + b.h_overflow;
-      h_count = n;
-      h_mean = mean;
-      h_m2 = m2;
-      h_min = Float.min a.h_min b.h_min;
-      h_max = Float.max a.h_max b.h_max }
-
-  let merged_histograms ss =
-    List.map
-      (fun k ->
-        let hs =
-          List.filter_map (fun (s : Snapshot.t) -> List.assoc_opt k s.histograms) ss
-        in
-        match hs with
-        | [] -> assert false
-        | first :: rest -> (k, List.fold_left merge_hist first rest))
-      (names (fun (s : Snapshot.t) -> List.map fst s.histograms) ss)
-
-  let of_snapshots snaps =
-    { keyed = canonicalize (List.map (fun s -> (Snapshot.content_hash s, s)) snaps) }
-
-  let union a b = { keyed = canonicalize (a.keyed @ b.keyed) }
-
-  (* Merging path aggregates is exactly grafting profile tries by path. *)
-  let merged_paths ss =
-    summed
-      (fun (s : Snapshot.t) ->
-        List.map (fun (n, c, t, mw, pw, jw) -> (n, (c, t, mw, pw, jw))) s.paths)
-      (0, 0L, 0, 0, 0)
-      (fun (c, t, mw, pw, jw) (c', t', mw', pw', jw') ->
-        (c + c', Int64.add t t', mw + mw', pw + pw', jw + jw'))
-      ss
-    |> List.map (fun (n, (c, t, mw, pw, jw)) -> (n, c, t, mw, pw, jw))
-
-  let merged_process ss =
-    let sum f = List.fold_left (fun acc s -> acc + f s) 0 ss in
-    let sumf f = List.fold_left (fun acc s -> acc +. f s) 0. ss in
-    { Snapshot.p_minor_collections = sum (fun (s : Snapshot.t) -> s.process.p_minor_collections);
-      p_major_collections = sum (fun (s : Snapshot.t) -> s.process.p_major_collections);
-      p_compactions = sum (fun (s : Snapshot.t) -> s.process.p_compactions);
-      p_minor_words = sumf (fun (s : Snapshot.t) -> s.process.p_minor_words);
-      p_promoted_words = sumf (fun (s : Snapshot.t) -> s.process.p_promoted_words);
-      p_major_words = sumf (fun (s : Snapshot.t) -> s.process.p_major_words);
-      p_heap_words = sum (fun (s : Snapshot.t) -> s.process.p_heap_words);
-      p_top_heap_words =
-        List.fold_left (fun acc (s : Snapshot.t) -> max acc s.process.p_top_heap_words) 0 ss }
-
-  (* Earliest start and latest end over the sources. *)
-  let time_span ss =
-    List.fold_left
-      (fun (lo, hi) (s : Snapshot.t) ->
-        (Float.min lo s.started_unix, Float.max hi (s.started_unix +. s.wall_seconds)))
-      (infinity, neg_infinity) ss
-
-  let merged t =
-    let ss = sources t in
-    let started, ended = if ss = [] then (0., 0.) else time_span ss in
-    { Snapshot.run = { run_id = ""; shard = ""; parent = "" };
-      argv = [];
-      started_unix = started;
-      wall_seconds = ended -. started;
-      jobs = 0;
-      counters = summed (fun (s : Snapshot.t) -> s.counters) 0 ( + ) ss;
-      gauges = summed (fun (s : Snapshot.t) -> s.gauges) 0. ( +. ) ss;
-      histograms = merged_histograms ss;
-      paths = merged_paths ss;
-      process = merged_process ss;
-      campaign = None }
-
-  (* The fleet view on disk is its canonical sources, nothing derived:
-     readers recompute the merged state through [merged]. *)
-  let to_json t = Json.List (List.map Snapshot.to_json (sources t))
-
-  (* Accepts a single snapshot or a fleet view; a fleet input is flattened
-     back to its sources, so merging merged documents is exact. *)
-  let of_json = function
-    | Json.List ss -> of_snapshots (List.map Snapshot.of_json ss)
-    | doc -> of_snapshots [ Snapshot.of_json doc ]
-end
-
-(* -------------------------------------------------------------- registry *)
-
-(* The run registry: HETARCH_OBS_DIR (or an explicit [set_dir]) names a
-   directory whose snapshots/ holds one <run_id>.json per recorded run,
-   written atomically.  Those files are the registry: listing, prefix
-   lookup and history read the directory, so there is no index to drift
-   from them. *)
-
-module Registry = struct
-  let override : string option ref = ref None
-  let set_dir d = override := d
-
-  let dir () =
-    match !override with Some _ as d -> d | None -> Sys.getenv_opt "HETARCH_OBS_DIR"
-
-  let resolve = function Some d -> Some d | None -> dir ()
-
-  let snapshots_dir d = Filename.concat d "snapshots"
-  let snapshot_path d run_id = Filename.concat (snapshots_dir d) (run_id ^ ".json")
-
-  let cmd_of_argv = function
-    | [] -> "?"
-    | exe :: rest -> (
-        let rec leading acc = function
-          | a :: tl when a <> "" && a.[0] <> '-' -> leading (a :: acc) tl
-          | _ -> List.rev acc
-        in
-        match leading [] rest with
-        | [] -> Filename.basename exe
-        | words -> String.concat " " words)
-
-  let record ?dir snap =
-    Option.map
-      (fun d ->
-        Fs.mkdir_p (snapshots_dir d);
-        let path = snapshot_path d snap.Snapshot.run.run_id in
-        Snapshot.write ~path snap;
-        path)
-      (resolve dir)
-
-  (* The run ids the directory holds: the names of its .json files.
-     Writer temp files, <id>.json.tmp.<pid>..., and anything else are not
-     runs. *)
-  let ids d =
-    match Sys.readdir (snapshots_dir d) with
-    | exception Sys_error _ -> []
-    | files ->
-        Array.to_list files
-        |> List.filter_map (fun f ->
-               if Filename.check_suffix f ".json" then Some (Filename.chop_suffix f ".json")
-               else None)
-        |> List.sort compare
-
-  let runs ?dir () =
-    match resolve dir with
-    | None -> ([], 0)
-    | Some d ->
-        let good, bad =
-          List.fold_left
-            (fun (good, bad) id ->
-              match Snapshot.load (snapshot_path d id) with
-              | s -> (s :: good, bad)
-              | exception (Failure _ | Sys_error _) -> (good, bad + 1))
-            ([], 0) (ids d)
-        in
-        let key (s : Snapshot.t) = (s.started_unix, s.run.run_id) in
-        (List.sort (fun a b -> compare (key a) (key b)) good, bad)
-
-  (* Ambiguous prefixes (matching several run ids) raise rather than
-     guessing. *)
-  let find ?dir prefix =
-    match resolve dir with
-    | None -> None
-    | Some d -> (
-        match List.filter (String.starts_with ~prefix) (ids d) with
-        | [] -> None
-        | [ id ] -> Some (snapshot_path d id)
-        | ids ->
-            failwith
-              (Printf.sprintf "Obs.Registry.find: run id prefix %s is ambiguous (%s)" prefix
-                 (String.concat ", " ids)))
-
-  (* Live telemetry streams live next to the snapshots: one
-     <run_id>.jsonl per process under <dir>/telemetry.  The monitor scans
-     this directory; a run whose snapshot file exists is finished. *)
-  let telemetry_dir d = Filename.concat d "telemetry"
-
-  let telemetry_sink ?dir run_id =
-    match resolve dir with
-    | None -> None
-    | Some d ->
-        let td = telemetry_dir d in
-        Fs.mkdir_p td;
-        Some (Filename.concat td (run_id ^ ".jsonl"))
-end
-
 (* ----------------------------------------------------------------- trend *)
 
-(* The one regression judge: the current value of each metric against the
-   median of a history with a median-absolute-deviation noise band.  The
-   MAD is a robust spread estimate — one historic outlier cannot widen or
-   shift the gate the way it would a mean/stddev band — and 1.4826·MAD
-   estimates sigma for normally-distributed noise.  A floor of min_pct% of
-   the median keeps near-deterministic metrics (MAD ≈ 0) from flagging on
-   harmless jitter.  A one-point history is an explicit baseline: its MAD
-   is 0, so the limit is baseline·(1 + min_pct/100), and a metric that
-   grows from 0 (limit 0) gates. *)
-
-(* [nan] on an empty list. *)
-let median = function
-  | [] -> Float.nan
-  | xs ->
-      let arr = Array.of_list xs in
-      Array.sort compare arr;
-      let n = Array.length arr in
-      if n mod 2 = 1 then arr.(n / 2) else (arr.((n / 2) - 1) +. arr.(n / 2)) /. 2.
+(* The regression judge: each metric of one run against the same metric of
+   one baseline run.  A metric regresses when it exceeds the baseline by
+   more than the threshold percentage; one that grows from 0 (limit 0)
+   regresses at any threshold.  The noise floor spares metrics too small
+   for a relative threshold to mean anything under scheduling noise. *)
 
 module Trend = struct
   type verdict = {
     v_metric : string;
+    v_baseline : float;
     v_current : float;
-    v_median : float;  (* the current value when no history carries it *)
-    v_limit : float;  (* regression boundary; infinity with thin history *)
-    v_samples : int;  (* history points that carried this metric *)
+    v_limit : float;
     v_regression : bool;
   }
 
-  let default_nmad = 5.
-  let default_min_pct = 10.
-  let default_baseline_pct = 20.
+  let default_threshold_pct = 20.
 
   (* (metric, value) list of one run; higher is always worse: span totals,
      span minor words (exact counts, so allocation regressions gate like
@@ -1756,29 +1342,23 @@ module Trend = struct
           else None)
         s.histograms
 
-  let judge ?(nmad = default_nmad) ?(min_pct = default_min_pct) ?(noise_floor_ns = 0.)
-      ?(min_samples = 2) ~history current =
-    List.map
+  let judge ?(threshold_pct = default_threshold_pct) ?(noise_floor_ns = 0.) ~baseline current =
+    List.filter_map
       (fun (metric, cur) ->
-        let vals = List.filter_map (List.assoc_opt metric) history in
-        let samples = List.length vals in
-        let med = if vals = [] then cur else median vals in
-        let mad = median (List.map (fun v -> Float.abs (v -. med)) vals) in
-        let limit =
-          if samples < max 1 min_samples then infinity
-          else med +. Float.max (nmad *. 1.4826 *. mad) (min_pct /. 100. *. med)
-        in
-        { v_metric = metric;
-          v_current = cur;
-          v_median = med;
-          v_limit = limit;
-          v_samples = samples;
-          v_regression = cur > limit && Float.max cur med >= noise_floor_ns })
+        Option.map
+          (fun base ->
+            let limit = base *. (1. +. (threshold_pct /. 100.)) in
+            { v_metric = metric;
+              v_baseline = base;
+              v_current = cur;
+              v_limit = limit;
+              v_regression = cur > limit && Float.max cur base >= noise_floor_ns })
+          (List.assoc_opt metric baseline))
       current
     |> List.sort (fun a b -> compare a.v_metric b.v_metric)
 
   let delta_pct v =
-    if v.v_median > 0. then 100. *. (v.v_current -. v.v_median) /. v.v_median
+    if v.v_baseline > 0. then 100. *. (v.v_current -. v.v_baseline) /. v.v_baseline
     else if v.v_current > 0. then infinity
     else 0.
 
@@ -1786,266 +1366,11 @@ module Trend = struct
     List.filter (fun v -> v.v_regression) verdicts
     |> List.stable_sort (fun a b -> compare (delta_pct b) (delta_pct a))
 
-  let only_in ~history current =
+  let only_in ~baseline current =
     let names m = List.sort_uniq compare (List.map fst m) in
-    let hist = names (List.concat history) and cur = names current in
-    ( List.filter (fun k -> not (List.mem k cur)) hist,
-      List.filter (fun k -> not (List.mem k hist)) cur )
-end
-
-(* --------------------------------------------------------- fleet monitor *)
-
-(* Live fleet view over the registry's telemetry directory: one row per
-   <run_id>.jsonl stream of snapshots, from the stream's last complete line
-   (a stream being appended to mid-line yields its previous line).
-   Everything a heartbeat reports beyond captured state — its sequence
-   number, timing, counter and GC deltas, allocation rate — is derived here
-   from consecutive lines. *)
-
-module Monitor = struct
-  type tick = {
-    snap : Snapshot.t;
-    seq : int;
-    elapsed_s : float;
-    dt_s : float;
-    deltas : (string * int) list;
-    gc_minor_delta : int;
-    minor_words_per_s : float;
-  }
-
-  (* The tick of [cur], line [seq] of a stream whose first line is [first],
-     against the line before it ([None] on the first line: counters then
-     count from zero and the GC deltas are 0).  Counters only grow between
-     resets, so one that fell was zeroed ([Obs.reset]) in between and its
-     delta counts from zero: never negative. *)
-  let tick_of ~first prev seq (cur : Snapshot.t) =
-    let base = Option.value prev ~default:{ cur with counters = [] } in
-    let dt_s = cur.wall_seconds -. base.wall_seconds in
-    let p = cur.process and p0 = base.process in
-    let words = max 0 (int_of_float (p.p_minor_words -. p0.p_minor_words)) in
-    { snap = cur;
-      seq;
-      elapsed_s = cur.wall_seconds -. first.Snapshot.wall_seconds;
-      dt_s;
-      deltas =
-        List.map
-          (fun (name, v) ->
-            let prev = Option.value ~default:0 (List.assoc_opt name base.counters) in
-            (name, if v < prev then v else v - prev))
-          cur.counters;
-      gc_minor_delta = max 0 (p.p_minor_collections - p0.p_minor_collections);
-      minor_words_per_s =
-        (if dt_s > 0. && words > 0 then float_of_int words /. dt_s else 0.) }
-
-  let fold_ticks path f init =
-    let _, _, acc =
-      fold_jsonl path
-        (fun (first, prev, acc) j ->
-          let cur = Snapshot.of_json j in
-          let first = Option.value first ~default:cur in
-          let seq = match prev with None -> 0 | Some (t : tick) -> t.seq + 1 in
-          let t = tick_of ~first (Option.map (fun t -> t.snap) prev) seq cur in
-          (Some first, Some t, f acc t))
-        (None, None, init)
-    in
-    acc
-
-  let read path = List.rev (fold_ticks path (fun acc t -> t :: acc) [])
-  let last path = fold_ticks path (fun _ t -> Some t) None
-
-  type status = Live | Stalled | Done
-
-  type row = {
-    file : string;  (* telemetry stream path *)
-    last : tick;  (* the stream's last complete line *)
-    age_s : float;  (* now - file mtime *)
-    registered : bool;  (* the run's registry snapshot file exists *)
-    rel_halfwidth : float;  (* worst unfinished task; nan when none *)
-    status : status;
-  }
-
-  let stall_factor = 5.
-
-  let status_string = function
-    | Live -> "live"
-    | Stalled -> "stalled"
-    | Done -> "done"
-
-  let final t = Snapshot.gauge t.snap "telemetry.final" = 1.
-  let interval_s t = Snapshot.gauge t.snap "telemetry.interval_s"
-
-  let row_of_stream ?(registered = false) ?now_unix file last =
-    let now_unix = match now_unix with Some t -> t | None -> Unix.gettimeofday () in
-    let age_s = Float.max 0. (now_unix -. (Unix.stat file).Unix.st_mtime) in
-    (* Worst (largest) relative half-width over unfinished tasks — the
-       fleet's convergence laggard. *)
-    let worst (c : Snapshot.campaign) =
-      List.fold_left
-        (fun acc (t : Snapshot.task_progress) ->
-          let h = t.tp_rel_halfwidth in
-          if t.tp_done || Float.is_nan h then acc
-          else if Float.is_nan acc then h
-          else Float.max h acc)
-        nan c.c_tasks
-    in
-    { file;
-      last;
-      age_s;
-      registered;
-      rel_halfwidth = Option.fold ~none:nan ~some:worst last.snap.campaign;
-      status =
-        (if final last || registered then Done
-         (* Sub-second throttle intervals would make any scheduling hiccup
-            read as a stall; the staleness window is at least one second. *)
-         else if age_s > stall_factor *. Float.max (interval_s last) 1.0 then Stalled
-         else Live) }
-
-  (* Campaign fields of a row, with [default] when the stream has no
-     campaign section. *)
-  let campaign r f default = Option.fold ~none:default ~some:f r.last.snap.campaign
-
-  (* One row per stream under <dir>/telemetry, sorted (shard, run_id) so
-     coordinator/shard families group together.  Streams with no complete
-     line yet are skipped — they will appear on the next scan — and so are
-     files holding a line that is not a snapshot. *)
-  let scan ?now_unix ~dir () =
-    let now_unix = match now_unix with Some t -> t | None -> Unix.gettimeofday () in
-    let td = Registry.telemetry_dir dir in
-    if not (Sys.file_exists td && Sys.is_directory td) then []
-    else begin
-      let run r = (r.last.snap.run.shard, r.last.snap.run.run_id) in
-      Sys.readdir td |> Array.to_list |> List.sort compare
-      |> List.filter_map (fun f ->
-             if not (Filename.check_suffix f ".jsonl") then None
-             else begin
-               let path = Filename.concat td f in
-               match last path with
-               | Some t ->
-                   let run_id = Filename.chop_suffix f ".jsonl" in
-                   let registered = Sys.file_exists (Registry.snapshot_path dir run_id) in
-                   Some (row_of_stream ~registered ~now_unix path t)
-               | None -> None
-               | exception (Sys_error _ | Failure _) -> None
-             end)
-      |> List.sort (fun a b -> compare (run a) (run b))
-    end
-
-  let row_json r =
-    let l = r.last in
-    let s = l.snap in
-    let int_gauge name = Json.Int (int_of_float (Snapshot.gauge s name)) in
-    Json.Obj
-      [ ("schema", Json.String "hetarch.monitor/2");
-        ("run", Json.String s.run.run_id);
-        ("shard", Json.String s.run.shard);
-        ("parent", Json.String s.run.parent);
-        ("status", Json.String (status_string r.status));
-        ("stalled", Json.Bool (r.status = Stalled));
-        ("final", Json.Bool (final l));
-        ("registered", Json.Bool r.registered);
-        ("seq", Json.Int l.seq);
-        ("elapsed_s", Json.Float l.elapsed_s);
-        ("age_s", Json.Float r.age_s);
-        ("interval_s", Json.Float (interval_s l));
-        ("shots", Json.Int (campaign r (fun c -> c.c_shots) 0));
-        ("shots_per_s", Json.Float (campaign r (fun c -> c.c_rate) 0.));
-        ("rel_halfwidth", Json.Float r.rel_halfwidth);
-        ("eta_s", Json.Float (campaign r (fun c -> Option.value ~default:nan c.c_eta_s) nan));
-        ("tasks_done", Json.Int (campaign r (fun c -> c.c_done) 0));
-        ("tasks", Json.Int (campaign r (fun c -> c.c_total) 0));
-        ("minor_words_per_s", Json.Float l.minor_words_per_s);
-        ("queue_depth", int_gauge "parallel.queue_depth");
-        ("busy_domains", int_gauge "parallel.busy_domains");
-        ("file", Json.String r.file) ]
-end
-
-(* ----------------------------------------------------------- trace merge *)
-
-(* Cross-process union of Chrome-trace JSONL files into one timeline.
-   Each input's ph:"M" "hetarch.run" metadata event carries ts0_unix — the
-   wall-clock instant of that process's monotonic zero — so per-process
-   clocks align by shifting every event onto the earliest process's axis:
-   shifted_ts = ts + (ts0_unix - min ts0_unix) × 1e6 µs.  The minimum is
-   order-independent, sources are deduplicated by content hash and sorted
-   canonically (run id, then hash), and each source gets pid = its
-   canonical index + 1 — so the merged bytes are identical for any input
-   ordering and merging a merge's inputs again changes nothing. *)
-
-module Trace_merge = struct
-  type source = {
-    s_meta : Trace.meta;  (* the first "hetarch.run" event *)
-    s_events : Trace.event list;  (* every other event, file order *)
-    s_hash : string;  (* content hash of the raw input text *)
-  }
-
-  type stats = {
-    sources : int;
-    events : int;
-    orphans : string list;  (* parent run ids with no source in the merge *)
-  }
-
-  let parse_source text =
-    let events =
-      String.split_on_char '\n' text
-      |> List.filter_map (fun line ->
-             match Json.parse line with
-             | j -> Some (Trace.event_of_json j)
-             | exception Failure _ -> None (* blank line or torn tail *))
-    in
-    let rec split before = function
-      | Trace.Run { meta; _ } :: rest -> (meta, List.rev_append before rest)
-      | ev :: rest -> split (ev :: before) rest
-      | [] -> failwith "Obs.Trace_merge: input has no hetarch.run metadata event"
-    in
-    let meta, events = split [] events in
-    { s_meta = meta; s_events = events; s_hash = Content_hash.hash_hex text }
-
-  let run s = s.s_meta.Trace.run
-
-  let merge texts =
-    let srcs =
-      canonical_sources (fun s -> ((run s).run_id, s.s_hash)) (List.map parse_source texts)
-    in
-    let zero =
-      List.fold_left (fun acc s -> Float.min acc s.s_meta.Trace.ts0_unix) infinity srcs
-    in
-    let run_ids = List.map (fun s -> (run s).run_id) srcs in
-    let orphans =
-      List.filter_map
-        (fun s ->
-          let parent = (run s).parent in
-          if parent <> "" && not (List.mem parent run_ids) then Some parent else None)
-        srcs
-      |> List.sort_uniq compare
-    in
-    let nevents = List.fold_left (fun acc s -> acc + List.length s.s_events) 0 srcs in
-    let buf = Buffer.create 65536 in
-    let emit ev =
-      Buffer.add_string buf (Json.to_string (Trace.event_to_json ev));
-      Buffer.add_char buf '\n'
-    in
-    emit
-      (Trace.Merged
-         { pid = 0;
-           sources = List.length srcs;
-           ts0_unix = (if srcs = [] then 0. else zero) });
-    List.iteri
-      (fun i s ->
-        let pid = i + 1 in
-        let offset_us = (s.s_meta.Trace.ts0_unix -. zero) *. 1e6 in
-        emit (Trace.Run { pid; meta = { s.s_meta with clock_offset_us = Some offset_us } });
-        List.iter
-          (fun ev ->
-            emit
-              (match ev with
-              | Trace.Span e ->
-                  Trace.Span { e with ev_pid = pid; ev_ts_us = e.ev_ts_us +. offset_us }
-              | Trace.Run r -> Trace.Run { r with pid }
-              | Trace.Merged m -> Trace.Merged { m with pid }))
-          s.s_events)
-      srcs;
-    ( Buffer.contents buf,
-      { sources = List.length srcs; events = nevents; orphans } )
+    let base = names baseline and cur = names current in
+    ( List.filter (fun k -> not (List.mem k cur)) base,
+      List.filter (fun k -> not (List.mem k base)) cur )
 end
 
 (* Zero values in place rather than dropping registrations: modules hold
@@ -2066,27 +1391,20 @@ let reset () =
   Trace.reset ()
 
 (* Hook the deterministic executor (which sits below this library in the
-   dependency order and therefore cannot call it directly):
-   - workers inherit the submitting caller's span path, so profile trees
-     and folded stacks are identical at any --jobs setting.  Allocation
-     attribution inherits for free: GC word counters are domain-local and
-     each span's alloc window is a delta of its own domain's counters, so
-     a task span on a worker domain measures exactly the task body's
-     allocation and books it under the submitting caller's path — the
-     worker's alloc baseline is the span entry sample itself, taken after
-     the inherited path is installed;
-   - every completed task offers the telemetry heartbeat a (throttled,
-     domain-safe) chance to tick, so long fan-outs stream progress without
-     a background thread. *)
+   dependency order and therefore cannot call it directly): workers inherit
+   the submitting caller's span path, so profile trees and folded stacks
+   are identical at any --jobs setting.  Allocation attribution inherits
+   for free: GC word counters are domain-local and each span's alloc
+   window is a delta of its own domain's counters, so a task span on a
+   worker domain measures exactly the task body's allocation and books it
+   under the submitting caller's path — the worker's alloc baseline is the
+   span entry sample itself, taken after the inherited path is installed. *)
 let () =
   Parallel.task_context :=
     (fun () ->
       (* Force the run identity in the submitting domain before any fan
-         out: the id and the parent are lazies, and a telemetry tick on a
-         worker domain may capture a snapshot — concurrent first forces
-         racing each other would be unsafe. *)
+         out: the id is a lazy, and first forces racing each other from
+         worker domains would be unsafe. *)
       ignore (Run.id ());
-      ignore (Run.parent ());
       let inherited = !(Domain.DLS.get Trace.stack_key) in
-      fun () -> Domain.DLS.get Trace.stack_key := inherited);
-  Parallel.on_task_done := (fun () -> Telemetry.tick ())
+      fun () -> Domain.DLS.get Trace.stack_key := inherited)

@@ -11,9 +11,9 @@
       buffer, exportable as Chrome-trace-compatible JSONL.  The ring is
       allocated as spans arrive, so an untraced process keeps none of it.
     - {b run snapshots} — {!Snapshot.capture} records the whole registry,
-      the span aggregates and a GC sample as one mergeable document per
-      run: the only serialized run state ([--metrics], the run registry,
-      each telemetry line, fleet merges).
+      the span aggregates and a GC sample as one document per run: the
+      only serialized run state ([--metrics]).  Readers ([obs report],
+      [obs diff]) decode it; [obs top] reads the trace.
 
     Metric names follow the [subsystem.noun_unit] convention
     (e.g. [des.events_total], [pauli.dem_sample_seconds]).  Nothing here
@@ -66,12 +66,9 @@ val fold_jsonl : string -> ('a -> Json.t -> 'a) -> 'a -> 'a
     leaves behind) are skipped.  The collect ledger replays through it
     too.  Raises [Sys_error] if the file cannot be opened. *)
 
-(** Process-level run identity, stamped into every observability artifact
-    (snapshots, telemetry lines, Chrome-trace exports) so
-    fleet tooling can correlate the artifacts of one run after the fact.
-    A process names itself by its run id alone; a child forked by a
-    fleet coordinator records the coordinator's run id as its parent, which
-    is what lets [obs trace-merge] and [obs monitor] join the fleet. *)
+(** Process-level run identity, stamped into both artifacts of a run (the
+    snapshot and the Chrome-trace export), so the two can be matched after
+    the fact.  A process names itself by its run id alone. *)
 module Run : sig
   val id : unit -> string
   (** Stable 64-bit run id as 16 hex digits: a content hash of argv, pid
@@ -83,21 +80,12 @@ module Run : sig
   (** Wall-clock process start, unix seconds. *)
 
   val set_shard : string -> unit
-  (** Set the free-form shard label ("shard0/3", a host name, ...) carried
-      by every artifact; empty by default.  Set once at startup. *)
+  (** Set the shard label (["shard0/3"]) carried by both artifacts; empty
+      by default.  [collect --shard] sets it once at startup. *)
 
   val shard : unit -> string
 
-  val parent_env : string
-  (** ["HETARCH_PARENT_RUN"]: the environment variable a coordinator sets
-      to its own run id in each child's environment. *)
-
-  val parent : unit -> string
-  (** The parent's run id, read once from {!parent_env}; [""] for a root
-      process.  A value that is not 16 lowercase hex digits warns once on
-      stderr and leaves the process a root. *)
-
-  type stamp = { run_id : string; shard : string; parent : string }
+  type stamp = { run_id : string; shard : string }
   (** The run identity that snapshots and trace metadata embed. *)
 
   val stamp : unit -> stamp
@@ -216,14 +204,11 @@ module Trace : sig
       "args":{"depth":…,"path":…,…}}].  [tid] is the
       recording domain, so Perfetto renders one track per domain; nesting
       depth and the caller path travel in [args].  The first line is a
-      [ph:"M"] ["hetarch.run"] metadata event carrying {!Run.stamp}
-      plus [ts0_unix] — the wall-clock instant of this process's monotonic
-      zero, the clock handshake {!Trace_merge} aligns timelines with. *)
+      [ph:"M"] ["hetarch.run"] metadata event carrying {!Run.stamp}. *)
 
   type event
-  (** One line of a trace file: a ["hetarch.run"] metadata event, a merged
-      trace's ["hetarch.trace_merge"] header, or a span's complete
-      ([ph:"X"]) event.  {!export} and {!Trace_merge} write these through
+  (** One line of a trace file: the ["hetarch.run"] metadata event or a
+      span's complete ([ph:"X"]) event.  {!export} writes these through
       {!event_to_json}; every reader goes through {!event_of_json}. *)
 
   val event_to_json : event -> Json.t
@@ -273,8 +258,8 @@ module Profile : sig
       zero-count interior nodes. *)
 
   val of_events : Trace.event list -> node list
-  (** The tree of a trace file's spans, every source of a merged trace in
-      one tree.  Times are µs-granular; counts, words and shape exact. *)
+  (** The tree of a trace file's spans.  Times are µs-granular; counts,
+      words and shape exact. *)
 
   val folded : ?weight:[ `Self | `Count | `Alloc ] -> node list -> string
   (** Folded-stack text ([root;child;leaf weight], one line per node with a
@@ -298,49 +283,17 @@ module Profile : sig
       path); [limit] defaults to 20, [sort] to self time. *)
 end
 
-(** Append-only JSONL telemetry heartbeat: one {!Snapshot} document per
-    line, the first written at {!enable} and the last by {!disable}.  Before
-    each capture the writer sets two gauges: [telemetry.interval_s], its
-    throttle interval, and [telemetry.final], 1 on the closing line and 0
-    otherwise, so readers can tell a completed stream from a stalled one.
-    {!disable} unregisters both after the closing line.  Everything else a heartbeat reports (deltas, rates) {!Monitor} derives
-    from consecutive lines.
-
-    Ticks are driven {e synchronously} from [Parallel] chunk boundaries and
-    [Collect] batch completions; there is no background thread, so enabling
-    telemetry cannot change any computed result.  A disabled tick costs one
-    atomic load; an enabled one is throttled to the configured interval. *)
-module Telemetry : sig
-  val enable : path:string -> interval_s:float -> unit
-  (** Open (truncating) [path], write a baseline line, and start accepting
-      ticks at most every [interval_s] seconds ([0.] = every tick).
-      Re-enabling closes the previous sink first. *)
-
-  val disable : unit -> unit
-  (** Write one final forced line and close the sink.  No-op when
-      telemetry was never enabled.  Also installed as an [at_exit] hook by
-      {!enable}, so a run that exits between ticks (including via [exit]
-      deep inside a command) still leaves a complete final heartbeat. *)
-
-  val enabled : unit -> bool
-
-  val tick : ?force:bool -> unit -> unit
-  (** Append a line if enabled and the interval has elapsed ([force]
-      bypasses the throttle).  Domain-safe. *)
-end
-
 (** Complete, content-hashed serialization of one process's obs state
-    (schema [hetarch.snapshot/5]) — the only captured run state: what
-    [--metrics] writes, what the {!Registry} stores, each line of a
-    {!Telemetry} stream, and the unit {!Merge} folds.
+    (schema [hetarch.snapshot/6]) — the only captured run state: what
+    [--metrics] writes, and what [obs report] and [obs diff] read.
 
-    A snapshot carries the {e raw mergeable state}, each fact once: integer
+    A snapshot carries the {e raw state}, each fact once: integer
     bucket counts in the one {!Histogram} layout, Welford
     [(count, mean, m2)] triples, per-caller-path aggregates including raw
     allocation words (they reconstruct the profile trie — time and
     allocation — exactly via {!Profile.of_totals}, and the per-name totals
     via {!span_totals}), the GC/process section, and run metadata (run id,
-    shard label, parent run id, argv, wall span, jobs), plus the campaign
+    shard label, argv, wall span, jobs), plus the campaign
     progress section while a provider is set ({!set_campaign}).  Derived
     quantities (quantiles, variance, rates, per-name totals) are left to
     readers.
@@ -426,9 +379,6 @@ module Snapshot : sig
       the same value — returns that exact value.  [nan] when empty; raises
       [Invalid_argument] on [q] outside [0, 1]. *)
 
-  val gauge : t -> string -> float
-  (** A gauge's captured value; [0.] when absent. *)
-
   val span_totals : t -> (string * int * int64 * int * int * int) list
   (** Per-name [(name, count, total_ns, minor_w, promoted_w, major_w)]
       totals, sorted by name: [paths] grouped by each path's last segment,
@@ -447,9 +397,10 @@ module Snapshot : sig
 
   val to_json : t -> Json.t
   val of_json : Json.t -> t
-  (** Raises [Failure] on another schema or a malformed document — including
-      a histogram whose [counts] do not match the bucket layout in length,
-      or with a negative count or overflow. *)
+  (** Raises [Failure] on anything but a JSON object, another schema or a
+      malformed document — including a histogram whose [counts] do not
+      match the bucket layout in length, or with a negative count or
+      overflow. *)
 
   val content_hash : t -> string
   (** 16-hex-digit hash of the canonical serialization (excluding the
@@ -462,241 +413,48 @@ module Snapshot : sig
   val load : string -> t
 end
 
-(** Deterministic, order-insensitive union of snapshots into one fleet view.
-
-    The sources fold into one {!Snapshot.t} in a canonical order (run id,
-    then content hash, duplicates removed) — so the output is
-    {e byte-identical} regardless of merge order, merge grouping, or the
-    [--jobs] setting of the source processes, even though float addition
-    itself is not associative.  Counters, gauges, path aggregates (times
-    and allocation words alike) and the process section sum, except the
-    peak heap, which takes the max; histograms, all in the one bucket
-    layout, bucket-merge and combine Welford states exactly (Chan's
-    parallel update).
-
-    The fleet view on disk is a JSON array of the canonical sources'
-    snapshot documents; readers recompute the merged state with {!merged}. *)
-module Merge : sig
-  type t
-
-  val of_snapshots : Snapshot.t list -> t
-  val union : t -> t -> t
-  (** Commutative, associative and idempotent up to byte equality of
-      [to_json]. *)
-
-  val sources : t -> Snapshot.t list
-  (** Deduplicated sources in canonical order. *)
-
-  val merged : t -> Snapshot.t
-  (** The sources folded into one snapshot.  Its run fields are empty
-      except [started_unix] and [wall_seconds], which span the sources'
-      window; it has no campaign section. *)
-
-  val to_json : t -> Json.t
-
-  val of_json : Json.t -> t
-  (** Accepts a snapshot document or a fleet view (flattened back to its
-      sources, so merging merged documents is exact).  Raises [Failure] on
-      anything else, including a source {!Snapshot.of_json} refuses. *)
-end
-
-(** The run registry under [HETARCH_OBS_DIR]: one snapshot file
-    [<dir>/snapshots/<run_id>.json] per recorded run, written atomically.
-    The files are the registry — there is no index — so a hand-deleted
-    snapshot is simply a run no longer listed, and a run recorded twice
-    under one pinned run id is one run. *)
-module Registry : sig
-  val cmd_of_argv : string list -> string
-  (** The command key runs are grouped under: the leading non-flag argv
-      words after the executable (e.g. ["collect uec"]), falling back to
-      the executable basename. *)
-
-  val set_dir : string option -> unit
-  (** Override the registry directory ([Some dir]), or fall back to the
-      [HETARCH_OBS_DIR] environment variable ([None], the default). *)
-
-  val dir : unit -> string option
-  (** Effective registry directory; [None] disables the registry. *)
-
-  val record : ?dir:string -> Snapshot.t -> string option
-  (** Write the snapshot to [<dir>/snapshots/<run_id>.json] (atomically,
-      replacing a run of the same id) and return that path; [None] when no
-      directory is configured. *)
-
-  val runs : ?dir:string -> unit -> Snapshot.t list * int
-  (** Every [*.json] file under [<dir>/snapshots] that decodes, sorted by
-      [started_unix], then run id, and the number of [*.json] files that
-      do not decode (another schema, a hand-edited or torn file).  Other
-      files, such as writer temp files, are ignored.  [([], 0)] without a
-      configured directory. *)
-
-  val find : ?dir:string -> string -> string option
-  (** The snapshot file of the run whose id starts with the given prefix;
-      [None] on no match; raises [Failure] when the prefix matches several
-      run ids. *)
-
-  val telemetry_sink : ?dir:string -> string -> string option
-  (** [telemetry_sink run_id] creates the telemetry directory and returns
-      the stream path for [run_id]; [None] when no registry directory is
-      configured. *)
-end
-
-(** Reader of {!Telemetry} streams, and the live fleet view over
-    [<dir>/telemetry]: one row per stream, from its last complete line.
-    [Done] when that line has [telemetry.final] = 1 or the run's registry
-    snapshot file exists; [Stalled] when the file has gone untouched for
-    [stall_factor × max(telemetry.interval_s, 1 s)] — judged against the
-    stream's {e own} declared throttle interval; [Live] otherwise.
-    [obs monitor FILE] prints the same row for one stream. *)
-module Monitor : sig
-  type tick = {
-    snap : Snapshot.t;  (** the line itself *)
-    seq : int;  (** 0-based index among the stream's complete lines *)
-    elapsed_s : float;  (** [wall_seconds] since the first line *)
-    dt_s : float;  (** since the previous line; [0.] on the first *)
-    deltas : (string * int) list;
-        (** counters since the previous line (from zero on the first).  A
-            counter that fell was zeroed by {!Obs.reset} in between, and
-            counts from zero; one that had already passed its old value by
-            the next line reads as growth from it. *)
-    gc_minor_delta : int;  (** minor collections since the previous line *)
-    minor_words_per_s : float;
-        (** minor words allocated since the previous line per second; [0.]
-            when [dt_s] is 0 *)
-  }
-  (** One line of a stream with what consecutive lines imply. *)
-
-  val read : string -> tick list
-  (** Every complete line of a stream, in order.  Blank and torn
-      (unparsable) lines are skipped; a line that is not a snapshot raises
-      [Failure]. *)
-
-  val last : string -> tick option
-  (** The stream's last complete line, as {!read} would give it, decoding
-      every line but keeping none; [None] for a stream without one. *)
-
-  type status = Live | Stalled | Done
-
-  type row = {
-    file : string;  (** telemetry stream path *)
-    last : tick;  (** the stream's last complete line *)
-    age_s : float;  (** now − file mtime *)
-    registered : bool;  (** the run's registry snapshot file exists *)
-    rel_halfwidth : float;  (** worst unfinished task; [nan] when none *)
-    status : status;
-  }
-
-  val stall_factor : float
-  (** 5.0 — five missed heartbeats flag a stall. *)
-
-  val row_of_stream : ?registered:bool -> ?now_unix:float -> string -> tick -> row
-  (** The row for the stream at [path] whose last line is given;
-      [registered] (default false) marks the run done. *)
-
-  val scan : ?now_unix:float -> dir:string -> unit -> row list
-  (** One row per stream whose lines all decode as snapshots, sorted
-      [(shard, run_id)] so coordinator/shard families group together.
-      [now_unix] pins the staleness clock (tests). *)
-
-  val status_string : status -> string
-  (** ["live"] / ["stalled"] / ["done"]. *)
-
-  val row_json : row -> Json.t
-  (** Machine-readable row, schema [hetarch.monitor/2] — the
-      [obs monitor --once] output format. *)
-end
-
-(** Cross-process union of Chrome-trace JSONL files into one timeline.
-
-    Each input's [ph:"M"] ["hetarch.run"] metadata event carries
-    [ts0_unix] — the wall-clock instant of that process's monotonic
-    zero — so per-process clocks align by shifting every event onto the
-    earliest process's axis: [ts' = ts + (ts0_unix − min ts0_unix) × 1e6]
-    µs.  The minimum is order-independent, sources are deduplicated by
-    content hash and sorted canonically (run id, then hash), and each
-    source is assigned [pid = canonical index + 1] — so the merged bytes
-    are identical for any input ordering, and merging a merge's inputs
-    again changes nothing.  The output opens with a
-    ["hetarch.trace_merge"] metadata event (schema [hetarch.tracemerge/1])
-    followed by each source's re-emitted metadata event (with its
-    [clock_offset_us]) and shifted span events. *)
-module Trace_merge : sig
-  type stats = {
-    sources : int;  (** after deduplication *)
-    events : int;  (** non-metadata events emitted *)
-    orphans : string list;
-        (** parent run ids named by some source but not among the merged
-            sources' run ids — a shard merged without its coordinator *)
-  }
-
-  val merge : string list -> string * stats
-  (** [merge texts] unions raw trace-file contents into one JSONL
-      timeline.  Torn trailing lines in the inputs are skipped; raises
-      [Failure] if an event does not decode ({!Trace.event_of_json}) or an
-      input has no ["hetarch.run"] metadata event. *)
-end
-
-(** The regression judge, over one explicit baseline or registry history.
-
-    The current value of each metric is judged against the {e median} of
-    its history with a median-absolute-deviation noise band —
-    [limit = median + max(nmad * 1.4826 * MAD, min_pct% of median)].
-    The MAD is robust (one historic outlier cannot shift or widen the
-    gate), 1.4826·MAD estimates sigma under normal noise, and the
-    [min_pct] floor keeps near-deterministic metrics (MAD ≈ 0) from
-    flagging on harmless jitter.  A one-point history is a baseline: the
-    MAD is 0 and the limit [baseline * (1 + min_pct/100)]; a metric that
-    grows from 0 has limit 0, so it gates. *)
+(** The regression judge: one run against one baseline run.  A metric
+    regresses when its current value exceeds
+    [baseline * (1 + threshold_pct/100)]; a metric that grows from 0 has
+    limit 0, so it regresses at any threshold. *)
 module Trend : sig
   type verdict = {
     v_metric : string;
+    v_baseline : float;
     v_current : float;
-    v_median : float;  (** the current value when no history carries it *)
-    v_limit : float;  (** regression boundary; [infinity] on thin history *)
-    v_samples : int;  (** history points that carried this metric *)
+    v_limit : float;  (** regression boundary *)
     v_regression : bool;
   }
 
-  val default_nmad : float
-  (** 5.0 — flag only ~5-sigma excursions. *)
-
-  val default_min_pct : float
-  (** 10%, the floor against registry history. *)
-
-  val default_baseline_pct : float
-  (** 20%, the threshold against one explicit baseline. *)
+  val default_threshold_pct : float
+  (** 20%. *)
 
   val metrics_of : Snapshot.t -> (string * float) list
   (** The worse-when-higher metrics of one run, from
       {!Snapshot.span_totals}: span [total_ns] (as [span:<name>]), span
-      minor-word totals ([alloc:<name>]) and finite
-      histogram means ([hist:<name>.mean]).  For a fleet view pass
-      {!Merge.merged}. *)
+      minor-word totals ([alloc:<name>]) and finite histogram means
+      ([hist:<name>.mean]). *)
 
   val judge :
-    ?nmad:float ->
-    ?min_pct:float ->
+    ?threshold_pct:float ->
     ?noise_floor_ns:float ->
-    ?min_samples:int ->
-    history:(string * float) list list ->
+    baseline:(string * float) list ->
     (string * float) list ->
     verdict list
-  (** [judge ~history current], one verdict per current metric, sorted by
-      name.  A metric carried by fewer than [min_samples] (default 2; 1
-      against an explicit baseline) history points is never flagged.
-      [noise_floor_ns] (default 0) never flags a metric whose current and
-      median values are both below the floor. *)
+  (** [judge ~baseline current], one verdict per metric both runs carry,
+      sorted by name.  [threshold_pct] defaults to
+      {!default_threshold_pct}; [noise_floor_ns] (default 0) never flags a
+      metric whose current and baseline values are both below the floor. *)
 
   val delta_pct : verdict -> float
-  (** [100 * (current - median) / median]; [infinity] for a rise from 0,
-      [0.] when both are 0. *)
+  (** [100 * (current - baseline) / baseline]; [infinity] for a rise from
+      0, [0.] when both are 0. *)
 
   val regressions : verdict list -> verdict list
   (** The flagged verdicts, largest {!delta_pct} first. *)
 
   val only_in :
-    history:(string * float) list list -> (string * float) list ->
-    string list * string list
-  (** Metric names found only in the history and only in the current run,
+    baseline:(string * float) list -> (string * float) list -> string list * string list
+  (** Metric names found only in the baseline and only in the current run,
       each sorted. *)
 end

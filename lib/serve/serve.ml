@@ -552,8 +552,8 @@ let stop = ref false
 
 let compute_traced q =
   (* Per-request spans nest under the daemon's root span; the request hash
-     names the request, so fleet tooling can join a span against response
-     bodies and store entries. *)
+     names the request, so a span joins against response bodies and store
+     entries. *)
   Obs.Trace.with_span
     ~attrs:[ ("kind", q.kind); ("request", q.hash) ]
     "serve.request"
@@ -746,7 +746,6 @@ let run ?(max_queue = 64) endpoint =
   in
   Fun.protect ~finally (fun () ->
       while not !stop do
-        Obs.Telemetry.tick ();
         conns :=
           List.filter
             (fun c -> if c.alive then true else (close_fd c.fd; false))

@@ -130,8 +130,8 @@ val run : ?max_queue:int -> endpoint -> unit
     computed request runs under a [serve.request] span whose [request]
     attribute is the request hash.
 
-    Returns normally on shutdown — the CLI's finalizers (telemetry flush,
-    snapshot, registry record) run exactly once on the way out, SIGTERM
+    Returns normally on shutdown — the CLI's finalizers ([--metrics]
+    snapshot, [--trace] export) run exactly once on the way out, SIGTERM
     included. *)
 
 val request : ?retry_for:float -> endpoint -> string -> string

@@ -1,5 +1,5 @@
-(** The two file-system operations every on-disk artifact shares: the
-    characterization store's records and the run registry's snapshots. *)
+(** The two file-system operations the on-disk artifacts share: the
+    characterization store's records and the [--metrics] snapshot. *)
 
 val mkdir_p : string -> unit
 (** Create a directory and any missing parents; an existing one is fine. *)

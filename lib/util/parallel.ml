@@ -32,18 +32,17 @@ let tasks_total = Atomic.make 0
 let domains_spawned_total = Atomic.make 0
 let stats () = (Atomic.get tasks_total, Atomic.get domains_spawned_total)
 
-(* Live queue/worker gauges for fleet monitoring: [queue_remaining] counts
-   submitted-but-unclaimed tasks across every in-flight [run];
-   [busy_domains] counts domains currently executing tasks (including the
-   submitting domain while it works its own share).  Both are advisory
-   instantaneous values — telemetry samples them mid-run via the
-   [on_task_done] hook — and both return to zero when every [run] exits,
-   including on the exception path. *)
+(* Live queue/worker counts for the serve daemon's stats reply:
+   [queue_remaining] counts submitted-but-unclaimed tasks across every
+   in-flight [run]; [busy_domains] counts domains currently executing tasks
+   (including the submitting domain while it works its own share).  Both
+   are advisory instantaneous values, and both return to zero when every
+   [run] exits, including on the exception path. *)
 let queue_remaining = Atomic.make 0
 let busy_domains = Atomic.make 0
 let queue_stats () = (Atomic.get queue_remaining, Atomic.get busy_domains)
 
-(* Upward hooks (installed by lib/obs, which sits above this library).
+(* Upward hook (installed by lib/obs, which sits above this library).
 
    [task_context] is called once in the submitting domain per [run]; the
    closure it returns is called once in each worker domain before that
@@ -55,14 +54,8 @@ let queue_stats () = (Atomic.get queue_remaining, Atomic.get busy_domains)
    exactly the words the task itself allocated (under the inherited caller
    path); nothing of the submitting domain's allocation leaks in, and
    per-path span counts — and, for sequential workloads, minor-word
-   totals — stay identical across --jobs settings.
-
-   [on_task_done] fires after every completed task, in whichever domain ran
-   it.  lib/obs points it at the telemetry tick, giving long fan-outs a
-   live heartbeat at chunk boundaries without any background thread; the
-   default is free, and implementations must be domain-safe and cheap. *)
+   totals — stay identical across --jobs settings. *)
 let task_context : (unit -> unit -> unit) ref = ref (fun () () -> ())
-let on_task_done : (unit -> unit) ref = ref (fun () -> ())
 
 (* Set while a domain executes the tasks of a multi-domain run.  A run
    started from inside such a task goes inline (j = 1): a sweep point's
@@ -107,9 +100,7 @@ let run ?jobs:requested tasks =
           Array.map
             (fun f ->
               claim ();
-              let v = f () in
-              !on_task_done ();
-              v)
+              f ())
             tasks)
     end
     else begin
@@ -134,9 +125,7 @@ let run ?jobs:requested tasks =
               else begin
                 claim ();
                 match tasks.(i) () with
-                | v ->
-                    results.(i) <- Some v;
-                    !on_task_done ()
+                | v -> results.(i) <- Some v
                 | exception e -> ignore (Atomic.compare_and_set error None (Some e))
               end
             done)

@@ -65,8 +65,9 @@ val queue_stats : unit -> int * int
 (** [(queue_remaining, busy_domains)] instantaneous gauges: tasks submitted
     to in-flight {!run} calls but not yet claimed by a domain, and domains
     currently executing tasks (the submitting domain counts while it works
-    its own share).  Telemetry samples these mid-run; both return to zero
-    once every [run] exits, including on the exception path. *)
+    its own share).  The serve daemon's [stats] reply reads these; both
+    return to zero once every [run] exits, including on the exception
+    path. *)
 
 val task_context : (unit -> unit -> unit) ref
 (** Upward hook for layers above this library (installed by [Obs]).  Called
@@ -74,8 +75,3 @@ val task_context : (unit -> unit -> unit) ref
     once in each worker domain before it claims tasks.  Used to propagate
     the caller's span path so traces nest identically at any job count.
     Default: no-op. *)
-
-val on_task_done : (unit -> unit) ref
-(** Upward hook fired after every completed task, in whichever domain ran
-    it — the chunk-boundary heartbeat for telemetry.  Implementations must
-    be domain-safe and cheap; the default is a no-op. *)

@@ -321,6 +321,27 @@ let test_json_string_fuzz_roundtrip =
       parse (to_string (String s)) = String s
       && parse (to_string (Obj [ (s, Int 1) ])) = Obj [ (s, Int 1) ])
 
+(* Fuzz: on any byte string the parser returns a tree or raises
+   [Failure], nothing else.  Inputs mix arbitrary bytes with JSON
+   punctuation, number characters and literal prefixes, so deep nesting,
+   torn escapes and malformed numbers all occur. *)
+let test_json_parse_only_failure =
+  let open QCheck.Gen in
+  let token =
+    frequency
+      [ (3, map (String.make 1) char);
+        (4, oneofl [ "["; "]"; "{"; "}"; ","; ":"; "\""; "\\"; "\\u"; "\\ud83d"; " " ]);
+        (2, oneofl [ "-"; "+"; "."; "e"; "E"; "0"; "1e308"; "9223372036854775807"; "1e999" ]);
+        (1, oneofl [ "tru"; "true"; "fals"; "null"; "nul" ]) ]
+  in
+  let gen = map (String.concat "") (list_size (0 -- 40) token) in
+  QCheck.Test.make ~count:5000 ~name:"json parse raises only Failure"
+    (QCheck.make ~print:String.escaped gen)
+    (fun s ->
+      match Obs.Json.parse s with
+      | _ | (exception Failure _) -> true
+      | exception e -> QCheck.Test.fail_reportf "raised %s" (Printexc.to_string e))
+
 (* String rendering against the escape that always built a copy: the fast
    path that returns a string needing no escape as it is must render the
    same bytes.  Strings mix quotes, backslashes, control bytes, DEL,
@@ -571,6 +592,7 @@ let () =
           Alcotest.test_case "json unicode escapes" `Quick test_json_unicode_escapes;
           QCheck_alcotest.to_alcotest test_json_string_fuzz_roundtrip;
           QCheck_alcotest.to_alcotest test_json_escape_matches_copying;
+          QCheck_alcotest.to_alcotest test_json_parse_only_failure;
           Alcotest.test_case "report" `Quick test_report_roundtrip;
           Alcotest.test_case "report process section" `Quick
             test_report_process_section;

@@ -1,8 +1,7 @@
-(* Tests for the call-tree profiler, the telemetry heartbeat, and the
-   snapshot diff gate: tree structure and the self-time telescoping
-   identity, path integrity on exception exits, folded-stack determinism
-   across --jobs, the telemetry stream and the deltas its reader derives
-   across Obs.reset, and regression detection on crafted documents. *)
+(* Tests for the call-tree profiler, the trace codec and the snapshot diff
+   gate: tree structure and the self-time telescoping identity, path
+   integrity on exception exits, folded-stack determinism across --jobs,
+   trace re-reading, and regression detection on crafted documents. *)
 
 let spin () = ignore (Sys.opaque_identity (Array.init 2000 (fun i -> i * i)))
 
@@ -195,178 +194,12 @@ let test_self_alloc_deterministic_sequential () =
   Alcotest.(check bool) "work rows carry positive weight" true
     (contains a "seq;work ")
 
-(* ------------------------------------------------------------ telemetry *)
-
-let test_telemetry_deltas_across_reset () =
-  Obs.reset ();
-  let c = Obs.Counter.create "telemetry_test.events_total" in
-  let path = Filename.temp_file "hetarch_telemetry" ".jsonl" in
-  Fun.protect
-    ~finally:(fun () -> Sys.remove path)
-    (fun () ->
-      Obs.Telemetry.enable ~path ~interval_s:0.;
-      Alcotest.(check bool) "enabled" true (Obs.Telemetry.enabled ());
-      Obs.Counter.add c 10;
-      Obs.Telemetry.tick ~force:true ();
-      (* Zeroing every metric drops the counter to 3: the reader takes the
-         fall for a reset and counts from zero, +3 rather than 3 - 10 = -7. *)
-      Obs.reset ();
-      Obs.Counter.add c 3;
-      Obs.Telemetry.tick ~force:true ();
-      Obs.Counter.add c 4;
-      Obs.Telemetry.disable ();
-      Alcotest.(check bool) "disabled" false (Obs.Telemetry.enabled ());
-      Alcotest.(check bool) "writer gauges leave with the writer" true
-        (List.for_all
-           (fun (n, _) -> not (String.starts_with ~prefix:"telemetry." n))
-           (Obs.Snapshot.capture ()).gauges);
-      let delta_of (t : Obs.Monitor.tick) =
-        List.assoc "telemetry_test.events_total" t.deltas
-      in
-      match Obs.Monitor.read path with
-      | [ baseline; first; after_reset; final ] as ticks ->
-          List.iteri
-            (fun i (t : Obs.Monitor.tick) ->
-              Alcotest.(check int) (Printf.sprintf "line %d seq" i) i t.seq;
-              Alcotest.(check bool)
-                (Printf.sprintf "line %d run stamp" i)
-                true
-                (t.snap.run = (List.hd ticks).snap.run);
-              Alcotest.(check bool)
-                (Printf.sprintf "line %d elapsed" i)
-                true
-                (t.elapsed_s = t.snap.wall_seconds -. baseline.snap.wall_seconds
-                && t.dt_s >= 0.))
-            ticks;
-          Alcotest.(check int) "baseline delta zero" 0 (delta_of baseline);
-          Alcotest.(check int) "first tick sees +10" 10 (delta_of first);
-          Alcotest.(check int) "post-reset tick sees +3, not -7" 3
-            (delta_of after_reset);
-          Alcotest.(check int) "final line sees +4" 4 (delta_of final)
-      | ticks -> Alcotest.failf "expected 4 lines, got %d" (List.length ticks))
-
-let test_telemetry_tick_noop_when_disabled () =
-  Obs.reset ();
-  (* Must not raise or write anywhere. *)
-  Obs.Telemetry.tick ();
-  Obs.Telemetry.tick ~force:true ();
-  Obs.Telemetry.disable ();
-  Alcotest.(check bool) "still disabled" false (Obs.Telemetry.enabled ())
-
 (* ---------------------------------------------------------------- codecs *)
-
-(* The CLI binary is a declared dependency of this test (see test/dune)
-   and lives next to the test executable in the build tree. *)
-let hetarch_bin =
-  Filename.concat
-    (Filename.dirname (Filename.dirname Sys.executable_name))
-    (Filename.concat "bin" "main.exe")
 
 let raises_failure f = match f () with _ -> false | exception Failure _ -> true
 
-(* A real campaign's telemetry stream, written with the given extra flags
-   into a temporary file that [f] reads. *)
-let with_collect_stream flags f =
-  let path = Filename.temp_file "hetarch_collect" ".telemetry.jsonl" in
-  let ledger = Filename.temp_file "hetarch_collect" ".ledger.jsonl" in
-  Fun.protect
-    ~finally:(fun () -> Sys.remove path; Sys.remove ledger)
-    (fun () ->
-      let cmd =
-        Filename.quote_command hetarch_bin ~stdout:"/dev/null"
-          ([ "collect"; "threshold"; "--seed"; "7"; "--batch"; "256"; "--ledger"; ledger;
-             "--telemetry"; path; "--telemetry-interval"; "0" ]
-          @ flags)
-      in
-      Alcotest.(check int) "collect exits 0" 0 (Sys.command cmd);
-      f path)
-
-(* Every line a real campaign writes is a snapshot that re-encodes to the
-   same bytes; only the last is marked final, and it carries the campaign.
-   Dropping any section the writer always emits is rejected. *)
-let test_telemetry_codec_roundtrip () =
-  with_collect_stream [ "--max-shots"; "512" ] (fun path ->
-      let lines = In_channel.with_open_text path In_channel.input_lines in
-      Alcotest.(check bool) "several lines" true (List.length lines > 2);
-      let snaps =
-        List.mapi
-          (fun i line ->
-            let s = Obs.Snapshot.of_json (Obs.Json.parse line) in
-            Alcotest.(check string)
-              (Printf.sprintf "line %d re-encodes byte-equal" i)
-              line
-              (Obs.Json.to_string (Obs.Snapshot.to_json s));
-            s)
-          lines
-      in
-      let final s = Obs.Snapshot.gauge s "telemetry.final" in
-      Alcotest.(check (list (float 0.))) "only the last line is final"
-        (List.mapi (fun i _ -> if i = List.length snaps - 1 then 1. else 0.) snaps)
-        (List.map final snaps);
-      let last = List.nth snaps (List.length snaps - 1) in
-      Alcotest.(check bool) "last line carries the campaign" true (last.campaign <> None);
-      Alcotest.(check (float 0.)) "interval gauge" 0.
-        (Obs.Snapshot.gauge last "telemetry.interval_s");
-      match Obs.Json.parse (List.nth lines (List.length lines - 1)) with
-      | Obs.Json.Obj kvs ->
-          List.iter
-            (fun key ->
-              Alcotest.(check bool) ("without " ^ key ^ " rejected") true
-                (raises_failure (fun () ->
-                     Obs.Snapshot.of_json (Obs.Json.Obj (List.remove_assoc key kvs)))))
-            [ "schema"; "run"; "counters"; "gauges"; "histograms"; "paths"; "process" ]
-      | _ -> Alcotest.fail "line is not an object")
-
-(* A stream cut at any byte reads as its longest prefix of complete lines —
-   a line is complete once its last byte is in, with or without its
-   newline — and as the empty stream before the first one.  The reader
-   never raises and never reports a row the complete lines do not give. *)
-let test_telemetry_cut_every_byte () =
-  (* Halted after its first ledger append, the campaign still writes a
-     complete stream — baseline, heartbeats, final line — of four lines. *)
-  with_collect_stream [ "--max-shots"; "256"; "--jobs"; "1"; "--halt-after"; "1" ] (fun path ->
-      let text = In_channel.with_open_bin path In_channel.input_all in
-      let ends =
-        List.filter_map
-          (fun i -> if text.[i] = '\n' then Some i else None)
-          (List.init (String.length text) Fun.id)
-      in
-      Alcotest.(check bool) "at least three lines" true (List.length ends >= 3);
-      let cut = Filename.temp_file "hetarch_cut" ".jsonl" in
-      Fun.protect
-        ~finally:(fun () -> Sys.remove cut)
-        (fun () ->
-          (* Every file read here gets one mtime, so rows differ only by
-             what the stream holds. *)
-          let row_of bytes =
-            Out_channel.with_open_bin cut (fun oc -> Out_channel.output_string oc bytes);
-            Unix.utimes cut 1e9 1e9;
-            Option.map
-              (fun t ->
-                Obs.Json.to_string
-                  (Obs.Monitor.row_json (Obs.Monitor.row_of_stream ~now_unix:(1e9 +. 1.) cut t)))
-              (Obs.Monitor.last cut)
-          in
-          (* [expected.(k)]: the row of the first k lines. *)
-          let expected =
-            Array.of_list (None :: List.map (fun e -> row_of (String.sub text 0 (e + 1))) ends)
-          in
-          Alcotest.(check bool) "every prefix of complete lines has a row" true
-            (Array.for_all Option.is_some (Array.sub expected 1 (Array.length expected - 1)));
-          for n = 0 to String.length text do
-            let complete = List.length (List.filter (fun e -> e <= n) ends) in
-            match row_of (String.sub text 0 n) with
-            | row ->
-                if row <> expected.(complete) then
-                  Alcotest.failf "cut at %d/%d: row differs from the first %d lines'" n
-                    (String.length text) complete
-            | exception e ->
-                Alcotest.failf "cut at %d/%d raised %s" n (String.length text)
-                  (Printexc.to_string e)
-          done))
-
 (* The exported trace re-reads event for event, to the same bytes; a
-   telemetry record is not a trace event. *)
+   snapshot document is not a trace event. *)
 let test_trace_codec_roundtrip () =
   Obs.reset ();
   Obs.Trace.with_span "a" (fun () ->
@@ -387,14 +220,14 @@ let test_trace_codec_roundtrip () =
       Alcotest.(check bool) "snapshot line rejected" true
         (raises_failure (fun () ->
              Obs.Trace.event_of_json
-               (Obs.Json.parse {|{"schema":"hetarch.snapshot/5","run":{}}|}))))
+               (Obs.Json.parse {|{"schema":"hetarch.snapshot/6","run":{}}|}))))
 
 (* ----------------------------------------------------------------- diff *)
 
 (* A snapshot whose spans are [(name, total_ns, minor_words)]. *)
 let snapshot spans =
   let spans = List.map (fun (n, ns, w) -> (n, 1, Int64.of_int ns, w, 0, 0)) spans in
-  { Obs.Snapshot.run = { run_id = "00000000000000aa"; shard = ""; parent = "" };
+  { Obs.Snapshot.run = { run_id = "00000000000000aa"; shard = "" };
     argv = [ "hetarch"; "fig6" ];
     started_unix = 1723100000.;
     wall_seconds = 1.;
@@ -409,12 +242,11 @@ let snapshot spans =
         p_heap_words = 0; p_top_heap_words = 0 };
     campaign = None }
 
-(* [b] judged against the explicit baseline [a]: a one-point history that
-   may flag. *)
+(* [b] judged against the baseline [a]. *)
 let against ?noise_floor_ns ~threshold_pct a b =
-  let history = [ Obs.Trend.metrics_of a ] and current = Obs.Trend.metrics_of b in
-  ( Obs.Trend.judge ~min_pct:threshold_pct ?noise_floor_ns ~min_samples:1 ~history current,
-    Obs.Trend.only_in ~history current )
+  let baseline = Obs.Trend.metrics_of a and current = Obs.Trend.metrics_of b in
+  ( Obs.Trend.judge ~threshold_pct ?noise_floor_ns ~baseline current,
+    Obs.Trend.only_in ~baseline current )
 
 let regressions verdicts =
   List.map (fun (v : Obs.Trend.verdict) -> (v.v_metric, Obs.Trend.delta_pct v))
@@ -424,8 +256,7 @@ let test_diff_detects_regression () =
   let a = snapshot [ ("k1", 100, 8); ("k2", 50, 100); ("gone", 10, 0) ] in
   let b = snapshot [ ("k1", 150, 8); ("k2", 51, 200); ("new", 10, 0) ] in
   let r, (only_a, only_b) = against ~threshold_pct:20. a b in
-  Alcotest.(check int) "four shared metrics" 4
-    (List.length (List.filter (fun (v : Obs.Trend.verdict) -> v.v_samples > 0) r));
+  Alcotest.(check int) "four shared metrics" 4 (List.length r);
   Alcotest.(check (list (pair string (float 1e-9)))) "regressions, worst first"
     [ ("alloc:k2", 100.); ("span:k1", 50.) ]
     (regressions r);
@@ -441,12 +272,12 @@ let test_diff_detects_regression () =
     (List.map fst (regressions floored));
   (* An allocation that grows from 0 is an infinite rise: it gates. *)
   let zero = snapshot [ ("z", 100, 0) ] and big = snapshot [ ("z", 100, 1_000_000_000) ] in
-  let r, _ = against ~threshold_pct:Obs.Trend.default_baseline_pct zero big in
+  let r, _ = against ~threshold_pct:Obs.Trend.default_threshold_pct zero big in
   Alcotest.(check (list (pair string (float 0.)))) "0 -> 1e9 words flagged"
     [ ("alloc:z", infinity) ]
     (regressions r);
   let floored, _ =
-    against ~threshold_pct:Obs.Trend.default_baseline_pct ~noise_floor_ns:2e9 zero big
+    against ~threshold_pct:Obs.Trend.default_threshold_pct ~noise_floor_ns:2e9 zero big
   in
   Alcotest.(check int) "0 -> 1e9 under a 2e9 floor not flagged" 0
     (List.length (regressions floored))
@@ -463,12 +294,8 @@ let test_diff_manifest_metrics () =
   Alcotest.(check bool) "span total extracted" true
     (List.mem_assoc "span:diff_test.span" metrics);
   (* Identical runs never regress. *)
-  let r, _ = against ~threshold_pct:Obs.Trend.default_baseline_pct snap snap in
-  Alcotest.(check int) "self-compare clean" 0 (List.length (regressions r));
-  (* A fleet view is judged by its merged snapshot: one source gives the
-     same metrics. *)
-  Alcotest.(check bool) "fleet of one, same metrics" true
-    (Obs.Trend.metrics_of (Obs.Merge.merged (Obs.Merge.of_snapshots [ snap ])) = metrics)
+  let r, _ = against ~threshold_pct:Obs.Trend.default_threshold_pct snap snap in
+  Alcotest.(check int) "self-compare clean" 0 (List.length (regressions r))
 
 let () =
   Alcotest.run "profile"
@@ -485,17 +312,8 @@ let () =
             test_span_alloc_attribution;
           Alcotest.test_case "sequential self-alloc determinism" `Quick
             test_self_alloc_deterministic_sequential ] );
-      ( "telemetry",
-        [ Alcotest.test_case "deltas across reset" `Quick
-            test_telemetry_deltas_across_reset;
-          Alcotest.test_case "tick no-op when disabled" `Quick
-            test_telemetry_tick_noop_when_disabled ] );
       ( "codec",
-        [ Alcotest.test_case "telemetry round trip" `Quick
-            test_telemetry_codec_roundtrip;
-          Alcotest.test_case "telemetry cut at every byte" `Quick
-            test_telemetry_cut_every_byte;
-          Alcotest.test_case "trace round trip" `Quick test_trace_codec_roundtrip ] );
+        [ Alcotest.test_case "trace round trip" `Quick test_trace_codec_roundtrip ] );
       ( "diff",
         [ Alcotest.test_case "regression detection" `Quick test_diff_detects_regression;
           Alcotest.test_case "manifest metrics" `Quick test_diff_manifest_metrics ] ) ]

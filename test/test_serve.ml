@@ -1,8 +1,8 @@
 (* Serve daemon: request codec (malformed input -> structured errors, never
    a crash or hang), pinned request-hash wire vectors, warm-tier byte
    identity at any --jobs, and the end-to-end daemon contract — split
-   socket reads, oversized bodies, and SIGTERM shutdown that leaves valid
-   registry artifacts exactly once. *)
+   socket reads, oversized bodies, and SIGTERM shutdown that leaves a valid
+   --metrics snapshot written exactly once. *)
 
 let parse_err line =
   match Serve.parse_request line with
@@ -305,14 +305,11 @@ let hetarch_bin =
     (Filename.dirname (Filename.dirname Sys.executable_name))
     (Filename.concat "bin" "main.exe")
 
-let spawn_daemon ?(obs_dir = None) ~socket () =
+let spawn_daemon ?metrics ~socket () =
   let argv =
-    [| hetarch_bin; "serve"; "--socket"; socket |]
-  in
-  let argv =
-    match obs_dir with
-    | None -> argv
-    | Some d -> Array.append argv [| "--obs-dir"; d |]
+    Array.append
+      [| hetarch_bin; "serve"; "--socket"; socket |]
+      (match metrics with None -> [||] | Some m -> [| "--metrics"; m |])
   in
   let devnull = Unix.openfile "/dev/null" [ Unix.O_WRONLY ] 0o644 in
   let pid =
@@ -448,32 +445,60 @@ let test_split_reads_and_pipelining () =
           Alcotest.(check bool) "daemon still alive" true
             (String.length pong > 0)))
 
-let count_final_records path =
-  List.length
-    (List.filter
-       (fun (t : Obs.Monitor.tick) -> Obs.Snapshot.gauge t.snap "telemetry.final" = 1.)
-       (Obs.Monitor.read path))
-
 let test_sigterm_finalizes_once () =
   with_tmp_dir (fun dir ->
       let socket = Filename.concat dir "serve.sock" in
-      let obs = Filename.concat dir "obs" in
-      let pid = spawn_daemon ~obs_dir:(Some obs) ~socket () in
+      let metrics = Filename.concat dir "m.json" in
+      let pid = spawn_daemon ~metrics ~socket () in
       Unix.kill pid Sys.sigterm;
       (match Unix.waitpid [] pid with
       | _, Unix.WEXITED 0 -> ()
       | _, Unix.WEXITED c -> Alcotest.failf "daemon exited %d on SIGTERM" c
       | _ -> Alcotest.fail "daemon killed by signal instead of exiting");
       Alcotest.(check bool) "socket file removed" false (Sys.file_exists socket);
-      (* the registry holds exactly one snapshot for the run *)
-      Alcotest.(check int) "one registry snapshot" 1
-        (Array.length (Sys.readdir (Filename.concat obs "snapshots")));
-      (* and the telemetry stream closed with exactly one final record *)
-      let tdir = Filename.concat obs "telemetry" in
-      let streams = Sys.readdir tdir in
-      Alcotest.(check int) "one telemetry stream" 1 (Array.length streams);
-      Alcotest.(check int) "exactly one final telemetry record" 1
-        (count_final_records (Filename.concat tdir streams.(0))))
+      (* the run's snapshot, and no writer temp file beside it *)
+      Alcotest.(check (array string)) "one snapshot file" [| "m.json" |] (Sys.readdir dir);
+      let snap = Obs.Snapshot.load metrics in
+      Alcotest.(check bool) "snapshot counts the ping" true
+        (List.assoc_opt "serve.requests_total" snap.counters <> None))
+
+(* ------------------------------------------------------ codec fuzz *)
+
+(* Request lines of every kind with random keys and values, the extreme
+   numbers and code names among them: the parser answers Ok or Error and
+   never raises. *)
+let test_parse_request_never_raises =
+  let open QCheck.Gen in
+  let kind = oneofl [ "threshold"; "uec"; "distill"; "dse"; "ping"; "stats"; "shutdown"; "nope" ] in
+  let key =
+    oneofl
+      [ "kind"; "distance"; "shots"; "seed"; "t_data"; "code"; "ts"; "rate_hz"; "horizon";
+        "hom"; "rounds"; "x"; "" ]
+  in
+  let value =
+    oneof
+      [ oneofl
+          [ "1e308"; "-1e308"; "9223372036854775807"; "-9223372036854775808";
+            "12345678901234567890123"; "[]"; "{}"; "null"; "true"; "false"; "0"; "-1";
+            "0.5"; "1e-320"; "\"\""; "\"SC99999999999999999999\""; "\"REP-3\"";
+            "\"SC0b11\""; "\"SC3\""; "\"REP17\""; "\"RM\""; "\"SC0x10\"" ];
+        map string_of_int int;
+        map (Printf.sprintf "%.17g") float;
+        map (fun s -> Obs.Json.to_string (Obs.Json.String s)) (string_size (0 -- 12)) ]
+  in
+  let line =
+    let* k = kind and* fields = list_size (0 -- 5) (pair key value) in
+    return
+      ("{\"kind\":\"" ^ k ^ "\""
+      ^ String.concat "" (List.map (fun (k, v) -> ",\"" ^ k ^ "\":" ^ v) fields)
+      ^ "}")
+  in
+  QCheck.Test.make ~count:2000 ~name:"parse_request never raises"
+    (QCheck.make ~print:Fun.id line)
+    (fun line ->
+      match Serve.parse_request line with
+      | Ok _ | Error _ -> true
+      | exception e -> QCheck.Test.fail_reportf "raised %s" (Printexc.to_string e))
 
 let () =
   Alcotest.run "serve"
@@ -481,7 +506,8 @@ let () =
         [ Alcotest.test_case "structured errors" `Quick test_codec_errors;
           Alcotest.test_case "pinned request-hash vectors" `Quick
             test_pinned_hashes;
-          Alcotest.test_case "normalization" `Quick test_normalization ] );
+          Alcotest.test_case "normalization" `Quick test_normalization;
+          QCheck_alcotest.to_alcotest test_parse_request_never_raises ] );
       ( "line table",
         [ Alcotest.test_case "repeats parse equal" `Quick test_line_table_repeats;
           Alcotest.test_case "flood stays bounded" `Quick test_line_table_flood;
