@@ -1,6 +1,6 @@
 # Developer and CI entry points.  `make ci` is the whole gate: the full
 # build, then the test suite.  Every end-to-end contract (campaign resume,
-# shard partition, characterization and compiled-DEM stores, allocation
+# shard partition, the characterization store, allocation
 # accounting, the serve daemon, --jobs determinism, pinned experiment
 # output) is a cram test under test/, so `dune runtest` runs it.
 

@@ -428,9 +428,7 @@ let run_schedule () =
    surface experiments, sample one DEM-direct batch and verify the batch
    arena decoder agrees shot-for-shot with the per-shot scalar decoder, then
    print the fused logical-error counts.  Stdout depends only on the seed —
-   byte-identical at any --jobs (deterministic chunking) and with or
-   without --cache-dir (a warm run decodes on a deserialized graph that
-   must behave identically to the cold build). *)
+   byte-identical at any --jobs (deterministic chunking). *)
 (* Minor-heap words allocated by [f ()].  The [Gc.minor_words] result is a
    boxed float allocated just after the counter is read — i.e. inside the
    measured window — so an empty window calibrates that constant out.  Minor
@@ -1049,9 +1047,11 @@ let obs_cmd =
               & opt (some (float_at_least 0.)) None
               & info [ "noise-floor-ns" ] ~docv:"NS"
                   ~doc:
-                    "Never flag metrics whose baseline and current values \
-                     are both below $(docv) nanoseconds — relative \
-                     thresholds are meaningless under scheduling noise")) ]
+                    "Never flag span times whose baseline and current \
+                     values are both below $(docv) nanoseconds — relative \
+                     thresholds are meaningless under scheduling noise. \
+                     Applies to span: metrics only; alloc: word counts and \
+                     hist: means are judged on the threshold alone")) ]
 
 (* --------------------------------------------------------------- serve *)
 

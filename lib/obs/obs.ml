@@ -1315,8 +1315,10 @@ end
 (* The regression judge: each metric of one run against the same metric of
    one baseline run.  A metric regresses when it exceeds the baseline by
    more than the threshold percentage; one that grows from 0 (limit 0)
-   regresses at any threshold.  The noise floor spares metrics too small
-   for a relative threshold to mean anything under scheduling noise. *)
+   regresses at any threshold.  The noise floor spares span times too
+   small for a relative threshold to mean anything under scheduling noise;
+   it is in nanoseconds, so it applies to [span:] metrics only, never to
+   word counts or histogram means in their own units. *)
 
 module Trend = struct
   type verdict = {
@@ -1352,7 +1354,10 @@ module Trend = struct
               v_baseline = base;
               v_current = cur;
               v_limit = limit;
-              v_regression = cur > limit && Float.max cur base >= noise_floor_ns })
+              v_regression =
+                cur > limit
+                && ((not (String.starts_with ~prefix:"span:" metric))
+                   || Float.max cur base >= noise_floor_ns) })
           (List.assoc_opt metric baseline))
       current
     |> List.sort (fun a b -> compare a.v_metric b.v_metric)

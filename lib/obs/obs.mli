@@ -444,7 +444,9 @@ module Trend : sig
   (** [judge ~baseline current], one verdict per metric both runs carry,
       sorted by name.  [threshold_pct] defaults to
       {!default_threshold_pct}; [noise_floor_ns] (default 0) never flags a
-      metric whose current and baseline values are both below the floor. *)
+      [span:] metric whose current and baseline times are both below the
+      floor.  It applies to span times only: [alloc:] word counts and
+      [hist:] means are judged on the threshold alone. *)
 
   val delta_pct : verdict -> float
   (** [100 * (current - baseline) / baseline]; [infinity] for a rise from

@@ -81,8 +81,7 @@ val weigh : structure -> Circuit.t -> mechanism list
 val of_circuit : Circuit.t -> mechanism list
 (** [weigh (structure c) c], without the shape check.  Mechanisms flipping
     nothing are dropped.  The list is in {!compare_mechanism} order (see
-    {!weigh_table}), the order {!Dem_sampler.of_mechanisms} sorts into, so
-    {!Dem_sampler.compile} takes it as it is. *)
+    {!weigh_table}), so {!Dem_sampler.compile} takes it as it is. *)
 
 val contributions : structure -> (int * int * int) array
 (** Every contribution as [(op index, component, mechanism id)], in

@@ -26,31 +26,24 @@ let dem_batches_total = Obs.Counter.create "pauli.dem_batches_total"
 let dem_shots_total = Obs.Counter.create "pauli.dem_shots_total"
 let sample_seconds = Obs.Histogram.create "pauli.dem_sample_seconds"
 
-(* Mechanisms are kept in [Dem.compare_mechanism] order.  It pins the RNG
-   consumption order of [sample] (seed determinism) and the serialized
-   byte stream (store round-trips).  [Dem]'s weight pass already lists its
-   mechanisms in this order; input from anywhere else (a decoded store
-   record) is sorted. *)
+(* Mechanisms are kept in [Dem.compare_mechanism] order, which pins the
+   RNG consumption order of [sample] (seed determinism).  [Dem]'s weight
+   pass already lists its mechanisms in this order. *)
 let make ~ndet ~nobs mechanisms =
-  if ndet < 0 || nobs < 0 then invalid_arg "Dem_sampler.of_mechanisms: bad dims";
+  if ndet < 0 || nobs < 0 then invalid_arg "Dem_sampler.make: bad dims";
   Array.iter
     (fun (m : Dem.mechanism) ->
       if m.Dem.p < 0. || m.Dem.p > 1. || Float.is_nan m.Dem.p then
-        invalid_arg "Dem_sampler.of_mechanisms: bad probability";
+        invalid_arg "Dem_sampler.make: bad probability";
       Array.iter
         (fun d ->
           if d < 0 || d >= ndet then
-            invalid_arg "Dem_sampler.of_mechanisms: detector out of range")
+            invalid_arg "Dem_sampler.make: detector out of range")
         m.Dem.detectors;
       if m.Dem.obs_mask lsr nobs <> 0 then
-        invalid_arg "Dem_sampler.of_mechanisms: observable out of range")
+        invalid_arg "Dem_sampler.make: observable out of range")
     mechanisms;
   { ndet; nobs; mechanisms }
-
-let of_mechanisms ~ndet ~nobs mechanisms =
-  let t = make ~ndet ~nobs (Array.of_list mechanisms) in
-  Array.sort Dem.compare_mechanism t.mechanisms;
-  t
 
 let compile (c : Circuit.t) =
   Obs.Counter.incr compiles_total;

@@ -37,19 +37,13 @@ type t
 
 val compile : Circuit.t -> t
 (** Extract and merge ({!Dem.of_circuit}) the circuit's error mechanisms.
-    They come out in canonical ({!Dem.compare_mechanism}) order, the order
-    {!of_mechanisms} sorts into, so the sampling stream for a given seed is
-    stable across save/load. *)
+    They come out in canonical ({!Dem.compare_mechanism}) order, which
+    fixes the sampling stream for a given seed. *)
 
 val weigh : Dem.structure -> float array -> t
 (** {!compile} from a structure and a noise table
     ({!Dem.weigh_table}): the mechanisms come out in canonical order
     already.  Counted and traced as a compile. *)
-
-val of_mechanisms : ndet:int -> nobs:int -> Dem.mechanism list -> t
-(** Package pre-extracted mechanisms (sorted here by
-    {!Dem.compare_mechanism}) with the
-    detector/observable counts; the deserialization entry point. *)
 
 val ndet : t -> int
 val nobs : t -> int

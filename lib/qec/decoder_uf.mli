@@ -81,9 +81,9 @@ val num_edges : graph -> int
 
 val edge_list : graph -> (int * int * int * bool) array
 (** The edges as given to {!weighted_graph}, in construction order, with the
-    virtual boundary endpoint mapped back to {!boundary} — the
-    serialization-stable description: feeding it back through
-    {!weighted_graph} rebuilds a graph with identical decode behavior. *)
+    virtual boundary endpoint mapped back to {!boundary}: feeding it back
+    through {!weighted_graph} rebuilds a graph with identical decode
+    behavior. *)
 
 val arrays : graph -> (string * int array) list
 (** Every array the decoder reads, by field name, and the node count,

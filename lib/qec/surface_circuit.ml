@@ -134,8 +134,7 @@ let positivity t ~n_qubits =
 
 (* The noisy memory-Z circuit of [p] with the noise of [table].  With
    [~record:true] it also returns each op's table offset (the ones a noise
-   op reads; 0 elsewhere), the index {!Dem.structure} and
-   {!Dem_store.skeleton_hash} take. *)
+   op reads; 0 elsewhere), the index {!Dem.structure} takes. *)
 let emit ?(record = false) p ~n_qubits table =
   let d = p.distance in
   let stabs, _ = stabs_of_distance d in
@@ -268,10 +267,9 @@ let circuit ?variability p =
 
 (* What every point of one shape shares.  A shape is fixed by distance,
    rounds and which of the slot durations and p2 are positive (which ops
-   the circuit has); its skeleton hash is the first half of a point's
-   store key.  The structure pass and the graph plan also depend on which
-   table entries are positive, so [compiled] records the pattern it was
-   built for and is rebuilt when a point's differs.  [pending] is the
+   the circuit has).  The structure pass and the graph plan also depend on
+   which table entries are positive, so [compiled] records the pattern it
+   was built for and is rebuilt when a point's differs.  [pending] is the
    circuit the shape was laid out from, with its index and pattern, kept
    only until a structure is built from it or the point that laid it out
    is done, so concurrent first points lay out one circuit between them.
@@ -282,7 +280,6 @@ type shape = {
   key : int * int * int;
   n_qubits : int;
   n_z : int;
-  hash : string;
   mutable pending : (Circuit.t * int array * Bytes.t) option;
   mutable compiled : compiled option;
 }
@@ -315,7 +312,6 @@ let shape_for p ~n_qubits table =
                     { key;
                       n_qubits;
                       n_z;
-                      hash = Dem_store.skeleton_hash c ~index;
                       pending = Some (c, index, positivity table ~n_qubits);
                       compiled = None })
               in
@@ -350,49 +346,32 @@ let compiled_for s p table =
               s.compiled <- Some c;
               c))
 
-(* A point's noise table, its shape (and whether this call laid it out)
-   and its store key. *)
-let resolve ?variability p =
-  check_shape p;
-  let n_qubits = n_qubits_of p in
-  let table = noise_table ?variability p ~n_qubits in
-  let s, laid_out = shape_for p ~n_qubits table in
-  (table, s, laid_out, Dem_store.key ~shape:s.hash ~noise:(Dem_store.noise_hash table))
-
 let drop_pending s = Mutex.protect lock (fun () -> s.pending <- None)
 
-let store_key p =
-  let _, s, laid_out, key = resolve p in
-  if laid_out then drop_pending s;
-  key
-
 (* Every step of a build sits in a named span: laying out a new shape, the
-   store round trip and, on a miss, the structure pass and graph plan of a
-   new positivity pattern, the DEM weight pass and the graph reweight.
-   None is on a per-shot path.  A point itself is only its noise table:
-   no circuit, no whole-circuit hash, no CSR rebuild. *)
+   structure pass and graph plan of a new positivity pattern, the DEM
+   weight pass and the graph reweight.  None is on a per-shot path.  A
+   point itself is only its noise table: no circuit, no CSR rebuild. *)
 let build_with ?variability p =
   Obs.Trace.with_span "qec.build" (fun () ->
-      let table, s, laid_out, key = resolve ?variability p in
+      check_shape p;
+      let n_qubits = n_qubits_of p in
+      let table = noise_table ?variability p ~n_qubits in
+      let s, laid_out = shape_for p ~n_qubits table in
       (* Compiled DEM + decoding graph from the circuit's detector error
          model, so edge weights and logical flags reflect the exact noise
-         (including hook errors and mid-cycle mechanisms).  Both are
-         resolved through the ambient persistent store when one is installed
-         (--cache-dir): a warm run skips the structure pass, the weight pass
-         and the graph, and decodes on a byte-identical deserialized
-         graph. *)
+         (including hook errors and mid-cycle mechanisms). *)
       let sampler, graph =
         Fun.protect
           ~finally:(fun () -> if laid_out then drop_pending s)
           (fun () ->
-            Dem_store.compile_cached key (fun () ->
-                let c = compiled_for s p table in
-                let sampler = Dem_sampler.weigh c.structure table in
-                let graph =
-                  Obs.Trace.with_span "qec.dem_graph" (fun () ->
-                      Dem_graph.weigh c.plan (Dem_sampler.mechanisms sampler))
-                in
-                (sampler, graph)))
+            let c = compiled_for s p table in
+            let sampler = Dem_sampler.weigh c.structure table in
+            let graph =
+              Obs.Trace.with_span "qec.dem_graph" (fun () ->
+                  Dem_graph.weigh c.plan (Dem_sampler.mechanisms sampler))
+            in
+            (sampler, graph))
       in
       { graph; sampler; params = p; n_qubits = s.n_qubits; n_z_stabs = s.n_z })
 

@@ -14,14 +14,13 @@
     entry of a noise table each noise op reads.  The {e noise table} of a
     point holds the [(px, py, pz)] of every (qubit, slot duration) and
     [p2], computed in O(qubits) from the parameters.  One memo slot keeps
-    the last shape: its skeleton's content hash (half the point's store
-    key, {!Dem_store.key}), and, once a point compiles, the DEM structure
+    the last shape and, once a point compiles, the DEM structure
     ({!Dem.structure}) and matching-graph plan ({!Dem_graph.plan}) for the
     table's positivity pattern.  Every further point of the shape costs
-    only its noise: a weight pass, a graph reweight, and a hash of its
-    table.  A slot miss is single-flight across domains, and a point whose
-    positivity pattern differs from the slot's (a subnormal [p2], an
-    infinite coherence) gets a new structure. *)
+    only its noise: a weight pass and a graph reweight.  A slot miss is
+    single-flight across domains, and a point whose positivity pattern
+    differs from the slot's (a subnormal [p2], an infinite coherence) gets
+    a new structure. *)
 
 type params = {
   distance : int;
@@ -59,11 +58,6 @@ val circuit : ?variability:float * Rng.t -> params -> Circuit.t
 val build : params -> experiment
 (** Construct the memory-Z experiment.  Detector i of the circuit is node i
     of the matching graph; the single observable is logical Z. *)
-
-val store_key : params -> string
-(** The {!Dem_store.key} a {!build} of the point resolves through: its
-    shape's skeleton hash and its noise table's hash.  Lays out the shape
-    into the memo slot when it is not there. *)
 
 val build_varied : sigma:float -> Rng.t -> params -> experiment
 (** Like {!build}, but every qubit's coherence time is drawn log-normally

@@ -616,21 +616,14 @@ let same_structure_as_bitvec c =
        o.Dem_bitvec.contributions
      = Dem.contributions s
 
-(* [Dem.of_circuit]'s order is the one [Dem_sampler.of_mechanisms] sorts
-   into: the sort leaves every mechanism where it was. *)
+(* [Dem.of_circuit]'s order is the canonical one: sorting by
+   [Dem.compare_mechanism] leaves every mechanism where it was. *)
 let canonical_order c =
   let dem = Dem.of_circuit c in
-  let sorted =
-    Dem_sampler.mechanisms
-      (Dem_sampler.of_mechanisms
-         ~ndet:(Array.length c.Circuit.detectors)
-         ~nobs:(Array.length c.Circuit.observables)
-         dem)
-  in
-  Array.length sorted = List.length dem && List.for_all2 ( == ) (Array.to_list sorted) dem
+  List.for_all2 ( == ) (List.stable_sort Dem.compare_mechanism dem) dem
 
 let prop_matches_bitvec =
-  QCheck.Test.make ~name:"structure = Bitvec pass; of_circuit order = of_mechanisms sort"
+  QCheck.Test.make ~name:"structure = Bitvec pass; of_circuit order = canonical sort"
     ~count:500
     (QCheck.make ~print:print_circuit gen_circuit)
     (fun c -> same_structure_as_bitvec c && canonical_order c)

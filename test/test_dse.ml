@@ -163,6 +163,62 @@ let test_store_corruption_degrades_to_miss () =
       Alcotest.(check bool) "healed after rewrite" true
         (Store.find s k1 = Some "payload one"))
 
+(* The crash harness at the byte level, on a real characterization
+   record: cut at every length and with each byte flipped in turn, the
+   record is a miss through [Store.find] and never an exception; through
+   the two-tier cache each damaged record gives the cold value bit for bit
+   and the write-back heals the entry.  The codec payload alone never
+   decodes from a proper prefix. *)
+let test_store_record_bytes () =
+  with_store_dir (fun dir ->
+      let store = Store.open_dir dir in
+      let key = Store.key ~kind:"test.record" ~fields:[ ("cell", "register") ] in
+      let compute () =
+        Characterize.characterize_op (Cell.register ()) (Characterize.Retention { dt = 10e-6 })
+      in
+      let encode = Char_store.codec.Cache.encode in
+      let cold = encode (compute ()) in
+      let through_cache () =
+        encode
+          (Cache.find_or_compute ~disk:(store, Char_store.codec) (Cache.create ()) ~key ~dim:2
+             compute)
+      in
+      ignore (through_cache ());
+      let path = Store.entry_path store key in
+      let read () = In_channel.with_open_bin path In_channel.input_all in
+      let write bytes = Out_channel.with_open_bin path (fun oc -> Out_channel.output_string oc bytes) in
+      let record = read () in
+      let damaged what bytes =
+        write bytes;
+        (match Store.find store key with
+        | None -> ()
+        | Some _ -> Alcotest.failf "%s was a hit" what
+        | exception e -> Alcotest.failf "%s: find raised %s" what (Printexc.to_string e));
+        write bytes;
+        if not (String.equal (through_cache ()) cold) then
+          Alcotest.failf "%s: cache value differs from the cold one" what;
+        if not (String.equal (read ()) record) then Alcotest.failf "%s: entry not healed" what
+      in
+      let flip s i =
+        let b = Bytes.of_string s in
+        Bytes.set b i (Char.chr (Char.code s.[i] lxor 0xff));
+        Bytes.to_string b
+      in
+      let n = String.length record in
+      for len = 0 to n - 1 do
+        damaged (Printf.sprintf "record cut to %d of %d bytes" len n) (String.sub record 0 len)
+      done;
+      for i = 0 to n - 1 do
+        damaged (Printf.sprintf "record with byte %d of %d flipped" i n) (flip record i)
+      done;
+      Alcotest.(check bool) "the intact record hits" true (Store.find store key <> None);
+      for len = 0 to String.length cold - 1 do
+        match Char_store.codec.Cache.decode (String.sub cold 0 len) with
+        | None -> ()
+        | Some _ -> Alcotest.failf "payload cut to %d decoded" len
+        | exception e -> Alcotest.failf "payload cut to %d: decode raised %s" len (Printexc.to_string e)
+      done)
+
 let test_cache_disk_tier () =
   with_store_dir (fun dir ->
       let s = Store.open_dir dir in
@@ -329,6 +385,7 @@ let () =
           Alcotest.test_case "key discipline" `Quick test_store_key_discipline;
           Alcotest.test_case "corruption degrades to miss" `Quick
             test_store_corruption_degrades_to_miss;
+          Alcotest.test_case "record bytes" `Quick test_store_record_bytes;
           Alcotest.test_case "cold/warm determinism" `Quick
             test_cold_warm_determinism;
           Alcotest.test_case "warm start speedup" `Quick test_warm_store_speedup ] );

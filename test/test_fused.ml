@@ -1,8 +1,7 @@
 (* Fused DEM sample->decode pipeline: cross-validation of the DEM-direct
    sampler against the circuit batch sampler, batch-vs-scalar decode
    agreement, pinned seed vectors for the fused logical-error estimator,
-   compiled-DEM store round-trip/corruption discipline, and the jobs
-   determinism of the pseudothreshold bisection.
+   and the jobs determinism of the pseudothreshold bisection.
 
    The DEM sampler draws each merged mechanism as an INDEPENDENT coin while
    the circuit sampler draws mutually-exclusive categorical noise per site;
@@ -306,251 +305,6 @@ let test_dem_graph_three_detector_flag () =
   Alcotest.(check bool) "full syndrome predicts flip" true
     (Decoder_uf.decode g syndrome)
 
-(* --------------------------------------------- compiled-DEM store ------- *)
-
-let rec rm_rf path =
-  if Sys.is_directory path then begin
-    Array.iter (fun e -> rm_rf (Filename.concat path e)) (Sys.readdir path);
-    Sys.rmdir path
-  end
-  else Sys.remove path
-
-let with_store_dir f =
-  let dir = Filename.temp_file "hetarch_dem_store_test" "" in
-  Sys.remove dir;
-  Fun.protect ~finally:(fun () -> rm_rf dir) (fun () -> f dir)
-
-let small_params = Surface_circuit.default ~distance:3
-let small_exp = lazy (Surface_circuit.build small_params)
-
-let test_pinned_circuit_key () =
-  (* The store key of the default d=3 point, pinned: any unintended change
-     to the skeleton encoding, the noise table or the key discipline
-     silently orphans every existing store entry — this fails loudly
-     instead. *)
-  let key = Surface_circuit.store_key small_params in
-  Alcotest.(check string) "pinned d=3 circuit key" "59de6a9bfec3253f" key;
-  (* Any noise-parameter change must move the key. *)
-  let varied =
-    Surface_circuit.store_key
-      { (Surface_circuit.default ~distance:3) with t_data = 1.0000001e-4 }
-  in
-  Alcotest.(check bool) "key sensitive to noise params" false (varied = key)
-
-(* The skeleton is hashed as its encoding is written, through a fixed
-   scratch: the same value as hashing the whole encoding, and a constant
-   number of minor words whatever the circuit's size (d=13 has about 51k
-   ops), the difference being one boxed hash state per 64 KiB flush.  Any
-   index works; here each noise op's offset is 3 i. *)
-let test_streamed_skeleton_hash () =
-  let index (c : Circuit.t) = Array.init (Array.length c.Circuit.ops) (fun i -> 3 * i) in
-  let d3 = Surface_circuit.circuit small_params in
-  let d13 = Surface_circuit.circuit (Surface_circuit.default ~distance:13) in
-  let varied =
-    Surface_circuit.circuit ~variability:(0.4, Rng.create 5)
-      (Surface_circuit.default ~distance:7)
-  in
-  List.iter
-    (fun (name, c) ->
-      let index = index c in
-      Alcotest.(check string) (name ^ " hash = oracle")
-        (Content_hash.hash_hex (Dem_store.encode_skeleton c ~index))
-        (Dem_store.skeleton_hash c ~index))
-    [ ("d=3", d3); ("d=13", d13); ("varied d=7", varied) ];
-  let i3 = index d3 and i13 = index d13 in
-  let w3 = Alloc.words (fun () -> ignore (Dem_store.skeleton_hash d3 ~index:i3)) in
-  let w13 = Alloc.words (fun () -> ignore (Dem_store.skeleton_hash d13 ~index:i13)) in
-  Alcotest.(check bool)
-    (Printf.sprintf "d=13 hash %d minor words <= 512, d=3 %d" w13 w3)
-    true
-    (w13 <= 512 && w13 - w3 <= 64)
-
-let same_graph g1 g2 = Decoder_uf.edge_list g1 = Decoder_uf.edge_list g2
-
-let test_store_roundtrip () =
-  let exp = Lazy.force small_exp in
-  let payload =
-    Dem_store.encode exp.Surface_circuit.sampler exp.Surface_circuit.graph
-  in
-  match Dem_store.decode payload with
-  | None -> Alcotest.fail "decode of fresh encode failed"
-  | Some (sampler, graph) ->
-      Alcotest.(check int) "ndet" (Dem_sampler.ndet exp.Surface_circuit.sampler)
-        (Dem_sampler.ndet sampler);
-      Alcotest.(check int) "nobs" (Dem_sampler.nobs exp.Surface_circuit.sampler)
-        (Dem_sampler.nobs sampler);
-      Alcotest.(check bool) "mechanisms identical" true
-        (Dem_sampler.mechanisms sampler
-        = Dem_sampler.mechanisms exp.Surface_circuit.sampler);
-      Alcotest.(check bool) "graph edges identical" true
-        (same_graph graph exp.Surface_circuit.graph);
-      (* The deserialized pair must behave bit-identically: same sampling
-         stream, same decode on the sampled batch. *)
-      let b1 =
-        Dem_sampler.sample exp.Surface_circuit.sampler (Rng.create 61)
-          ~nshots:300
-      in
-      let b2 = Dem_sampler.sample sampler (Rng.create 61) ~nshots:300 in
-      Array.iteri
-        (fun i row ->
-          Alcotest.(check bool)
-            (Printf.sprintf "detector row %d identical" i)
-            true
-            (Bitvec.equal row b2.Dem_sampler.detectors.(i)))
-        b1.Dem_sampler.detectors;
-      Alcotest.(check bool) "observable row identical" true
-        (Bitvec.equal b1.Dem_sampler.observables.(0)
-           b2.Dem_sampler.observables.(0));
-      Alcotest.(check bool) "decode identical on warm graph" true
-        (Bitvec.equal
-           (Decoder_uf.decode_batch exp.Surface_circuit.graph
-              ~detectors:b1.Dem_sampler.detectors ~nshots:300)
-           (Decoder_uf.decode_batch graph
-              ~detectors:b2.Dem_sampler.detectors ~nshots:300))
-
-let test_store_malformed_payloads () =
-  let exp = Lazy.force small_exp in
-  let payload =
-    Dem_store.encode exp.Surface_circuit.sampler exp.Surface_circuit.graph
-  in
-  (* Truncations at every framing boundary degrade to None, never raise. *)
-  List.iter
-    (fun len ->
-      Alcotest.(check bool)
-        (Printf.sprintf "truncated to %d bytes -> miss" len)
-        true
-        (Dem_store.decode (String.sub payload 0 len) = None))
-    [ 0; 3; 6; 8; 20; String.length payload - 1 ];
-  (* Trailing garbage is rejected (silent extra bytes would mask version
-     skew). *)
-  Alcotest.(check bool) "trailing byte -> miss" true
-    (Dem_store.decode (payload ^ "\x00") = None);
-  (* Version bump in the payload header -> miss. *)
-  let bumped = Bytes.of_string payload in
-  Bytes.set_uint16_le bumped (String.length "QECDEM")
-    (Dem_store.format_version + 1);
-  Alcotest.(check bool) "version mismatch -> miss" true
-    (Dem_store.decode (Bytes.to_string bumped) = None);
-  (* Wrong magic -> miss. *)
-  let magicless = Bytes.of_string payload in
-  Bytes.set magicless 0 'X';
-  Alcotest.(check bool) "bad magic -> miss" true
-    (Dem_store.decode (Bytes.to_string magicless) = None)
-
-let test_store_corruption_heals () =
-  with_store_dir (fun dir ->
-      let exp = Lazy.force small_exp in
-      let key = Surface_circuit.store_key small_params in
-      let store = Store.open_dir dir in
-      Alcotest.(check bool) "fresh store misses" true
-        (Dem_store.find store key = None);
-      Dem_store.put store key exp.Surface_circuit.sampler
-        exp.Surface_circuit.graph;
-      (match Dem_store.find store key with
-      | Some (_, graph) ->
-          Alcotest.(check bool) "hit decodes the stored graph" true
-            (same_graph graph exp.Surface_circuit.graph)
-      | None -> Alcotest.fail "stored entry missed");
-      (* Truncate the entry in place: the next find must degrade to a miss
-         (not raise), and a re-put must heal it. *)
-      let path = Store.entry_path store key in
-      let full = In_channel.with_open_bin path In_channel.input_all in
-      Out_channel.with_open_bin path (fun oc ->
-          Out_channel.output_string oc (String.sub full 0 10));
-      Alcotest.(check bool) "truncated entry -> miss" true
-        (Dem_store.find store key = None);
-      Dem_store.put store key exp.Surface_circuit.sampler
-        exp.Surface_circuit.graph;
-      Alcotest.(check bool) "re-put heals" true
-        (Dem_store.find store key <> None))
-
-(* The crash harness at the byte level: the d=3 record, cut at every
-   length and with every byte flipped in turn, is a miss through
-   [Dem_store.find] and never an exception; the payload alone, cut at every
-   length, never decodes, and flipped anywhere never raises. *)
-let test_store_record_bytes () =
-  with_store_dir (fun dir ->
-      let exp = Lazy.force small_exp in
-      let key = Surface_circuit.store_key small_params in
-      let store = Store.open_dir dir in
-      Dem_store.put store key exp.Surface_circuit.sampler exp.Surface_circuit.graph;
-      let path = Store.entry_path store key in
-      let record = In_channel.with_open_bin path In_channel.input_all in
-      let find_with bytes =
-        Out_channel.with_open_bin path (fun oc -> Out_channel.output_string oc bytes);
-        match Dem_store.find store key with
-        | None -> true
-        | Some _ -> false
-        | exception e -> Alcotest.failf "find raised %s" (Printexc.to_string e)
-      in
-      let flip s i =
-        let b = Bytes.of_string s in
-        Bytes.set b i (Char.chr (Char.code s.[i] lxor 0xff));
-        Bytes.to_string b
-      in
-      let n = String.length record in
-      for len = 0 to n - 1 do
-        if not (find_with (String.sub record 0 len)) then
-          Alcotest.failf "record cut to %d of %d bytes was a hit" len n
-      done;
-      for i = 0 to n - 1 do
-        if not (find_with (flip record i)) then
-          Alcotest.failf "record with byte %d of %d flipped was a hit" i n
-      done;
-      Alcotest.(check bool) "the intact record hits" false (find_with record);
-      let payload = Dem_store.encode exp.Surface_circuit.sampler exp.Surface_circuit.graph in
-      let decodes s =
-        match Dem_store.decode s with
-        | Some _ -> true
-        | None -> false
-        | exception e -> Alcotest.failf "decode raised %s" (Printexc.to_string e)
-      in
-      for len = 0 to String.length payload - 1 do
-        if decodes (String.sub payload 0 len) then Alcotest.failf "payload cut to %d decoded" len
-      done;
-      String.iteri (fun i _ -> ignore (decodes (flip payload i))) payload)
-
-(* A store written under the key layout before the shape and noise
-   hashes: the default d=3 record under its old key (one hash of the whole
-   circuit, in a "circuit" field).  A build never looks that key up, so it
-   misses, and the record it writes under its own key has the same bytes. *)
-let test_old_key_misses () =
-  with_store_dir (fun dir ->
-      let exp = Lazy.force small_exp in
-      let store = Store.open_dir dir in
-      let payload = Dem_store.encode exp.Surface_circuit.sampler exp.Surface_circuit.graph in
-      Store.put store "67bab1e2e2db236e" payload;
-      Char_store.with_store store (fun () ->
-          let hits = Obs.Counter.value Dem_store.hits_total
-          and misses = Obs.Counter.value Dem_store.misses_total in
-          ignore (Surface_circuit.build small_params);
-          Alcotest.(check (pair int int)) "one miss, no hit" (0, 1)
-            ( Obs.Counter.value Dem_store.hits_total - hits,
-              Obs.Counter.value Dem_store.misses_total - misses ));
-      Alcotest.(check (option string)) "recomputed record = planted record" (Some payload)
-        (Store.find store (Surface_circuit.store_key small_params)))
-
-let test_compile_cached_warm_identical () =
-  with_store_dir (fun dir ->
-      (* With an ambient store installed, the second build must be served
-         from disk (hit counter moves) and still estimate bit-identically. *)
-      Char_store.with_store (Store.open_dir dir) (fun () ->
-          let count () =
-            let exp =
-              Surface_circuit.build (Surface_circuit.default ~distance:3)
-            in
-            Surface_circuit.logical_error_count ~jobs:1 exp (Rng.create 71)
-              ~shots:500
-          in
-          let hits0 = Obs.Counter.value Dem_store.hits_total in
-          let cold = count () in
-          let hits1 = Obs.Counter.value Dem_store.hits_total in
-          let warm = count () in
-          let hits2 = Obs.Counter.value Dem_store.hits_total in
-          Alcotest.(check int) "cold build does not hit" hits0 hits1;
-          Alcotest.(check bool) "warm build hits the store" true (hits2 > hits1);
-          Alcotest.(check int) "warm count identical to cold" cold warm))
-
 (* ------------------------------------------------ threshold jobs -------- *)
 
 let test_pseudothreshold_jobs_determinism () =
@@ -591,19 +345,6 @@ let () =
             test_fused_alloc_budget;
           Alcotest.test_case "fused vs per-shot speedup" `Quick
             test_fused_speedup ] );
-      ( "dem store",
-        [ Alcotest.test_case "pinned circuit key" `Quick
-            test_pinned_circuit_key;
-          Alcotest.test_case "streamed skeleton hash" `Quick test_streamed_skeleton_hash;
-          Alcotest.test_case "round trip" `Quick test_store_roundtrip;
-          Alcotest.test_case "malformed payloads" `Quick
-            test_store_malformed_payloads;
-          Alcotest.test_case "corruption heals" `Quick
-            test_store_corruption_heals;
-          Alcotest.test_case "warm start identical" `Quick
-            test_compile_cached_warm_identical;
-          Alcotest.test_case "record bytes" `Quick test_store_record_bytes;
-          Alcotest.test_case "old key misses" `Quick test_old_key_misses ] );
       ( "threshold",
         [ Alcotest.test_case "pseudothreshold jobs=1 vs 4" `Slow
             test_pseudothreshold_jobs_determinism ] ) ]

@@ -276,11 +276,13 @@ let test_diff_detects_regression () =
   Alcotest.(check (list (pair string (float 0.)))) "0 -> 1e9 words flagged"
     [ ("alloc:z", infinity) ]
     (regressions r);
+  (* The floor is in nanoseconds and spares span times only: a word count
+     below it still gates. *)
   let floored, _ =
     against ~threshold_pct:Obs.Trend.default_threshold_pct ~noise_floor_ns:2e9 zero big
   in
-  Alcotest.(check int) "0 -> 1e9 under a 2e9 floor not flagged" 0
-    (List.length (regressions floored))
+  Alcotest.(check (list string)) "0 -> 1e9 words under a 2e9 ns floor flagged" [ "alloc:z" ]
+    (List.map fst (regressions floored))
 
 let test_diff_manifest_metrics () =
   Obs.reset ();

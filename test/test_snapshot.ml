@@ -277,9 +277,10 @@ let test_trend_min_pct_floor () =
 
 let test_trend_noise_floor () =
   let v =
-    List.hd (Obs.Trend.judge ~noise_floor_ns:1e6 ~baseline:[ ("m", 100.) ] [ ("m", 500.) ])
+    List.hd
+      (Obs.Trend.judge ~noise_floor_ns:1e6 ~baseline:[ ("span:m", 100.) ] [ ("span:m", 500.) ])
   in
-  Alcotest.(check bool) "sub-floor metrics never flag" false v.Obs.Trend.v_regression
+  Alcotest.(check bool) "sub-floor span times never flag" false v.Obs.Trend.v_regression
 
 let () =
   Alcotest.run "snapshot"

@@ -639,33 +639,6 @@ let test_content_hash_canonical_injective () =
   Alcotest.(check bool) "order matters" false
     (Content_hash.of_components [ "a"; "b" ] = Content_hash.of_components [ "b"; "a" ])
 
-(* Strings around one and two 64 KiB flushes (the store key's scratch
-   size), fed in scratch-sized pieces and at one random cut: the streamed
-   digest is [hash64] of the whole. *)
-let prop_content_hash_stream =
-  let flush = 65536 in
-  QCheck.Test.make ~name:"streamed hash = hash64 across 64 KiB flushes" ~count:40
-    QCheck.(triple (int_range 1 2) (int_range (-300) 300) (pair small_nat int))
-    (fun (k, delta, (cut, seed)) ->
-      let rng = Rng.create seed in
-      let n = (k * flush) + delta in
-      let s = String.init n (fun _ -> Char.chr (Rng.int rng 256)) in
-      let b = Bytes.unsafe_of_string s in
-      let pieces = Content_hash.init () in
-      let off = ref 0 in
-      while !off < n do
-        let len = min flush (n - !off) in
-        Content_hash.feed pieces b !off len;
-        off := !off + len
-      done;
-      let cut = min n (cut * 997) in
-      let halves = Content_hash.init () in
-      Content_hash.feed halves b 0 cut;
-      Content_hash.feed halves b cut (n - cut);
-      let h = Content_hash.hash64 s in
-      Int64.equal (Content_hash.digest pieces) h
-      && Int64.equal (Content_hash.digest halves) h)
-
 (* The hand-written renderings against the formatter ones they replaced:
    component lengths around every decimal width (0, 9, 10, 99, 100, ...)
    and arbitrary 64-bit values, including negative ones. *)
@@ -772,6 +745,5 @@ let () =
           [ prop_heap_sorted;
             prop_bitvec_xor_involution;
             prop_uf_transitive;
-            prop_content_hash_stream;
             prop_content_hash_renderings;
             prop_stats_running_matches_batch ] ) ]
